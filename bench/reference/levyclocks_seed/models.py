@@ -1,0 +1,487 @@
+"""Catalog of Lévy process families as Laplace-exponent objects.
+
+Each family carries a closed-form Laplace exponent ``psi`` with
+``E exp(m xi_t) = exp(t psi(m))`` on an open domain ``(m_minus, m_plus)``
+containing 0, together with exact first and second derivatives and an
+exponential-tilt (Esscher) mechanism.
+
+Families and exponents (``m`` ranges over the open domain):
+
+==============================  ===========================================
+brownian_drift(nu)              2 m (m + nu)                    on (-inf, inf)
+cp_plus_drift(d, beta, gamma)   m (d + beta / (gamma - m))      on (-inf, gamma)
+cp_minus_drift(beta, gamma)     m (-1 + beta / (gamma - m))     on (-inf, gamma)
+saw_tooth(beta, gamma)          m (gamma - beta + m)/(gamma+m)  on (-gamma, inf)
+stable_conditioned(alpha, c)    c Gamma(m+alpha)/Gamma(m)       on (-alpha, inf)
+csbp_immigration(kappa, delta, c)
+        c (kappa - (kappa+1) delta - m) Gamma(kappa-m)/Gamma(-m)
+                                                                on (-inf, kappa)
+hypergeometric_stable(alpha, d)
+        -2^alpha [G((alpha-m)/2)/G(-m/2)] [G((m+d)/2)/G((m+d-alpha)/2)]
+                                                                on (-d, alpha)
+==============================  ===========================================
+
+Values at removable singularities of the Gamma-ratio families (the zeros
+of 1/Gamma inside the domain, e.g. m = 0) are obtained from reflection-
+formula product forms which are smooth across those points, so no Taylor
+patching or finite differencing is ever needed.  Derivatives are obtained
+by analytic differentiation of the same product forms (digamma/trigamma
+terms), never numerically.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from enum import Enum
+from functools import lru_cache
+
+from .errors import ConstructionError, DomainError
+from .numerics import digamma, log_gamma, trigamma
+
+__all__ = [
+    "Family",
+    "LevyModel",
+    "make_model",
+    "brownian_drift",
+    "cp_plus_drift",
+    "cp_minus_drift",
+    "saw_tooth",
+    "stable_conditioned",
+    "csbp_immigration",
+    "hypergeometric_stable",
+    "model_to_text",
+    "model_from_text",
+]
+
+_PI = math.pi
+
+
+class Family(str, Enum):
+    BROWNIAN_DRIFT = "brownian_drift"
+    CP_PLUS_DRIFT = "cp_plus_drift"
+    CP_MINUS_DRIFT = "cp_minus_drift"
+    SAW_TOOTH = "saw_tooth"
+    STABLE_CONDITIONED = "stable_conditioned"
+    CSBP_IMMIGRATION = "csbp_immigration"
+    HYPERGEOMETRIC_STABLE = "hypergeometric_stable"
+
+
+PARAM_NAMES: dict[Family, tuple[str, ...]] = {
+    Family.BROWNIAN_DRIFT: ("nu",),
+    Family.CP_PLUS_DRIFT: ("d", "beta", "gamma"),
+    Family.CP_MINUS_DRIFT: ("beta", "gamma"),
+    Family.SAW_TOOTH: ("beta", "gamma"),
+    Family.STABLE_CONDITIONED: ("alpha", "c"),
+    Family.CSBP_IMMIGRATION: ("kappa", "delta", "c"),
+    Family.HYPERGEOMETRIC_STABLE: ("alpha", "d"),
+}
+
+
+def _require(cond: bool, constraint: str) -> None:
+    if not cond:
+        raise ConstructionError(f"parameter constraint violated: {constraint}")
+
+
+def _validate(family: Family, p: tuple[float, ...]) -> None:
+    names = PARAM_NAMES[family]
+    if len(p) != len(names):
+        raise ConstructionError(
+            f"{family.value} takes parameters {names}, got {len(p)} values")
+    if not all(math.isfinite(v) for v in p):
+        raise ConstructionError(f"{family.value} parameters must be finite")
+    if family is Family.BROWNIAN_DRIFT:
+        _require(p[0] > 0, "nu > 0")
+    elif family is Family.CP_PLUS_DRIFT:
+        d, beta, gamma = p
+        _require(d >= 0, "d >= 0")
+        # beta = 0 is accepted as the degenerate pure-drift case.
+        _require(beta >= 0, "beta >= 0")
+        _require(gamma > 0, "gamma > 0")
+        _require(d + beta > 0, "d + beta > 0 (drift to +inf)")
+    elif family is Family.CP_MINUS_DRIFT:
+        beta, gamma = p
+        _require(gamma > 0, "gamma > 0")
+        _require(gamma < beta, "0 < gamma < beta")
+    elif family is Family.SAW_TOOTH:
+        beta, gamma = p
+        _require(beta > 0, "beta > 0")
+        _require(beta < gamma, "0 < beta < gamma")
+    elif family is Family.STABLE_CONDITIONED:
+        alpha, c = p
+        _require(1.0 < alpha < 2.0, "alpha in (1, 2)")
+        _require(c > 0, "c > 0")
+    elif family is Family.CSBP_IMMIGRATION:
+        kappa, delta, c = p
+        _require(0.0 < kappa <= 1.0, "kappa in (0, 1]")
+        _require(delta > kappa / (kappa + 1.0), "delta > kappa/(kappa+1)")
+        _require(c > 0, "c > 0")
+    elif family is Family.HYPERGEOMETRIC_STABLE:
+        alpha, d = p
+        _require(0.0 < alpha <= 2.0, "alpha in (0, 2]")
+        _require(alpha < d, "alpha < d")
+
+
+def _base_domain(family: Family, p: tuple[float, ...]) -> tuple[float, float]:
+    inf = math.inf
+    if family is Family.BROWNIAN_DRIFT:
+        return (-inf, inf)
+    if family is Family.CP_PLUS_DRIFT:
+        return (-inf, inf) if p[1] == 0.0 else (-inf, p[2])
+    if family is Family.CP_MINUS_DRIFT:
+        return (-inf, p[1])
+    if family is Family.SAW_TOOTH:
+        return (-p[1], inf)
+    if family is Family.STABLE_CONDITIONED:
+        return (-p[0], inf)
+    if family is Family.CSBP_IMMIGRATION:
+        return (-inf, p[0])
+    if family is Family.HYPERGEOMETRIC_STABLE:
+        return (-p[1], p[0])
+    raise ConstructionError(f"unknown family {family!r}")
+
+
+# --------------------------------------------------------------------------
+# Closed-form psi, psi', psi'' for each family.  Each returns the triple
+# (psi, psi', psi'') at a point of the open base domain.
+# --------------------------------------------------------------------------
+
+def _gamma_ratio(p_arg: float, q_arg: float, p_slope: float,
+                 q_slope: float) -> tuple[float, float, float]:
+    """(r, r'/r, (r'/r)') for r(m) = Gamma(p(m)) / Gamma(q(m)).
+
+    ``p_arg``/``q_arg`` must be positive; ``p_slope``/``q_slope`` are the
+    (constant) derivatives of the linear argument maps.
+    """
+    r = math.exp(log_gamma(p_arg) - log_gamma(q_arg))
+    lr = p_slope * digamma(p_arg) - q_slope * digamma(q_arg)
+    lr2 = p_slope * p_slope * trigamma(p_arg) - q_slope * q_slope * trigamma(q_arg)
+    return r, lr, lr2
+
+
+def _triple_brownian(p: tuple[float, ...], m: float):
+    nu = p[0]
+    return 2.0 * m * (m + nu), 4.0 * m + 2.0 * nu, 4.0
+
+
+def _triple_cp(d: float, beta: float, gamma: float, m: float):
+    g = gamma - m
+    psi = m * (d + beta / g)
+    d1 = d + beta * gamma / (g * g)
+    d2 = 2.0 * beta * gamma / (g * g * g)
+    return psi, d1, d2
+
+
+def _triple_saw_tooth(p: tuple[float, ...], m: float):
+    beta, gamma = p
+    g = gamma + m
+    psi = m * (gamma - beta + m) / g
+    d1 = 1.0 - beta * gamma / (g * g)
+    d2 = 2.0 * beta * gamma / (g * g * g)
+    return psi, d1, d2
+
+
+def _triple_stable(p: tuple[float, ...], m: float):
+    alpha, c = p
+    if m >= 0.5:
+        r, lr, lr2 = _gamma_ratio(m + alpha, m, 1.0, 1.0)
+        psi = c * r
+        return psi, psi * lr, psi * (lr * lr + lr2)
+    # Smooth across the zeros of 1/Gamma(m) at m = 0, -1.
+    f, f1, f2 = _reflected_ratio(m + alpha, 1.0, m, 1.0)
+    return c * f, c * f1, c * f2
+
+
+def _triple_csbp(p: tuple[float, ...], m: float):
+    kappa, delta, c = p
+    P = kappa - (kappa + 1.0) * delta - m   # linear factor, P' = -1
+    if m <= -0.5:
+        f, lr, lr2 = _gamma_ratio(kappa - m, -m, -1.0, -1.0)
+        f1 = f * lr
+        f2 = f * (lr * lr + lr2)
+    else:
+        # Smooth across the zero of 1/Gamma(-m) at m = 0.
+        f, f1, f2 = _reflected_ratio(kappa - m, -1.0, -m, -1.0)
+    psi = c * P * f
+    d1 = c * (-f + P * f1)
+    d2 = c * (-2.0 * f1 + P * f2)
+    return psi, d1, d2
+
+
+def _reflected_ratio(a: float, sa: float, z: float,
+                     sz: float) -> tuple[float, float, float]:
+    """(f, f', f'') for f(m) = Gamma(a(m)) / Gamma(z(m)) near 1/Gamma zeros.
+
+    Uses 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, which is smooth across
+    the zeros at non-positive integer ``z``.  ``a``/``z`` are the current
+    argument values and ``sa``/``sz`` their constant slopes in ``m``;
+    requires ``a > 0`` and ``1 - z > 0``.
+    """
+    G = log_gamma(a) + log_gamma(1.0 - z)
+    G1 = sa * digamma(a) - sz * digamma(1.0 - z)
+    G2 = sa * sa * trigamma(a) + sz * sz * trigamma(1.0 - z)
+    g = math.exp(G) / _PI
+    s, cs = math.sin(_PI * z), math.cos(_PI * z)
+    sd = _PI * sz * cs
+    sdd = -_PI * _PI * sz * sz * s
+    f = g * s
+    f1 = g * (G1 * s + sd)
+    f2 = g * ((G2 + G1 * G1) * s + 2.0 * G1 * sd + sdd)
+    return f, f1, f2
+
+
+def _triple_hyper(p: tuple[float, ...], m: float):
+    alpha, d = p
+    # f1 = Gamma((alpha - m)/2) / Gamma(-m/2); zero of 1/Gamma at m = 0.
+    if m <= -1.0:
+        f1, l1, l1p = _gamma_ratio((alpha - m) / 2.0, -m / 2.0, -0.5, -0.5)
+        f1d = f1 * l1
+        f1dd = f1 * (l1 * l1 + l1p)
+    else:
+        f1, f1d, f1dd = _reflected_ratio((alpha - m) / 2.0, -0.5,
+                                         -m / 2.0, -0.5)
+    # f2 = Gamma((m + d)/2) / Gamma((m + d - alpha)/2); zero at m = alpha - d.
+    if m >= alpha - d + 1.0:
+        f2, l2, l2p = _gamma_ratio((m + d) / 2.0, (m + d - alpha) / 2.0,
+                                   0.5, 0.5)
+        f2d = f2 * l2
+        f2dd = f2 * (l2 * l2 + l2p)
+    else:
+        f2, f2d, f2dd = _reflected_ratio((m + d) / 2.0, 0.5,
+                                         (m + d - alpha) / 2.0, 0.5)
+    k = -math.pow(2.0, alpha)
+    psi = k * f1 * f2
+    d1 = k * (f1d * f2 + f1 * f2d)
+    d2 = k * (f1dd * f2 + 2.0 * f1d * f2d + f1 * f2dd)
+    return psi, d1, d2
+
+
+def _base_triple(family: Family, p: tuple[float, ...], m: float):
+    if family is Family.BROWNIAN_DRIFT:
+        return _triple_brownian(p, m)
+    if family is Family.CP_PLUS_DRIFT:
+        d, beta, gamma = p
+        if beta == 0.0:
+            return d * m, d, 0.0
+        return _triple_cp(d, beta, gamma, m)
+    if family is Family.CP_MINUS_DRIFT:
+        return _triple_cp(-1.0, p[0], p[1], m)
+    if family is Family.SAW_TOOTH:
+        return _triple_saw_tooth(p, m)
+    if family is Family.STABLE_CONDITIONED:
+        return _triple_stable(p, m)
+    if family is Family.CSBP_IMMIGRATION:
+        return _triple_csbp(p, m)
+    if family is Family.HYPERGEOMETRIC_STABLE:
+        return _triple_hyper(p, m)
+    raise ConstructionError(f"unknown family {family!r}")
+
+
+def _base_value(family: Family, p: tuple[float, ...], m: float) -> float:
+    """Exponent value only; skips the derivative work of _base_triple."""
+    if family is Family.BROWNIAN_DRIFT:
+        return 2.0 * m * (m + p[0])
+    if family is Family.CP_PLUS_DRIFT:
+        d, beta, gamma = p
+        return d * m if beta == 0.0 else m * (d + beta / (gamma - m))
+    if family is Family.CP_MINUS_DRIFT:
+        beta, gamma = p
+        return m * (-1.0 + beta / (gamma - m))
+    if family is Family.SAW_TOOTH:
+        beta, gamma = p
+        return m * (gamma - beta + m) / (gamma + m)
+    if family is Family.STABLE_CONDITIONED:
+        alpha, c = p
+        if m >= 0.5:
+            return c * math.exp(log_gamma(m + alpha) - log_gamma(m))
+        return (c / _PI) * math.exp(log_gamma(m + alpha)
+                                    + log_gamma(1.0 - m)) * math.sin(_PI * m)
+    if family is Family.CSBP_IMMIGRATION:
+        kappa, delta, c = p
+        P = kappa - (kappa + 1.0) * delta - m
+        if m <= -0.5:
+            return c * P * math.exp(log_gamma(kappa - m) - log_gamma(-m))
+        return (c / _PI) * P * math.exp(log_gamma(kappa - m)
+                                        + log_gamma(1.0 + m)) * math.sin(-_PI * m)
+    if family is Family.HYPERGEOMETRIC_STABLE:
+        alpha, d = p
+        if m <= -1.0:
+            f1 = math.exp(log_gamma((alpha - m) / 2.0) - log_gamma(-m / 2.0))
+        else:
+            f1 = math.exp(log_gamma((alpha - m) / 2.0)
+                          + log_gamma(1.0 + m / 2.0)) * math.sin(-_PI * m / 2.0) / _PI
+        z2 = (m + d - alpha) / 2.0
+        if m >= alpha - d + 1.0:
+            f2 = math.exp(log_gamma((m + d) / 2.0) - log_gamma(z2))
+        else:
+            f2 = math.exp(log_gamma((m + d) / 2.0)
+                          + log_gamma(1.0 - z2)) * math.sin(_PI * z2) / _PI
+        return -math.pow(2.0, alpha) * f1 * f2
+    raise ConstructionError(f"unknown family {family!r}")
+
+
+@lru_cache(maxsize=1024)
+def _anchor_value(family: Family, p: tuple[float, ...], tilt: float) -> float:
+    return _base_value(family, p, tilt)
+
+
+@dataclass(frozen=True)
+class LevyModel:
+    """A Lévy family instance: exponent, open domain, and Esscher tilt.
+
+    The stored ``tilt`` composes exponential changes of measure: the
+    model's exponent is ``psi(theta) = Psi(tilt + theta) - Psi(tilt)``
+    where ``Psi`` is the untilted family exponent, and the open domain is
+    the family domain shifted by ``-tilt``.  ``psi(0) = 0`` holds exactly
+    by construction.
+    """
+
+    family: Family
+    params: tuple[float, ...]
+    tilt: float = 0.0
+
+    def __post_init__(self) -> None:
+        _validate(self.family, self.params)
+        lo, hi = _base_domain(self.family, self.params)
+        if not lo < self.tilt < hi:
+            raise ConstructionError(
+                f"tilt {self.tilt!r} outside base domain ({lo!r}, {hi!r})")
+
+    # -- domain ------------------------------------------------------------
+
+    @property
+    def m_minus(self) -> float:
+        return _base_domain(self.family, self.params)[0] - self.tilt
+
+    @property
+    def m_plus(self) -> float:
+        return _base_domain(self.family, self.params)[1] - self.tilt
+
+    def _check_domain(self, m: float) -> None:
+        if not (math.isfinite(m) and self.m_minus < m < self.m_plus):
+            raise DomainError(
+                f"m = {m!r} outside open domain "
+                f"({self.m_minus!r}, {self.m_plus!r}) of {self.describe()}")
+
+    # -- exponent ----------------------------------------------------------
+
+    def psi(self, m: float) -> float:
+        """Laplace exponent at ``m`` in the open (tilted) domain."""
+        self._check_domain(m)
+        if m == 0.0:
+            return 0.0
+        v = _base_value(self.family, self.params, self.tilt + m)
+        if self.tilt != 0.0:
+            v -= _anchor_value(self.family, self.params, self.tilt)
+        return v
+
+    def psi_derivs(self, m: float) -> tuple[float, float]:
+        """(psi'(m), psi''(m)) by analytic differentiation."""
+        self._check_domain(m)
+        _, d1, d2 = _base_triple(self.family, self.params, self.tilt + m)
+        return d1, d2
+
+    @property
+    def mean(self) -> float:
+        """E xi_1 = psi'(0)."""
+        return self.psi_derivs(0.0)[0]
+
+    # -- change of measure ---------------------------------------------------
+
+    def esscher(self, m: float) -> "LevyModel":
+        """Exponentially tilted model with exponent psi(m + .) - psi(m)."""
+        if m == 0.0:
+            return self
+        self._check_domain(m)
+        return replace(self, tilt=self.tilt + m)
+
+    # -- presentation --------------------------------------------------------
+
+    def describe(self) -> str:
+        parts = [f"family={self.family.value}"]
+        parts += [f"{n}={v!r}" for n, v in
+                  zip(PARAM_NAMES[self.family], self.params)]
+        parts.append(f"tilt={self.tilt!r}")
+        return " ".join(parts)
+
+
+def make_model(family: Family | str, params: list[float] | tuple[float, ...],
+               tilt: float = 0.0) -> LevyModel:
+    """Construct a catalog model, validating the family's constraints."""
+    fam = Family(family)
+    return LevyModel(fam, tuple(float(v) for v in params), float(tilt))
+
+
+def brownian_drift(nu: float) -> LevyModel:
+    """xi_t = 2 B_t + 2 nu t (squared-Bessel clock family)."""
+    return make_model(Family.BROWNIAN_DRIFT, (nu,))
+
+
+def cp_plus_drift(d: float, beta: float, gamma: float) -> LevyModel:
+    """xi_t = d t + compound Poisson(beta) with Exp(gamma) jumps."""
+    return make_model(Family.CP_PLUS_DRIFT, (d, beta, gamma))
+
+
+def cp_minus_drift(beta: float, gamma: float) -> LevyModel:
+    """xi_t = -t + compound Poisson(beta) with Exp(gamma) jumps."""
+    return make_model(Family.CP_MINUS_DRIFT, (beta, gamma))
+
+
+def saw_tooth(beta: float, gamma: float) -> LevyModel:
+    """xi_t = t - compound Poisson(beta) with Exp(gamma) jumps."""
+    return make_model(Family.SAW_TOOTH, (beta, gamma))
+
+
+def stable_conditioned(alpha: float, c: float = 1.0) -> LevyModel:
+    """Spectrally negative stable process conditioned to stay positive."""
+    return make_model(Family.STABLE_CONDITIONED, (alpha, c))
+
+
+def csbp_immigration(kappa: float, delta: float, c: float = 1.0) -> LevyModel:
+    """Continuous-state branching process with immigration."""
+    return make_model(Family.CSBP_IMMIGRATION, (kappa, delta, c))
+
+
+def hypergeometric_stable(alpha: float, d: float) -> LevyModel:
+    """Modulus of a d-dimensional stable process (Cauchy when alpha=1)."""
+    return make_model(Family.HYPERGEOMETRIC_STABLE, (alpha, d))
+
+
+# --------------------------------------------------------------------------
+# Serialization: key-value text, lossless float round trip via repr().
+# --------------------------------------------------------------------------
+
+def model_to_text(model: LevyModel) -> str:
+    lines = [f"family: {model.family.value}"]
+    for name, value in zip(PARAM_NAMES[model.family], model.params):
+        lines.append(f"{name}: {value!r}")
+    lines.append(f"tilt: {model.tilt!r}")
+    return "\n".join(lines) + "\n"
+
+
+def model_from_text(text: str) -> LevyModel:
+    entries: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ConstructionError(f"malformed model line: {raw!r}")
+        entries[key.strip()] = value.strip()
+    if "family" not in entries:
+        raise ConstructionError("model text missing 'family' key")
+    try:
+        fam = Family(entries.pop("family"))
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from None
+    tilt = float(entries.pop("tilt", "0.0"))
+    try:
+        params = tuple(float(entries.pop(name)) for name in PARAM_NAMES[fam])
+    except KeyError as exc:
+        raise ConstructionError(f"missing parameter {exc} for "
+                                f"{fam.value}") from None
+    if entries:
+        raise ConstructionError(f"unknown keys in model text: "
+                                f"{sorted(entries)}")
+    return LevyModel(fam, params, tilt)

@@ -1,0 +1,281 @@
+"""Scalar special functions and solvers used by every other module.
+
+self-contained on purpose: a Lanczos log-gamma, digamma/trigamma via
+recurrence plus asymptotic series (reflection for negative arguments), a
+Brent-style bracketing root finder, and a golden-section maximizer for
+concave (more generally, strictly unimodal) objectives.  All functions are
+pure and thread-safe.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .errors import BracketError, DomainError, EvaluationError
+
+__all__ = [
+    "EULER_GAMMA",
+    "Bracket",
+    "MaxResult",
+    "log_gamma",
+    "digamma",
+    "trigamma",
+    "find_root",
+    "maximize_concave",
+]
+
+EULER_GAMMA = 0.5772156649015328606065120900824024
+
+# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
+# Relative accuracy ~1e-15 for Re(x) >= 0.5.
+_LANCZOS_G = 4.7421875
+_LANCZOS_C = (
+    0.99999999999999709182,
+    57.156235665862923517,
+    -59.597960355475491248,
+    14.136097974741747174,
+    -0.49191381609762019978,
+    3.3994649984811888699e-5,
+    4.6523628927048575665e-5,
+    -9.8374475304879564677e-5,
+    1.5808870322491248884e-4,
+    -2.1026444172410488319e-4,
+    2.1743961811521264320e-4,
+    -1.6431810653676389022e-4,
+    8.4418223983852743293e-5,
+    -2.6190838401581408670e-5,
+    3.6899182659531622704e-6,
+)
+
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _lanczos_log_gamma(x: float) -> float:
+    """Lanczos sum for x >= 0.5."""
+    z = x - 1.0
+    series = _LANCZOS_C[0]
+    for k in range(1, len(_LANCZOS_C)):
+        series += _LANCZOS_C[k] / (z + k)
+    t = z + _LANCZOS_G + 0.5
+    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
+
+
+def log_gamma(x: float) -> float:
+    """Natural log of the Gamma function for x > 0.
+
+    Raises:
+        DomainError: if ``x`` is not a finite positive real.
+    """
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
+    if x >= 0.5:
+        return _lanczos_log_gamma(x)
+    # One recurrence step keeps the Lanczos argument in its sweet spot.
+    return _lanczos_log_gamma(x + 1.0) - math.log(x)
+
+
+def _digamma_positive(x: float) -> float:
+    """Digamma for x > 0: recurrence up to >= 12, then asymptotic series."""
+    acc = 0.0
+    while x < 12.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    # Psi(x) ~ ln x - 1/(2x) - sum B_{2n} / (2n x^{2n})
+    tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0
+           - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0
+           - inv2 * (691.0 / 32760.0 - inv2 * (1.0 / 12.0)))))))
+    return acc + math.log(x) - 0.5 * inv - tail
+
+
+def digamma(x: float) -> float:
+    """Digamma function Psi(x) for real x away from the poles 0, -1, -2, ...
+
+    Negative arguments go through the reflection formula
+    ``Psi(x) = Psi(1 - x) - pi / tan(pi x)``, with the tangent argument
+    reduced modulo pi for accuracy far from the origin.
+
+    Raises:
+        DomainError: at a pole or for non-finite input.
+    """
+    if not math.isfinite(x):
+        raise DomainError(f"digamma requires finite x, got {x!r}")
+    if x > 0.0:
+        return _digamma_positive(x)
+    frac = x - round(x)
+    if frac == 0.0:
+        raise DomainError(f"digamma pole at non-positive integer x = {x!r}")
+    return _digamma_positive(1.0 - x) - math.pi / math.tan(math.pi * frac)
+
+
+def _trigamma_positive(x: float) -> float:
+    acc = 0.0
+    while x < 12.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    # Psi'(x) ~ 1/x + 1/(2x^2) + sum B_{2n} / x^{2n+1}
+    tail = inv * inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0
+           - inv2 * (1.0 / 30.0 - inv2 * (5.0 / 66.0
+           - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0)))))))
+    return acc + inv + 0.5 * inv2 + tail
+
+
+def trigamma(x: float) -> float:
+    """Trigamma function Psi'(x); reflection for x < 0 as for digamma."""
+    if not math.isfinite(x):
+        raise DomainError(f"trigamma requires finite x, got {x!r}")
+    if x > 0.0:
+        return _trigamma_positive(x)
+    frac = x - round(x)
+    if frac == 0.0:
+        raise DomainError(f"trigamma pole at non-positive integer x = {x!r}")
+    s = math.sin(math.pi * frac)
+    return (math.pi * math.pi) / (s * s) - _trigamma_positive(1.0 - x)
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """Finite interval [lo, hi] with lo < hi."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise BracketError(f"bracket endpoints must be finite, got "
+                               f"[{self.lo!r}, {self.hi!r}]")
+        if not self.lo < self.hi:
+            raise BracketError(f"bracket requires lo < hi, got "
+                               f"[{self.lo!r}, {self.hi!r}]")
+
+
+def _checked(f, x: float) -> float:
+    v = f(x)
+    if not math.isfinite(v):
+        raise EvaluationError(f"objective returned non-finite value {v!r} "
+                              f"at x = {x!r}")
+    return v
+
+
+def find_root(f, bracket: Bracket, tol: float = 1e-12,
+              max_iter: int = 200) -> float:
+    """Root of a continuous scalar function by Brent's method.
+
+    Inverse-quadratic / secant steps with a bisection safeguard; always
+    converges for a continuous ``f`` with ``f(lo) * f(hi) < 0``.  The
+    returned point lies in a sub-bracket of width <= ``tol`` (with a
+    floor of a few ulps of the solution).
+
+    Raises:
+        BracketError: if the bracket does not straddle a sign change.
+        EvaluationError: if ``f`` returns a non-finite value.
+    """
+    a, b = bracket.lo, bracket.hi
+    fa, fb = _checked(f, a), _checked(f, b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise BracketError(f"no sign change on [{a!r}, {b!r}]: "
+                           f"f(lo) = {fa!r}, f(hi) = {fb!r}")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        delta = 0.5 * max(tol, 4.0 * math.ulp(abs(b)))
+        m = 0.5 * (c - b)
+        if abs(m) <= delta or fb == 0.0:
+            return b
+        if abs(e) < delta or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(delta * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > delta else math.copysign(delta, m)
+        fb = _checked(f, b)
+    return b
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class MaxResult:
+    """Result of a golden-section maximization.
+
+    ``boundary`` is ``None`` for an interior maximum, or ``"lo"`` /
+    ``"hi"`` when the supremum is approached at a (shrunk-inward)
+    endpoint, in which case ``value`` approximates the boundary limit.
+    """
+
+    argmax: float
+    value: float
+    boundary: str | None = None
+
+
+def maximize_concave(f, bracket: Bracket, tol: float = 1e-10,
+                     max_iter: int = 400) -> MaxResult:
+    """Golden-section maximization over an open finite interval.
+
+    Assumes ``f`` is strictly concave (a strictly unimodal function works
+    identically) and finite on the interior; the endpoints themselves are
+    never evaluated.  The bracketing interval is shrunk to width ``tol``;
+    the achievable argmax accuracy is additionally floored at
+    ``sqrt(eps |f| / |f''|)`` (value-comparison noise), as for any method
+    using function values only.  The maximum value itself is second-order
+    accurate in that distance.
+
+    Raises:
+        EvaluationError: if ``f`` is non-finite at an interior probe.
+    """
+    a, b = bracket.lo, bracket.hi
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1, f2 = _checked(f, x1), _checked(f, x2)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = _checked(f, x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = _checked(f, x2)
+    if f1 >= f2:
+        argmax, value = x1, f1
+    else:
+        argmax, value = x2, f2
+    boundary = None
+    if argmax - bracket.lo <= 2.0 * tol:
+        boundary = "lo"
+    elif bracket.hi - argmax <= 2.0 * tol:
+        boundary = "hi"
+    return MaxResult(argmax=argmax, value=value, boundary=boundary)

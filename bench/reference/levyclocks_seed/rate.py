@@ -1,0 +1,506 @@
+"""Large-deviation analytics for the clock of a Lamperti-transformed model.
+
+Computes, for a catalog model with positive drift, the critical point
+``m0 = inf{theta : psi'(theta) > 0}``, the speed interval
+``Delta = (tau_plus, tau_zero)`` with ``tau_* = 1/psi'`` limits at the
+domain ends (using ``1/psi'(+-inf) := lim m/psi(m)``, which equals the
+monotone derivative limit), the rate function
+
+    I(x) = sup_{m in (m0, m_plus)} { m - x psi(m) },
+
+its Fenchel-Legendre partner ``psi*``, the inverse-exponent transform
+``L(theta) = -m  <=>  theta = -psi(m)``, and the six-way boundary
+classification (cases 3a/3b/3c at ``tau_zero``, 4a/4b/4c at ``tau_plus``)
+with the associated asymptotes and ``b`` limits.
+
+Suprema over unbounded intervals are evaluated by golden-section search on
+a compactified coordinate (tan rescaling of infinite endpoints); boundary
+``b`` limits use Richardson extrapolation along geometric probe sequences.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from functools import lru_cache
+from typing import Callable, Iterator
+
+from .errors import AssumptionError, ClassificationError, DomainError
+from .models import Family, LevyModel
+from .numerics import Bracket, find_root, maximize_concave
+
+__all__ = [
+    "Tau0Case",
+    "TauPlusCase",
+    "RateProfile",
+    "BoundaryReport",
+    "profile",
+    "rate_I",
+    "legendre_dual",
+    "invert_L",
+    "classify_boundaries",
+    "rate_curve",
+    "rate_curve_text",
+]
+
+_INF = math.inf
+
+# Probe caps: 2^45 keeps every catalog exponent comfortably inside float
+# range while pushing O(1/m) limit errors below 1e-13.
+_MAX_PROBE_EXP = 45
+_DIVERGED = 1e13
+_CONV_RTOL = 1e-14
+_ZERO_SNAP = 1e-13
+
+
+class Tau0Case(str, Enum):
+    C3A = "3a"
+    C3B = "3b"
+    C3C = "3c"
+
+
+class TauPlusCase(str, Enum):
+    C4A = "4a"
+    C4B = "4b"
+    C4C = "4c"
+
+
+def _approach(anchor: float, endpoint: float) -> Iterator[float]:
+    """Geometric probe sequence from near ``anchor`` toward ``endpoint``."""
+    if math.isinf(endpoint):
+        sign = 1.0 if endpoint > 0 else -1.0
+        start = max(1.0, 2.0 * abs(anchor))
+        k = 0
+        while start * 2.0 ** k <= 2.0 ** _MAX_PROBE_EXP:
+            yield anchor + sign * start * 2.0 ** k
+            k += 1
+    else:
+        gap = endpoint - anchor
+        for k in range(1, 53):
+            m = endpoint - gap / 2.0 ** k
+            if m == endpoint:
+                return
+            yield m
+
+
+def _limit_along(values: Iterator[float]) -> float:
+    """Limit of a monotone-tailed sequence along geometric probes.
+
+    Returns the exactly stabilized float value when consecutive probes
+    agree, +-inf on magnitude blow-up or when the probe increments keep
+    growing (polynomial divergence, e.g. psi' ~ m^p), and the last probe
+    otherwise (slow but genuine convergence).
+    """
+    vals: list[float] = []
+    for v in values:
+        if not math.isfinite(v) or abs(v) > _DIVERGED:
+            return _INF if v > 0 else -_INF
+        if vals and v == vals[-1]:
+            return v
+        vals.append(v)
+    if not vals:
+        return 0.0
+    if len(vals) >= 3:
+        d_last = vals[-1] - vals[-2]
+        d_prev = vals[-2] - vals[-3]
+        if abs(d_last) > 1.2 * abs(d_prev):
+            return _INF if d_last > 0 else -_INF
+    return vals[-1]
+
+
+@lru_cache(maxsize=512)
+def _deriv_limit(model: LevyModel, upper: bool) -> float:
+    """lim of psi' at the upper (m_plus) or lower (m_minus) domain end."""
+    end = model.m_plus if upper else model.m_minus
+    return _limit_along(model.psi_derivs(m)[0] for m in _approach(0.0, end))
+
+
+@lru_cache(maxsize=512)
+def _psi_limit(model: LevyModel, upper: bool) -> float:
+    """lim of psi at the upper or lower domain end."""
+    end = model.m_plus if upper else model.m_minus
+    return _limit_along(model.psi(m) for m in _approach(0.0, end))
+
+
+def _find_m0(model: LevyModel) -> tuple[float, float]:
+    """(m0, psi'(m0)) with m0 = inf{theta : psi'(theta) > 0}.
+
+    Returns the root of psi' when a sign change exists in (m_minus, 0),
+    otherwise (m_minus, lim psi').  The derivative limit is snapped to 0
+    when it is zero to within probe resolution.
+    """
+    prev = 0.0
+    for m in _approach(0.0, model.m_minus):
+        d1 = model.psi_derivs(m)[0]
+        if d1 == 0.0:
+            return m, 0.0
+        if d1 < 0.0:
+            scale = max(1.0, abs(m))
+            root = find_root(lambda t: model.psi_derivs(t)[0],
+                             Bracket(m, prev), tol=1e-14 * scale)
+            return root, 0.0
+        prev = m
+    limit = _deriv_limit(model, upper=False)
+    if 0.0 <= limit <= _ZERO_SNAP:
+        limit = 0.0
+    return model.m_minus, limit
+
+
+def _affine_gap_limit(model: LevyModel, slope: float, upper: bool) -> float:
+    """lim psi(m) - m * slope toward an infinite domain end.
+
+    Richardson extrapolation along m = +-2^k assuming an O(1/m) error
+    term; returns -inf when the gap diverges (the b = +inf boundary case).
+    """
+    sign = 1.0 if upper else -1.0
+    prev_v = None
+    prev_e = None
+    for k in range(8, 30):
+        m = sign * 2.0 ** k
+        v = model.psi(m) - m * slope
+        if not math.isfinite(v) or abs(v) > _DIVERGED:
+            return _INF if v > 0 else -_INF
+        if prev_v is not None:
+            extrap = 2.0 * v - prev_v
+            if prev_e is not None and abs(extrap - prev_e) <= 1e-10 * max(1.0, abs(extrap)):
+                return extrap
+            prev_e = extrap
+        prev_v = v
+    return prev_e if prev_e is not None else prev_v
+
+
+@dataclass(frozen=True)
+class RateProfile:
+    """Derived analytic summary of a model's clock large deviations.
+
+    ``asymptote`` is the (slope, intercept) of the rate function's linear
+    asymptote when ``class_tau0`` is 3a, i.e. ``(-psi(m0), m0)``.
+    ``b_zero``/``b_plus`` are the boundary limits of cases 3b/4b.
+    ``ldp_status`` is "full" when the full LDP is established (Delta =
+    (0, inf), or a family whose path bounds control the complement) and
+    "weak" otherwise.
+    """
+
+    m0: float
+    psi_m0: float
+    mean: float
+    tau_plus: float
+    tau_zero: float
+    tau_e: float
+    delta: tuple[float, float]
+    class_tau0: Tau0Case
+    class_tauplus: TauPlusCase
+    asymptote: tuple[float, float] | None
+    b_zero: float | None
+    b_plus: float | None
+    deriv_at_m0: float
+    deriv_at_mplus: float
+    psi_at_mplus: float
+    ldp_status: str
+
+
+def profile(model: LevyModel) -> RateProfile:
+    """Critical constants, speed interval, and boundary classification.
+
+    Raises:
+        AssumptionError: if psi'(0) <= 0 (drift condition violated).
+        ClassificationError: if a boundary matches none of the six cases.
+    """
+    mean = model.psi_derivs(0.0)[0]
+    if not mean > 0.0:
+        raise AssumptionError(
+            f"drift condition violated: psi'(0) = {mean!r} <= 0 for "
+            f"{model.describe()}")
+
+    m0, l0 = _find_m0(model)
+    psi_m0 = model.psi(m0) if math.isfinite(m0) else _psi_limit(model, upper=False)
+    l_plus = _deriv_limit(model, upper=True)
+    psi_mplus = _psi_limit(model, upper=True)
+
+    tau_plus = 0.0 if math.isinf(l_plus) else 1.0 / l_plus
+    tau_zero = _INF if l0 == 0.0 else 1.0 / l0
+    tau_e = 1.0 / mean
+
+    asymptote: tuple[float, float] | None = None
+    b_zero: float | None = None
+    b_plus: float | None = None
+
+    if math.isfinite(m0) and l0 == 0.0:
+        class_tau0 = Tau0Case.C3A
+        asymptote = (-psi_m0, m0)
+    elif math.isinf(m0) and 0.0 < l0 < _INF:
+        class_tau0 = Tau0Case.C3B
+        b_zero = -_affine_gap_limit(model, l0, upper=False)
+    elif math.isinf(m0) and l0 == 0.0 and -_INF < psi_m0 < 0.0:
+        class_tau0 = Tau0Case.C3C
+    else:
+        raise ClassificationError(
+            f"tau_zero boundary matches no case: m0={m0!r}, "
+            f"psi(m0)={psi_m0!r}, psi'(m0)={l0!r}")
+
+    m_plus = model.m_plus
+    if math.isfinite(m_plus) and math.isinf(psi_mplus):
+        class_tauplus = TauPlusCase.C4A
+    elif math.isinf(m_plus) and math.isfinite(l_plus):
+        class_tauplus = TauPlusCase.C4B
+        b_plus = -_affine_gap_limit(model, l_plus, upper=True)
+    elif math.isinf(m_plus) and math.isinf(l_plus):
+        class_tauplus = TauPlusCase.C4C
+    else:
+        raise ClassificationError(
+            f"tau_plus boundary matches no case: m_plus={m_plus!r}, "
+            f"psi(m_plus)={psi_mplus!r}, psi'(m_plus)={l_plus!r}")
+
+    full = (tau_plus == 0.0 and math.isinf(tau_zero)) or model.family in (
+        Family.CP_PLUS_DRIFT, Family.SAW_TOOTH)
+    return RateProfile(
+        m0=m0, psi_m0=psi_m0, mean=mean,
+        tau_plus=tau_plus, tau_zero=tau_zero, tau_e=tau_e,
+        delta=(tau_plus, tau_zero),
+        class_tau0=class_tau0, class_tauplus=class_tauplus,
+        asymptote=asymptote, b_zero=b_zero, b_plus=b_plus,
+        deriv_at_m0=l0, deriv_at_mplus=l_plus, psi_at_mplus=psi_mplus,
+        ldp_status="full" if full else "weak")
+
+
+@dataclass(frozen=True)
+class BoundaryReport:
+    """Boundary behaviour of the rate function at one end of Delta.
+
+    For case 4a only the magnitude of ``slope_I`` is meaningful (stored as
+    +inf); the sign of the one-sided tangent is not asserted.  ``slope_I``
+    is ``None`` for case 4c, where I is identically +inf at the boundary.
+    """
+
+    at: str                      # "tau_zero" | "tau_plus"
+    case_label: str              # "3a" | "3b" | "3c" | "4a" | "4b" | "4c"
+    value_I: float
+    slope_I: float | None
+    asymptote: tuple[float, float] | None = None
+
+
+def classify_boundaries(model: LevyModel,
+                        prof: RateProfile | None = None
+                        ) -> tuple[BoundaryReport, BoundaryReport]:
+    """(report at tau_zero, report at tau_plus) per the six-case taxonomy."""
+    prof = prof if prof is not None else profile(model)
+
+    if prof.class_tau0 is Tau0Case.C3A:
+        zero = BoundaryReport("tau_zero", "3a", value_I=_INF,
+                              slope_I=-prof.psi_m0, asymptote=prof.asymptote)
+    elif prof.class_tau0 is Tau0Case.C3B:
+        zero = BoundaryReport("tau_zero", "3b",
+                              value_I=prof.b_zero * prof.tau_zero,
+                              slope_I=_INF)
+    else:
+        zero = BoundaryReport("tau_zero", "3c", value_I=_INF,
+                              slope_I=-prof.psi_m0)
+
+    if prof.class_tauplus is TauPlusCase.C4A:
+        plus = BoundaryReport("tau_plus", "4a", value_I=model.m_plus,
+                              slope_I=_INF)
+    elif prof.class_tauplus is TauPlusCase.C4B:
+        plus = BoundaryReport("tau_plus", "4b",
+                              value_I=prof.b_plus * prof.tau_plus,
+                              slope_I=-_INF)
+    else:
+        plus = BoundaryReport("tau_plus", "4c", value_I=_INF, slope_I=None)
+    return zero, plus
+
+
+# --------------------------------------------------------------------------
+# Suprema over (possibly unbounded) intervals.
+# --------------------------------------------------------------------------
+
+_U_EPS = 1e-13      # shrink-inward margin on the compactified coordinate
+_U_TOL = 1e-12      # golden-section width in the compactified coordinate
+
+
+def _compactify(lo: float, hi: float) -> Callable[[float], float]:
+    """Increasing map of (0, 1) onto (lo, hi), tan-rescaled at infinities."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return lambda u: lo + (hi - lo) * u
+    if math.isfinite(lo):
+        s = 1.0 + abs(lo)
+        return lambda u: lo + s * math.tan(0.5 * math.pi * u)
+    if math.isfinite(hi):
+        s = 1.0 + abs(hi)
+        return lambda u: hi - s * math.tan(0.5 * math.pi * (1.0 - u))
+    return lambda u: math.tan(math.pi * (u - 0.5))
+
+
+def _concave_sup(obj: Callable[[float], float], lo: float,
+                 hi: float) -> tuple[float, float, str | None]:
+    """(sup value, argmax m, boundary flag) of a concave objective."""
+    to_m = _compactify(lo, hi)
+    res = maximize_concave(lambda u: obj(to_m(u)),
+                           Bracket(_U_EPS, 1.0 - _U_EPS), tol=_U_TOL)
+    return res.value, to_m(res.argmax), res.boundary
+
+
+def _rate_point(model: LevyModel, x: float,
+                prof: RateProfile) -> tuple[float, float]:
+    """(I(x), maximizer m*) for x strictly inside Delta."""
+    if x == prof.tau_e:
+        return 0.0, 0.0
+    value, m_star, boundary = _concave_sup(
+        lambda m: m - x * model.psi(m), prof.m0, model.m_plus)
+    if boundary is not None and value > 1.0 / _U_TOL:
+        return _INF, m_star
+    return max(value, 0.0), m_star
+
+
+def _boundary_value(model: LevyModel, prof: RateProfile, at_plus: bool) -> float:
+    if at_plus:
+        if prof.class_tauplus is TauPlusCase.C4A:
+            return model.m_plus
+        if prof.class_tauplus is TauPlusCase.C4B:
+            return prof.b_plus * prof.tau_plus
+        return _INF
+    # only case 3b has a finite tau_zero
+    return prof.b_zero * prof.tau_zero
+
+
+def rate_I(model: LevyModel, x: float,
+           prof: RateProfile | None = None) -> float:
+    """Rate function I(x) = sup_{m in (m0, m_plus)} {m - x psi(m)}.
+
+    Defined on the closed speed interval [tau_plus, tau_zero]; boundary
+    values follow the 3a-4c classification (+inf indicates a divergent
+    supremum, case 4c).  Exactly 0 at x = tau_e.
+
+    Raises:
+        DomainError: for x outside the closure of Delta (where I = +inf).
+    """
+    prof = prof if prof is not None else profile(model)
+    if not (prof.tau_plus <= x <= prof.tau_zero):
+        raise DomainError(
+            f"x = {x!r} outside closure of Delta = [{prof.tau_plus!r}, "
+            f"{prof.tau_zero!r}]; I(x) = +inf there")
+    if x == prof.tau_plus:
+        return _boundary_value(model, prof, at_plus=True)
+    if x == prof.tau_zero:
+        return _boundary_value(model, prof, at_plus=False)
+    return _rate_point(model, x, prof)[0]
+
+
+def legendre_dual(model: LevyModel, y: float) -> float:
+    """Fenchel-Legendre dual psi*(y) = sup_{m} {m y - psi(m)}.
+
+    The supremum runs over the full open domain (m_minus, m_plus); +inf
+    is returned when it diverges.
+    """
+    l_lo = _deriv_limit(model, upper=False)
+    l_hi = _deriv_limit(model, upper=True)
+    if y > l_hi:
+        if math.isinf(model.m_plus):
+            return _INF
+        return model.m_plus * y - _psi_limit(model, upper=True)
+    if y < l_lo:
+        if math.isinf(model.m_minus):
+            return _INF
+        return model.m_minus * y - _psi_limit(model, upper=False)
+    if y == l_hi and math.isfinite(l_hi):
+        if math.isinf(model.m_plus):
+            return -_affine_gap_limit(model, l_hi, upper=True)
+        return model.m_plus * y - _psi_limit(model, upper=True)
+    if y == l_lo and math.isfinite(l_lo):
+        if math.isinf(model.m_minus):
+            return -_affine_gap_limit(model, l_lo, upper=False)
+        return model.m_minus * y - _psi_limit(model, upper=False)
+    value, _, boundary = _concave_sup(
+        lambda m: m * y - model.psi(m), model.m_minus, model.m_plus)
+    if boundary is not None and value > 1.0 / _U_TOL:
+        return _INF
+    return value
+
+
+def invert_L(model: LevyModel, theta: float,
+             prof: RateProfile | None = None) -> float:
+    """Limit log-Laplace transform L(theta) = -m where psi(m) = -theta.
+
+    ``psi`` restricted to (m0, m_plus) is increasing, so the root is
+    unique; L is increasing with L(0) = 0.
+
+    Raises:
+        DomainError: for theta outside (-psi(m_plus), -psi(m0)).
+    """
+    prof = prof if prof is not None else profile(model)
+    theta_hi = -prof.psi_m0
+    theta_lo = -prof.psi_at_mplus
+    if not (theta_lo < theta < theta_hi):
+        raise DomainError(
+            f"theta = {theta!r} outside ({theta_lo!r}, {theta_hi!r})")
+    if theta == 0.0:
+        return 0.0
+    target = -theta
+
+    def g(m: float) -> float:
+        return model.psi(m) - target
+
+    if target > 0.0:
+        lo = 0.0
+        hi = None
+        for m in _approach(0.0, model.m_plus):
+            if g(m) > 0.0:
+                hi = m
+                break
+            lo = m
+        if hi is None:
+            raise DomainError(f"psi never reaches {target!r} below m_plus")
+    else:
+        hi = 0.0
+        lo = None
+        for m in _approach(0.0, prof.m0):
+            if not model.m_minus < m:
+                break
+            if g(m) < 0.0:
+                lo = m
+                break
+            hi = m
+        if lo is None:
+            raise DomainError(f"psi never reaches {target!r} above m0")
+    scale = max(1.0, abs(lo), abs(hi))
+    return -find_root(g, Bracket(lo, hi), tol=1e-14 * scale)
+
+
+def rate_curve(model: LevyModel, x_lo: float, x_hi: float, n: int,
+               prof: RateProfile | None = None
+               ) -> list[tuple[float, float, float]]:
+    """Monotone grid of (x, I(x), I'(x)) rows on [x_lo, x_hi].
+
+    The derivative comes from the envelope theorem, I'(x) = -psi(m*(x)),
+    with the classification's one-sided values at the boundary points.
+
+    Raises:
+        DomainError: if the grid leaves the closure of Delta or n < 2.
+    """
+    prof = prof if prof is not None else profile(model)
+    if n < 2:
+        raise DomainError(f"rate_curve needs n >= 2, got {n!r}")
+    if not (prof.tau_plus <= x_lo < x_hi <= prof.tau_zero):
+        raise DomainError(
+            f"grid [{x_lo!r}, {x_hi!r}] not inside closure of Delta = "
+            f"[{prof.tau_plus!r}, {prof.tau_zero!r}]")
+    zero_rep, plus_rep = classify_boundaries(model, prof)
+    rows: list[tuple[float, float, float]] = []
+    for i in range(n):
+        x = x_lo + (x_hi - x_lo) * i / (n - 1)
+        if x == prof.tau_plus:
+            slope = plus_rep.slope_I if plus_rep.slope_I is not None else -_INF
+            rows.append((x, _boundary_value(model, prof, True), slope))
+        elif x == prof.tau_zero:
+            rows.append((x, _boundary_value(model, prof, False), _INF))
+        else:
+            value, m_star = _rate_point(model, x, prof)
+            rows.append((x, value, -model.psi(m_star)))
+    return rows
+
+
+def rate_curve_text(rows: list[tuple[float, float, float]]) -> str:
+    """Serialize rate-curve rows as CSV with 17 significant digits."""
+    out = ["x,I,Iprime"]
+    for x, i_val, i_slope in rows:
+        out.append(f"{x:.17g},{i_val:.17g},{i_slope:.17g}")
+    return "\n".join(out) + "\n"
