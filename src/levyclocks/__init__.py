@@ -31,6 +31,7 @@ from .estimators import (
     estimate_lln,
     estimate_logA_rate,
     first_passage_check,
+    fundamental_relation_check,
     ks_statistic,
     normal_cdf,
     tau_ensemble,

@@ -35,6 +35,7 @@ from .estimators import (
     estimate_lln,
     estimate_logA_rate,
     first_passage_check,
+    fundamental_relation_check,
     tau_ensemble,
     tilted_identity_check,
 )
@@ -293,19 +294,7 @@ def _cmd_check_identities(args) -> list[str]:
     lines = [f"model: {model.describe()}", f"seed: {cfg.seed}"]
 
     # Fundamental relation tau(t) = T(t a^alpha), checked pathwise.
-    from .paths import clock_tau_many, exp_functional, lamperti_pssmp, sample_levy_path
-    import numpy as np
-    worst = 0.0
-    grid_cfg = SimConfig(seed=cfg.seed, n_paths=1, step=cfg.step,
-                         horizon=8.0, alpha=cfg.alpha, start=cfg.start)
-    for pid in range(min(cfg.n_paths, 64)):
-        path = sample_levy_path(model, grid_cfg, pid)
-        ef = exp_functional(path, cfg.alpha)
-        xp = lamperti_pssmp(path, cfg.start, cfg.alpha)
-        ts = np.linspace(ef.total * 1e-3, ef.total * 0.999, 31)
-        taus = clock_tau_many(ef, ts)
-        worst = max(worst, float(np.max(np.abs(
-            xp.clock_many(ts * cfg.start ** cfg.alpha) - taus))))
+    worst = fundamental_relation_check(model, cfg)
     lines.append(f"fundamental_relation_max_abs_err: {_g(worst)}")
 
     tilted = tilted_identity_check(model, args.m, args.t, args.a, cfg)

@@ -7,10 +7,14 @@ results are reproducible and independent of evaluation order.  Reports
 serialize to a line-oriented ``key: value`` header followed by a CSV row
 block (see :meth:`EstimatorReport.to_text`).
 
-Clock ensembles pick their Lévy-time horizon from
-:func:`~levyclocks.paths.horizon_policy` and double it (up to
-``cfg.max_doublings``) per path on horizon misses; the prefix of a path is
-unchanged by an extension, so doubling is deterministic.
+All Lévy-path estimators run on :func:`~levyclocks.paths.run_paths`:
+each path is drawn as one row from its own stream, the rows are reduced
+in blocks, and only the rows that missed (a clock target above
+A(horizon), or level 1 not crossed) are drawn again at a doubled horizon
+(up to ``cfg.max_doublings`` times).  Clock ensembles take their first
+Lévy-time horizon from :func:`~levyclocks.paths.horizon_policy`; the
+prefix of a path is unchanged by an extension, so doubling is
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,25 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, HorizonExceededError, RescalingError
+from .errors import CapabilityError, DomainError, RescalingError
 from .models import Family, LevyModel, hypergeometric_stable
 from .paths import (
-    LINEAR,
     CauchyModulus,
     SimConfig,
-    clock_tau_many,
-    exp_functional,
     horizon_policy,
-    log_exp_functional_total,
-    path_rng,
-    sample_levy_path,
+    run_paths,
     simulate_cauchy_modulus,
 )
 from .rate import invert_L, profile, rate_I
-
-# Distinct stream family for auxiliary draws (bridge-crossing uniforms),
-# disjoint from every path-id range a run can use.
-_AUX_STREAM = 1 << 62
 
 __all__ = [
     "EstimateRow",
@@ -55,6 +50,7 @@ __all__ = [
     "estimate_logA_rate",
     "first_passage_check",
     "tilted_identity_check",
+    "fundamental_relation_check",
     "ks_statistic",
     "normal_cdf",
 ]
@@ -94,8 +90,8 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
     disjoint ensembles can be drawn from one seed.
     """
     targets = np.asarray(clock_targets, dtype=float)
-    out = np.empty((cfg.n_paths, len(targets)))
     if isinstance(target, CauchyModulus):
+        out = np.empty((cfg.n_paths, len(targets)))
         run_cfg = replace(cfg, horizon=float(np.max(targets)))
         for i in range(cfg.n_paths):
             path = simulate_cauchy_modulus(target.d, run_cfg, path_offset + i)
@@ -104,23 +100,16 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
 
     mean = target.psi_derivs(0.0)[0]
     base_h = horizon_policy(mean, float(np.max(targets)))
-    for i in range(cfg.n_paths):
-        h = base_h
-        for _ in range(cfg.max_doublings + 1):
-            path = sample_levy_path(target, replace(cfg, horizon=h),
-                                    path_offset + i)
-            ef = exp_functional(path, cfg.alpha)
-            try:
-                out[i] = clock_tau_many(ef, targets)
-                break
-            except HorizonExceededError:
-                h *= 2.0
-        else:
-            raise HorizonExceededError(
-                f"path {path_offset + i} cannot reach clock target "
-                f"{float(np.max(targets))!r} within horizon {h / 2.0!r} "
-                f"after {cfg.max_doublings} doublings")
-    return out
+
+    def taus(block):
+        return block.clock(block.functional(cfg.alpha), cfg.alpha, targets)
+
+    return run_paths(
+        target, cfg, base_h, taus, path_offset,
+        miss=lambda i, h: (f"path {path_offset + i} cannot reach clock "
+                           f"target {float(np.max(targets))!r} within "
+                           f"horizon {h!r} after {cfg.max_doublings} "
+                           f"doublings"))
 
 
 def _reference_mean(target: LevyModel | CauchyModulus, alpha: float) -> float:
@@ -178,10 +167,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def _describe(target: LevyModel | CauchyModulus) -> str:
-    return target.describe()
-
-
 # --------------------------------------------------------------------------
 # Estimators.
 # --------------------------------------------------------------------------
@@ -198,7 +183,7 @@ def estimate_lln(target: LevyModel | CauchyModulus, cfg: SimConfig,
     for j, t in enumerate(ts):
         mean, se = _mean_se(taus[:, j] / math.log(t))
         rows.append(EstimateRow(t=t, estimate=mean, stderr=se, reference=ref))
-    return EstimatorReport("lln", _describe(target), cfg, tuple(rows))
+    return EstimatorReport("lln", target.describe(), cfg, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -219,7 +204,7 @@ class CltResult:
 
     def report(self, target, cfg: SimConfig) -> EstimatorReport:
         return EstimatorReport(
-            "clt", _describe(target), cfg,
+            "clt", target.describe(), cfg,
             (EstimateRow(t=self.t, estimate=self.ks_statistic, stderr=0.0,
                          reference=0.0),),
             extra=(("target_variance", repr(self.target_variance)),))
@@ -323,11 +308,8 @@ def estimate_logA_rate(model: LevyModel, cfg: SimConfig,
     """Ensemble mean of (1/t) log A(t); concentration point psi'(0)."""
     if not t > 0.0:
         raise DomainError(f"t must be > 0, got {t!r}")
-    run_cfg = replace(cfg, horizon=t)
-    vals = np.empty(cfg.n_paths)
-    for i in range(cfg.n_paths):
-        path = sample_levy_path(model, run_cfg, i)
-        vals[i] = log_exp_functional_total(path, cfg.alpha) / t
+    vals = run_paths(model, cfg, t,
+                     lambda block: (block.log_totals(cfg.alpha) / t, True))
     mean, se = _mean_se(vals)
     ref = cfg.alpha * model.psi_derivs(0.0)[0]
     row = EstimateRow(t=t, estimate=mean, stderr=se, reference=ref)
@@ -347,48 +329,6 @@ class FirstPassageResult:
     rhs_stderr: float     # stderr of rhs via the delta method
     analytic: float       # invert_L(theta)
     abs_diff: float
-
-
-def _first_passage_linear(path, level: float) -> float:
-    """Exact upward crossing time of a drift-up, jump-down path."""
-    xi, times = path.xi, path.times
-    dt = np.diff(times)
-    reach = (level - xi[:-1]) / path.drift
-    hit = (xi[:-1] < level) & (reach <= dt)
-    idx = np.flatnonzero(hit)
-    if len(idx) == 0:
-        return math.inf
-    i = idx[0]
-    return float(times[i] + reach[i])
-
-
-def _first_passage_gaussian(path, level: float,
-                            rng: np.random.Generator) -> float:
-    """Crossing time with Brownian-bridge detection inside each step.
-
-    Conditional on the step endpoints x0, x1 < b, the bridge of
-    xi = 2B + drift crosses b with probability
-    exp(-(b - x0)(b - x1) / (2 h)) (variance 4 per unit time); a crossing
-    inside a step is assigned to its midpoint (O(step) bias).
-    """
-    xi, times = path.xi, path.times
-    h = times[1] - times[0]
-    x0, x1 = xi[:-1], xi[1:]
-    below = (x0 < level) & (x1 < level)
-    p = np.where(below,
-                 np.exp(-np.maximum(level - x0, 0.0)
-                        * np.maximum(level - x1, 0.0) / (2.0 * h)),
-                 1.0)
-    u = rng.random(len(p))
-    crossed = (x1 >= level) | (u < p)
-    idx = np.flatnonzero(crossed)
-    if len(idx) == 0:
-        return math.inf
-    i = idx[0]
-    if x1[i] >= level:
-        frac = (level - x0[i]) / (x1[i] - x0[i]) if x1[i] > x0[i] else 1.0
-        return float(times[i] + frac * h)
-    return float(times[i] + 0.5 * h)
 
 
 def first_passage_check(model: LevyModel, cfg: SimConfig,
@@ -416,32 +356,20 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
                                   rhs_stderr=0.0, analytic=0.0, abs_diff=0.0)
     mean = model.psi_derivs(0.0)[0]
     base_h = max(horizon_policy(mean, t_clock), 8.0 / mean)
-    taus = np.empty(cfg.n_paths)
-    hats = np.empty(cfg.n_paths)
-    for i in range(cfg.n_paths):
-        h = base_h
-        for _ in range(cfg.max_doublings + 1):
-            path = sample_levy_path(model, replace(cfg, horizon=h), i)
-            if path.kind == LINEAR:
-                hat = _first_passage_linear(path, 1.0)
-            else:
-                bridge_rng = path_rng(cfg.seed, _AUX_STREAM + i)
-                hat = _first_passage_gaussian(path, 1.0, bridge_rng)
-            try:
-                tau = float(clock_tau_many(exp_functional(path, cfg.alpha),
-                                           np.array([t_clock]))[0])
-            except HorizonExceededError:
-                h *= 2.0
-                continue
-            if math.isinf(hat):
-                h *= 2.0
-                continue
-            taus[i], hats[i] = tau, hat
-            break
-        else:
-            raise HorizonExceededError(
-                f"path {i} never crossed level 1 (or never reached the "
-                f"clock target) within horizon {h / 2.0!r}")
+
+    def tau_and_hat(block):
+        taus, reached = block.clock(block.functional(cfg.alpha), cfg.alpha,
+                                    [t_clock])
+        hats = block.first_passage(1.0, cfg.seed)
+        return (np.column_stack((taus[:, 0], hats)),
+                reached & ~np.isinf(hats))
+
+    out = run_paths(
+        model, cfg, base_h, tau_and_hat,
+        miss=lambda i, h: (f"path {i} never crossed level 1 (or never "
+                           f"reached the clock target) within horizon "
+                           f"{h!r}"))
+    taus, hats = out.T
     lhs = math.log(float(np.mean(np.exp(theta * taus)))) / math.log(t_clock)
     weights = np.exp(theta * hats)
     mu, se = _mean_se(weights)
@@ -508,23 +436,15 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
     mean_t = tilted.psi_derivs(0.0)[0]
     base_h = (horizon_policy(mean_t, target) if mean_t > 0.0
               else 4.0 * (1.0 + abs(math.log(max(target, 2.0)))))
-    vals = np.empty(cfg.n_paths)
-    for i in range(cfg.n_paths):
-        h = base_h
-        for _ in range(cfg.max_doublings + 1):
-            path = sample_levy_path(tilted, replace(cfg, horizon=h),
-                                    cfg.n_paths + i)
-            try:
-                u_star = float(clock_tau_many(exp_functional(path, 1.0),
-                                              np.array([target]))[0])
-            except HorizonExceededError:
-                h *= 2.0
-                continue
-            vals[i] = float(path.value_at(u_star))
-            break
-        else:
-            raise HorizonExceededError(
-                f"tilted path {i} cannot reach clock target {target!r}")
+
+    def value_at_clock(block):
+        u_star, reached = block.clock(block.functional(1.0), 1.0, [target])
+        return block.value_at(u_star)[:, 0], reached
+
+    vals = run_paths(
+        tilted, cfg, base_h, value_at_clock, path_offset=cfg.n_paths,
+        miss=lambda i, h: f"tilted path {i} cannot reach clock target "
+                          f"{target!r}")
     expo_r = -m * vals
     if float(np.max(np.abs(expo_r))) > 700.0:
         raise RescalingError("exponential weight overflows; reduce t")
@@ -533,3 +453,30 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
     z = (lhs - rhs) / pooled if pooled > 0.0 else math.inf
     return TiltedIdentityResult(m=m, t=t, a=a, lhs=lhs, lhs_stderr=lhs_se,
                                 rhs=rhs, rhs_stderr=rhs_se, z_score=z)
+
+
+# --------------------------------------------------------------------------
+# Fundamental relation of the Lamperti transform.
+# --------------------------------------------------------------------------
+
+def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
+    """Largest pathwise gap |T(t a^alpha) - tau(t)| of the Lamperti clock.
+
+    Checked on paths 0 .. min(cfg.n_paths, 64) - 1 over the Lévy-time
+    horizon 8, at 31 targets spread over (0, A(8)) on each path, with
+    ``a = cfg.start`` and index ``cfg.alpha``.  T(t) = tau(t a^-alpha)
+    exactly, so the gap only measures the round trip t -> t a^alpha a^-alpha
+    in floating point.
+    """
+    a, alpha = cfg.start, cfg.alpha
+
+    def gap(block):
+        nodes = block.functional(alpha)
+        total = block.totals(nodes)
+        ts = np.linspace(total * 1e-3, total * 0.999, 31, axis=1)
+        taus = block.clock(nodes, alpha, ts)[0]
+        clock = block.clock(nodes, alpha, ts * a ** alpha * a ** -alpha)[0]
+        return np.max(np.abs(clock - taus), axis=1), True
+
+    run_cfg = replace(cfg, n_paths=min(cfg.n_paths, 64))
+    return float(np.max(run_paths(model, run_cfg, 8.0, gap)))

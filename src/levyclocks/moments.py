@@ -20,15 +20,16 @@ For a Lévy process ``zeta`` with exponent ``phi`` and positive drift
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import AssumptionError, CapabilityError, DomainError
+from .estimators import _mean_se
 from .models import Family, LevyModel
 from .numerics import log_gamma
-from .paths import SimConfig, exp_functional, sample_levy_path
+from .paths import SimConfig, run_paths
 from .rate import profile
 
 __all__ = [
@@ -171,12 +172,8 @@ def _truncated_perpetuities(model: LevyModel, cfg: SimConfig,
         raise CapabilityError(
             f"no exact path sampler for family {model.family.value!r}; "
             f"perpetuity Monte Carlo supports the grid families only")
-    run_cfg = replace(cfg, horizon=horizon)
-    out = np.empty(cfg.n_paths)
-    for i in range(cfg.n_paths):
-        path = sample_levy_path(model, run_cfg, i)
-        out[i] = exp_functional(path, -1.0).total
-    return out
+    return run_paths(model, cfg, horizon, lambda block: (
+        block.totals(block.functional(-1.0)), True))
 
 
 @dataclass(frozen=True)
@@ -203,12 +200,9 @@ def mc_exp_functional(model: LevyModel, s: float, cfg: SimConfig) -> MCMoment:
             f"E I^{s!r} is {status.value} for {model.describe()}; "
             f"refusing a Monte Carlo estimate")
     horizon = truncation_horizon(model)
-    values = _truncated_perpetuities(model, cfg, horizon) ** s
-    n = cfg.n_paths
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCMoment(estimate=est, stderr=se, n_paths=n, horizon=horizon,
-                    tail_bound=tail_bound(model, horizon))
+    est, se = _mean_se(_truncated_perpetuities(model, cfg, horizon) ** s)
+    return MCMoment(estimate=est, stderr=se, n_paths=cfg.n_paths,
+                    horizon=horizon, tail_bound=tail_bound(model, horizon))
 
 
 def F_of_m(model: LevyModel, m: float, cfg: SimConfig,
@@ -243,8 +237,6 @@ def F_of_m(model: LevyModel, m: float, cfg: SimConfig,
                          + log_gamma(nu_t + 1.0 - m) - log_gamma(nu_t))
         return value, "exact", None
     horizon = truncation_horizon(tilted)
-    values = _truncated_perpetuities(tilted, cfg, horizon) ** (m - 1.0)
-    est = float(np.mean(values))
-    se = (float(np.std(values, ddof=1) / math.sqrt(cfg.n_paths))
-          if cfg.n_paths > 1 else 0.0)
+    est, se = _mean_se(_truncated_perpetuities(tilted, cfg, horizon)
+                       ** (m - 1.0))
     return est, "monte-carlo", se

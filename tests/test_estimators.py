@@ -196,6 +196,14 @@ class TestLogA:
             math.log(math.exp(30.0) - 1.0) / 30.0, rel=1e-12)
         assert row.reference == 1.0
 
+    def test_long_linear_segment(self):
+        # xi_s = s on one segment of length 1000: finite, not NaN
+        cfg = SimConfig(seed=1, n_paths=4, step=0.01)
+        row = estimate_logA_rate(cp_plus_drift(1.0, 0.0, 1.0), cfg,
+                                 1000.0).rows[0]
+        assert row.estimate == pytest.approx(1.0, rel=1e-15)
+        assert row.stderr == 0.0
+
     def test_brownian(self):
         cfg = SimConfig(seed=3, n_paths=400, step=0.01)
         row = estimate_logA_rate(brownian_drift(1.0), cfg, 50.0).rows[0]

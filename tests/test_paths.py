@@ -59,6 +59,15 @@ class TestExpFunctional:
             assert lt == pytest.approx(math.log(exp_functional(path, 1.0).total),
                                        rel=1e-12)
 
+    def test_log_total_long_linear_segment(self):
+        # one segment with alpha drift dt = 1000: expm1 overflows there,
+        # the log-space value is exact
+        cfg = SimConfig(seed=1, n_paths=1, horizon=1000.0)
+        path = sample_levy_path(cp_plus_drift(1.0, 0.0, 1.0), cfg, 0)
+        assert len(path.times) == 2
+        assert log_exp_functional_total(path, 1.0) == pytest.approx(
+            1000.0 + math.log1p(-math.exp(-1000.0)), rel=1e-15)
+
     def test_inverse_pair_exact_segments(self):
         cfg = SimConfig(seed=5, n_paths=1, step=0.01, horizon=25.0)
         path = sample_levy_path(saw_tooth(1.0, 3.0), cfg, 3)
