@@ -63,11 +63,9 @@ from .moments import (
 )
 from .numerics import (
     Bracket,
-    MaxResult,
     digamma,
     find_root,
     log_gamma,
-    maximize_concave,
     trigamma,
 )
 from .paths import (

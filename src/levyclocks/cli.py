@@ -15,6 +15,7 @@ construction error, 3 horizon exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -296,6 +297,10 @@ def _cmd_check_identities(args) -> list[str]:
     # Fundamental relation tau(t) = T(t a^alpha), checked pathwise.
     worst = fundamental_relation_check(model, cfg)
     lines.append(f"fundamental_relation_max_abs_err: {_g(worst)}")
+    if cfg.alpha != 1.0:
+        skip = "skipped (stated for clocks of index 1)"
+        lines += [f"tilted: {skip}", f"first_passage: {skip}"]
+        return _emit(args, "identities.txt", "\n".join(lines) + "\n")
 
     tilted = tilted_identity_check(model, args.m, args.t, args.a, cfg)
     lines += [
@@ -331,7 +336,10 @@ def _cmd_logA(args) -> list[str]:
 # Parser assembly and entry point.
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first ``run`` and reused by later ones:
+    parsing leaves it unchanged, and each parse fills a fresh namespace."""
     parser = _Parser(prog="levyclocks",
                      description="Clocks of positive self-similar Markov "
                                  "processes: rate functions and Monte Carlo")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConstructionError, DomainError
 from .numerics import digamma, log_gamma, trigamma
@@ -349,11 +349,13 @@ class LevyModel:
 
     # -- domain ------------------------------------------------------------
 
-    @property
+    # Cached in the instance __dict__, which the frozen dataclass leaves
+    # out of ==, hash and replace.
+    @cached_property
     def m_minus(self) -> float:
         return _base_domain(self.family, self.params)[0] - self.tilt
 
-    @property
+    @cached_property
     def m_plus(self) -> float:
         return _base_domain(self.family, self.params)[1] - self.tilt
 

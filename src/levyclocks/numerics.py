@@ -1,10 +1,10 @@
 """Scalar special functions and solvers used by every other module.
 
 self-contained on purpose: a Lanczos log-gamma, digamma/trigamma via
-recurrence plus asymptotic series (reflection for negative arguments), a
-Brent-style bracketing root finder, and a golden-section maximizer for
-concave (more generally, strictly unimodal) objectives.  All functions are
-pure and thread-safe.
+recurrence plus asymptotic series (reflection for negative arguments), and
+a Brent-style bracketing root finder, which also serves every supremum in
+``rate`` (the maximiser of a concave objective is the root of its exact
+derivative).  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from .errors import BracketError, DomainError, EvaluationError
 __all__ = [
     "EULER_GAMMA",
     "Bracket",
-    "MaxResult",
     "log_gamma",
     "digamma",
     "trigamma",
     "find_root",
-    "maximize_concave",
 ]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -220,62 +218,3 @@ def find_root(f, bracket: Bracket, tol: float = 1e-12,
         b += d if abs(d) > delta else math.copysign(delta, m)
         fb = _checked(f, b)
     return b
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class MaxResult:
-    """Result of a golden-section maximization.
-
-    ``boundary`` is ``None`` for an interior maximum, or ``"lo"`` /
-    ``"hi"`` when the supremum is approached at a (shrunk-inward)
-    endpoint, in which case ``value`` approximates the boundary limit.
-    """
-
-    argmax: float
-    value: float
-    boundary: str | None = None
-
-
-def maximize_concave(f, bracket: Bracket, tol: float = 1e-10,
-                     max_iter: int = 400) -> MaxResult:
-    """Golden-section maximization over an open finite interval.
-
-    Assumes ``f`` is strictly concave (a strictly unimodal function works
-    identically) and finite on the interior; the endpoints themselves are
-    never evaluated.  The bracketing interval is shrunk to width ``tol``;
-    the achievable argmax accuracy is additionally floored at
-    ``sqrt(eps |f| / |f''|)`` (value-comparison noise), as for any method
-    using function values only.  The maximum value itself is second-order
-    accurate in that distance.
-
-    Raises:
-        EvaluationError: if ``f`` is non-finite at an interior probe.
-    """
-    a, b = bracket.lo, bracket.hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = _checked(f, x1), _checked(f, x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = _checked(f, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = _checked(f, x2)
-    if f1 >= f2:
-        argmax, value = x1, f1
-    else:
-        argmax, value = x2, f2
-    boundary = None
-    if argmax - bracket.lo <= 2.0 * tol:
-        boundary = "lo"
-    elif bracket.hi - argmax <= 2.0 * tol:
-        boundary = "hi"
-    return MaxResult(argmax=argmax, value=value, boundary=boundary)

@@ -13,9 +13,13 @@ its Fenchel-Legendre partner ``psi*``, the inverse-exponent transform
 classification (cases 3a/3b/3c at ``tau_zero``, 4a/4b/4c at ``tau_plus``)
 with the associated asymptotes and ``b`` limits.
 
-Suprema over unbounded intervals are evaluated by golden-section search on
-a compactified coordinate (tan rescaling of infinite endpoints); boundary
-``b`` limits use Richardson extrapolation along geometric probe sequences.
+Every solve runs on an increasing function along geometric probes from 0
+toward a domain end: the probes stop at the first sign change and Brent's
+method finishes on that interval.  The maximiser of ``m - x psi(m)`` (and
+of ``m y - psi(m)`` for ``psi*``) is the root of ``psi'(m) = 1/x`` (resp.
+``= y``), so the supremum is read off at the root; when the probes run
+out first, it is the limit of the objective along them.  Boundary ``b``
+limits use Richardson extrapolation along the same kind of probes.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Iterator
 
 from .errors import AssumptionError, ClassificationError, DomainError
 from .models import Family, LevyModel
-from .numerics import Bracket, find_root, maximize_concave
+from .numerics import Bracket, find_root
 
 __all__ = [
     "Tau0Case",
@@ -123,6 +127,30 @@ def _psi_limit(model: LevyModel, upper: bool) -> float:
     return _limit_along(model.psi(m) for m in _approach(0.0, end))
 
 
+def _increasing_root(f: Callable[[float], float],
+                     end: float) -> tuple[float | None, list[float]]:
+    """Root of an increasing ``f`` that lies between 0 and ``end``.
+
+    Probes ``_approach(0, end)`` until ``f`` changes sign, then solves on
+    the last probe interval with Brent's method.  Returns (root, probes
+    passed); the root is None when the probes run out first.
+    """
+    up = end > 0.0
+    prev = 0.0
+    probes: list[float] = []
+    for m in _approach(0.0, end):
+        v = f(m)
+        if v == 0.0:
+            return m, probes
+        if (v > 0.0) == up:
+            lo, hi = (prev, m) if up else (m, prev)
+            return find_root(f, Bracket(lo, hi),
+                             tol=1e-14 * max(1.0, abs(m))), probes
+        probes.append(m)
+        prev = m
+    return None, probes
+
+
 def _find_m0(model: LevyModel) -> tuple[float, float]:
     """(m0, psi'(m0)) with m0 = inf{theta : psi'(theta) > 0}.
 
@@ -130,17 +158,10 @@ def _find_m0(model: LevyModel) -> tuple[float, float]:
     otherwise (m_minus, lim psi').  The derivative limit is snapped to 0
     when it is zero to within probe resolution.
     """
-    prev = 0.0
-    for m in _approach(0.0, model.m_minus):
-        d1 = model.psi_derivs(m)[0]
-        if d1 == 0.0:
-            return m, 0.0
-        if d1 < 0.0:
-            scale = max(1.0, abs(m))
-            root = find_root(lambda t: model.psi_derivs(t)[0],
-                             Bracket(m, prev), tol=1e-14 * scale)
-            return root, 0.0
-        prev = m
+    root, _ = _increasing_root(lambda m: model.psi_derivs(m)[0],
+                               model.m_minus)
+    if root is not None:
+        return root, 0.0
     limit = _deriv_limit(model, upper=False)
     if 0.0 <= limit <= _ZERO_SNAP:
         limit = 0.0
@@ -309,46 +330,27 @@ def classify_boundaries(model: LevyModel,
     return zero, plus
 
 
-# --------------------------------------------------------------------------
-# Suprema over (possibly unbounded) intervals.
-# --------------------------------------------------------------------------
+def _argmax(model: LevyModel, slope: float,
+            mean: float) -> tuple[float | None, list[float]]:
+    """Maximiser of the concave ``m slope - psi(m)``: psi'(m) = slope.
 
-_U_EPS = 1e-13      # shrink-inward margin on the compactified coordinate
-_U_TOL = 1e-12      # golden-section width in the compactified coordinate
-
-
-def _compactify(lo: float, hi: float) -> Callable[[float], float]:
-    """Increasing map of (0, 1) onto (lo, hi), tan-rescaled at infinities."""
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lambda u: lo + (hi - lo) * u
-    if math.isfinite(lo):
-        s = 1.0 + abs(lo)
-        return lambda u: lo + s * math.tan(0.5 * math.pi * u)
-    if math.isfinite(hi):
-        s = 1.0 + abs(hi)
-        return lambda u: hi - s * math.tan(0.5 * math.pi * (1.0 - u))
-    return lambda u: math.tan(math.pi * (u - 0.5))
-
-
-def _concave_sup(obj: Callable[[float], float], lo: float,
-                 hi: float) -> tuple[float, float, str | None]:
-    """(sup value, argmax m, boundary flag) of a concave objective."""
-    to_m = _compactify(lo, hi)
-    res = maximize_concave(lambda u: obj(to_m(u)),
-                           Bracket(_U_EPS, 1.0 - _U_EPS), tol=_U_TOL)
-    return res.value, to_m(res.argmax), res.boundary
+    ``mean`` is psi'(0), which tells on which side of 0 the root lies.
+    """
+    end = model.m_plus if slope > mean else model.m_minus
+    return _increasing_root(lambda m: model.psi_derivs(m)[0] - slope, end)
 
 
 def _rate_point(model: LevyModel, x: float,
                 prof: RateProfile) -> tuple[float, float]:
-    """(I(x), maximizer m*) for x strictly inside Delta."""
+    """(I(x), I'(x)) for x strictly inside Delta; I'(x) = -psi(m*)."""
     if x == prof.tau_e:
-        return 0.0, 0.0
-    value, m_star, boundary = _concave_sup(
-        lambda m: m - x * model.psi(m), prof.m0, model.m_plus)
-    if boundary is not None and value > 1.0 / _U_TOL:
-        return _INF, m_star
-    return max(value, 0.0), m_star
+        return 0.0, -0.0
+    m_star, probes = _argmax(model, 1.0 / x, prof.mean)
+    if m_star is None:
+        value = _limit_along(m - x * model.psi(m) for m in probes)
+        return max(value, 0.0), -model.psi(probes[-1])
+    psi_star = model.psi(m_star)
+    return max(m_star - x * psi_star, 0.0), -psi_star
 
 
 def _boundary_value(model: LevyModel, prof: RateProfile, at_plus: bool) -> float:
@@ -409,11 +411,10 @@ def legendre_dual(model: LevyModel, y: float) -> float:
         if math.isinf(model.m_minus):
             return -_affine_gap_limit(model, l_lo, upper=False)
         return model.m_minus * y - _psi_limit(model, upper=False)
-    value, _, boundary = _concave_sup(
-        lambda m: m * y - model.psi(m), model.m_minus, model.m_plus)
-    if boundary is not None and value > 1.0 / _U_TOL:
-        return _INF
-    return value
+    m_star, probes = _argmax(model, y, model.mean)
+    if m_star is None:
+        return _limit_along(m * y - model.psi(m) for m in probes)
+    return m_star * y - model.psi(m_star)
 
 
 def invert_L(model: LevyModel, theta: float,
@@ -435,34 +436,12 @@ def invert_L(model: LevyModel, theta: float,
     if theta == 0.0:
         return 0.0
     target = -theta
-
-    def g(m: float) -> float:
-        return model.psi(m) - target
-
-    if target > 0.0:
-        lo = 0.0
-        hi = None
-        for m in _approach(0.0, model.m_plus):
-            if g(m) > 0.0:
-                hi = m
-                break
-            lo = m
-        if hi is None:
-            raise DomainError(f"psi never reaches {target!r} below m_plus")
-    else:
-        hi = 0.0
-        lo = None
-        for m in _approach(0.0, prof.m0):
-            if not model.m_minus < m:
-                break
-            if g(m) < 0.0:
-                lo = m
-                break
-            hi = m
-        if lo is None:
-            raise DomainError(f"psi never reaches {target!r} above m0")
-    scale = max(1.0, abs(lo), abs(hi))
-    return -find_root(g, Bracket(lo, hi), tol=1e-14 * scale)
+    end = model.m_plus if target > 0.0 else prof.m0
+    root, _ = _increasing_root(lambda m: model.psi(m) - target, end)
+    if root is None:
+        side = "below m_plus" if target > 0.0 else "above m0"
+        raise DomainError(f"psi never reaches {target!r} {side}")
+    return -root
 
 
 def rate_curve(model: LevyModel, x_lo: float, x_hi: float, n: int,
@@ -493,8 +472,7 @@ def rate_curve(model: LevyModel, x_lo: float, x_hi: float, n: int,
         elif x == prof.tau_zero:
             rows.append((x, _boundary_value(model, prof, False), _INF))
         else:
-            value, m_star = _rate_point(model, x, prof)
-            rows.append((x, value, -model.psi(m_star)))
+            rows.append((x, *_rate_point(model, x, prof)))
     return rows
 
 

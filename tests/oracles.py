@@ -1,20 +1,27 @@
 """Independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the library's own code paths: series summation
-for the digamma, direct closed-form rate functions, the (m+1)tan(pi m/2)
-exponent of the 3d Cauchy modulus, nonparametric two-sample distance
-tests, and one-path-at-a-time Monte Carlo loops.  Slow-but-simple is the
-point.
+for the digamma, direct closed-form rate functions, a derivative-free
+golden-section supremum, the (m+1)tan(pi m/2) exponent of the 3d Cauchy
+modulus, nonparametric two-sample distance tests, and one-path-at-a-time
+Monte Carlo loops.  Slow-but-simple is the point.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from levyclocks import HorizonExceededError, RescalingError, path_rng
+from levyclocks import (
+    Bracket,
+    EvaluationError,
+    HorizonExceededError,
+    RescalingError,
+    path_rng,
+)
 from levyclocks.paths import _effective_dynamics, horizon_policy
 
 EULER_GAMMA = 0.5772156649015328606065
@@ -34,17 +41,115 @@ def digamma_series(x: float, terms: int = 10_000_000) -> float:
 
 def digamma_sign_scan(alpha: float, lo: float = -1.0, hi: float = 0.0,
                       n: int = 10_000) -> tuple[float, float]:
-    """Bracket of the root of Psi(g + alpha) - Psi(g) on (lo, hi) by a
-    sign scan of the series oracle on an n-point grid."""
+    """Bracket of the root of Psi(g + alpha) - Psi(g) on (lo, hi): the
+    grid cell of an n-point grid where the series oracle changes sign,
+    found by bisection over the grid indices."""
     f = lambda g: digamma_series(g + alpha, 200_000) - digamma_series(g, 200_000)
     xs = np.linspace(lo + 1e-6, hi - 1e-6, n)
-    prev = f(float(xs[0]))
-    for x in xs[1:]:
-        cur = f(float(x))
-        if prev < 0.0 <= cur or prev > 0.0 >= cur:
-            return float(x - (xs[1] - xs[0])), float(x)
-        prev = cur
-    raise AssertionError("no sign change found")
+    i, j = 0, n - 1
+    positive = f(float(xs[i])) > 0.0
+    assert positive != (f(float(xs[j])) > 0.0), "no sign change found"
+    while j - i > 1:
+        k = (i + j) // 2
+        if (f(float(xs[k])) > 0.0) == positive:
+            i = k
+        else:
+            j = k
+    return float(xs[j] - (xs[1] - xs[0])), float(xs[j])
+
+
+def _finite(f, x: float) -> float:
+    v = f(x)
+    if not math.isfinite(v):
+        raise EvaluationError(f"objective returned non-finite value {v!r} "
+                              f"at x = {x!r}")
+    return v
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class MaxResult:
+    """Result of a golden-section maximization.
+
+    ``boundary`` is ``None`` for an interior maximum, or ``"lo"`` /
+    ``"hi"`` when the supremum is approached at a (shrunk-inward)
+    endpoint, in which case ``value`` approximates the boundary limit.
+    """
+
+    argmax: float
+    value: float
+    boundary: str | None = None
+
+
+def maximize_concave(f, bracket: Bracket, tol: float = 1e-10,
+                     max_iter: int = 400) -> MaxResult:
+    """Golden-section maximization over an open finite interval.
+
+    Assumes ``f`` is strictly concave (a strictly unimodal function works
+    identically) and finite on the interior; the endpoints themselves are
+    never evaluated.  The bracketing interval is shrunk to width ``tol``;
+    the achievable argmax accuracy is additionally floored at
+    ``sqrt(eps |f| / |f''|)`` (value-comparison noise), as for any method
+    using function values only.  The maximum value itself is second-order
+    accurate in that distance.
+
+    Raises:
+        EvaluationError: if ``f`` is non-finite at an interior probe.
+    """
+    a, b = bracket.lo, bracket.hi
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1, f2 = _finite(f, x1), _finite(f, x2)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = _finite(f, x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = _finite(f, x2)
+    if f1 >= f2:
+        argmax, value = x1, f1
+    else:
+        argmax, value = x2, f2
+    boundary = None
+    if argmax - bracket.lo <= 2.0 * tol:
+        boundary = "lo"
+    elif bracket.hi - argmax <= 2.0 * tol:
+        boundary = "hi"
+    return MaxResult(argmax=argmax, value=value, boundary=boundary)
+
+
+_U_EPS = 1e-13      # shrink-inward margin on the compactified coordinate
+_U_TOL = 1e-12      # golden-section width in the compactified coordinate
+
+
+def _compactify(lo: float, hi: float) -> Callable[[float], float]:
+    """Increasing map of (0, 1) onto (lo, hi), tan-rescaled at infinities."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return lambda u: lo + (hi - lo) * u
+    if math.isfinite(lo):
+        s = 1.0 + abs(lo)
+        return lambda u: lo + s * math.tan(0.5 * math.pi * u)
+    if math.isfinite(hi):
+        s = 1.0 + abs(hi)
+        return lambda u: hi - s * math.tan(0.5 * math.pi * (1.0 - u))
+    return lambda u: math.tan(math.pi * (u - 0.5))
+
+
+def concave_sup(obj: Callable[[float], float], lo: float,
+                hi: float) -> tuple[float, float, str | None]:
+    """(sup value, argmax m, boundary flag) of a concave objective on
+    (lo, hi), by golden-section search on a compactified coordinate."""
+    to_m = _compactify(lo, hi)
+    res = maximize_concave(lambda u: obj(to_m(u)),
+                           Bracket(_U_EPS, 1.0 - _U_EPS), tol=_U_TOL)
+    return res.value, to_m(res.argmax), res.boundary
 
 
 def petit_exponent(m: float) -> float:

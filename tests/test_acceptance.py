@@ -44,7 +44,7 @@ from levyclocks import (
     tau_ensemble,
     tilted_identity_check,
 )
-from levyclocks.rate import _concave_sup
+from oracles import concave_sup
 
 SEED = 20260810
 
@@ -174,7 +174,7 @@ def test_criterion_4_duality_and_gartner_ellis():
         theta_hi = -prof.psi_m0
         for x in interior_grid(prof, 25):
             x = float(x)
-            sup, _, _ = _concave_sup(
+            sup, _, _ = concave_sup(
                 lambda th: x * th - invert_L(model, th, prof),
                 -math.inf, theta_hi)
             worst_ge = max(worst_ge, abs(rate_I(model, x, prof) - sup))

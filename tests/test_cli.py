@@ -152,6 +152,17 @@ class TestStochasticCommands:
                          if line.startswith("fundamental_relation")))
         assert err <= 1e-12
 
+    def test_check_identities_other_index(self, capsys):
+        code, out, _ = invoke(capsys, [
+            "check-identities", "--family", "brownian", "--nu", "1",
+            "--paths", "20", "--seed", "3", "--alpha", "1.5"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2].startswith("fundamental_relation_max_abs_err: ")
+        assert lines[3:] == [
+            "tilted: skipped (stated for clocks of index 1)",
+            "first_passage: skipped (stated for clocks of index 1)"]
+
     def test_horizon_exit_3(self, capsys):
         # seed 2 contains a slow path that misses the undoubled horizon
         code, _, err = invoke(capsys, [
@@ -171,3 +182,24 @@ def test_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "tau_e: 0.5" in proc.stdout
+
+
+def test_runs_in_one_process_match_separate_runs(capsys):
+    # The parser is built once per process; flags of one run (--tilt,
+    # --gamma) must not carry over into the next.
+    import subprocess
+    import sys
+    first = ["profile", "--family", "brownian", "--nu", "1", "--tilt", "0.25"]
+    curve = ["rate-curve", "--family", "sawtooth", "--beta", "1", "--gamma",
+             "3", "--x-lo", "1.5", "--x-hi", "4", "--n", "5"]
+    usage = ["profile", "--family", "sawtooth", "--beta", "1"]
+    again = ["profile", "--family", "brownian", "--nu", "1"]
+    results = [invoke(capsys, argv)[:2] for argv in (first, curve, usage,
+                                                      again)]
+    for argv, (code, out) in zip((first, curve, usage, again), results):
+        proc = subprocess.run(
+            [sys.executable, "-m", "levyclocks.cli", *argv],
+            capture_output=True, text=True)
+        assert (code, out) == (proc.returncode, proc.stdout)
+    assert [code for code, _ in results] == [0, 0, 1, 0]
+    assert "tilt=0.0" in results[3][1]

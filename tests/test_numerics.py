@@ -17,10 +17,9 @@ from levyclocks import (
     digamma,
     find_root,
     log_gamma,
-    maximize_concave,
     trigamma,
 )
-from oracles import digamma_sign_scan
+from oracles import digamma_sign_scan, maximize_concave
 
 mp.mp.dps = 30
 
@@ -110,8 +109,9 @@ class TestFindRoot:
             0.0, abs=1e-12)
 
     def test_digamma_difference_root(self):
-        # Frozen bracket from the 1e4-point sign scan of Psi(g+1.5)-Psi(g)
-        # (oracles.digamma_sign_scan): root in (-0.58256, -0.58246).
+        # Frozen bracket: the cell of the 1e4-point grid where
+        # Psi(g+1.5)-Psi(g) changes sign (oracles.digamma_sign_scan):
+        # root in (-0.58256, -0.58246).
         f = lambda g: digamma(g + 1.5) - digamma(g)
         root = find_root(f, Bracket(-1.0 + 1e-9, -1e-9), tol=1e-12)
         assert -0.5825580907090709 < root < -0.5824580809080908

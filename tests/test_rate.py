@@ -24,8 +24,9 @@ from levyclocks import (
     saw_tooth,
     stable_conditioned,
 )
-from levyclocks.rate import _concave_sup
+from levyclocks.rate import _argmax
 from oracles import (
+    concave_sup,
     rate_brownian,
     rate_cp_minus,
     rate_cp_plus,
@@ -212,6 +213,25 @@ class TestRateFunction:
                 x = float(x)
                 assert abs(rate_I(model, x, p) - ref(x)) <= 1e-8
 
+    def test_slope_matches_closed_form_derivative(self):
+        # I' = -psi(m*) against a five-point derivative of the closed
+        # forms, with a step well inside the distance to the ends of Delta.
+        cases = [
+            (brownian_drift(1.0), lambda x: rate_brownian(1.0, x), 0.05, 3.0),
+            (cp_plus_drift(1, 2, 1), lambda x: rate_cp_plus(1, 2, 1, x),
+             0.01, 0.99),
+            (saw_tooth(1, 3), lambda x: rate_saw_tooth(1, 3, x), 1.01, 6.0),
+        ]
+        for model, ref, lo, hi in cases:
+            p = profile(model)
+            edge = min(p.tau_zero, 2.0 * hi)
+            rows = rate_curve(model, lo, hi, 60, p)
+            for x, _, slope in rows:
+                h = 1e-4 * min(x - p.tau_plus, edge - x)
+                deriv = (8.0 * (ref(x + h) - ref(x - h))
+                         - (ref(x + 2 * h) - ref(x - 2 * h))) / (12.0 * h)
+                assert abs(slope - deriv) <= 1e-7
+
     def test_shape(self):
         for model in MODELS:
             p = profile(model)
@@ -246,13 +266,30 @@ class TestDuality:
                 gap = rate_I(model, x, p) - x * legendre_dual(model, 1.0 / x)
                 assert abs(gap) <= 1e-8
 
+    def test_pair_identity_slow_stable(self):
+        # alpha near 1: psi' grows like m^0.038, so m* is 6.5e9 at x = 6.48
+        # and, below x ~ 3.5, lies past the last probe (2^45), where both
+        # sides take the limit along the probes instead of a root.
+        model = stable_conditioned(1.038, 0.063)
+        p = profile(model)
+        bracketed = 0
+        for x in np.geomspace(0.5, 8.0 * p.tau_e, 80):
+            x = float(x)
+            if _argmax(model, 1.0 / x, p.mean)[0] is None:
+                continue
+            bracketed += 1
+            i_val = rate_I(model, x, p)
+            gap = i_val - x * legendre_dual(model, 1.0 / x)
+            assert abs(gap) <= 1e-10 * max(1.0, abs(i_val))
+        assert bracketed >= 40
+
     def test_gartner_ellis_consistency(self):
         for model in MODELS:
             p = profile(model)
             theta_hi = -p.psi_m0
             for x in delta_grid(p, 12):
                 x = float(x)
-                sup, _, _ = _concave_sup(
+                sup, _, _ = concave_sup(
                     lambda th: x * th - invert_L(model, th, p),
                     -math.inf, theta_hi)
                 assert abs(rate_I(model, x, p) - sup) <= 1e-6
