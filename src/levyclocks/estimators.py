@@ -98,7 +98,7 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
             out[i] = path.clock_many(targets)
         return out
 
-    mean = target.psi_derivs(0.0)[0]
+    mean = target.mean
     base_h = horizon_policy(mean, float(np.max(targets)))
 
     def taus(block):
@@ -115,8 +115,8 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
 def _reference_mean(target: LevyModel | CauchyModulus, alpha: float) -> float:
     """psi'(0) of the driving Lévy process (hypergeometric for |Cauchy|)."""
     if isinstance(target, CauchyModulus):
-        return hypergeometric_stable(1.0, float(target.d)).psi_derivs(0.0)[0]
-    return alpha * target.psi_derivs(0.0)[0]
+        return hypergeometric_stable(1.0, float(target.d)).mean
+    return alpha * target.mean
 
 
 # --------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def estimate_logA_rate(model: LevyModel, cfg: SimConfig,
     vals = run_paths(model, cfg, t,
                      lambda block: (block.log_totals(cfg.alpha) / t, True))
     mean, se = _mean_se(vals)
-    ref = cfg.alpha * model.psi_derivs(0.0)[0]
+    ref = cfg.alpha * model.mean
     row = EstimateRow(t=t, estimate=mean, stderr=se, reference=ref)
     return EstimatorReport("logA", model.describe(), cfg, (row,))
 
@@ -354,7 +354,7 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
     if theta == 0.0:
         return FirstPassageResult(theta=0.0, t=t_clock, lhs=0.0, rhs=0.0,
                                   rhs_stderr=0.0, analytic=0.0, abs_diff=0.0)
-    mean = model.psi_derivs(0.0)[0]
+    mean = model.mean
     base_h = max(horizon_policy(mean, t_clock), 8.0 / mean)
 
     def tau_and_hat(block):
@@ -433,7 +433,7 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
         raise RescalingError("exponential weight overflows; reduce t")
     lhs, lhs_se = _mean_se(np.exp(expo))
 
-    mean_t = tilted.psi_derivs(0.0)[0]
+    mean_t = tilted.mean
     base_h = (horizon_policy(mean_t, target) if mean_t > 0.0
               else 4.0 * (1.0 + abs(math.log(max(target, 2.0)))))
 

@@ -2,8 +2,12 @@
 
 Each family carries a closed-form Laplace exponent ``psi`` with
 ``E exp(m xi_t) = exp(t psi(m))`` on an open domain ``(m_minus, m_plus)``
-containing 0, together with exact first and second derivatives and an
-exponential-tilt (Esscher) mechanism.
+containing 0, and an exponential-tilt (Esscher) mechanism.  The closed
+form is written once per family and returns ``psi``, ``psi'`` and
+``psi''`` together; ``LevyModel.psi`` and ``LevyModel.psi_derivs`` both
+read one memoised evaluation of it, so a solver that asks for the value
+at a point whose derivatives it already has (a root, a probe, a bracket
+end) pays nothing more.
 
 Families and exponents (``m`` ranges over the open domain):
 
@@ -256,6 +260,11 @@ def _triple_hyper(p: tuple[float, ...], m: float):
     return psi, d1, d2
 
 
+# Keys compare by value, so m = 0.0 and -0.0 share an entry, and so do int
+# and float params.  The two zeros give the same psi' and psi'' and differ
+# only in the sign of psi(0), which psi never returns (it short-circuits
+# m == 0); make_model casts params to float.
+@lru_cache(maxsize=1024)
 def _base_triple(family: Family, p: tuple[float, ...], m: float):
     if family is Family.BROWNIAN_DRIFT:
         return _triple_brownian(p, m)
@@ -275,54 +284,6 @@ def _base_triple(family: Family, p: tuple[float, ...], m: float):
     if family is Family.HYPERGEOMETRIC_STABLE:
         return _triple_hyper(p, m)
     raise ConstructionError(f"unknown family {family!r}")
-
-
-def _base_value(family: Family, p: tuple[float, ...], m: float) -> float:
-    """Exponent value only; skips the derivative work of _base_triple."""
-    if family is Family.BROWNIAN_DRIFT:
-        return 2.0 * m * (m + p[0])
-    if family is Family.CP_PLUS_DRIFT:
-        d, beta, gamma = p
-        return d * m if beta == 0.0 else m * (d + beta / (gamma - m))
-    if family is Family.CP_MINUS_DRIFT:
-        beta, gamma = p
-        return m * (-1.0 + beta / (gamma - m))
-    if family is Family.SAW_TOOTH:
-        beta, gamma = p
-        return m * (gamma - beta + m) / (gamma + m)
-    if family is Family.STABLE_CONDITIONED:
-        alpha, c = p
-        if m >= 0.5:
-            return c * math.exp(log_gamma(m + alpha) - log_gamma(m))
-        return (c / _PI) * math.exp(log_gamma(m + alpha)
-                                    + log_gamma(1.0 - m)) * math.sin(_PI * m)
-    if family is Family.CSBP_IMMIGRATION:
-        kappa, delta, c = p
-        P = kappa - (kappa + 1.0) * delta - m
-        if m <= -0.5:
-            return c * P * math.exp(log_gamma(kappa - m) - log_gamma(-m))
-        return (c / _PI) * P * math.exp(log_gamma(kappa - m)
-                                        + log_gamma(1.0 + m)) * math.sin(-_PI * m)
-    if family is Family.HYPERGEOMETRIC_STABLE:
-        alpha, d = p
-        if m <= -1.0:
-            f1 = math.exp(log_gamma((alpha - m) / 2.0) - log_gamma(-m / 2.0))
-        else:
-            f1 = math.exp(log_gamma((alpha - m) / 2.0)
-                          + log_gamma(1.0 + m / 2.0)) * math.sin(-_PI * m / 2.0) / _PI
-        z2 = (m + d - alpha) / 2.0
-        if m >= alpha - d + 1.0:
-            f2 = math.exp(log_gamma((m + d) / 2.0) - log_gamma(z2))
-        else:
-            f2 = math.exp(log_gamma((m + d) / 2.0)
-                          + log_gamma(1.0 - z2)) * math.sin(_PI * z2) / _PI
-        return -math.pow(2.0, alpha) * f1 * f2
-    raise ConstructionError(f"unknown family {family!r}")
-
-
-@lru_cache(maxsize=1024)
-def _anchor_value(family: Family, p: tuple[float, ...], tilt: float) -> float:
-    return _base_value(family, p, tilt)
 
 
 @dataclass(frozen=True)
@@ -372,9 +333,9 @@ class LevyModel:
         self._check_domain(m)
         if m == 0.0:
             return 0.0
-        v = _base_value(self.family, self.params, self.tilt + m)
+        v = _base_triple(self.family, self.params, self.tilt + m)[0]
         if self.tilt != 0.0:
-            v -= _anchor_value(self.family, self.params, self.tilt)
+            v -= _base_triple(self.family, self.params, self.tilt)[0]
         return v
 
     def psi_derivs(self, m: float) -> tuple[float, float]:

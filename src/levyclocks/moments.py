@@ -61,7 +61,7 @@ class Finiteness(Enum):
 
 
 def _drift(model: LevyModel) -> float:
-    d1 = model.psi_derivs(0.0)[0]
+    d1 = model.mean
     if not d1 > 0.0:
         raise AssumptionError(
             f"drift condition violated: phi'(0) = {d1!r} <= 0")

@@ -115,9 +115,25 @@ def _limit_along(values: Iterator[float]) -> float:
 
 @lru_cache(maxsize=512)
 def _deriv_limit(model: LevyModel, upper: bool) -> float:
-    """lim of psi' at the upper (m_plus) or lower (m_minus) domain end."""
+    """lim of psi' at the upper (m_plus) or lower (m_minus) domain end.
+
+    psi is convex, so psi' rises along the probes toward m_plus and falls
+    toward m_minus.  The walk stops at the first probe that turns back: the
+    closed form has lost its digits (csbp's digamma difference cancels at
+    |m| ~ 2^43), and its jumps would read as divergence.
+    """
     end = model.m_plus if upper else model.m_minus
-    return _limit_along(model.psi_derivs(m)[0] for m in _approach(0.0, end))
+
+    def monotone_prefix() -> Iterator[float]:
+        prev = None
+        for m in _approach(0.0, end):
+            v = model.psi_derivs(m)[0]
+            if prev is not None and (v < prev if upper else v > prev):
+                return
+            prev = v
+            yield v
+
+    return _limit_along(monotone_prefix())
 
 
 @lru_cache(maxsize=512)
@@ -228,7 +244,7 @@ def profile(model: LevyModel) -> RateProfile:
         AssumptionError: if psi'(0) <= 0 (drift condition violated).
         ClassificationError: if a boundary matches none of the six cases.
     """
-    mean = model.psi_derivs(0.0)[0]
+    mean = model.mean
     if not mean > 0.0:
         raise AssumptionError(
             f"drift condition violated: psi'(0) = {mean!r} <= 0 for "

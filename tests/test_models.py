@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,65 @@ class TestDerivatives:
                        + model.psi(m - h2)) / (h2 * h2)
                 assert abs(d1 - fd1) <= 1e-6 * max(1.0, abs(d1))
                 assert abs(d2 - fd2) <= 1e-5 * max(1.0, abs(d2))
+
+
+def _mp_exponent(model):
+    """Tilted exponent of a Gamma-ratio family at working precision.
+
+    1/Gamma comes from ``mp.rgamma``, which is entire, so the reference
+    needs none of the reflection forms the closed forms switch to.
+    """
+    p = [mp.mpf(v) for v in model.params]
+    if model.family is Family.STABLE_CONDITIONED:
+        alpha, c = p
+        base = lambda m: c * mp.gamma(m + alpha) * mp.rgamma(m)
+    elif model.family is Family.CSBP_IMMIGRATION:
+        kappa, delta, c = p
+        base = lambda m: (c * (kappa - (kappa + 1) * delta - m)
+                          * mp.gamma(kappa - m) * mp.rgamma(-m))
+    else:
+        alpha, d = p
+        base = lambda m: (-mp.power(2, alpha)
+                          * mp.gamma((alpha - m) / 2) * mp.rgamma(-m / 2)
+                          * mp.gamma((m + d) / 2)
+                          * mp.rgamma((m + d - alpha) / 2))
+    tilt = mp.mpf(model.tilt)
+    return lambda m: base(tilt + m) - base(tilt)
+
+
+def _branch_switches(model):
+    """Base-domain points where the closed forms change branch."""
+    if model.family is Family.STABLE_CONDITIONED:
+        return (0.5,)
+    if model.family is Family.CSBP_IMMIGRATION:
+        return (-0.5,)
+    alpha, d = model.params
+    return (-1.0, alpha - d + 1.0)
+
+
+class TestMpmathOracle:
+    """psi, psi' and psi'' against mpmath at 40 digits, derivatives by mp.diff."""
+
+    @pytest.mark.parametrize("model", [
+        stable_conditioned(1.5, 1.0),
+        stable_conditioned(1.2, 0.3).esscher(0.7),
+        csbp_immigration(0.5, 0.6, 1.0),
+        csbp_immigration(0.8, 0.9, 2.0).esscher(-0.4),
+        hypergeometric_stable(1.0, 3.0),
+        hypergeometric_stable(1.3, 3.7).esscher(-0.6),
+        hypergeometric_stable(0.6, 1.5),
+    ], ids=lambda model: model.describe())
+    def test_psi_and_derivatives(self, model):
+        points = [float(m) for m in interior_grid(model, 25, inset=0.03)]
+        for s in _branch_switches(model):
+            points += [s - model.tilt - 1e-9, s - model.tilt + 1e-9]
+        with mp.workdps(40):
+            f = _mp_exponent(model)
+            for m in points:
+                got = (model.psi(m), *model.psi_derivs(m))
+                for k, value in enumerate(got):
+                    ref = float(mp.diff(f, mp.mpf(m), k))
+                    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (m, k)
 
 
 class TestEsscher:

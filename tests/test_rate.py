@@ -283,6 +283,18 @@ class TestDuality:
             assert abs(gap) <= 1e-10 * max(1.0, abs(i_val))
         assert bracketed >= 40
 
+    def test_pair_identity_small_kappa_csbp(self):
+        # psi' -> -inf at m_minus, but so slowly (like |m|^kappa) that the
+        # closed form loses its digits first: past |m| ~ 2^43 the digamma
+        # difference cancels and psi' turns back toward -481.
+        model = csbp_immigration(0.002638219114365903, 0.0029063891053899595,
+                                 480.88351958308783)
+        p = profile(model)
+        for x in (0.005, 0.00797, 0.02, 0.1):
+            i_val = rate_I(model, x, p)
+            gap = i_val - x * legendre_dual(model, 1.0 / x)
+            assert abs(gap) <= 1e-10 * max(1.0, abs(i_val))
+
     def test_gartner_ellis_consistency(self):
         for model in MODELS:
             p = profile(model)
