@@ -15,6 +15,7 @@ construction error, 3 horizon exhaustion.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -309,9 +310,7 @@ def _cmd_check_identities(args) -> list[str]:
         f"tilted_z: {_g(tilted.z_score)}",
     ]
     if model.family in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH):
-        fp_cfg = SimConfig(seed=cfg.seed, n_paths=cfg.n_paths, step=cfg.step,
-                           horizon=args.t_fp, alpha=cfg.alpha,
-                           start=cfg.start, max_doublings=cfg.max_doublings)
+        fp_cfg = dataclasses.replace(cfg, horizon=args.t_fp)
         fp = first_passage_check(model, fp_cfg, args.theta)
         lines += [
             f"first_passage_lhs: {_g(fp.lhs)}",

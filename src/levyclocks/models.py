@@ -30,7 +30,9 @@ of 1/Gamma inside the domain, e.g. m = 0) are obtained from reflection-
 formula product forms which are smooth across those points, so no Taylor
 patching or finite differencing is ever needed.  Derivatives are obtained
 by analytic differentiation of the same product forms (digamma/trigamma
-terms), never numerically.
+terms), never numerically.  Far out (Gamma arguments of 64 and more) a
+ratio Gamma(z + h)/Gamma(z) comes from Stirling series in the shift h,
+which keep full precision where differences of log Gamma cancel.
 """
 
 from __future__ import annotations
@@ -150,17 +152,66 @@ def _base_domain(family: Family, p: tuple[float, ...]) -> tuple[float, float]:
 # (psi, psi', psi'') at a point of the open base domain.
 # --------------------------------------------------------------------------
 
-def _gamma_ratio(p_arg: float, q_arg: float, p_slope: float,
-                 q_slope: float) -> tuple[float, float, float]:
-    """(r, r'/r, (r'/r)') for r(m) = Gamma(p(m)) / Gamma(q(m)).
+# Smallest power of two from which _stirling_shift is accurate to 1e-15
+# relative.  The direct differences cancel as z grows, and z + h rounds
+# away digits of h: by z ~ 2^44 they have lost every digit.
+_STIRLING_FROM = 64.0
 
-    ``p_arg``/``q_arg`` must be positive; ``p_slope``/``q_slope`` are the
-    (constant) derivatives of the linear argument maps.
+
+def _stirling_shift(z: float, h: float) -> tuple[float, float, float]:
+    """Differences at z + h and z of log Gamma, digamma and trigamma.
+
+    Each term of the Stirling series is differenced in closed form, so
+    nothing cancels however small h is against z.
     """
-    r = math.exp(log_gamma(p_arg) - log_gamma(q_arg))
-    lr = p_slope * digamma(p_arg) - q_slope * digamma(q_arg)
-    lr2 = p_slope * p_slope * trigamma(p_arg) - q_slope * q_slope * trigamma(q_arg)
-    return r, lr, lr2
+    t = math.log1p(h / z)
+    u, v = 1.0 / (z + h), 1.0 / z
+    u2, v2 = u * u, v * v
+    d0 = ((z - 0.5) * t + h * (math.log(z + h) - 1.0)
+          + (u - v) / 12.0 - (u * u2 - v * v2) / 360.0
+          + (u * u2 * u2 - v * v2 * v2) / 1260.0)
+    d1 = (t + 0.5 * h * u * v - (u2 - v2) / 12.0
+          + (u2 * u2 - v2 * v2) / 120.0
+          - (u2 * u2 * u2 - v2 * v2 * v2) / 252.0)
+    d2 = (-h * u * v * (1.0 + 0.5 * (u + v)) + (u * u2 - v * v2) / 6.0
+          - (u * u2 * u2 - v * v2 * v2) / 30.0
+          + (u * u2 ** 3 - v * v2 ** 3) / 42.0)
+    return d0, d1, d2
+
+
+def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
+    """(f, f', f'') for f(m) = Gamma(z(m) + h) / Gamma(z(m)).
+
+    ``z`` is the current argument value, ``s`` its constant slope in
+    ``m`` and ``h`` a constant shift; requires ``z + h > 0``.  From
+    ``z = 1/2`` up, log Gamma, digamma and trigamma are differenced at
+    ``z + h`` and ``z``, and from ``_STIRLING_FROM`` up the differences
+    come from ``_stirling_shift``.  Below ``z = 1/2`` it switches to the
+    reflected form 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, which is
+    smooth across the zeros of 1/Gamma at non-positive integer ``z``.
+    """
+    a = z + h
+    if z >= 0.5:
+        if z >= _STIRLING_FROM:
+            d0, d1, d2 = _stirling_shift(z, h)
+        else:
+            d0 = log_gamma(a) - log_gamma(z)
+            d1 = digamma(a) - digamma(z)
+            d2 = trigamma(a) - trigamma(z)
+        f = math.exp(d0)
+        lr = s * d1
+        return f, f * lr, f * (lr * lr + s * s * d2)
+    G = log_gamma(a) + log_gamma(1.0 - z)
+    G1 = s * (digamma(a) - digamma(1.0 - z))
+    G2 = s * s * (trigamma(a) + trigamma(1.0 - z))
+    g = math.exp(G) / _PI
+    sn, cs = math.sin(_PI * z), math.cos(_PI * z)
+    sd = _PI * s * cs
+    sdd = -_PI * _PI * s * s * sn
+    f = g * sn
+    f1 = g * (G1 * sn + sd)
+    f2 = g * ((G2 + G1 * G1) * sn + 2.0 * G1 * sd + sdd)
+    return f, f1, f2
 
 
 def _triple_brownian(p: tuple[float, ...], m: float):
@@ -187,72 +238,26 @@ def _triple_saw_tooth(p: tuple[float, ...], m: float):
 
 def _triple_stable(p: tuple[float, ...], m: float):
     alpha, c = p
-    if m >= 0.5:
-        r, lr, lr2 = _gamma_ratio(m + alpha, m, 1.0, 1.0)
-        psi = c * r
-        return psi, psi * lr, psi * (lr * lr + lr2)
-    # Smooth across the zeros of 1/Gamma(m) at m = 0, -1.
-    f, f1, f2 = _reflected_ratio(m + alpha, 1.0, m, 1.0)
+    f, f1, f2 = _gamma_ratio(m, alpha, 1.0)
     return c * f, c * f1, c * f2
 
 
 def _triple_csbp(p: tuple[float, ...], m: float):
     kappa, delta, c = p
     P = kappa - (kappa + 1.0) * delta - m   # linear factor, P' = -1
-    if m <= -0.5:
-        f, lr, lr2 = _gamma_ratio(kappa - m, -m, -1.0, -1.0)
-        f1 = f * lr
-        f2 = f * (lr * lr + lr2)
-    else:
-        # Smooth across the zero of 1/Gamma(-m) at m = 0.
-        f, f1, f2 = _reflected_ratio(kappa - m, -1.0, -m, -1.0)
+    f, f1, f2 = _gamma_ratio(-m, kappa, -1.0)
     psi = c * P * f
     d1 = c * (-f + P * f1)
     d2 = c * (-2.0 * f1 + P * f2)
     return psi, d1, d2
 
 
-def _reflected_ratio(a: float, sa: float, z: float,
-                     sz: float) -> tuple[float, float, float]:
-    """(f, f', f'') for f(m) = Gamma(a(m)) / Gamma(z(m)) near 1/Gamma zeros.
-
-    Uses 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, which is smooth across
-    the zeros at non-positive integer ``z``.  ``a``/``z`` are the current
-    argument values and ``sa``/``sz`` their constant slopes in ``m``;
-    requires ``a > 0`` and ``1 - z > 0``.
-    """
-    G = log_gamma(a) + log_gamma(1.0 - z)
-    G1 = sa * digamma(a) - sz * digamma(1.0 - z)
-    G2 = sa * sa * trigamma(a) + sz * sz * trigamma(1.0 - z)
-    g = math.exp(G) / _PI
-    s, cs = math.sin(_PI * z), math.cos(_PI * z)
-    sd = _PI * sz * cs
-    sdd = -_PI * _PI * sz * sz * s
-    f = g * s
-    f1 = g * (G1 * s + sd)
-    f2 = g * ((G2 + G1 * G1) * s + 2.0 * G1 * sd + sdd)
-    return f, f1, f2
-
-
 def _triple_hyper(p: tuple[float, ...], m: float):
     alpha, d = p
-    # f1 = Gamma((alpha - m)/2) / Gamma(-m/2); zero of 1/Gamma at m = 0.
-    if m <= -1.0:
-        f1, l1, l1p = _gamma_ratio((alpha - m) / 2.0, -m / 2.0, -0.5, -0.5)
-        f1d = f1 * l1
-        f1dd = f1 * (l1 * l1 + l1p)
-    else:
-        f1, f1d, f1dd = _reflected_ratio((alpha - m) / 2.0, -0.5,
-                                         -m / 2.0, -0.5)
-    # f2 = Gamma((m + d)/2) / Gamma((m + d - alpha)/2); zero at m = alpha - d.
-    if m >= alpha - d + 1.0:
-        f2, l2, l2p = _gamma_ratio((m + d) / 2.0, (m + d - alpha) / 2.0,
-                                   0.5, 0.5)
-        f2d = f2 * l2
-        f2dd = f2 * (l2 * l2 + l2p)
-    else:
-        f2, f2d, f2dd = _reflected_ratio((m + d) / 2.0, 0.5,
-                                         (m + d - alpha) / 2.0, 0.5)
+    # Gamma((alpha - m)/2) / Gamma(-m/2), 1/Gamma zero at m = 0, times
+    # Gamma((m + d)/2) / Gamma((m + d - alpha)/2), zero at m = alpha - d.
+    f1, f1d, f1dd = _gamma_ratio(-m / 2.0, alpha / 2.0, -0.5)
+    f2, f2d, f2dd = _gamma_ratio((m + d - alpha) / 2.0, alpha / 2.0, 0.5)
     k = -math.pow(2.0, alpha)
     psi = k * f1 * f2
     d1 = k * (f1d * f2 + f1 * f2d)

@@ -45,10 +45,6 @@ __all__ = [
     "tail_bound",
 ]
 
-_GRID_FAMILIES = (Family.BROWNIAN_DRIFT, Family.CP_PLUS_DRIFT,
-                  Family.CP_MINUS_DRIFT, Family.SAW_TOOTH)
-
-
 class Finiteness(Enum):
     """Tri-state answer of :func:`moment_finite`; truthy iff FINITE."""
 
@@ -168,10 +164,6 @@ def tail_bound(model: LevyModel, horizon: float) -> float:
 
 def _truncated_perpetuities(model: LevyModel, cfg: SimConfig,
                             horizon: float) -> np.ndarray:
-    if model.family not in _GRID_FAMILIES:
-        raise CapabilityError(
-            f"no exact path sampler for family {model.family.value!r}; "
-            f"perpetuity Monte Carlo supports the grid families only")
     return run_paths(model, cfg, horizon, lambda block: (
         block.totals(block.functional(-1.0)), True))
 

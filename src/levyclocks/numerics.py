@@ -1,9 +1,9 @@
 """Scalar special functions and solvers used by every other module.
 
-self-contained on purpose: a Lanczos log-gamma, digamma/trigamma via
-recurrence plus asymptotic series (reflection for negative arguments), and
-a Brent-style bracketing root finder, which also serves every supremum in
-``rate`` (the maximiser of a concave objective is the root of its exact
+Log-gamma is the standard library's behind a domain guard; digamma and
+trigamma run a recurrence plus asymptotic series (reflection for negative
+arguments); and a Brent-style bracketing root finder serves every supremum
+in ``rate`` (the maximiser of a concave objective is the root of its exact
 derivative).  All functions are pure and thread-safe.
 """
 
@@ -25,52 +25,21 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-# Relative accuracy ~1e-15 for Re(x) >= 0.5.
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    3.3994649984811888699e-5,
-    4.6523628927048575665e-5,
-    -9.8374475304879564677e-5,
-    1.5808870322491248884e-4,
-    -2.1026444172410488319e-4,
-    2.1743961811521264320e-4,
-    -1.6431810653676389022e-4,
-    8.4418223983852743293e-5,
-    -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_log_gamma(x: float) -> float:
-    """Lanczos sum for x >= 0.5."""
-    z = x - 1.0
-    series = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        series += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
-
 
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
+    """Natural log of the Gamma function for x > 0 (``math.lgamma``).
+
+    Returns +inf past x ~ 2.5e305, where the value leaves float range.
 
     Raises:
         DomainError: if ``x`` is not a finite positive real.
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    if x >= 0.5:
-        return _lanczos_log_gamma(x)
-    # One recurrence step keeps the Lanczos argument in its sweet spot.
-    return _lanczos_log_gamma(x + 1.0) - math.log(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def _digamma_positive(x: float) -> float:

@@ -113,16 +113,30 @@ def _limit_along(values: Iterator[float]) -> float:
     return vals[-1]
 
 
+# Families whose exponent grows faster than linearly at an infinite domain
+# end (2m^2, c m^alpha, c |m|^(1 + kappa)), so psi' is unbounded there.
+_SUPERLINEAR = (Family.BROWNIAN_DRIFT, Family.STABLE_CONDITIONED,
+                Family.CSBP_IMMIGRATION)
+
+
 @lru_cache(maxsize=512)
 def _deriv_limit(model: LevyModel, upper: bool) -> float:
     """lim of psi' at the upper (m_plus) or lower (m_minus) domain end.
 
-    psi is convex, so psi' rises along the probes toward m_plus and falls
-    toward m_minus.  The walk stops at the first probe that turns back: the
-    closed form has lost its digits (csbp's digamma difference cancels at
-    |m| ~ 2^43), and its jumps would read as divergence.
+    At an infinite end the catalog decides divergence: psi' tends to that
+    end when psi grows faster than linearly.  Probes cannot tell, because
+    psi' may grow like m^(alpha - 1) with alpha - 1 so small that the
+    increments up to 2^45 look like those of a converging sequence.
+
+    Every other end is probed.  psi is convex, so psi' rises along the
+    probes toward m_plus and falls toward m_minus.  The walk stops at the
+    first probe that turns back: the closed form has lost its digits
+    (hypergeometric_stable with alpha = 2 near its Gamma poles), and its
+    jumps would read as divergence.
     """
     end = model.m_plus if upper else model.m_minus
+    if math.isinf(end) and model.family in _SUPERLINEAR:
+        return end
 
     def monotone_prefix() -> Iterator[float]:
         prev = None
@@ -369,17 +383,6 @@ def _rate_point(model: LevyModel, x: float,
     return max(m_star - x * psi_star, 0.0), -psi_star
 
 
-def _boundary_value(model: LevyModel, prof: RateProfile, at_plus: bool) -> float:
-    if at_plus:
-        if prof.class_tauplus is TauPlusCase.C4A:
-            return model.m_plus
-        if prof.class_tauplus is TauPlusCase.C4B:
-            return prof.b_plus * prof.tau_plus
-        return _INF
-    # only case 3b has a finite tau_zero
-    return prof.b_zero * prof.tau_zero
-
-
 def rate_I(model: LevyModel, x: float,
            prof: RateProfile | None = None) -> float:
     """Rate function I(x) = sup_{m in (m0, m_plus)} {m - x psi(m)}.
@@ -396,10 +399,9 @@ def rate_I(model: LevyModel, x: float,
         raise DomainError(
             f"x = {x!r} outside closure of Delta = [{prof.tau_plus!r}, "
             f"{prof.tau_zero!r}]; I(x) = +inf there")
-    if x == prof.tau_plus:
-        return _boundary_value(model, prof, at_plus=True)
-    if x == prof.tau_zero:
-        return _boundary_value(model, prof, at_plus=False)
+    if x in (prof.tau_plus, prof.tau_zero):
+        zero, plus = classify_boundaries(model, prof)
+        return (plus if x == prof.tau_plus else zero).value_I
     return _rate_point(model, x, prof)[0]
 
 
@@ -409,24 +411,16 @@ def legendre_dual(model: LevyModel, y: float) -> float:
     The supremum runs over the full open domain (m_minus, m_plus); +inf
     is returned when it diverges.
     """
-    l_lo = _deriv_limit(model, upper=False)
-    l_hi = _deriv_limit(model, upper=True)
-    if y > l_hi:
-        if math.isinf(model.m_plus):
-            return _INF
-        return model.m_plus * y - _psi_limit(model, upper=True)
-    if y < l_lo:
-        if math.isinf(model.m_minus):
-            return _INF
-        return model.m_minus * y - _psi_limit(model, upper=False)
-    if y == l_hi and math.isfinite(l_hi):
-        if math.isinf(model.m_plus):
-            return -_affine_gap_limit(model, l_hi, upper=True)
-        return model.m_plus * y - _psi_limit(model, upper=True)
-    if y == l_lo and math.isfinite(l_lo):
-        if math.isinf(model.m_minus):
-            return -_affine_gap_limit(model, l_lo, upper=False)
-        return model.m_minus * y - _psi_limit(model, upper=False)
+    for upper in (True, False):
+        end = model.m_plus if upper else model.m_minus
+        l_end = _deriv_limit(model, upper)
+        beyond = y > l_end if upper else y < l_end
+        if beyond or (y == l_end and math.isfinite(l_end)):
+            if math.isfinite(end):
+                return end * y - _psi_limit(model, upper)
+            if beyond:
+                return _INF
+            return -_affine_gap_limit(model, l_end, upper)
     m_star, probes = _argmax(model, y, model.mean)
     if m_star is None:
         return _limit_along(m * y - model.psi(m) for m in probes)
@@ -469,26 +463,27 @@ def rate_curve(model: LevyModel, x_lo: float, x_hi: float, n: int,
     with the classification's one-sided values at the boundary points.
 
     Raises:
-        DomainError: if the grid leaves the closure of Delta or n < 2.
+        DomainError: if the grid leaves the closure of Delta, has an
+            infinite end, or n < 2.
     """
     prof = prof if prof is not None else profile(model)
     if n < 2:
         raise DomainError(f"rate_curve needs n >= 2, got {n!r}")
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise DomainError(f"grid [{x_lo!r}, {x_hi!r}] needs finite ends")
     if not (prof.tau_plus <= x_lo < x_hi <= prof.tau_zero):
         raise DomainError(
             f"grid [{x_lo!r}, {x_hi!r}] not inside closure of Delta = "
             f"[{prof.tau_plus!r}, {prof.tau_zero!r}]")
-    zero_rep, plus_rep = classify_boundaries(model, prof)
+    zero, plus = classify_boundaries(model, prof)
+    ends = {prof.tau_plus: (plus.value_I, -_INF if plus.slope_I is None
+                            else plus.slope_I),
+            prof.tau_zero: (zero.value_I, zero.slope_I)}
     rows: list[tuple[float, float, float]] = []
     for i in range(n):
         x = x_lo + (x_hi - x_lo) * i / (n - 1)
-        if x == prof.tau_plus:
-            slope = plus_rep.slope_I if plus_rep.slope_I is not None else -_INF
-            rows.append((x, _boundary_value(model, prof, True), slope))
-        elif x == prof.tau_zero:
-            rows.append((x, _boundary_value(model, prof, False), _INF))
-        else:
-            rows.append((x, *_rate_point(model, x, prof)))
+        row = ends[x] if x in ends else _rate_point(model, x, prof)
+        rows.append((x, *row))
     return rows
 
 

@@ -58,6 +58,12 @@ class TestRateCurveCommand:
             "rate-curve", "--family", "sawtooth", "--beta", "1",
             "--gamma", "3", "--x-lo", "0.2", "--x-hi", "2.0"])
         assert code == 2
+        code, out, err = invoke(capsys, [
+            "rate-curve", "--family", "brownian", "--nu", "1",
+            "--x-lo", "0.5", "--x-hi", "inf", "--n", "3"])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
 
 class TestFigures:

@@ -174,11 +174,15 @@ def _mp_exponent(model):
 
 
 def _branch_switches(model):
-    """Base-domain points where the closed forms change branch."""
+    """Base-domain points where the closed forms change branch.
+
+    The stable and csbp entries include a point far out along the Stirling
+    branch, where differencing log Gamma would have lost every digit.
+    """
     if model.family is Family.STABLE_CONDITIONED:
-        return (0.5,)
+        return (0.5, 64.0, 2.0 ** 44)
     if model.family is Family.CSBP_IMMIGRATION:
-        return (-0.5,)
+        return (-0.5, -64.0, -2.0 ** 44)
     alpha, d = model.params
     return (-1.0, alpha - d + 1.0)
 

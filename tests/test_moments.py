@@ -20,6 +20,7 @@ from levyclocks import (
     moment_finite,
     moment_recursion,
     saw_tooth,
+    stable_conditioned,
 )
 
 
@@ -169,6 +170,9 @@ class TestMonteCarloMoments:
             mc_exp_functional(brownian_drift(1.0), 2.0, cfg)
         with pytest.raises(DomainError, match="unknown"):
             mc_exp_functional(cp_minus_drift(2.0, 1.0), -3.0, cfg)
+        # A finite moment, but the family has no path sampler.
+        with pytest.raises(CapabilityError):
+            mc_exp_functional(stable_conditioned(1.5, 1.0), -1.0, cfg)
 
     def test_recursion_consistency_across_families(self):
         # mc(-1) * phi(1)/1 == mc(-2) within pooled errors

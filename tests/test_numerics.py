@@ -30,6 +30,7 @@ class TestLogGamma:
         assert log_gamma(4.0) == pytest.approx(math.log(6.0), abs=1e-14)
         assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi),
                                                abs=1e-14)
+        assert log_gamma(1e306) == math.inf   # beyond float range
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
     def test_domain_errors(self, bad):

@@ -131,7 +131,11 @@ class TestClassification:
             "csbp_immigration": ("3a", "4a"),
             "hypergeometric_stable": ("3a", "4a"),
         }
-        for model in MODELS:
+        # psi' of the stable family grows like m^(alpha - 1): slowly when
+        # alpha is near 1, and past the digits of the Gamma ratio at large m.
+        stable = (stable_conditioned(1.6519329863798742, 3.6843607293640126),
+                  stable_conditioned(1.02, 1.0))
+        for model in (*MODELS, *stable):
             zero_rep, plus_rep = classify_boundaries(model)
             assert (zero_rep.case_label, plus_rep.case_label) == \
                 expected[model.family.value]
@@ -195,6 +199,7 @@ class TestRateFunction:
         assert rate_I(cp_plus_drift(1, 2, 1), 1.0) == pytest.approx(
             2.0, abs=1e-8)                                        # 3b: b tau0
         assert math.isinf(rate_I(brownian_drift(1.0), 0.0))       # 4c
+        assert rate_I(brownian_drift(1.0), math.inf) == math.inf  # 3a
         assert rate_I(saw_tooth(1, 3), 1.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_closed_forms(self):
@@ -257,6 +262,10 @@ class TestDuality:
         cp = cp_plus_drift(1.0, 2.0, 1.0)
         assert math.isinf(legendre_dual(cp, 0.5))
         assert legendre_dual(cp, 1.0) == pytest.approx(2.0, abs=1e-8)
+        # Upper end: psi'(+inf) = 1 for the saw tooth.
+        st = saw_tooth(1, 3)
+        assert legendre_dual(st, 1.0) == pytest.approx(1.0, abs=1e-8)
+        assert legendre_dual(st, 1.5) == math.inf
 
     def test_pair_identity(self):
         for model in MODELS:
@@ -373,12 +382,23 @@ class TestRateCurve:
         assert rows[0][0] == 1.0
         assert rows[0][1] == pytest.approx(1.0, abs=1e-8)
         assert rows[0][2] == -math.inf
+        rows = rate_curve(cp_plus_drift(1, 2, 1), 0.0, 1.0, 3)   # 4a .. 3b
+        assert rows[0] == (0.0, 1.0, math.inf)
+        assert rows[-1][0] == 1.0
+        assert rows[-1][1] == pytest.approx(2.0, abs=1e-8)
+        assert rows[-1][2] == math.inf
+        rows = rate_curve(brownian_drift(1.0), 0.0, 1.0, 3)      # 4c
+        assert rows[0] == (0.0, math.inf, -math.inf)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             rate_curve(saw_tooth(1, 3), 0.5, 6.0, 10)
         with pytest.raises(DomainError):
             rate_curve(saw_tooth(1, 3), 1.0, 6.0, 1)
+        # tau_zero = inf for Brownian: inf is in the closure of Delta but
+        # cannot be a grid end (inf * 0 would give a NaN grid point).
+        with pytest.raises(DomainError, match="finite"):
+            rate_curve(brownian_drift(1.0), 0.5, math.inf, 3)
 
     def test_text_format(self):
         rows = rate_curve(brownian_drift(1.0), 0.5, 1.0, 3)
