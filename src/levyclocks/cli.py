@@ -208,8 +208,7 @@ def _cmd_profile(args) -> list[str]:
         lines.append(f"b_plus: {_g(prof.b_plus)}")
     for rep in (zero_rep, plus_rep):
         lines.append(f"I_at_{rep.at}: {_g(rep.value_I)}")
-        slope = "nan" if rep.slope_I is None else _g(rep.slope_I)
-        lines.append(f"Iprime_at_{rep.at}: {slope}")
+        lines.append(f"Iprime_at_{rep.at}: {_g(rep.slope_I)}")
     return _emit(args, "profile.txt", "\n".join(lines) + "\n")
 
 

@@ -20,10 +20,18 @@ stable_conditioned(alpha, c)    c Gamma(m+alpha)/Gamma(m)       on (-alpha, inf)
 csbp_immigration(kappa, delta, c)
         c (kappa - (kappa+1) delta - m) Gamma(kappa-m)/Gamma(-m)
                                                                 on (-inf, kappa)
+        kappa = 1:              c m (m + 2 delta - 1)           on (-inf, inf)
 hypergeometric_stable(alpha, d)
         -2^alpha [G((alpha-m)/2)/G(-m/2)] [G((m+d)/2)/G((m+d-alpha)/2)]
                                                                 on (-d, alpha)
+        alpha = 2:              m (m + d - 2)                   on (-inf, inf)
 ==============================  ===========================================
+
+At kappa = 1 and alpha = 2 the Gamma ratios cancel: both processes are
+Brownian motion with drift (nu = 2 delta - 1 at speed c/2, and nu = d - 2
+at speed 1/2), whose exponent is finite on the whole line.  The general
+domains would leave an end at which psi stays finite, which fits none of
+the boundary cases; on the whole line every finite end is a pole.
 
 Values at removable singularities of the Gamma-ratio families (the zeros
 of 1/Gamma inside the domain, e.g. m = 0) are obtained from reflection-
@@ -141,10 +149,28 @@ def _base_domain(family: Family, p: tuple[float, ...]) -> tuple[float, float]:
     if family is Family.STABLE_CONDITIONED:
         return (-p[0], inf)
     if family is Family.CSBP_IMMIGRATION:
-        return (-inf, p[0])
+        return (-inf, inf) if p[0] == 1.0 else (-inf, p[0])
     if family is Family.HYPERGEOMETRIC_STABLE:
-        return (-p[1], p[0])
+        return (-inf, inf) if p[0] == 2.0 else (-p[1], p[0])
     raise ConstructionError(f"unknown family {family!r}")
+
+
+def _base_affine_end(family: Family, p: tuple[float, ...],
+                     upper: bool) -> tuple[float, float] | None:
+    """(l, g) at a base-domain end where psi is affine in the limit.
+
+    These are the compound-Poisson ends: psi'(m) -> l, the drift, and
+    psi(m) - m l -> g = -beta, minus the jump rate.  None at every other
+    end, where psi' is unbounded: a finite end is a pole and every other
+    infinite end is superlinear.
+    """
+    if family is Family.CP_PLUS_DRIFT and (not upper or p[1] == 0.0):
+        return p[0], -p[1]
+    if family is Family.CP_MINUS_DRIFT and not upper:
+        return -1.0, -p[0]
+    if family is Family.SAW_TOOTH and upper:
+        return 1.0, -p[0]
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +215,7 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
     come from ``_stirling_shift``.  Below ``z = 1/2`` it switches to the
     reflected form 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, which is
     smooth across the zeros of 1/Gamma at non-positive integer ``z``.
+    Where the ratio leaves float range, f = +inf.
     """
     a = z + h
     if z >= 0.5:
@@ -198,7 +225,10 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
             d0 = log_gamma(a) - log_gamma(z)
             d1 = digamma(a) - digamma(z)
             d2 = trigamma(a) - trigamma(z)
-        f = math.exp(d0)
+        try:
+            f = math.exp(d0)
+        except OverflowError:       # far out along the Stirling branch
+            f = math.inf
         lr = s * d1
         return f, f * lr, f * (lr * lr + s * s * d2)
     G = log_gamma(a) + log_gamma(1.0 - z)
@@ -285,8 +315,15 @@ def _base_triple(family: Family, p: tuple[float, ...], m: float):
     if family is Family.STABLE_CONDITIONED:
         return _triple_stable(p, m)
     if family is Family.CSBP_IMMIGRATION:
+        kappa, delta, c = p
+        if kappa == 1.0:
+            q = 2.0 * delta - 1.0
+            return c * m * (m + q), c * (2.0 * m + q), 2.0 * c
         return _triple_csbp(p, m)
     if family is Family.HYPERGEOMETRIC_STABLE:
+        alpha, d = p
+        if alpha == 2.0:
+            return m * (m + d - 2.0), 2.0 * m + d - 2.0, 2.0
         return _triple_hyper(p, m)
     raise ConstructionError(f"unknown family {family!r}")
 
@@ -348,6 +385,24 @@ class LevyModel:
         self._check_domain(m)
         _, d1, d2 = _base_triple(self.family, self.params, self.tilt + m)
         return d1, d2
+
+    def end_limits(self, upper: bool) -> tuple[float, float, float | None]:
+        """(lim psi, lim psi', gap) toward m_plus (upper) or m_minus.
+
+        At an end where psi' is unbounded, psi -> +inf, psi' -> +inf
+        (upper) or -inf, and the gap is None.  At an affine end of the base
+        exponent Psi, with Psi'(M) -> l and Psi(M) - M l -> g, the tilt
+        leaves psi' -> l, and the gap lim psi(m) - m l is
+        g + tilt l - Psi(tilt).
+        """
+        affine = _base_affine_end(self.family, self.params, upper)
+        if affine is None:
+            return math.inf, math.inf if upper else -math.inf, None
+        l, g = affine
+        gap = g + self.tilt * l - _base_triple(self.family, self.params,
+                                               self.tilt)[0]
+        end = self.m_plus if upper else self.m_minus
+        return gap if l == 0.0 else l * end, l, gap
 
     @property
     def mean(self) -> float:

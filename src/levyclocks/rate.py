@@ -3,8 +3,7 @@
 Computes, for a catalog model with positive drift, the critical point
 ``m0 = inf{theta : psi'(theta) > 0}``, the speed interval
 ``Delta = (tau_plus, tau_zero)`` with ``tau_* = 1/psi'`` limits at the
-domain ends (using ``1/psi'(+-inf) := lim m/psi(m)``, which equals the
-monotone derivative limit), the rate function
+domain ends, the rate function
 
     I(x) = sup_{m in (m0, m_plus)} { m - x psi(m) },
 
@@ -13,13 +12,16 @@ its Fenchel-Legendre partner ``psi*``, the inverse-exponent transform
 classification (cases 3a/3b/3c at ``tau_zero``, 4a/4b/4c at ``tau_plus``)
 with the associated asymptotes and ``b`` limits.
 
-Every solve runs on an increasing function along geometric probes from 0
-toward a domain end: the probes stop at the first sign change and Brent's
-method finishes on that interval.  The maximiser of ``m - x psi(m)`` (and
-of ``m y - psi(m)`` for ``psi*``) is the root of ``psi'(m) = 1/x`` (resp.
-``= y``), so the supremum is read off at the root; when the probes run
-out first, it is the limit of the objective along them.  Boundary ``b``
-limits use Richardson extrapolation along the same kind of probes.
+The limits of psi, psi' and the affine gap at each domain end come in
+closed form from the catalog (``LevyModel.end_limits``), and they decide
+before any probing whether a root exists.  Every solve then runs on an
+increasing function along geometric probes from 0 toward a domain end:
+the probes stop at the first sign change and Brent's method finishes on
+that interval.  The maximiser of ``m - x psi(m)`` (and of ``m y - psi(m)``
+for ``psi*``) is the root of ``psi'(m) = 1/x`` (resp. ``= y``), so the
+supremum is read off at the root.  The probes only bracket roots, and run
+until psi' leaves float range; a maximiser beyond float range gives
+I = psi* = +inf.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import AssumptionError, ClassificationError, DomainError
@@ -50,13 +51,6 @@ __all__ = [
 
 _INF = math.inf
 
-# Probe caps: 2^45 keeps every catalog exponent comfortably inside float
-# range while pushing O(1/m) limit errors below 1e-13.
-_MAX_PROBE_EXP = 45
-_DIVERGED = 1e13
-_CONV_RTOL = 1e-14
-_ZERO_SNAP = 1e-13
-
 
 class Tau0Case(str, Enum):
     C3A = "3a"
@@ -70,155 +64,67 @@ class TauPlusCase(str, Enum):
     C4C = "4c"
 
 
-def _approach(anchor: float, endpoint: float) -> Iterator[float]:
-    """Geometric probe sequence from near ``anchor`` toward ``endpoint``."""
+def _approach(endpoint: float) -> Iterator[float]:
+    """Geometric probes from 0 toward ``endpoint``, to the last float."""
     if math.isinf(endpoint):
-        sign = 1.0 if endpoint > 0 else -1.0
-        start = max(1.0, 2.0 * abs(anchor))
-        k = 0
-        while start * 2.0 ** k <= 2.0 ** _MAX_PROBE_EXP:
-            yield anchor + sign * start * 2.0 ** k
-            k += 1
+        m = math.copysign(1.0, endpoint)
+        while math.isfinite(m):
+            yield m
+            m *= 2.0
     else:
-        gap = endpoint - anchor
         for k in range(1, 53):
-            m = endpoint - gap / 2.0 ** k
+            m = endpoint - endpoint / 2.0 ** k
             if m == endpoint:
                 return
             yield m
 
 
-def _limit_along(values: Iterator[float]) -> float:
-    """Limit of a monotone-tailed sequence along geometric probes.
-
-    Returns the exactly stabilized float value when consecutive probes
-    agree, +-inf on magnitude blow-up or when the probe increments keep
-    growing (polynomial divergence, e.g. psi' ~ m^p), and the last probe
-    otherwise (slow but genuine convergence).
-    """
-    vals: list[float] = []
-    for v in values:
-        if not math.isfinite(v) or abs(v) > _DIVERGED:
-            return _INF if v > 0 else -_INF
-        if vals and v == vals[-1]:
-            return v
-        vals.append(v)
-    if not vals:
-        return 0.0
-    if len(vals) >= 3:
-        d_last = vals[-1] - vals[-2]
-        d_prev = vals[-2] - vals[-3]
-        if abs(d_last) > 1.2 * abs(d_prev):
-            return _INF if d_last > 0 else -_INF
-    return vals[-1]
-
-
-# Families whose exponent grows faster than linearly at an infinite domain
-# end (2m^2, c m^alpha, c |m|^(1 + kappa)), so psi' is unbounded there.
-_SUPERLINEAR = (Family.BROWNIAN_DRIFT, Family.STABLE_CONDITIONED,
-                Family.CSBP_IMMIGRATION)
-
-
-@lru_cache(maxsize=512)
-def _deriv_limit(model: LevyModel, upper: bool) -> float:
-    """lim of psi' at the upper (m_plus) or lower (m_minus) domain end.
-
-    At an infinite end the catalog decides divergence: psi' tends to that
-    end when psi grows faster than linearly.  Probes cannot tell, because
-    psi' may grow like m^(alpha - 1) with alpha - 1 so small that the
-    increments up to 2^45 look like those of a converging sequence.
-
-    Every other end is probed.  psi is convex, so psi' rises along the
-    probes toward m_plus and falls toward m_minus.  The walk stops at the
-    first probe that turns back: the closed form has lost its digits
-    (hypergeometric_stable with alpha = 2 near its Gamma poles), and its
-    jumps would read as divergence.
-    """
-    end = model.m_plus if upper else model.m_minus
-    if math.isinf(end) and model.family in _SUPERLINEAR:
-        return end
-
-    def monotone_prefix() -> Iterator[float]:
-        prev = None
-        for m in _approach(0.0, end):
-            v = model.psi_derivs(m)[0]
-            if prev is not None and (v < prev if upper else v > prev):
-                return
-            prev = v
-            yield v
-
-    return _limit_along(monotone_prefix())
-
-
-@lru_cache(maxsize=512)
-def _psi_limit(model: LevyModel, upper: bool) -> float:
-    """lim of psi at the upper or lower domain end."""
-    end = model.m_plus if upper else model.m_minus
-    return _limit_along(model.psi(m) for m in _approach(0.0, end))
-
-
-def _increasing_root(f: Callable[[float], float],
-                     end: float) -> tuple[float | None, list[float]]:
+def _increasing_root(f: Callable[[float], float], end: float) -> float | None:
     """Root of an increasing ``f`` that lies between 0 and ``end``.
 
-    Probes ``_approach(0, end)`` until ``f`` changes sign, then solves on
-    the last probe interval with Brent's method.  Returns (root, probes
-    passed); the root is None when the probes run out first.
+    Probes ``_approach(end)`` until ``f`` changes sign, then solves on the
+    last probe interval with Brent's method.  Returns None when the probes
+    run out, or ``f`` leaves float range, first.  Brent's tolerance is
+    1e-14 max(1, |m|), capped at 1e-14 |end| so that a domain narrower
+    than 1 is solved to the same relative accuracy as a wide one; a root
+    nearer to 0 than that is solved again on its own scale.
     """
     up = end > 0.0
     prev = 0.0
-    probes: list[float] = []
-    for m in _approach(0.0, end):
+    for m in _approach(end):
         v = f(m)
+        if not math.isfinite(v):
+            return None
         if v == 0.0:
-            return m, probes
+            return m
         if (v > 0.0) == up:
             lo, hi = (prev, m) if up else (m, prev)
-            return find_root(f, Bracket(lo, hi),
-                             tol=1e-14 * max(1.0, abs(m))), probes
-        probes.append(m)
+            tol = 1e-14 * min(max(1.0, abs(m)), abs(end))
+            root = find_root(f, Bracket(lo, hi), tol=tol)
+            while 0.0 < abs(root) < tol:
+                edge = root + math.copysign(tol, root)
+                lo, hi = (0.0, edge) if up else (edge, 0.0)
+                tol = 1e-14 * abs(root)
+                root = find_root(f, Bracket(lo, hi), tol=tol)
+            return root
         prev = m
-    return None, probes
+    return None
 
 
-def _find_m0(model: LevyModel) -> tuple[float, float]:
-    """(m0, psi'(m0)) with m0 = inf{theta : psi'(theta) > 0}.
+def _find_m0(model: LevyModel) -> tuple[float, float, float]:
+    """(m0, psi'(m0), psi(m0)) with m0 = inf{theta : psi'(theta) > 0}.
 
-    Returns the root of psi' when a sign change exists in (m_minus, 0),
-    otherwise (m_minus, lim psi').  The derivative limit is snapped to 0
-    when it is zero to within probe resolution.
+    m0 is the root of psi' in (m_minus, 0) when lim psi'(m_minus) < 0, and
+    m_minus, with the limits there, otherwise.  A root beyond float range
+    also leaves m_minus, whose negative slope ``profile`` rejects.
     """
-    root, _ = _increasing_root(lambda m: model.psi_derivs(m)[0],
-                               model.m_minus)
-    if root is not None:
-        return root, 0.0
-    limit = _deriv_limit(model, upper=False)
-    if 0.0 <= limit <= _ZERO_SNAP:
-        limit = 0.0
-    return model.m_minus, limit
-
-
-def _affine_gap_limit(model: LevyModel, slope: float, upper: bool) -> float:
-    """lim psi(m) - m * slope toward an infinite domain end.
-
-    Richardson extrapolation along m = +-2^k assuming an O(1/m) error
-    term; returns -inf when the gap diverges (the b = +inf boundary case).
-    """
-    sign = 1.0 if upper else -1.0
-    prev_v = None
-    prev_e = None
-    for k in range(8, 30):
-        m = sign * 2.0 ** k
-        v = model.psi(m) - m * slope
-        if not math.isfinite(v) or abs(v) > _DIVERGED:
-            return _INF if v > 0 else -_INF
-        if prev_v is not None:
-            extrap = 2.0 * v - prev_v
-            if prev_e is not None and abs(extrap - prev_e) <= 1e-10 * max(1.0, abs(extrap)):
-                return extrap
-            prev_e = extrap
-        prev_v = v
-    return prev_e if prev_e is not None else prev_v
+    psi_end, l_end, _ = model.end_limits(upper=False)
+    if l_end < 0.0:
+        root = _increasing_root(lambda m: model.psi_derivs(m)[0],
+                                model.m_minus)
+        if root is not None:
+            return root, 0.0, model.psi(root)
+    return model.m_minus, l_end, psi_end
 
 
 @dataclass(frozen=True)
@@ -256,7 +162,8 @@ def profile(model: LevyModel) -> RateProfile:
 
     Raises:
         AssumptionError: if psi'(0) <= 0 (drift condition violated).
-        ClassificationError: if a boundary matches none of the six cases.
+        ClassificationError: if tau_zero matches none of its three cases
+            (a root of psi' beyond float range).
     """
     mean = model.mean
     if not mean > 0.0:
@@ -264,10 +171,8 @@ def profile(model: LevyModel) -> RateProfile:
             f"drift condition violated: psi'(0) = {mean!r} <= 0 for "
             f"{model.describe()}")
 
-    m0, l0 = _find_m0(model)
-    psi_m0 = model.psi(m0) if math.isfinite(m0) else _psi_limit(model, upper=False)
-    l_plus = _deriv_limit(model, upper=True)
-    psi_mplus = _psi_limit(model, upper=True)
+    m0, l0, psi_m0 = _find_m0(model)
+    psi_mplus, l_plus, gap_plus = model.end_limits(upper=True)
 
     tau_plus = 0.0 if math.isinf(l_plus) else 1.0 / l_plus
     tau_zero = _INF if l0 == 0.0 else 1.0 / l0
@@ -282,7 +187,7 @@ def profile(model: LevyModel) -> RateProfile:
         asymptote = (-psi_m0, m0)
     elif math.isinf(m0) and 0.0 < l0 < _INF:
         class_tau0 = Tau0Case.C3B
-        b_zero = -_affine_gap_limit(model, l0, upper=False)
+        b_zero = -model.end_limits(upper=False)[2]
     elif math.isinf(m0) and l0 == 0.0 and -_INF < psi_m0 < 0.0:
         class_tau0 = Tau0Case.C3C
     else:
@@ -290,18 +195,13 @@ def profile(model: LevyModel) -> RateProfile:
             f"tau_zero boundary matches no case: m0={m0!r}, "
             f"psi(m0)={psi_m0!r}, psi'(m0)={l0!r}")
 
-    m_plus = model.m_plus
-    if math.isfinite(m_plus) and math.isinf(psi_mplus):
+    if math.isfinite(model.m_plus):     # a pole: psi(m_plus) = +inf
         class_tauplus = TauPlusCase.C4A
-    elif math.isinf(m_plus) and math.isfinite(l_plus):
+    elif math.isfinite(l_plus):
         class_tauplus = TauPlusCase.C4B
-        b_plus = -_affine_gap_limit(model, l_plus, upper=True)
-    elif math.isinf(m_plus) and math.isinf(l_plus):
-        class_tauplus = TauPlusCase.C4C
+        b_plus = -gap_plus
     else:
-        raise ClassificationError(
-            f"tau_plus boundary matches no case: m_plus={m_plus!r}, "
-            f"psi(m_plus)={psi_mplus!r}, psi'(m_plus)={l_plus!r}")
+        class_tauplus = TauPlusCase.C4C
 
     full = (tau_plus == 0.0 and math.isinf(tau_zero)) or model.family in (
         Family.CP_PLUS_DRIFT, Family.SAW_TOOTH)
@@ -320,14 +220,14 @@ class BoundaryReport:
     """Boundary behaviour of the rate function at one end of Delta.
 
     For case 4a only the magnitude of ``slope_I`` is meaningful (stored as
-    +inf); the sign of the one-sided tangent is not asserted.  ``slope_I``
-    is ``None`` for case 4c, where I is identically +inf at the boundary.
+    +inf); the sign of the one-sided tangent is not asserted.  For case 4c
+    ``slope_I`` is -inf, the limit of I'(x) = -psi(m*) as m* -> inf.
     """
 
     at: str                      # "tau_zero" | "tau_plus"
     case_label: str              # "3a" | "3b" | "3c" | "4a" | "4b" | "4c"
     value_I: float
-    slope_I: float | None
+    slope_I: float
     asymptote: tuple[float, float] | None = None
 
 
@@ -356,15 +256,15 @@ def classify_boundaries(model: LevyModel,
                               value_I=prof.b_plus * prof.tau_plus,
                               slope_I=-_INF)
     else:
-        plus = BoundaryReport("tau_plus", "4c", value_I=_INF, slope_I=None)
+        plus = BoundaryReport("tau_plus", "4c", value_I=_INF, slope_I=-_INF)
     return zero, plus
 
 
-def _argmax(model: LevyModel, slope: float,
-            mean: float) -> tuple[float | None, list[float]]:
+def _argmax(model: LevyModel, slope: float, mean: float) -> float | None:
     """Maximiser of the concave ``m slope - psi(m)``: psi'(m) = slope.
 
     ``mean`` is psi'(0), which tells on which side of 0 the root lies.
+    None when the root lies beyond float range.
     """
     end = model.m_plus if slope > mean else model.m_minus
     return _increasing_root(lambda m: model.psi_derivs(m)[0] - slope, end)
@@ -375,10 +275,9 @@ def _rate_point(model: LevyModel, x: float,
     """(I(x), I'(x)) for x strictly inside Delta; I'(x) = -psi(m*)."""
     if x == prof.tau_e:
         return 0.0, -0.0
-    m_star, probes = _argmax(model, 1.0 / x, prof.mean)
+    m_star = _argmax(model, 1.0 / x, prof.mean)
     if m_star is None:
-        value = _limit_along(m - x * model.psi(m) for m in probes)
-        return max(value, 0.0), -model.psi(probes[-1])
+        return _INF, -_INF
     psi_star = model.psi(m_star)
     return max(m_star - x * psi_star, 0.0), -psi_star
 
@@ -412,18 +311,14 @@ def legendre_dual(model: LevyModel, y: float) -> float:
     is returned when it diverges.
     """
     for upper in (True, False):
-        end = model.m_plus if upper else model.m_minus
-        l_end = _deriv_limit(model, upper)
-        beyond = y > l_end if upper else y < l_end
-        if beyond or (y == l_end and math.isfinite(l_end)):
-            if math.isfinite(end):
-                return end * y - _psi_limit(model, upper)
-            if beyond:
-                return _INF
-            return -_affine_gap_limit(model, l_end, upper)
-    m_star, probes = _argmax(model, y, model.mean)
+        _, l_end, gap = model.end_limits(upper)
+        if y > l_end if upper else y < l_end:
+            return _INF
+        if y == l_end and gap is not None:
+            return -gap
+    m_star = _argmax(model, y, model.mean)
     if m_star is None:
-        return _limit_along(m * y - model.psi(m) for m in probes)
+        return _INF
     return m_star * y - model.psi(m_star)
 
 
@@ -447,7 +342,7 @@ def invert_L(model: LevyModel, theta: float,
         return 0.0
     target = -theta
     end = model.m_plus if target > 0.0 else prof.m0
-    root, _ = _increasing_root(lambda m: model.psi(m) - target, end)
+    root = _increasing_root(lambda m: model.psi(m) - target, end)
     if root is None:
         side = "below m_plus" if target > 0.0 else "above m0"
         raise DomainError(f"psi never reaches {target!r} {side}")
@@ -476,8 +371,7 @@ def rate_curve(model: LevyModel, x_lo: float, x_hi: float, n: int,
             f"grid [{x_lo!r}, {x_hi!r}] not inside closure of Delta = "
             f"[{prof.tau_plus!r}, {prof.tau_zero!r}]")
     zero, plus = classify_boundaries(model, prof)
-    ends = {prof.tau_plus: (plus.value_I, -_INF if plus.slope_I is None
-                            else plus.slope_I),
+    ends = {prof.tau_plus: (plus.value_I, plus.slope_I),
             prof.tau_zero: (zero.value_I, zero.slope_I)}
     rows: list[tuple[float, float, float]] = []
     for i in range(n):

@@ -30,6 +30,17 @@ class TestProfileCommand:
         assert code == 0
         assert "m0: -0.5" in out
 
+    def test_4c_slope_matches_rate_curve(self, capsys):
+        # I'(tau_plus) = -inf at 4c, spelled as rate-curve spells it.
+        code, out, _ = invoke(capsys, ["profile", "--family", "brownian",
+                                       "--nu", "1"])
+        assert code == 0
+        assert "Iprime_at_tau_plus: -inf" in out.splitlines()
+        code, out, _ = invoke(capsys, [
+            "rate-curve", "--family", "brownian", "--nu", "1",
+            "--x-lo", "0", "--x-hi", "1", "--n", "3"])
+        assert out.splitlines()[1] == "0,inf,-inf"
+
     def test_construction_error_exit_2(self, capsys):
         code, _, err = invoke(capsys, [
             "profile", "--family", "sawtooth", "--beta", "3", "--gamma", "1"])

@@ -15,6 +15,8 @@ from levyclocks import (
     brownian_drift,
     cp_minus_drift,
     cp_plus_drift,
+    csbp_immigration,
+    hypergeometric_stable,
     log_gamma,
     mc_exp_functional,
     moment_finite,
@@ -81,12 +83,19 @@ class TestRecursion:
                                                           rel=1e-14)
 
     def test_brownian_matches_gamma_law(self):
-        for nu in (1.0, 2.5):
-            ledger = moment_recursion(brownian_drift(nu), r_max=10)
+        # hypergeometric (2, d) is Brownian with nu = d - 2 at speed 1/2, and
+        # csbp (1, delta, c) is Brownian with nu = 2 delta - 1 at speed c/2:
+        # psi = speed * 2m(m + nu), so E I^-r = speed^r E_nu I^-r.
+        cases = [(brownian_drift(1.0), 1.0, 1.0),
+                 (brownian_drift(2.5), 2.5, 1.0),
+                 (hypergeometric_stable(2.0, 3.5), 1.5, 0.5),
+                 (csbp_immigration(1.0, 0.75, 3.0), 0.5, 1.5)]
+        for model, nu, speed in cases:
+            ledger = moment_recursion(model, r_max=10)
             assert len(ledger.rows) == 11
             for row in ledger.rows:
                 r = -row.s
-                ref = gamma_law_inverse_moment(nu, r)
+                ref = speed ** r * gamma_law_inverse_moment(nu, r)
                 assert row.value == pytest.approx(ref, rel=1e-12)
             assert ledger.rows[0].method == "exact"
             assert all(r.method == "recursion" for r in ledger.rows[1:])
