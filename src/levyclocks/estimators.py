@@ -30,9 +30,9 @@ from .models import Family, LevyModel, hypergeometric_stable
 from .paths import (
     CauchyModulus,
     SimConfig,
+    _cauchy_clocks,
     horizon_policy,
     run_paths,
-    simulate_cauchy_modulus,
 )
 from .rate import invert_L, profile, rate_I
 
@@ -84,19 +84,19 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
                  path_offset: int = 0) -> np.ndarray:
     """(n_paths, len(clock_targets)) array of clock values.
 
-    For a Lévy model this is tau(t) = inf{u : A(u) >= t}; for the Cauchy
-    modulus it is T(t) with t an X-side time (no inversion, hence no
-    horizon doubling).  ``path_offset`` shifts the path-id range so that
-    disjoint ensembles can be drawn from one seed.
+    For a Lévy model this is tau(t) = inf{u : A(u) >= t}, on
+    :func:`~levyclocks.paths.run_paths`.  For the Cauchy modulus it is
+    T(t) with t an X-side time (no inversion, hence no horizon doubling),
+    sampled in blocks of rows on one geometric grid from one re-keyed
+    Philox generator, each row bit-identical to
+    :func:`~levyclocks.paths.simulate_cauchy_modulus` of its path.
+    ``path_offset`` shifts the path-id range so that disjoint ensembles
+    can be drawn from one seed.
     """
     targets = np.asarray(clock_targets, dtype=float)
     if isinstance(target, CauchyModulus):
-        out = np.empty((cfg.n_paths, len(targets)))
         run_cfg = replace(cfg, horizon=float(np.max(targets)))
-        for i in range(cfg.n_paths):
-            path = simulate_cauchy_modulus(target.d, run_cfg, path_offset + i)
-            out[i] = path.clock_many(targets)
-        return out
+        return _cauchy_clocks(target.d, run_cfg, targets, path_offset)
 
     mean = target.mean
     base_h = horizon_policy(mean, float(np.max(targets)))

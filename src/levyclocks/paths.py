@@ -19,7 +19,8 @@ whose clock satisfies ``tau(t) = T(t a^alpha)`` identically on the grid.
 Per-path randomness is a counter-based split: path ``i`` of a run seeded
 with ``s`` draws from ``Philox(key=(s, i))``, so paths are reproducible
 independently of generation order, and re-simulating with a longer horizon
-extends a path without changing its prefix.
+extends a path without changing its prefix.  An ensemble builds one Philox
+generator and re-keys it for each path, which gives the same streams.
 
 Ensembles run on :func:`run_paths`: paths are drawn per row as above,
 gathered into a :class:`PathBlock` of padded rows, and reduced there (A,
@@ -30,7 +31,10 @@ doubled horizon; this is the one horizon-doubling loop of the package.
 
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
-geometric time grid; see :func:`simulate_cauchy_modulus`.
+geometric time grid; see :func:`simulate_cauchy_modulus`.  Its ensembles
+run in blocks of rows from the same re-keyed streams, on one grid, with
+every step but the draws on coordinate-major rows; each row is
+bit-identical to the path simulated alone.
 """
 
 from __future__ import annotations
@@ -234,17 +238,26 @@ def _draw_jumps(rng: np.random.Generator, beta: float, gamma: float,
     return t_all[keep], np.concatenate(sizes)[keep]
 
 
-def _path_streams(seed: int,
-                  ids: np.ndarray) -> Iterator[np.random.Generator]:
-    """``path_rng(seed, i)`` for each ``i`` in ``ids``, in turn.
+def _philox() -> np.random.Generator:
+    """A Philox generator for :func:`_path_streams` to re-key."""
+    return np.random.Generator(np.random.Philox(key=0))
 
-    One Philox generator is re-keyed per path (counter and buffer reset),
-    which gives the same streams without the cost of building a generator
-    per path.  Each stream must be used up before the next is taken.
+
+def _path_streams(rng: np.random.Generator, seed: int,
+                  ids: np.ndarray) -> Iterator[np.random.Generator]:
+    """The :func:`path_rng` stream of ``(seed, i)`` for each ``i`` in
+    ``ids``, in turn.
+
+    ``rng`` (from :func:`_philox`) is re-keyed per path, with its counter
+    and buffer reset to those of a new generator.  This gives the same
+    streams without the cost of building a generator per path, so one
+    generator serves a whole ensemble.  Each stream must be used up before
+    the next is taken.
     """
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
+    bitgen = rng.bit_generator
     state = bitgen.state
+    state["state"]["counter"][:] = 0
+    state.update(buffer_pos=len(state["buffer"]), has_uint32=0, uinteger=0)
     for pid in ids.tolist():
         state["state"]["key"] = np.array([seed & _MASK64, pid & _MASK64],
                                          dtype=np.uint64)
@@ -252,27 +265,28 @@ def _path_streams(seed: int,
         yield rng
 
 
-def _sample_block(dyn, seed: int, ids: np.ndarray, horizon: float,
-                  step: float) -> PathBlock:
-    """Paths ``ids`` of a run on [0, horizon], path ``i`` drawn from
-    ``path_rng(seed, i)``: ``ceil(horizon / step)`` standard normals for a
-    Gaussian path, the draws of :func:`_draw_jumps` for a jump path."""
+def _sample_block(dyn, rng: np.random.Generator, seed: int, ids: np.ndarray,
+                  horizon: float, step: float) -> PathBlock:
+    """Paths ``ids`` of a run on [0, horizon], path ``i`` drawn from the
+    stream of ``(seed, i)`` (``rng`` re-keyed): ``ceil(horizon / step)``
+    standard normals for a Gaussian path, the draws of :func:`_draw_jumps`
+    for a jump path."""
     if dyn[0] == "brownian":
         nu = dyn[1]
         n = max(1, math.ceil(horizon / step))
         xi = np.zeros((len(ids), n + 1))
         incr = xi[:, 1:]
-        for row, rng in zip(incr, _path_streams(seed, ids)):
-            rng.standard_normal(out=row)
+        for row, stream in zip(incr, _path_streams(rng, seed, ids)):
+            stream.standard_normal(out=row)
         incr *= 2.0 * math.sqrt(step)
         incr += 2.0 * nu * step
         np.cumsum(incr, axis=1, out=incr)
         times = step * np.arange(n + 1)[None]
         return PathBlock(times=times, xi=xi, size=np.full(len(ids), n + 1),
-                         kind=GAUSSIAN, ids=ids)
+                         kind=GAUSSIAN, ids=ids, rng=rng)
     _, drift, beta, gamma, sign = dyn
-    draws = [_draw_jumps(rng, beta, gamma, horizon)
-             for rng in _path_streams(seed, ids)]
+    draws = [_draw_jumps(stream, beta, gamma, horizon)
+             for stream in _path_streams(rng, seed, ids)]
     size = np.array([len(arrivals) + 2 for arrivals, _ in draws])
     times = np.full((len(ids), int(size.max())), float(horizon))
     times[:, 0] = 0.0
@@ -283,7 +297,7 @@ def _sample_block(dyn, seed: int, ids: np.ndarray, horizon: float,
     xi = np.cumsum(jumps, axis=1)
     xi += drift * times
     return PathBlock(times=times, xi=xi, size=size, kind=LINEAR, drift=drift,
-                     ids=ids, jumps=jumps)
+                     ids=ids, jumps=jumps, rng=rng)
 
 
 def sample_levy_path(model: LevyModel, cfg: SimConfig,
@@ -293,7 +307,7 @@ def sample_levy_path(model: LevyModel, cfg: SimConfig,
     Deterministic in (seed, path_id); enlarging ``horizon`` extends the
     same path.  Raises :class:`CapabilityError` for non-grid families.
     """
-    block = _sample_block(_effective_dynamics(model), cfg.seed,
+    block = _sample_block(_effective_dynamics(model), _philox(), cfg.seed,
                           np.array([path_id]), cfg.horizon, cfg.step)
     n = int(block.size[0])
     jumps = None if block.jumps is None else block.jumps[0, :n]
@@ -344,7 +358,9 @@ class PathBlock:
     Jump paths are padded to the longest row by repeating the horizon
     (zero-length segments, no jumps); Gaussian rows need no padding and
     share one time grid, stored as the single row of ``times``.  ``ids``
-    are the path ids the rows were drawn from.
+    are the path ids the rows were drawn from, and ``rng`` the generator
+    they were drawn with; :meth:`first_passage` re-keys it for its
+    auxiliary streams.
 
     Every array operation here is elementwise or a running sum along a
     row, and every sum or search that depends on the row length runs on
@@ -359,6 +375,8 @@ class PathBlock:
     drift: float = 0.0
     ids: np.ndarray | None = None
     jumps: np.ndarray | None = None
+    rng: np.random.Generator | None = field(default=None, repr=False,
+                                            compare=False)
 
     def _times_at(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.times[0 if len(self.times) == 1 else rows, idx]
@@ -468,8 +486,8 @@ class PathBlock:
         rows a step whose endpoints x0, x1 stay below ``b = level`` is
         crossed by the bridge of xi = 2B + drift (variance 4 per unit time)
         with probability exp(-(b - x0)(b - x1) / (2 h)), decided by one
-        uniform per step from the path's auxiliary stream
-        ``path_rng(seed, _AUX_STREAM + id)``; a crossing inside a step is
+        uniform per step from the path's auxiliary stream, keyed
+        ``(seed, _AUX_STREAM + id)``; a crossing inside a step is
         assigned to its midpoint (O(step) bias).
         """
         x0, x1 = self.xi[:, :-1], self.xi[:, 1:]
@@ -489,9 +507,9 @@ class PathBlock:
                                 * np.maximum(level - x1, 0.0) / (2.0 * h)),
                          1.0)
             u = np.empty(p.shape)
-            aux = _path_streams(seed, _AUX_STREAM + self.ids)
-            for row, rng in zip(u, aux):
-                rng.random(out=row)
+            aux = _path_streams(self.rng, seed, _AUX_STREAM + self.ids)
+            for row, stream in zip(u, aux):
+                stream.random(out=row)
             crossed = (x1 >= level) | (u < p)
             first = np.argmax(crossed, axis=1)
             a, b = x0[rows, first], x1[rows, first]
@@ -522,6 +540,7 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
             row ``i`` still unserved at the last horizon ``h``.
     """
     dyn = _effective_dynamics(model)
+    rng = _philox()
     pending = np.arange(cfg.n_paths)
     out = None
     h = horizon
@@ -537,7 +556,7 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
         missed = []
         for lo in range(0, len(pending), per_block):
             rows = pending[lo:lo + per_block]
-            block = _sample_block(dyn, cfg.seed, path_offset + rows, h,
+            block = _sample_block(dyn, rng, cfg.seed, path_offset + rows, h,
                                   cfg.step)
             values, served = reduce(block)
             if served is True:
@@ -679,18 +698,102 @@ class CauchyModulusPath:
 
     def clock_many(self, targets: Sequence[float]) -> np.ndarray:
         t = np.asarray(targets, dtype=float)
-        if np.any(t < 0.0):
-            raise DomainError("clock targets must be >= 0")
-        cap = float(self.times[-1])
-        if np.any(t > cap):
-            worst = float(np.max(t))
-            raise HorizonExceededError(
-                f"time {worst!r} beyond simulated horizon {cap!r}",
-                target=worst, capacity=cap)
+        _check_cauchy_targets(t, float(self.times[-1]))
         return np.interp(t, self.times, self.clock_nodes)
 
     def clock(self, t: float) -> float:
         return float(self.clock_many(np.array([t]))[0])
+
+
+def _check_cauchy_targets(t: np.ndarray, cap: float) -> None:
+    """Clock targets must lie in [0, cap], the simulated X-side horizon."""
+    if np.any(t < 0.0):
+        raise DomainError("clock targets must be >= 0")
+    if np.any(t > cap):
+        worst = float(np.max(t))
+        raise HorizonExceededError(
+            f"time {worst!r} beyond simulated horizon {cap!r}",
+            target=worst, capacity=cap)
+
+
+def _cauchy_grid(d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(times, dt) of the geometric grid of :func:`simulate_cauchy_modulus`
+    on [0, cfg.horizon]."""
+    if d < 2:
+        raise DomainError(f"Cauchy modulus requires d >= 2, got {d!r}")
+    if cfg.alpha != 1.0:
+        raise DomainError("the Cauchy modulus is a pssMp of index 1; "
+                          "cfg.alpha must be 1")
+    h = cfg.step
+    first = cfg.start * h
+    if cfg.horizon <= first:
+        times = np.array([0.0, cfg.horizon])
+    else:
+        n_geo = math.ceil(math.log(cfg.horizon / first) / math.log1p(h))
+        times = np.concatenate(([0.0], first * (1.0 + h) ** np.arange(n_geo + 1)))
+    return times, np.diff(times)
+
+
+def _cauchy_rows(d: int, cfg: SimConfig, dt: np.ndarray,
+                 rng: np.random.Generator, ids: np.ndarray):
+    """(positions, radius, clock nodes) of Cauchy-modulus paths ``ids`` on
+    the grid steps ``dt``; ``positions`` is coordinate-major, shape
+    ``(d, len(ids), len(dt) + 1)``, the others are one row per path.
+
+    Path ``i`` draws ``(len(dt), d + 1)`` standard normals from the stream
+    of ``(cfg.seed, i)`` (``rng`` re-keyed): per step, the N of the
+    subordinator increment, then the d Gaussian coordinates.  After one
+    copy to coordinate-major order every step runs on long contiguous
+    rows, with each row's arithmetic in the order of the one-path
+    formula, so each path is bit-identical to the same path sampled alone.
+    """
+    draws = np.empty((len(ids), len(dt), d + 1))
+    for row, stream in zip(draws, _path_streams(rng, cfg.seed, ids)):
+        stream.standard_normal(out=row)
+    coords = np.ascontiguousarray(draws.transpose(2, 0, 1))
+    scale = coords[0]                   # N -> sqrt(S), S = (dt / N)^2
+    np.divide(dt, scale, out=scale)
+    np.square(scale, out=scale)
+    np.sqrt(scale, out=scale)
+    steps = coords[1:]
+    steps *= scale
+    positions = np.zeros((d, len(ids), len(dt) + 1))
+    np.cumsum(steps, axis=2, out=positions[:, :, 1:])
+    positions[0] += cfg.start
+    # r^2 in the order of np.sum over a contiguous row of d terms: left to
+    # right below 8 terms (added in place here, 20x cheaper than the
+    # layout copy), pairwise from 8 on (summed in that layout)
+    squares = positions * positions
+    if d < 8:
+        r2 = squares[0]
+        for sq in squares[1:]:
+            r2 += sq
+    else:
+        r2 = np.sum(np.moveaxis(squares, 0, -1).copy(), axis=-1)
+    radius = np.sqrt(r2)
+    inv = 1.0 / radius
+    w = inv[:, :-1] + inv[:, 1:]
+    w *= 0.5 * dt
+    clock_nodes = np.zeros(radius.shape)
+    np.cumsum(w, axis=1, out=clock_nodes[:, 1:])
+    return positions, radius, clock_nodes
+
+
+def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
+                   path_offset: int) -> np.ndarray:
+    """(n_paths, len(targets)) clock values T(t) of Cauchy-modulus paths
+    ``path_offset + i`` on [0, cfg.horizon], sampled by
+    :func:`_cauchy_rows` in blocks of rows from one re-keyed generator."""
+    times, dt = _cauchy_grid(d, cfg)
+    _check_cauchy_targets(targets, float(times[-1]))
+    rng = _philox()
+    per_block = max(1, _BLOCK_BUDGET // (len(dt) * (d + 1)))
+    out = np.empty((cfg.n_paths, len(targets)))
+    for lo in range(0, cfg.n_paths, per_block):
+        rows = np.arange(lo, min(lo + per_block, cfg.n_paths))
+        clock_nodes = _cauchy_rows(d, cfg, dt, rng, path_offset + rows)[2]
+        out[rows] = [np.interp(targets, times, row) for row in clock_nodes]
+    return out
 
 
 def simulate_cauchy_modulus(d: int, cfg: SimConfig,
@@ -709,38 +812,12 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
         DomainError: for d < 2 (the modulus is self-similar only in
             dimension > 1) or cfg.alpha != 1.
     """
-    if d < 2:
-        raise DomainError(f"Cauchy modulus requires d >= 2, got {d!r}")
-    if cfg.alpha != 1.0:
-        raise DomainError("the Cauchy modulus is a pssMp of index 1; "
-                          "cfg.alpha must be 1")
-    a = cfg.start
-    h = cfg.step
-    first = a * h
-    if cfg.horizon <= first:
-        times = np.array([0.0, cfg.horizon])
-    else:
-        n_geo = math.ceil(math.log(cfg.horizon / first) / math.log1p(h))
-        times = np.concatenate(([0.0], first * (1.0 + h) ** np.arange(n_geo + 1)))
-    dt = np.diff(times)
-    n_seg = len(dt)
-
-    rng = path_rng(cfg.seed, path_id)
-    draws = rng.standard_normal((n_seg, d + 1))
-    subordinator = (dt / draws[:, 0]) ** 2
-    steps = np.sqrt(subordinator)[:, None] * draws[:, 1:]
-    positions = np.empty((n_seg + 1, d))
-    positions[0] = 0.0
-    positions[0, 0] = a
-    np.cumsum(steps, axis=0, out=positions[1:])
-    positions[1:] += positions[0]
-    radius = np.sqrt(np.sum(positions * positions, axis=1))
-
-    inv = 1.0 / radius
-    t_nodes = np.concatenate(([0.0],
-                              np.cumsum(0.5 * dt * (inv[:-1] + inv[1:]))))
-    return CauchyModulusPath(d=d, a=a, times=times, radius=radius,
-                             positions=positions, clock_nodes=t_nodes)
+    times, dt = _cauchy_grid(d, cfg)
+    positions, radius, clock_nodes = _cauchy_rows(
+        d, cfg, dt, _philox(), np.array([path_id]))
+    return CauchyModulusPath(d=d, a=cfg.start, times=times, radius=radius[0],
+                             positions=positions[:, 0].T,
+                             clock_nodes=clock_nodes[0])
 
 
 def horizon_policy(mean: float, t_max: float) -> float:

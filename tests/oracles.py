@@ -10,7 +10,7 @@ Monte Carlo loops.  Slow-but-simple is the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -428,3 +428,57 @@ def ref_fundamental_relation(model, cfg) -> float:
         back = ref_clock(p, nodes, alpha, (ts * a ** alpha) * a ** -alpha)
         worst = max(worst, float(np.max(np.abs(back - taus))))
     return worst
+
+
+# The Cauchy modulus one path at a time, as it was sampled before the
+# blocked sampler: one generator per path and the (n, d) layout.
+# --------------------------------------------------------------------------
+
+class RefCauchyPath(NamedTuple):
+    times: np.ndarray
+    radius: np.ndarray
+    positions: np.ndarray
+    clock_nodes: np.ndarray
+
+
+def ref_cauchy_path(d: int, cfg, path_id: int) -> RefCauchyPath:
+    a = cfg.start
+    h = cfg.step
+    first = a * h
+    if cfg.horizon <= first:
+        times = np.array([0.0, cfg.horizon])
+    else:
+        n_geo = math.ceil(math.log(cfg.horizon / first) / math.log1p(h))
+        times = np.concatenate(([0.0], first * (1.0 + h) ** np.arange(n_geo + 1)))
+    dt = np.diff(times)
+    n_seg = len(dt)
+
+    rng = path_rng(cfg.seed, path_id)
+    draws = rng.standard_normal((n_seg, d + 1))
+    subordinator = (dt / draws[:, 0]) ** 2
+    steps = np.sqrt(subordinator)[:, None] * draws[:, 1:]
+    positions = np.empty((n_seg + 1, d))
+    positions[0] = 0.0
+    positions[0, 0] = a
+    np.cumsum(steps, axis=0, out=positions[1:])
+    positions[1:] += positions[0]
+    radius = np.sqrt(np.sum(positions * positions, axis=1))
+
+    inv = 1.0 / radius
+    t_nodes = np.concatenate(([0.0],
+                              np.cumsum(0.5 * dt * (inv[:-1] + inv[1:]))))
+    return RefCauchyPath(times, radius, positions, t_nodes)
+
+
+def ref_cauchy_tau_ensemble(d: int, cfg, targets,
+                            path_offset: int = 0) -> np.ndarray:
+    """tau_ensemble of the Cauchy modulus, one path at a time."""
+    targets = np.asarray(targets, dtype=float)
+    run_cfg = replace(cfg, horizon=float(np.max(targets)))
+    out = np.empty((cfg.n_paths, len(targets)))
+    for i in range(cfg.n_paths):
+        p = ref_cauchy_path(d, run_cfg, path_offset + i)
+        assert not np.any(targets < 0.0)
+        assert not np.any(targets > p.times[-1])
+        out[i] = np.interp(targets, p.times, p.clock_nodes)
+    return out

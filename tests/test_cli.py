@@ -117,6 +117,12 @@ class TestStochasticCommands:
             "--paths", "16", "--step", "0.05", "--seed", "3"])
         assert code == 0
         assert "cauchy_modulus d=3" in out
+        code, _, err = invoke(capsys, [
+            "lln", "--family", "cauchy", "--d", "3", "--t", "50",
+            "--paths", "3", "--seed", "1", "--alpha", "2"])
+        assert code == 2
+        assert ("error: the Cauchy modulus is a pssMp of index 1; "
+                "cfg.alpha must be 1") in err.splitlines()
 
     def test_simulate_table(self, capsys):
         code, out, _ = invoke(capsys, [

@@ -1,9 +1,11 @@
-"""The blocked path engine against the one-path-at-a-time reference.
+"""The blocked path engines against the one-path-at-a-time reference.
 
 Every estimator that samples Lévy paths runs on ``paths.run_paths``; the
 loops in ``oracles`` compute the same quantities one path at a time with
-1-D arrays and their own horizon-doubling retry.  The two must agree bit
-for bit, whatever the block size.
+1-D arrays and their own horizon-doubling retry.  The Cauchy modulus runs
+in blocks of coordinate-major rows; its oracle samples one path at a time
+in the (nodes, d) layout.  Each pair must agree bit for bit, whatever the
+block size.
 """
 
 import math
@@ -13,6 +15,8 @@ import pytest
 
 import oracles
 from levyclocks import (
+    CauchyModulus,
+    DomainError,
     HorizonExceededError,
     SimConfig,
     brownian_drift,
@@ -26,6 +30,7 @@ from levyclocks import (
     mc_exp_functional,
     sample_levy_path,
     saw_tooth,
+    simulate_cauchy_modulus,
     tau_ensemble,
     tilted_identity_check,
 )
@@ -194,3 +199,86 @@ def test_fundamental_relation_check(model, step, a, alpha):
     cfg = SimConfig(seed=9, n_paths=80, step=step, alpha=alpha, start=a)
     assert (fundamental_relation_check(model, cfg)
             == oracles.ref_fundamental_relation(model, cfg))
+
+
+def _cauchy_width(d: int, cfg: SimConfig) -> int:
+    """Normals per Cauchy-modulus row, which its blocks are sized by."""
+    return (len(oracles.ref_cauchy_path(d, cfg, 0).times) - 1) * (d + 1)
+
+
+# (start, step, targets): a long geometric grid, and a largest target
+# at most start * step, where the grid has two nodes.  d = 9 covers the
+# pairwise order np.sum takes from 8 terms on.
+CAUCHY_RUNS = [
+    (1.0, 0.05, [0.0, 3.0, 50.0, 400.0]),
+    (2.5, 0.05, [0.0, 3.0, 50.0, 400.0]),
+    (1.0, 0.05, [0.0, 0.01, 0.05]),
+    (2.5, 0.05, [0.1, 0.125]),
+]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 14, "3 rows"])
+@pytest.mark.parametrize("start,step,targets", CAUCHY_RUNS)
+@pytest.mark.parametrize("d", [2, 3, 5, 9])
+def test_cauchy_tau_ensemble(monkeypatch, d, start, step, targets, budget):
+    cfg = SimConfig(seed=19, n_paths=8, step=step, start=start)
+    if budget == "3 rows":
+        budget = 3 * _cauchy_width(d, SimConfig(
+            seed=19, step=step, start=start, horizon=max(targets)))
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    got = tau_ensemble(CauchyModulus(d), cfg, targets, path_offset=7)
+    want = oracles.ref_cauchy_tau_ensemble(d, cfg, targets, path_offset=7)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("horizon", [400.0, 0.05])
+@pytest.mark.parametrize("d", [2, 3, 5, 9])
+def test_simulate_cauchy_modulus(d, horizon):
+    cfg = SimConfig(seed=19, n_paths=1, step=0.05, start=2.5,
+                    horizon=horizon)
+    for pid in (0, 7):
+        got = simulate_cauchy_modulus(d, cfg, pid)
+        want = oracles.ref_cauchy_path(d, cfg, pid)
+        for name in ("times", "positions", "radius", "clock_nodes"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_cauchy_errors():
+    with pytest.raises(DomainError, match="clock targets must be >= 0"):
+        tau_ensemble(CauchyModulus(3), SimConfig(seed=1, n_paths=2),
+                     [-1.0, 5.0])
+    with pytest.raises(DomainError, match="cfg.alpha must be 1"):
+        tau_ensemble(CauchyModulus(3),
+                     SimConfig(seed=1, n_paths=2, alpha=2.0), [5.0])
+
+
+@pytest.fixture
+def philox_count(monkeypatch):
+    """Counts the Philox bit generators built from here on."""
+    built = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    return built
+
+
+def test_one_philox_per_ensemble(short_horizon, monkeypatch, philox_count):
+    # one row per block, with doublings and first-passage streams: still
+    # one generator per ensemble
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", 1)
+    tau_ensemble(brownian_drift(1.0), SimConfig(seed=4, n_paths=6, step=0.05),
+                 TARGETS)
+    assert len(philox_count) == 1
+    philox_count.clear()
+    tau_ensemble(CauchyModulus(3), SimConfig(seed=4, n_paths=6, step=0.05),
+                 [0.0, 50.0])
+    assert len(philox_count) == 1
+    philox_count.clear()
+    first_passage_check(brownian_drift(1.0),
+                        SimConfig(seed=7, n_paths=6, step=0.05, horizon=50.0),
+                        -0.5)
+    assert len(philox_count) == 1
