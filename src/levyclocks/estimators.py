@@ -87,9 +87,9 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
     For a Lévy model this is tau(t) = inf{u : A(u) >= t}, on
     :func:`~levyclocks.paths.run_paths`.  For the Cauchy modulus it is
     T(t) with t an X-side time (no inversion, hence no horizon doubling),
-    sampled in blocks of rows on one geometric grid from one re-keyed
-    Philox generator, each row bit-identical to
-    :func:`~levyclocks.paths.simulate_cauchy_modulus` of its path.
+    sampled on one geometric grid from one re-keyed Philox generator, each
+    path bit-identical to :func:`~levyclocks.paths.simulate_cauchy_modulus`
+    of its path id.
     ``path_offset`` shifts the path-id range so that disjoint ensembles
     can be drawn from one seed.
     """

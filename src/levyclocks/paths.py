@@ -20,7 +20,8 @@ Per-path randomness is a counter-based split: path ``i`` of a run seeded
 with ``s`` draws from ``Philox(key=(s, i))``, so paths are reproducible
 independently of generation order, and re-simulating with a longer horizon
 extends a path without changing its prefix.  An ensemble builds one Philox
-generator and re-keys it for each path, which gives the same streams.
+generator for its draws and re-keys it for each path, which gives the same
+streams.
 
 Ensembles run on :func:`run_paths`: paths are drawn per row as above,
 gathered into a :class:`PathBlock` of padded rows, and reduced there (A,
@@ -32,9 +33,9 @@ doubled horizon; this is the one horizon-doubling loop of the package.
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
 geometric time grid; see :func:`simulate_cauchy_modulus`.  Its ensembles
-run in blocks of rows from the same re-keyed streams, on one grid, with
-every step but the draws on coordinate-major rows; each row is
-bit-identical to the path simulated alone.
+share one grid and one re-keyed generator, and each path runs its scaling
+and running sums on coordinate-major rows, bit-identical to the path
+simulated alone.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def _sample_block(dyn, rng: np.random.Generator, seed: int, ids: np.ndarray,
         np.cumsum(incr, axis=1, out=incr)
         times = step * np.arange(n + 1)[None]
         return PathBlock(times=times, xi=xi, size=np.full(len(ids), n + 1),
-                         kind=GAUSSIAN, ids=ids, rng=rng)
+                         kind=GAUSSIAN, ids=ids)
     _, drift, beta, gamma, sign = dyn
     draws = [_draw_jumps(stream, beta, gamma, horizon)
              for stream in _path_streams(rng, seed, ids)]
@@ -297,7 +298,7 @@ def _sample_block(dyn, rng: np.random.Generator, seed: int, ids: np.ndarray,
     xi = np.cumsum(jumps, axis=1)
     xi += drift * times
     return PathBlock(times=times, xi=xi, size=size, kind=LINEAR, drift=drift,
-                     ids=ids, jumps=jumps, rng=rng)
+                     ids=ids, jumps=jumps)
 
 
 def sample_levy_path(model: LevyModel, cfg: SimConfig,
@@ -358,9 +359,7 @@ class PathBlock:
     Jump paths are padded to the longest row by repeating the horizon
     (zero-length segments, no jumps); Gaussian rows need no padding and
     share one time grid, stored as the single row of ``times``.  ``ids``
-    are the path ids the rows were drawn from, and ``rng`` the generator
-    they were drawn with; :meth:`first_passage` re-keys it for its
-    auxiliary streams.
+    are the path ids the rows were drawn from.
 
     Every array operation here is elementwise or a running sum along a
     row, and every sum or search that depends on the row length runs on
@@ -375,8 +374,6 @@ class PathBlock:
     drift: float = 0.0
     ids: np.ndarray | None = None
     jumps: np.ndarray | None = None
-    rng: np.random.Generator | None = field(default=None, repr=False,
-                                            compare=False)
 
     def _times_at(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.times[0 if len(self.times) == 1 else rows, idx]
@@ -486,8 +483,8 @@ class PathBlock:
         rows a step whose endpoints x0, x1 stay below ``b = level`` is
         crossed by the bridge of xi = 2B + drift (variance 4 per unit time)
         with probability exp(-(b - x0)(b - x1) / (2 h)), decided by one
-        uniform per step from the path's auxiliary stream, keyed
-        ``(seed, _AUX_STREAM + id)``; a crossing inside a step is
+        uniform per step from the path's auxiliary stream
+        ``path_rng(seed, _AUX_STREAM + id)``; a crossing inside a step is
         assigned to its midpoint (O(step) bias).
         """
         x0, x1 = self.xi[:, :-1], self.xi[:, 1:]
@@ -507,7 +504,7 @@ class PathBlock:
                                 * np.maximum(level - x1, 0.0) / (2.0 * h)),
                          1.0)
             u = np.empty(p.shape)
-            aux = _path_streams(self.rng, seed, _AUX_STREAM + self.ids)
+            aux = _path_streams(_philox(), seed, _AUX_STREAM + self.ids)
             for row, stream in zip(u, aux):
                 stream.random(out=row)
             crossed = (x1 >= level) | (u < p)
@@ -734,65 +731,59 @@ def _cauchy_grid(d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return times, np.diff(times)
 
 
-def _cauchy_rows(d: int, cfg: SimConfig, dt: np.ndarray,
-                 rng: np.random.Generator, ids: np.ndarray):
-    """(positions, radius, clock nodes) of Cauchy-modulus paths ``ids`` on
-    the grid steps ``dt``; ``positions`` is coordinate-major, shape
-    ``(d, len(ids), len(dt) + 1)``, the others are one row per path.
+def _cauchy_path(d: int, start: float, dt: np.ndarray,
+                 rng: np.random.Generator):
+    """(positions, radius, clock nodes) of one Cauchy-modulus path from
+    (start, 0, ..., 0) on the grid steps ``dt``, drawn from ``rng``;
+    ``positions`` has one row of d coordinates per node.
 
-    Path ``i`` draws ``(len(dt), d + 1)`` standard normals from the stream
-    of ``(cfg.seed, i)`` (``rng`` re-keyed): per step, the N of the
-    subordinator increment, then the d Gaussian coordinates.  After one
-    copy to coordinate-major order every step runs on long contiguous
-    rows, with each row's arithmetic in the order of the one-path
-    formula, so each path is bit-identical to the same path sampled alone.
+    The path draws ``(len(dt), d + 1)`` standard normals: per step, the N
+    of the subordinator increment, then the d Gaussian coordinates.  One
+    copy to coordinate-major order puts each of them on a contiguous row,
+    where every step runs in the order of the per-node formula.
     """
-    draws = np.empty((len(ids), len(dt), d + 1))
-    for row, stream in zip(draws, _path_streams(rng, cfg.seed, ids)):
-        stream.standard_normal(out=row)
-    coords = np.ascontiguousarray(draws.transpose(2, 0, 1))
+    coords = np.ascontiguousarray(rng.standard_normal((len(dt), d + 1)).T)
     scale = coords[0]                   # N -> sqrt(S), S = (dt / N)^2
     np.divide(dt, scale, out=scale)
     np.square(scale, out=scale)
     np.sqrt(scale, out=scale)
     steps = coords[1:]
     steps *= scale
-    positions = np.zeros((d, len(ids), len(dt) + 1))
-    np.cumsum(steps, axis=2, out=positions[:, :, 1:])
-    positions[0] += cfg.start
-    # r^2 in the order of np.sum over a contiguous row of d terms: left to
-    # right below 8 terms (added in place here, 20x cheaper than the
-    # layout copy), pairwise from 8 on (summed in that layout)
-    squares = positions * positions
+    walk = np.zeros((d, len(dt) + 1))
+    np.cumsum(steps, axis=1, out=walk[:, 1:])
+    walk[0] += start
+    # r^2 in the order np.sum takes over the d terms of a node stored
+    # contiguously: left to right below 8 terms, which adding the rows in
+    # place repeats without the copy to that layout and the slow short-row
+    # reduction; pairwise from 8 terms on, which only that layout repeats
+    squares = walk * walk
     if d < 8:
         r2 = squares[0]
         for sq in squares[1:]:
             r2 += sq
     else:
-        r2 = np.sum(np.moveaxis(squares, 0, -1).copy(), axis=-1)
+        r2 = np.sum(np.ascontiguousarray(squares.T), axis=1)
     radius = np.sqrt(r2)
     inv = 1.0 / radius
-    w = inv[:, :-1] + inv[:, 1:]
+    w = inv[:-1] + inv[1:]
     w *= 0.5 * dt
-    clock_nodes = np.zeros(radius.shape)
-    np.cumsum(w, axis=1, out=clock_nodes[:, 1:])
-    return positions, radius, clock_nodes
+    clock_nodes = np.zeros(len(radius))
+    np.cumsum(w, out=clock_nodes[1:])
+    return walk.T, radius, clock_nodes
 
 
 def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
                    path_offset: int) -> np.ndarray:
     """(n_paths, len(targets)) clock values T(t) of Cauchy-modulus paths
-    ``path_offset + i`` on [0, cfg.horizon], sampled by
-    :func:`_cauchy_rows` in blocks of rows from one re-keyed generator."""
+    ``path_offset + i`` on [0, cfg.horizon]: one grid, and one generator
+    re-keyed for each path."""
     times, dt = _cauchy_grid(d, cfg)
     _check_cauchy_targets(targets, float(times[-1]))
-    rng = _philox()
-    per_block = max(1, _BLOCK_BUDGET // (len(dt) * (d + 1)))
+    ids = path_offset + np.arange(cfg.n_paths)
     out = np.empty((cfg.n_paths, len(targets)))
-    for lo in range(0, cfg.n_paths, per_block):
-        rows = np.arange(lo, min(lo + per_block, cfg.n_paths))
-        clock_nodes = _cauchy_rows(d, cfg, dt, rng, path_offset + rows)[2]
-        out[rows] = [np.interp(targets, times, row) for row in clock_nodes]
+    for row, stream in zip(out, _path_streams(_philox(), cfg.seed, ids)):
+        row[:] = np.interp(targets, times,
+                           _cauchy_path(d, cfg.start, dt, stream)[2])
     return out
 
 
@@ -813,11 +804,10 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
             dimension > 1) or cfg.alpha != 1.
     """
     times, dt = _cauchy_grid(d, cfg)
-    positions, radius, clock_nodes = _cauchy_rows(
-        d, cfg, dt, _philox(), np.array([path_id]))
-    return CauchyModulusPath(d=d, a=cfg.start, times=times, radius=radius[0],
-                             positions=positions[:, 0].T,
-                             clock_nodes=clock_nodes[0])
+    stream = next(_path_streams(_philox(), cfg.seed, np.array([path_id])))
+    positions, radius, clock_nodes = _cauchy_path(d, cfg.start, dt, stream)
+    return CauchyModulusPath(d=d, a=cfg.start, times=times, radius=radius,
+                             positions=positions, clock_nodes=clock_nodes)
 
 
 def horizon_policy(mean: float, t_max: float) -> float:

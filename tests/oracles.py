@@ -431,7 +431,7 @@ def ref_fundamental_relation(model, cfg) -> float:
 
 
 # The Cauchy modulus one path at a time, as it was sampled before the
-# blocked sampler: one generator per path and the (n, d) layout.
+# ensemble sampler: one generator per path and the (n, d) layout.
 # --------------------------------------------------------------------------
 
 class RefCauchyPath(NamedTuple):

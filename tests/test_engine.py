@@ -3,9 +3,9 @@
 Every estimator that samples Lévy paths runs on ``paths.run_paths``; the
 loops in ``oracles`` compute the same quantities one path at a time with
 1-D arrays and their own horizon-doubling retry.  The Cauchy modulus runs
-in blocks of coordinate-major rows; its oracle samples one path at a time
-in the (nodes, d) layout.  Each pair must agree bit for bit, whatever the
-block size.
+on coordinate-major rows from one re-keyed generator; its oracle builds a
+generator per path and works in the (nodes, d) layout.  Each pair must
+agree bit for bit, whatever the block size.
 """
 
 import math
@@ -201,11 +201,6 @@ def test_fundamental_relation_check(model, step, a, alpha):
             == oracles.ref_fundamental_relation(model, cfg))
 
 
-def _cauchy_width(d: int, cfg: SimConfig) -> int:
-    """Normals per Cauchy-modulus row, which its blocks are sized by."""
-    return (len(oracles.ref_cauchy_path(d, cfg, 0).times) - 1) * (d + 1)
-
-
 # (start, step, targets): a long geometric grid, and a largest target
 # at most start * step, where the grid has two nodes.  d = 9 covers the
 # pairwise order np.sum takes from 8 terms on.
@@ -217,15 +212,10 @@ CAUCHY_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("budget", [1, 1 << 14, "3 rows"])
 @pytest.mark.parametrize("start,step,targets", CAUCHY_RUNS)
 @pytest.mark.parametrize("d", [2, 3, 5, 9])
-def test_cauchy_tau_ensemble(monkeypatch, d, start, step, targets, budget):
+def test_cauchy_tau_ensemble(d, start, step, targets):
     cfg = SimConfig(seed=19, n_paths=8, step=step, start=start)
-    if budget == "3 rows":
-        budget = 3 * _cauchy_width(d, SimConfig(
-            seed=19, step=step, start=start, horizon=max(targets)))
-    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
     got = tau_ensemble(CauchyModulus(d), cfg, targets, path_offset=7)
     want = oracles.ref_cauchy_tau_ensemble(d, cfg, targets, path_offset=7)
     assert np.array_equal(got, want)
@@ -267,8 +257,7 @@ def philox_count(monkeypatch):
 
 
 def test_one_philox_per_ensemble(short_horizon, monkeypatch, philox_count):
-    # one row per block, with doublings and first-passage streams: still
-    # one generator per ensemble
+    # one row per block, with doublings: still one generator per ensemble
     monkeypatch.setattr(paths, "_BLOCK_BUDGET", 1)
     tau_ensemble(brownian_drift(1.0), SimConfig(seed=4, n_paths=6, step=0.05),
                  TARGETS)
@@ -276,9 +265,4 @@ def test_one_philox_per_ensemble(short_horizon, monkeypatch, philox_count):
     philox_count.clear()
     tau_ensemble(CauchyModulus(3), SimConfig(seed=4, n_paths=6, step=0.05),
                  [0.0, 50.0])
-    assert len(philox_count) == 1
-    philox_count.clear()
-    first_passage_check(brownian_drift(1.0),
-                        SimConfig(seed=7, n_paths=6, step=0.05, horizon=50.0),
-                        -0.5)
     assert len(philox_count) == 1
