@@ -15,12 +15,9 @@ from levyclocks import (
     CauchyModulus,
     SimConfig,
     brownian_drift,
-    clock_tau_many,
     estimate_clt,
     estimate_ldp_slope,
     estimate_lln,
-    exp_functional,
-    lamperti_pssmp,
     sample_levy_path,
     saw_tooth,
     simulate_cauchy_modulus,
@@ -31,21 +28,27 @@ def main():
     cfg = SimConfig(seed=7, n_paths=400, step=0.01, horizon=12.0)
 
     print("== one saw-tooth path and its clock")
-    path = sample_levy_path(saw_tooth(1.0, 3.0), cfg, 0)
-    ef = exp_functional(path, 1.0)
-    print(f"   {len(path.times) - 2} jumps on [0, {path.horizon:g}], "
-          f"A(horizon) = {ef.total:.4g}")
+    path = sample_levy_path(saw_tooth(1.0, 3.0), cfg, 0)   # a one-row block
+    nodes = path.functional(1.0)
+    print(f"   {path.size[0] - 2} jumps on [0, {cfg.horizon:g}], "
+          f"A(horizon) = {path.totals(nodes)[0]:.4g}")
     ts = np.array([1.0, 10.0, 100.0])
-    taus = clock_tau_many(ef, ts)
-    for t, tau in zip(ts, taus):
+    taus, reached = path.clock(nodes, 1.0, ts)
+    assert reached[0], "a clock target lies above A(horizon)"
+    for t, tau in zip(ts, taus[0]):
         print(f"   tau({t:g}) = {tau:.4f}   (pathwise bound: >= log t = "
               f"{math.log(t):.4f})")
 
     print("\n== Lamperti: the same path as a self-similar process from a = 2")
-    x_path = lamperti_pssmp(path, a=2.0, alpha=1.0)
-    t = 8.0
-    print(f"   T(t a) = {x_path.clock(t * 2.0):.6f} equals tau(t) = "
-          f"{clock_tau_many(ef, np.array([t]))[0]:.6f} (fundamental relation)")
+    # X = a exp(xi) at the times a^alpha A, with clock T(t) = tau(t a^-alpha)
+    a, t = 2.0, 8.0
+    x_times, x_values = a * nodes[0], a * np.exp(path.xi[0])
+    print(f"   X goes from {x_values[0]:g} to {x_values[-1]:.4g} over "
+          f"[0, {x_times[-1]:.4g}]")
+    big_t = path.clock(nodes, 1.0, [t * a * a ** -1.0])[0][0, 0]
+    tau_t = path.clock(nodes, 1.0, [t])[0][0, 0]
+    print(f"   T(t a) = {big_t:.6f} equals tau(t) = {tau_t:.6f} "
+          f"(fundamental relation)")
 
     print("\n== LLN for tau(t)/log t (saw tooth: 1/psi'(0) = 1.5)")
     rep = estimate_lln(saw_tooth(1.0, 3.0), cfg, [math.e ** 6, math.e ** 10])

@@ -71,16 +71,8 @@ from .numerics import (
 from .paths import (
     CauchyModulus,
     CauchyModulusPath,
-    ExpFunctional,
-    PathGrid,
-    PssmpPath,
     SimConfig,
-    clock_tau,
-    clock_tau_many,
-    exp_functional,
     horizon_policy,
-    lamperti_pssmp,
-    log_exp_functional_total,
     path_rng,
     sample_levy_path,
     simulate_cauchy_modulus,

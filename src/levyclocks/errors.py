@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "LevyClocksError", "DomainError", "ConstructionError", "AssumptionError",
+    "BracketError", "EvaluationError", "ClassificationError",
+    "CapabilityError", "HorizonExceededError", "RescalingError",
+]
+
 
 class LevyClocksError(Exception):
     """Base class for all errors raised by this package."""

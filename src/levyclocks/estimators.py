@@ -84,16 +84,24 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
                  path_offset: int = 0) -> np.ndarray:
     """(n_paths, len(clock_targets)) array of clock values.
 
-    For a Lévy model this is tau(t) = inf{u : A(u) >= t}, on
-    :func:`~levyclocks.paths.run_paths`.  For the Cauchy modulus it is
-    T(t) with t an X-side time (no inversion, hence no horizon doubling),
-    sampled on one geometric grid from one re-keyed Philox generator, each
-    path bit-identical to :func:`~levyclocks.paths.simulate_cauchy_modulus`
-    of its path id.
+    For a Lévy model this is tau(t) = inf{u : A(u) >= t}, from
+    ``PathBlock.clock`` on the blocks of :func:`~levyclocks.paths.run_paths`;
+    row ``i`` is the clock of the one-row block that
+    :func:`~levyclocks.paths.sample_levy_path` gives for path
+    ``path_offset + i`` at the horizon that served it.  For the Cauchy
+    modulus it is T(t) with t an X-side time (no inversion, hence no
+    horizon doubling) on one geometric grid, each path bit-identical to
+    :func:`~levyclocks.paths.simulate_cauchy_modulus` of its path id.
     ``path_offset`` shifts the path-id range so that disjoint ensembles
     can be drawn from one seed.
+
+    Raises:
+        DomainError: for no targets, or a negative or non-finite one.
     """
     targets = np.asarray(clock_targets, dtype=float)
+    if not (targets.size and np.isfinite(targets).all()):
+        raise DomainError(f"clock targets must be finite and non-empty, "
+                          f"got {targets.tolist()!r}")
     if isinstance(target, CauchyModulus):
         run_cfg = replace(cfg, horizon=float(np.max(targets)))
         return _cauchy_clocks(target.d, run_cfg, targets, path_offset)
@@ -266,6 +274,8 @@ def estimate_ldp_slope(target: LevyModel | CauchyModulus, cfg: SimConfig,
         raise DomainError("x = tau_e has I(x) = 0; pick x != tau_e")
     if eps is None:
         eps = 0.1 * abs(x - prof.tau_e)
+    if not eps > 0.0:
+        raise DomainError(f"eps must be > 0, got {eps!r}")
     # Windows outside the closure of Delta are legal probes: they should
     # collect (near-)zero hits, and the analytic reference there is +inf.
     if prof.tau_plus <= x <= prof.tau_zero:
@@ -306,8 +316,8 @@ def estimate_ldp_slope(target: LevyModel | CauchyModulus, cfg: SimConfig,
 def estimate_logA_rate(model: LevyModel, cfg: SimConfig,
                        t: float) -> EstimatorReport:
     """Ensemble mean of (1/t) log A(t); concentration point psi'(0)."""
-    if not t > 0.0:
-        raise DomainError(f"t must be > 0, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be finite and > 0, got {t!r}")
     vals = run_paths(model, cfg, t,
                      lambda block: (block.log_totals(cfg.alpha) / t, True))
     mean, se = _mean_se(vals)

@@ -113,29 +113,19 @@ class MomentLedger:
         return body if not self.note else body + f"# {self.note}\n"
 
 
-def moment_recursion(model: LevyModel, r_max: int,
-                     base: float | None = None) -> MomentLedger:
+def moment_recursion(model: LevyModel, r_max: int) -> MomentLedger:
     """Ledger of E I^{-r} for r = 1..r_max+1 via the one-step recursion.
 
-    ``base`` is E I^{-1}; when omitted it is taken from the exact identity
-    E I^{-1} = phi'(0).  The recursion truncates with a note as soon as a
-    factor phi(r) is infinite (r at or beyond the domain end m_plus).
+    The recursion starts from the exact identity E I^{-1} = phi'(0) and
+    truncates with a note as soon as a factor phi(r) is infinite (r at or
+    beyond the domain end m_plus).
     """
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max!r}")
-    d1 = _drift(model)
-    if base is None:
-        base = d1
-        base_method = "exact"
-    else:
-        base_method = "exact"
-        if not (math.isfinite(base) and base > 0.0):
-            raise DomainError(f"base moment must be finite positive, "
-                              f"got {base!r}")
-    rows = [MomentRow(s=-1.0, value=float(base), method=base_method,
-                      stderr=None, finite=True)]
+    value = float(_drift(model))
+    rows = [MomentRow(s=-1.0, value=value, method="exact", stderr=None,
+                      finite=True)]
     note = ""
-    value = float(base)
     for r in range(1, r_max + 1):
         if not r < model.m_plus:
             note = (f"truncated: phi({r}) = inf (domain end m_plus = "

@@ -9,12 +9,16 @@ Grid families and their sampling schemes:
   exponential jump magnitudes of rate ``gamma`` (signed per family),
   linear drift between jumps.  No grid error at all.
 
-The exponential functional ``A(t) = int_0^t exp(alpha xi_s) ds`` is exact
-on linear-drift segments and trapezoidal on Gaussian segments; its inverse
-``tau`` (the Lévy-side clock) is inverted exactly per segment, so that
-``A(tau(t)) = t`` to machine precision.  The Lamperti construction maps a
-path to the positive self-similar process ``X_t = a exp(xi_{tau(t a^-alpha)})``
-whose clock satisfies ``tau(t) = T(t a^alpha)`` identically on the grid.
+Sampled paths are the rows of a :class:`PathBlock`, and every path
+quantity is a method of it: the exponential functional
+``A(t) = int_0^t exp(alpha xi_s) ds`` (exact on linear-drift segments,
+trapezoidal on Gaussian ones), log A(horizon) in log space, the clock
+``tau = A^-1`` (inverted exactly per segment, so that ``A(tau(t)) = t``
+to machine precision), first passage and path values.  A single path,
+:func:`sample_levy_path`, is a one-row block.  The Lamperti image of a
+path started at ``a`` is ``X = a exp(xi)`` at the times ``a^alpha A``;
+its clock is ``T(t) = tau(t a^-alpha)``, so the fundamental relation
+``tau(t) = T(t a^alpha)`` holds identically on the grid.
 
 Per-path randomness is a counter-based split: path ``i`` of a run seeded
 with ``s`` draws from ``Philox(key=(s, i))``, so paths are reproducible
@@ -24,11 +28,11 @@ generator for its draws and re-keys it for each path, which gives the same
 streams.
 
 Ensembles run on :func:`run_paths`: paths are drawn per row as above,
-gathered into a :class:`PathBlock` of padded rows, and reduced there (A,
-log A, tau, first passage, path values) by operations that act on each
-row alone, so every row is bit-identical to the same path computed on
-its own.  Only the rows that missed their target are drawn again, at a
-doubled horizon; this is the one horizon-doubling loop of the package.
+gathered into a block of padded rows, and reduced there by operations
+that act on each row alone, so every row is bit-identical to the same
+path sampled on its own.  Only the rows that missed their target are
+drawn again, at a doubled horizon; this is the one horizon-doubling loop
+of the package.
 
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -56,19 +60,11 @@ from .models import Family, LevyModel
 
 __all__ = [
     "SimConfig",
-    "PathGrid",
     "PathBlock",
-    "ExpFunctional",
-    "PssmpPath",
     "CauchyModulus",
     "CauchyModulusPath",
     "path_rng",
     "sample_levy_path",
-    "exp_functional",
-    "log_exp_functional_total",
-    "clock_tau",
-    "clock_tau_many",
-    "lamperti_pssmp",
     "simulate_cauchy_modulus",
     "horizon_policy",
     "run_paths",
@@ -109,14 +105,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
-        if not self.step > 0.0:
-            raise DomainError(f"step must be > 0, got {self.step!r}")
-        if not self.horizon > 0.0:
-            raise DomainError(f"horizon must be > 0, got {self.horizon!r}")
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
-        if not self.start > 0.0:
-            raise DomainError(f"start must be > 0, got {self.start!r}")
+        for name in ("step", "horizon", "alpha", "start"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, "
+                                  f"got {value!r}")
         if self.max_doublings < 0:
             raise DomainError("max_doublings must be >= 0")
 
@@ -140,48 +133,6 @@ def path_rng(seed: int, path_id: int) -> np.random.Generator:
     """Counter-based per-path stream: Philox keyed by (seed, path_id)."""
     key = np.array([seed & _MASK64, path_id & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class PathGrid:
-    """One sampled Lévy path.
-
-    ``xi[i]`` is the post-jump value at ``times[i]``; on ``linear-drift``
-    paths ``jumps[i]`` is the jump applied at node ``i`` (0 at node 0), so
-    ``xi[i+1] = xi[i] + drift * dt_i + jumps[i+1]``.  Gaussian paths carry
-    ``jumps = None``.
-    """
-
-    times: np.ndarray
-    xi: np.ndarray
-    kind: str
-    drift: float = 0.0
-    jumps: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.times[0] != 0.0 or self.xi[0] != 0.0:
-            raise DomainError("paths must start at (t, xi) = (0, 0)")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise DomainError("path times must be strictly increasing")
-        if not np.all(np.isfinite(self.xi)):
-            raise DomainError("path values must be finite")
-        if self.kind not in (LINEAR, GAUSSIAN):
-            raise DomainError(f"unknown segment kind {self.kind!r}")
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def value_at(self, u) -> np.ndarray:
-        """xi at arbitrary times: exact on linear segments, linear
-        interpolation between Gaussian nodes (cadlag at jump nodes)."""
-        u = np.asarray(u, dtype=float)
-        return self._block().value_at(u.reshape(1, -1))[0].reshape(u.shape)
-
-    def _block(self) -> PathBlock:
-        return PathBlock(times=self.times[None], xi=self.xi[None],
-                         size=np.array([len(self.times)]), kind=self.kind,
-                         drift=self.drift)
 
 
 def _effective_dynamics(model: LevyModel):
@@ -302,18 +253,16 @@ def _sample_block(dyn, rng: np.random.Generator, seed: int, ids: np.ndarray,
 
 
 def sample_levy_path(model: LevyModel, cfg: SimConfig,
-                     path_id: int) -> PathGrid:
-    """Sample one Lévy path on [0, horizon].
+                     path_id: int) -> PathBlock:
+    """Sample one Lévy path on [0, horizon] as a one-row block.
 
-    Deterministic in (seed, path_id); enlarging ``horizon`` extends the
-    same path.  Raises :class:`CapabilityError` for non-grid families.
+    A single row has no padding: ``times[0]``, ``xi[0]`` and, on a jump
+    path, ``jumps[0]`` are the whole path.  Deterministic in (seed,
+    path_id); enlarging ``horizon`` extends the same path.  Raises
+    :class:`CapabilityError` for non-grid families.
     """
-    block = _sample_block(_effective_dynamics(model), _philox(), cfg.seed,
-                          np.array([path_id]), cfg.horizon, cfg.step)
-    n = int(block.size[0])
-    jumps = None if block.jumps is None else block.jumps[0, :n]
-    return PathGrid(times=block.times[0, :n].copy(), xi=block.xi[0, :n],
-                    kind=block.kind, drift=block.drift, jumps=jumps)
+    return _sample_block(_effective_dynamics(model), _philox(), cfg.seed,
+                         np.array([path_id]), cfg.horizon, cfg.step)
 
 
 # --------------------------------------------------------------------------
@@ -354,8 +303,12 @@ def _search_rows(a: np.ndarray, size: np.ndarray, v: np.ndarray,
 class PathBlock:
     """Sampled Lévy paths as the padded rows of 2-D arrays.
 
-    Row ``r`` holds ``size[r]`` nodes of one path, with the layout of
-    :class:`PathGrid`; the rows of a block share kind, drift and horizon.
+    Row ``r`` holds ``size[r]`` nodes of one path, which starts at
+    (t, xi) = (0, 0): ``xi[r, i]`` is the post-jump value at time
+    ``times[r, i]``.  On ``linear-drift`` rows ``jumps[r, i]`` is the jump
+    applied at node ``i`` (0 at node 0), so that
+    ``xi[r, i+1] = xi[r, i] + drift * dt_i + jumps[r, i+1]``; Gaussian
+    blocks carry ``jumps = None``.  The rows share kind, drift and horizon.
     Jump paths are padded to the longest row by repeating the horizon
     (zero-length segments, no jumps); Gaussian rows need no padding and
     share one time grid, stored as the single row of ``times``.  ``ids``
@@ -569,111 +522,6 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     raise HorizonExceededError(miss(int(pending[0]), h / 2.0))
 
 
-@dataclass(frozen=True)
-class ExpFunctional:
-    """A(t) = int_0^t exp(alpha xi_s) ds as a piecewise function.
-
-    Exact on linear-drift segments; on Gaussian segments the node values
-    come from the trapezoid rule and interior values from linear
-    interpolation (the inversion in :func:`clock_tau` uses the same
-    interpolant, so the inverse pair is consistent to machine precision).
-    """
-
-    path: PathGrid
-    alpha: float
-    nodes: np.ndarray = field(repr=False)
-
-    @property
-    def total(self) -> float:
-        return float(self.nodes[-1])
-
-    def value(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        t, xi = self.path.times, self.path.xi
-        idx = np.clip(np.searchsorted(t, u, side="right") - 1, 0, len(t) - 2)
-        du = np.clip(u, t[0], t[-1]) - t[idx]
-        if self.path.kind == LINEAR:
-            rate = self.alpha * self.path.drift
-            seg = np.exp(self.alpha * xi[idx]) * du * _expm1_ratio(rate * du)
-        else:
-            frac = du / (t[idx + 1] - t[idx])
-            seg = (self.nodes[idx + 1] - self.nodes[idx]) * frac
-        return self.nodes[idx] + seg
-
-
-def exp_functional(path: PathGrid, alpha: float) -> ExpFunctional:
-    """Exponential functional of a path; strictly increasing in t."""
-    return ExpFunctional(path=path, alpha=alpha,
-                         nodes=path._block().functional(alpha)[0])
-
-
-def log_exp_functional_total(path: PathGrid, alpha: float) -> float:
-    """log A(horizon), computed in log space (overflow-safe)."""
-    return float(path._block().log_totals(alpha)[0])
-
-
-def clock_tau_many(ef: ExpFunctional, targets: Sequence[float]) -> np.ndarray:
-    """tau(t) = inf{u : A(u) >= t} for an array of targets.
-
-    Raises:
-        DomainError: for negative targets.
-        HorizonExceededError: when some target exceeds A(horizon); the
-            caller should enlarge the path horizon.
-    """
-    t = np.asarray(targets, dtype=float)
-    taus, reached = ef.path._block().clock(ef.nodes[None], ef.alpha,
-                                          t.reshape(1, -1))
-    if not reached[0]:
-        worst = float(np.max(t))
-        raise HorizonExceededError(
-            f"clock target {worst!r} exceeds A(horizon) = {ef.total!r}",
-            target=worst, capacity=ef.total)
-    return taus[0].reshape(t.shape)
-
-
-def clock_tau(ef: ExpFunctional, t: float) -> float:
-    """Scalar version of :func:`clock_tau_many`."""
-    return float(clock_tau_many(ef, np.array([t]))[0])
-
-
-# --------------------------------------------------------------------------
-# Lamperti transform.
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PssmpPath:
-    """A positive self-similar path X and its clock T.
-
-    ``times``/``values`` sample X at the images ``a^alpha A(u_i)`` of the
-    Lévy grid; ``clock(t) = T(t) = int_0^t X_s^-alpha ds`` is evaluated
-    through the exact change of variables ``T(t) = tau(t a^-alpha)``, so
-    the fundamental relation ``tau(t) = T(t a^alpha)`` holds identically.
-    """
-
-    a: float
-    alpha: float
-    times: np.ndarray
-    values: np.ndarray
-    functional: ExpFunctional
-
-    def clock_many(self, targets: Sequence[float]) -> np.ndarray:
-        t = np.asarray(targets, dtype=float)
-        return clock_tau_many(self.functional, t * self.a ** -self.alpha)
-
-    def clock(self, t: float) -> float:
-        return float(self.clock_many(np.array([t]))[0])
-
-
-def lamperti_pssmp(path: PathGrid, a: float, alpha: float) -> PssmpPath:
-    """Lamperti image of a Lévy path, started at ``a > 0``."""
-    if not a > 0.0:
-        raise DomainError(f"start point must be > 0, got {a!r}")
-    ef = exp_functional(path, alpha)
-    scale = a ** alpha
-    return PssmpPath(a=a, alpha=alpha, times=scale * ef.nodes,
-                     values=a * np.exp(path.xi), functional=ef)
-
-
 # --------------------------------------------------------------------------
 # Cauchy modulus (positive self-similar of index 1, no Lévy-side grid).
 # --------------------------------------------------------------------------
@@ -682,8 +530,8 @@ def lamperti_pssmp(path: PathGrid, a: float, alpha: float) -> PssmpPath:
 class CauchyModulusPath:
     """Modulus path of a d-dimensional Cauchy process with its clock.
 
-    ``clock`` is the trapezoid integral of 1/R on the geometric grid,
-    linearly interpolated between nodes.
+    ``clock_nodes`` is the trapezoid integral of 1/R at the nodes of the
+    geometric grid; the clock is linear between them.
     """
 
     d: int
@@ -692,25 +540,6 @@ class CauchyModulusPath:
     radius: np.ndarray
     positions: np.ndarray = field(repr=False)
     clock_nodes: np.ndarray = field(repr=False)
-
-    def clock_many(self, targets: Sequence[float]) -> np.ndarray:
-        t = np.asarray(targets, dtype=float)
-        _check_cauchy_targets(t, float(self.times[-1]))
-        return np.interp(t, self.times, self.clock_nodes)
-
-    def clock(self, t: float) -> float:
-        return float(self.clock_many(np.array([t]))[0])
-
-
-def _check_cauchy_targets(t: np.ndarray, cap: float) -> None:
-    """Clock targets must lie in [0, cap], the simulated X-side horizon."""
-    if np.any(t < 0.0):
-        raise DomainError("clock targets must be >= 0")
-    if np.any(t > cap):
-        worst = float(np.max(t))
-        raise HorizonExceededError(
-            f"time {worst!r} beyond simulated horizon {cap!r}",
-            target=worst, capacity=cap)
 
 
 def _cauchy_grid(d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -731,45 +560,68 @@ def _cauchy_grid(d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return times, np.diff(times)
 
 
-def _cauchy_path(d: int, start: float, dt: np.ndarray,
-                 rng: np.random.Generator):
-    """(positions, radius, clock nodes) of one Cauchy-modulus path from
-    (start, 0, ..., 0) on the grid steps ``dt``, drawn from ``rng``;
-    ``positions`` has one row of d coordinates per node.
+def _cauchy_sampler(d: int, start: float, dt: np.ndarray):
+    """A function of a generator that draws one Cauchy-modulus path from
+    (start, 0, ..., 0) on the grid steps ``dt`` and returns (positions,
+    radius, clock nodes); ``positions`` has one row of d coordinates per
+    node.
 
-    The path draws ``(len(dt), d + 1)`` standard normals: per step, the N
+    A path draws ``(len(dt), d + 1)`` standard normals: per step, the N
     of the subordinator increment, then the d Gaussian coordinates.  One
     copy to coordinate-major order puts each of them on a contiguous row,
     where every step runs in the order of the per-node formula.
+
+    The arrays are allocated once, here, and each call overwrites the
+    previous path's, so the paths of an ensemble allocate nothing.
+    Per-path temporaries of a long grid (hundreds of kB) can be handed
+    back to the OS by malloc after each path and page-faulted in again by
+    the next, depending on the heap's layout.
     """
-    coords = np.ascontiguousarray(rng.standard_normal((len(dt), d + 1)).T)
-    scale = coords[0]                   # N -> sqrt(S), S = (dt / N)^2
-    np.divide(dt, scale, out=scale)
-    np.square(scale, out=scale)
-    np.sqrt(scale, out=scale)
-    steps = coords[1:]
-    steps *= scale
-    walk = np.zeros((d, len(dt) + 1))
-    np.cumsum(steps, axis=1, out=walk[:, 1:])
-    walk[0] += start
-    # r^2 in the order np.sum takes over the d terms of a node stored
-    # contiguously: left to right below 8 terms, which adding the rows in
-    # place repeats without the copy to that layout and the slow short-row
-    # reduction; pairwise from 8 terms on, which only that layout repeats
-    squares = walk * walk
-    if d < 8:
-        r2 = squares[0]
-        for sq in squares[1:]:
-            r2 += sq
-    else:
-        r2 = np.sum(np.ascontiguousarray(squares.T), axis=1)
-    radius = np.sqrt(r2)
-    inv = 1.0 / radius
-    w = inv[:-1] + inv[1:]
-    w *= 0.5 * dt
-    clock_nodes = np.zeros(len(radius))
-    np.cumsum(w, out=clock_nodes[1:])
-    return walk.T, radius, clock_nodes
+    n = len(dt)
+    draws = np.empty((n, d + 1))
+    coords = np.empty((d + 1, n))
+    walk = np.zeros((d, n + 1))
+    walk[0, 0] = start
+    squares = np.empty(walk.shape)
+    node_major = np.empty((n + 1, d)) if d >= 8 else None
+    radius = np.empty(n + 1)
+    inv = np.empty(n + 1)
+    half_dt = 0.5 * dt
+    w = np.empty(n)
+    clock_nodes = np.zeros(n + 1)
+
+    def sample(rng: np.random.Generator):
+        rng.standard_normal(out=draws)
+        np.copyto(coords, draws.T)
+        scale = coords[0]                   # N -> sqrt(S), S = (dt / N)^2
+        np.divide(dt, scale, out=scale)
+        np.square(scale, out=scale)
+        np.sqrt(scale, out=scale)
+        steps = coords[1:]
+        steps *= scale
+        np.cumsum(steps, axis=1, out=walk[:, 1:])
+        walk[0, 1:] += start
+        # r^2 in the order np.sum takes over the d terms of a node stored
+        # contiguously: left to right below 8 terms, which adding the rows
+        # in place repeats without the copy to that layout and the slow
+        # short-row reduction; pairwise from 8 terms on, which only that
+        # layout repeats
+        np.multiply(walk, walk, out=squares)
+        if d < 8:
+            r2 = squares[0]
+            for sq in squares[1:]:
+                r2 += sq
+        else:
+            np.copyto(node_major, squares.T)
+            r2 = np.sum(node_major, axis=1, out=radius)
+        np.sqrt(r2, out=radius)
+        np.divide(1.0, radius, out=inv)
+        np.add(inv[:-1], inv[1:], out=w)
+        np.multiply(w, half_dt, out=w)
+        np.cumsum(w, out=clock_nodes[1:])
+        return walk.T, radius, clock_nodes
+
+    return sample
 
 
 def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
@@ -778,12 +630,19 @@ def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
     ``path_offset + i`` on [0, cfg.horizon]: one grid, and one generator
     re-keyed for each path."""
     times, dt = _cauchy_grid(d, cfg)
-    _check_cauchy_targets(targets, float(times[-1]))
+    if np.any(targets < 0.0):
+        raise DomainError("clock targets must be >= 0")
+    cap = float(times[-1])
+    if np.any(targets > cap):
+        worst = float(np.max(targets))
+        raise HorizonExceededError(
+            f"time {worst!r} beyond simulated horizon {cap!r}",
+            target=worst, capacity=cap)
     ids = path_offset + np.arange(cfg.n_paths)
+    sample = _cauchy_sampler(d, cfg.start, dt)
     out = np.empty((cfg.n_paths, len(targets)))
     for row, stream in zip(out, _path_streams(_philox(), cfg.seed, ids)):
-        row[:] = np.interp(targets, times,
-                           _cauchy_path(d, cfg.start, dt, stream)[2])
+        row[:] = np.interp(targets, times, sample(stream)[2])
     return out
 
 
@@ -805,9 +664,9 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
     """
     times, dt = _cauchy_grid(d, cfg)
     stream = next(_path_streams(_philox(), cfg.seed, np.array([path_id])))
-    positions, radius, clock_nodes = _cauchy_path(d, cfg.start, dt, stream)
+    positions, radius, nodes = _cauchy_sampler(d, cfg.start, dt)(stream)
     return CauchyModulusPath(d=d, a=cfg.start, times=times, radius=radius,
-                             positions=positions, clock_nodes=clock_nodes)
+                             positions=positions, clock_nodes=nodes)
 
 
 def horizon_policy(mean: float, t_max: float) -> float:

@@ -257,6 +257,23 @@ def ref_nodes(p: RefPath, alpha: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(w)))
 
 
+def ref_functional_at(p: RefPath, alpha: float, u) -> np.ndarray:
+    """A at arbitrary times ``u`` in [0, horizon]: the node values plus the
+    exact integral over the partial linear segment, or the linear
+    interpolant of the trapezoid nodes on a Gaussian path."""
+    u = np.asarray(u, dtype=float)
+    nodes = ref_nodes(p, alpha)
+    t = p.times
+    idx = np.clip(np.searchsorted(t, u, side="right") - 1, 0, len(t) - 2)
+    du = np.clip(u, t[0], t[-1]) - t[idx]
+    if p.kind == LINEAR:
+        rate = alpha * p.drift
+        seg = np.exp(alpha * p.xi[idx]) * du * _expm1_ratio(rate * du)
+    else:
+        seg = (nodes[idx + 1] - nodes[idx]) * du / (t[idx + 1] - t[idx])
+    return nodes[idx] + seg
+
+
 def ref_log_total(p: RefPath, alpha: float) -> float:
     dt = np.diff(p.times)
     if p.kind == LINEAR:

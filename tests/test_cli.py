@@ -195,6 +195,31 @@ class TestStochasticCommands:
         assert code == 3
         assert "horizon" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "brownian", "--nu", "1", "--t", "inf"],
+        ["simulate", "--family", "brownian", "--nu", "1", "--t", "nan"],
+        ["simulate", "--family", "cauchy", "--d", "3", "--t", "inf"],
+        ["simulate", "--family", "brownian", "--nu", "1", "--t", "50",
+         "--step", "inf"],
+        ["lln", "--family", "brownian", "--nu", "1", "--t", "inf"],
+        ["logA", "--family", "brownian", "--nu", "1", "--t", "inf"],
+        ["check-identities", "--family", "brownian", "--nu", "1",
+         "--t-fp", "inf"],
+        ["ldp", "--family", "brownian", "--nu", "1", "--x", "1", "--t", "10",
+         "--t", "20", "--t", "40", "--eps", "-1"],
+        ["ldp", "--family", "brownian", "--nu", "1", "--x", "1", "--t", "10",
+         "--t", "20", "--t", "40", "--eps", "nan"],
+    ], ids=["simulate_inf", "simulate_nan", "simulate_cauchy_inf",
+            "simulate_step_inf", "lln_inf", "logA_inf", "identities_inf",
+            "ldp_eps_negative", "ldp_eps_nan"])
+    def test_non_finite_or_empty_window_exit_2(self, capsys, argv):
+        # the flags of each case come last and win over these
+        code, out, err = invoke(capsys, [argv[0], "--paths", "2", "--step",
+                                         "0.05", "--seed", "1", *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 def test_entry_point_runs():
     import subprocess

@@ -20,13 +20,10 @@ from levyclocks import (
     HorizonExceededError,
     SimConfig,
     brownian_drift,
-    clock_tau_many,
     cp_minus_drift,
     cp_plus_drift,
     estimate_logA_rate,
-    exp_functional,
     first_passage_check,
-    log_exp_functional_total,
     mc_exp_functional,
     sample_levy_path,
     saw_tooth,
@@ -72,24 +69,29 @@ def _width(model, horizon: float, step: float) -> int:
 
 @pytest.mark.parametrize("name,model,step", MODELS, ids=IDS)
 def test_single_path_functions(name, model, step):
+    # a single path is a one-row block, with no padding
     cfg = SimConfig(seed=3, n_paths=1, step=step, horizon=9.0)
     for pid in (0, 5):
         path = sample_levy_path(model, cfg, pid)
         ref = oracles.ref_path(model, cfg.seed, pid, cfg.horizon, step)
-        assert np.array_equal(path.times, ref.times)
-        assert np.array_equal(path.xi, ref.xi)
+        assert path.xi.shape == (1, len(ref.xi))
+        assert np.array_equal(path.times[0], ref.times)
+        assert np.array_equal(path.xi[0], ref.xi)
         for alpha in (1.0, -1.0, 0.5):
-            ef = exp_functional(path, alpha)
-            nodes = oracles.ref_nodes(ref, alpha)
-            assert np.array_equal(ef.nodes, nodes)
-            assert (log_exp_functional_total(path, alpha)
-                    == oracles.ref_log_total(ref, alpha))
-            ts = np.linspace(0.0, ef.total, 17)
-            assert np.array_equal(clock_tau_many(ef, ts),
-                                  oracles.ref_clock(ref, nodes, alpha, ts))
-        for u in (0.0, 0.3, float(path.times[len(path.times) // 2]), 8.99,
-                  9.0):
-            assert float(path.value_at(u)) == oracles.ref_value_at(ref, u)
+            nodes = path.functional(alpha)
+            ref_nodes = oracles.ref_nodes(ref, alpha)
+            assert np.array_equal(nodes[0], ref_nodes)
+            assert path.log_totals(alpha)[0] == oracles.ref_log_total(ref,
+                                                                      alpha)
+            ts = np.linspace(0.0, path.totals(nodes)[0], 17)
+            taus, reached = path.clock(nodes, alpha, ts)
+            assert reached[0]
+            assert np.array_equal(taus[0], oracles.ref_clock(ref, ref_nodes,
+                                                             alpha, ts))
+        mid = float(ref.times[len(ref.times) // 2])
+        for u in (0.0, 0.3, mid, 8.99, 9.0):
+            assert (path.value_at(np.array([[u]]))[0, 0]
+                    == oracles.ref_value_at(ref, u))
 
 
 @pytest.mark.parametrize("name,model,step", MODELS, ids=IDS)

@@ -57,6 +57,20 @@ class TestTauEnsemble:
         b = tau_ensemble(saw_tooth(1, 3), cfg, [50.0], path_offset=8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("targets", [[], [math.inf], [50.0, math.nan]])
+    @pytest.mark.parametrize("target", [saw_tooth(1, 3), CauchyModulus(3)],
+                             ids=["saw_tooth", "cauchy"])
+    def test_targets_validation(self, target, targets):
+        cfg = SimConfig(seed=1, n_paths=2, step=0.05)
+        with pytest.raises(DomainError, match="clock targets"):
+            tau_ensemble(target, cfg, targets)
+
+    @pytest.mark.parametrize("field", ["step", "horizon", "alpha", "start"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_config_validation(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SimConfig(seed=1, **{field: value})
+
 
 class TestLln:
     def test_deterministic_exact(self):
@@ -185,6 +199,13 @@ class TestLdpSlope:
         with pytest.raises(DomainError):
             estimate_ldp_slope(brownian_drift(1.0), cfg, 1.0, [10.0, 100.0])
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_eps_validation(self, eps):
+        cfg = SimConfig(seed=1, n_paths=8)
+        with pytest.raises(DomainError, match="eps"):
+            estimate_ldp_slope(brownian_drift(1.0), cfg, 1.0,
+                               [10.0, 100.0, 1000.0], eps=eps)
+
 
 class TestLogA:
     def test_deterministic(self):
@@ -209,6 +230,12 @@ class TestLogA:
         row = estimate_logA_rate(brownian_drift(1.0), cfg, 50.0).rows[0]
         assert row.reference == 2.0
         assert abs(row.estimate - 2.0) <= 4.0 * row.stderr
+
+    @pytest.mark.parametrize("t", [0.0, math.inf, math.nan])
+    def test_t_validation(self, t):
+        cfg = SimConfig(seed=1, n_paths=2)
+        with pytest.raises(DomainError):
+            estimate_logA_rate(brownian_drift(1.0), cfg, t)
 
     def test_sawtooth_differenced(self):
         # (log A(t2) - log A(t1))/(t2 - t1) is free of the O(1) constant

@@ -107,13 +107,6 @@ class TestRecursion:
         assert [row.s for row in ledger.rows] == [-1.0, -2.0, -3.0]
         assert "truncated" in ledger.note
 
-    def test_explicit_base(self):
-        base = 7.25
-        ledger = moment_recursion(saw_tooth(1.0, 3.0), r_max=2, base=base)
-        assert ledger.rows[0].value == base
-        phi1 = saw_tooth(1.0, 3.0).psi(1.0)
-        assert ledger.rows[1].value == pytest.approx(base * phi1, rel=1e-15)
-
     def test_serialization(self):
         text = moment_recursion(brownian_drift(1.0), r_max=2).to_text()
         lines = text.strip().split("\n")

@@ -1,4 +1,8 @@
-"""Path sampling, exponential functionals, clocks, Lamperti, Cauchy modulus."""
+"""Path sampling, exponential functionals, clocks, Lamperti, Cauchy modulus.
+
+A single path is a one-row :class:`PathBlock`; A at off-node times comes
+from the forward reference ``oracles.ref_functional_at``.
+"""
 
 import math
 
@@ -7,93 +11,118 @@ import pytest
 
 from levyclocks import (
     CapabilityError,
+    CauchyModulus,
     DomainError,
-    HorizonExceededError,
-    PathGrid,
     SimConfig,
     brownian_drift,
-    clock_tau,
-    clock_tau_many,
     cp_plus_drift,
-    exp_functional,
-    hypergeometric_stable,
-    lamperti_pssmp,
-    log_exp_functional_total,
     path_rng,
     sample_levy_path,
     saw_tooth,
     simulate_cauchy_modulus,
     stable_conditioned,
+    tau_ensemble,
 )
-from oracles import ks_two_sample, ks_two_sample_critical
+from levyclocks.paths import PathBlock, run_paths
+from oracles import (
+    RefPath,
+    ks_two_sample,
+    ks_two_sample_critical,
+    ref_functional_at,
+)
 
 
-def drift_path(slope: float, horizon: float = 10.0) -> PathGrid:
-    xi = np.array([0.0, slope * horizon])
-    return PathGrid(times=np.array([0.0, horizon]), xi=xi,
-                    kind="linear-drift", drift=slope,
-                    jumps=np.array([0.0, 0.0]))
+def drift_path(slope: float, horizon: float = 10.0) -> PathBlock:
+    return PathBlock(times=np.array([[0.0, horizon]]),
+                     xi=np.array([[0.0, slope * horizon]]),
+                     size=np.array([2]), kind="linear-drift", drift=slope,
+                     jumps=np.zeros((1, 2)))
+
+
+def functional_at(path: PathBlock, alpha: float, u) -> np.ndarray:
+    """A at times ``u`` on the one-row block ``path``."""
+    ref = RefPath(path.times[0], path.xi[0], path.kind, path.drift)
+    return ref_functional_at(ref, alpha, u)
+
+
+def clock(path: PathBlock, nodes: np.ndarray, alpha: float, targets):
+    """tau at ``targets`` on the one-row block ``path``; every target must
+    lie within A(horizon)."""
+    taus, reached = path.clock(nodes, alpha, np.atleast_1d(targets))
+    assert reached[0]
+    return taus[0]
+
+
+def total(path: PathBlock, alpha: float) -> float:
+    return float(path.totals(path.functional(alpha))[0])
 
 
 class TestExpFunctional:
     def test_zero_path(self):
-        ef = exp_functional(drift_path(0.0), 1.0)
+        path = drift_path(0.0)
+        nodes = path.functional(1.0)
         for t in (0.3, 1.0, 7.5):
-            assert ef.value(t) == pytest.approx(t, abs=1e-15)
-            assert clock_tau(ef, t) == pytest.approx(t, abs=1e-15)
+            assert functional_at(path, 1.0, t) == pytest.approx(t, abs=1e-15)
+            assert clock(path, nodes, 1.0, t)[0] == pytest.approx(t,
+                                                                  abs=1e-15)
 
     def test_unit_drift(self):
-        ef = exp_functional(drift_path(1.0), 1.0)
-        assert ef.value(3.0) == pytest.approx(math.exp(3.0) - 1.0, rel=1e-15)
-        assert clock_tau(ef, 5.0) == pytest.approx(math.log(6.0), rel=1e-15)
+        path = drift_path(1.0)
+        assert functional_at(path, 1.0, 3.0) == pytest.approx(
+            math.exp(3.0) - 1.0, rel=1e-15)
+        assert clock(path, path.functional(1.0), 1.0, 5.0)[0] == \
+            pytest.approx(math.log(6.0), rel=1e-15)
 
     def test_negative_alpha(self):
-        ef = exp_functional(drift_path(1.0), -1.0)
-        assert ef.total == pytest.approx(1.0 - math.exp(-10.0), rel=1e-14)
+        assert total(drift_path(1.0), -1.0) == pytest.approx(
+            1.0 - math.exp(-10.0), rel=1e-14)
 
     def test_log_total_matches(self):
         cfg = SimConfig(seed=2, n_paths=1, step=0.01, horizon=6.0)
         for model in (brownian_drift(1.0), saw_tooth(1.0, 3.0)):
             path = sample_levy_path(model, cfg, 0)
-            lt = log_exp_functional_total(path, 1.0)
-            assert lt == pytest.approx(math.log(exp_functional(path, 1.0).total),
-                                       rel=1e-12)
+            lt = path.log_totals(1.0)[0]
+            assert lt == pytest.approx(math.log(total(path, 1.0)), rel=1e-12)
 
     def test_log_total_long_linear_segment(self):
         # one segment with alpha drift dt = 1000: expm1 overflows there,
         # the log-space value is exact
         cfg = SimConfig(seed=1, n_paths=1, horizon=1000.0)
         path = sample_levy_path(cp_plus_drift(1.0, 0.0, 1.0), cfg, 0)
-        assert len(path.times) == 2
-        assert log_exp_functional_total(path, 1.0) == pytest.approx(
+        assert path.times.shape == (1, 2)
+        assert path.log_totals(1.0)[0] == pytest.approx(
             1000.0 + math.log1p(-math.exp(-1000.0)), rel=1e-15)
 
     def test_inverse_pair_exact_segments(self):
         cfg = SimConfig(seed=5, n_paths=1, step=0.01, horizon=25.0)
         path = sample_levy_path(saw_tooth(1.0, 3.0), cfg, 3)
-        ef = exp_functional(path, 1.0)
-        ts = np.linspace(1e-3, ef.total * 0.9999, 400)
-        taus = clock_tau_many(ef, ts)
+        nodes = path.functional(1.0)
+        ts = np.linspace(1e-3, path.totals(nodes)[0] * 0.9999, 400)
+        taus = clock(path, nodes, 1.0, ts)
         assert np.all(np.diff(taus) >= 0.0)
-        err = np.abs(ef.value(taus) - ts) / np.maximum(1.0, ts)
+        err = np.abs(functional_at(path, 1.0, taus) - ts) / np.maximum(1.0, ts)
         assert float(np.max(err)) <= 1e-12
 
     def test_inverse_pair_trapezoid(self):
         cfg = SimConfig(seed=5, n_paths=1, step=0.01, horizon=8.0)
         path = sample_levy_path(brownian_drift(1.0), cfg, 1)
-        ef = exp_functional(path, 1.0)
-        ts = np.linspace(1e-3, ef.total * 0.9999, 200)
-        taus = clock_tau_many(ef, ts)
-        err = np.abs(ef.value(taus) - ts) / np.maximum(1.0, ts)
+        nodes = path.functional(1.0)
+        ts = np.linspace(1e-3, path.totals(nodes)[0] * 0.9999, 200)
+        taus = clock(path, nodes, 1.0, ts)
+        err = np.abs(functional_at(path, 1.0, taus) - ts) / np.maximum(1.0, ts)
         assert float(np.max(err)) <= 1e-12
 
     def test_horizon_error(self):
-        ef = exp_functional(drift_path(0.0, horizon=2.0), 1.0)
-        with pytest.raises(HorizonExceededError) as exc:
-            clock_tau(ef, 5.0)
-        assert exc.value.capacity == pytest.approx(2.0)
+        # a target above A(horizon) = 2 leaves the row unreached (NaN);
+        # ensembles turn that into a doubling, then HorizonExceededError
+        path = drift_path(0.0, horizon=2.0)
+        nodes = path.functional(1.0)
+        taus, reached = path.clock(nodes, 1.0, [1.0, 5.0])
+        assert not reached[0]
+        assert np.isnan(taus).all()
+        assert path.totals(nodes)[0] == pytest.approx(2.0)
         with pytest.raises(DomainError):
-            clock_tau(ef, -1.0)
+            path.clock(nodes, 1.0, [-1.0])
 
 
 class TestSampling:
@@ -110,24 +139,24 @@ class TestSampling:
         cfg1 = SimConfig(seed=11, n_paths=1, step=0.02, horizon=9.0)
         cfg2 = SimConfig(seed=11, n_paths=1, step=0.02, horizon=18.0)
         for model in (brownian_drift(1.0), saw_tooth(1.0, 3.0)):
-            a = sample_levy_path(model, cfg1, 4)
-            b = sample_levy_path(model, cfg2, 4)
-            keep = min(len(a.xi) - 1, len(b.xi) - 1)   # last node is horizon
-            assert np.array_equal(a.xi[:keep], b.xi[:keep])
+            a = sample_levy_path(model, cfg1, 4).xi[0]
+            b = sample_levy_path(model, cfg2, 4).xi[0]
+            keep = min(len(a) - 1, len(b) - 1)   # last node is horizon
+            assert np.array_equal(a[:keep], b[:keep])
 
     def test_degenerate_drift_only(self):
         cfg = SimConfig(seed=1, n_paths=1, step=0.01, horizon=5.0)
         path = sample_levy_path(cp_plus_drift(1.0, 0.0, 1.0), cfg, 0)
-        assert np.array_equal(path.times, np.array([0.0, 5.0]))
-        assert np.array_equal(path.xi, np.array([0.0, 5.0]))
-        ef = exp_functional(path, 1.0)
-        assert clock_tau(ef, 3.0) == pytest.approx(math.log1p(3.0), rel=1e-15)
+        assert np.array_equal(path.times, np.array([[0.0, 5.0]]))
+        assert np.array_equal(path.xi, np.array([[0.0, 5.0]]))
+        assert clock(path, path.functional(1.0), 1.0, 3.0)[0] == \
+            pytest.approx(math.log1p(3.0), rel=1e-15)
 
     def test_brownian_mean(self):
         # E xi_10 = 2 nu 10 = 20; sd of the mean = sqrt(40)/100
         cfg = SimConfig(seed=3, n_paths=10_000, step=0.01, horizon=10.0)
-        ends = np.array([sample_levy_path(brownian_drift(1.0), cfg, i).xi[-1]
-                         for i in range(cfg.n_paths)])
+        ends = run_paths(brownian_drift(1.0), cfg, cfg.horizon,
+                         lambda block: (block.xi[:, -1], True))
         z999 = 3.2905
         assert abs(ends.mean() - 20.0) <= z999 * math.sqrt(40.0) / 100.0
 
@@ -135,9 +164,8 @@ class TestSampling:
         # Poisson(beta T) jump count
         beta, horizon, n = 1.0, 20.0, 2000
         cfg = SimConfig(seed=8, n_paths=n, step=0.01, horizon=horizon)
-        counts = np.array([
-            len(sample_levy_path(saw_tooth(beta, 3.0), cfg, i).times) - 2
-            for i in range(n)])
+        counts = run_paths(saw_tooth(beta, 3.0), cfg, horizon,
+                           lambda block: (block.size - 2, True))
         se = math.sqrt(beta * horizon / n)
         assert abs(counts.mean() - beta * horizon) <= 3.0 * se
 
@@ -149,39 +177,53 @@ class TestSampling:
     def test_value_at_cadlag(self):
         cfg = SimConfig(seed=9, n_paths=1, step=0.01, horizon=20.0)
         path = sample_levy_path(saw_tooth(1.0, 3.0), cfg, 0)
-        assert len(path.times) > 3
-        t_jump = float(path.times[1])
-        assert path.value_at(t_jump) == pytest.approx(float(path.xi[1]))
+        times, xi = path.times[0], path.xi[0]
+        assert len(times) > 3
+        t_jump = float(times[1])
+        assert path.value_at(np.array([[t_jump]]))[0, 0] == pytest.approx(
+            float(xi[1]))
         just_before = t_jump - 1e-9
-        expect = path.xi[0] + path.drift * just_before
-        assert path.value_at(just_before) == pytest.approx(expect, abs=1e-8)
+        expect = xi[0] + path.drift * just_before
+        assert path.value_at(np.array([[just_before]]))[0, 0] == \
+            pytest.approx(expect, abs=1e-8)
 
     def test_refinement_first_order(self):
         # coarsened copies of one fine Brownian path: clock differences
         # shrink at first order in the step
-        cfg = SimConfig(seed=21, n_paths=1, step=0.002, horizon=6.0)
-        rms = []
-        for factor in (1, 2, 4):
-            diffs = []
-            for pid in range(60):
-                fine = sample_levy_path(brownian_drift(1.0), cfg, pid)
+        cfg = SimConfig(seed=21, n_paths=60, step=0.002, horizon=6.0)
+
+        def diffs(fine):
+            fine_nodes = fine.functional(1.0)
+            t_mid = fine.totals(fine_nodes)[:, None] * 0.5
+            finest, reached = fine.clock(fine_nodes, 1.0, t_mid)
+            assert reached.all()
+            out = []
+            for factor in (1, 2, 4):
                 sub = slice(None, None, 4 // factor)
-                coarse = PathGrid(times=fine.times[sub], xi=fine.xi[sub],
-                                  kind="gaussian-increment")
-                finest = exp_functional(fine, 1.0)
-                t_mid = finest.total * 0.5
-                diffs.append(clock_tau(exp_functional(coarse, 1.0), t_mid)
-                             - clock_tau(finest, t_mid))
-            rms.append(float(np.sqrt(np.mean(np.square(diffs)))))
+                times = fine.times[:, sub]
+                coarse = PathBlock(times=times, xi=fine.xi[:, sub],
+                                   size=np.full(len(fine.xi), times.shape[1]),
+                                   kind="gaussian-increment")
+                taus, reached = coarse.clock(coarse.functional(1.0), 1.0,
+                                             t_mid)
+                assert reached.all()
+                out.append(taus[:, 0] - finest[:, 0])
+            return np.column_stack(out), True
+
+        per_path = run_paths(brownian_drift(1.0), cfg, cfg.horizon, diffs)
+        rms = [float(np.sqrt(np.mean(np.square(col)))) for col in per_path.T]
         assert rms[1] < rms[0]
         assert rms[2] < rms[1]
 
 
 class TestLamperti:
+    # The Lamperti image of a path started at a: X = a exp(xi) at the
+    # times a^alpha A, with clock T(t) = tau(t a^-alpha).
     def test_constant_path(self):
-        pp = lamperti_pssmp(drift_path(0.0), a=2.0, alpha=1.0)
-        assert np.all(pp.values == 2.0)
-        assert pp.clock(4.0) == pytest.approx(2.0, abs=1e-15)
+        path, a = drift_path(0.0), 2.0
+        assert np.all(a * np.exp(path.xi) == 2.0)
+        assert clock(path, path.functional(1.0), 1.0, 4.0 * a ** -1.0)[0] == \
+            pytest.approx(2.0, abs=1e-15)
 
     def test_fundamental_relation(self):
         cfg = SimConfig(seed=13, n_paths=1, step=0.01, horizon=12.0)
@@ -189,25 +231,33 @@ class TestLamperti:
             for pid in range(8):
                 path = sample_levy_path(model, cfg, pid)
                 for a, alpha in ((1.0, 1.0), (1.7, 1.0), (0.6, 2.0)):
-                    ef = exp_functional(path, alpha)
-                    pp = lamperti_pssmp(path, a, alpha)
-                    ts = np.linspace(ef.total * 1e-3, ef.total * 0.999, 50)
-                    taus = clock_tau_many(ef, ts)
-                    gap = np.abs(pp.clock_many(ts * a ** alpha) - taus)
+                    nodes = path.functional(alpha)
+                    cap = path.totals(nodes)[0]
+                    ts = np.linspace(cap * 1e-3, cap * 0.999, 50)
+                    taus = clock(path, nodes, alpha, ts)
+                    big_t = clock(path, nodes, alpha,
+                                  (ts * a ** alpha) * a ** -alpha)
+                    gap = np.abs(big_t - taus)
                     assert float(np.max(gap / np.maximum(1.0, taus))) <= 1e-12
 
     def test_scaling_property(self):
         # law of T(. b^-alpha) started at a == law of T(.) started at b a
         n, b, a, t = 4000, 2.0, 1.0, 40.0
-        cfg = SimConfig(seed=77, n_paths=n, step=0.01, horizon=25.0)
+        # no doubling: every path must reach its target within horizon 25
+        cfg = SimConfig(seed=77, n_paths=n, step=0.01, horizon=25.0,
+                        max_doublings=0)
         model = saw_tooth(1.0, 3.0)
-        one = np.empty(n)
-        two = np.empty(n)
-        for i in range(n):
-            p1 = lamperti_pssmp(sample_levy_path(model, cfg, i), a, 1.0)
-            one[i] = p1.clock(t / b)
-            p2 = lamperti_pssmp(sample_levy_path(model, cfg, n + i), b * a, 1.0)
-            two[i] = p2.clock(t)
+
+        def clock_at(x_time, start, offset):
+            def reduce(block):
+                taus, reached = block.clock(block.functional(1.0), 1.0,
+                                            [x_time * start ** -1.0])
+                return taus[:, 0], reached
+            return run_paths(model, cfg, cfg.horizon, reduce, offset,
+                             miss=lambda i, h: f"path {offset + i} missed")
+
+        one = clock_at(t / b, a, 0)
+        two = clock_at(t, b * a, n)
         d = ks_two_sample(one, two)
         assert d <= ks_two_sample_critical(n, n, alpha=0.01)
 
@@ -283,6 +333,5 @@ class TestCauchyModulus:
         # carries an O(1/log t) centering constant ~ +0.7/8)
         t, n = math.exp(8.0), 300
         cfg = SimConfig(seed=6, n_paths=n, step=0.01, horizon=t)
-        vals = np.array([simulate_cauchy_modulus(3, cfg, i).clock(t) / 8.0
-                         for i in range(n)])
+        vals = tau_ensemble(CauchyModulus(3), cfg, [t])[:, 0] / 8.0
         assert abs(vals.mean() - 2.0 / math.pi) <= 0.2
