@@ -310,13 +310,16 @@ def _cmd_check_identities(args) -> list[str]:
     ]
     if model.family in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH):
         fp_cfg = dataclasses.replace(cfg, horizon=args.t_fp)
-        fp = first_passage_check(model, fp_cfg, args.theta)
-        lines += [
-            f"first_passage_lhs: {_g(fp.lhs)}",
-            f"first_passage_rhs: {_g(fp.rhs)}",
-            f"first_passage_rhs_stderr: {_g(fp.rhs_stderr)}",
-            f"first_passage_analytic_L: {_g(fp.analytic)}",
-        ]
+        thetas = args.theta or [-1.0]
+        for fp in first_passage_check(model, fp_cfg, thetas):
+            if len(thetas) > 1:
+                lines.append(f"first_passage_theta: {_g(fp.theta)}")
+            lines += [
+                f"first_passage_lhs: {_g(fp.lhs)}",
+                f"first_passage_rhs: {_g(fp.rhs)}",
+                f"first_passage_rhs_stderr: {_g(fp.rhs_stderr)}",
+                f"first_passage_analytic_L: {_g(fp.analytic)}",
+            ]
     else:
         lines.append("first_passage: skipped (needs a spectrally negative "
                      "family)")
@@ -411,7 +414,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--t", type=float, default=2.0)
     p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=-1.0)
+    p.add_argument("--theta", type=float, action="append",
+                   help="first-passage transform parameter (repeatable; "
+                        "one path ensemble serves all; default -1)")
     p.add_argument("--t-fp", type=float, default=100.0,
                    help="clock target for the first-passage left side")
     p.set_defaults(func=_cmd_check_identities)

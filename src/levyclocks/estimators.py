@@ -8,13 +8,14 @@ serialize to a line-oriented ``key: value`` header followed by a CSV row
 block (see :meth:`EstimatorReport.to_text`).
 
 All Lévy-path estimators run on :func:`~levyclocks.paths.run_paths`:
-each path is drawn as one row from its own stream, the rows are reduced
-in blocks, and only the rows that missed (a clock target above
-A(horizon), or level 1 not crossed) are drawn again at a doubled horizon
-(up to ``cfg.max_doublings`` times).  Clock ensembles take their first
-Lévy-time horizon from :func:`~levyclocks.paths.horizon_policy`; the
-prefix of a path is unchanged by an extension, so doubling is
-deterministic.
+each path is drawn as one row from its own stream and the rows are
+reduced in blocks.  The clock, first-passage and tilted estimators grow
+each row until it is served (every clock target within A, and level 1
+crossed), from half the Lévy-time horizon of
+:func:`~levyclocks.paths.horizon_policy` through its doublings (up to
+``cfg.max_doublings``); an extension appends to the path and leaves its
+prefix unchanged, so the result is that of the same path drawn on the
+first doubled horizon that serves it.
 """
 
 from __future__ import annotations
@@ -110,7 +111,9 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
     base_h = horizon_policy(mean, float(np.max(targets)))
 
     def taus(block):
-        return block.clock(block.functional(cfg.alpha), cfg.alpha, targets)
+        taus = block.clock(block.functional(cfg.alpha), cfg.alpha, targets,
+                           partial=True)[0]
+        return taus, ~np.isnan(taus)
 
     return run_paths(
         target, cfg, base_h, taus, path_offset,
@@ -342,12 +345,16 @@ class FirstPassageResult:
 
 
 def first_passage_check(model: LevyModel, cfg: SimConfig,
-                        theta: float) -> FirstPassageResult:
+                        theta: float | Sequence[float]
+                        ) -> FirstPassageResult | tuple[FirstPassageResult,
+                                                        ...]:
     """Compare the clock transform with the first-passage subordinator.
 
     ``cfg.horizon`` is read as the clock target t for the left-hand side;
     tau_hat(1) = inf{u : xi_u > 1} is read off the same path ensemble.
     Both sides are referenced against the analytic invert_L(theta).
+    Given a sequence of theta, one ensemble serves them all, and the
+    results come in the same order.
 
     Raises:
         CapabilityError: unless the family is spectrally negative
@@ -357,29 +364,41 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
     if model.family not in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH):
         raise CapabilityError("first-passage check requires a spectrally "
                               "negative family (brownian_drift, saw_tooth)")
-    if theta > 0.0:
-        raise DomainError(f"theta must be <= 0, got {theta!r}")
+    thetas = [float(th) for th in np.atleast_1d(theta)]
+    for th in thetas:
+        if th > 0.0:
+            raise DomainError(f"theta must be <= 0, got {th!r}")
     t_clock = cfg.horizon
-    analytic = invert_L(model, theta) if theta < 0.0 else 0.0
+    analytic = [invert_L(model, th) if th < 0.0 else 0.0 for th in thetas]
+    taus = hats = None
+    if any(th < 0.0 for th in thetas):
+        mean = model.mean
+        base_h = max(horizon_policy(mean, t_clock), 8.0 / mean)
+
+        def tau_and_hat(block):
+            tau = block.clock(block.functional(cfg.alpha), cfg.alpha,
+                              [t_clock])[0][:, 0]
+            values = np.column_stack((tau, block.first_passage(1.0,
+                                                               cfg.seed)))
+            return values, np.isfinite(values)
+
+        taus, hats = run_paths(
+            model, cfg, base_h, tau_and_hat,
+            miss=lambda i, h: (f"path {i} never crossed level 1 (or never "
+                               f"reached the clock target) within horizon "
+                               f"{h!r}")).T
+    results = tuple(_first_passage_result(th, t_clock, ref, taus, hats)
+                    for th, ref in zip(thetas, analytic))
+    return results[0] if np.ndim(theta) == 0 else results
+
+
+def _first_passage_result(theta: float, t_clock: float, analytic: float,
+                          taus, hats) -> FirstPassageResult:
+    """Both sides of the first-passage check at one theta, from the clock
+    values ``taus`` and crossing times ``hats`` (unused at theta = 0)."""
     if theta == 0.0:
         return FirstPassageResult(theta=0.0, t=t_clock, lhs=0.0, rhs=0.0,
                                   rhs_stderr=0.0, analytic=0.0, abs_diff=0.0)
-    mean = model.mean
-    base_h = max(horizon_policy(mean, t_clock), 8.0 / mean)
-
-    def tau_and_hat(block):
-        taus, reached = block.clock(block.functional(cfg.alpha), cfg.alpha,
-                                    [t_clock])
-        hats = block.first_passage(1.0, cfg.seed)
-        return (np.column_stack((taus[:, 0], hats)),
-                reached & ~np.isinf(hats))
-
-    out = run_paths(
-        model, cfg, base_h, tau_and_hat,
-        miss=lambda i, h: (f"path {i} never crossed level 1 (or never "
-                           f"reached the clock target) within horizon "
-                           f"{h!r}"))
-    taus, hats = out.T
     lhs = math.log(float(np.mean(np.exp(theta * taus)))) / math.log(t_clock)
     weights = np.exp(theta * hats)
     mu, se = _mean_se(weights)
@@ -448,8 +467,9 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
               else 4.0 * (1.0 + abs(math.log(max(target, 2.0)))))
 
     def value_at_clock(block):
-        u_star, reached = block.clock(block.functional(1.0), 1.0, [target])
-        return block.value_at(u_star)[:, 0], reached
+        u_star = block.clock(block.functional(1.0), 1.0, [target])[0]
+        vals = block.value_at(u_star)[:, 0]
+        return vals, ~np.isnan(vals)
 
     vals = run_paths(
         tilted, cfg, base_h, value_at_clock, path_offset=cfg.n_paths,

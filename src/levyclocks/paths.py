@@ -30,9 +30,13 @@ streams.
 Ensembles run on :func:`run_paths`: paths are drawn per row as above,
 gathered into a block of padded rows, and reduced there by operations
 that act on each row alone, so every row is bit-identical to the same
-path sampled on its own.  Only the rows that missed their target are
-drawn again, at a doubled horizon; this is the one horizon-doubling loop
-of the package.
+path sampled on its own.  A run whose rows can miss their target grows
+each row until it is served: Gaussian rows gain steps in geometric
+pieces, each drawn from the stream, ξ and A the row carries from the
+last one; jump rows gain 128-event chunks.  No row is drawn past the
+horizon ``h0 2^k`` at which the same path sampled alone would first
+serve it, so the results are those of doubling the horizon and drawing
+again; this is the one horizon ladder of the package.
 
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
@@ -82,6 +86,13 @@ _BLOCK_BUDGET = 1 << 14
 # Stream family of auxiliary draws (bridge-crossing uniforms), disjoint
 # from every path-id range a run can use.
 _AUX_STREAM = 1 << 62
+# Horizons per doubling at which a growing run reduces its rows: a row
+# grows by 2^(1/3) between reductions.
+_PER_DOUBLING = 3
+# Rows a growing run has pending at once.  A pending Gaussian row keeps its
+# generator state (about 1 kB) from one reduction to the next, so a run
+# grows its rows in waves of this many, one wave after another.
+_WAVE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -166,28 +177,26 @@ def _effective_dynamics(model: LevyModel):
 
 
 def _draw_jumps(rng: np.random.Generator, beta: float, gamma: float,
-                horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """(arrival times, magnitudes) of the jumps of one path before
-    ``horizon``.
+                until: float) -> tuple[np.ndarray, np.ndarray]:
+    """(arrival times, magnitudes) of a path's jumps, every one drawn.
 
     Draws ``_JUMP_CHUNK`` exponential gaps, then as many exponential
-    magnitudes, per chunk until the arrivals pass the horizon.  A longer
+    magnitudes, per chunk until the arrivals pass ``until``.  A longer
     horizon only appends draws, so it extends the same path.
     """
     arrivals: list[np.ndarray] = []
     sizes: list[np.ndarray] = []
     total = 0.0
-    while beta > 0.0 and total < horizon:
+    while beta > 0.0 and total < until:
         gaps = rng.exponential(scale=1.0 / beta, size=_JUMP_CHUNK)
-        mags = rng.exponential(scale=1.0 / gamma, size=_JUMP_CHUNK)
+        sizes.append(rng.exponential(scale=1.0 / gamma, size=_JUMP_CHUNK))
         arrivals.append(total + np.cumsum(gaps))
-        sizes.append(mags)
         total = float(arrivals[-1][-1])
     if not arrivals:
         return np.empty(0), np.empty(0)
-    t_all = np.concatenate(arrivals)
-    keep = t_all < horizon
-    return t_all[keep], np.concatenate(sizes)[keep]
+    if len(arrivals) == 1:
+        return arrivals[0], sizes[0]
+    return np.concatenate(arrivals), np.concatenate(sizes)
 
 
 def _philox() -> np.random.Generator:
@@ -195,61 +204,54 @@ def _philox() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=0))
 
 
-def _path_streams(rng: np.random.Generator, seed: int,
-                  ids: np.ndarray) -> Iterator[np.random.Generator]:
+def _path_streams(rng: np.random.Generator, seed: int, ids: np.ndarray,
+                  saved: list | None = None) -> Iterator[np.random.Generator]:
     """The :func:`path_rng` stream of ``(seed, i)`` for each ``i`` in
-    ``ids``, in turn.
+    ``ids``, in turn: from its start, or from the state ``saved`` holds
+    for it (``None`` for the start).
 
     ``rng`` (from :func:`_philox`) is re-keyed per path, with its counter
     and buffer reset to those of a new generator.  This gives the same
     streams without the cost of building a generator per path, so one
-    generator serves a whole ensemble.  Each stream must be used up before
-    the next is taken.
+    generator serves a whole ensemble.  Each stream must be used up, or
+    its state saved, before the next is taken.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
     state["state"]["counter"][:] = 0
     state.update(buffer_pos=len(state["buffer"]), has_uint32=0, uinteger=0)
-    for pid in ids.tolist():
-        state["state"]["key"] = np.array([seed & _MASK64, pid & _MASK64],
-                                         dtype=np.uint64)
-        bitgen.state = state
+    for row, pid in enumerate(ids.tolist()):
+        if saved is not None and saved[row] is not None:
+            bitgen.state = saved[row]
+        else:
+            state["state"]["key"] = np.array([seed & _MASK64, pid & _MASK64],
+                                             dtype=np.uint64)
+            bitgen.state = state
         yield rng
 
 
-def _sample_block(dyn, rng: np.random.Generator, seed: int, ids: np.ndarray,
-                  horizon: float, step: float) -> PathBlock:
-    """Paths ``ids`` of a run on [0, horizon], path ``i`` drawn from the
-    stream of ``(seed, i)`` (``rng`` re-keyed): ``ceil(horizon / step)``
-    standard normals for a Gaussian path, the draws of :func:`_draw_jumps`
-    for a jump path."""
-    if dyn[0] == "brownian":
-        nu = dyn[1]
-        n = max(1, math.ceil(horizon / step))
-        xi = np.zeros((len(ids), n + 1))
-        incr = xi[:, 1:]
-        for row, stream in zip(incr, _path_streams(rng, seed, ids)):
-            stream.standard_normal(out=row)
-        incr *= 2.0 * math.sqrt(step)
-        incr += 2.0 * nu * step
-        np.cumsum(incr, axis=1, out=incr)
-        times = step * np.arange(n + 1)[None]
-        return PathBlock(times=times, xi=xi, size=np.full(len(ids), n + 1),
-                         kind=GAUSSIAN, ids=ids)
-    _, drift, beta, gamma, sign = dyn
-    draws = [_draw_jumps(stream, beta, gamma, horizon)
-             for stream in _path_streams(rng, seed, ids)]
-    size = np.array([len(arrivals) + 2 for arrivals, _ in draws])
-    times = np.full((len(ids), int(size.max())), float(horizon))
-    times[:, 0] = 0.0
-    jumps = np.zeros(times.shape)
-    for row, (arrivals, mags) in enumerate(draws):
-        times[row, 1:len(arrivals) + 1] = arrivals
-        jumps[row, 1:len(arrivals) + 1] = sign * mags
-    xi = np.cumsum(jumps, axis=1)
-    xi += drift * times
-    return PathBlock(times=times, xi=xi, size=size, kind=LINEAR, drift=drift,
-                     ids=ids, jumps=jumps)
+class _Work:
+    """The generator and the scratch arrays that the blocks of one run
+    share.
+
+    :meth:`array` hands out C-contiguous views of flat arrays kept per
+    key, grown only when a larger shape is asked for.  Arrays of a
+    block's size (hundreds of kB) allocated afresh per block can be handed
+    back to the OS by malloc and page-faulted in again by the next block,
+    depending on the heap's layout; reused, they cost the same in every
+    block.  A block's arrays are overwritten by the next block of its run.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self._flat: dict[object, np.ndarray] = {}
+
+    def array(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or len(flat) < size:
+            flat = self._flat[key] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
 def sample_levy_path(model: LevyModel, cfg: SimConfig,
@@ -261,8 +263,9 @@ def sample_levy_path(model: LevyModel, cfg: SimConfig,
     path_id); enlarging ``horizon`` extends the same path.  Raises
     :class:`CapabilityError` for non-grid families.
     """
-    return _sample_block(_effective_dynamics(model), _philox(), cfg.seed,
-                         np.array([path_id]), cfg.horizon, cfg.step)
+    rows = _row_sampler(_effective_dynamics(model), cfg, path_id, 1,
+                        _Work(_philox()), grow=False)
+    return next(rows.blocks(np.array([0]), cfg.horizon, cfg.horizon))[1]
 
 
 # --------------------------------------------------------------------------
@@ -295,8 +298,21 @@ def _search_rows(a: np.ndarray, size: np.ndarray, v: np.ndarray,
                  side: str = "left") -> np.ndarray:
     """``np.searchsorted`` of each row of ``v`` in the first ``size[i]``
     entries of row ``i`` of ``a``."""
-    return np.array([np.searchsorted(row[:n], vals, side=side)
+    return np.array([row[:n].searchsorted(vals, side=side)
                      for row, n, vals in zip(a, size.tolist(), v)])
+
+
+@dataclass
+class _Carry:
+    """What the rows of a block bring from their earlier blocks in a run
+    that grows them: A of index ``alpha`` at each row's first node, and
+    each row's auxiliary stream for :meth:`PathBlock.first_passage`
+    (``None`` before its first draw, then its saved state, or ``False``
+    once the row has crossed)."""
+
+    alpha: float
+    a0: np.ndarray
+    aux: list
 
 
 @dataclass(frozen=True)
@@ -308,11 +324,17 @@ class PathBlock:
     ``times[r, i]``.  On ``linear-drift`` rows ``jumps[r, i]`` is the jump
     applied at node ``i`` (0 at node 0), so that
     ``xi[r, i+1] = xi[r, i] + drift * dt_i + jumps[r, i+1]``; Gaussian
-    blocks carry ``jumps = None``.  The rows share kind, drift and horizon.
-    Jump paths are padded to the longest row by repeating the horizon
+    blocks carry ``jumps = None``.  The rows share kind and drift.  Jump
+    paths are padded to the longest row by repeating the row's horizon
     (zero-length segments, no jumps); Gaussian rows need no padding and
-    share one time grid, stored as the single row of ``times``.  ``ids``
-    are the path ids the rows were drawn from.
+    share one time grid of spacing ``step``, stored as the single row of
+    ``times``.  ``ids`` are the path ids the rows were drawn from, with
+    the generator of ``work``.
+
+    A Gaussian block of a run that grows its rows (see :func:`run_paths`)
+    may continue them: it then starts at each row's last node so far,
+    whose A and auxiliary stream ``carry`` holds, and its values are those
+    of the rows' nodes it holds.
 
     Every array operation here is elementwise or a running sum along a
     row, and every sum or search that depends on the row length runs on
@@ -327,6 +349,15 @@ class PathBlock:
     drift: float = 0.0
     ids: np.ndarray | None = None
     jumps: np.ndarray | None = None
+    step: float | None = None
+    work: _Work | None = field(default=None, repr=False)
+    carry: _Carry | None = field(default=None, repr=False)
+    _nodes: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def _array(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        return (np.empty(shape) if self.work is None
+                else self.work.array(key, shape))
 
     def _times_at(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.times[0 if len(self.times) == 1 else rows, idx]
@@ -334,17 +365,36 @@ class PathBlock:
     def functional(self, alpha: float) -> np.ndarray:
         """Node values of A = int exp(alpha xi) per row: exact on
         linear-drift segments, trapezoidal on Gaussian ones."""
+        nodes = self._nodes.get(alpha)
+        if nodes is not None:
+            return nodes
+        if self.carry is not None and alpha != self.carry.alpha:
+            raise DomainError(f"these rows carry A of index "
+                              f"{self.carry.alpha!r}, not {alpha!r}")
         dt = self.times[:, 1:] - self.times[:, :-1]
+        w = self._array("w", (len(self.xi), self.xi.shape[1] - 1))
         if self.kind == LINEAR:
-            w = np.exp(alpha * self.xi[:, :-1])
+            np.multiply(self.xi[:, :-1], alpha, out=w)
+            np.exp(w, out=w)
             w *= dt
             w *= _expm1_ratio(alpha * self.drift * dt)
         else:
-            e = np.exp(alpha * self.xi)
-            w = e[:, :-1] + e[:, 1:]
+            e = self._array("exp", self.xi.shape)
+            np.multiply(self.xi, alpha, out=e)
+            np.exp(e, out=e)
+            np.add(e[:, :-1], e[:, 1:], out=w)
             w *= 0.5 * dt
-        nodes = np.zeros(self.xi.shape)
-        np.cumsum(w, axis=1, out=nodes[:, 1:])
+        nodes = self._array(("nodes", alpha), self.xi.shape)
+        if self.carry is None:
+            nodes[:, 0] = 0.0
+            np.cumsum(w, axis=1, out=nodes[:, 1:])
+        else:
+            # the running sum goes on from A at the first node, as it does
+            # along the whole row
+            nodes[:, 0] = self.carry.a0
+            nodes[:, 1:] = w
+            np.cumsum(nodes, axis=1, out=nodes)
+        self._nodes[alpha] = nodes
         return nodes
 
     def totals(self, nodes: np.ndarray) -> np.ndarray:
@@ -354,30 +404,37 @@ class PathBlock:
     def log_totals(self, alpha: float) -> np.ndarray:
         """log A(horizon) per row, computed in log space (overflow-safe)."""
         dt = self.times[:, 1:] - self.times[:, :-1]
+        logw = self._array("logw", (len(self.xi), dt.shape[1]))
         if self.kind == LINEAR:
             seg = np.arange(dt.shape[1]) < (self.size - 1)[:, None]
-            logw = np.full(dt.shape, -np.inf)
+            logw.fill(-np.inf)
             d = dt[seg]
             logw[seg] = (alpha * self.xi[:, :-1][seg]
                          + _log_segment(d, alpha * self.drift * d))
         else:
-            z = alpha * self.xi
-            logw = np.log(0.5 * dt) + np.logaddexp(z[:, :-1], z[:, 1:])
+            z = self._array("exp", self.xi.shape)
+            np.multiply(self.xi, alpha, out=z)
+            np.logaddexp(z[:, :-1], z[:, 1:], out=logw)
+            logw += np.log(0.5 * dt)
         peak = np.max(logw, axis=1)
-        scaled = np.exp(logw - peak[:, None])
+        logw -= peak[:, None]
+        scaled = np.exp(logw, out=logw)
         return np.array([p + math.log(float(np.sum(row[:n - 1])))
                          for p, row, n in zip(peak.tolist(), scaled,
                                               self.size.tolist())])
 
-    def clock(self, nodes: np.ndarray, alpha: float,
-              targets) -> tuple[np.ndarray, np.ndarray]:
+    def clock(self, nodes: np.ndarray, alpha: float, targets,
+              partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """tau(t) = inf{u : A(u) >= t} per row, and the rows it exists on.
 
         ``targets`` holds one set of clock targets for all rows, or one row
-        of targets per path.  Returns ``(taus, reached)``: ``reached[r]`` is
-        false where some target exceeds A(horizon), and that row of
-        ``taus`` is NaN.  The inversion is exact per segment, so that
-        ``A(tau(t)) = t`` to machine precision.
+        of targets per path.  Returns ``(taus, reached)``: ``reached[r]``
+        is false where some target exceeds A(horizon), and that row of
+        ``taus`` is NaN; with ``partial``, only the targets beyond
+        A(horizon) read NaN (and, on a block that continues its rows, those
+        below A at their first node, which an earlier block found).  The
+        inversion is exact per segment, so that ``A(tau(t)) = t`` to
+        machine precision.
 
         Raises:
             DomainError: for negative targets.
@@ -393,12 +450,12 @@ class PathBlock:
             raise RescalingError(
                 "exponential functional overflowed double precision; reduce "
                 "the clock target or use the log-domain estimators")
-        reached = ~(t > cap[:, None]).any(axis=1)
+        found = (t <= cap[:, None]) & (t >= nodes[:, :1])
         idx = np.minimum(np.maximum(_search_rows(nodes, self.size, t) - 1, 0),
                          (self.size - 2)[:, None])
-        # invert on the rows that reached every target only
-        r = np.flatnonzero(reached)
-        rows, idx, t = r[:, None], idx[r], t[r]
+        # invert where the target is found only
+        rows, cols = np.nonzero(found)
+        idx, t = idx[rows, cols], t[rows, cols]
         base = self._times_at(rows, idx)
         rem = t - nodes[rows, idx]
         if self.kind == LINEAR:
@@ -408,8 +465,11 @@ class PathBlock:
         else:
             w = nodes[rows, idx + 1] - nodes[rows, idx]
             du = (self._times_at(rows, idx + 1) - base) * rem / w
-        taus = np.full(reached.shape + t.shape[1:], np.nan)
-        taus[r] = base + du
+        taus = np.full(found.shape, np.nan)
+        taus[rows, cols] = base + du
+        reached = found.all(axis=1)
+        if not partial:
+            taus[~reached] = np.nan
         return taus, reached
 
     def value_at(self, u: np.ndarray) -> np.ndarray:
@@ -437,8 +497,12 @@ class PathBlock:
         crossed by the bridge of xi = 2B + drift (variance 4 per unit time)
         with probability exp(-(b - x0)(b - x1) / (2 h)), decided by one
         uniform per step from the path's auxiliary stream
-        ``path_rng(seed, _AUX_STREAM + id)``; a crossing inside a step is
-        assigned to its midpoint (O(step) bias).
+        ``path_rng(seed, _AUX_STREAM + id)``, drawn with the block's
+        generator up to the row's first step that ends at or above
+        ``level``; a crossing inside a step is assigned to its midpoint
+        (O(step) bias).  On a block that continues its rows, the uniforms
+        go on from where the row's earlier blocks left its stream, and a
+        row that crossed in one of them reads NaN.
         """
         x0, x1 = self.xi[:, :-1], self.xi[:, 1:]
         rows = np.arange(len(x0))
@@ -448,27 +512,211 @@ class PathBlock:
             crossed = (x0 < level) & (reach <= np.diff(self.times, axis=1))
             first = np.argmax(crossed, axis=1)
             hat = self.times[rows, first] + reach[rows, first]
-        else:
-            grid = self.times[0]
-            h = grid[1] - grid[0]
-            below = (x0 < level) & (x1 < level)
-            p = np.where(below,
-                         np.exp(-np.maximum(level - x0, 0.0)
-                                * np.maximum(level - x1, 0.0) / (2.0 * h)),
-                         1.0)
-            u = np.empty(p.shape)
-            aux = _path_streams(_philox(), seed, _AUX_STREAM + self.ids)
-            for row, stream in zip(u, aux):
-                stream.random(out=row)
-            crossed = (x1 >= level) | (u < p)
-            first = np.argmax(crossed, axis=1)
-            a, b = x0[rows, first], x1[rows, first]
-            up = b >= level
-            frac = np.ones(len(rows))
-            rising = up & (b > a)
-            frac[rising] = (level - a[rising]) / (b[rising] - a[rising])
-            hat = np.where(up, grid[first] + frac * h, grid[first] + 0.5 * h)
-        return np.where(np.any(crossed, axis=1), hat, np.inf)
+            return np.where(np.any(crossed, axis=1), hat, np.inf)
+        grid = self.times[0]
+        h = grid[1] - grid[0] if self.step is None else self.step
+        aux = [None] * len(rows) if self.carry is None else self.carry.aux
+        live = np.array([a is not False for a in aux])
+        sure = x1 >= level
+        # uniforms per row: up to its first sure crossing, none once crossed
+        need = np.where(sure.any(axis=1), np.argmax(sure, axis=1),
+                        sure.shape[1]) * live
+        cols = min(int(need.max()) + 1, sure.shape[1])
+        a, b = x0[:, :cols], x1[:, :cols]
+        p = np.where((a < level) & (b < level),
+                     np.exp(-np.maximum(level - a, 0.0)
+                            * np.maximum(level - b, 0.0) / (2.0 * h)),
+                     1.0)
+        u = np.ones(p.shape)        # 1 is never below p: no draw there
+        rng = _philox() if self.work is None else self.work.rng
+        live_rows = np.flatnonzero(live)
+        streams = _path_streams(rng, seed, _AUX_STREAM + self.ids[live_rows],
+                                [aux[r] for r in live_rows])
+        for r, stream in zip(live_rows.tolist(), streams):
+            n = need[r]
+            stream.random(out=u[r, :n])
+            if self.carry is not None:
+                # a row that has not crossed keeps its stream for the next
+                # block
+                still = n == sure.shape[1] and not (u[r, :n] < p[r, :n]).any()
+                aux[r] = stream.bit_generator.state if still else False
+        crossed = sure[:, :cols] | (u < p)
+        first = np.argmax(crossed, axis=1)
+        a, b = a[rows, first], b[rows, first]
+        up = b >= level
+        frac = np.ones(len(rows))
+        rising = up & (b > a)
+        frac[rising] = (level - a[rising]) / (b[rising] - a[rising])
+        hat = np.where(up, grid[first] + frac * h, grid[first] + 0.5 * h)
+        hat = np.where(np.any(crossed, axis=1), hat, np.inf)
+        return np.where(live, hat, np.nan)
+
+
+def _schedule(h0: float, doublings: int) -> list[tuple[float, float]]:
+    """(horizon, rung) of each reduction of a growing run.
+
+    The horizons are h0 2^(j/3 - 1), ``_PER_DOUBLING`` per doubling, from
+    h0/2, near the centre of the clock's law, up to the last rung
+    h0 2^doublings; the rung of each is the horizon h0 2^k of the ladder
+    at or above it, and every rung is one of the horizons.
+    """
+    k = _PER_DOUBLING
+    return [(h0 * 2.0 ** ((j - k) / k), h0 * 2.0 ** max(0, -((k - j) // k)))
+            for j in range(k * (doublings + 1) + 1)]
+
+
+class _GaussianRows:
+    """The Gaussian rows of a run, drawn in pieces.
+
+    A row's first piece starts at node 0; each later one starts at the
+    row's last node, with the ξ, the A (of index ``cfg.alpha``), the
+    generator state and the auxiliary stream the row carries from the
+    piece before, and appends the steps up to the next horizon.  Normals
+    drawn in pieces equal one draw, and ξ and A are running sums continued
+    from the carried node, so each node is the one the whole row has.
+    """
+
+    def __init__(self, dyn, cfg: SimConfig, offset: int, n_rows: int,
+                 work: _Work, grow: bool) -> None:
+        self.nu, self.cfg, self.offset, self.work = dyn[1], cfg, offset, work
+        self.grow = grow
+        self.n = 0                  # steps drawn on every pending row
+        self.xi = np.zeros(n_rows)
+        self.a = np.zeros(n_rows)
+        # generator state and auxiliary stream of each pending row
+        self.carried: dict[int, tuple] = {}
+
+    def blocks(self, rows: np.ndarray, horizon: float, rung: float):
+        n = max(1, math.ceil(horizon / self.cfg.step))
+        if n == self.n:
+            return
+        per_block = max(1, _BLOCK_BUDGET // (n - self.n + 1))
+        for lo in range(0, len(rows), per_block):
+            sub = rows[lo:lo + per_block]
+            yield sub, self._piece(sub, n)
+        self.n = n
+
+    def _piece(self, rows: np.ndarray, n: int) -> PathBlock:
+        step, n0 = self.cfg.step, self.n
+        ids = self.offset + rows
+        xi = self.work.array("xi", (len(rows), n - n0 + 1))
+        incr = xi[:, 1:]
+        saved = [self.carried[r][0] for r in rows.tolist()] if n0 else None
+        streams = _path_streams(self.work.rng, self.cfg.seed, ids, saved)
+        self.states = []            # of this piece's rows, for keep()
+        for row, stream in zip(incr, streams):
+            stream.standard_normal(out=row)
+            if self.grow:
+                self.states.append(stream.bit_generator.state)
+        incr *= 2.0 * math.sqrt(step)
+        incr += 2.0 * self.nu * step
+        xi[:, 0] = self.xi[rows] if n0 else 0.0
+        np.cumsum(xi, axis=1, out=xi)
+        carry = None
+        if self.grow:
+            a0 = self.a[rows] if n0 else np.zeros(len(rows))
+            aux = ([self.carried[r][1] for r in rows.tolist()] if n0
+                   else [None] * len(rows))
+            carry = _Carry(self.cfg.alpha, a0, aux)
+        return PathBlock(times=step * np.arange(n0, n + 1)[None], xi=xi,
+                         size=np.full(len(rows), n - n0 + 1), kind=GAUSSIAN,
+                         ids=ids, step=step, work=self.work, carry=carry)
+
+    def keep(self, rows: np.ndarray, block: PathBlock,
+             left: np.ndarray) -> None:
+        """Carry the last node of the block's rows (the run's ``rows``)
+        where ``left`` to their next piece, and drop what the others
+        carried."""
+        if not self.grow:
+            return
+        for r, state, aux, pending in zip(rows.tolist(), self.states,
+                                          block.carry.aux, left.tolist()):
+            if pending:
+                self.carried[r] = state, aux
+            else:
+                self.carried.pop(r, None)
+        if left.any():
+            self.xi[rows[left]] = block.xi[left, -1]
+            self.a[rows[left]] = block.functional(self.cfg.alpha)[left, -1]
+
+
+class _JumpRows:
+    """The compound-Poisson rows of a run.
+
+    A row is drawn in chunks of ``_JUMP_CHUNK`` events until they pass the
+    horizon, and reduced on everything they cover up to the rung,
+    [0, min(last arrival, rung)].  A pending row is reduced again once
+    that interval grows, on its chunks drawn again from the start of its
+    stream, and more where the horizon has passed them.  A jump row holds
+    tens of events: drawing them again costs about what moving its stream
+    past them to append a chunk would, and keeping them for every row of a
+    block would cost more memory than the block.
+    """
+
+    def __init__(self, dyn, cfg: SimConfig, offset: int, n_rows: int,
+                 work: _Work, grow: bool) -> None:
+        _, self.drift, self.beta, self.gamma, self.sign = dyn
+        self.cfg, self.offset, self.work = cfg, offset, work
+        self.reach = np.zeros(n_rows)           # last arrival drawn
+        self.end = np.zeros(n_rows)             # horizon of the last block
+
+    def blocks(self, rows: np.ndarray, horizon: float, rung: float):
+        # rows are padded to the most jumps in the block: the Poisson mean
+        # plus four standard deviations
+        events = self.beta * rung
+        width = math.ceil(events + 4.0 * math.sqrt(events)) + 2
+        per_block = max(1, _BLOCK_BUDGET // width)
+        for lo in range(0, len(rows), per_block):
+            sub = rows[lo:lo + per_block]
+            reach = self.reach[sub]
+            sub = sub[(reach < horizon)
+                      | (np.minimum(reach, rung) > self.end[sub])]
+            if len(sub):
+                yield sub, self._block(sub, horizon, rung)
+
+    def _block(self, rows: np.ndarray, horizon: float,
+               rung: float) -> PathBlock:
+        """Rows ``rows`` drawn past ``horizon`` (and past what they drew
+        before), each on [0, min(last arrival, rung)]."""
+        draws = []
+        until = np.maximum(self.reach[rows], horizon).tolist()
+        streams = _path_streams(self.work.rng, self.cfg.seed,
+                                self.offset + rows)
+        for u, stream in zip(until, streams):
+            arrivals, sizes = _draw_jumps(stream, self.beta, self.gamma, u)
+            reach = arrivals[-1] if len(arrivals) else math.inf
+            m = int(arrivals.searchsorted(min(reach, rung)))
+            draws.append((reach, arrivals[:m].copy(), sizes[:m].copy()))
+        self.reach[rows] = [reach for reach, _, _ in draws]
+        end = np.minimum(self.reach[rows], rung)
+        self.end[rows] = end
+        size = np.array([len(arrivals) for _, arrivals, _ in draws]) + 2
+        shape = (len(rows), int(size.max()))
+        times = self.work.array("times", shape)
+        times[:] = end[:, None]
+        times[:, 0] = 0.0
+        jumps = self.work.array("jumps", shape)
+        jumps.fill(0.0)
+        for t_row, j_row, (_, arrivals, mags) in zip(times, jumps, draws):
+            m = len(arrivals)
+            t_row[1:m + 1] = arrivals
+            j_row[1:m + 1] = self.sign * mags
+        xi = np.cumsum(jumps, axis=1, out=self.work.array("xi", shape))
+        xi += self.drift * times
+        return PathBlock(times=times, xi=xi, size=size, kind=LINEAR,
+                         drift=self.drift, ids=self.offset + rows,
+                         jumps=jumps, work=self.work)
+
+    def keep(self, rows: np.ndarray, block: PathBlock,
+             left: np.ndarray) -> None:
+        """Nothing: a jump row carries only how far it was drawn."""
+
+
+def _row_sampler(dyn, cfg: SimConfig, offset: int, n_rows: int, work: _Work,
+                 grow: bool):
+    """The sampler of rows ``0 .. n_rows - 1``, paths ``offset + row``."""
+    kind = _GaussianRows if dyn[0] == "brownian" else _JumpRows
+    return kind(dyn, cfg, offset, n_rows, work, grow)
 
 
 def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
@@ -479,47 +727,70 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     ``i < cfg.n_paths``, sampled in blocks of rows.
 
     ``reduce(block)`` returns the block's per-row values (a leading row
-    axis) and a mask, or ``True``, of the rows it served.  The other rows
-    fell short of their target on [0, h]: they alone are drawn again at
-    2h, which extends the same paths, up to ``cfg.max_doublings`` times.
-    Row ``i`` of the result holds path ``path_offset + i``.  ``miss`` is
-    needed only when ``reduce`` can leave rows unserved.
+    axis) and a mask of the values it found, or ``True`` for all of them.
+    Without ``miss`` every row is drawn on [0, horizon] and must be served
+    there.
+
+    With ``miss`` a row can fall short of its target: the run then grows
+    it until ``reduce`` has found all its values.  Rows start at
+    ``horizon / 2`` and grow by 2^(1/3) per reduction through every rung
+    ``horizon * 2^k`` of the ladder, ``k <= cfg.max_doublings``.  Gaussian
+    rows are reduced on their new piece only (see :class:`PathBlock`), so
+    ``reduce`` must find each value where the path first determines it,
+    and mark found nothing it cannot compute from the block; a value once
+    found is kept.  Jump rows are reduced on the whole path again.  A row
+    is served on the shortest prefix that serves it, so its values are
+    those of the same path drawn on the rung that first serves it, and no
+    row is drawn past that rung.
+
+    Row ``i`` of the result holds path ``path_offset + i``.  A growing run
+    takes its rows in waves of ``_WAVE``, each grown until it is served
+    before the next is drawn.
 
     Raises:
         HorizonExceededError: with message ``miss(i, h)`` for the first
-            row ``i`` still unserved at the last horizon ``h``.
+            row ``i`` still unserved at the last rung ``h``.
     """
-    dyn = _effective_dynamics(model)
-    rng = _philox()
-    pending = np.arange(cfg.n_paths)
-    out = None
-    h = horizon
-    for _ in range(cfg.max_doublings + 1):
-        if dyn[0] == "brownian":
-            width = math.ceil(h / cfg.step) + 1
+    grow = miss is not None
+    dyn, work = _effective_dynamics(model), _Work(_philox())
+    schedule = (_schedule(horizon, cfg.max_doublings) if grow
+                else [(horizon, horizon)])
+    out = done = None
+    wave = _WAVE if grow else cfg.n_paths
+    for lo in range(0, cfg.n_paths, wave):
+        n_rows = min(wave, cfg.n_paths - lo)
+        rows_of = _row_sampler(dyn, cfg, path_offset + lo, n_rows, work, grow)
+        pending = np.arange(n_rows)
+        unserved = np.ones(n_rows, dtype=bool)
+        for h, rung in schedule:
+            for rows, block in rows_of.blocks(pending, h, rung):
+                values, found = reduce(block)
+                if out is None:
+                    out = np.empty((cfg.n_paths,) + values.shape[1:])
+                    done = np.zeros(out.shape, dtype=bool)
+                if found is True:
+                    found = np.ones(values.shape, dtype=bool)
+                elif np.shape(found) != values.shape:
+                    raise ValueError("reduce must mark the values it found")
+                at = lo + rows
+                take = found & ~done[at]
+                part = out[at]
+                part[take] = values[take]
+                out[at] = part
+                done[at] |= found
+                whole = done[at].reshape(len(rows), -1).all(axis=1)
+                unserved[rows[whole]] = False
+                rows_of.keep(rows, block, ~whole)
+            pending = np.flatnonzero(unserved)
+            if not len(pending):
+                break
         else:
-            # rows are padded to the most jumps in the block: the Poisson
-            # mean plus four standard deviations
-            events = dyn[2] * h
-            width = math.ceil(events + 4.0 * math.sqrt(events)) + 2
-        per_block = max(1, _BLOCK_BUDGET // width)
-        missed = []
-        for lo in range(0, len(pending), per_block):
-            rows = pending[lo:lo + per_block]
-            block = _sample_block(dyn, rng, cfg.seed, path_offset + rows, h,
-                                  cfg.step)
-            values, served = reduce(block)
-            if served is True:
-                served = np.ones(len(rows), dtype=bool)
-            if out is None:
-                out = np.empty((cfg.n_paths,) + values.shape[1:])
-            out[rows[served]] = values[served]
-            missed.append(rows[~served])
-        pending = np.concatenate(missed)
-        if not len(pending):
-            return out
-        h *= 2.0
-    raise HorizonExceededError(miss(int(pending[0]), h / 2.0))
+            if miss is None:
+                raise ValueError("reduce left rows unserved on a fixed "
+                                 "horizon")
+            raise HorizonExceededError(miss(lo + int(pending[0]),
+                                            schedule[-1][1]))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -672,9 +943,10 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
 def horizon_policy(mean: float, t_max: float) -> float:
     """Default Lévy-time horizon for clock targets up to ``t_max``.
 
-    Sized from tau(t) ~= log(t)/psi'(0) with a factor-2 margin;
-    :func:`run_paths` doubles it (up to ``max_doublings``) for the paths
-    that miss.
+    Twice the centre log(t_max)/psi'(0) of the clock's law, and at least
+    4: the first rung of the ladder of :func:`run_paths`, which starts each
+    row at half of it and grows the rows that miss, up to ``max_doublings``
+    doublings of it.
     """
     if t_max <= 1.0:
         return 4.0

@@ -394,6 +394,25 @@ def ref_first_passage_check(model, cfg, theta: float):
     return lhs, math.log(mu), se / mu
 
 
+def ref_first_passage_times(model, cfg, level: float,
+                            base_h: float) -> np.ndarray:
+    """First passage of ``level`` by paths 0 .. n_paths - 1, each drawn
+    again at a doubled horizon until it crosses."""
+    hats = np.empty(cfg.n_paths)
+    for i in range(cfg.n_paths):
+        h = base_h
+        for _ in range(cfg.max_doublings + 1):
+            p = ref_path(model, cfg.seed, i, h, cfg.step)
+            hats[i] = ref_first_passage(p, level,
+                                        path_rng(cfg.seed, AUX_STREAM + i))
+            if not math.isinf(hats[i]):
+                break
+            h *= 2.0
+        else:
+            raise HorizonExceededError(f"path {i} missed")
+    return hats
+
+
 def ref_tilted_identity_check(model, m: float, t: float, a: float, cfg):
     """(lhs, lhs_stderr, rhs, rhs_stderr) of tilted_identity_check."""
     target = t / a

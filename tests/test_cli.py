@@ -175,6 +175,23 @@ class TestStochasticCommands:
                          if line.startswith("fundamental_relation")))
         assert err <= 1e-12
 
+    def test_check_identities_two_thetas(self, capsys):
+        # one ensemble serves both: each group equals the run with that
+        # theta alone
+        argv = ["check-identities", "--family", "brownian", "--nu", "1",
+                "--paths", "60", "--step", "0.02", "--seed", "5",
+                "--t-fp", "50"]
+        code, out, _ = invoke(capsys, [*argv, "--theta", "-0.5",
+                                       "--theta", "-1"])
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("first_passage_theta: -0.5")
+        assert lines[start + 5] == "first_passage_theta: -1"
+        for theta, at in (("-0.5", start), ("-1", start + 5)):
+            code, one, _ = invoke(capsys, [*argv, "--theta", theta])
+            assert code == 0
+            assert one.splitlines() == lines[:start] + lines[at + 1:at + 5]
+
     def test_check_identities_other_index(self, capsys):
         code, out, _ = invoke(capsys, [
             "check-identities", "--family", "brownian", "--nu", "1",

@@ -1,8 +1,9 @@
 """The blocked path engines against the one-path-at-a-time reference.
 
-Every estimator that samples Lévy paths runs on ``paths.run_paths``; the
-loops in ``oracles`` compute the same quantities one path at a time with
-1-D arrays and their own horizon-doubling retry.  The Cauchy modulus runs
+Every estimator that samples Lévy paths runs on ``paths.run_paths``, which
+grows each row until it is served; the loops in ``oracles`` compute the
+same quantities one path at a time with 1-D arrays, drawing each path
+again at a doubled horizon until it is served.  The Cauchy modulus runs
 on coordinate-major rows from one re-keyed generator; its oracle builds a
 generator per path and works in the (nodes, d) layout.  Each pair must
 agree bit for bit, whatever the block size.
@@ -18,6 +19,7 @@ from levyclocks import (
     CauchyModulus,
     DomainError,
     HorizonExceededError,
+    RescalingError,
     SimConfig,
     brownian_drift,
     cp_minus_drift,
@@ -123,6 +125,167 @@ def test_max_doublings_zero_raises(short_horizon, name, model, step):
     with pytest.raises(HorizonExceededError) as want:
         oracles.ref_tau_ensemble(model, cfg, TARGETS, path_offset=3)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name,model,step", MODELS[:4], ids=IDS[:4])
+def test_waves(short_horizon, monkeypatch, name, model, step):
+    # a growing run takes its rows in waves: seven rows at a time here
+    monkeypatch.setattr(paths, "_WAVE", 7)
+    cfg = SimConfig(seed=4, n_paths=25, step=step)
+    want = oracles.ref_tau_ensemble(model, cfg, TARGETS, path_offset=3)[0]
+    assert np.array_equal(tau_ensemble(model, cfg, TARGETS, path_offset=3),
+                          want)
+    cfg = SimConfig(seed=4, n_paths=25, step=step, max_doublings=1)
+    with pytest.raises(HorizonExceededError) as got:
+        tau_ensemble(model, cfg, TARGETS, path_offset=3)
+    with pytest.raises(HorizonExceededError) as want:
+        oracles.ref_tau_ensemble(model, cfg, TARGETS, path_offset=3)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name,model,step", MODELS[:4], ids=IDS[:4])
+def test_max_doublings_two_raises(short_horizon, name, model, step):
+    # the last rung is 4 x 0.25: every path misses it
+    cfg = SimConfig(seed=4, n_paths=10, step=step, max_doublings=2)
+    with pytest.raises(HorizonExceededError) as got:
+        tau_ensemble(model, cfg, TARGETS, path_offset=3)
+    with pytest.raises(HorizonExceededError) as want:
+        oracles.ref_tau_ensemble(model, cfg, TARGETS, path_offset=3)
+    assert str(got.value) == str(want.value)
+
+
+# jump rows that need many 128-event chunks: a high jump rate and a clock
+# target a slow drift reaches only after about 5 and 10 chunks
+MANY_CHUNKS = [
+    ("cp_minus", cp_minus_drift(100.0, 50.0)),
+    ("saw_tooth", saw_tooth(60.0, 90.0)),
+]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 14])
+@pytest.mark.parametrize("model", [m for _, m in MANY_CHUNKS],
+                         ids=[n for n, _ in MANY_CHUNKS])
+def test_jump_rows_over_many_chunks(short_horizon, monkeypatch, budget,
+                                    model):
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    cfg = SimConfig(seed=6, n_paths=12, step=0.01)
+    got = tau_ensemble(model, cfg, TARGETS)
+    want, doublings = oracles.ref_tau_ensemble(model, cfg, TARGETS)
+    assert np.max(doublings) >= 4
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", [1, 300, 1 << 14])
+@pytest.mark.parametrize("model,step,n_paths", [
+    (brownian_drift(1.0), 0.01, 30),
+    (saw_tooth(1.0, 3.0), 0.01, 60),
+], ids=["brownian", "saw_tooth"])
+def test_first_passage_check_extended(short_horizon, monkeypatch, budget,
+                                      model, step, n_paths):
+    # one ensemble for two theta
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    cfg = SimConfig(seed=7, n_paths=n_paths, step=step, horizon=50.0)
+    for fp, theta in zip(first_passage_check(model, cfg, (-0.5, -1.0)),
+                         (-0.5, -1.0)):
+        assert fp.theta == theta
+        assert (fp.lhs, fp.rhs, fp.rhs_stderr) == \
+            oracles.ref_first_passage_check(model, cfg, theta)
+
+
+@pytest.mark.parametrize("budget", [1, 300, 1 << 14])
+@pytest.mark.parametrize("model,m,step,n_paths", [
+    (brownian_drift(1.0), 1.0, 0.01, 30),
+    (saw_tooth(1.0, 3.0), 0.5, 0.01, 60),
+], ids=["brownian", "saw_tooth"])
+def test_tilted_identity_check_extended(short_horizon, monkeypatch, budget,
+                                        model, m, step, n_paths):
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    cfg = SimConfig(seed=13, n_paths=n_paths, step=step)
+    r = tilted_identity_check(model, m, 20.0, 1.0, cfg)
+    assert (r.lhs, r.lhs_stderr, r.rhs, r.rhs_stderr) == \
+        oracles.ref_tilted_identity_check(model, m, 20.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 14])
+def test_first_passage_times_extended(monkeypatch, budget):
+    # every row's crossing time, on rows grown in pieces: the uniforms of
+    # a row that has not crossed go on in its next piece
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    model, level = brownian_drift(0.2), 3.0
+    cfg = SimConfig(seed=2, n_paths=40, step=0.01)
+
+    def hats(block):
+        hat = block.first_passage(level, cfg.seed)
+        return hat, np.isfinite(hat)
+
+    got = paths.run_paths(model, cfg, 1.0, hats,
+                          miss=lambda i, h: f"path {i} missed")
+    want = oracles.ref_first_passage_times(model, cfg, level, 1.0)
+    assert np.array_equal(got, want)
+
+
+class CountingGenerator(np.random.Generator):
+    """Counts the standard normals and the uniforms drawn through it."""
+
+    drawn = uniforms = 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = super().standard_normal(*args, **kwargs)
+        CountingGenerator.drawn += np.size(out)
+        return out
+
+    def random(self, *args, **kwargs):
+        out = super().random(*args, **kwargs)
+        CountingGenerator.uniforms += np.size(out)
+        return out
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    monkeypatch.setattr(paths, "_philox", lambda: CountingGenerator(
+        np.random.Philox(key=0)))
+    CountingGenerator.drawn = CountingGenerator.uniforms = 0
+
+
+def test_draws_about_what_rows_need(counting):
+    # each row is drawn to within a factor 2^(1/3) of its serving point
+    # (and to at least half the first horizon)
+    step = 0.005
+    cfg = SimConfig(seed=12, n_paths=200, step=step)
+    taus = tau_ensemble(brownian_drift(1.0), cfg, [math.e ** 8, math.e ** 14])
+    needed = np.sum(np.floor(taus[:, -1] / step) + 1)
+    assert CountingGenerator.drawn <= 1.3 * needed
+
+
+def test_uniforms_up_to_the_first_sure_crossing(counting):
+    # bridge-crossing uniforms are drawn only for the steps before a row's
+    # path first ends a step at or above level 1
+    model, step = brownian_drift(1.0), 0.01
+    cfg = SimConfig(seed=3, n_paths=100, step=step, horizon=50.0)
+    first_passage_check(model, cfg, -1.0)
+    sure = [np.argmax(oracles.ref_path(model, cfg.seed, i, 20.0, step).xi
+                      >= 1.0) - 1 for i in range(cfg.n_paths)]
+    assert 0 < CountingGenerator.uniforms <= sum(sure)
+
+
+def test_rescaling_error_per_row():
+    # drift 240 per unit time: A overflows past xi ~ 709.8, at time ~ 3
+    model = brownian_drift(120.0)
+    # the target is reached at once; the first horizon, 4, overflows, so
+    # drawing every row to it raised for the whole block, while each row
+    # now stops at the first horizon that serves it (2)
+    cfg = SimConfig(seed=1, n_paths=4, step=0.01)
+    with pytest.raises(RescalingError):
+        oracles.ref_tau_ensemble(model, cfg, [10.0])
+    got = tau_ensemble(model, cfg, [10.0])
+    for i in range(4):
+        p = oracles.ref_path(model, cfg.seed, i, 2.0, cfg.step)
+        want = oracles.ref_clock(p, oracles.ref_nodes(p, 1.0), 1.0, [10.0])
+        assert np.array_equal(got[i], want)
+    # a row whose A overflows before it reaches the target still raises
+    cfg = SimConfig(seed=1, n_paths=4, step=1.0)
+    with np.errstate(over="ignore"), pytest.raises(RescalingError):
+        tau_ensemble(model, cfg, [1e250])
 
 
 @pytest.mark.parametrize("n_paths", [1, 3, 5])
