@@ -29,11 +29,12 @@ def main():
 
     print("== one saw-tooth path and its clock")
     path = sample_levy_path(saw_tooth(1.0, 3.0), cfg, 0)   # a one-row block
-    nodes = path.functional(1.0)
     print(f"   {path.size[0] - 2} jumps on [0, {cfg.horizon:g}], "
-          f"A(horizon) = {path.totals(nodes)[0]:.4g}")
+          f"A(horizon) = {path.totals(1.0)[0]:.4g}")
+    # the clock of index 1 at each target; NaN where a target lies above
+    # A(horizon), and reached[0] false
     ts = np.array([1.0, 10.0, 100.0])
-    taus, reached = path.clock(nodes, 1.0, ts)
+    taus, reached = path.clock(1.0, ts)
     assert reached[0], "a clock target lies above A(horizon)"
     for t, tau in zip(ts, taus[0]):
         print(f"   tau({t:g}) = {tau:.4f}   (pathwise bound: >= log t = "
@@ -42,11 +43,11 @@ def main():
     print("\n== Lamperti: the same path as a self-similar process from a = 2")
     # X = a exp(xi) at the times a^alpha A, with clock T(t) = tau(t a^-alpha)
     a, t = 2.0, 8.0
-    x_times, x_values = a * nodes[0], a * np.exp(path.xi[0])
+    x_times, x_values = a * path.functional(1.0)[0], a * np.exp(path.xi[0])
     print(f"   X goes from {x_values[0]:g} to {x_values[-1]:.4g} over "
           f"[0, {x_times[-1]:.4g}]")
-    big_t = path.clock(nodes, 1.0, [t * a * a ** -1.0])[0][0, 0]
-    tau_t = path.clock(nodes, 1.0, [t])[0][0, 0]
+    big_t = path.clock(1.0, [t * a * a ** -1.0])[0][0, 0]
+    tau_t = path.clock(1.0, [t])[0][0, 0]
     print(f"   T(t a) = {big_t:.6f} equals tau(t) = {tau_t:.6f} "
           f"(fundamental relation)")
 

@@ -9,13 +9,14 @@ block (see :meth:`EstimatorReport.to_text`).
 
 All Lévy-path estimators run on :func:`~levyclocks.paths.run_paths`:
 each path is drawn as one row from its own stream and the rows are
-reduced in blocks.  The clock, first-passage and tilted estimators grow
-each row until it is served (every clock target within A, and level 1
-crossed), from half the Lévy-time horizon of
-:func:`~levyclocks.paths.horizon_policy` through its doublings (up to
-``cfg.max_doublings``); an extension appends to the path and leaves its
-prefix unchanged, so the result is that of the same path drawn on the
-first doubled horizon that serves it.
+reduced in blocks by reducers that return the rows' values only.  The
+clock, first-passage and tilted estimators grow each row until all its
+values are finite: the clock reads NaN at a target beyond A and a
+crossing time is inf until level 1 is crossed.  Rows grow from half the
+Lévy-time horizon of :func:`~levyclocks.paths.horizon_policy` through
+its doublings (up to ``cfg.max_doublings``); an extension appends to the
+path and leaves its prefix unchanged, so the result is that of the same
+path drawn on the first doubled horizon that serves it.
 """
 
 from __future__ import annotations
@@ -110,13 +111,9 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
     mean = target.mean
     base_h = horizon_policy(mean, float(np.max(targets)))
 
-    def taus(block):
-        taus = block.clock(block.functional(cfg.alpha), cfg.alpha, targets,
-                           partial=True)[0]
-        return taus, ~np.isnan(taus)
-
     return run_paths(
-        target, cfg, base_h, taus, path_offset,
+        target, cfg, base_h, lambda block: block.clock(cfg.alpha, targets)[0],
+        path_offset,
         miss=lambda i, h: (f"path {path_offset + i} cannot reach clock "
                            f"target {float(np.max(targets))!r} within "
                            f"horizon {h!r} after {cfg.max_doublings} "
@@ -322,7 +319,7 @@ def estimate_logA_rate(model: LevyModel, cfg: SimConfig,
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t!r}")
     vals = run_paths(model, cfg, t,
-                     lambda block: (block.log_totals(cfg.alpha) / t, True))
+                     lambda block: block.log_totals(cfg.alpha) / t)
     mean, se = _mean_se(vals)
     ref = cfg.alpha * model.mean
     row = EstimateRow(t=t, estimate=mean, stderr=se, reference=ref)
@@ -376,11 +373,8 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
         base_h = max(horizon_policy(mean, t_clock), 8.0 / mean)
 
         def tau_and_hat(block):
-            tau = block.clock(block.functional(cfg.alpha), cfg.alpha,
-                              [t_clock])[0][:, 0]
-            values = np.column_stack((tau, block.first_passage(1.0,
-                                                               cfg.seed)))
-            return values, np.isfinite(values)
+            return np.column_stack((block.clock(cfg.alpha, [t_clock])[0],
+                                    block.first_passage(1.0)))
 
         taus, hats = run_paths(
             model, cfg, base_h, tau_and_hat,
@@ -467,9 +461,7 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
               else 4.0 * (1.0 + abs(math.log(max(target, 2.0)))))
 
     def value_at_clock(block):
-        u_star = block.clock(block.functional(1.0), 1.0, [target])[0]
-        vals = block.value_at(u_star)[:, 0]
-        return vals, ~np.isnan(vals)
+        return block.value_at(block.clock(1.0, [target])[0])[:, 0]
 
     vals = run_paths(
         tilted, cfg, base_h, value_at_clock, path_offset=cfg.n_paths,
@@ -501,12 +493,11 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
     a, alpha = cfg.start, cfg.alpha
 
     def gap(block):
-        nodes = block.functional(alpha)
-        total = block.totals(nodes)
+        total = block.totals(alpha)
         ts = np.linspace(total * 1e-3, total * 0.999, 31, axis=1)
-        taus = block.clock(nodes, alpha, ts)[0]
-        clock = block.clock(nodes, alpha, ts * a ** alpha * a ** -alpha)[0]
-        return np.max(np.abs(clock - taus), axis=1), True
+        taus = block.clock(alpha, ts)[0]
+        clock = block.clock(alpha, ts * a ** alpha * a ** -alpha)[0]
+        return np.max(np.abs(clock - taus), axis=1)
 
     run_cfg = replace(cfg, n_paths=min(cfg.n_paths, 64))
     return float(np.max(run_paths(model, run_cfg, 8.0, gap)))

@@ -154,8 +154,7 @@ def tail_bound(model: LevyModel, horizon: float) -> float:
 
 def _truncated_perpetuities(model: LevyModel, cfg: SimConfig,
                             horizon: float) -> np.ndarray:
-    return run_paths(model, cfg, horizon, lambda block: (
-        block.totals(block.functional(-1.0)), True))
+    return run_paths(model, cfg, horizon, lambda block: block.totals(-1.0))
 
 
 @dataclass(frozen=True)

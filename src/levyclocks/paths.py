@@ -30,13 +30,16 @@ streams.
 Ensembles run on :func:`run_paths`: paths are drawn per row as above,
 gathered into a block of padded rows, and reduced there by operations
 that act on each row alone, so every row is bit-identical to the same
-path sampled on its own.  A run whose rows can miss their target grows
-each row until it is served: Gaussian rows gain steps in geometric
+path sampled on its own.  A reducer returns the rows' values and nothing
+else.  A run whose rows can miss their target serves a value once it is
+finite, keeps it from the first block where it is, and grows each row
+until all its values are served: Gaussian rows gain steps in geometric
 pieces, each drawn from the stream, ξ and A the row carries from the
-last one; jump rows gain 128-event chunks.  No row is drawn past the
-horizon ``h0 2^k`` at which the same path sampled alone would first
-serve it, so the results are those of doubling the horizon and drawing
-again; this is the one horizon ladder of the package.
+last one; jump rows gain 128-event chunks and are drawn again from their
+key.  No row is drawn past the horizon ``h0 2^k`` at which the same path
+sampled alone would first serve it, so the results are those of doubling
+the horizon and drawing again; this is the one horizon ladder of the
+package.
 
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
@@ -200,40 +203,15 @@ def _draw_jumps(rng: np.random.Generator, beta: float, gamma: float,
 
 
 def _philox() -> np.random.Generator:
-    """A Philox generator for :func:`_path_streams` to re-key."""
+    """A Philox generator for :meth:`_Work.streams` to re-key."""
     return np.random.Generator(np.random.Philox(key=0))
 
 
-def _path_streams(rng: np.random.Generator, seed: int, ids: np.ndarray,
-                  saved: list | None = None) -> Iterator[np.random.Generator]:
-    """The :func:`path_rng` stream of ``(seed, i)`` for each ``i`` in
-    ``ids``, in turn: from its start, or from the state ``saved`` holds
-    for it (``None`` for the start).
-
-    ``rng`` (from :func:`_philox`) is re-keyed per path, with its counter
-    and buffer reset to those of a new generator.  This gives the same
-    streams without the cost of building a generator per path, so one
-    generator serves a whole ensemble.  Each stream must be used up, or
-    its state saved, before the next is taken.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    state["state"]["counter"][:] = 0
-    state.update(buffer_pos=len(state["buffer"]), has_uint32=0, uinteger=0)
-    for row, pid in enumerate(ids.tolist()):
-        if saved is not None and saved[row] is not None:
-            bitgen.state = saved[row]
-        else:
-            state["state"]["key"] = np.array([seed & _MASK64, pid & _MASK64],
-                                             dtype=np.uint64)
-            bitgen.state = state
-        yield rng
-
-
 class _Work:
-    """The generator and the scratch arrays that the blocks of one run
-    share.
+    """The seed, the generator and the scratch arrays that the blocks of
+    one run share.
 
+    :meth:`streams` gives the paths' streams from the one generator.
     :meth:`array` hands out C-contiguous views of flat arrays kept per
     key, grown only when a larger shape is asked for.  Arrays of a
     block's size (hundreds of kB) allocated afresh per block can be handed
@@ -242,9 +220,36 @@ class _Work:
     block.  A block's arrays are overwritten by the next block of its run.
     """
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.rng = _philox()
         self._flat: dict[object, np.ndarray] = {}
+
+    def streams(self, ids: np.ndarray, saved: list | None = None
+                ) -> Iterator[np.random.Generator]:
+        """The :func:`path_rng` stream of ``(seed, i)`` for each ``i`` in
+        ``ids``, in turn: from its start, or from the state ``saved``
+        holds for it (``None`` for the start).
+
+        The run's generator is re-keyed per path, with its counter and
+        buffer reset to those of a new generator.  This gives the same
+        streams without the cost of building a generator per path, so one
+        generator serves a whole run.  Each stream must be used up, or its
+        state saved, before the next is taken.
+        """
+        bitgen = self.rng.bit_generator
+        state = bitgen.state
+        state["state"]["counter"][:] = 0
+        state.update(buffer_pos=len(state["buffer"]), has_uint32=0,
+                     uinteger=0)
+        for row, pid in enumerate(ids.tolist()):
+            if saved is not None and saved[row] is not None:
+                bitgen.state = saved[row]
+            else:
+                state["state"]["key"] = np.array(
+                    [self.seed & _MASK64, pid & _MASK64], dtype=np.uint64)
+                bitgen.state = state
+            yield self.rng
 
     def array(self, key, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -264,7 +269,7 @@ def sample_levy_path(model: LevyModel, cfg: SimConfig,
     :class:`CapabilityError` for non-grid families.
     """
     rows = _row_sampler(_effective_dynamics(model), cfg, path_id, 1,
-                        _Work(_philox()), grow=False)
+                        _Work(cfg.seed), grow=False)
     return next(rows.blocks(np.array([0]), cfg.horizon, cfg.horizon))[1]
 
 
@@ -329,7 +334,10 @@ class PathBlock:
     (zero-length segments, no jumps); Gaussian rows need no padding and
     share one time grid of spacing ``step``, stored as the single row of
     ``times``.  ``ids`` are the path ids the rows were drawn from, with
-    the generator of ``work``.
+    the seed and generator of ``work``; every block the engine samples
+    has ``work`` and ``step``.  The methods take only an index ``alpha``,
+    targets or a level: A is computed once per index (:meth:`functional`),
+    and :meth:`totals` and :meth:`clock` read it.
 
     A Gaussian block of a run that grows its rows (see :func:`run_paths`)
     may continue them: it then starts at each row's last node so far,
@@ -397,9 +405,9 @@ class PathBlock:
         self._nodes[alpha] = nodes
         return nodes
 
-    def totals(self, nodes: np.ndarray) -> np.ndarray:
+    def totals(self, alpha: float) -> np.ndarray:
         """A(horizon) per row."""
-        return nodes[np.arange(len(nodes)), self.size - 1]
+        return self.functional(alpha)[np.arange(len(self.xi)), self.size - 1]
 
     def log_totals(self, alpha: float) -> np.ndarray:
         """log A(horizon) per row, computed in log space (overflow-safe)."""
@@ -423,16 +431,16 @@ class PathBlock:
                          for p, row, n in zip(peak.tolist(), scaled,
                                               self.size.tolist())])
 
-    def clock(self, nodes: np.ndarray, alpha: float, targets,
-              partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """tau(t) = inf{u : A(u) >= t} per row, and the rows it exists on.
+    def clock(self, alpha: float, targets) -> tuple[np.ndarray, np.ndarray]:
+        """tau(t) = inf{u : A(u) >= t} per row, and the rows where it
+        exists at every target.
 
         ``targets`` holds one set of clock targets for all rows, or one row
-        of targets per path.  Returns ``(taus, reached)``: ``reached[r]``
-        is false where some target exceeds A(horizon), and that row of
-        ``taus`` is NaN; with ``partial``, only the targets beyond
-        A(horizon) read NaN (and, on a block that continues its rows, those
-        below A at their first node, which an earlier block found).  The
+        of targets per path.  Returns ``(taus, reached)``: ``taus`` is NaN
+        at exactly the targets the row cannot reach, those beyond
+        A(horizon) (and, on a block that continues its rows, those below A
+        at their first node, which an earlier block found), and
+        ``reached[r]`` is false where row ``r`` has such a target.  The
         inversion is exact per segment, so that ``A(tau(t)) = t`` to
         machine precision.
 
@@ -442,10 +450,11 @@ class PathBlock:
         """
         t = np.asarray(targets, dtype=float)
         if t.ndim == 1:
-            t = np.repeat(t[None], len(nodes), axis=0)
+            t = np.repeat(t[None], len(self.xi), axis=0)
         if (t < 0.0).any():
             raise DomainError("clock targets must be >= 0")
-        cap = self.totals(nodes)
+        nodes = self.functional(alpha)
+        cap = self.totals(alpha)
         if not np.isfinite(cap).all():
             raise RescalingError(
                 "exponential functional overflowed double precision; reduce "
@@ -467,10 +476,7 @@ class PathBlock:
             du = (self._times_at(rows, idx + 1) - base) * rem / w
         taus = np.full(found.shape, np.nan)
         taus[rows, cols] = base + du
-        reached = found.all(axis=1)
-        if not partial:
-            taus[~reached] = np.nan
-        return taus, reached
+        return taus, found.all(axis=1)
 
     def value_at(self, u: np.ndarray) -> np.ndarray:
         """xi at times ``u`` (one row of times per path): exact on linear
@@ -489,7 +495,7 @@ class PathBlock:
         base = self.times[rows, idx]
         return self.xi[rows, idx] + self.drift * (u - base) * ~at_end
 
-    def first_passage(self, level: float, seed: int) -> np.ndarray:
+    def first_passage(self, level: float) -> np.ndarray:
         """First time each row's path exceeds ``level`` (inf if never).
 
         Exact on linear-drift rows (drift up, jumps down).  On Gaussian
@@ -497,9 +503,8 @@ class PathBlock:
         crossed by the bridge of xi = 2B + drift (variance 4 per unit time)
         with probability exp(-(b - x0)(b - x1) / (2 h)), decided by one
         uniform per step from the path's auxiliary stream
-        ``path_rng(seed, _AUX_STREAM + id)``, drawn with the block's
-        generator up to the row's first step that ends at or above
-        ``level``; a crossing inside a step is assigned to its midpoint
+        ``path_rng(seed, _AUX_STREAM + id)`` of the run's seed, drawn up to
+        the row's first step that ends at or above ``level``; a crossing inside a step is assigned to its midpoint
         (O(step) bias).  On a block that continues its rows, the uniforms
         go on from where the row's earlier blocks left its stream, and a
         row that crossed in one of them reads NaN.
@@ -513,8 +518,7 @@ class PathBlock:
             first = np.argmax(crossed, axis=1)
             hat = self.times[rows, first] + reach[rows, first]
             return np.where(np.any(crossed, axis=1), hat, np.inf)
-        grid = self.times[0]
-        h = grid[1] - grid[0] if self.step is None else self.step
+        grid, h = self.times[0], self.step
         aux = [None] * len(rows) if self.carry is None else self.carry.aux
         live = np.array([a is not False for a in aux])
         sure = x1 >= level
@@ -528,10 +532,9 @@ class PathBlock:
                             * np.maximum(level - b, 0.0) / (2.0 * h)),
                      1.0)
         u = np.ones(p.shape)        # 1 is never below p: no draw there
-        rng = _philox() if self.work is None else self.work.rng
         live_rows = np.flatnonzero(live)
-        streams = _path_streams(rng, seed, _AUX_STREAM + self.ids[live_rows],
-                                [aux[r] for r in live_rows])
+        streams = self.work.streams(_AUX_STREAM + self.ids[live_rows],
+                                    [aux[r] for r in live_rows])
         for r, stream in zip(live_rows.tolist(), streams):
             n = need[r]
             stream.random(out=u[r, :n])
@@ -556,7 +559,8 @@ def _schedule(h0: float, doublings: int) -> list[tuple[float, float]]:
     """(horizon, rung) of each reduction of a growing run.
 
     The horizons are h0 2^(j/3 - 1), ``_PER_DOUBLING`` per doubling, from
-    h0/2, near the centre of the clock's law, up to the last rung
+    h0/2 (the centre of the clock's law, where the floor of
+    :func:`horizon_policy` does not set h0) up to the last rung
     h0 2^doublings; the rung of each is the horizon h0 2^k of the ladder
     at or above it, and every rung is one of the horizons.
     """
@@ -602,7 +606,7 @@ class _GaussianRows:
         xi = self.work.array("xi", (len(rows), n - n0 + 1))
         incr = xi[:, 1:]
         saved = [self.carried[r][0] for r in rows.tolist()] if n0 else None
-        streams = _path_streams(self.work.rng, self.cfg.seed, ids, saved)
+        streams = self.work.streams(ids, saved)
         self.states = []            # of this piece's rows, for keep()
         for row, stream in zip(incr, streams):
             stream.standard_normal(out=row)
@@ -627,8 +631,6 @@ class _GaussianRows:
         """Carry the last node of the block's rows (the run's ``rows``)
         where ``left`` to their next piece, and drop what the others
         carried."""
-        if not self.grow:
-            return
         for r, state, aux, pending in zip(rows.tolist(), self.states,
                                           block.carry.aux, left.tolist()):
             if pending:
@@ -680,9 +682,7 @@ class _JumpRows:
         before), each on [0, min(last arrival, rung)]."""
         draws = []
         until = np.maximum(self.reach[rows], horizon).tolist()
-        streams = _path_streams(self.work.rng, self.cfg.seed,
-                                self.offset + rows)
-        for u, stream in zip(until, streams):
+        for u, stream in zip(until, self.work.streams(self.offset + rows)):
             arrivals, sizes = _draw_jumps(stream, self.beta, self.gamma, u)
             reach = arrivals[-1] if len(arrivals) else math.inf
             m = int(arrivals.searchsorted(min(reach, rung)))
@@ -720,28 +720,27 @@ def _row_sampler(dyn, cfg: SimConfig, offset: int, n_rows: int, work: _Work,
 
 
 def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
-              reduce: Callable[[PathBlock], tuple[np.ndarray, object]],
+              reduce: Callable[[PathBlock], np.ndarray],
               path_offset: int = 0,
               miss: Callable[[int, float], str] | None = None) -> np.ndarray:
     """Per-path results of ``reduce`` on paths ``path_offset + i``,
     ``i < cfg.n_paths``, sampled in blocks of rows.
 
-    ``reduce(block)`` returns the block's per-row values (a leading row
-    axis) and a mask of the values it found, or ``True`` for all of them.
-    Without ``miss`` every row is drawn on [0, horizon] and must be served
-    there.
+    ``reduce(block)`` returns only the block's per-row values (a leading
+    row axis).  Without ``miss`` every row is drawn on [0, horizon] and
+    its values are taken as they are, NaN and inf included.
 
-    With ``miss`` a row can fall short of its target: the run then grows
-    it until ``reduce`` has found all its values.  Rows start at
-    ``horizon / 2`` and grow by 2^(1/3) per reduction through every rung
-    ``horizon * 2^k`` of the ladder, ``k <= cfg.max_doublings``.  Gaussian
-    rows are reduced on their new piece only (see :class:`PathBlock`), so
-    ``reduce`` must find each value where the path first determines it,
-    and mark found nothing it cannot compute from the block; a value once
-    found is kept.  Jump rows are reduced on the whole path again.  A row
-    is served on the shortest prefix that serves it, so its values are
-    those of the same path drawn on the rung that first serves it, and no
-    row is drawn past that rung.
+    With ``miss`` a value is served once it is finite, and is kept from
+    the first block where it is; the run grows each row until all its
+    values are served.  Rows start at ``horizon / 2`` and grow by 2^(1/3)
+    per reduction through every rung ``horizon * 2^k`` of the ladder,
+    ``k <= cfg.max_doublings``.  Gaussian rows are reduced on their new
+    piece only (see :class:`PathBlock`), so ``reduce`` must give each
+    value where the path first determines it, and NaN (or inf) wherever
+    it cannot compute it from the block.  Jump rows are reduced on the
+    whole path again.  A row is served on the shortest prefix that serves
+    it, so its values are those of the same path drawn on the rung that
+    first serves it, and no row is drawn past that rung.
 
     Row ``i`` of the result holds path ``path_offset + i``.  A growing run
     takes its rows in waves of ``_WAVE``, each grown until it is served
@@ -752,42 +751,35 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
             row ``i`` still unserved at the last rung ``h``.
     """
     grow = miss is not None
-    dyn, work = _effective_dynamics(model), _Work(_philox())
+    dyn, work = _effective_dynamics(model), _Work(cfg.seed)
     schedule = (_schedule(horizon, cfg.max_doublings) if grow
                 else [(horizon, horizon)])
-    out = done = None
+    out = None
     wave = _WAVE if grow else cfg.n_paths
     for lo in range(0, cfg.n_paths, wave):
         n_rows = min(wave, cfg.n_paths - lo)
         rows_of = _row_sampler(dyn, cfg, path_offset + lo, n_rows, work, grow)
         pending = np.arange(n_rows)
-        unserved = np.ones(n_rows, dtype=bool)
+        # a fixed-horizon run serves every row on its one horizon
+        unserved = np.full(n_rows, grow)
         for h, rung in schedule:
             for rows, block in rows_of.blocks(pending, h, rung):
-                values, found = reduce(block)
+                values = reduce(block)
                 if out is None:
-                    out = np.empty((cfg.n_paths,) + values.shape[1:])
-                    done = np.zeros(out.shape, dtype=bool)
-                if found is True:
-                    found = np.ones(values.shape, dtype=bool)
-                elif np.shape(found) != values.shape:
-                    raise ValueError("reduce must mark the values it found")
+                    out = np.full((cfg.n_paths,) + values.shape[1:], np.nan)
                 at = lo + rows
-                take = found & ~done[at]
-                part = out[at]
-                part[take] = values[take]
-                out[at] = part
-                done[at] |= found
-                whole = done[at].reshape(len(rows), -1).all(axis=1)
-                unserved[rows[whole]] = False
-                rows_of.keep(rows, block, ~whole)
+                if grow:
+                    # a value is kept from the first block where it is finite
+                    kept = out[at]
+                    values = np.where(np.isfinite(kept), kept, values)
+                    finite = np.isfinite(values).reshape(len(rows), -1)
+                    unserved[rows] = ~finite.all(axis=1)
+                    rows_of.keep(rows, block, unserved[rows])
+                out[at] = values
             pending = np.flatnonzero(unserved)
             if not len(pending):
                 break
         else:
-            if miss is None:
-                raise ValueError("reduce left rows unserved on a fixed "
-                                 "horizon")
             raise HorizonExceededError(miss(lo + int(pending[0]),
                                             schedule[-1][1]))
     return out
@@ -912,7 +904,7 @@ def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
     ids = path_offset + np.arange(cfg.n_paths)
     sample = _cauchy_sampler(d, cfg.start, dt)
     out = np.empty((cfg.n_paths, len(targets)))
-    for row, stream in zip(out, _path_streams(_philox(), cfg.seed, ids)):
+    for row, stream in zip(out, _Work(cfg.seed).streams(ids)):
         row[:] = np.interp(targets, times, sample(stream)[2])
     return out
 
@@ -934,8 +926,8 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
             dimension > 1) or cfg.alpha != 1.
     """
     times, dt = _cauchy_grid(d, cfg)
-    stream = next(_path_streams(_philox(), cfg.seed, np.array([path_id])))
-    positions, radius, nodes = _cauchy_sampler(d, cfg.start, dt)(stream)
+    positions, radius, nodes = _cauchy_sampler(d, cfg.start, dt)(
+        path_rng(cfg.seed, path_id))
     return CauchyModulusPath(d=d, a=cfg.start, times=times, radius=radius,
                              positions=positions, clock_nodes=nodes)
 

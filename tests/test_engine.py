@@ -7,6 +7,12 @@ again at a doubled horizon until it is served.  The Cauchy modulus runs
 on coordinate-major rows from one re-keyed generator; its oracle builds a
 generator per path and works in the (nodes, d) layout.  Each pair must
 agree bit for bit, whatever the block size.
+
+A reducer returns its values only.  A growing run serves a value once it
+is finite and keeps it from the first block where it is; a fixed-horizon
+run takes the values as they are.  The contract tests check both, and
+that ``PathBlock.clock`` reads NaN at exactly the targets a row cannot
+reach.
 """
 
 import math
@@ -85,8 +91,8 @@ def test_single_path_functions(name, model, step):
             assert np.array_equal(nodes[0], ref_nodes)
             assert path.log_totals(alpha)[0] == oracles.ref_log_total(ref,
                                                                       alpha)
-            ts = np.linspace(0.0, path.totals(nodes)[0], 17)
-            taus, reached = path.clock(nodes, alpha, ts)
+            ts = np.linspace(0.0, path.totals(alpha)[0], 17)
+            taus, reached = path.clock(alpha, ts)
             assert reached[0]
             assert np.array_equal(taus[0], oracles.ref_clock(ref, ref_nodes,
                                                              alpha, ts))
@@ -214,14 +220,89 @@ def test_first_passage_times_extended(monkeypatch, budget):
     model, level = brownian_drift(0.2), 3.0
     cfg = SimConfig(seed=2, n_paths=40, step=0.01)
 
-    def hats(block):
-        hat = block.first_passage(level, cfg.seed)
-        return hat, np.isfinite(hat)
-
-    got = paths.run_paths(model, cfg, 1.0, hats,
+    got = paths.run_paths(model, cfg, 1.0,
+                          lambda block: block.first_passage(level),
                           miss=lambda i, h: f"path {i} missed")
     want = oracles.ref_first_passage_times(model, cfg, level, 1.0)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 14])
+def test_growing_run_keeps_first_finite_value(monkeypatch, budget):
+    # value k is the end time of the first piece whose last xi passes
+    # levels[k]: a row stays pending until it passes the higher level,
+    # and a later piece that ends above the lower one gives value 0 a
+    # different finite value, which the run must not take
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    model, levels = brownian_drift(0.5), np.array([0.5, 3.0])
+    cfg = SimConfig(seed=5, n_paths=30, step=0.01)
+
+    def ends(block):
+        return np.where(block.xi[:, -1:] > levels, block.times[0, -1],
+                        np.nan)
+
+    got = paths.run_paths(model, cfg, 1.0, ends,
+                          miss=lambda i, h: f"path {i} missed")
+    schedule = paths._schedule(1.0, cfg.max_doublings)
+    want = np.full((cfg.n_paths, 2), np.nan)
+    later = 0
+    for i, row in enumerate(want):
+        p = oracles.ref_path(model, cfg.seed, i, schedule[-1][0], cfg.step)
+        drawn = 0
+        for h, _ in schedule:
+            n = max(1, math.ceil(h / cfg.step))
+            if n == drawn:
+                continue
+            drawn = n
+            passed = p.xi[n] > levels
+            later += bool(passed[0] and math.isfinite(row[0]))
+            row[np.isnan(row) & passed] = p.times[n]
+            if np.isfinite(row).all():
+                break
+    assert later > 0
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name,model,step", [MODELS[0], MODELS[3]],
+                         ids=["brownian", "saw_tooth"])
+def test_fixed_horizon_takes_values_as_they_are(name, model, step):
+    cfg = SimConfig(seed=10, n_paths=40, step=step)
+
+    def signs(end):
+        return np.column_stack((end, np.where(end > 0.0, np.inf, np.nan),
+                                np.full(len(end), -np.inf)))
+
+    # padded jump nodes repeat the horizon: xi[:, -1] is xi(horizon)
+    got = paths.run_paths(model, cfg, 2.0,
+                          lambda block: signs(block.xi[:, -1]))
+    want = signs(np.array([oracles.ref_path(model, cfg.seed, i, 2.0,
+                                            step).xi[-1]
+                           for i in range(cfg.n_paths)]))
+    assert np.isnan(got).any() and np.isposinf(got).any()
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("name,model,step", [MODELS[0], MODELS[3]],
+                         ids=["brownian", "saw_tooth"])
+def test_clock_nan_at_unreached_targets(name, model, step):
+    cfg = SimConfig(seed=11, n_paths=30, step=step)
+    targets = [0.5, 2.0, 8.0, 30.0]
+
+    def taus(block):
+        taus, reached = block.clock(1.0, targets)
+        return np.column_stack((taus, reached))
+
+    got = paths.run_paths(model, cfg, 2.0, taus)
+    for i, row in enumerate(got):
+        p = oracles.ref_path(model, cfg.seed, i, 2.0, step)
+        nodes = oracles.ref_nodes(p, 1.0)
+        want = [oracles.ref_clock(p, nodes, 1.0, [t])[0]
+                if t <= nodes[-1] else math.nan for t in targets]
+        assert np.array_equal(row[:-1], want, equal_nan=True)
+        assert row[-1] == (not np.isnan(want).any())
+    # rows with targets on both sides of A(horizon)
+    taus = got[:, :-1]
+    assert (np.isnan(taus).any(axis=1) & np.isfinite(taus).any(axis=1)).any()
 
 
 class CountingGenerator(np.random.Generator):
@@ -351,7 +432,7 @@ def test_estimate_logA_rate(name, model, step):
     assert (row.estimate, row.stderr) == oracles.ref_mean_se(want / 12.0)
     # long padded jump rows: every per-path value, not only the mean
     got = paths.run_paths(model, cfg, 100.0,
-                          lambda block: (block.log_totals(1.0), True))
+                          lambda block: block.log_totals(1.0))
     assert np.array_equal(got, oracles.ref_log_totals(model, cfg, 100.0))
 
 

@@ -45,32 +45,30 @@ def functional_at(path: PathBlock, alpha: float, u) -> np.ndarray:
     return ref_functional_at(ref, alpha, u)
 
 
-def clock(path: PathBlock, nodes: np.ndarray, alpha: float, targets):
+def clock(path: PathBlock, alpha: float, targets):
     """tau at ``targets`` on the one-row block ``path``; every target must
     lie within A(horizon)."""
-    taus, reached = path.clock(nodes, alpha, np.atleast_1d(targets))
+    taus, reached = path.clock(alpha, np.atleast_1d(targets))
     assert reached[0]
     return taus[0]
 
 
 def total(path: PathBlock, alpha: float) -> float:
-    return float(path.totals(path.functional(alpha))[0])
+    return float(path.totals(alpha)[0])
 
 
 class TestExpFunctional:
     def test_zero_path(self):
         path = drift_path(0.0)
-        nodes = path.functional(1.0)
         for t in (0.3, 1.0, 7.5):
             assert functional_at(path, 1.0, t) == pytest.approx(t, abs=1e-15)
-            assert clock(path, nodes, 1.0, t)[0] == pytest.approx(t,
-                                                                  abs=1e-15)
+            assert clock(path, 1.0, t)[0] == pytest.approx(t, abs=1e-15)
 
     def test_unit_drift(self):
         path = drift_path(1.0)
         assert functional_at(path, 1.0, 3.0) == pytest.approx(
             math.exp(3.0) - 1.0, rel=1e-15)
-        assert clock(path, path.functional(1.0), 1.0, 5.0)[0] == \
+        assert clock(path, 1.0, 5.0)[0] == \
             pytest.approx(math.log(6.0), rel=1e-15)
 
     def test_negative_alpha(self):
@@ -96,9 +94,8 @@ class TestExpFunctional:
     def test_inverse_pair_exact_segments(self):
         cfg = SimConfig(seed=5, n_paths=1, step=0.01, horizon=25.0)
         path = sample_levy_path(saw_tooth(1.0, 3.0), cfg, 3)
-        nodes = path.functional(1.0)
-        ts = np.linspace(1e-3, path.totals(nodes)[0] * 0.9999, 400)
-        taus = clock(path, nodes, 1.0, ts)
+        ts = np.linspace(1e-3, path.totals(1.0)[0] * 0.9999, 400)
+        taus = clock(path, 1.0, ts)
         assert np.all(np.diff(taus) >= 0.0)
         err = np.abs(functional_at(path, 1.0, taus) - ts) / np.maximum(1.0, ts)
         assert float(np.max(err)) <= 1e-12
@@ -106,23 +103,23 @@ class TestExpFunctional:
     def test_inverse_pair_trapezoid(self):
         cfg = SimConfig(seed=5, n_paths=1, step=0.01, horizon=8.0)
         path = sample_levy_path(brownian_drift(1.0), cfg, 1)
-        nodes = path.functional(1.0)
-        ts = np.linspace(1e-3, path.totals(nodes)[0] * 0.9999, 200)
-        taus = clock(path, nodes, 1.0, ts)
+        ts = np.linspace(1e-3, path.totals(1.0)[0] * 0.9999, 200)
+        taus = clock(path, 1.0, ts)
         err = np.abs(functional_at(path, 1.0, taus) - ts) / np.maximum(1.0, ts)
         assert float(np.max(err)) <= 1e-12
 
     def test_horizon_error(self):
-        # a target above A(horizon) = 2 leaves the row unreached (NaN);
-        # ensembles turn that into a doubling, then HorizonExceededError
+        # a target above A(horizon) = 2 reads NaN and leaves the row
+        # unreached, the target below it is inverted; ensembles turn the
+        # NaN into a doubling, then HorizonExceededError
         path = drift_path(0.0, horizon=2.0)
-        nodes = path.functional(1.0)
-        taus, reached = path.clock(nodes, 1.0, [1.0, 5.0])
+        taus, reached = path.clock(1.0, [1.0, 5.0])
         assert not reached[0]
-        assert np.isnan(taus).all()
-        assert path.totals(nodes)[0] == pytest.approx(2.0)
+        assert taus[0, 0] == 1.0
+        assert np.isnan(taus[0, 1])
+        assert path.totals(1.0)[0] == pytest.approx(2.0)
         with pytest.raises(DomainError):
-            path.clock(nodes, 1.0, [-1.0])
+            path.clock(1.0, [-1.0])
 
 
 class TestSampling:
@@ -149,14 +146,14 @@ class TestSampling:
         path = sample_levy_path(cp_plus_drift(1.0, 0.0, 1.0), cfg, 0)
         assert np.array_equal(path.times, np.array([[0.0, 5.0]]))
         assert np.array_equal(path.xi, np.array([[0.0, 5.0]]))
-        assert clock(path, path.functional(1.0), 1.0, 3.0)[0] == \
+        assert clock(path, 1.0, 3.0)[0] == \
             pytest.approx(math.log1p(3.0), rel=1e-15)
 
     def test_brownian_mean(self):
         # E xi_10 = 2 nu 10 = 20; sd of the mean = sqrt(40)/100
         cfg = SimConfig(seed=3, n_paths=10_000, step=0.01, horizon=10.0)
         ends = run_paths(brownian_drift(1.0), cfg, cfg.horizon,
-                         lambda block: (block.xi[:, -1], True))
+                         lambda block: block.xi[:, -1])
         z999 = 3.2905
         assert abs(ends.mean() - 20.0) <= z999 * math.sqrt(40.0) / 100.0
 
@@ -165,7 +162,7 @@ class TestSampling:
         beta, horizon, n = 1.0, 20.0, 2000
         cfg = SimConfig(seed=8, n_paths=n, step=0.01, horizon=horizon)
         counts = run_paths(saw_tooth(beta, 3.0), cfg, horizon,
-                           lambda block: (block.size - 2, True))
+                           lambda block: block.size - 2)
         se = math.sqrt(beta * horizon / n)
         assert abs(counts.mean() - beta * horizon) <= 3.0 * se
 
@@ -193,9 +190,8 @@ class TestSampling:
         cfg = SimConfig(seed=21, n_paths=60, step=0.002, horizon=6.0)
 
         def diffs(fine):
-            fine_nodes = fine.functional(1.0)
-            t_mid = fine.totals(fine_nodes)[:, None] * 0.5
-            finest, reached = fine.clock(fine_nodes, 1.0, t_mid)
+            t_mid = fine.totals(1.0)[:, None] * 0.5
+            finest, reached = fine.clock(1.0, t_mid)
             assert reached.all()
             out = []
             for factor in (1, 2, 4):
@@ -204,11 +200,10 @@ class TestSampling:
                 coarse = PathBlock(times=times, xi=fine.xi[:, sub],
                                    size=np.full(len(fine.xi), times.shape[1]),
                                    kind="gaussian-increment")
-                taus, reached = coarse.clock(coarse.functional(1.0), 1.0,
-                                             t_mid)
+                taus, reached = coarse.clock(1.0, t_mid)
                 assert reached.all()
                 out.append(taus[:, 0] - finest[:, 0])
-            return np.column_stack(out), True
+            return np.column_stack(out)
 
         per_path = run_paths(brownian_drift(1.0), cfg, cfg.horizon, diffs)
         rms = [float(np.sqrt(np.mean(np.square(col)))) for col in per_path.T]
@@ -222,7 +217,7 @@ class TestLamperti:
     def test_constant_path(self):
         path, a = drift_path(0.0), 2.0
         assert np.all(a * np.exp(path.xi) == 2.0)
-        assert clock(path, path.functional(1.0), 1.0, 4.0 * a ** -1.0)[0] == \
+        assert clock(path, 1.0, 4.0 * a ** -1.0)[0] == \
             pytest.approx(2.0, abs=1e-15)
 
     def test_fundamental_relation(self):
@@ -231,11 +226,10 @@ class TestLamperti:
             for pid in range(8):
                 path = sample_levy_path(model, cfg, pid)
                 for a, alpha in ((1.0, 1.0), (1.7, 1.0), (0.6, 2.0)):
-                    nodes = path.functional(alpha)
-                    cap = path.totals(nodes)[0]
+                    cap = path.totals(alpha)[0]
                     ts = np.linspace(cap * 1e-3, cap * 0.999, 50)
-                    taus = clock(path, nodes, alpha, ts)
-                    big_t = clock(path, nodes, alpha,
+                    taus = clock(path, alpha, ts)
+                    big_t = clock(path, alpha,
                                   (ts * a ** alpha) * a ** -alpha)
                     gap = np.abs(big_t - taus)
                     assert float(np.max(gap / np.maximum(1.0, taus))) <= 1e-12
@@ -250,9 +244,7 @@ class TestLamperti:
 
         def clock_at(x_time, start, offset):
             def reduce(block):
-                taus, reached = block.clock(block.functional(1.0), 1.0,
-                                            [x_time * start ** -1.0])
-                return taus[:, 0], reached
+                return block.clock(1.0, [x_time * start ** -1.0])[0][:, 0]
             return run_paths(model, cfg, cfg.horizon, reduce, offset,
                              miss=lambda i, h: f"path {offset + i} missed")
 
