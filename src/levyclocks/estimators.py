@@ -112,7 +112,7 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
     base_h = horizon_policy(mean, float(np.max(targets)))
 
     return run_paths(
-        target, cfg, base_h, lambda block: block.clock(cfg.alpha, targets)[0],
+        target, cfg, base_h, lambda block: block.clock(cfg.alpha, targets),
         path_offset,
         miss=lambda i, h: (f"path {path_offset + i} cannot reach clock "
                            f"target {float(np.max(targets))!r} within "
@@ -373,7 +373,7 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
         base_h = max(horizon_policy(mean, t_clock), 8.0 / mean)
 
         def tau_and_hat(block):
-            return np.column_stack((block.clock(cfg.alpha, [t_clock])[0],
+            return np.column_stack((block.clock(cfg.alpha, [t_clock]),
                                     block.first_passage(1.0)))
 
         taus, hats = run_paths(
@@ -456,12 +456,10 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
         raise RescalingError("exponential weight overflows; reduce t")
     lhs, lhs_se = _mean_se(np.exp(expo))
 
-    mean_t = tilted.mean
-    base_h = (horizon_policy(mean_t, target) if mean_t > 0.0
-              else 4.0 * (1.0 + abs(math.log(max(target, 2.0)))))
+    base_h = horizon_policy(tilted.mean, target)
 
     def value_at_clock(block):
-        return block.value_at(block.clock(1.0, [target])[0])[:, 0]
+        return block.value_at(block.clock(1.0, [target]))[:, 0]
 
     vals = run_paths(
         tilted, cfg, base_h, value_at_clock, path_offset=cfg.n_paths,
@@ -495,8 +493,8 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
     def gap(block):
         total = block.totals(alpha)
         ts = np.linspace(total * 1e-3, total * 0.999, 31, axis=1)
-        taus = block.clock(alpha, ts)[0]
-        clock = block.clock(alpha, ts * a ** alpha * a ** -alpha)[0]
+        taus = block.clock(alpha, ts)
+        clock = block.clock(alpha, ts * a ** alpha * a ** -alpha)
         return np.max(np.abs(clock - taus), axis=1)
 
     run_cfg = replace(cfg, n_paths=min(cfg.n_paths, 64))

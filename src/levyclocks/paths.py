@@ -25,7 +25,8 @@ with ``s`` draws from ``Philox(key=(s, i))``, so paths are reproducible
 independently of generation order, and re-simulating with a longer horizon
 extends a path without changing its prefix.  An ensemble builds one Philox
 generator for its draws and re-keys it for each path, which gives the same
-streams.
+streams.  Philox is counter-based, so a stream is addressed by its key and
+a position alone: the raw draws it has given so far.
 
 Ensembles run on :func:`run_paths`: paths are drawn per row as above,
 gathered into a block of padded rows, and reduced there by operations
@@ -34,12 +35,12 @@ path sampled on its own.  A reducer returns the rows' values and nothing
 else.  A run whose rows can miss their target serves a value once it is
 finite, keeps it from the first block where it is, and grows each row
 until all its values are served: Gaussian rows gain steps in geometric
-pieces, each drawn from the stream, ξ and A the row carries from the
-last one; jump rows gain 128-event chunks and are drawn again from their
-key.  No row is drawn past the horizon ``h0 2^k`` at which the same path
-sampled alone would first serve it, so the results are those of doubling
-the horizon and drawing again; this is the one horizon ladder of the
-package.
+pieces, each drawn from the stream position, ξ and A the row carries
+from the last one; jump rows gain 128-event chunks and are drawn again
+from their key.  No row is drawn past the horizon ``h0 2^k`` at which the
+same path sampled alone would first serve it, so the results are those of
+doubling the horizon and drawing again; this is the one horizon ladder of
+the package.
 
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
@@ -92,10 +93,8 @@ _AUX_STREAM = 1 << 62
 # Horizons per doubling at which a growing run reduces its rows: a row
 # grows by 2^(1/3) between reductions.
 _PER_DOUBLING = 3
-# Rows a growing run has pending at once.  A pending Gaussian row keeps its
-# generator state (about 1 kB) from one reduction to the next, so a run
-# grows its rows in waves of this many, one wave after another.
-_WAVE = 1 << 12
+# Raw draws per Philox counter block: the size of the generator's buffer.
+_PHILOX_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -225,31 +224,42 @@ class _Work:
         self.rng = _philox()
         self._flat: dict[object, np.ndarray] = {}
 
-    def streams(self, ids: np.ndarray, saved: list | None = None
+    def streams(self, ids: np.ndarray, at: np.ndarray | None = None
                 ) -> Iterator[np.random.Generator]:
         """The :func:`path_rng` stream of ``(seed, i)`` for each ``i`` in
-        ``ids``, in turn: from its start, or from the state ``saved``
-        holds for it (``None`` for the start).
+        ``ids``, in turn: from its start, or from raw draw ``at[row]``.
 
-        The run's generator is re-keyed per path, with its counter and
-        buffer reset to those of a new generator.  This gives the same
-        streams without the cost of building a generator per path, so one
-        generator serves a whole run.  Each stream must be used up, or its
-        state saved, before the next is taken.
+        The run's generator is re-keyed per path, with its buffer emptied
+        and its counter past the ``at // 4`` whole Philox blocks (four raw
+        draws each) before the position, and then takes the ``at % 4`` raw
+        draws left.  This gives the same streams without the cost of
+        building a generator per path, so one generator serves a whole
+        run.  Each stream must be used up, or its :meth:`position` read,
+        before the next is taken.
         """
         bitgen = self.rng.bit_generator
         state = bitgen.state
-        state["state"]["counter"][:] = 0
-        state.update(buffer_pos=len(state["buffer"]), has_uint32=0,
-                     uinteger=0)
-        for row, pid in enumerate(ids.tolist()):
-            if saved is not None and saved[row] is not None:
-                bitgen.state = saved[row]
-            else:
-                state["state"]["key"] = np.array(
-                    [self.seed & _MASK64, pid & _MASK64], dtype=np.uint64)
-                bitgen.state = state
+        key, counter = state["state"]["key"], state["state"]["counter"]
+        key[0] = self.seed & _MASK64
+        counter[:] = 0
+        state.update(buffer_pos=_PHILOX_BLOCK, has_uint32=0, uinteger=0)
+        at = np.zeros(len(ids), dtype=np.int64) if at is None else at
+        blocks, skips = np.divmod(at, _PHILOX_BLOCK)
+        for pid, block, skip in zip(ids.tolist(), blocks.tolist(),
+                                    skips.tolist()):
+            key[1] = pid & _MASK64
+            counter[0] = block
+            bitgen.state = state
+            if skip:
+                bitgen.random_raw(skip)
             yield self.rng
+
+    def position(self) -> int:
+        """Raw draws the current stream has given: those of the Philox
+        blocks before its buffered one, and those taken from the buffer."""
+        state = self.rng.bit_generator.state
+        return (_PHILOX_BLOCK * (int(state["state"]["counter"][0]) - 1)
+                + state["buffer_pos"])
 
     def array(self, key, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -310,14 +320,14 @@ def _search_rows(a: np.ndarray, size: np.ndarray, v: np.ndarray,
 @dataclass
 class _Carry:
     """What the rows of a block bring from their earlier blocks in a run
-    that grows them: A of index ``alpha`` at each row's first node, and
-    each row's auxiliary stream for :meth:`PathBlock.first_passage`
-    (``None`` before its first draw, then its saved state, or ``False``
-    once the row has crossed)."""
+    that grows them: the index ``n0`` of the block's first step, A of
+    index ``alpha`` at each row's first node, and whether each row has
+    crossed the level of :meth:`PathBlock.first_passage`, which sets it."""
 
     alpha: float
     a0: np.ndarray
-    aux: list
+    n0: int
+    crossed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -340,9 +350,9 @@ class PathBlock:
     and :meth:`totals` and :meth:`clock` read it.
 
     A Gaussian block of a run that grows its rows (see :func:`run_paths`)
-    may continue them: it then starts at each row's last node so far,
-    whose A and auxiliary stream ``carry`` holds, and its values are those
-    of the rows' nodes it holds.
+    may continue them: it then starts at step ``carry.n0``, each row's last
+    node so far, whose A ``carry`` holds, and its values are those of the
+    rows' nodes it holds.
 
     Every array operation here is elementwise or a running sum along a
     row, and every sum or search that depends on the row length runs on
@@ -431,18 +441,15 @@ class PathBlock:
                          for p, row, n in zip(peak.tolist(), scaled,
                                               self.size.tolist())])
 
-    def clock(self, alpha: float, targets) -> tuple[np.ndarray, np.ndarray]:
-        """tau(t) = inf{u : A(u) >= t} per row, and the rows where it
-        exists at every target.
+    def clock(self, alpha: float, targets) -> np.ndarray:
+        """tau(t) = inf{u : A(u) >= t} per row, at each target.
 
         ``targets`` holds one set of clock targets for all rows, or one row
-        of targets per path.  Returns ``(taus, reached)``: ``taus`` is NaN
-        at exactly the targets the row cannot reach, those beyond
-        A(horizon) (and, on a block that continues its rows, those below A
-        at their first node, which an earlier block found), and
-        ``reached[r]`` is false where row ``r`` has such a target.  The
-        inversion is exact per segment, so that ``A(tau(t)) = t`` to
-        machine precision.
+        of targets per path.  The result is NaN at exactly the targets the
+        row cannot reach: those beyond A(horizon) (and, on a block that
+        continues its rows, those below A at their first node, which an
+        earlier block found).  The inversion is exact per segment, so that
+        ``A(tau(t)) = t`` to machine precision.
 
         Raises:
             DomainError: for negative targets.
@@ -476,7 +483,7 @@ class PathBlock:
             du = (self._times_at(rows, idx + 1) - base) * rem / w
         taus = np.full(found.shape, np.nan)
         taus[rows, cols] = base + du
-        return taus, found.all(axis=1)
+        return taus
 
     def value_at(self, u: np.ndarray) -> np.ndarray:
         """xi at times ``u`` (one row of times per path): exact on linear
@@ -502,12 +509,12 @@ class PathBlock:
         rows a step whose endpoints x0, x1 stay below ``b = level`` is
         crossed by the bridge of xi = 2B + drift (variance 4 per unit time)
         with probability exp(-(b - x0)(b - x1) / (2 h)), decided by one
-        uniform per step from the path's auxiliary stream
-        ``path_rng(seed, _AUX_STREAM + id)`` of the run's seed, drawn up to
-        the row's first step that ends at or above ``level``; a crossing inside a step is assigned to its midpoint
-        (O(step) bias).  On a block that continues its rows, the uniforms
-        go on from where the row's earlier blocks left its stream, and a
-        row that crossed in one of them reads NaN.
+        uniform: that of step j is raw draw j of the path's auxiliary
+        stream ``path_rng(seed, _AUX_STREAM + id)`` of the run's seed.  A
+        row draws its uniforms up to its first step that ends at or above
+        ``level``, and none on a block that continues it once it has
+        crossed.  A crossing inside a step is assigned to its midpoint
+        (O(step) bias).
         """
         x0, x1 = self.xi[:, :-1], self.xi[:, 1:]
         rows = np.arange(len(x0))
@@ -518,9 +525,8 @@ class PathBlock:
             first = np.argmax(crossed, axis=1)
             hat = self.times[rows, first] + reach[rows, first]
             return np.where(np.any(crossed, axis=1), hat, np.inf)
-        grid, h = self.times[0], self.step
-        aux = [None] * len(rows) if self.carry is None else self.carry.aux
-        live = np.array([a is not False for a in aux])
+        grid, h, carry = self.times[0], self.step, self.carry
+        live = True if carry is None else ~carry.crossed
         sure = x1 >= level
         # uniforms per row: up to its first sure crossing, none once crossed
         need = np.where(sure.any(axis=1), np.argmax(sure, axis=1),
@@ -532,18 +538,16 @@ class PathBlock:
                             * np.maximum(level - b, 0.0) / (2.0 * h)),
                      1.0)
         u = np.ones(p.shape)        # 1 is never below p: no draw there
-        live_rows = np.flatnonzero(live)
-        streams = self.work.streams(_AUX_STREAM + self.ids[live_rows],
-                                    [aux[r] for r in live_rows])
-        for r, stream in zip(live_rows.tolist(), streams):
-            n = need[r]
-            stream.random(out=u[r, :n])
-            if self.carry is not None:
-                # a row that has not crossed keeps its stream for the next
-                # block
-                still = n == sure.shape[1] and not (u[r, :n] < p[r, :n]).any()
-                aux[r] = stream.bit_generator.state if still else False
+        drawn = np.flatnonzero(need)
+        # a uniform is one raw draw: the block's first step is draw n0
+        n0 = 0 if carry is None else carry.n0
+        streams = self.work.streams(_AUX_STREAM + self.ids[drawn],
+                                    np.full(len(drawn), n0))
+        for r, stream in zip(drawn.tolist(), streams):
+            stream.random(out=u[r, :need[r]])
         crossed = sure[:, :cols] | (u < p)
+        if carry is not None:
+            carry.crossed |= crossed.any(axis=1)
         first = np.argmax(crossed, axis=1)
         a, b = a[rows, first], b[rows, first]
         up = b >= level
@@ -551,8 +555,7 @@ class PathBlock:
         rising = up & (b > a)
         frac[rising] = (level - a[rising]) / (b[rising] - a[rising])
         hat = np.where(up, grid[first] + frac * h, grid[first] + 0.5 * h)
-        hat = np.where(np.any(crossed, axis=1), hat, np.inf)
-        return np.where(live, hat, np.nan)
+        return np.where(np.any(crossed, axis=1), hat, np.inf)
 
 
 def _schedule(h0: float, doublings: int) -> list[tuple[float, float]]:
@@ -574,10 +577,12 @@ class _GaussianRows:
 
     A row's first piece starts at node 0; each later one starts at the
     row's last node, with the ξ, the A (of index ``cfg.alpha``), the
-    generator state and the auxiliary stream the row carries from the
-    piece before, and appends the steps up to the next horizon.  Normals
-    drawn in pieces equal one draw, and ξ and A are running sums continued
-    from the carried node, so each node is the one the whole row has.
+    position in its normal stream and the first-passage flag the row
+    carries from the piece before, and appends the steps up to the next
+    horizon.  The ziggurat sampler takes a varying number of raw draws per
+    normal, so the position is read after each piece.  Normals drawn in
+    pieces equal one draw, and ξ and A are running sums continued from the
+    carried node, so each node is the one the whole row has.
     """
 
     def __init__(self, dyn, cfg: SimConfig, offset: int, n_rows: int,
@@ -587,8 +592,8 @@ class _GaussianRows:
         self.n = 0                  # steps drawn on every pending row
         self.xi = np.zeros(n_rows)
         self.a = np.zeros(n_rows)
-        # generator state and auxiliary stream of each pending row
-        self.carried: dict[int, tuple] = {}
+        self.pos = np.zeros(n_rows, dtype=np.int64)
+        self.crossed = np.zeros(n_rows, dtype=bool)
 
     def blocks(self, rows: np.ndarray, horizon: float, rung: float):
         n = max(1, math.ceil(horizon / self.cfg.step))
@@ -605,23 +610,19 @@ class _GaussianRows:
         ids = self.offset + rows
         xi = self.work.array("xi", (len(rows), n - n0 + 1))
         incr = xi[:, 1:]
-        saved = [self.carried[r][0] for r in rows.tolist()] if n0 else None
-        streams = self.work.streams(ids, saved)
-        self.states = []            # of this piece's rows, for keep()
-        for row, stream in zip(incr, streams):
+        streams = self.work.streams(ids, self.pos[rows])
+        for r, row, stream in zip(rows.tolist(), incr, streams):
             stream.standard_normal(out=row)
             if self.grow:
-                self.states.append(stream.bit_generator.state)
+                self.pos[r] = self.work.position()
         incr *= 2.0 * math.sqrt(step)
         incr += 2.0 * self.nu * step
-        xi[:, 0] = self.xi[rows] if n0 else 0.0
+        xi[:, 0] = self.xi[rows]
         np.cumsum(xi, axis=1, out=xi)
         carry = None
         if self.grow:
-            a0 = self.a[rows] if n0 else np.zeros(len(rows))
-            aux = ([self.carried[r][1] for r in rows.tolist()] if n0
-                   else [None] * len(rows))
-            carry = _Carry(self.cfg.alpha, a0, aux)
+            carry = _Carry(self.cfg.alpha, self.a[rows], n0,
+                           self.crossed[rows])
         return PathBlock(times=step * np.arange(n0, n + 1)[None], xi=xi,
                          size=np.full(len(rows), n - n0 + 1), kind=GAUSSIAN,
                          ids=ids, step=step, work=self.work, carry=carry)
@@ -629,17 +630,12 @@ class _GaussianRows:
     def keep(self, rows: np.ndarray, block: PathBlock,
              left: np.ndarray) -> None:
         """Carry the last node of the block's rows (the run's ``rows``)
-        where ``left`` to their next piece, and drop what the others
-        carried."""
-        for r, state, aux, pending in zip(rows.tolist(), self.states,
-                                          block.carry.aux, left.tolist()):
-            if pending:
-                self.carried[r] = state, aux
-            else:
-                self.carried.pop(r, None)
+        where ``left`` to their next piece."""
         if left.any():
-            self.xi[rows[left]] = block.xi[left, -1]
-            self.a[rows[left]] = block.functional(self.cfg.alpha)[left, -1]
+            kept = rows[left]
+            self.xi[kept] = block.xi[left, -1]
+            self.a[kept] = block.functional(self.cfg.alpha)[left, -1]
+            self.crossed[kept] = block.carry.crossed[left]
 
 
 class _JumpRows:
@@ -742,9 +738,10 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     it, so its values are those of the same path drawn on the rung that
     first serves it, and no row is drawn past that rung.
 
-    Row ``i`` of the result holds path ``path_offset + i``.  A growing run
-    takes its rows in waves of ``_WAVE``, each grown until it is served
-    before the next is drawn.
+    Row ``i`` of the result holds path ``path_offset + i``.  A pending
+    Gaussian row carries four numbers from one reduction to the next: its
+    stream position, ξ, A and whether it has crossed the first-passage
+    level; a jump row carries how far it was drawn.
 
     Raises:
         HorizonExceededError: with message ``miss(i, h)`` for the first
@@ -754,34 +751,29 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     dyn, work = _effective_dynamics(model), _Work(cfg.seed)
     schedule = (_schedule(horizon, cfg.max_doublings) if grow
                 else [(horizon, horizon)])
+    rows_of = _row_sampler(dyn, cfg, path_offset, cfg.n_paths, work, grow)
+    pending = np.arange(cfg.n_paths)
+    # a fixed-horizon run serves every row on its one horizon
+    unserved = np.full(cfg.n_paths, grow)
     out = None
-    wave = _WAVE if grow else cfg.n_paths
-    for lo in range(0, cfg.n_paths, wave):
-        n_rows = min(wave, cfg.n_paths - lo)
-        rows_of = _row_sampler(dyn, cfg, path_offset + lo, n_rows, work, grow)
-        pending = np.arange(n_rows)
-        # a fixed-horizon run serves every row on its one horizon
-        unserved = np.full(n_rows, grow)
-        for h, rung in schedule:
-            for rows, block in rows_of.blocks(pending, h, rung):
-                values = reduce(block)
-                if out is None:
-                    out = np.full((cfg.n_paths,) + values.shape[1:], np.nan)
-                at = lo + rows
-                if grow:
-                    # a value is kept from the first block where it is finite
-                    kept = out[at]
-                    values = np.where(np.isfinite(kept), kept, values)
-                    finite = np.isfinite(values).reshape(len(rows), -1)
-                    unserved[rows] = ~finite.all(axis=1)
-                    rows_of.keep(rows, block, unserved[rows])
-                out[at] = values
-            pending = np.flatnonzero(unserved)
-            if not len(pending):
-                break
-        else:
-            raise HorizonExceededError(miss(lo + int(pending[0]),
-                                            schedule[-1][1]))
+    for h, rung in schedule:
+        for rows, block in rows_of.blocks(pending, h, rung):
+            values = reduce(block)
+            if out is None:
+                out = np.full((cfg.n_paths,) + values.shape[1:], np.nan)
+            if grow:
+                # a value is kept from the first block where it is finite
+                kept = out[rows]
+                values = np.where(np.isfinite(kept), kept, values)
+                finite = np.isfinite(values).reshape(len(rows), -1)
+                unserved[rows] = ~finite.all(axis=1)
+                rows_of.keep(rows, block, unserved[rows])
+            out[rows] = values
+        pending = np.flatnonzero(unserved)
+        if not len(pending):
+            break
+    else:
+        raise HorizonExceededError(miss(int(pending[0]), schedule[-1][1]))
     return out
 
 

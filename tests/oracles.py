@@ -252,7 +252,8 @@ def ref_nodes(p: RefPath, alpha: float) -> np.ndarray:
     if p.kind == LINEAR:
         w = np.exp(alpha * p.xi[:-1]) * dt * _expm1_ratio(alpha * p.drift * dt)
     else:
-        e = np.exp(alpha * p.xi)
+        with np.errstate(over="ignore"):    # A past double range is inf
+            e = np.exp(alpha * p.xi)
         w = 0.5 * dt * (e[:-1] + e[1:])
     return np.concatenate(([0.0], np.cumsum(w)))
 
@@ -419,9 +420,7 @@ def ref_tilted_identity_check(model, m: float, t: float, a: float, cfg):
     taus = ref_tau_ensemble(model, cfg, [target])[0][:, 0]
     lhs, lhs_se = ref_mean_se(np.exp(-model.psi(m) * taus))
     tilted = model.esscher(m)
-    mean_t = tilted.psi_derivs(0.0)[0]
-    base_h = (horizon_policy(mean_t, target) if mean_t > 0.0
-              else 4.0 * (1.0 + abs(math.log(max(target, 2.0)))))
+    base_h = horizon_policy(tilted.psi_derivs(0.0)[0], target)
     vals = np.empty(cfg.n_paths)
     for i in range(cfg.n_paths):
         h = base_h

@@ -92,8 +92,8 @@ def test_single_path_functions(name, model, step):
             assert path.log_totals(alpha)[0] == oracles.ref_log_total(ref,
                                                                       alpha)
             ts = np.linspace(0.0, path.totals(alpha)[0], 17)
-            taus, reached = path.clock(alpha, ts)
-            assert reached[0]
+            taus = path.clock(alpha, ts)
+            assert not np.isnan(taus).any()
             assert np.array_equal(taus[0], oracles.ref_clock(ref, ref_nodes,
                                                              alpha, ts))
         mid = float(ref.times[len(ref.times) // 2])
@@ -134,22 +134,6 @@ def test_max_doublings_zero_raises(short_horizon, name, model, step):
 
 
 @pytest.mark.parametrize("name,model,step", MODELS[:4], ids=IDS[:4])
-def test_waves(short_horizon, monkeypatch, name, model, step):
-    # a growing run takes its rows in waves: seven rows at a time here
-    monkeypatch.setattr(paths, "_WAVE", 7)
-    cfg = SimConfig(seed=4, n_paths=25, step=step)
-    want = oracles.ref_tau_ensemble(model, cfg, TARGETS, path_offset=3)[0]
-    assert np.array_equal(tau_ensemble(model, cfg, TARGETS, path_offset=3),
-                          want)
-    cfg = SimConfig(seed=4, n_paths=25, step=step, max_doublings=1)
-    with pytest.raises(HorizonExceededError) as got:
-        tau_ensemble(model, cfg, TARGETS, path_offset=3)
-    with pytest.raises(HorizonExceededError) as want:
-        oracles.ref_tau_ensemble(model, cfg, TARGETS, path_offset=3)
-    assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("name,model,step", MODELS[:4], ids=IDS[:4])
 def test_max_doublings_two_raises(short_horizon, name, model, step):
     # the last rung is 4 x 0.25: every path misses it
     cfg = SimConfig(seed=4, n_paths=10, step=step, max_doublings=2)
@@ -158,6 +142,32 @@ def test_max_doublings_two_raises(short_horizon, name, model, step):
     with pytest.raises(HorizonExceededError) as want:
         oracles.ref_tau_ensemble(model, cfg, TARGETS, path_offset=3)
     assert str(got.value) == str(want.value)
+
+
+def test_streams_from_a_position():
+    # Philox is counter-based: a stream goes on from the count of raw draws
+    # it has given, wherever in a four-draw counter block that falls
+    seed, pid = 9, 5
+    ends = set()
+    for k in (0, 1, 2, 3, 1001):
+        work = paths._Work(seed)
+        next(work.streams(np.array([pid]))).standard_normal(k)
+        pos = work.position()
+        ends.add(pos % 4)
+        want = paths.path_rng(seed, pid)
+        want.standard_normal(k)
+        got = next(paths._Work(seed).streams(np.array([pid]),
+                                             at=np.array([pos])))
+        assert np.array_equal(got.standard_normal(300),
+                              want.standard_normal(300))
+    assert ends == {0, 1, 2, 3}
+    # a uniform is one raw draw: the uniform of step j is raw draw j
+    aux = paths._AUX_STREAM + pid
+    for j in (0, 1, 2, 3, 5, 4097):
+        got = next(paths._Work(seed).streams(np.array([aux]),
+                                             at=np.array([j])))
+        want = paths.path_rng(seed, aux).random(j + 50)[j:]
+        assert np.array_equal(got.random(50), want)
 
 
 # jump rows that need many 128-event chunks: a high jump rate and a clock
@@ -288,20 +298,15 @@ def test_clock_nan_at_unreached_targets(name, model, step):
     cfg = SimConfig(seed=11, n_paths=30, step=step)
     targets = [0.5, 2.0, 8.0, 30.0]
 
-    def taus(block):
-        taus, reached = block.clock(1.0, targets)
-        return np.column_stack((taus, reached))
-
-    got = paths.run_paths(model, cfg, 2.0, taus)
-    for i, row in enumerate(got):
+    taus = paths.run_paths(model, cfg, 2.0,
+                           lambda block: block.clock(1.0, targets))
+    for i, row in enumerate(taus):
         p = oracles.ref_path(model, cfg.seed, i, 2.0, step)
         nodes = oracles.ref_nodes(p, 1.0)
         want = [oracles.ref_clock(p, nodes, 1.0, [t])[0]
                 if t <= nodes[-1] else math.nan for t in targets]
-        assert np.array_equal(row[:-1], want, equal_nan=True)
-        assert row[-1] == (not np.isnan(want).any())
+        assert np.array_equal(row, want, equal_nan=True)
     # rows with targets on both sides of A(horizon)
-    taus = got[:, :-1]
     assert (np.isnan(taus).any(axis=1) & np.isfinite(taus).any(axis=1)).any()
 
 
