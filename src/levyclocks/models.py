@@ -205,6 +205,14 @@ def _stirling_shift(z: float, h: float) -> tuple[float, float, float]:
     return d0, d1, d2
 
 
+def _signed_exp(e: float, sign: float) -> float:
+    """exp(e) with the sign of ``sign``; +-inf past float range."""
+    try:
+        return math.copysign(math.exp(e), sign)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
+
+
 def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
     """(f, f', f'') for f(m) = Gamma(z(m) + h) / Gamma(z(m)).
 
@@ -215,7 +223,8 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
     come from ``_stirling_shift``.  Below ``z = 1/2`` it switches to the
     reflected form 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, which is
     smooth across the zeros of 1/Gamma at non-positive integer ``z``.
-    Where the ratio leaves float range, f = +inf.
+    Where the ratio leaves float range, f = +inf and f', f'' stay finite
+    as long as they fit.
     """
     a = z + h
     if z >= 0.5:
@@ -225,11 +234,17 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
             d0 = log_gamma(a) - log_gamma(z)
             d1 = digamma(a) - digamma(z)
             d2 = trigamma(a) - trigamma(z)
+        lr = s * d1
         try:
             f = math.exp(d0)
-        except OverflowError:       # far out along the Stirling branch
-            f = math.inf
-        lr = s * d1
+        except OverflowError:
+            # Far out along the Stirling branch (h log z > 709 with h <= 2,
+            # so z > 1e154), f' and f'' come from logs.  There d1^2 + d2 is
+            # h (h - 1)/z^2 to far below rounding, and both terms underflow.
+            q = h * (h - 1.0)
+            return (math.inf, _signed_exp(d0 + math.log(abs(lr)), lr),
+                    _signed_exp(d0 + math.log(s * s * abs(q))
+                                - 2.0 * math.log(z), q))
         return f, f * lr, f * (lr * lr + s * s * d2)
     G = log_gamma(a) + log_gamma(1.0 - z)
     G1 = s * (digamma(a) - digamma(1.0 - z))

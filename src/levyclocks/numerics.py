@@ -2,14 +2,16 @@
 
 Log-gamma is the standard library's behind a domain guard; digamma and
 trigamma run a recurrence plus asymptotic series (reflection for negative
-arguments); and a Brent-style bracketing root finder serves every supremum
-in ``rate`` (the maximiser of a concave objective is the root of its exact
+arguments); and one root finder, for monotone functions given with their
+slope, serves every solve in ``rate`` (the maximiser of a concave
+objective is the root of its exact derivative, whose slope is the second
 derivative).  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BracketError, DomainError, EvaluationError
@@ -120,70 +122,141 @@ class Bracket:
                                f"[{self.lo!r}, {self.hi!r}]")
 
 
-def _checked(f, x: float) -> float:
-    v = f(x)
-    if not math.isfinite(v):
-        raise EvaluationError(f"objective returned non-finite value {v!r} "
-                              f"at x = {x!r}")
-    return v
+def _model_step(y: float, g: float, s: float, o: float | None,
+                go: float) -> float:
+    """Root nearest ``y`` of a local model of an increasing g, on the side
+    of ``y`` where the root of g lies: the quadratic with value ``g`` and
+    slope ``s`` at ``y`` and value ``go`` at a second point ``o``, or,
+    where that has no root on that side (or there is no ``o``), the
+    tangent at ``y``.  NaN when neither has."""
+    side = -1.0 if g > 0.0 else 1.0
+    if o is not None:
+        d = o - y
+        c = (go - g - s * d) / (d * d)
+        disc = s * s - 4.0 * c * g
+        if c and disc >= 0.0:
+            q = -0.5 * (s + math.copysign(math.sqrt(disc), s))
+            if q:
+                t = g / q           # the root of smaller magnitude
+                if t * side > 0.0:
+                    return y + t
+                t = q / c
+                if t * side > 0.0:
+                    return y + t
+    t = -g / s if s else side * math.inf
+    return y + t if t * side > 0.0 else math.nan
 
 
-def find_root(f, bracket: Bracket, tol: float = 1e-12,
-              max_iter: int = 200) -> float:
-    """Root of a continuous scalar function by Brent's method.
+def find_root(f, start: float, end: float,
+              tol: float = 1e-12) -> float | None:
+    """Root of a monotone ``f`` between ``start`` and ``end``.
 
-    Inverse-quadratic / secant steps with a bisection safeguard; always
-    converges for a continuous ``f`` with ``f(lo) * f(hi) < 0``.  The
-    returned point lies in a sub-bracket of width <= ``tol`` (with a
-    floor of a few ulps of the solution).
+    ``f(x)`` returns the value and the slope at ``x``.  ``f`` is evaluated
+    at ``start``, where it must be finite, and never at ``end``, which may
+    be infinite or a pole.
+
+    Each step goes to the root of a local model of ``f`` at the last
+    point: the tangent at ``start``, then the quadratic that also matches
+    ``f`` at the previous point or, once ``f`` has changed sign, at the
+    bracket end across the root.  Before the sign change a step is taken
+    if it lands strictly short of ``end`` (a step past float range lands
+    on the last float) and either is at most half the last move or gets
+    farther than a probe; otherwise the probe is taken.  Consecutive
+    probes multiply the distance from ``start`` toward an infinite end,
+    and divide the distance left to a finite one, by 2, 4, 8, ...  Inside
+    the bracket a step that is not at most half the last move is replaced
+    by a bisection, taken by ratio where the bracket spans more than a
+    factor of 4.
+
+    The returned point is an evaluated one whose Newton correction (or
+    bracket) is at most ``tol * min(max(1, |x|), |end - start|)``, or
+    ``tol |x|`` when |x| is smaller than that, so that a root near 0 keeps
+    its relative accuracy.
+
+    Returns None when ``f`` is infinite at a probe, or the probes toward an
+    infinite end leave float range, before ``f`` changes sign.
 
     Raises:
-        BracketError: if the bracket does not straddle a sign change.
-        EvaluationError: if ``f`` returns a non-finite value.
+        BracketError: if the probes reach a finite ``end`` without a sign
+            change.
+        EvaluationError: if ``f`` is NaN anywhere, or infinite at
+            ``start`` or inside the bracket.
     """
-    a, b = bracket.lo, bracket.hi
-    fa, fb = _checked(f, a), _checked(f, b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise BracketError(f"no sign change on [{a!r}, {b!r}]: "
-                           f"f(lo) = {fa!r}, f(hi) = {fb!r}")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        delta = 0.5 * max(tol, 4.0 * math.ulp(abs(b)))
-        m = 0.5 * (c - b)
-        if abs(m) <= delta or fb == 0.0:
-            return b
-        if abs(e) < delta or abs(fa) <= abs(fb):
-            d = e = m
+    # Work in y = distance from start toward end, on g = sign * f, which
+    # is negative at y = 0 and increases toward the root.
+    span = abs(end - start)
+    ahead = 1.0 if end > start else -1.0
+    x = start
+    fx, sx = f(x)
+    if not math.isfinite(fx):
+        raise EvaluationError(f"objective returned {fx!r} at x = {x!r}")
+    sign = -1.0 if fx > 0.0 else 1.0
+    y, g, s = 0.0, sign * fx, sign * ahead * sx
+    ya, ga = y, g                   # nearest point with g < 0
+    yb = gb = None                  # nearest point with g > 0
+    yp = gp = None                  # the point evaluated before y
+    far = span                      # steps land strictly before it
+    last = math.inf                 # length of the last move
+    grow = 2.0                      # factor of the next probe
+    while g != 0.0:
+        ax = abs(x)
+        scale = tol * (ax if ax > 1.0 else 1.0)
+        if scale > tol * span:
+            scale = tol * span
+        if ax < scale:
+            scale = tol * ax
+        if abs(g) <= scale * abs(s):
+            return x
+        if yb is None:
+            new = _model_step(y, g, s, yp, gp)
+            if new == math.inf and far == math.inf:     # the last float
+                new = (ahead * sys.float_info.max - start) * ahead
+            if span == math.inf:
+                p = grow * ya if ya else 1.0
+                p_ok = math.isfinite(start + ahead * p)
+            else:
+                p = span - (span - ya) / grow
+                p_ok = ya < p < span
+            if ya < new < far and (not p_ok or new - ya <= 0.5 * last
+                                   or new >= p):
+                probe, grow = False, 2.0
+            elif p_ok:
+                new, probe, grow = p, True, 2.0 * grow
+            elif span == math.inf:
+                return None
+            else:
+                raise BracketError(f"no sign change between {start!r} "
+                                   f"and {end!r}")
         else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(delta * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > delta else math.copysign(delta, m)
-        fb = _checked(f, b)
-    return b
+            new = _model_step(y, g, s, yb if y == ya else ya,
+                              gb if y == ya else ga)
+            if not (ya < new < yb and abs(new - y) <= 0.5 * last):
+                # bisect; by ratio across a bracket wider than 1 : 4
+                new = (math.sqrt(ya) * math.sqrt(yb) if yb > 4.0 * ya > 0.0
+                       else 0.5 * (ya + yb))
+                if not ya < new < yb or yb - ya <= scale:
+                    y = ya if -ga <= gb else yb
+                    return start + ahead * y
+        last = abs(new - y)
+        x_new = start + ahead * new
+        fv, fs = f(x_new)
+        if fv != fv:
+            raise EvaluationError(f"objective returned NaN at x = "
+                                  f"{x_new!r}")
+        if not math.isfinite(fv):
+            if yb is not None:
+                raise EvaluationError(f"objective returned {fv!r} at x = "
+                                      f"{x_new!r} inside a bracket")
+            if probe:
+                return None
+            far = new
+            continue
+        yp, gp = y, g
+        x, y, g, s = x_new, new, sign * fv, sign * ahead * fs
+        if g < 0.0:
+            ya, ga = y, g
+        else:
+            if yb is None:
+                last = math.inf
+            yb, gb = y, g
+    return x

@@ -14,14 +14,14 @@ with the associated asymptotes and ``b`` limits.
 
 The limits of psi, psi' and the affine gap at each domain end come in
 closed form from the catalog (``LevyModel.end_limits``), and they decide
-before any probing whether a root exists.  Every solve then runs on an
-increasing function along geometric probes from 0 toward a domain end:
-the probes stop at the first sign change and Brent's method finishes on
-that interval.  The maximiser of ``m - x psi(m)`` (and of ``m y - psi(m)``
-for ``psi*``) is the root of ``psi'(m) = 1/x`` (resp. ``= y``), so the
-supremum is read off at the root.  The probes only bracket roots, and run
-until psi' leaves float range; a maximiser beyond float range gives
-I = psi* = +inf.
+before any solving whether a root exists.  Every solve then finds the
+root of an increasing function from 0 toward a domain end with
+``numerics.find_root``, which takes the slope with the value: the
+maximiser of ``m - x psi(m)`` (and of ``m y - psi(m)`` for ``psi*``) is
+the root of ``psi'(m) = 1/x`` (resp. ``= y``), solved with psi'', and L
+is the root of ``psi(m) = -theta``, solved with psi'.  The supremum is
+read off at the root.  A maximiser beyond float range, or one where psi
+itself has left float range, gives I = psi* = +inf.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
-from .errors import AssumptionError, ClassificationError, DomainError
+from .errors import (AssumptionError, BracketError, ClassificationError,
+                     DomainError)
 from .models import Family, LevyModel
-from .numerics import Bracket, find_root
+from .numerics import find_root
 
 __all__ = [
     "Tau0Case",
@@ -64,51 +65,20 @@ class TauPlusCase(str, Enum):
     C4C = "4c"
 
 
-def _approach(endpoint: float) -> Iterator[float]:
-    """Geometric probes from 0 toward ``endpoint``, to the last float."""
-    if math.isinf(endpoint):
-        m = math.copysign(1.0, endpoint)
-        while math.isfinite(m):
-            yield m
-            m *= 2.0
-    else:
-        for k in range(1, 53):
-            m = endpoint - endpoint / 2.0 ** k
-            if m == endpoint:
-                return
-            yield m
-
-
-def _increasing_root(f: Callable[[float], float], end: float) -> float | None:
+def _increasing_root(f: Callable[[float], tuple[float, float]],
+                     end: float) -> float | None:
     """Root of an increasing ``f`` that lies between 0 and ``end``.
 
-    Probes ``_approach(end)`` until ``f`` changes sign, then solves on the
-    last probe interval with Brent's method.  Returns None when the probes
-    run out, or ``f`` leaves float range, first.  Brent's tolerance is
-    1e-14 max(1, |m|), capped at 1e-14 |end| so that a domain narrower
-    than 1 is solved to the same relative accuracy as a wide one; a root
-    nearer to 0 than that is solved again on its own scale.
+    ``f`` returns (value, slope).  ``numerics.find_root`` solves from 0,
+    where ``f`` is finite, to 1e-14 max(1, |m|), capped at 1e-14 |end| so
+    that a domain narrower than 1 is solved to the same relative accuracy
+    as a wide one, and to 1e-14 |m| for a root nearer to 0 than that.
+    None when no root lies short of ``end`` and of float range.
     """
-    up = end > 0.0
-    prev = 0.0
-    for m in _approach(end):
-        v = f(m)
-        if not math.isfinite(v):
-            return None
-        if v == 0.0:
-            return m
-        if (v > 0.0) == up:
-            lo, hi = (prev, m) if up else (m, prev)
-            tol = 1e-14 * min(max(1.0, abs(m)), abs(end))
-            root = find_root(f, Bracket(lo, hi), tol=tol)
-            while 0.0 < abs(root) < tol:
-                edge = root + math.copysign(tol, root)
-                lo, hi = (0.0, edge) if up else (edge, 0.0)
-                tol = 1e-14 * abs(root)
-                root = find_root(f, Bracket(lo, hi), tol=tol)
-            return root
-        prev = m
-    return None
+    try:
+        return find_root(f, 0.0, end, tol=1e-14)
+    except BracketError:
+        return None
 
 
 def _find_m0(model: LevyModel) -> tuple[float, float, float]:
@@ -120,9 +90,14 @@ def _find_m0(model: LevyModel) -> tuple[float, float, float]:
     """
     psi_end, l_end, _ = model.end_limits(upper=False)
     if l_end < 0.0:
-        root = _increasing_root(lambda m: model.psi_derivs(m)[0],
-                                model.m_minus)
+        root = _increasing_root(model.psi_derivs, model.m_minus)
         if root is not None:
+            # One more Newton correction, free at the evaluated root,
+            # takes m0 to the float nearest the root; psi(m0) bounds the
+            # domain of L.
+            d1, d2 = model.psi_derivs(root)
+            if d2 > 0.0:
+                root -= d1 / d2
             return root, 0.0, model.psi(root)
     return model.m_minus, l_end, psi_end
 
@@ -267,7 +242,11 @@ def _argmax(model: LevyModel, slope: float, mean: float) -> float | None:
     None when the root lies beyond float range.
     """
     end = model.m_plus if slope > mean else model.m_minus
-    return _increasing_root(lambda m: model.psi_derivs(m)[0] - slope, end)
+
+    def f(m: float) -> tuple[float, float]:
+        d1, d2 = model.psi_derivs(m)
+        return d1 - slope, d2
+    return _increasing_root(f, end)
 
 
 def _rate_point(model: LevyModel, x: float,
@@ -279,6 +258,8 @@ def _rate_point(model: LevyModel, x: float,
     if m_star is None:
         return _INF, -_INF
     psi_star = model.psi(m_star)
+    if math.isinf(psi_star):        # the supremum is beyond float range
+        return _INF, -_INF
     return max(m_star - x * psi_star, 0.0), -psi_star
 
 
@@ -317,9 +298,8 @@ def legendre_dual(model: LevyModel, y: float) -> float:
         if y == l_end and gap is not None:
             return -gap
     m_star = _argmax(model, y, model.mean)
-    if m_star is None:
-        return _INF
-    return m_star * y - model.psi(m_star)
+    psi_star = _INF if m_star is None else model.psi(m_star)
+    return _INF if math.isinf(psi_star) else m_star * y - psi_star
 
 
 def invert_L(model: LevyModel, theta: float,
@@ -342,7 +322,12 @@ def invert_L(model: LevyModel, theta: float,
         return 0.0
     target = -theta
     end = model.m_plus if target > 0.0 else prof.m0
-    root = _increasing_root(lambda m: model.psi(m) - target, end)
+
+    def f(m: float) -> tuple[float, float]:
+        if m == 0.0:                # known: psi(0) = 0, psi'(0) = mean
+            return -target, prof.mean
+        return model.psi(m) - target, model.psi_derivs(m)[0]
+    root = _increasing_root(f, end)
     if root is None:
         side = "below m_plus" if target > 0.0 else "above m0"
         raise DomainError(f"psi never reaches {target!r} {side}")

@@ -212,6 +212,25 @@ class TestMpmathOracle:
                     assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (m, k)
 
 
+    def test_derivatives_past_psi_overflow(self):
+        # Gamma(m + 1.5)/Gamma(m) leaves float range near m = 3e205, but
+        # psi' ~ 1.5 sqrt(m) and psi'' ~ 0.75/sqrt(m) do not.
+        model = stable_conditioned(1.5, 1.0)
+        m = 1e250
+        assert model.psi(m) == math.inf
+        d1, d2 = model.psi_derivs(m)
+        with mp.workdps(600):
+            z, h = mp.mpf(m), mp.mpf(1.5)
+            f = mp.exp(mp.loggamma(z + h) - mp.loggamma(z))
+            g1 = mp.digamma(z + h) - mp.digamma(z)
+            g2 = mp.polygamma(1, z + h) - mp.polygamma(1, z)
+            ref1, ref2 = float(f * g1), float(f * (g1 * g1 + g2))
+        assert ref1 == pytest.approx(1.5e125, rel=1e-6)
+        assert ref2 == pytest.approx(7.5e-126, rel=1e-6)
+        assert abs(d1 - ref1) <= 1e-12 * ref1
+        assert abs(d2 - ref2) <= 1e-12 * ref2
+
+
 class TestEsscher:
     def test_zero_tilt_is_identity(self):
         m = saw_tooth(1, 3)
@@ -246,7 +265,7 @@ class TestEsscher:
                 assert model.esscher(m).psi_derivs(0.0) == model.psi_derivs(m)
 
     @given(st.floats(-0.9, 3.0))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_double_tilt_composes(self, m):
         base = saw_tooth(1.0, 3.0)
         once = base.esscher(m)

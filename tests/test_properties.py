@@ -25,6 +25,7 @@ from levyclocks import (
     make_model,
     profile,
     rate_I,
+    rate_curve,
     saw_tooth,
     stable_conditioned,
 )
@@ -131,3 +132,15 @@ def test_rate_duality(model_x):
         assert i_val == dual
     else:
         assert abs(i_val - dual) <= 1e-8 * max(1.0, abs(i_val))
+
+
+@PROPERTY_SETTINGS
+@given(models_and_x())
+def test_rate_curve_row_is_rate_I(model_x):
+    # Each rate point depends on (model, x) only: the row of a curve through
+    # x is rate_I(x) bit for bit, whatever the other points of the curve.
+    model, x = model_x
+    prof = profile(model)
+    hi_edge = prof.tau_zero if math.isfinite(prof.tau_zero) else 8.0 * prof.tau_e
+    rows = rate_curve(model, x, x + 0.5 * (hi_edge - x), 3, prof)
+    assert rows[0][1] == rate_I(model, x, prof)

@@ -24,6 +24,7 @@ from levyclocks import (
     saw_tooth,
     stable_conditioned,
 )
+from levyclocks.models import LevyModel
 from oracles import (
     concave_sup,
     rate_brownian,
@@ -333,6 +334,19 @@ class TestDuality:
                 assert abs(rate_I(model, x, p) - sup) <= 1e-6
 
 
+    def test_maximiser_past_psi_overflow(self):
+        # psi'(m*) = 1/x at m* ~ 4.4e219, where psi' is finite but psi has
+        # overflowed: I and psi* read +inf, not max(m* - x inf, 0) = 0.
+        model = stable_conditioned(1.5, 1.0)
+        x = 1e-110
+        m_star = (1.0 / (1.5 * x)) ** 2
+        assert math.isfinite(model.psi_derivs(m_star)[0])
+        assert model.psi(m_star) == math.inf
+        assert rate_I(model, x) == math.inf
+        assert legendre_dual(model, 1.0 / x) == math.inf
+        assert rate_curve(model, x, 2.0 * x, 2)[0][1:] == (math.inf, -math.inf)
+
+
 class TestInvertL:
     def test_zero(self):
         for model in MODELS:
@@ -426,3 +440,57 @@ class TestRateCurve:
         first = lines[1].split(",")
         assert float(first[0]) == 0.5
         assert float(first[1]) == 0.0
+
+
+class TestEvaluationBudget:
+    """psi and psi' calls per solve, counted on the model class.
+
+    Each bound is about 1.25x the calls the solver makes on its model.
+    """
+
+    # (rate_curve point, legendre_dual call, invert_L call)
+    BOUNDS = {
+        "brownian_drift": (3.75, 5.0, 5.0),
+        "cp_plus_drift": (10.0, 11.9, 13.1),
+        "cp_minus_drift": (8.25, 9.7, 13.75),
+        "saw_tooth": (10.6, 11.6, 10.6),
+        "stable_conditioned": (8.4, 9.8, 11.9),
+        "csbp_immigration": (7.5, 8.9, 13.75),
+        "hypergeometric_stable": (10.3, 11.9, 13.75),
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        for name in ("psi", "psi_derivs"):
+            original = getattr(LevyModel, name)
+
+            def counted(self, m, _original=original):
+                count[0] += 1
+                return _original(self, m)
+            monkeypatch.setattr(LevyModel, name, counted)
+        return count
+
+    @pytest.mark.parametrize("model", MODELS,
+                             ids=lambda model: model.family.value)
+    def test_calls_per_solve(self, model, calls):
+        curve_bound, dual_bound, inverse_bound = self.BOUNDS[
+            model.family.value]
+        prof = profile(model)
+        xs = delta_grid(prof, 50)
+        calls[0] = 0
+        rows = rate_curve(model, float(xs[0]), float(xs[-1]), 50, prof)
+        assert calls[0] / len(rows) <= curve_bound
+        picks = rows[::7]
+        calls[0] = 0
+        for x, _, _ in picks:
+            legendre_dual(model, 1.0 / x)
+        assert calls[0] / len(picks) <= dual_bound
+        lo = prof.m0 if math.isfinite(prof.m0) else -6.0
+        hi = model.m_plus if math.isfinite(model.m_plus) else 6.0
+        thetas = [-model.psi(lo + f * (hi - lo)) for f in (0.05, 0.35, 0.65,
+                                                           0.95)]
+        calls[0] = 0
+        for theta in thetas:
+            invert_L(model, theta, prof)
+        assert calls[0] / len(thetas) <= inverse_bound
