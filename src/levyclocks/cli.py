@@ -232,8 +232,7 @@ def _cmd_simulate(args) -> list[str]:
     cfg = _sim_config(args)
     taus = tau_ensemble(model, cfg, [args.t])
     lines = ["path_id,tau"]
-    for i in range(cfg.n_paths):
-        lines.append(f"{i},{taus[i, 0]:.17g}")
+    lines += [f"{i},{tau:.17g}" for i, tau in enumerate(taus[:, 0].tolist())]
     return _emit(args, "simulate.csv", "\n".join(lines) + "\n")
 
 

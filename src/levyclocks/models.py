@@ -46,6 +46,7 @@ which keep full precision where differences of log Gamma cancel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -69,6 +70,8 @@ __all__ = [
 ]
 
 _PI = math.pi
+# Smallest positive normal float: below it a product has lost digits.
+_TINY = sys.float_info.min
 
 
 class Family(str, Enum):
@@ -223,8 +226,8 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
     come from ``_stirling_shift``.  Below ``z = 1/2`` it switches to the
     reflected form 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, which is
     smooth across the zeros of 1/Gamma at non-positive integer ``z``.
-    Where the ratio leaves float range, f = +inf and f', f'' stay finite
-    as long as they fit.
+    Where the ratio leaves float range (f = +inf) or f''/f underflows, f'
+    and f'' come from log f and stay finite and accurate as long as they fit.
     """
     a = z + h
     if z >= 0.5:
@@ -235,17 +238,24 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
             d1 = digamma(a) - digamma(z)
             d2 = trigamma(a) - trigamma(z)
         lr = s * d1
+        curv = lr * lr + s * s * d2
         try:
             f = math.exp(d0)
         except OverflowError:
-            # Far out along the Stirling branch (h log z > 709 with h <= 2,
-            # so z > 1e154), f' and f'' come from logs.  There d1^2 + d2 is
-            # h (h - 1)/z^2 to far below rounding, and both terms underflow.
-            q = h * (h - 1.0)
-            return (math.inf, _signed_exp(d0 + math.log(abs(lr)), lr),
-                    _signed_exp(d0 + math.log(s * s * abs(q))
-                                - 2.0 * math.log(z), q))
-        return f, f * lr, f * (lr * lr + s * s * d2)
+            f = math.inf
+        if f < math.inf and (abs(curv) >= _TINY or z < _STIRLING_FROM):
+            return f, f * lr, f * curv
+        # Far out along the Stirling branch (z > 1e153 with h <= 2), lr^2
+        # and s^2 d2 underflow, and f overflows from h log z > 709 on, so
+        # f' and f'' come from logs.  There d1^2 + d2 is h (h - 1)/z^2 to
+        # far below rounding.
+        q = h * (h - 1.0)
+        f1 = f * lr if f < math.inf else _signed_exp(d0 + math.log(abs(lr)),
+                                                     lr)
+        if q == 0.0:
+            return f, f1, 0.0
+        return f, f1, _signed_exp(d0 + math.log(s * s * abs(q))
+                                  - 2.0 * math.log(z), q)
     G = log_gamma(a) + log_gamma(1.0 - z)
     G1 = s * (digamma(a) - digamma(1.0 - z))
     G2 = s * s * (trigamma(a) + trigamma(1.0 - z))

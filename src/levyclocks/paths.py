@@ -36,8 +36,9 @@ else.  A run whose rows can miss their target serves a value once it is
 finite, keeps it from the first block where it is, and grows each row
 until all its values are served: Gaussian rows gain steps in geometric
 pieces, each drawn from the stream position, ξ and A the row carries
-from the last one; jump rows gain 128-event chunks and are drawn again
-from their key.  No row is drawn past the horizon ``h0 2^k`` at which the
+from the last one; jump rows are drawn again from their key, every row
+of a block in as many 128-event chunks, straight into the block's
+arrays.  No row is drawn past the horizon ``h0 2^k`` at which the
 same path sampled alone would first serve it, so the results are those of
 doubling the horizon and drawing again; this is the one horizon ladder of
 the package.
@@ -176,29 +177,6 @@ def _effective_dynamics(model: LevyModel):
     raise CapabilityError(
         f"no exact path sampler for family {fam.value!r}; the Cauchy "
         f"modulus is available through simulate_cauchy_modulus")
-
-
-def _draw_jumps(rng: np.random.Generator, beta: float, gamma: float,
-                until: float) -> tuple[np.ndarray, np.ndarray]:
-    """(arrival times, magnitudes) of a path's jumps, every one drawn.
-
-    Draws ``_JUMP_CHUNK`` exponential gaps, then as many exponential
-    magnitudes, per chunk until the arrivals pass ``until``.  A longer
-    horizon only appends draws, so it extends the same path.
-    """
-    arrivals: list[np.ndarray] = []
-    sizes: list[np.ndarray] = []
-    total = 0.0
-    while beta > 0.0 and total < until:
-        gaps = rng.exponential(scale=1.0 / beta, size=_JUMP_CHUNK)
-        sizes.append(rng.exponential(scale=1.0 / gamma, size=_JUMP_CHUNK))
-        arrivals.append(total + np.cumsum(gaps))
-        total = float(arrivals[-1][-1])
-    if not arrivals:
-        return np.empty(0), np.empty(0)
-    if len(arrivals) == 1:
-        return arrivals[0], sizes[0]
-    return np.concatenate(arrivals), np.concatenate(sizes)
 
 
 def _philox() -> np.random.Generator:
@@ -641,67 +619,91 @@ class _GaussianRows:
 class _JumpRows:
     """The compound-Poisson rows of a run.
 
-    A row is drawn in chunks of ``_JUMP_CHUNK`` events until they pass the
-    horizon, and reduced on everything they cover up to the rung,
-    [0, min(last arrival, rung)].  A pending row is reduced again once
-    that interval grows, on its chunks drawn again from the start of its
-    stream, and more where the horizon has passed them.  A jump row holds
-    tens of events: drawing them again costs about what moving its stream
-    past them to append a chunk would, and keeping them for every row of a
-    block would cost more memory than the block.
+    A row is drawn in chunks of ``_JUMP_CHUNK`` events, each its gaps and
+    then its magnitudes, until they pass the horizon, and reduced on
+    everything they cover up to the rung, [0, min(last arrival, rung)].
+    A pending row is reduced again once that interval grows, on its chunks
+    drawn again from the start of its stream, and more where the horizon
+    has passed them.  A jump row holds tens of events: drawing them again
+    costs about what moving its stream past them to append a chunk would,
+    and keeping them for every row of a block would cost more memory than
+    the block.  The rows of a block draw as many chunks each, in one call
+    per row, and the rest is array operations on the whole block.
     """
 
     def __init__(self, dyn, cfg: SimConfig, offset: int, n_rows: int,
                  work: _Work, grow: bool) -> None:
-        _, self.drift, self.beta, self.gamma, self.sign = dyn
-        self.cfg, self.offset, self.work = cfg, offset, work
+        _, self.drift, beta, gamma, sign = dyn
+        self.beta, self.offset, self.work = beta, offset, work
+        # mean gap (a rate of 0 draws no chunks) and signed mean magnitude
+        self.gap_mean = 1.0 / beta if beta > 0.0 else math.inf
+        self.jump_mean = sign / gamma
         self.reach = np.zeros(n_rows)           # last arrival drawn
+        self.chunks = np.zeros(n_rows, dtype=np.int64)  # chunks drawn
         self.end = np.zeros(n_rows)             # horizon of the last block
 
     def blocks(self, rows: np.ndarray, horizon: float, rung: float):
-        # rows are padded to the most jumps in the block: the Poisson mean
-        # plus four standard deviations
-        events = self.beta * rung
-        width = math.ceil(events + 4.0 * math.sqrt(events)) + 2
-        per_block = max(1, _BLOCK_BUDGET // width)
+        reach = self.reach[rows]
+        rows = rows[(reach < horizon) | (np.minimum(reach, rung)
+                                         > self.end[rows])]
+        until = np.maximum(self.reach[rows], horizon)
+        # the chunks the rows drew before, and those of the Poisson mean
+        # plus four standard deviations of the events before the horizon
+        events = self.beta * horizon
+        chunks = max(math.ceil((events + 4.0 * math.sqrt(events))
+                               / _JUMP_CHUNK),
+                     int(self.chunks[rows].max(initial=0)))
+        # a block's rows are set by the width they are drawn to
+        per_block = max(1, _BLOCK_BUDGET // (chunks * _JUMP_CHUNK + 2))
         for lo in range(0, len(rows), per_block):
-            sub = rows[lo:lo + per_block]
-            reach = self.reach[sub]
-            sub = sub[(reach < horizon)
-                      | (np.minimum(reach, rung) > self.end[sub])]
-            if len(sub):
-                yield sub, self._block(sub, horizon, rung)
+            part = slice(lo, lo + per_block)
+            yield from self._blocks(rows[part], until[part], rung, chunks)
 
-    def _block(self, rows: np.ndarray, horizon: float,
-               rung: float) -> PathBlock:
-        """Rows ``rows`` drawn past ``horizon`` (and past what they drew
-        before), each on [0, min(last arrival, rung)]."""
-        draws = []
-        until = np.maximum(self.reach[rows], horizon).tolist()
-        for u, stream in zip(until, self.work.streams(self.offset + rows)):
-            arrivals, sizes = _draw_jumps(stream, self.beta, self.gamma, u)
-            reach = arrivals[-1] if len(arrivals) else math.inf
-            m = int(arrivals.searchsorted(min(reach, rung)))
-            draws.append((reach, arrivals[:m].copy(), sizes[:m].copy()))
-        self.reach[rows] = [reach for reach, _, _ in draws]
-        end = np.minimum(self.reach[rows], rung)
-        self.end[rows] = end
-        size = np.array([len(arrivals) for _, arrivals, _ in draws]) + 2
-        shape = (len(rows), int(size.max()))
+    def _blocks(self, rows: np.ndarray, until: np.ndarray, rung: float,
+                chunks: int):
+        """Rows ``rows`` drawn in ``chunks`` chunks each: the block of those
+        whose last arrival passes ``until``, each on [0, min(last arrival,
+        rung)], and then the others, drawn again with twice the chunks."""
+        draws = self.work.array("draws", (len(rows), chunks, 2, _JUMP_CHUNK))
+        for row, stream in zip(draws, self.work.streams(self.offset + rows)):
+            stream.standard_exponential(out=row)
+        gaps = draws[:, :, 0]
+        gaps *= self.gap_mean
+        np.cumsum(gaps, axis=2, out=gaps)
+        # a chunk's arrivals go on from the last arrival of the one before
+        for j in range(1, chunks):
+            gaps[:, j] += gaps[:, j - 1, -1:]
+        arrivals = gaps.reshape(len(rows), -1)
+        sizes = draws[:, :, 1].reshape(len(rows), -1)
+        reach = arrivals[:, -1] if chunks else np.full(len(rows), math.inf)
+        short = reach < until
+        again = rows[short], until[short]
+        if short.any():
+            rows, arrivals, sizes, reach = (a[~short] for a in
+                                            (rows, arrivals, sizes, reach))
+        end = np.minimum(reach, rung)
+        self.reach[rows], self.chunks[rows], self.end[rows] = \
+            reach, chunks, end
+        keep = arrivals < end[:, None]
+        size = np.count_nonzero(keep, axis=1) + 2
+        width = int(size.max(initial=2)) - 2    # events of the longest row
+        keep, shape = keep[:, :width], (len(rows), width + 2)
         times = self.work.array("times", shape)
         times[:] = end[:, None]
         times[:, 0] = 0.0
+        np.copyto(times[:, 1:-1], arrivals[:, :width], where=keep)
         jumps = self.work.array("jumps", shape)
         jumps.fill(0.0)
-        for t_row, j_row, (_, arrivals, mags) in zip(times, jumps, draws):
-            m = len(arrivals)
-            t_row[1:m + 1] = arrivals
-            j_row[1:m + 1] = self.sign * mags
+        np.multiply(sizes[:, :width], self.jump_mean, out=jumps[:, 1:-1],
+                    where=keep)
         xi = np.cumsum(jumps, axis=1, out=self.work.array("xi", shape))
         xi += self.drift * times
-        return PathBlock(times=times, xi=xi, size=size, kind=LINEAR,
-                         drift=self.drift, ids=self.offset + rows,
-                         jumps=jumps, work=self.work)
+        if len(rows):
+            yield rows, PathBlock(times=times, xi=xi, size=size, kind=LINEAR,
+                                  drift=self.drift, ids=self.offset + rows,
+                                  jumps=jumps, work=self.work)
+        if short.any():
+            yield from self._blocks(*again, rung, 2 * chunks)
 
     def keep(self, rows: np.ndarray, block: PathBlock,
              left: np.ndarray) -> None:
@@ -741,7 +743,8 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     Row ``i`` of the result holds path ``path_offset + i``.  A pending
     Gaussian row carries four numbers from one reduction to the next: its
     stream position, ξ, A and whether it has crossed the first-passage
-    level; a jump row carries how far it was drawn.
+    level; a jump row carries how far it was drawn, and in how many
+    chunks.
 
     Raises:
         HorizonExceededError: with message ``miss(i, h)`` for the first

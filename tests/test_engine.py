@@ -15,6 +15,7 @@ that ``PathBlock.clock`` reads NaN at exactly the targets a row cannot
 reach.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -67,12 +68,15 @@ def short_horizon(monkeypatch):
 
 
 def _width(model, horizon: float, step: float) -> int:
-    """Padded row width ``run_paths`` sizes its blocks by."""
+    """Row width ``run_paths`` sizes its blocks by: the nodes of a Gaussian
+    row, or the events a jump row draws (the chunks of the Poisson mean
+    plus four standard deviations) and its two ends."""
     dyn = paths._effective_dynamics(model)
     if dyn[0] == "brownian":
         return math.ceil(horizon / step) + 1
     events = dyn[2] * horizon
-    return math.ceil(events + 4.0 * math.sqrt(events)) + 2
+    chunk = paths._JUMP_CHUNK
+    return math.ceil((events + 4.0 * math.sqrt(events)) / chunk) * chunk + 2
 
 
 @pytest.mark.parametrize("name,model,step", MODELS, ids=IDS)
@@ -111,7 +115,8 @@ def test_tau_ensemble(name, model, step):
 
 
 @pytest.mark.parametrize("budget", [1, 300, 1 << 14])
-@pytest.mark.parametrize("name,model,step", MODELS[:4], ids=IDS[:4])
+@pytest.mark.parametrize("name,model,step", MODELS[:4] + MODELS[5:],
+                         ids=IDS[:4] + IDS[5:])
 def test_tau_ensemble_doublings(short_horizon, monkeypatch, budget, name,
                                 model, step):
     monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
@@ -189,6 +194,39 @@ def test_jump_rows_over_many_chunks(short_horizon, monkeypatch, budget,
     want, doublings = oracles.ref_tau_ensemble(model, cfg, TARGETS)
     assert np.max(doublings) >= 4
     assert np.array_equal(got, want)
+
+
+# cp_plus (1, 2, 1) on [0, 43.5]: 87 events on average, so a block draws
+# one chunk (87 + 4 sqrt(87) < 128).  Path 19251 of seed 6 has all 128
+# arrivals of its first chunk before 43.5, so it is drawn again with two.
+# Found by drawing the first 128 exponentials of each path 0 .. 399 999 of
+# seed 6 and taking the first whose sum, twice the last arrival, is below
+# 87; ten paths of the 400 000 are.
+SHORT_ROW = (cp_plus_drift(1.0, 2.0, 1.0), 6, 19251, 43.5)
+
+
+@pytest.mark.parametrize("budget", [1, 300, 1 << 14])
+def test_jump_row_short_of_its_chunks(monkeypatch, budget):
+    model, seed, pid, horizon = SHORT_ROW
+    events = 2.0 * horizon
+    assert events + 4.0 * math.sqrt(events) < paths._JUMP_CHUNK
+    gaps = paths.path_rng(seed, pid).exponential(0.5, paths._JUMP_CHUNK)
+    assert np.cumsum(gaps)[-1] < horizon
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    cfg = SimConfig(seed=seed, n_paths=5, horizon=horizon)
+    # the short row among served ones, on a fixed horizon and alone
+    got = paths.run_paths(model, cfg, horizon,
+                          lambda block: block.log_totals(1.0),
+                          path_offset=pid - 2)
+    want = [oracles.ref_log_total(oracles.ref_path(model, seed, i, horizon,
+                                                   cfg.step), 1.0)
+            for i in range(pid - 2, pid + 3)]
+    assert np.array_equal(got, want)
+    path = sample_levy_path(model, cfg, pid)
+    ref = oracles.ref_path(model, seed, pid, horizon, cfg.step)
+    assert len(ref.times) == paths._JUMP_CHUNK + 2
+    assert np.array_equal(path.times[0], ref.times)
+    assert np.array_equal(path.xi[0], ref.xi)
 
 
 @pytest.mark.parametrize("budget", [1, 300, 1 << 14])
@@ -311,9 +349,17 @@ def test_clock_nan_at_unreached_targets(name, model, step):
 
 
 class CountingGenerator(np.random.Generator):
-    """Counts the standard normals and the uniforms drawn through it."""
+    """Counts the standard normals and the uniforms drawn through it, and
+    the standard exponentials per path id."""
 
     drawn = uniforms = 0
+    exponentials: collections.Counter = collections.Counter()
+
+    def standard_exponential(self, *args, **kwargs):
+        out = super().standard_exponential(*args, **kwargs)
+        path_id = int(self.bit_generator.state["state"]["key"][1])
+        CountingGenerator.exponentials[path_id] += np.size(out)
+        return out
 
     def standard_normal(self, *args, **kwargs):
         out = super().standard_normal(*args, **kwargs)
@@ -331,6 +377,7 @@ def counting(monkeypatch):
     monkeypatch.setattr(paths, "_philox", lambda: CountingGenerator(
         np.random.Philox(key=0)))
     CountingGenerator.drawn = CountingGenerator.uniforms = 0
+    CountingGenerator.exponentials = collections.Counter()
 
 
 def test_draws_about_what_rows_need(counting):
@@ -341,6 +388,34 @@ def test_draws_about_what_rows_need(counting):
     taus = tau_ensemble(brownian_drift(1.0), cfg, [math.e ** 8, math.e ** 14])
     needed = np.sum(np.floor(taus[:, -1] / step) + 1)
     assert CountingGenerator.drawn <= 1.3 * needed
+
+
+@pytest.mark.parametrize("model,horizon,offset", [
+    (SHORT_ROW[0], SHORT_ROW[3], SHORT_ROW[2] - 100),
+    (cp_minus_drift(100.0, 50.0), 4.0, 0),
+], ids=["one_chunk", "four_chunks"])
+def test_jump_draws_about_what_rows_need(counting, model, horizon, offset):
+    # a row draws at most one chunk (gaps and sizes) more than it needs:
+    # the chunks up to the first whose last arrival passes the horizon
+    _, _, beta, gamma, _ = paths._effective_dynamics(model)
+    cfg = SimConfig(seed=SHORT_ROW[1], n_paths=200, horizon=horizon)
+    got = paths.run_paths(model, cfg, horizon,
+                          lambda block: block.totals(1.0), path_offset=offset)
+    ids = range(offset, offset + cfg.n_paths)
+    want = [oracles.ref_nodes(oracles.ref_path(model, cfg.seed, i, horizon,
+                                               cfg.step), 1.0)[-1]
+            for i in ids]
+    assert np.array_equal(got, want)
+    pair = 2 * paths._JUMP_CHUNK
+    for pid in ids:
+        stream, total, needed = paths.path_rng(cfg.seed, pid), 0.0, 0
+        while total < horizon:
+            total += stream.exponential(1.0 / beta, paths._JUMP_CHUNK).sum()
+            stream.exponential(1.0 / gamma, paths._JUMP_CHUNK)
+            needed += pair
+        assert needed <= CountingGenerator.exponentials[pid] \
+            <= needed + pair, pid
+    assert len(CountingGenerator.exponentials) == cfg.n_paths
 
 
 def test_uniforms_up_to_the_first_sure_crossing(counting):
@@ -372,6 +447,27 @@ def test_rescaling_error_per_row():
     cfg = SimConfig(seed=1, n_paths=4, step=1.0)
     with np.errstate(over="ignore"), pytest.raises(RescalingError):
         tau_ensemble(model, cfg, [1e250])
+
+
+def test_jump_scratch_memory(monkeypatch):
+    # a block's rows are set by the width its rows are drawn to, so the
+    # drawn chunks and everything else a run keeps fit in a few blocks
+    works = []
+
+    class KeptWork(paths._Work):
+        def __init__(self, seed):
+            super().__init__(seed)
+            works.append(self)
+
+    monkeypatch.setattr(paths, "_Work", KeptWork)
+    tau_ensemble(cp_plus_drift(1.0, 2.0, 1.0),
+                 SimConfig(seed=1, n_paths=1000), [math.e ** 8])
+    paths.run_paths(saw_tooth(1.0, 3.0), SimConfig(seed=1, n_paths=1500),
+                    20.0, lambda block: block.totals(-1.0))
+    assert len(works) == 2
+    for work in works:
+        doubles = sum(flat.size for flat in work._flat.values())
+        assert doubles <= 4 * paths._BLOCK_BUDGET
 
 
 @pytest.mark.parametrize("n_paths", [1, 3, 5])

@@ -212,23 +212,26 @@ class TestMpmathOracle:
                     assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (m, k)
 
 
-    def test_derivatives_past_psi_overflow(self):
+    def test_derivatives_far_out(self):
         # Gamma(m + 1.5)/Gamma(m) leaves float range near m = 3e205, but
-        # psi' ~ 1.5 sqrt(m) and psi'' ~ 0.75/sqrt(m) do not.
+        # psi' ~ 1.5 sqrt(m) and psi'' ~ 0.75/sqrt(m) do not; from m ~ 1e153
+        # on, psi''/psi is below the smallest normal float.
         model = stable_conditioned(1.5, 1.0)
-        m = 1e250
-        assert model.psi(m) == math.inf
-        d1, d2 = model.psi_derivs(m)
-        with mp.workdps(600):
-            z, h = mp.mpf(m), mp.mpf(1.5)
-            f = mp.exp(mp.loggamma(z + h) - mp.loggamma(z))
-            g1 = mp.digamma(z + h) - mp.digamma(z)
-            g2 = mp.polygamma(1, z + h) - mp.polygamma(1, z)
-            ref1, ref2 = float(f * g1), float(f * (g1 * g1 + g2))
-        assert ref1 == pytest.approx(1.5e125, rel=1e-6)
-        assert ref2 == pytest.approx(7.5e-126, rel=1e-6)
-        assert abs(d1 - ref1) <= 1e-12 * ref1
-        assert abs(d2 - ref2) <= 1e-12 * ref2
+        for m in (1e154, 1e200, 1e250, 1e300):
+            with mp.workdps(600):
+                z, h = mp.mpf(m), mp.mpf(1.5)
+                f = mp.exp(mp.loggamma(z + h) - mp.loggamma(z))
+                g1 = mp.digamma(z + h) - mp.digamma(z)
+                g2 = mp.polygamma(1, z + h) - mp.polygamma(1, z)
+                refs = float(f), float(f * g1), float(f * (g1 * g1 + g2))
+            assert refs[1] == pytest.approx(1.5 * math.sqrt(m), rel=1e-6)
+            assert refs[2] == pytest.approx(0.75 / math.sqrt(m), rel=1e-6)
+            got = (model.psi(m), *model.psi_derivs(m))
+            for k, (value, ref) in enumerate(zip(got, refs)):
+                if ref == math.inf:
+                    assert value == math.inf, (m, k)
+                else:
+                    assert abs(value - ref) <= 1e-12 * ref, (m, k)
 
 
 class TestEsscher:
