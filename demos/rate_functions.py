@@ -13,7 +13,6 @@ import numpy as np
 
 from levyclocks import (
     brownian_drift,
-    classify_boundaries,
     cp_minus_drift,
     cp_plus_drift,
     csbp_immigration,
@@ -46,17 +45,16 @@ def fmt(v):
 def main():
     for title, model in MODELS:
         prof = profile(model)
-        zero_rep, plus_rep = classify_boundaries(model, prof)
         print(f"== {title}")
         print(f"   m0 = {fmt(prof.m0)}, psi(m0) = {fmt(prof.psi_m0)}, "
               f"E xi_1 = psi'(0) = {fmt(prof.mean)}")
         print(f"   Delta = ({fmt(prof.tau_plus)}, {fmt(prof.tau_zero)}), "
               f"minimum of I at tau_e = {fmt(prof.tau_e)}")
-        print(f"   boundary cases: tau_zero -> {zero_rep.case_label}, "
-              f"tau_plus -> {plus_rep.case_label} "
+        print(f"   boundary cases: tau_zero -> {prof.zero.case_label}, "
+              f"tau_plus -> {prof.plus.case_label} "
               f"(full LDP: {prof.ldp_status})")
-        if prof.asymptote:
-            s, b = prof.asymptote
+        if prof.zero.asymptote:
+            s, b = prof.zero.asymptote
             print(f"   asymptote of I: y = {fmt(s)} x + {fmt(b)}")
         # a short interior slice of I with the duality cross-check
         hi = prof.tau_zero if math.isfinite(prof.tau_zero) else 4 * prof.tau_e

@@ -62,7 +62,6 @@ from .moments import (
     moment_recursion,
 )
 from .numerics import (
-    Bracket,
     digamma,
     find_root,
     log_gamma,
@@ -80,9 +79,6 @@ from .paths import (
 from .rate import (
     BoundaryReport,
     RateProfile,
-    Tau0Case,
-    TauPlusCase,
-    classify_boundaries,
     invert_L,
     legendre_dual,
     profile,

@@ -49,7 +49,7 @@ from .models import (
     model_from_text,
 )
 from .paths import CauchyModulus, SimConfig
-from .rate import classify_boundaries, profile, rate_curve, rate_curve_text
+from .rate import profile, rate_curve, rate_curve_text
 
 _FAMILY_ALIASES = {
     "brownian": Family.BROWNIAN_DRIFT,
@@ -185,7 +185,7 @@ def _g(v: float) -> str:
 def _cmd_profile(args) -> list[str]:
     model = _require_levy(_model_from_args(args))
     prof = profile(model)
-    zero_rep, plus_rep = classify_boundaries(model, prof)
+    zero, plus = prof.zero, prof.plus
     lines = [
         f"model: {model.describe()}",
         f"m0: {_g(prof.m0)}",
@@ -194,19 +194,18 @@ def _cmd_profile(args) -> list[str]:
         f"tau_plus: {_g(prof.tau_plus)}",
         f"tau_zero: {_g(prof.tau_zero)}",
         f"tau_e: {_g(prof.tau_e)}",
-        f"delta: ({_g(prof.delta[0])}, {_g(prof.delta[1])})",
-        f"class_tau_zero: {zero_rep.case_label}",
-        f"class_tau_plus: {plus_rep.case_label}",
+        f"delta: ({_g(prof.tau_plus)}, {_g(prof.tau_zero)})",
+        f"class_tau_zero: {zero.case_label}",
+        f"class_tau_plus: {plus.case_label}",
         f"ldp_status: {prof.ldp_status}",
     ]
-    if prof.asymptote is not None:
-        lines.append(f"asymptote_slope: {_g(prof.asymptote[0])}")
-        lines.append(f"asymptote_intercept: {_g(prof.asymptote[1])}")
-    if prof.b_zero is not None:
-        lines.append(f"b_zero: {_g(prof.b_zero)}")
-    if prof.b_plus is not None:
-        lines.append(f"b_plus: {_g(prof.b_plus)}")
-    for rep in (zero_rep, plus_rep):
+    if zero.asymptote is not None:
+        lines.append(f"asymptote_slope: {_g(zero.asymptote[0])}")
+        lines.append(f"asymptote_intercept: {_g(zero.asymptote[1])}")
+    for name, rep in (("b_zero", zero), ("b_plus", plus)):
+        if rep.b is not None:
+            lines.append(f"{name}: {_g(rep.b)}")
+    for rep in (zero, plus):
         lines.append(f"I_at_{rep.at}: {_g(rep.value_I)}")
         lines.append(f"Iprime_at_{rep.at}: {_g(rep.slope_I)}")
     return _emit(args, "profile.txt", "\n".join(lines) + "\n")

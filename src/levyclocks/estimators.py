@@ -220,6 +220,8 @@ class CltResult:
 
 def estimate_clt(model: LevyModel, cfg: SimConfig, t: float) -> CltResult:
     """Compare sqrt(log t)(tau/log t - 1/psi'(0)) with N(0, psi''/psi'^3)."""
+    if not t > 1.0:
+        raise DomainError(f"CLT target must satisfy t > 1, got {t!r}")
     d1, d2 = model.psi_derivs(0.0)
     if not math.isfinite(d2):
         raise DomainError("CLT probe requires psi''(0) < inf")
@@ -356,7 +358,8 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
     Raises:
         CapabilityError: unless the family is spectrally negative
             (brownian_drift or saw_tooth).
-        DomainError: for theta > 0.
+        DomainError: for theta > 0, or for ``cfg.horizon`` <= 1, where
+            log t is not positive.
     """
     if model.family not in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH):
         raise CapabilityError("first-passage check requires a spectrally "
@@ -366,6 +369,9 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
         if th > 0.0:
             raise DomainError(f"theta must be <= 0, got {th!r}")
     t_clock = cfg.horizon
+    if not t_clock > 1.0:
+        raise DomainError(f"first-passage clock target must satisfy t > 1, "
+                          f"got {t_clock!r}")
     analytic = [invert_L(model, th) if th < 0.0 else 0.0 for th in thetas]
     taus = hats = None
     if any(th < 0.0 for th in thetas):

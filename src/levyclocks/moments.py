@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AssumptionError, CapabilityError, DomainError
+from .errors import AssumptionError, DomainError
 from .estimators import _mean_se
 from .models import Family, LevyModel
 from .numerics import log_gamma
@@ -186,38 +186,29 @@ def mc_exp_functional(model: LevyModel, s: float, cfg: SimConfig) -> MCMoment:
                     horizon=horizon, tail_bound=tail_bound(model, horizon))
 
 
-def F_of_m(model: LevyModel, m: float, cfg: SimConfig,
-           method: str = "auto") -> tuple[float, str, float | None]:
+def F_of_m(model: LevyModel, m: float,
+           cfg: SimConfig) -> tuple[float, str, float | None]:
     """The finite constant F(m) = E^(m) I^{m-1} for m in (m0, m_plus).
 
     Returns (value, method, stderr).  Exact via the gamma law of the
     perpetuity for the Brownian family (under the m-tilted measure the
-    drift is nu + 2m and 1/(2 I) is Gamma(nu + 2m) distributed); Monte
-    Carlo on the tilted path otherwise.  ``method`` forces one route
-    ("exact" / "monte-carlo"); the default picks exact when available.
+    drift is nu + 2m and 1/(2 I) is Gamma(nu + 2m) distributed);
+    otherwise :func:`mc_exp_functional` of the m-tilted model at s = m - 1.
 
     Raises:
         DomainError: for m outside (m0, m_plus), where finiteness is not
             guaranteed.
     """
-    if method not in ("auto", "exact", "monte-carlo"):
-        raise DomainError(f"unknown method {method!r}")
     prof = profile(model)
     if not (prof.m0 < m < model.m_plus):
         raise DomainError(f"m = {m!r} outside (m0, m_plus) = "
                           f"({prof.m0!r}, {model.m_plus!r})")
     tilted = model.esscher(m)
-    exact_available = model.family is Family.BROWNIAN_DRIFT
-    if method == "exact" and not exact_available:
-        raise CapabilityError("exact F(m) is available for the Brownian "
-                              "family only")
-    if exact_available and method != "monte-carlo":
+    if model.family is Family.BROWNIAN_DRIFT:
         nu_t = model.params[0] + 2.0 * tilted.tilt
         # E (2 Z)^{1-m} for Z ~ Gamma(nu_t): 2^{1-m} G(nu_t+1-m)/G(nu_t)
         value = math.exp((1.0 - m) * math.log(2.0)
                          + log_gamma(nu_t + 1.0 - m) - log_gamma(nu_t))
         return value, "exact", None
-    horizon = truncation_horizon(tilted)
-    est, se = _mean_se(_truncated_perpetuities(tilted, cfg, horizon)
-                       ** (m - 1.0))
-    return est, "monte-carlo", se
+    mc = mc_exp_functional(tilted, m - 1.0, cfg)
+    return mc.estimate, "monte-carlo", mc.stderr

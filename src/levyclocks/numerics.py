@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import BracketError, DomainError, EvaluationError
 
 __all__ = [
     "EULER_GAMMA",
-    "Bracket",
     "log_gamma",
     "digamma",
     "trigamma",
@@ -104,22 +102,6 @@ def trigamma(x: float) -> float:
         raise DomainError(f"trigamma pole at non-positive integer x = {x!r}")
     s = math.sin(math.pi * frac)
     return (math.pi * math.pi) / (s * s) - _trigamma_positive(1.0 - x)
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Finite interval [lo, hi] with lo < hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise BracketError(f"bracket endpoints must be finite, got "
-                               f"[{self.lo!r}, {self.hi!r}]")
-        if not self.lo < self.hi:
-            raise BracketError(f"bracket requires lo < hi, got "
-                               f"[{self.lo!r}, {self.hi!r}]")
 
 
 def _model_step(y: float, g: float, s: float, o: float | None,

@@ -10,7 +10,9 @@ domain ends, the rate function
 its Fenchel-Legendre partner ``psi*``, the inverse-exponent transform
 ``L(theta) = -m  <=>  theta = -psi(m)``, and the six-way boundary
 classification (cases 3a/3b/3c at ``tau_zero``, 4a/4b/4c at ``tau_plus``)
-with the associated asymptotes and ``b`` limits.
+with the associated asymptotes and ``b`` limits.  ``profile`` decides
+each end's case once and keeps it as a ``BoundaryReport``; ``rate_I`` and
+``rate_curve`` read their boundary rows from it.
 
 The limits of psi, psi' and the affine gap at each domain end come in
 closed form from the catalog (``LevyModel.end_limits``), and they decide
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .errors import (AssumptionError, BracketError, ClassificationError,
@@ -37,32 +38,17 @@ from .models import Family, LevyModel
 from .numerics import find_root
 
 __all__ = [
-    "Tau0Case",
-    "TauPlusCase",
     "RateProfile",
     "BoundaryReport",
     "profile",
     "rate_I",
     "legendre_dual",
     "invert_L",
-    "classify_boundaries",
     "rate_curve",
     "rate_curve_text",
 ]
 
 _INF = math.inf
-
-
-class Tau0Case(str, Enum):
-    C3A = "3a"
-    C3B = "3b"
-    C3C = "3c"
-
-
-class TauPlusCase(str, Enum):
-    C4A = "4a"
-    C4B = "4b"
-    C4C = "4c"
 
 
 def _increasing_root(f: Callable[[float], tuple[float, float]],
@@ -103,12 +89,32 @@ def _find_m0(model: LevyModel) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
+class BoundaryReport:
+    """Boundary behaviour of the rate function at one end of Delta.
+
+    ``value_I`` and ``slope_I`` are I and I' at the end.  For case 4a only
+    the magnitude of ``slope_I`` is meaningful (stored as +inf); the sign
+    of the one-sided tangent is not asserted.  For case 4c ``slope_I`` is
+    -inf, the limit of I'(x) = -psi(m*) as m* -> inf.  ``asymptote`` is
+    the (slope, intercept) ``(-psi(m0), m0)`` of the rate function's
+    linear asymptote, set in case 3a only; ``b`` is the boundary limit of
+    cases 3b/4b, where I = b tau at the end.
+    """
+
+    at: str                      # "tau_zero" | "tau_plus"
+    case_label: str              # "3a" | "3b" | "3c" | "4a" | "4b" | "4c"
+    value_I: float
+    slope_I: float
+    asymptote: tuple[float, float] | None = None
+    b: float | None = None
+
+
+@dataclass(frozen=True)
 class RateProfile:
     """Derived analytic summary of a model's clock large deviations.
 
-    ``asymptote`` is the (slope, intercept) of the rate function's linear
-    asymptote when ``class_tau0`` is 3a, i.e. ``(-psi(m0), m0)``.
-    ``b_zero``/``b_plus`` are the boundary limits of cases 3b/4b.
+    ``zero`` and ``plus`` report the boundary case at tau_zero and at
+    tau_plus.  ``psi_m0`` and ``psi_at_mplus`` bound the domain of L.
     ``ldp_status`` is "full" when the full LDP is established (Delta =
     (0, inf), or a family whose path bounds control the complement) and
     "weak" otherwise.
@@ -120,14 +126,8 @@ class RateProfile:
     tau_plus: float
     tau_zero: float
     tau_e: float
-    delta: tuple[float, float]
-    class_tau0: Tau0Case
-    class_tauplus: TauPlusCase
-    asymptote: tuple[float, float] | None
-    b_zero: float | None
-    b_plus: float | None
-    deriv_at_m0: float
-    deriv_at_mplus: float
+    zero: BoundaryReport
+    plus: BoundaryReport
     psi_at_mplus: float
     ldp_status: str
 
@@ -151,88 +151,38 @@ def profile(model: LevyModel) -> RateProfile:
 
     tau_plus = 0.0 if math.isinf(l_plus) else 1.0 / l_plus
     tau_zero = _INF if l0 == 0.0 else 1.0 / l0
-    tau_e = 1.0 / mean
-
-    asymptote: tuple[float, float] | None = None
-    b_zero: float | None = None
-    b_plus: float | None = None
 
     if math.isfinite(m0) and l0 == 0.0:
-        class_tau0 = Tau0Case.C3A
-        asymptote = (-psi_m0, m0)
+        zero = BoundaryReport("tau_zero", "3a", value_I=_INF,
+                              slope_I=-psi_m0, asymptote=(-psi_m0, m0))
     elif math.isinf(m0) and 0.0 < l0 < _INF:
-        class_tau0 = Tau0Case.C3B
-        b_zero = -model.end_limits(upper=False)[2]
+        b = -model.end_limits(upper=False)[2]
+        zero = BoundaryReport("tau_zero", "3b", value_I=b * tau_zero,
+                              slope_I=_INF, b=b)
     elif math.isinf(m0) and l0 == 0.0 and -_INF < psi_m0 < 0.0:
-        class_tau0 = Tau0Case.C3C
+        zero = BoundaryReport("tau_zero", "3c", value_I=_INF,
+                              slope_I=-psi_m0)
     else:
         raise ClassificationError(
             f"tau_zero boundary matches no case: m0={m0!r}, "
             f"psi(m0)={psi_m0!r}, psi'(m0)={l0!r}")
 
     if math.isfinite(model.m_plus):     # a pole: psi(m_plus) = +inf
-        class_tauplus = TauPlusCase.C4A
+        plus = BoundaryReport("tau_plus", "4a", value_I=model.m_plus,
+                              slope_I=_INF)
     elif math.isfinite(l_plus):
-        class_tauplus = TauPlusCase.C4B
-        b_plus = -gap_plus
+        plus = BoundaryReport("tau_plus", "4b", value_I=-gap_plus * tau_plus,
+                              slope_I=-_INF, b=-gap_plus)
     else:
-        class_tauplus = TauPlusCase.C4C
+        plus = BoundaryReport("tau_plus", "4c", value_I=_INF, slope_I=-_INF)
 
     full = (tau_plus == 0.0 and math.isinf(tau_zero)) or model.family in (
         Family.CP_PLUS_DRIFT, Family.SAW_TOOTH)
     return RateProfile(
         m0=m0, psi_m0=psi_m0, mean=mean,
-        tau_plus=tau_plus, tau_zero=tau_zero, tau_e=tau_e,
-        delta=(tau_plus, tau_zero),
-        class_tau0=class_tau0, class_tauplus=class_tauplus,
-        asymptote=asymptote, b_zero=b_zero, b_plus=b_plus,
-        deriv_at_m0=l0, deriv_at_mplus=l_plus, psi_at_mplus=psi_mplus,
+        tau_plus=tau_plus, tau_zero=tau_zero, tau_e=1.0 / mean,
+        zero=zero, plus=plus, psi_at_mplus=psi_mplus,
         ldp_status="full" if full else "weak")
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    """Boundary behaviour of the rate function at one end of Delta.
-
-    For case 4a only the magnitude of ``slope_I`` is meaningful (stored as
-    +inf); the sign of the one-sided tangent is not asserted.  For case 4c
-    ``slope_I`` is -inf, the limit of I'(x) = -psi(m*) as m* -> inf.
-    """
-
-    at: str                      # "tau_zero" | "tau_plus"
-    case_label: str              # "3a" | "3b" | "3c" | "4a" | "4b" | "4c"
-    value_I: float
-    slope_I: float
-    asymptote: tuple[float, float] | None = None
-
-
-def classify_boundaries(model: LevyModel,
-                        prof: RateProfile | None = None
-                        ) -> tuple[BoundaryReport, BoundaryReport]:
-    """(report at tau_zero, report at tau_plus) per the six-case taxonomy."""
-    prof = prof if prof is not None else profile(model)
-
-    if prof.class_tau0 is Tau0Case.C3A:
-        zero = BoundaryReport("tau_zero", "3a", value_I=_INF,
-                              slope_I=-prof.psi_m0, asymptote=prof.asymptote)
-    elif prof.class_tau0 is Tau0Case.C3B:
-        zero = BoundaryReport("tau_zero", "3b",
-                              value_I=prof.b_zero * prof.tau_zero,
-                              slope_I=_INF)
-    else:
-        zero = BoundaryReport("tau_zero", "3c", value_I=_INF,
-                              slope_I=-prof.psi_m0)
-
-    if prof.class_tauplus is TauPlusCase.C4A:
-        plus = BoundaryReport("tau_plus", "4a", value_I=model.m_plus,
-                              slope_I=_INF)
-    elif prof.class_tauplus is TauPlusCase.C4B:
-        plus = BoundaryReport("tau_plus", "4b",
-                              value_I=prof.b_plus * prof.tau_plus,
-                              slope_I=-_INF)
-    else:
-        plus = BoundaryReport("tau_plus", "4c", value_I=_INF, slope_I=-_INF)
-    return zero, plus
 
 
 def _argmax(model: LevyModel, slope: float, mean: float) -> float | None:
@@ -280,8 +230,7 @@ def rate_I(model: LevyModel, x: float,
             f"x = {x!r} outside closure of Delta = [{prof.tau_plus!r}, "
             f"{prof.tau_zero!r}]; I(x) = +inf there")
     if x in (prof.tau_plus, prof.tau_zero):
-        zero, plus = classify_boundaries(model, prof)
-        return (plus if x == prof.tau_plus else zero).value_I
+        return (prof.plus if x == prof.tau_plus else prof.zero).value_I
     return _rate_point(model, x, prof)[0]
 
 
@@ -355,9 +304,8 @@ def rate_curve(model: LevyModel, x_lo: float, x_hi: float, n: int,
         raise DomainError(
             f"grid [{x_lo!r}, {x_hi!r}] not inside closure of Delta = "
             f"[{prof.tau_plus!r}, {prof.tau_zero!r}]")
-    zero, plus = classify_boundaries(model, prof)
-    ends = {prof.tau_plus: (plus.value_I, plus.slope_I),
-            prof.tau_zero: (zero.value_I, zero.slope_I)}
+    ends = {prof.tau_plus: (prof.plus.value_I, prof.plus.slope_I),
+            prof.tau_zero: (prof.zero.value_I, prof.zero.slope_I)}
     rows: list[tuple[float, float, float]] = []
     for i in range(n):
         x = x_lo + (x_hi - x_lo) * i / (n - 1)

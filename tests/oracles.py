@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from levyclocks import (
-    Bracket,
+    BracketError,
     EvaluationError,
     HorizonExceededError,
     RescalingError,
@@ -67,6 +67,22 @@ def _finite(f, x: float) -> float:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """Finite interval [lo, hi] with lo < hi."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise BracketError(f"bracket endpoints must be finite, got "
+                               f"[{self.lo!r}, {self.hi!r}]")
+        if not self.lo < self.hi:
+            raise BracketError(f"bracket requires lo < hi, got "
+                               f"[{self.lo!r}, {self.hi!r}]")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from levyclocks import (
     CauchyModulus,
     SimConfig,
     brownian_drift,
-    classify_boundaries,
     cp_minus_drift,
     cp_plus_drift,
     csbp_immigration,
@@ -137,20 +136,21 @@ def test_criterion_3_boundary_classification():
     for model in ALL_MODELS:
         if model.family.value not in expected:
             continue
-        zero_rep, plus_rep = classify_boundaries(model)
-        got = (zero_rep.case_label, plus_rep.case_label)
+        p = profile(model)
+        got = (p.zero.case_label, p.plus.case_label)
         if got != expected[model.family.value]:
             labels_ok = False
             report("criterion 3 (labels)", False,
                    f"{model.family.value}: got {got}")
     errs = []
     p = profile(brownian_drift(1.0))
-    errs += [abs(p.asymptote[0] - 0.5), abs(p.asymptote[1] + 0.5)]
+    errs += [abs(p.zero.asymptote[0] - 0.5), abs(p.zero.asymptote[1] + 0.5)]
     p = profile(saw_tooth(1.0, 3.0))
-    errs += [abs(p.asymptote[0] - (math.sqrt(3) - 1.0) ** 2),
-             abs(p.asymptote[1] - (math.sqrt(3.0) - 3.0))]
+    errs += [abs(p.zero.asymptote[0] - (math.sqrt(3) - 1.0) ** 2),
+             abs(p.zero.asymptote[1] - (math.sqrt(3.0) - 3.0))]
     p = profile(hypergeometric_stable(1.0, 3.0))
-    errs += [abs(p.asymptote[0] - 2.0 / math.pi), abs(p.asymptote[1] + 1.0)]
+    errs += [abs(p.zero.asymptote[0] - 2.0 / math.pi),
+             abs(p.zero.asymptote[1] + 1.0)]
     worst = max(errs)
     ok = labels_ok and worst <= 1e-8
     report("criterion 3 (boundary classification)", ok,

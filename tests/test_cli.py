@@ -12,6 +12,106 @@ def invoke(capsys, argv):
     return code, captured.out, captured.err
 
 
+# Full `profile` stdout for each boundary case: 3a/4c, 3a/4b (untilted and
+# tilted), 3b/4a and 3c/4a.
+PROFILES = {
+    "brownian_3a_4c": (
+        ["--family", "brownian", "--nu", "1"],
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "m0: -0.5\n"
+        "psi_m0: -0.5\n"
+        "mean: 2\n"
+        "tau_plus: 0\n"
+        "tau_zero: inf\n"
+        "tau_e: 0.5\n"
+        "delta: (0, inf)\n"
+        "class_tau_zero: 3a\n"
+        "class_tau_plus: 4c\n"
+        "ldp_status: full\n"
+        "asymptote_slope: 0.5\n"
+        "asymptote_intercept: -0.5\n"
+        "I_at_tau_zero: inf\n"
+        "Iprime_at_tau_zero: 0.5\n"
+        "I_at_tau_plus: inf\n"
+        "Iprime_at_tau_plus: -inf\n"),
+    "sawtooth_3a_4b": (
+        ["--family", "sawtooth", "--beta", "1", "--gamma", "3"],
+        "model: family=saw_tooth beta=1.0 gamma=3.0 tilt=0.0\n"
+        "m0: -1.2679491924311228\n"
+        "psi_m0: -0.53589838486224539\n"
+        "mean: 0.66666666666666674\n"
+        "tau_plus: 1\n"
+        "tau_zero: inf\n"
+        "tau_e: 1.4999999999999998\n"
+        "delta: (1, inf)\n"
+        "class_tau_zero: 3a\n"
+        "class_tau_plus: 4b\n"
+        "ldp_status: full\n"
+        "asymptote_slope: 0.53589838486224539\n"
+        "asymptote_intercept: -1.2679491924311228\n"
+        "b_plus: 1\n"
+        "I_at_tau_zero: inf\n"
+        "Iprime_at_tau_zero: 0.53589838486224539\n"
+        "I_at_tau_plus: 1\n"
+        "Iprime_at_tau_plus: -inf\n"),
+    "sawtooth_tilted_4b": (
+        ["--family", "sawtooth", "--beta", "1", "--gamma", "3", "--tilt", "1"],
+        "model: family=saw_tooth beta=1.0 gamma=3.0 tilt=1.0\n"
+        "m0: -2.2679491924311228\n"
+        "psi_m0: -1.2858983848622454\n"
+        "mean: 0.8125\n"
+        "tau_plus: 1\n"
+        "tau_zero: inf\n"
+        "tau_e: 1.2307692307692308\n"
+        "delta: (1, inf)\n"
+        "class_tau_zero: 3a\n"
+        "class_tau_plus: 4b\n"
+        "ldp_status: full\n"
+        "asymptote_slope: 1.2858983848622454\n"
+        "asymptote_intercept: -2.2679491924311228\n"
+        "b_plus: 0.75\n"
+        "I_at_tau_zero: inf\n"
+        "Iprime_at_tau_zero: 1.2858983848622454\n"
+        "I_at_tau_plus: 0.75\n"
+        "Iprime_at_tau_plus: -inf\n"),
+    "cp_plus_3b_4a": (
+        ["--family", "cp-plus", "--d", "1", "--beta", "2", "--gamma", "1"],
+        "model: family=cp_plus_drift d=1.0 beta=2.0 gamma=1.0 tilt=0.0\n"
+        "m0: -inf\n"
+        "psi_m0: -inf\n"
+        "mean: 3\n"
+        "tau_plus: 0\n"
+        "tau_zero: 1\n"
+        "tau_e: 0.33333333333333331\n"
+        "delta: (0, 1)\n"
+        "class_tau_zero: 3b\n"
+        "class_tau_plus: 4a\n"
+        "ldp_status: full\n"
+        "b_zero: 2\n"
+        "I_at_tau_zero: 2\n"
+        "Iprime_at_tau_zero: inf\n"
+        "I_at_tau_plus: 1\n"
+        "Iprime_at_tau_plus: inf\n"),
+    "cp_plus_3c_4a": (
+        ["--family", "cp-plus", "--d", "0", "--beta", "2", "--gamma", "1"],
+        "model: family=cp_plus_drift d=0.0 beta=2.0 gamma=1.0 tilt=0.0\n"
+        "m0: -inf\n"
+        "psi_m0: -2\n"
+        "mean: 2\n"
+        "tau_plus: 0\n"
+        "tau_zero: inf\n"
+        "tau_e: 0.5\n"
+        "delta: (0, inf)\n"
+        "class_tau_zero: 3c\n"
+        "class_tau_plus: 4a\n"
+        "ldp_status: full\n"
+        "I_at_tau_zero: inf\n"
+        "Iprime_at_tau_zero: 2\n"
+        "I_at_tau_plus: 1\n"
+        "Iprime_at_tau_plus: inf\n"),
+}
+
+
 class TestProfileCommand:
     def test_sawtooth_profile(self, capsys):
         code, out, err = invoke(capsys, [
@@ -22,6 +122,13 @@ class TestProfileCommand:
         assert values["class_tau_plus"] == "4b"
         assert values["class_tau_zero"] == "3a"
         assert "wall_time_s" in err
+
+    @pytest.mark.parametrize("argv,expected", PROFILES.values(),
+                             ids=PROFILES.keys())
+    def test_stdout_pinned(self, capsys, argv, expected):
+        code, out, _ = invoke(capsys, ["profile", *argv])
+        assert code == 0
+        assert out == expected
 
     def test_model_file(self, capsys, tmp_path):
         path = tmp_path / "model.txt"
@@ -236,6 +343,20 @@ class TestStochasticCommands:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-identities", "--t-fp", "1"],
+        ["check-identities", "--t-fp", "0.5"],
+        ["clt", "--t", "1"],
+        ["clt", "--t", "0.5"],
+    ], ids=["identities_t1", "identities_t_half", "clt_t1", "clt_t_half"])
+    def test_log_t_needs_t_above_1_exit_2(self, capsys, argv):
+        code, out, err = invoke(capsys, [argv[0], "--family", "brownian",
+                                         "--nu", "1", "--seed", "1",
+                                         "--paths", "10", *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert "must satisfy t > 1" in err
 
 
 def test_entry_point_runs():

@@ -156,6 +156,12 @@ class TestClt:
         assert math.isnan(res.ks_statistic)
         assert float(np.max(np.abs(res.standardized))) <= 0.2
 
+    @pytest.mark.parametrize("t", [1.0, 0.5, math.nan])
+    def test_t_validation(self, t):
+        cfg = SimConfig(seed=1, n_paths=10)
+        with pytest.raises(DomainError, match="t > 1"):
+            estimate_clt(brownian_drift(1.0), cfg, t)
+
     def test_normal_cdf(self):
         assert normal_cdf(0.0, 2.0) == pytest.approx(0.5)
         assert normal_cdf(2.0, 1.0) == pytest.approx(0.97724986805, abs=1e-9)
@@ -257,6 +263,12 @@ class TestFirstPassage:
         cfg = SimConfig(seed=2, n_paths=16, horizon=50.0)
         with pytest.raises(DomainError):
             first_passage_check(brownian_drift(1.0), cfg, 0.3)
+
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    def test_t_validation(self, t):
+        cfg = SimConfig(seed=2, n_paths=16, horizon=t)
+        with pytest.raises(DomainError, match="t > 1"):
+            first_passage_check(brownian_drift(1.0), cfg, -0.5)
 
     def test_family_guard(self):
         cfg = SimConfig(seed=2, n_paths=16, horizon=50.0)

@@ -130,10 +130,8 @@ class TestFOfM:
     def test_mc_vs_exact_brownian(self):
         cfg = SimConfig(seed=33, n_paths=4000, step=0.005)
         exact, _, _ = F_of_m(brownian_drift(1.0), 0.5, cfg)
-        est, method, se = F_of_m(brownian_drift(1.0), 0.5, cfg,
-                                 method="monte-carlo")
-        assert method == "monte-carlo"
-        assert abs(est - exact) <= 3.0 * se + 1e-3
+        mc = mc_exp_functional(brownian_drift(1.0).esscher(0.5), -0.5, cfg)
+        assert abs(mc.estimate - exact) <= 3.0 * mc.stderr + 1e-3
 
     def test_mc_for_cp_family(self):
         cfg = SimConfig(seed=5, n_paths=2000)
@@ -141,11 +139,6 @@ class TestFOfM:
         # F(1) = E^{(1)} I^0 = 1 for every family
         assert method == "monte-carlo"
         assert est == pytest.approx(1.0, abs=1e-12)
-
-    def test_exact_route_unavailable(self):
-        cfg = SimConfig(seed=1, n_paths=10)
-        with pytest.raises(CapabilityError):
-            F_of_m(saw_tooth(1.0, 3.0), 0.5, cfg, method="exact")
 
 
 class TestMonteCarloMoments:

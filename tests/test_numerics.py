@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import mpmath as mp
 
 from levyclocks import (
-    Bracket,
     BracketError,
     DomainError,
     EvaluationError,
@@ -19,7 +18,7 @@ from levyclocks import (
     log_gamma,
     trigamma,
 )
-from oracles import digamma_sign_scan, maximize_concave
+from oracles import Bracket, digamma_sign_scan, maximize_concave
 
 mp.mp.dps = 30
 

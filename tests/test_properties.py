@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from levyclocks import (
     Family,
     brownian_drift,
-    classify_boundaries,
     cp_minus_drift,
     cp_plus_drift,
     csbp_immigration,
@@ -94,8 +93,8 @@ def _scaled(model, factor):
 
 
 def _labels(model):
-    zero, plus = classify_boundaries(model)
-    return zero.case_label, plus.case_label
+    prof = profile(model)
+    return prof.zero.case_label, prof.plus.case_label
 
 
 @PROPERTY_SETTINGS

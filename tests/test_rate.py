@@ -13,7 +13,6 @@ from levyclocks import (
     cp_plus_drift,
     csbp_immigration,
     hypergeometric_stable,
-    classify_boundaries,
     invert_L,
     legendre_dual,
     log_gamma,
@@ -59,7 +58,6 @@ class TestProfile:
         assert p.tau_plus == pytest.approx(1.0, abs=1e-12)
         assert math.isinf(p.tau_zero)
         assert p.tau_e == pytest.approx(1.5, rel=1e-12)
-        assert p.delta == (p.tau_plus, p.tau_zero)
 
     def test_hypergeometric_cauchy(self):
         p = profile(hypergeometric_stable(1, 3))
@@ -142,46 +140,48 @@ class TestClassification:
         cases += [(csbp_immigration(1.0, 0.7, 1.0), ("3a", "4c")),
                   (hypergeometric_stable(2.0, 3.0), ("3a", "4c"))]
         for model, labels in cases:
-            zero_rep, plus_rep = classify_boundaries(model)
-            assert (zero_rep.case_label, plus_rep.case_label) == labels
+            p = profile(model)
+            assert (p.zero.case_label, p.plus.case_label) == labels
 
     def test_asymptotes(self):
         nu = 1.0
         p = profile(brownian_drift(nu))
-        assert p.asymptote[0] == pytest.approx(nu * nu / 2.0, abs=1e-10)
-        assert p.asymptote[1] == pytest.approx(-nu / 2.0, abs=1e-10)
+        assert p.zero.asymptote[0] == pytest.approx(nu * nu / 2.0, abs=1e-10)
+        assert p.zero.asymptote[1] == pytest.approx(-nu / 2.0, abs=1e-10)
         beta, gamma = 1.0, 3.0
         p = profile(saw_tooth(beta, gamma))
-        assert p.asymptote[0] == pytest.approx(
+        assert p.zero.asymptote[0] == pytest.approx(
             (math.sqrt(gamma) - math.sqrt(beta)) ** 2, abs=1e-10)
-        assert p.asymptote[1] == pytest.approx(
+        assert p.zero.asymptote[1] == pytest.approx(
             math.sqrt(beta * gamma) - gamma, abs=1e-10)
         p = profile(cp_minus_drift(2.0, 1.0))
-        assert p.asymptote[0] == pytest.approx(
+        assert p.zero.asymptote[0] == pytest.approx(
             (math.sqrt(2.0) - 1.0) ** 2, abs=1e-10)
-        assert p.asymptote[1] == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-10)
+        assert p.zero.asymptote[1] == pytest.approx(1.0 - math.sqrt(2.0),
+                                                    abs=1e-10)
 
     def test_boundary_values(self):
         # 4b: I(tau_plus) = b tau_plus with b = beta for the saw tooth, and
         # b = beta - tilt + Psi(tilt) = 3/4 once tilted by 1 (tau_plus = 1).
-        _, plus_rep = classify_boundaries(saw_tooth(1.0, 3.0))
+        plus_rep = profile(saw_tooth(1.0, 3.0)).plus
         assert plus_rep.value_I == 1.0
-        assert profile(saw_tooth(1.0, 3.0)).b_plus == 1.0
-        _, plus_rep = classify_boundaries(saw_tooth(1.0, 3.0).esscher(1.0))
+        assert profile(saw_tooth(1.0, 3.0)).plus.b == 1.0
+        plus_rep = profile(saw_tooth(1.0, 3.0).esscher(1.0)).plus
         assert plus_rep.value_I == 0.75
         # 3b: I(tau_zero) = b tau_zero = beta/d for cp_plus; tilted by 1/2,
         # b = beta - tilt d + Psi(tilt) = 2 - 1/2 + 5/2 (tau_zero = 1).
-        zero_rep, plus_rep = classify_boundaries(cp_plus_drift(1.0, 2.0, 1.0))
+        p = profile(cp_plus_drift(1.0, 2.0, 1.0))
+        zero_rep, plus_rep = p.zero, p.plus
         assert zero_rep.value_I == 2.0
-        assert profile(cp_plus_drift(1.0, 2.0, 1.0)).b_zero == 2.0
+        assert profile(cp_plus_drift(1.0, 2.0, 1.0)).zero.b == 2.0
         assert plus_rep.value_I == 1.0   # I(0) = m_plus = gamma
         assert math.isinf(plus_rep.slope_I)
-        zero_rep, _ = classify_boundaries(
-            cp_plus_drift(1.0, 2.0, 1.0).esscher(0.5))
+        zero_rep = profile(cp_plus_drift(1.0, 2.0, 1.0).esscher(0.5)).zero
         assert zero_rep.value_I == 4.0
 
     def test_cp_plus_degenerate_drift_is_3c(self):
-        zero_rep, plus_rep = classify_boundaries(cp_plus_drift(0.0, 2.0, 1.0))
+        p = profile(cp_plus_drift(0.0, 2.0, 1.0))
+        zero_rep, plus_rep = p.zero, p.plus
         assert zero_rep.case_label == "3c"
         assert zero_rep.slope_I == 2.0                    # -psi(-inf) = beta
         assert plus_rep.case_label == "4a"
