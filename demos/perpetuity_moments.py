@@ -28,8 +28,8 @@ def main():
           "s = 1 sits on the boundary psi(-1) = 0)")
 
     print("\n== negative-moment recursion vs the exact gamma law")
-    ledger = moment_recursion(b, r_max=5)
-    print("   " + "\n   ".join(ledger.to_text().strip().splitlines()))
+    for row in moment_recursion(b, r_max=5).rows:
+        print(f"   E I^{row.s:g} = {row.value:g}   [{row.method}]")
     print("   gamma law: I = 1/(2 Z_1), so E I^-r = 2^r r! "
           "(2, 8, 48, 384, ...)")
 

@@ -20,7 +20,6 @@ from levyclocks import (
     legendre_dual,
     profile,
     rate_curve,
-    rate_curve_text,
     rate_I,
     saw_tooth,
     stable_conditioned,
@@ -73,7 +72,8 @@ def main():
 
     print("== rate-curve table (first rows of the Bessel-clock figure)")
     rows = rate_curve(brownian_drift(1.0), 0.05, 3.0, 200)
-    print("\n".join(rate_curve_text(rows).splitlines()[:6]))
+    for x, i_val, i_slope in rows[:5]:
+        print(f"   x = {fmt(x)}: I = {fmt(i_val)}, I' = {fmt(i_slope)}")
     print("   ... (200 rows total; the CLI `figures` subcommand writes all "
           "five canonical tables)")
 

@@ -22,7 +22,6 @@ from .errors import (
 from .estimators import (
     CltResult,
     EstimateRow,
-    EstimatorReport,
     FirstPassageResult,
     LdpSlopeResult,
     TiltedIdentityResult,
@@ -84,7 +83,6 @@ from .rate import (
     profile,
     rate_I,
     rate_curve,
-    rate_curve_text,
 )
 
 __version__ = "0.1.0"

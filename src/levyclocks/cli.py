@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: ``profile``, ``rate-curve``, ``figures``, ``simulate``,
-``lln``, ``clt``, ``ldp``, ``moments``, ``check-identities``.
+``lln``, ``clt``, ``ldp``, ``moments``, ``logA``, ``check-identities``.
 
-Conventions: tables (CSV, one header row, 17-significant-digit floats) go
-to stdout or to files under ``--out``; the run report (command echo, model
-descriptor, seed, wall time) goes to stderr, so stdout is byte-identical
-across reruns of the same argv.  Stochastic subcommands require an
-explicit ``--seed``; there is deliberately no environment-variable
-fallback.  Exit codes: 0 success, 1 usage error, 2 domain/assumption/
-construction error, 3 horizon exhaustion.
+Conventions: the library returns values, and :func:`_text` is the one
+writer of output text: ``key: value`` lines, then a CSV header row and one
+line per row, floats with 17 significant digits.  Tables go to stdout or
+to files under ``--out``; the run report (command echo, model descriptor,
+seed, wall time) goes to stderr, so stdout is byte-identical across reruns
+of the same argv.  Stochastic subcommands require an explicit ``--seed``;
+there is deliberately no environment-variable fallback.  Exit codes: 0
+success, 1 usage error, 2 any other error of the package or of file I/O,
+3 horizon exhaustion.
 """
 
 from __future__ import annotations
@@ -17,19 +19,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import sys
 import time
 from pathlib import Path
 
 from . import moments as moments_mod
 from .errors import (
-    AssumptionError,
     CapabilityError,
-    ClassificationError,
-    ConstructionError,
     DomainError,
     HorizonExceededError,
-    RescalingError,
+    LevyClocksError,
 )
 from .estimators import (
     estimate_clt,
@@ -49,7 +49,7 @@ from .models import (
     model_from_text,
 )
 from .paths import CauchyModulus, SimConfig
-from .rate import profile, rate_curve, rate_curve_text
+from .rate import profile, rate_curve
 
 _FAMILY_ALIASES = {
     "brownian": Family.BROWNIAN_DRIFT,
@@ -133,7 +133,7 @@ def _build_model(args) -> LevyModel | CauchyModulus:
         d = getattr(args, "d", None)
         if d is None:
             raise _UsageError("--d (dimension) is required for cauchy")
-        return CauchyModulus(int(d))
+        return CauchyModulus(int(d) if d.is_integer() else d)
     if name not in _FAMILY_ALIASES:
         raise _UsageError(f"unknown family {args.family!r}")
     fam = _FAMILY_ALIASES[name]
@@ -178,6 +178,32 @@ def _g(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _text(fields, header: str | None = None, fmt: str = "",
+          rows=()) -> str:
+    """The one writer of output text: a ``key: value`` line per pair of
+    ``fields``, then the CSV ``header`` line and ``fmt.format(*row)`` per
+    row (``fmt`` ends in a newline)."""
+    lines = [f"{key}: {value}\n" for key, value in fields]
+    if header is not None:
+        lines.append(header + "\n")
+    lines += itertools.starmap(fmt.format, rows)
+    return "".join(lines)
+
+
+# (header, row format) of the tables that more than one command writes.
+_RATE_TABLE = ("x,I,Iprime", "{:.17g},{:.17g},{:.17g}\n")
+_ESTIMATE_TABLE = ("t,estimate,stderr,reference",
+                   "{:.17g},{:.17g},{:.17g},{:.17g}\n")
+
+
+def _run_echo(estimator: str, model, cfg: SimConfig) -> list[tuple]:
+    """The leading fields of an estimator table: what ran, on which paths."""
+    return [("estimator", estimator), ("model", model.describe()),
+            ("seed", cfg.seed), ("n_paths", cfg.n_paths),
+            ("step", repr(cfg.step)), ("horizon", repr(cfg.horizon)),
+            ("alpha", repr(cfg.alpha)), ("start", repr(cfg.start))]
+
+
 # --------------------------------------------------------------------------
 # Subcommand bodies.
 # --------------------------------------------------------------------------
@@ -186,149 +212,149 @@ def _cmd_profile(args) -> list[str]:
     model = _require_levy(_model_from_args(args))
     prof = profile(model)
     zero, plus = prof.zero, prof.plus
-    lines = [
-        f"model: {model.describe()}",
-        f"m0: {_g(prof.m0)}",
-        f"psi_m0: {_g(prof.psi_m0)}",
-        f"mean: {_g(prof.mean)}",
-        f"tau_plus: {_g(prof.tau_plus)}",
-        f"tau_zero: {_g(prof.tau_zero)}",
-        f"tau_e: {_g(prof.tau_e)}",
-        f"delta: ({_g(prof.tau_plus)}, {_g(prof.tau_zero)})",
-        f"class_tau_zero: {zero.case_label}",
-        f"class_tau_plus: {plus.case_label}",
-        f"ldp_status: {prof.ldp_status}",
+    fields = [("model", model.describe())]
+    fields += [(key, _g(getattr(prof, key))) for key in
+               ("m0", "psi_m0", "mean", "tau_plus", "tau_zero", "tau_e")]
+    fields += [
+        ("delta", f"({_g(prof.tau_plus)}, {_g(prof.tau_zero)})"),
+        ("class_tau_zero", zero.case_label),
+        ("class_tau_plus", plus.case_label),
+        ("ldp_status", prof.ldp_status),
     ]
     if zero.asymptote is not None:
-        lines.append(f"asymptote_slope: {_g(zero.asymptote[0])}")
-        lines.append(f"asymptote_intercept: {_g(zero.asymptote[1])}")
+        fields += zip(("asymptote_slope", "asymptote_intercept"),
+                      map(_g, zero.asymptote))
     for name, rep in (("b_zero", zero), ("b_plus", plus)):
         if rep.b is not None:
-            lines.append(f"{name}: {_g(rep.b)}")
+            fields.append((name, _g(rep.b)))
     for rep in (zero, plus):
-        lines.append(f"I_at_{rep.at}: {_g(rep.value_I)}")
-        lines.append(f"Iprime_at_{rep.at}: {_g(rep.slope_I)}")
-    return _emit(args, "profile.txt", "\n".join(lines) + "\n")
+        fields += [(f"I_at_{rep.at}", _g(rep.value_I)),
+                   (f"Iprime_at_{rep.at}", _g(rep.slope_I))]
+    return _emit(args, "profile.txt", _text(fields))
 
 
 def _cmd_rate_curve(args) -> list[str]:
     model = _require_levy(_model_from_args(args))
     rows = rate_curve(model, args.x_lo, args.x_hi, args.n)
-    return _emit(args, "rate_curve.csv", rate_curve_text(rows))
+    return _emit(args, "rate_curve.csv", _text((), *_RATE_TABLE, rows))
 
 
 def _cmd_figures(args) -> list[str]:
     outputs = []
     for name, fam, params, x_lo, x_hi in _FIGURES:
-        model = make_model(fam, params)
-        rows = rate_curve(model, x_lo, x_hi, args.n)
-        outputs += _emit(args, f"{name}.csv", rate_curve_text(rows))
+        rows = rate_curve(make_model(fam, params), x_lo, x_hi, args.n)
+        outputs += _emit(args, f"{name}.csv", _text((), *_RATE_TABLE, rows))
     return outputs
 
 
 def _cmd_simulate(args) -> list[str]:
     model = _model_from_args(args)
-    cfg = _sim_config(args)
-    taus = tau_ensemble(model, cfg, [args.t])
-    lines = ["path_id,tau"]
-    lines += [f"{i},{tau:.17g}" for i, tau in enumerate(taus[:, 0].tolist())]
-    return _emit(args, "simulate.csv", "\n".join(lines) + "\n")
+    taus = tau_ensemble(model, _sim_config(args), [args.t])
+    return _emit(args, "simulate.csv",
+                 _text((), "path_id,tau", "{},{:.17g}\n",
+                       enumerate(taus[:, 0].tolist())))
 
 
 def _cmd_lln(args) -> list[str]:
     model = _model_from_args(args)
     cfg = _sim_config(args)
-    report = estimate_lln(model, cfg, args.t)
-    return _emit(args, "lln.txt", report.to_text())
+    rows = estimate_lln(model, cfg, args.t)
+    return _emit(args, "lln.txt",
+                 _text(_run_echo("lln", model, cfg), *_ESTIMATE_TABLE, rows))
 
 
 def _cmd_clt(args) -> list[str]:
     model = _require_levy(_model_from_args(args))
     cfg = _sim_config(args)
-    result = estimate_clt(model, cfg, args.t)
-    return _emit(args, "clt.txt", result.report(model, cfg).to_text())
+    res = estimate_clt(model, cfg, args.t)
+    fields = _run_echo("clt", model, cfg)
+    fields.append(("target_variance", repr(res.target_variance)))
+    return _emit(args, "clt.txt",
+                 _text(fields, *_ESTIMATE_TABLE,
+                       [(res.t, res.ks_statistic, 0.0, 0.0)]))
 
 
 def _cmd_ldp(args) -> list[str]:
     model = _model_from_args(args)
     cfg = _sim_config(args)
     res = estimate_ldp_slope(model, cfg, args.x, args.t, eps=args.eps)
-    lines = [
-        f"estimator: ldp-slope",
-        f"model: {model.describe()}",
-        f"seed: {cfg.seed}",
-        f"x: {_g(res.x)}",
-        f"eps: {_g(res.eps)}",
-        f"slope: {_g(res.slope)}",
-        f"slope_stderr: {_g(res.slope_stderr)}",
-        f"reference_I: {_g(res.reference)}",
-        f"excluded: {','.join(_g(t) for t in res.excluded) or 'none'}",
-        "t,p_hat,hits",
-    ]
-    for t, p_hat, hits in res.rows:
-        lines.append(f"{t:.17g},{p_hat:.17g},{hits}")
-    return _emit(args, "ldp.txt", "\n".join(lines) + "\n")
+    fields = [("estimator", "ldp-slope"), ("model", model.describe()),
+              ("seed", cfg.seed)]
+    fields += [(key, _g(getattr(res, key)))
+               for key in ("x", "eps", "slope", "slope_stderr")]
+    fields += [("reference_I", _g(res.reference)),
+               ("excluded", ",".join(map(_g, res.excluded)) or "none")]
+    return _emit(args, "ldp.txt", _text(fields, "t,p_hat,hits",
+                                        "{:.17g},{:.17g},{}\n", res.rows))
 
 
 def _cmd_moments(args) -> list[str]:
     model = _require_levy(_model_from_args(args))
-    outputs = []
     ledger = moments_mod.moment_recursion(model, args.r_max)
-    outputs += _emit(args, "moments.csv", ledger.to_text())
+    rows = [(r.s, r.value, r.method,
+             "" if r.stderr is None else _g(r.stderr), str(r.finite).lower())
+            for r in ledger.rows]
+    notes = [(ledger.note,)] if ledger.note else []
+    outputs = _emit(args, "moments.csv",
+                    _text((), "s,value,method,stderr,finite",
+                          "{:.17g},{:.17g},{},{},{}\n", rows)
+                    + _text((), None, "# {}\n", notes))
     if args.mc_s is not None:
-        cfg = _sim_config(args)
-        mc = moments_mod.mc_exp_functional(model, args.mc_s, cfg)
-        lines = [
-            "s,estimate,stderr,n_paths,horizon,tail_bound",
-            f"{args.mc_s:.17g},{mc.estimate:.17g},{mc.stderr:.17g},"
-            f"{mc.n_paths},{mc.horizon:.17g},{mc.tail_bound:.17g}",
-        ]
-        outputs += _emit(args, "moments_mc.csv", "\n".join(lines) + "\n")
+        mc = moments_mod.mc_exp_functional(model, args.mc_s,
+                                           _sim_config(args))
+        outputs += _emit(args, "moments_mc.csv", _text(
+            (), "s,estimate,stderr,n_paths,horizon,tail_bound",
+            "{:.17g},{:.17g},{:.17g},{},{:.17g},{:.17g}\n",
+            [(args.mc_s, mc.estimate, mc.stderr, mc.n_paths, mc.horizon,
+              mc.tail_bound)]))
     return outputs
 
 
 def _cmd_check_identities(args) -> list[str]:
     model = _require_levy(_model_from_args(args))
     cfg = _sim_config(args)
-    lines = [f"model: {model.describe()}", f"seed: {cfg.seed}"]
+    fields = [("model", model.describe()), ("seed", cfg.seed)]
 
     # Fundamental relation tau(t) = T(t a^alpha), checked pathwise.
     worst = fundamental_relation_check(model, cfg)
-    lines.append(f"fundamental_relation_max_abs_err: {_g(worst)}")
+    fields.append(("fundamental_relation_max_abs_err", _g(worst)))
     if cfg.alpha != 1.0:
         skip = "skipped (stated for clocks of index 1)"
-        lines += [f"tilted: {skip}", f"first_passage: {skip}"]
-        return _emit(args, "identities.txt", "\n".join(lines) + "\n")
+        fields += [("tilted", skip), ("first_passage", skip)]
+        return _emit(args, "identities.txt", _text(fields))
 
     tilted = tilted_identity_check(model, args.m, args.t, args.a, cfg)
-    lines += [
-        f"tilted_lhs: {_g(tilted.lhs)}",
-        f"tilted_rhs: {_g(tilted.rhs)}",
-        f"tilted_z: {_g(tilted.z_score)}",
+    fields += [
+        ("tilted_lhs", _g(tilted.lhs)),
+        ("tilted_rhs", _g(tilted.rhs)),
+        ("tilted_z", _g(tilted.z_score)),
     ]
-    if model.family in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH):
-        fp_cfg = dataclasses.replace(cfg, horizon=args.t_fp)
-        thetas = args.theta or [-1.0]
-        for fp in first_passage_check(model, fp_cfg, thetas):
-            if len(thetas) > 1:
-                lines.append(f"first_passage_theta: {_g(fp.theta)}")
-            lines += [
-                f"first_passage_lhs: {_g(fp.lhs)}",
-                f"first_passage_rhs: {_g(fp.rhs)}",
-                f"first_passage_rhs_stderr: {_g(fp.rhs_stderr)}",
-                f"first_passage_analytic_L: {_g(fp.analytic)}",
-            ]
-    else:
-        lines.append("first_passage: skipped (needs a spectrally negative "
-                     "family)")
-    return _emit(args, "identities.txt", "\n".join(lines) + "\n")
+    thetas = args.theta or [-1.0]
+    try:
+        checks = first_passage_check(
+            model, dataclasses.replace(cfg, horizon=args.t_fp), thetas)
+    except CapabilityError:
+        fields.append(("first_passage",
+                       "skipped (needs a spectrally negative family)"))
+        checks = ()
+    for fp in checks:
+        if len(thetas) > 1:
+            fields.append(("first_passage_theta", _g(fp.theta)))
+        fields += [
+            ("first_passage_lhs", _g(fp.lhs)),
+            ("first_passage_rhs", _g(fp.rhs)),
+            ("first_passage_rhs_stderr", _g(fp.rhs_stderr)),
+            ("first_passage_analytic_L", _g(fp.analytic)),
+        ]
+    return _emit(args, "identities.txt", _text(fields))
 
 
 def _cmd_logA(args) -> list[str]:
     model = _require_levy(_model_from_args(args))
     cfg = _sim_config(args)
-    report = estimate_logA_rate(model, cfg, args.t)
-    return _emit(args, "logA.txt", report.to_text())
+    row = estimate_logA_rate(model, cfg, args.t)
+    return _emit(args, "logA.txt",
+                 _text(_run_echo("logA", model, cfg), *_ESTIMATE_TABLE, [row]))
 
 
 # --------------------------------------------------------------------------
@@ -434,27 +460,23 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (DomainError, AssumptionError, ConstructionError,
-            ClassificationError, CapabilityError, RescalingError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _DOMAIN_EXIT
     except HorizonExceededError as exc:
         print(f"horizon error: {exc}", file=sys.stderr)
         return _HORIZON_EXIT
+    except (LevyClocksError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _DOMAIN_EXIT
     elapsed = time.perf_counter() - started
-    report = [
-        f"command: levyclocks {' '.join(argv)}",
-        f"outputs: {', '.join(outputs)}",
-    ]
+    report = [("command", f"levyclocks {' '.join(argv)}"),
+              ("outputs", ", ".join(outputs))]
     desc = getattr(args, "_model_desc", None)
     if desc is not None:
-        report.append(f"model: {desc}")
+        report.append(("model", desc))
     seed = getattr(args, "seed", None)
     if seed is not None:
-        report.append(f"seed: {seed}")
-    report.append(f"wall_time_s: {elapsed:.3f}")
-    print("\n".join(report), file=sys.stderr)
+        report.append(("seed", seed))
+    report.append(("wall_time_s", f"{elapsed:.3f}"))
+    sys.stderr.write(_text(report))
     return 0
 
 

@@ -3,9 +3,7 @@
 Every estimator consumes a :class:`~levyclocks.paths.SimConfig`, draws its
 paths through the counter-based per-path streams of
 :mod:`levyclocks.paths`, and reduces with numpy's pairwise summation, so
-results are reproducible and independent of evaluation order.  Reports
-serialize to a line-oriented ``key: value`` header followed by a CSV row
-block (see :meth:`EstimatorReport.to_text`).
+results are reproducible and independent of evaluation order.
 
 All Lévy-path estimators run on :func:`~levyclocks.paths.run_paths`:
 each path is drawn as one row from its own stream and the rows are
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +38,6 @@ from .rate import invert_L, profile, rate_I
 
 __all__ = [
     "EstimateRow",
-    "EstimatorReport",
     "CltResult",
     "LdpSlopeResult",
     "FirstPassageResult",
@@ -120,52 +117,21 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
                            f"doublings"))
 
 
-def _reference_mean(target: LevyModel | CauchyModulus, alpha: float) -> float:
-    """psi'(0) of the driving Lévy process (hypergeometric for |Cauchy|)."""
+def _levy_model(target: LevyModel | CauchyModulus) -> LevyModel:
+    """The Lévy model driving ``target``: for |Cauchy| in R^d, the
+    hypergeometric stable process with parameters (1, d)."""
     if isinstance(target, CauchyModulus):
-        return hypergeometric_stable(1.0, float(target.d)).mean
-    return alpha * target.mean
+        return hypergeometric_stable(1.0, float(target.d))
+    return target
 
 
-# --------------------------------------------------------------------------
-# Report containers.
-# --------------------------------------------------------------------------
+class EstimateRow(NamedTuple):
+    """Estimate at target ``t`` with its standard error and reference."""
 
-@dataclass(frozen=True)
-class EstimateRow:
     t: float
     estimate: float
     stderr: float
     reference: float
-
-
-@dataclass(frozen=True)
-class EstimatorReport:
-    """Structured text record: estimator, model, cfg echo, per-t rows."""
-
-    estimator: str
-    model: str
-    cfg: SimConfig
-    rows: tuple[EstimateRow, ...]
-    extra: tuple[tuple[str, str], ...] = ()
-
-    def to_text(self) -> str:
-        lines = [
-            f"estimator: {self.estimator}",
-            f"model: {self.model}",
-            f"seed: {self.cfg.seed}",
-            f"n_paths: {self.cfg.n_paths}",
-            f"step: {self.cfg.step!r}",
-            f"horizon: {self.cfg.horizon!r}",
-            f"alpha: {self.cfg.alpha!r}",
-            f"start: {self.cfg.start!r}",
-        ]
-        lines += [f"{k}: {v}" for k, v in self.extra]
-        lines.append("t,estimate,stderr,reference")
-        for r in self.rows:
-            lines.append(f"{r.t:.17g},{r.estimate:.17g},{r.stderr:.17g},"
-                         f"{r.reference:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -180,18 +146,17 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def estimate_lln(target: LevyModel | CauchyModulus, cfg: SimConfig,
-                 t_list: Sequence[float]) -> EstimatorReport:
-    """Ensemble mean and stderr of tau(t)/log t with reference 1/psi'(0)."""
+                 t_list: Sequence[float]) -> tuple[EstimateRow, ...]:
+    """Ensemble mean and stderr of tau(t)/log t with reference 1/psi'(0),
+    one row per target.  The Cauchy modulus runs at index 1 only, so its
+    reference is 1/psi'(0) of the driving hypergeometric process."""
     ts = [float(t) for t in t_list]
     if any(t <= 1.0 for t in ts):
         raise DomainError("LLN targets must satisfy t > 1")
     taus = tau_ensemble(target, cfg, ts)
-    ref = 1.0 / _reference_mean(target, cfg.alpha)
-    rows = []
-    for j, t in enumerate(ts):
-        mean, se = _mean_se(taus[:, j] / math.log(t))
-        rows.append(EstimateRow(t=t, estimate=mean, stderr=se, reference=ref))
-    return EstimatorReport("lln", target.describe(), cfg, tuple(rows))
+    ref = 1.0 / (cfg.alpha * _levy_model(target).mean)
+    return tuple(EstimateRow(t, *_mean_se(taus[:, j] / math.log(t)), ref)
+                 for j, t in enumerate(ts))
 
 
 @dataclass(frozen=True)
@@ -209,13 +174,6 @@ class CltResult:
     ks_statistic: float
     target_variance: float
     standardized: np.ndarray
-
-    def report(self, target, cfg: SimConfig) -> EstimatorReport:
-        return EstimatorReport(
-            "clt", target.describe(), cfg,
-            (EstimateRow(t=self.t, estimate=self.ks_statistic, stderr=0.0,
-                         reference=0.0),),
-            extra=(("target_variance", repr(self.target_variance)),))
 
 
 def estimate_clt(model: LevyModel, cfg: SimConfig, t: float) -> CltResult:
@@ -265,10 +223,7 @@ def estimate_ldp_slope(target: LevyModel | CauchyModulus, cfg: SimConfig,
         raise DomainError("LDP slope fit needs at least 3 targets")
     if any(t <= 1.0 for t in ts):
         raise DomainError("LDP targets must satisfy t > 1")
-    if isinstance(target, CauchyModulus):
-        ref_model = hypergeometric_stable(1.0, float(target.d))
-    else:
-        ref_model = target
+    ref_model = _levy_model(target)
     prof = profile(ref_model)
     if not x > 0.0:
         raise DomainError(f"x must be > 0, got {x!r}")
@@ -316,16 +271,13 @@ def estimate_ldp_slope(target: LevyModel | CauchyModulus, cfg: SimConfig,
 
 
 def estimate_logA_rate(model: LevyModel, cfg: SimConfig,
-                       t: float) -> EstimatorReport:
+                       t: float) -> EstimateRow:
     """Ensemble mean of (1/t) log A(t); concentration point psi'(0)."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t!r}")
     vals = run_paths(model, cfg, t,
                      lambda block: block.log_totals(cfg.alpha) / t)
-    mean, se = _mean_se(vals)
-    ref = cfg.alpha * model.mean
-    row = EstimateRow(t=t, estimate=mean, stderr=se, reference=ref)
-    return EstimatorReport("logA", model.describe(), cfg, (row,))
+    return EstimateRow(t, *_mean_se(vals), cfg.alpha * model.mean)
 
 
 # --------------------------------------------------------------------------

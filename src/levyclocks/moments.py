@@ -99,18 +99,8 @@ class MomentRow:
 class MomentLedger:
     """Table of E I^s values with provenance and error bars."""
 
-    model: str
     rows: tuple[MomentRow, ...]
     note: str = ""
-
-    def to_text(self) -> str:
-        lines = ["s,value,method,stderr,finite"]
-        for r in self.rows:
-            se = "" if r.stderr is None else f"{r.stderr:.17g}"
-            lines.append(f"{r.s:.17g},{r.value:.17g},{r.method},{se},"
-                         f"{str(r.finite).lower()}")
-        body = "\n".join(lines) + "\n"
-        return body if not self.note else body + f"# {self.note}\n"
 
 
 def moment_recursion(model: LevyModel, r_max: int) -> MomentLedger:
@@ -134,7 +124,7 @@ def moment_recursion(model: LevyModel, r_max: int) -> MomentLedger:
         value *= model.psi(float(r)) / r
         rows.append(MomentRow(s=-(r + 1.0), value=value, method="recursion",
                               stderr=None, finite=True))
-    return MomentLedger(model=model.describe(), rows=tuple(rows), note=note)
+    return MomentLedger(rows=tuple(rows), note=note)
 
 
 def truncation_horizon(model: LevyModel) -> float:

@@ -54,6 +54,7 @@ simulated alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -135,9 +136,9 @@ class CauchyModulus:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise DomainError(f"Cauchy modulus requires dimension d >= 2, "
-                              f"got {self.d!r}")
+        if not (isinstance(self.d, numbers.Integral) and self.d >= 2):
+            raise DomainError(f"Cauchy modulus requires an integer dimension "
+                              f"d >= 2, got {self.d!r}")
 
     def describe(self) -> str:
         return f"cauchy_modulus d={self.d}"

@@ -45,7 +45,6 @@ __all__ = [
     "legendre_dual",
     "invert_L",
     "rate_curve",
-    "rate_curve_text",
 ]
 
 _INF = math.inf
@@ -312,11 +311,3 @@ def rate_curve(model: LevyModel, x_lo: float, x_hi: float, n: int,
         row = ends[x] if x in ends else _rate_point(model, x, prof)
         rows.append((x, *row))
     return rows
-
-
-def rate_curve_text(rows: list[tuple[float, float, float]]) -> str:
-    """Serialize rate-curve rows as CSV with 17 significant digits."""
-    out = ["x,I,Iprime"]
-    for x, i_val, i_slope in rows:
-        out.append(f"{x:.17g},{i_val:.17g},{i_slope:.17g}")
-    return "\n".join(out) + "\n"

@@ -2,7 +2,14 @@
 
 import pytest
 
-from levyclocks import brownian_drift, model_to_text, rate_curve, rate_curve_text
+from levyclocks import (
+    BracketError,
+    EvaluationError,
+    brownian_drift,
+    model_to_text,
+    rate_curve,
+)
+from levyclocks import cli
 from levyclocks.cli import run
 
 
@@ -10,6 +17,12 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_table(text):
+    """(header, rows of floats) of a CSV table as the CLI writes it."""
+    header, *lines = text.splitlines()
+    return header, [tuple(map(float, line.split(","))) for line in lines]
 
 
 # Full `profile` stdout for each boundary case: 3a/4c, 3a/4b (untilted and
@@ -161,6 +174,18 @@ class TestProfileCommand:
         code, _, _ = invoke(capsys, ["no-such-command"])
         assert code == 1
 
+    @pytest.mark.parametrize("error", [EvaluationError, BracketError])
+    def test_package_errors_exit_2(self, capsys, monkeypatch, error):
+        # any error of the package, the root solver's included, exits 2
+        def fail(model):
+            raise error("no root")
+        monkeypatch.setattr(cli, "profile", fail)
+        code, out, err = invoke(capsys, ["profile", "--family", "brownian",
+                                         "--nu", "1"])
+        assert code == 2
+        assert out == ""
+        assert "error: no root" in err.splitlines()
+
 
 class TestRateCurveCommand:
     def test_matches_library(self, capsys):
@@ -168,8 +193,8 @@ class TestRateCurveCommand:
             "rate-curve", "--family", "brownian", "--nu", "1",
             "--x-lo", "0.1", "--x-hi", "2.0", "--n", "7"])
         assert code == 0
-        expected = rate_curve_text(rate_curve(brownian_drift(1.0), 0.1, 2.0, 7))
-        assert out == expected
+        expected = rate_curve(brownian_drift(1.0), 0.1, 2.0, 7)
+        assert csv_table(out) == ("x,I,Iprime", expected)
 
     def test_domain_error_exit_2(self, capsys):
         code, _, _ = invoke(capsys, [
@@ -197,9 +222,9 @@ class TestFigures:
 
     def test_fig1_matches_rate_curve(self, capsys, tmp_path):
         invoke(capsys, ["--out", str(tmp_path), "figures", "--n", "20"])
-        expected = rate_curve_text(rate_curve(brownian_drift(1.0), 0.05, 3.0,
-                                              20))
-        assert (tmp_path / "fig1.csv").read_text() == expected
+        expected = rate_curve(brownian_drift(1.0), 0.05, 3.0, 20)
+        assert csv_table((tmp_path / "fig1.csv").read_text()) == (
+            "x,I,Iprime", expected)
 
 
 class TestStochasticCommands:
@@ -230,6 +255,15 @@ class TestStochasticCommands:
         assert code == 2
         assert ("error: the Cauchy modulus is a pssMp of index 1; "
                 "cfg.alpha must be 1") in err.splitlines()
+
+    @pytest.mark.parametrize("d", ["3.7", "nan", "inf"])
+    def test_cauchy_dimension_not_integer_exit_2(self, capsys, d):
+        code, out, err = invoke(capsys, [
+            "lln", "--family", "cauchy", "--d", d, "--t", "100",
+            "--paths", "5", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "error: Cauchy modulus requires an integer dimension" in err
 
     def test_simulate_table(self, capsys):
         code, out, _ = invoke(capsys, [
@@ -389,3 +423,406 @@ def test_runs_in_one_process_match_separate_runs(capsys):
         assert (code, out) == (proc.returncode, proc.stdout)
     assert [code for code, _ in results] == [0, 0, 1, 0]
     assert "tilt=0.0" in results[3][1]
+
+
+# Full stdout of every subcommand but `profile` (pinned above), including
+# the `--mc-s` table, a `# truncated` ledger note, a NaN KS statistic, the
+# LDP `excluded` line both ways and each `first_passage` skip line.
+STDOUT = {
+    "rate_curve": (
+        ["rate-curve", "--family", "sawtooth", "--beta", "1", "--gamma", "3",
+         "--x-lo", "1.2", "--x-hi", "5", "--n", "20"],
+        "x,I,Iprime\n"
+        "1.2,0.102943725152286,-0.9497474683058329\n"
+        "1.3999999999999999,0.0077037206368559263,-0.16619044897648158\n"
+        "1.5999999999999999,0.0058874503045718563,0.11091270347398857\n"
+        "1.7999999999999998,0.043078061834694481,0.24722325026743305\n"
+        "2,0.10102051443364379,0.32576538582523301\n"
+        "2.2000000000000002,0.1715010882118847,0.3755878219546227\n"
+        "2.3999999999999999,0.25019685344498266,0.40933750641234146\n"
+        "2.5999999999999996,0.33459130693772232,0.43332734244452337\n"
+        "2.7999999999999998,0.42311116191056752,0.4510229508718861\n"
+        "3,0.5147186257614299,0.46446609406726236\n"
+        "3.2000000000000002,0.60869976553915406,0.47492746689711873\n"
+        "3.3999999999999995,0.70454649851761453,0.48323343697317184\n"
+        "3.5999999999999996,0.80188696040658369,0.48994119415175313\n"
+        "3.7999999999999998,0.90044248653957226,0.49543798924629606\n"
+        "4,0.99999999999999989,0.49999999999999994\n"
+        "4.2000000000000002,1.1003937068899652,0.50382862466464817\n"
+        "4.3999999999999995,1.2014926204446188,0.50707361094478709\n"
+        "4.5999999999999996,1.303191850635123,0.50984822388913076\n"
+        "4.7999999999999998,1.4054063928744567,0.51223944568860547\n"
+        "5,1.5080666151703324,0.51431498841332479\n"),
+    "figures": (
+        ["figures", "--n", "30"],
+        "x,I,Iprime\n"
+        "0.050000000000000003,2.0249999999999999,-49.5\n"
+        "0.15172413793103451,0.39972570532915352,-4.9300103305785106\n"
+        "0.25344827586206897,0.1199214168425991,-1.4459484474061732\n"
+        "0.35517241379310349,0.029527954469367235,-0.490903949476859\n"
+        "0.45689655172413796,0.0020331815224463104,-0.098789604841580628\n"
+        "0.55862068965517242,0.0030757769263516435,0.099432251181222397\n"
+        "0.66034482758620705,0.019467452957594333,0.21333910518171112\n"
+        "0.76206896551724146,0.04506163207988767,0.28476075428431036\n"
+        "0.86379310344827598,0.076607130566453352,0.33247078696897625\n"
+        "0.96551724137931039,0.11222290640394089,0.36591198979591838\n"
+        "1.0672413793103448,0.15074508383934043,0.39025501029593301\n"
+        "1.1689655172413795,0.19141491201302013,0.40852411656703302\n"
+        "1.2706896551724141,0.23371660506246206,0.4225839471692972\n"
+        "1.3724137931034484,0.27728729856177436,0.43363488295750108\n"
+        "1.4741379310344829,0.32186428715466825,0.44247802742724252\n"
+        "1.5758620689655174,0.36725269750245243,0.44966459020632138\n"
+        "1.6775862068965519,0.41330492256441154,0.45558391049603425\n"
+        "1.7793103448275864,0.45990711039828941,0.46051732167538012\n"
+        "1.8810344827586207,0.50697003697967702,0.46467220765516715\n"
+        "1.9827586206896555,0.55442278860569716,0.46820415879017008\n"
+        "2.0844827586206893,0.6022082941159691,0.47123175302955977\n"
+        "2.1862068965517238,0.65028010442728146,0.47384663993073867\n"
+        "2.2879310344827588,0.69860003118259995,0.47612055909125234\n"
+        "2.3896551724137933,0.74713638851569897,0.4781103136081491\n"
+        "2.4913793103448278,0.79586266555303675,0.47986135223476734\n"
+        "2.5931034482758619,0.84475651137197327,0.48141038790176544\n"
+        "2.6948275862068964,0.89379894985328823,0.48278733786634215\n"
+        "2.796551724137931,0.9429737658914068,0.48401677915103819\n"
+        "2.8982758620689655,0.99226702086196639,0.48511905288522278\n"
+        "3,1.0416666666666663,0.48611111111111105\n"
+        "x,I,Iprime\n"
+        "0.01,0.72857505441059423,-12.929113468566944\n"
+        "0.044137931034482762,0.46317477159334913,-5.277328419984876\n"
+        "0.078275862068965515,0.31854563896960347,-3.4407777930496377\n"
+        "0.11241379310344826,0.21898474847351956,-2.4705494228215565\n"
+        "0.14655172413793105,0.14625450314756638,-1.8267460386394372\n"
+        "0.18068965517241381,0.092421659920920607,-1.3472919995504979\n"
+        "0.21482758620689654,0.053184975378884697,-0.96392529774600333\n"
+        "0.2489655172413793,0.025914615713199168,-0.64202148868837827\n"
+        "0.28310344827586209,0.0088793365900774607,-0.36174821829221959\n"
+        "0.31724137931034485,0.00088493346867312556,-0.11069381711610139\n"
+        "0.35137931034482761,0.0010848517724140472,0.11947685951522131\n"
+        "0.38551724137931037,0.0088729213645959981,0.33471409016111897\n"
+        "0.41965517241379308,0.023819340576416326,0.53951703629532533\n"
+        "0.45379310344827584,0.045631400486408569,0.73749096312143947\n"
+        "0.4879310344827586,0.074129520630566825,0.93170772333178808\n"
+        "0.52206896551724136,0.10923362971621792,1.1249627041907526\n"
+        "0.55620689655172417,0.15095735350245121,1.3199824363138237\n"
+        "0.59034482758620688,0.19940899260770273,1.5196203897506351\n"
+        "0.62448275862068969,0.2547994585657225,1.7270746959720926\n"
+        "0.6586206896551724,0.31745857622274354,1.9461686283351112\n"
+        "0.69275862068965521,0.38786287267046071,2.181756449017533\n"
+        "0.72689655172413792,0.46668084061529536,2.4403664371046156\n"
+        "0.76103448275862073,0.55484710490743683,2.7313030300393439\n"
+        "0.79517241379310344,0.65368830567577052,3.0686922345677567\n"
+        "0.82931034482758614,0.76514984268691277,3.4756441846142052\n"
+        "0.86344827586206896,0.89224139461424956,3.9937866617675173\n"
+        "0.89758620689655166,1.040030573316491,4.7090184363828422\n"
+        "0.93172413793103448,1.2183419473616031,5.8414344359948362\n"
+        "0.96586206896551718,1.4522666429799056,8.2564831444362419\n"
+        "1,2,inf\n"
+        "x,I,Iprime\n"
+        "0.01,0.74574659192896209,-11.353389912498081\n"
+        "0.18206896551724139,0.23405424164678568,-1.1584732567059757\n"
+        "0.35413793103448277,0.10373749471850721,-0.4886333458520995\n"
+        "0.52620689655172415,0.043900832108274113,-0.23888067865578522\n"
+        "0.69827586206896552,0.014743117732536698,-0.11231948171213739\n"
+        "0.87034482758620701,0.0023284027434902696,-0.037864092451584196\n"
+        "1.0424137931034483,0.00021793943916625057,0.010118666732664183\n"
+        "1.2144827586206897,0.0049561677669307039,0.043034298791098005\n"
+        "1.386551724137931,0.014500241531497315,0.066674571349518694\n"
+        "1.5586206896551726,0.027556734530178748,0.084264298383971301\n"
+        "1.730689655172414,0.043263333400888726,0.097726240008488285\n"
+        "1.9027586206896552,0.061021397676344319,0.10826942634975281\n"
+        "2.0748275862068963,0.080401516813856211,0.11668722786731538\n"
+        "2.2468965517241379,0.10108722265070072,0.12351884696970514\n"
+        "2.4189655172413791,0.12283990532967945,0.12914168746513058\n"
+        "2.5910344827586207,0.14547611575721467,0.13382661199738158\n"
+        "2.7631034482758619,0.16885241152190295,0.13777227228049102\n"
+        "2.935172413793103,0.1928549618710422,0.14112713926004916\n"
+        "3.1072413793103451,0.2173922476539544,0.14400404224139163\n"
+        "3.2793103448275862,0.2423898279107003,0.14649000280728877\n"
+        "3.4513793103448278,0.26778651888046778,0.14865303222272863\n"
+        "3.623448275862069,0.29353155839684192,0.15054692169130771\n"
+        "3.7955172413793101,0.3195824705144113,0.15221467720940143\n"
+        "3.9675862068965517,0.34590343603380302,0.15369102139151841\n"
+        "4.1396551724137929,0.37246403403721295,0.15500424178126071\n"
+        "4.3117241379310345,0.39923825924044265,0.15617757415720604\n"
+        "4.4837931034482761,0.42620374695779495,0.15723025017466152\n"
+        "4.6558620689655177,0.453341156134212,0.15817829949359272\n"
+        "4.8279310344827584,0.4806336739935535,0.15903517014008137\n"
+        "5,0.50806661517033258,0.15981221278122765\n"
+        "x,I,Iprime\n"
+        "1,1,-inf\n"
+        "1.1724137931034484,0.13219451163638385,-1.1808470804095614\n"
+        "1.3448275862068966,0.020326706691438656,-0.29758429460444286\n"
+        "1.5172413793103448,0.00019372947765670945,0.022220811466871524\n"
+        "1.6896551724137931,0.019188493316976807,0.1823449873098319\n"
+        "1.8620689655172413,0.059337220221429066,0.27590428575084963\n"
+        "2.0344827586206895,0.11243125455539904,0.33592798531284879\n"
+        "2.2068965517241379,0.17409612912573891,0.37697097917857059\n"
+        "2.3793103448275863,0.24175825319871691,0.40637641999296092\n"
+        "2.5517241379310347,0.31379396594854547,0.42821366013340179\n"
+        "2.7241379310344827,0.38912377342164095,0.44490025776839992\n"
+        "2.896551724137931,0.46699991571782762,0.45795201950850262\n"
+        "3.0689655172413794,0.54688698907766098,0.46836129960716977\n"
+        "3.2413793103448274,0.62839100906134981,0.47680122281357479\n"
+        "3.4137931034482758,0.71121530425000068,0.48374215051437613\n"
+        "3.5862068965517242,0.79513204084251443,0.48952118102650594\n"
+        "3.7586206896551726,0.87996324460373587,0.49438523759593322\n"
+        "3.9310344827586206,0.96556780271766451,0.49851866818801044\n"
+        "4.1034482758620694,1.0518323478982159,0.50206143140107773\n"
+        "4.2758620689655178,1.1386647309574078,0.50512137972455418\n"
+        "4.4482758620689653,1.2259892600648263,0.50778273938335317\n"
+        "4.6206896551724137,1.3137431710919178,0.51011207956069948\n"
+        "4.7931034482758621,1.4018739718519186,0.51216258831728922\n"
+        "4.9655172413793105,1.4903374170978954,0.51397718417337834\n"
+        "5.1379310344827589,1.5790959456948008,0.51559081298560228\n"
+        "5.3103448275862073,1.6681174611063232,0.51703216565743526\n"
+        "5.4827586206896548,1.7573743701127171,0.51832497813049538\n"
+        "5.6551724137931032,1.8468428180017682,0.51948902608160186\n"
+        "5.8275862068965516,1.9365020748310653,0.52054089375657586\n"
+        "6,2.0263340389897242,0.52149457381478259\n"
+        "x,I,Iprime\n"
+        "0.050000000000000003,0.53897694867374424,-4.0692466677750287\n"
+        "0.22068965517241379,0.17718126801411832,-1.1587078737343472\n"
+        "0.39137931034482759,0.048125373138831778,-0.45193932531113534\n"
+        "0.5620689655172415,0.0036826540258658447,-0.10246764932962454\n"
+        "0.73275862068965525,0.005236215710090697,0.1044888367142261\n"
+        "0.90344827586206899,0.035230392724007853,0.23790776671386163\n"
+        "1.074137931034483,0.084045295984189416,0.3285665904400093\n"
+        "1.2448275862068965,0.14589276698706771,0.39258636151656562\n"
+        "1.4155172413793105,0.21708291676066788,0.43920990491814071\n"
+        "1.5862068965517244,0.29516349775163364,0.474054343589284\n"
+        "1.7568965517241379,0.37844996705339184,0.50068136305608979\n"
+        "1.9275862068965519,0.4657525308142384,0.52142709608146509\n"
+        "2.0982758620689657,0.55621037006520901,0.53786821355818415\n"
+        "2.2689655172413796,0.6491873536541648,0.55109561989111189\n"
+        "2.4396551724137927,0.74420446646817717,0.56188094807118272\n"
+        "2.6103448275862067,0.84089488778666954,0.57078089271429466\n"
+        "2.7810344827586206,0.93897343779444398,0.57820430355673946\n"
+        "2.9517241379310346,1.038215365270327,0.58445633859713841\n"
+        "3.1224137931034486,1.1384413436424285,0.58976813301090847\n"
+        "3.2931034482758617,1.2395066766377716,0.59431711789927644\n"
+        "3.4637931034482756,1.3412934108871144,0.5982411800477635\n"
+        "3.6344827586206896,1.4437044898849398,0.60164868893137868\n"
+        "3.8051724137931036,1.5466593637593815,0.60462570287704487\n"
+        "3.9758620689655175,1.6500906521751995,0.60724121921665208\n"
+        "4.1465517241379315,1.7539415791953932,0.60955104812441718\n"
+        "4.317241379310345,1.8581639809688806,0.61160070476874329\n"
+        "4.4879310344827594,1.9627167433455259,0.61342759232933175\n"
+        "4.6586206896551721,2.0675645656072987,0.61506266666863207\n"
+        "4.8293103448275856,2.1726769740307073,0.6165317179053591\n"
+        "5,2.2780275286188307,0.61785636590339654\n"),
+    "simulate_sawtooth": (
+        ["simulate", "--family", "sawtooth", "--beta", "1", "--gamma", "3",
+         "--t", "100", "--paths", "20", "--seed", "4"],
+        "path_id,tau\n"
+        "0,5.5192253170213412\n"
+        "1,5.1915496213111449\n"
+        "2,5.8992344735257767\n"
+        "3,6.7641049966639928\n"
+        "4,11.065795443855031\n"
+        "5,7.162009680999609\n"
+        "6,5.1761736535773082\n"
+        "7,5.6246709311334042\n"
+        "8,4.8817306393254825\n"
+        "9,7.0240096932683507\n"
+        "10,5.2099704418859956\n"
+        "11,5.3909793700938105\n"
+        "12,7.678092625442491\n"
+        "13,7.4125896257983426\n"
+        "14,6.1363120232475312\n"
+        "15,7.2721713460273687\n"
+        "16,9.6356332296229752\n"
+        "17,5.6731314263040735\n"
+        "18,13.505569226672513\n"
+        "19,5.3828765596834192\n"),
+    "lln_brownian": (
+        ["lln", "--family", "brownian", "--nu", "1", "--t", "50", "--t", "400",
+         "--paths", "40", "--step", "0.02", "--seed", "7"],
+        "estimator: lln\n"
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 7\n"
+        "n_paths: 40\n"
+        "step: 0.02\n"
+        "horizon: 10.0\n"
+        "alpha: 1.0\n"
+        "start: 1.0\n"
+        "t,estimate,stderr,reference\n"
+        "50,0.6784955860084132,0.049512530669324983,0.5\n"
+        "400,0.58349403584965553,0.033276268058203703,0.5\n"),
+    "lln_cauchy": (
+        ["lln", "--family", "cauchy", "--d", "3", "--t", "50", "--paths", "16",
+         "--step", "0.05", "--seed", "3"],
+        "estimator: lln\n"
+        "model: cauchy_modulus d=3\n"
+        "seed: 3\n"
+        "n_paths: 16\n"
+        "step: 0.05\n"
+        "horizon: 10.0\n"
+        "alpha: 1.0\n"
+        "start: 1.0\n"
+        "t,estimate,stderr,reference\n"
+        "50,0.98700142150746328,0.14565360854234008,0.63661977236758127\n"),
+    "clt_brownian": (
+        ["clt", "--family", "brownian", "--nu", "1", "--t", "400", "--paths",
+         "40", "--step", "0.02", "--seed", "5"],
+        "estimator: clt\n"
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 5\n"
+        "n_paths: 40\n"
+        "step: 0.02\n"
+        "horizon: 10.0\n"
+        "alpha: 1.0\n"
+        "start: 1.0\n"
+        "target_variance: 0.5\n"
+        "t,estimate,stderr,reference\n"
+        "400,0.22487735471220544,0,0\n"),
+    "clt_cp_plus_nan": (
+        ["clt", "--family", "cp-plus", "--d", "1", "--beta", "0", "--gamma",
+         "1", "--t", "403", "--paths", "12", "--seed", "3"],
+        "estimator: clt\n"
+        "model: family=cp_plus_drift d=1.0 beta=0.0 gamma=1.0 tilt=0.0\n"
+        "seed: 3\n"
+        "n_paths: 12\n"
+        "step: 0.01\n"
+        "horizon: 10.0\n"
+        "alpha: 1.0\n"
+        "start: 1.0\n"
+        "target_variance: 0.0\n"
+        "t,estimate,stderr,reference\n"
+        "403,nan,0,0\n"),
+    "ldp_none_excluded": (
+        ["ldp", "--family", "brownian", "--nu", "1", "--x", "1", "--t", "20",
+         "--t", "55", "--t", "148", "--paths", "60", "--step", "0.02",
+         "--seed", "5"],
+        "estimator: ldp-slope\n"
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 5\n"
+        "x: 1\n"
+        "eps: 0.050000000000000003\n"
+        "slope: 0.0025055952387605853\n"
+        "slope_stderr: 0.39987709073438205\n"
+        "reference_I: 0.125\n"
+        "excluded: none\n"
+        "t,p_hat,hits\n"
+        "20,0.033333333333333333,2\n"
+        "55,0.016666666666666666,1\n"
+        "148,0.033333333333333333,2\n"),
+    "ldp_excluded": (
+        ["ldp", "--family", "brownian", "--nu", "1", "--x", "5", "--t", "20",
+         "--t", "55", "--t", "148", "--paths", "60", "--step", "0.02",
+         "--seed", "5"],
+        "estimator: ldp-slope\n"
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 5\n"
+        "x: 5\n"
+        "eps: 0.45000000000000001\n"
+        "slope: nan\n"
+        "slope_stderr: nan\n"
+        "reference_I: 2.0249999999999999\n"
+        "excluded: 20,55,148\n"
+        "t,p_hat,hits\n"
+        "20,0,0\n"
+        "55,0,0\n"
+        "148,0,0\n"),
+    "moments_brownian": (
+        ["moments", "--family", "brownian", "--nu", "1", "--r-max", "4"],
+        "s,value,method,stderr,finite\n"
+        "-1,2,exact,,true\n"
+        "-2,8,recursion,,true\n"
+        "-3,48,recursion,,true\n"
+        "-4,384,recursion,,true\n"
+        "-5,3840,recursion,,true\n"),
+    "moments_sawtooth_mc": (
+        ["moments", "--family", "sawtooth", "--beta", "1", "--gamma", "3",
+         "--r-max", "3", "--mc-s", "-1", "--paths", "30", "--step", "0.02",
+         "--seed", "2"],
+        "s,value,method,stderr,finite\n"
+        "-1,0.66666666666666674,exact,,true\n"
+        "-2,0.5,recursion,,true\n"
+        "-3,0.40000000000000002,recursion,,true\n"
+        "-4,0.33333333333333337,recursion,,true\n"
+        "s,estimate,stderr,n_paths,horizon,tail_bound\n"
+        "-1,0.67981342222385932,0.045235938570230588,"
+        "30,20,0.0038179014040194198\n"),
+    "moments_cp_minus_truncated": (
+        ["moments", "--family", "cp-minus", "--beta", "3", "--gamma", "2.5",
+         "--r-max", "8"],
+        "s,value,method,stderr,finite\n"
+        "-1,0.19999999999999996,exact,,true\n"
+        "-2,0.19999999999999996,recursion,,true\n"
+        "-3,0.99999999999999978,recursion,,true\n"
+        "# truncated: phi(3) = inf (domain end m_plus = 2.5)\n"),
+    "logA": (
+        ["logA", "--family", "sawtooth", "--beta", "1", "--gamma", "3", "--t",
+         "20", "--paths", "30", "--step", "0.02", "--seed", "6", "--alpha",
+         "2", "--start", "0.5", "--horizon", "12"],
+        "estimator: logA\n"
+        "model: family=saw_tooth beta=1.0 gamma=3.0 tilt=0.0\n"
+        "seed: 6\n"
+        "n_paths: 30\n"
+        "step: 0.02\n"
+        "horizon: 12.0\n"
+        "alpha: 2.0\n"
+        "start: 0.5\n"
+        "t,estimate,stderr,reference\n"
+        "20,1.2828887535827957,0.041830426481689942,1.3333333333333335\n"),
+    "identities_two_thetas": (
+        ["check-identities", "--family", "brownian", "--nu", "1", "--paths",
+         "40", "--step", "0.02", "--seed", "5", "--t-fp", "30", "--theta",
+         "-0.5", "--theta", "-1"],
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 5\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 0.094336785095339229\n"
+        "tilted_rhs: 0.086095489792840249\n"
+        "tilted_z: 0.41648472584629553\n"
+        "first_passage_theta: -0.5\n"
+        "first_passage_lhs: -0.28417166690514045\n"
+        "first_passage_rhs: -0.17357271145209369\n"
+        "first_passage_rhs_stderr: 0.028465375274815692\n"
+        "first_passage_analytic_L: -0.20710678118654752\n"
+        "first_passage_theta: -1\n"
+        "first_passage_lhs: -0.5168883007016617\n"
+        "first_passage_rhs: -0.31603362718935479\n"
+        "first_passage_rhs_stderr: 0.045906664784005451\n"
+        "first_passage_analytic_L: -0.36602540378443865\n"),
+    "identities_sawtooth": (
+        ["check-identities", "--family", "sawtooth", "--beta", "1", "--gamma",
+         "3", "--paths", "30", "--step", "0.02", "--seed", "8", "--t-fp",
+         "30"],
+        "model: family=saw_tooth beta=1.0 gamma=3.0 tilt=0.0\n"
+        "seed: 8\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 0.3849915237886643\n"
+        "tilted_rhs: 0.3762038638288091\n"
+        "tilted_z: 0.38223293554641052\n"
+        "first_passage_lhs: -1.2384091522858365\n"
+        "first_passage_rhs: -1.3188485634972118\n"
+        "first_passage_rhs_stderr: 0.084758044761012924\n"
+        "first_passage_analytic_L: -1.3027756377319943\n"),
+    "identities_cp_plus_skip": (
+        ["check-identities", "--family", "cp-plus", "--d", "1", "--beta", "2",
+         "--gamma", "1", "--m", "0.5", "--paths", "30", "--step", "0.02",
+         "--seed", "8"],
+        "model: family=cp_plus_drift d=1.0 beta=2.0 gamma=1.0 tilt=0.0\n"
+        "seed: 8\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 0.20545562779186055\n"
+        "tilted_rhs: 0.23115350089053116\n"
+        "tilted_z: -0.58216435111118969\n"
+        "first_passage: skipped (needs a spectrally negative family)\n"),
+    "identities_alpha_half": (
+        ["check-identities", "--family", "brownian", "--nu", "1", "--paths",
+         "20", "--seed", "3", "--alpha", "0.5"],
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 3\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted: skipped (stated for clocks of index 1)\n"
+        "first_passage: skipped (stated for clocks of index 1)\n"),
+}
+
+
+@pytest.mark.parametrize("argv,expected", STDOUT.values(), ids=STDOUT.keys())
+def test_stdout_pinned(capsys, argv, expected):
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    assert out == expected

@@ -480,7 +480,7 @@ def test_block_edges(monkeypatch, n_paths, name, model, step):
     horizon = 10.0
     monkeypatch.setattr(paths, "_BLOCK_BUDGET",
                         4 * _width(model, horizon, step))
-    row = estimate_logA_rate(model, cfg, horizon).rows[0]
+    row = estimate_logA_rate(model, cfg, horizon)
     want = oracles.ref_mean_se(oracles.ref_log_totals(model, cfg, horizon)
                                / horizon)
     assert (row.estimate, row.stderr) == want
@@ -528,7 +528,7 @@ def test_mc_exp_functional(model, step):
 @pytest.mark.parametrize("name,model,step", MODELS, ids=IDS)
 def test_estimate_logA_rate(name, model, step):
     cfg = SimConfig(seed=5, n_paths=50, step=step)
-    row = estimate_logA_rate(model, cfg, 12.0).rows[0]
+    row = estimate_logA_rate(model, cfg, 12.0)
     want = oracles.ref_log_totals(model, cfg, 12.0)
     assert (row.estimate, row.stderr) == oracles.ref_mean_se(want / 12.0)
     # long padded jump rows: every per-path value, not only the mean
@@ -581,6 +581,9 @@ def test_simulate_cauchy_modulus(d, horizon):
 
 
 def test_cauchy_errors():
+    for d in (3.7, 3.0, math.nan, 1):
+        with pytest.raises(DomainError, match="integer dimension d >= 2"):
+            CauchyModulus(d)
     with pytest.raises(DomainError, match="clock targets must be >= 0"):
         tau_ensemble(CauchyModulus(3), SimConfig(seed=1, n_paths=2),
                      [-1.0, 5.0])

@@ -30,6 +30,7 @@ from levyclocks import (
     tau_ensemble,
     tilted_identity_check,
 )
+from levyclocks.cli import run
 
 
 class TestTauEnsemble:
@@ -78,8 +79,7 @@ class TestLln:
         model = cp_plus_drift(1.0, 0.0, 1.0)
         cfg = SimConfig(seed=1, n_paths=4, step=0.01)
         t = math.e ** 6
-        rep = estimate_lln(model, cfg, [t])
-        row = rep.rows[0]
+        (row,) = estimate_lln(model, cfg, [t])
         assert row.estimate == pytest.approx(math.log1p(t) / math.log(t),
                                              rel=1e-14)
         assert row.stderr == 0.0
@@ -87,11 +87,10 @@ class TestLln:
 
     def test_reference_values(self):
         cfg = SimConfig(seed=1, n_paths=2, step=0.01)
-        rep = estimate_lln(saw_tooth(1.0, 3.0), cfg, [10.0])
-        assert rep.rows[0].reference == pytest.approx(1.5, rel=1e-12)
-        rep = estimate_lln(CauchyModulus(3), cfg, [10.0])
-        assert rep.rows[0].reference == pytest.approx(2.0 / math.pi,
-                                                      rel=1e-10)
+        (row,) = estimate_lln(saw_tooth(1.0, 3.0), cfg, [10.0])
+        assert row.reference == pytest.approx(1.5, rel=1e-12)
+        (row,) = estimate_lln(CauchyModulus(3), cfg, [10.0])
+        assert row.reference == pytest.approx(2.0 / math.pi, rel=1e-10)
 
     def test_differenced_slope_is_unbiased(self):
         # E[tau(t2) - tau(t1)] = (log t2 - log t1)/psi'(0): the O(1)
@@ -113,8 +112,7 @@ class TestLln:
         # raw mean of tau/log t carries an O(1/log t) constant; allow it
         t = math.e ** 10
         cfg = SimConfig(seed=55, n_paths=600, step=0.01)
-        rep = estimate_lln(saw_tooth(1.0, 3.0), cfg, [t])
-        row = rep.rows[0]
+        (row,) = estimate_lln(saw_tooth(1.0, 3.0), cfg, [t])
         assert abs(row.estimate - row.reference) <= 0.12
 
     def test_t_validation(self):
@@ -122,10 +120,11 @@ class TestLln:
         with pytest.raises(DomainError):
             estimate_lln(saw_tooth(1, 3), cfg, [0.5])
 
-    def test_report_text(self):
-        cfg = SimConfig(seed=9, n_paths=16, step=0.01)
-        text = estimate_lln(saw_tooth(1, 3), cfg, [20.0, 50.0]).to_text()
-        lines = text.strip().split("\n")
+    def test_report_text(self, capsys):
+        assert run(["lln", "--family", "sawtooth", "--beta", "1",
+                    "--gamma", "3", "--t", "20", "--t", "50", "--paths", "16",
+                    "--step", "0.01", "--seed", "9"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "estimator: lln"
         assert lines[1].startswith("model: family=saw_tooth")
         assert "seed: 9" in lines
@@ -217,8 +216,7 @@ class TestLogA:
     def test_deterministic(self):
         model = cp_plus_drift(1.0, 0.0, 1.0)    # xi_s = s
         cfg = SimConfig(seed=4, n_paths=4, step=0.01)
-        rep = estimate_logA_rate(model, cfg, 30.0)
-        row = rep.rows[0]
+        row = estimate_logA_rate(model, cfg, 30.0)
         assert row.estimate == pytest.approx(
             math.log(math.exp(30.0) - 1.0) / 30.0, rel=1e-12)
         assert row.reference == 1.0
@@ -226,14 +224,13 @@ class TestLogA:
     def test_long_linear_segment(self):
         # xi_s = s on one segment of length 1000: finite, not NaN
         cfg = SimConfig(seed=1, n_paths=4, step=0.01)
-        row = estimate_logA_rate(cp_plus_drift(1.0, 0.0, 1.0), cfg,
-                                 1000.0).rows[0]
+        row = estimate_logA_rate(cp_plus_drift(1.0, 0.0, 1.0), cfg, 1000.0)
         assert row.estimate == pytest.approx(1.0, rel=1e-15)
         assert row.stderr == 0.0
 
     def test_brownian(self):
         cfg = SimConfig(seed=3, n_paths=400, step=0.01)
-        row = estimate_logA_rate(brownian_drift(1.0), cfg, 50.0).rows[0]
+        row = estimate_logA_rate(brownian_drift(1.0), cfg, 50.0)
         assert row.reference == 2.0
         assert abs(row.estimate - 2.0) <= 4.0 * row.stderr
 
@@ -246,8 +243,8 @@ class TestLogA:
     def test_sawtooth_differenced(self):
         # (log A(t2) - log A(t1))/(t2 - t1) is free of the O(1) constant
         cfg = SimConfig(seed=3, n_paths=500, step=0.01)
-        r1 = estimate_logA_rate(saw_tooth(1.0, 3.0), cfg, 25.0).rows[0]
-        r2 = estimate_logA_rate(saw_tooth(1.0, 3.0), cfg, 50.0).rows[0]
+        r1 = estimate_logA_rate(saw_tooth(1.0, 3.0), cfg, 25.0)
+        r2 = estimate_logA_rate(saw_tooth(1.0, 3.0), cfg, 50.0)
         diff = (r2.estimate * 50.0 - r1.estimate * 25.0) / 25.0
         se = math.hypot(r1.stderr * 25.0, r2.stderr * 50.0) / 25.0
         assert abs(diff - 2.0 / 3.0) <= 4.0 * se

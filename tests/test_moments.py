@@ -24,6 +24,7 @@ from levyclocks import (
     saw_tooth,
     stable_conditioned,
 )
+from levyclocks.cli import run
 
 
 def gamma_law_inverse_moment(nu: float, r: float) -> float:
@@ -107,9 +108,10 @@ class TestRecursion:
         assert [row.s for row in ledger.rows] == [-1.0, -2.0, -3.0]
         assert "truncated" in ledger.note
 
-    def test_serialization(self):
-        text = moment_recursion(brownian_drift(1.0), r_max=2).to_text()
-        lines = text.strip().split("\n")
+    def test_serialization(self, capsys):
+        assert run(["moments", "--family", "brownian", "--nu", "1",
+                    "--r-max", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "s,value,method,stderr,finite"
         assert lines[1].startswith("-1,2,exact,,true")
 

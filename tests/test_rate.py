@@ -19,10 +19,10 @@ from levyclocks import (
     profile,
     rate_I,
     rate_curve,
-    rate_curve_text,
     saw_tooth,
     stable_conditioned,
 )
+from levyclocks.cli import run
 from levyclocks.models import LevyModel
 from oracles import (
     concave_sup,
@@ -431,10 +431,10 @@ class TestRateCurve:
         with pytest.raises(DomainError, match="finite"):
             rate_curve(brownian_drift(1.0), 0.5, math.inf, 3)
 
-    def test_text_format(self):
-        rows = rate_curve(brownian_drift(1.0), 0.5, 1.0, 3)
-        text = rate_curve_text(rows)
-        lines = text.strip().split("\n")
+    def test_text_format(self, capsys):
+        assert run(["rate-curve", "--family", "brownian", "--nu", "1",
+                    "--x-lo", "0.5", "--x-hi", "1.0", "--n", "3"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "x,I,Iprime"
         assert len(lines) == 4
         first = lines[1].split(",")
