@@ -34,14 +34,14 @@ def main():
 
     print("\n== tilted identity, Brownian drift (m=1, t=2, a=1)")
     cfg = SimConfig(seed=3, n_paths=30_000, step=0.004)
-    r = tilted_identity_check(brownian_drift(1.0), 1.0, 2.0, 1.0, cfg)
+    r = tilted_identity_check(brownian_drift(1.0), 1.0, 2.0, cfg)
     print(f"   E_a exp(-psi(1) T(t)) = {r.lhs:.5f} +- {r.lhs_stderr:.5f}")
     print(f"   tilted-path functional = {r.rhs:.5f} +- {r.rhs_stderr:.5f}")
     print(f"   z = {r.z_score:+.2f}")
 
     print("\n== tilted identity, saw tooth (m=0.5, t=2, a=1)")
     cfg = SimConfig(seed=3, n_paths=30_000, step=0.01)
-    r = tilted_identity_check(saw_tooth(1.0, 3.0), 0.5, 2.0, 1.0, cfg)
+    r = tilted_identity_check(saw_tooth(1.0, 3.0), 0.5, 2.0, cfg)
     print(f"   lhs {r.lhs:.5f}, rhs {r.rhs:.5f}, z = {r.z_score:+.2f}")
 
     print("\n== first passage: log E exp(theta tau_hat(1)) vs L(theta)")

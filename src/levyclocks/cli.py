@@ -91,16 +91,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Model flags as argparse dests; --tilt absent means tilt 0.
+_MODEL_FLAGS = ("tilt", "nu", "d", "beta", "gamma", "alpha_par", "c",
+                "kappa", "delta")
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="model family "
                    "(brownian, cp-plus, cp-minus, sawtooth, stable, csbp, "
                    "hypergeometric, or cauchy for estimators)")
     p.add_argument("--model-file",
                    help="read the model from a key-value text file")
-    p.add_argument("--tilt", type=float, default=0.0)
-    for flag in ("nu", "d", "beta", "gamma", "alpha-par", "c", "kappa",
-                 "delta"):
-        p.add_argument(f"--{flag}", type=float, default=None)
+    for flag in _MODEL_FLAGS:
+        p.add_argument(f"--{flag.replace('_', '-')}", type=float,
+                       default=None)
 
 
 def _add_sim_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
@@ -123,29 +127,40 @@ def _model_from_args(args) -> LevyModel | CauchyModulus:
     return model
 
 
+def _refuse(args, owner: str, takes) -> None:
+    """A usage error for the first model flag given not in ``takes``."""
+    for flag in ("family", *_MODEL_FLAGS):
+        if getattr(args, flag) is not None and flag not in takes:
+            raise _UsageError(
+                f"{owner} does not take --{flag.replace('_', '-')}")
+
+
 def _build_model(args) -> LevyModel | CauchyModulus:
     if args.model_file:
+        _refuse(args, "--model-file", ())
         return model_from_text(Path(args.model_file).read_text())
     if not args.family:
         raise _UsageError("--family or --model-file is required")
     name = args.family.lower()
     if name == "cauchy":
-        d = getattr(args, "d", None)
+        _refuse(args, "cauchy", ("family", "d"))
+        d = args.d
         if d is None:
             raise _UsageError("--d (dimension) is required for cauchy")
         return CauchyModulus(int(d) if d.is_integer() else d)
     if name not in _FAMILY_ALIASES:
         raise _UsageError(f"unknown family {args.family!r}")
     fam = _FAMILY_ALIASES[name]
+    takes = [_PARAM_FLAGS.get(pname, pname) for pname in PARAM_NAMES[fam]]
+    _refuse(args, fam.value, ["family", "tilt", *takes])
     params = []
-    for pname in PARAM_NAMES[fam]:
-        flag = _PARAM_FLAGS.get(pname, pname)
-        value = getattr(args, flag, None)
+    for flag in takes:
+        value = getattr(args, flag)
         if value is None:
             raise _UsageError(
                 f"family {fam.value} requires --{flag.replace('_', '-')}")
         params.append(value)
-    return make_model(fam, params, tilt=args.tilt)
+    return make_model(fam, params, tilt=args.tilt or 0.0)
 
 
 def _require_levy(model) -> LevyModel:
@@ -291,13 +306,11 @@ def _cmd_ldp(args) -> list[str]:
 def _cmd_moments(args) -> list[str]:
     model = _require_levy(_model_from_args(args))
     ledger = moments_mod.moment_recursion(model, args.r_max)
-    rows = [(r.s, r.value, r.method,
-             "" if r.stderr is None else _g(r.stderr), str(r.finite).lower())
-            for r in ledger.rows]
     notes = [(ledger.note,)] if ledger.note else []
+    # a ledger row is exact or a recursion of it: no stderr, and finite
     outputs = _emit(args, "moments.csv",
                     _text((), "s,value,method,stderr,finite",
-                          "{:.17g},{:.17g},{},{},{}\n", rows)
+                          "{:.17g},{:.17g},{},,true\n", ledger.rows)
                     + _text((), None, "# {}\n", notes))
     if args.mc_s is not None:
         mc = moments_mod.mc_exp_functional(model, args.mc_s,
@@ -323,7 +336,7 @@ def _cmd_check_identities(args) -> list[str]:
         fields += [("tilted", skip), ("first_passage", skip)]
         return _emit(args, "identities.txt", _text(fields))
 
-    tilted = tilted_identity_check(model, args.m, args.t, args.a, cfg)
+    tilted = tilted_identity_check(model, args.m, args.t, cfg)
     fields += [
         ("tilted_lhs", _g(tilted.lhs)),
         ("tilted_rhs", _g(tilted.rhs)),
@@ -437,7 +450,6 @@ def _build_parser() -> _Parser:
     _add_sim_flags(p)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--t", type=float, default=2.0)
-    p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--theta", type=float, action="append",
                    help="first-passage transform parameter (repeatable; "
                         "one path ensemble serves all; default -1)")

@@ -42,18 +42,7 @@ class CapabilityError(LevyClocksError, NotImplementedError):
 
 
 class HorizonExceededError(LevyClocksError):
-    """A clock target exceeds the simulated capacity even after extension.
-
-    Attributes:
-        target: requested clock value.
-        capacity: largest reachable clock value on the path.
-    """
-
-    def __init__(self, message: str, target: float | None = None,
-                 capacity: float | None = None):
-        super().__init__(message)
-        self.target = target
-        self.capacity = capacity
+    """A clock target exceeds the simulated capacity even after extension."""
 
 
 class RescalingError(LevyClocksError, OverflowError):

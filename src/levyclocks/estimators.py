@@ -96,17 +96,16 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
 
     Raises:
         DomainError: for no targets, or a negative or non-finite one.
+        AssumptionError: for a Lévy model with psi'(0) <= 0.
     """
     targets = np.asarray(clock_targets, dtype=float)
     if not (targets.size and np.isfinite(targets).all()):
         raise DomainError(f"clock targets must be finite and non-empty, "
                           f"got {targets.tolist()!r}")
     if isinstance(target, CauchyModulus):
-        run_cfg = replace(cfg, horizon=float(np.max(targets)))
-        return _cauchy_clocks(target.d, run_cfg, targets, path_offset)
+        return _cauchy_clocks(target.d, cfg, targets, path_offset)
 
-    mean = target.mean
-    base_h = horizon_policy(mean, float(np.max(targets)))
+    base_h = horizon_policy(target.positive_mean(), float(np.max(targets)))
 
     return run_paths(
         target, cfg, base_h, lambda block: block.clock(cfg.alpha, targets),
@@ -272,12 +271,14 @@ def estimate_ldp_slope(target: LevyModel | CauchyModulus, cfg: SimConfig,
 
 def estimate_logA_rate(model: LevyModel, cfg: SimConfig,
                        t: float) -> EstimateRow:
-    """Ensemble mean of (1/t) log A(t); concentration point psi'(0)."""
+    """Ensemble mean of (1/t) log A(t); concentration point psi'(0),
+    which must be > 0."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t!r}")
+    ref = cfg.alpha * model.positive_mean()
     vals = run_paths(model, cfg, t,
                      lambda block: block.log_totals(cfg.alpha) / t)
-    return EstimateRow(t, *_mean_se(vals), cfg.alpha * model.mean)
+    return EstimateRow(t, *_mean_se(vals), ref)
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +370,6 @@ def _first_passage_result(theta: float, t_clock: float, analytic: float,
 class TiltedIdentityResult:
     m: float
     t: float
-    a: float
     lhs: float
     lhs_stderr: float
     rhs: float
@@ -377,12 +377,12 @@ class TiltedIdentityResult:
     z_score: float
 
 
-def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
+def tilted_identity_check(model: LevyModel, m: float, t: float,
                           cfg: SimConfig) -> TiltedIdentityResult:
     """Monte Carlo check of the scaling/change-of-measure identity.
 
     The left side is E_a exp(-psi(m) T(t)) under the base model started at
-    ``a``; after the scaling reduction the right side equals
+    ``a = cfg.start``; after the scaling reduction the right side equals
     E exp(-m xi*) under the Esscher-tilted path law, with xi* the tilted
     path value at its clock time tau(t/a).  Both sides are estimated on
     disjoint path-id ranges of the same seed; the returned z-score uses
@@ -392,8 +392,8 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
         RescalingError: if an exponential weight would overflow
             (reduce t).
     """
-    if not (t > 0.0 and a > 0.0):
-        raise DomainError("t and a must be > 0")
+    if not t > 0.0:
+        raise DomainError(f"t must be > 0, got {t!r}")
     if cfg.alpha != 1.0:
         raise DomainError("the tilted identity is stated for clocks of "
                           "index 1; cfg.alpha must be 1")
@@ -402,10 +402,10 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
         raise DomainError(f"m = {m!r} outside (m0, m_plus) = "
                           f"({prof.m0!r}, {model.m_plus!r})")
     if m == 0.0:
-        return TiltedIdentityResult(m=0.0, t=t, a=a, lhs=1.0, lhs_stderr=0.0,
+        return TiltedIdentityResult(m=0.0, t=t, lhs=1.0, lhs_stderr=0.0,
                                     rhs=1.0, rhs_stderr=0.0, z_score=0.0)
     psi_m = model.psi(m)
-    target = t / a
+    target = t / cfg.start
     tilted = model.esscher(m)
 
     taus = tau_ensemble(model, cfg, [target])[:, 0]
@@ -429,7 +429,7 @@ def tilted_identity_check(model: LevyModel, m: float, t: float, a: float,
     rhs, rhs_se = _mean_se(np.exp(expo_r))
     pooled = math.hypot(lhs_se, rhs_se)
     z = (lhs - rhs) / pooled if pooled > 0.0 else math.inf
-    return TiltedIdentityResult(m=m, t=t, a=a, lhs=lhs, lhs_stderr=lhs_se,
+    return TiltedIdentityResult(m=m, t=t, lhs=lhs, lhs_stderr=lhs_se,
                                 rhs=rhs, rhs_stderr=rhs_se, z_score=z)
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 
-from .errors import ConstructionError, DomainError
+from .errors import AssumptionError, ConstructionError, DomainError
 from .numerics import digamma, log_gamma, trigamma
 
 __all__ = [
@@ -433,6 +433,16 @@ class LevyModel:
     def mean(self) -> float:
         """E xi_1 = psi'(0)."""
         return self.psi_derivs(0.0)[0]
+
+    def positive_mean(self) -> float:
+        """psi'(0), or AssumptionError unless it is > 0: the drift
+        condition, under which A(inf) = inf and every clock is finite."""
+        mean = self.mean
+        if not mean > 0.0:
+            raise AssumptionError(
+                f"drift condition violated: psi'(0) = {mean!r} <= 0 for "
+                f"{self.describe()}")
+        return mean
 
     # -- change of measure ---------------------------------------------------
 

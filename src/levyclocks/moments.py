@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError
+from .errors import DomainError
 from .estimators import _mean_se
 from .models import Family, LevyModel
 from .numerics import log_gamma
@@ -56,14 +57,6 @@ class Finiteness(Enum):
         return self is Finiteness.FINITE
 
 
-def _drift(model: LevyModel) -> float:
-    d1 = model.mean
-    if not d1 > 0.0:
-        raise AssumptionError(
-            f"drift condition violated: phi'(0) = {d1!r} <= 0")
-    return d1
-
-
 def moment_finite(model: LevyModel, s: float) -> Finiteness:
     """Finiteness of E I^s for the perpetuity of ``model``'s process.
 
@@ -72,7 +65,7 @@ def moment_finite(model: LevyModel, s: float) -> Finiteness:
     INFINITE).  For s < -1 the recursion settles it when every factor
     phi(r), r <= -s-1 is finite, i.e. -s-1 < m_plus; otherwise UNKNOWN.
     """
-    _drift(model)
+    model.positive_mean()
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s!r}")
     if -1.0 <= s <= 0.0:
@@ -86,18 +79,15 @@ def moment_finite(model: LevyModel, s: float) -> Finiteness:
             else Finiteness.UNKNOWN)
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     s: float
     value: float
-    method: str                  # "exact" | "recursion" | "monte-carlo"
-    stderr: float | None
-    finite: bool
+    method: str                  # "exact" | "recursion"
 
 
 @dataclass(frozen=True)
 class MomentLedger:
-    """Table of E I^s values with provenance and error bars."""
+    """Table of E I^s values with their provenance."""
 
     rows: tuple[MomentRow, ...]
     note: str = ""
@@ -112,9 +102,8 @@ def moment_recursion(model: LevyModel, r_max: int) -> MomentLedger:
     """
     if r_max < 1:
         raise DomainError(f"r_max must be >= 1, got {r_max!r}")
-    value = float(_drift(model))
-    rows = [MomentRow(s=-1.0, value=value, method="exact", stderr=None,
-                      finite=True)]
+    value = float(model.positive_mean())
+    rows = [MomentRow(s=-1.0, value=value, method="exact")]
     note = ""
     for r in range(1, r_max + 1):
         if not r < model.m_plus:
@@ -122,14 +111,13 @@ def moment_recursion(model: LevyModel, r_max: int) -> MomentLedger:
                     f"{model.m_plus!r})")
             break
         value *= model.psi(float(r)) / r
-        rows.append(MomentRow(s=-(r + 1.0), value=value, method="recursion",
-                              stderr=None, finite=True))
+        rows.append(MomentRow(s=-(r + 1.0), value=value, method="recursion"))
     return MomentLedger(rows=tuple(rows), note=note)
 
 
 def truncation_horizon(model: LevyModel) -> float:
     """Integration horizon for truncated perpetuity simulation."""
-    return max(20.0, 10.0 / _drift(model))
+    return max(20.0, 10.0 / model.positive_mean())
 
 
 def tail_bound(model: LevyModel, horizon: float) -> float:
@@ -138,7 +126,7 @@ def tail_bound(model: LevyModel, horizon: float) -> float:
     Uses zeta_u >= phi'(0) u / 2 beyond the horizon (holds off an
     exponentially small event for T at the default scale).
     """
-    d1 = _drift(model)
+    d1 = model.positive_mean()
     return (2.0 / d1) * math.exp(-0.5 * d1 * horizon)
 
 

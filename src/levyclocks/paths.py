@@ -45,10 +45,10 @@ the package.
 
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
-geometric time grid; see :func:`simulate_cauchy_modulus`.  Its ensembles
-share one grid and one re-keyed generator, and each path runs its scaling
-and running sums on coordinate-major rows, bit-identical to the path
-simulated alone.
+geometric time grid; see :func:`simulate_cauchy_modulus`.  Single paths
+and ensembles come from one loop, :func:`_cauchy_paths`: one grid that
+covers the horizon and one re-keyed generator per run, and each path runs
+its scaling and running sums on coordinate-major rows.
 """
 
 from __future__ import annotations
@@ -489,7 +489,7 @@ class PathBlock:
         crossed by the bridge of xi = 2B + drift (variance 4 per unit time)
         with probability exp(-(b - x0)(b - x1) / (2 h)), decided by one
         uniform: that of step j is raw draw j of the path's auxiliary
-        stream ``path_rng(seed, _AUX_STREAM + id)`` of the run's seed.  A
+        stream, key ``(seed, _AUX_STREAM + id)`` of :func:`path_rng`.  A
         row draws its uniforms up to its first step that ends at or above
         ``level``, and none on a block that continues it once it has
         crossed.  A crossing inside a step is assigned to its midpoint
@@ -561,7 +561,9 @@ class _GaussianRows:
     horizon.  The ziggurat sampler takes a varying number of raw draws per
     normal, so the position is read after each piece.  Normals drawn in
     pieces equal one draw, and ξ and A are running sums continued from the
-    carried node, so each node is the one the whole row has.
+    carried node, so each node is the one the whole row has.  The sampler
+    keeps this carry: it stores each row's last node once the run has
+    reduced the row's block.
     """
 
     def __init__(self, dyn, cfg: SimConfig, offset: int, n_rows: int,
@@ -581,7 +583,12 @@ class _GaussianRows:
         per_block = max(1, _BLOCK_BUDGET // (n - self.n + 1))
         for lo in range(0, len(rows), per_block):
             sub = rows[lo:lo + per_block]
-            yield sub, self._piece(sub, n)
+            block = self._piece(sub, n)
+            yield sub, block
+            if self.grow:
+                self.xi[sub] = block.xi[:, -1]
+                self.a[sub] = block.functional(self.cfg.alpha)[:, -1]
+                self.crossed[sub] = block.carry.crossed
         self.n = n
 
     def _piece(self, rows: np.ndarray, n: int) -> PathBlock:
@@ -598,23 +605,11 @@ class _GaussianRows:
         incr += 2.0 * self.nu * step
         xi[:, 0] = self.xi[rows]
         np.cumsum(xi, axis=1, out=xi)
-        carry = None
-        if self.grow:
-            carry = _Carry(self.cfg.alpha, self.a[rows], n0,
-                           self.crossed[rows])
+        carry = (_Carry(self.cfg.alpha, self.a[rows], n0, self.crossed[rows])
+                 if self.grow else None)
         return PathBlock(times=step * np.arange(n0, n + 1)[None], xi=xi,
                          size=np.full(len(rows), n - n0 + 1), kind=GAUSSIAN,
                          ids=ids, step=step, work=self.work, carry=carry)
-
-    def keep(self, rows: np.ndarray, block: PathBlock,
-             left: np.ndarray) -> None:
-        """Carry the last node of the block's rows (the run's ``rows``)
-        where ``left`` to their next piece."""
-        if left.any():
-            kept = rows[left]
-            self.xi[kept] = block.xi[left, -1]
-            self.a[kept] = block.functional(self.cfg.alpha)[left, -1]
-            self.crossed[kept] = block.carry.crossed[left]
 
 
 class _JumpRows:
@@ -706,10 +701,6 @@ class _JumpRows:
         if short.any():
             yield from self._blocks(*again, rung, 2 * chunks)
 
-    def keep(self, rows: np.ndarray, block: PathBlock,
-             left: np.ndarray) -> None:
-        """Nothing: a jump row carries only how far it was drawn."""
-
 
 def _row_sampler(dyn, cfg: SimConfig, offset: int, n_rows: int, work: _Work,
                  grow: bool):
@@ -741,11 +732,11 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     it, so its values are those of the same path drawn on the rung that
     first serves it, and no row is drawn past that rung.
 
-    Row ``i`` of the result holds path ``path_offset + i``.  A pending
-    Gaussian row carries four numbers from one reduction to the next: its
-    stream position, ξ, A and whether it has crossed the first-passage
-    level; a jump row carries how far it was drawn, and in how many
-    chunks.
+    Row ``i`` of the result holds path ``path_offset + i``.  The row
+    sampler keeps what a pending row carries from one reduction to the
+    next: for a Gaussian row its stream position, ξ, A and whether it has
+    crossed the first-passage level; for a jump row how far it was drawn,
+    and in how many chunks.
 
     Raises:
         HorizonExceededError: with message ``miss(i, h)`` for the first
@@ -771,7 +762,6 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
                 values = np.where(np.isfinite(kept), kept, values)
                 finite = np.isfinite(values).reshape(len(rows), -1)
                 unserved[rows] = ~finite.all(axis=1)
-                rows_of.keep(rows, block, unserved[rows])
             out[rows] = values
         pending = np.flatnonzero(unserved)
         if not len(pending):
@@ -801,21 +791,24 @@ class CauchyModulusPath:
     clock_nodes: np.ndarray = field(repr=False)
 
 
-def _cauchy_grid(d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(times, dt) of the geometric grid of :func:`simulate_cauchy_modulus`
-    on [0, cfg.horizon]."""
-    if d < 2:
-        raise DomainError(f"Cauchy modulus requires d >= 2, got {d!r}")
+def _cauchy_grid(cfg: SimConfig, horizon: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(times, dt) of the geometric grid of :func:`simulate_cauchy_modulus`:
+    0 and the nodes ``cfg.start * step * (1 + step)^k``, the last of them at
+    or past ``horizon`` however the log-count rounds."""
     if cfg.alpha != 1.0:
         raise DomainError("the Cauchy modulus is a pssMp of index 1; "
                           "cfg.alpha must be 1")
     h = cfg.step
     first = cfg.start * h
-    if cfg.horizon <= first:
-        times = np.array([0.0, cfg.horizon])
+    if horizon <= first:
+        times = np.array([0.0, horizon])
     else:
-        n_geo = math.ceil(math.log(cfg.horizon / first) / math.log1p(h))
-        times = np.concatenate(([0.0], first * (1.0 + h) ** np.arange(n_geo + 1)))
+        n_geo = math.ceil(math.log(horizon / first) / math.log1p(h))
+        nodes = first * (1.0 + h) ** np.arange(n_geo + 2)
+        if nodes[n_geo] >= horizon:
+            nodes = nodes[:-1]
+        times = np.concatenate(([0.0], nodes))
     return times, np.diff(times)
 
 
@@ -883,25 +876,26 @@ def _cauchy_sampler(d: int, start: float, dt: np.ndarray):
     return sample
 
 
+def _cauchy_paths(d: int, cfg: SimConfig, horizon: float, ids: np.ndarray):
+    """The grid times on [0, horizon], and an iterator over the (positions,
+    radius, clock nodes) of Cauchy-modulus paths ``ids`` on them, drawn by
+    one sampler from one generator: each overwrites the one before."""
+    times, dt = _cauchy_grid(cfg, horizon)
+    sample = _cauchy_sampler(d, cfg.start, dt)
+    return times, map(sample, _Work(cfg.seed).streams(ids))
+
+
 def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
                    path_offset: int) -> np.ndarray:
     """(n_paths, len(targets)) clock values T(t) of Cauchy-modulus paths
-    ``path_offset + i`` on [0, cfg.horizon]: one grid, and one generator
-    re-keyed for each path."""
-    times, dt = _cauchy_grid(d, cfg)
+    ``path_offset + i`` on the grid that covers the largest target."""
     if np.any(targets < 0.0):
         raise DomainError("clock targets must be >= 0")
-    cap = float(times[-1])
-    if np.any(targets > cap):
-        worst = float(np.max(targets))
-        raise HorizonExceededError(
-            f"time {worst!r} beyond simulated horizon {cap!r}",
-            target=worst, capacity=cap)
-    ids = path_offset + np.arange(cfg.n_paths)
-    sample = _cauchy_sampler(d, cfg.start, dt)
+    times, paths = _cauchy_paths(d, cfg, float(np.max(targets)),
+                                 path_offset + np.arange(cfg.n_paths))
     out = np.empty((cfg.n_paths, len(targets)))
-    for row, stream in zip(out, _Work(cfg.seed).streams(ids)):
-        row[:] = np.interp(targets, times, sample(stream)[2])
+    for row, (_, _, nodes) in zip(out, paths):
+        row[:] = np.interp(targets, times, nodes)
     return out
 
 
@@ -915,15 +909,16 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
     normal), whose Laplace transform is ``exp(-dt sqrt(2 lambda))``.  The
     grid is geometric with log-spacing ``cfg.step``, matching the
     self-similarity of the process; step refinement is the accuracy
-    control for the trapezoid clock.
+    control for the trapezoid clock.  The loop of the clock ensembles,
+    :func:`_cauchy_paths`, draws the path on [0, cfg.horizon].
 
     Raises:
-        DomainError: for d < 2 (the modulus is self-similar only in
-            dimension > 1) or cfg.alpha != 1.
+        DomainError: for d other than an integer >= 2 (the modulus is
+            self-similar only in dimension > 1) or cfg.alpha != 1.
     """
-    times, dt = _cauchy_grid(d, cfg)
-    positions, radius, nodes = _cauchy_sampler(d, cfg.start, dt)(
-        path_rng(cfg.seed, path_id))
+    CauchyModulus(d)                    # checks the dimension
+    times, paths = _cauchy_paths(d, cfg, cfg.horizon, np.array([path_id]))
+    positions, radius, nodes = next(paths)
     return CauchyModulusPath(d=d, a=cfg.start, times=times, radius=radius,
                              positions=positions, clock_nodes=nodes)
 

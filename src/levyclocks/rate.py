@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import (AssumptionError, BracketError, ClassificationError,
-                     DomainError)
+from .errors import BracketError, ClassificationError, DomainError
 from .models import Family, LevyModel
 from .numerics import find_root
 
@@ -139,12 +138,7 @@ def profile(model: LevyModel) -> RateProfile:
         ClassificationError: if tau_zero matches none of its three cases
             (a root of psi' beyond float range).
     """
-    mean = model.mean
-    if not mean > 0.0:
-        raise AssumptionError(
-            f"drift condition violated: psi'(0) = {mean!r} <= 0 for "
-            f"{model.describe()}")
-
+    mean = model.positive_mean()
     m0, l0, psi_m0 = _find_m0(model)
     psi_mplus, l_plus, gap_plus = model.end_limits(upper=True)
 

@@ -297,7 +297,7 @@ def test_criterion_7_moment_machinery():
     mc_window = 3.0 * mc.stderr + mc.tail_bound
     # tilted identity at (m=1, t=2, a=1) with 1e5 paths
     cfg = SimConfig(seed=SEED, n_paths=100_000, step=0.002)
-    tilt = tilted_identity_check(brownian_drift(1.0), 1.0, 2.0, 1.0, cfg)
+    tilt = tilted_identity_check(brownian_drift(1.0), 1.0, 2.0, cfg)
     ok = worst <= 1e-12 and mc_gap <= mc_window and abs(tilt.z_score) <= 3.0
     report("criterion 7 (moment machinery)", ok,
            f"recursion rel err {worst:.2e} (r<=10); MC E I^-1 "

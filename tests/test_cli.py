@@ -174,6 +174,30 @@ class TestProfileCommand:
         code, _, _ = invoke(capsys, ["no-such-command"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["lln", "--family", "cauchy", "--d", "3", "--tilt", "5", "--t",
+          "50", "--paths", "4", "--step", "0.05", "--seed", "1"], "--tilt"),
+        (["profile", "--family", "brownian", "--nu", "1", "--gamma", "7"],
+         "--gamma"),
+    ], ids=["cauchy_tilt", "brownian_gamma"])
+    def test_flag_the_model_does_not_take_exit_1(self, capsys, argv, flag):
+        code, out, err = invoke(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"does not take {flag}" in err
+
+    @pytest.mark.parametrize("extra", [["--family", "brownian"],
+                                       ["--nu", "1"], ["--tilt", "0"]])
+    def test_model_file_takes_no_model_flags_exit_1(self, capsys, tmp_path,
+                                                      extra):
+        path = tmp_path / "model.txt"
+        path.write_text(model_to_text(brownian_drift(1.0)))
+        code, out, err = invoke(capsys, ["profile", "--model-file",
+                                         str(path), *extra])
+        assert code == 1
+        assert out == ""
+        assert f"--model-file does not take {extra[0]}" in err
+
     @pytest.mark.parametrize("error", [EvaluationError, BracketError])
     def test_package_errors_exit_2(self, capsys, monkeypatch, error):
         # any error of the package, the root solver's included, exits 2
@@ -306,7 +330,7 @@ class TestStochasticCommands:
         code, out, _ = invoke(capsys, [
             "check-identities", "--family", "brownian", "--nu", "1",
             "--paths", "400", "--step", "0.02", "--seed", "5",
-            "--m", "1", "--t", "2", "--a", "1", "--theta", "-1",
+            "--m", "1", "--t", "2", "--theta", "-1",
             "--t-fp", "50"])
         assert code == 0
         assert "fundamental_relation_max_abs_err: " in out
@@ -315,6 +339,23 @@ class TestStochasticCommands:
         err = float(next(line.split(": ")[1] for line in out.splitlines()
                          if line.startswith("fundamental_relation")))
         assert err <= 1e-12
+
+    def test_check_identities_has_no_a(self, capsys):
+        # the start point is --start, as for the fundamental relation
+        code, _, err = invoke(capsys, [
+            "check-identities", "--family", "brownian", "--nu", "1",
+            "--paths", "20", "--seed", "5", "--a", "1"])
+        assert code == 1
+        assert "usage error" in err
+
+    def test_drift_condition_exit_2(self, capsys):
+        # psi'(0) = -2: refused before any path, not after the ladder
+        code, out, err = invoke(capsys, [
+            "lln", "--family", "brownian", "--nu", "1", "--tilt", "-1",
+            "--t", "100", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "drift condition violated" in err
 
     def test_check_identities_two_thetas(self, capsys):
         # one ensemble serves both: each group equals the run with that

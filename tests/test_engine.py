@@ -23,6 +23,7 @@ import pytest
 
 import oracles
 from levyclocks import (
+    AssumptionError,
     CauchyModulus,
     DomainError,
     HorizonExceededError,
@@ -255,7 +256,7 @@ def test_tilted_identity_check_extended(short_horizon, monkeypatch, budget,
                                         model, m, step, n_paths):
     monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
     cfg = SimConfig(seed=13, n_paths=n_paths, step=step)
-    r = tilted_identity_check(model, m, 20.0, 1.0, cfg)
+    r = tilted_identity_check(model, m, 20.0, cfg)
     assert (r.lhs, r.lhs_stderr, r.rhs, r.rhs_stderr) == \
         oracles.ref_tilted_identity_check(model, m, 20.0, 1.0, cfg)
 
@@ -508,7 +509,7 @@ def test_first_passage_check(model, step, n_paths):
 ], ids=["brownian", "saw_tooth"])
 def test_tilted_identity_check(model, m, step, n_paths):
     cfg = SimConfig(seed=13, n_paths=n_paths, step=step)
-    r = tilted_identity_check(model, m, 2.0, 1.0, cfg)
+    r = tilted_identity_check(model, m, 2.0, cfg)
     assert (r.lhs, r.lhs_stderr, r.rhs, r.rhs_stderr) == \
         oracles.ref_tilted_identity_check(model, m, 2.0, 1.0, cfg)
 
@@ -616,3 +617,46 @@ def test_one_philox_per_ensemble(short_horizon, monkeypatch, philox_count):
     tau_ensemble(CauchyModulus(3), SimConfig(seed=4, n_paths=6, step=0.05),
                  [0.0, 50.0])
     assert len(philox_count) == 1
+
+
+def test_drift_condition_checked_before_any_path(philox_count):
+    # psi'(0) = -2: A(inf) < inf, so tau(t) = inf past it; the estimators
+    # refuse the model before they build a generator
+    model = brownian_drift(1.0).esscher(-1.0)
+    cfg = SimConfig(seed=1, n_paths=4, step=0.05)
+    with pytest.raises(AssumptionError, match="drift condition violated"):
+        tau_ensemble(model, cfg, [100.0])
+    with pytest.raises(AssumptionError, match="drift condition violated"):
+        estimate_logA_rate(model, cfg, 10.0)
+    assert not philox_count
+
+
+def test_cauchy_grid_covers_its_horizon():
+    # at this target the log-count alone leaves the last node one ulp below
+    cfg = SimConfig(seed=1, n_paths=2, step=0.01, start=1.0)
+    taus = tau_ensemble(CauchyModulus(3), cfg, [0.01093685272684361])
+    assert np.isfinite(taus).all()
+    # horizons at and next to the grid's nodes, where the rounding of the
+    # log-count falls
+    for start, step in ((1.0, 0.01), (2.5, 0.05), (0.3, 0.5)):
+        cfg = SimConfig(seed=1, step=step, start=start)
+        first = start * step
+        for k in range(1, 400):
+            node = first * (1.0 + step) ** k
+            for horizon in (node, np.nextafter(node, math.inf),
+                            np.nextafter(node, 0.0),
+                            first * math.exp(k * math.log1p(step))):
+                assert paths._cauchy_grid(cfg, horizon)[0][-1] >= horizon
+
+
+def test_tilted_identity_starts_at_cfg_start():
+    # the check reads a from cfg.start: t = 4 from a = 2 is t = 2 from 1
+    model = brownian_drift(1.0)
+    one = tilted_identity_check(model, 1.0, 2.0,
+                                SimConfig(seed=3, n_paths=40, step=0.05))
+    two = tilted_identity_check(model, 1.0, 4.0,
+                                SimConfig(seed=3, n_paths=40, step=0.05,
+                                          start=2.0))
+    fields = ("lhs", "lhs_stderr", "rhs", "rhs_stderr", "z_score")
+    assert ([getattr(two, f) for f in fields]
+            == [getattr(one, f) for f in fields])

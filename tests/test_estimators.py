@@ -296,20 +296,20 @@ class TestFirstPassage:
 class TestTiltedIdentity:
     def test_m_zero_trivial(self):
         cfg = SimConfig(seed=2, n_paths=8)
-        r = tilted_identity_check(brownian_drift(1.0), 0.0, 2.0, 1.0, cfg)
+        r = tilted_identity_check(brownian_drift(1.0), 0.0, 2.0, cfg)
         assert (r.lhs, r.rhs, r.z_score) == (1.0, 1.0, 0.0)
 
     def test_brownian(self):
         cfg = SimConfig(seed=13, n_paths=20000, step=0.002)
-        r = tilted_identity_check(brownian_drift(1.0), 1.0, 2.0, 1.0, cfg)
+        r = tilted_identity_check(brownian_drift(1.0), 1.0, 2.0, cfg)
         assert abs(r.z_score) <= 4.0
 
     def test_sawtooth(self):
         cfg = SimConfig(seed=13, n_paths=20000, step=0.01)
-        r = tilted_identity_check(saw_tooth(1.0, 3.0), 0.5, 2.0, 1.0, cfg)
+        r = tilted_identity_check(saw_tooth(1.0, 3.0), 0.5, 2.0, cfg)
         assert abs(r.z_score) <= 4.0
 
     def test_m_domain(self):
         cfg = SimConfig(seed=2, n_paths=8)
         with pytest.raises(DomainError):
-            tilted_identity_check(brownian_drift(1.0), -0.7, 2.0, 1.0, cfg)
+            tilted_identity_check(brownian_drift(1.0), -0.7, 2.0, cfg)
