@@ -85,9 +85,13 @@ GAUSSIAN = "gaussian-increment"
 
 _MASK64 = (1 << 64) - 1
 _JUMP_CHUNK = 128
-# Padded elements (rows x nodes) per block of paths: enough rows to spread
-# numpy's per-call cost over many short jump paths, few enough that the
-# temporaries of a block stay in the low hundreds of kilobytes.
+# Padded elements (rows x nodes) per block of jump paths: enough rows to
+# spread numpy's per-call cost over many short paths, few enough that the
+# temporaries of a block stay in the low hundreds of kilobytes.  A block of
+# Gaussian rows holds four budgets of nodes: it keeps only three arrays of
+# its size (xi, the exp scratch and A), and with a thousand or more nodes
+# per row one budget held a few rows, too few to spread the fixed cost of
+# a block's numpy calls.
 _BLOCK_BUDGET = 1 << 14
 # Stream family of auxiliary draws (bridge-crossing uniforms), disjoint
 # from every path-id range a run can use.
@@ -326,7 +330,9 @@ class PathBlock:
     the seed and generator of ``work``; every block the engine samples
     has ``work`` and ``step``.  The methods take only an index ``alpha``,
     targets or a level: A is computed once per index (:meth:`functional`),
-    and :meth:`totals` and :meth:`clock` read it.
+    and :meth:`totals` and :meth:`clock` read it.  The arrays of a
+    Gaussian block are xi, a scratch for exp(alpha xi) and A of each index,
+    all of them ``work``'s, which the run's next block overwrites.
 
     A Gaussian block of a run that grows its rows (see :func:`run_paths`)
     may continue them: it then starts at step ``carry.n0``, each row's last
@@ -359,9 +365,23 @@ class PathBlock:
     def _times_at(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.times[0 if len(self.times) == 1 else rows, idx]
 
+    def _scaled_xi(self, alpha: float) -> np.ndarray:
+        """alpha xi, in the exp scratch; xi itself at alpha = 1, since
+        xi * 1.0 is xi."""
+        if alpha == 1.0:
+            return self.xi
+        return np.multiply(self.xi, alpha,
+                           out=self._array("exp", self.xi.shape))
+
     def functional(self, alpha: float) -> np.ndarray:
         """Node values of A = int exp(alpha xi) per row: exact on
-        linear-drift segments, trapezoidal on Gaussian ones."""
+        linear-drift segments, trapezoidal on Gaussian ones.
+
+        The segment weights are written straight into the nodes after the
+        first, which holds 0 or the carried A, and one running sum over
+        the row turns them into A; a Gaussian block needs one scratch
+        array, for exp(alpha xi), beside xi and A.
+        """
         nodes = self._nodes.get(alpha)
         if nodes is not None:
             return nodes
@@ -369,28 +389,22 @@ class PathBlock:
             raise DomainError(f"these rows carry A of index "
                               f"{self.carry.alpha!r}, not {alpha!r}")
         dt = self.times[:, 1:] - self.times[:, :-1]
-        w = self._array("w", (len(self.xi), self.xi.shape[1] - 1))
+        nodes = self._array(("nodes", alpha), self.xi.shape)
+        w = nodes[:, 1:]
         if self.kind == LINEAR:
             np.multiply(self.xi[:, :-1], alpha, out=w)
             np.exp(w, out=w)
             w *= dt
             w *= _expm1_ratio(alpha * self.drift * dt)
         else:
-            e = self._array("exp", self.xi.shape)
-            np.multiply(self.xi, alpha, out=e)
-            np.exp(e, out=e)
+            e = np.exp(self._scaled_xi(alpha),
+                       out=self._array("exp", self.xi.shape))
             np.add(e[:, :-1], e[:, 1:], out=w)
             w *= 0.5 * dt
-        nodes = self._array(("nodes", alpha), self.xi.shape)
-        if self.carry is None:
-            nodes[:, 0] = 0.0
-            np.cumsum(w, axis=1, out=nodes[:, 1:])
-        else:
-            # the running sum goes on from A at the first node, as it does
-            # along the whole row
-            nodes[:, 0] = self.carry.a0
-            nodes[:, 1:] = w
-            np.cumsum(nodes, axis=1, out=nodes)
+        # the running sum starts from A at the first node, as it does
+        # along the whole row
+        nodes[:, 0] = 0.0 if self.carry is None else self.carry.a0
+        np.cumsum(nodes, axis=1, out=nodes)
         self._nodes[alpha] = nodes
         return nodes
 
@@ -409,16 +423,19 @@ class PathBlock:
             logw[seg] = (alpha * self.xi[:, :-1][seg]
                          + _log_segment(d, alpha * self.drift * d))
         else:
-            z = self._array("exp", self.xi.shape)
-            np.multiply(self.xi, alpha, out=z)
+            z = self._scaled_xi(alpha)
             np.logaddexp(z[:, :-1], z[:, 1:], out=logw)
             logw += np.log(0.5 * dt)
         peak = np.max(logw, axis=1)
         logw -= peak[:, None]
         scaled = np.exp(logw, out=logw)
-        return np.array([p + math.log(float(np.sum(row[:n - 1])))
-                         for p, row, n in zip(peak.tolist(), scaled,
-                                              self.size.tolist())])
+        if self.kind == LINEAR:
+            # a padded row is summed on its own segments only
+            sums = [float(np.sum(row[:n - 1]))
+                    for row, n in zip(scaled, self.size.tolist())]
+        else:
+            sums = np.sum(scaled, axis=1).tolist()
+        return np.array([p + math.log(s) for p, s in zip(peak.tolist(), sums)])
 
     def clock(self, alpha: float, targets) -> np.ndarray:
         """tau(t) = inf{u : A(u) >= t} per row, at each target.
@@ -580,7 +597,7 @@ class _GaussianRows:
         n = max(1, math.ceil(horizon / self.cfg.step))
         if n == self.n:
             return
-        per_block = max(1, _BLOCK_BUDGET // (n - self.n + 1))
+        per_block = max(1, 4 * _BLOCK_BUDGET // (n - self.n + 1))
         for lo in range(0, len(rows), per_block):
             sub = rows[lo:lo + per_block]
             block = self._piece(sub, n)
@@ -780,11 +797,11 @@ class CauchyModulusPath:
     """Modulus path of a d-dimensional Cauchy process with its clock.
 
     ``clock_nodes`` is the trapezoid integral of 1/R at the nodes of the
-    geometric grid; the clock is linear between them.
+    geometric grid; the clock is linear between them.  The start point is
+    ``positions[0, 0]``.
     """
 
     d: int
-    a: float
     times: np.ndarray
     radius: np.ndarray
     positions: np.ndarray = field(repr=False)
@@ -901,7 +918,8 @@ def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
 
 def simulate_cauchy_modulus(d: int, cfg: SimConfig,
                             path_id: int) -> CauchyModulusPath:
-    """Simulate |Cauchy| in R^d from (a, 0, ..., 0) on a geometric grid.
+    """Simulate |Cauchy| in R^d from (cfg.start, 0, ..., 0) on a geometric
+    grid.
 
     Each increment over a step of length ``dt`` is sampled exactly by
     Brownian subordination: a Gaussian vector scaled by the square root of
@@ -919,7 +937,7 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
     CauchyModulus(d)                    # checks the dimension
     times, paths = _cauchy_paths(d, cfg, cfg.horizon, np.array([path_id]))
     positions, radius, nodes = next(paths)
-    return CauchyModulusPath(d=d, a=cfg.start, times=times, radius=radius,
+    return CauchyModulusPath(d=d, times=times, radius=radius,
                              positions=positions, clock_nodes=nodes)
 
 

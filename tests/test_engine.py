@@ -68,16 +68,20 @@ def short_horizon(monkeypatch):
     monkeypatch.setattr(oracles, "horizon_policy", policy)
 
 
-def _width(model, horizon: float, step: float) -> int:
-    """Row width ``run_paths`` sizes its blocks by: the nodes of a Gaussian
-    row, or the events a jump row draws (the chunks of the Poisson mean
-    plus four standard deviations) and its two ends."""
+def _four_rows(model, horizon: float, step: float) -> int:
+    """The ``_BLOCK_BUDGET`` that makes blocks of four rows on [0, horizon].
+
+    ``run_paths`` sizes its blocks by the row width: the nodes of a
+    Gaussian row, whose block holds four budgets of nodes, or the events a
+    jump row draws (the chunks of the Poisson mean plus four standard
+    deviations) and its two ends, whose block holds one budget."""
     dyn = paths._effective_dynamics(model)
     if dyn[0] == "brownian":
         return math.ceil(horizon / step) + 1
     events = dyn[2] * horizon
     chunk = paths._JUMP_CHUNK
-    return math.ceil((events + 4.0 * math.sqrt(events)) / chunk) * chunk + 2
+    return 4 * (math.ceil((events + 4.0 * math.sqrt(events)) / chunk) * chunk
+                + 2)
 
 
 @pytest.mark.parametrize("name,model,step", MODELS, ids=IDS)
@@ -115,7 +119,7 @@ def test_tau_ensemble(name, model, step):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("budget", [1, 300, 1 << 14])
+@pytest.mark.parametrize("budget", [1, 300, paths._BLOCK_BUDGET])
 @pytest.mark.parametrize("name,model,step", MODELS[:4] + MODELS[5:],
                          ids=IDS[:4] + IDS[5:])
 def test_tau_ensemble_doublings(short_horizon, monkeypatch, budget, name,
@@ -471,6 +475,29 @@ def test_jump_scratch_memory(monkeypatch):
         assert doubles <= 4 * paths._BLOCK_BUDGET
 
 
+def test_gaussian_scratch_memory(monkeypatch):
+    # a Gaussian block of four budgets of nodes keeps at most three arrays
+    # of its size: xi, the exp scratch and A, or xi and the weights of log A
+    works = []
+
+    class KeptWork(paths._Work):
+        def __init__(self, seed):
+            super().__init__(seed)
+            works.append(self)
+
+    monkeypatch.setattr(paths, "_Work", KeptWork)
+    model = brownian_drift(1.0)
+    cfg = SimConfig(seed=1, n_paths=600, step=0.01, horizon=50.0)
+    tau_ensemble(model, cfg, [math.e ** 8])
+    estimate_logA_rate(model, cfg, 40.0)
+    first_passage_check(model, cfg, -0.5)
+    assert len(works) == 3
+    for work in works:
+        assert len(work._flat) <= 3
+        for flat in work._flat.values():
+            assert flat.size <= 4 * paths._BLOCK_BUDGET
+
+
 @pytest.mark.parametrize("n_paths", [1, 3, 5])
 @pytest.mark.parametrize("name,model,step", [MODELS[0], MODELS[3]],
                          ids=["brownian", "saw_tooth"])
@@ -480,14 +507,14 @@ def test_block_edges(monkeypatch, n_paths, name, model, step):
     cfg = SimConfig(seed=8, n_paths=n_paths, step=step)
     horizon = 10.0
     monkeypatch.setattr(paths, "_BLOCK_BUDGET",
-                        4 * _width(model, horizon, step))
+                        _four_rows(model, horizon, step))
     row = estimate_logA_rate(model, cfg, horizon)
     want = oracles.ref_mean_se(oracles.ref_log_totals(model, cfg, horizon)
                                / horizon)
     assert (row.estimate, row.stderr) == want
     base_h = paths.horizon_policy(model.psi_derivs(0.0)[0], max(TARGETS))
     monkeypatch.setattr(paths, "_BLOCK_BUDGET",
-                        4 * _width(model, base_h, step))
+                        _four_rows(model, base_h, step))
     assert np.array_equal(tau_ensemble(model, cfg, TARGETS),
                           oracles.ref_tau_ensemble(model, cfg, TARGETS)[0])
 
