@@ -193,7 +193,9 @@ class _Work:
     """The seed, the generator and the scratch arrays that the blocks of
     one run share.
 
-    :meth:`streams` gives the paths' streams from the one generator.
+    :meth:`streams` gives the paths' streams from the one generator, which
+    it re-keys from a state dict built here, once per run: its key and
+    counter are Python lists, and the seed is the key's first word.
     :meth:`array` hands out C-contiguous views of flat arrays kept per
     key, grown only when a larger shape is asked for.  Arrays of a
     block's size (hundreds of kB) allocated afresh per block can be handed
@@ -203,8 +205,16 @@ class _Work:
     """
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed
         self.rng = _philox()
+        self._key = [seed & _MASK64, 0]
+        self._counter = [0] * 4
+        # an empty buffer: the next raw draw is the first of the block
+        # after the counter's
+        self._state = {"bit_generator": "Philox",
+                       "state": {"key": self._key, "counter": self._counter},
+                       "buffer": [0] * _PHILOX_BLOCK,
+                       "buffer_pos": _PHILOX_BLOCK,
+                       "has_uint32": 0, "uinteger": 0}
         self._flat: dict[object, np.ndarray] = {}
 
     def streams(self, ids: np.ndarray, at: np.ndarray | None = None
@@ -212,26 +222,25 @@ class _Work:
         """The :func:`path_rng` stream of ``(seed, i)`` for each ``i`` in
         ``ids``, in turn: from its start, or from raw draw ``at[row]``.
 
-        The run's generator is re-keyed per path, with its buffer emptied
-        and its counter past the ``at // 4`` whole Philox blocks (four raw
-        draws each) before the position, and then takes the ``at % 4`` raw
-        draws left.  This gives the same streams without the cost of
+        Philox is counter-based, so a stream is its key and a counter.
+        Per path this writes the id into the preset key and the ``at // 4``
+        whole Philox blocks (four raw draws each) before the position into
+        the counter, assigns the preset state, and takes the ``at % 4``
+        raw draws left.  The state setter reads Python ints element by
+        element in less than half the time it takes on the numpy arrays
+        that ``bit_generator.state`` returns, and nothing is read back
+        from the generator.  This gives the :func:`path_rng` streams without
         building a generator per path, so one generator serves a whole
         run.  Each stream must be used up, or its :meth:`position` read,
         before the next is taken.
         """
-        bitgen = self.rng.bit_generator
-        state = bitgen.state
-        key, counter = state["state"]["key"], state["state"]["counter"]
-        key[0] = self.seed & _MASK64
-        counter[:] = 0
-        state.update(buffer_pos=_PHILOX_BLOCK, has_uint32=0, uinteger=0)
+        bitgen, state = self.rng.bit_generator, self._state
         at = np.zeros(len(ids), dtype=np.int64) if at is None else at
         blocks, skips = np.divmod(at, _PHILOX_BLOCK)
         for pid, block, skip in zip(ids.tolist(), blocks.tolist(),
                                     skips.tolist()):
-            key[1] = pid & _MASK64
-            counter[0] = block
+            self._key[1] = pid & _MASK64
+            self._counter[0] = block
             bitgen.state = state
             if skip:
                 bitgen.random_raw(skip)
@@ -293,11 +302,30 @@ def _log_segment(dt: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _search_rows(a: np.ndarray, size: np.ndarray, v: np.ndarray,
-                 side: str = "left") -> np.ndarray:
+                 side: str = "left", padded: bool = True) -> np.ndarray:
     """``np.searchsorted`` of each row of ``v`` in the first ``size[i]``
-    entries of row ``i`` of ``a``."""
-    return np.array([row[:n].searchsorted(vals, side=side)
-                     for row, n, vals in zip(a, size.tolist(), v)])
+    entries of row ``i`` of ``a``, whose rows are non-decreasing.
+
+    Padded rows (jump blocks: many short rows) are searched block-wide,
+    by one comparison of every target with every node in place of a
+    ``searchsorted`` call per row: the first node at or above the target
+    (side ``"left"``) or above it (``"right"``) is the count of nodes
+    below (at or below) it on a non-decreasing row, and is clipped to the
+    row's size, so a row's padding never counts.  A NaN target compares
+    false with every node and so counts them all, as ``searchsorted``
+    places NaN last.  A jump block holds about ``_BLOCK_BUDGET`` nodes,
+    so the comparison takes that many booleans per target.  Gaussian
+    rows are few and long, and are searched row by row, where a binary
+    search costs less than comparing every node.
+    """
+    if not padded:
+        return np.array([row[:n].searchsorted(vals, side=side)
+                         for row, n, vals in zip(a, size.tolist(), v)])
+    above = (np.greater_equal if side == "left" else np.greater)(
+        a[:, None, :], v[:, :, None])
+    first = np.argmax(above, axis=2)
+    first[(first == 0) & ~above[..., 0]] = a.shape[1]   # no node above
+    return np.minimum(first, size[:, None])
 
 
 @dataclass
@@ -463,8 +491,8 @@ class PathBlock:
                 "exponential functional overflowed double precision; reduce "
                 "the clock target or use the log-domain estimators")
         found = (t <= cap[:, None]) & (t >= nodes[:, :1])
-        idx = np.minimum(np.maximum(_search_rows(nodes, self.size, t) - 1, 0),
-                         (self.size - 2)[:, None])
+        below = _search_rows(nodes, self.size, t, padded=self.kind == LINEAR)
+        idx = np.minimum(np.maximum(below - 1, 0), (self.size - 2)[:, None])
         # invert where the target is found only
         rows, cols = np.nonzero(found)
         idx, t = idx[rows, cols], t[rows, cols]

@@ -180,6 +180,39 @@ def test_streams_from_a_position():
         assert np.array_equal(got.random(50), want)
 
 
+@pytest.mark.parametrize("seed", [-1, (1 << 63) + 5])
+def test_streams_from_a_preset_state(seed):
+    # each re-key from the run's preset state gives the path_rng stream,
+    # for the ends of the key range and for auxiliary streams, at every
+    # place in a four-draw counter block
+    top = (1 << 64) - 1
+    ids = [0, top, paths._AUX_STREAM, paths._AUX_STREAM + 5]
+    work = paths._Work(seed)
+    for at in range(9):
+        streams = work.streams(np.array(ids, dtype=np.uint64),
+                               at=np.full(len(ids), at))
+        for pid, stream in zip(ids, streams):
+            want = paths.path_rng(seed, pid)
+            raw = want.bit_generator.random_raw(at + 9)[at:]
+            assert np.array_equal(stream.bit_generator.random_raw(9), raw)
+            # a 32-bit draw takes half a raw draw: three leave a half
+            # buffered, which the next re-key drops
+            assert np.array_equal(stream.random(3, dtype=np.float32),
+                                  want.random(3, dtype=np.float32))
+
+
+def test_preset_state_per_run():
+    # two runs' streams taken in turn: each run keeps its own seed
+    first, second = paths._Work(3), paths._Work(4)
+    ids = np.arange(6)
+    for pid, a, b in zip(ids.tolist(), first.streams(ids),
+                         second.streams(ids + 9, at=np.full(6, 5))):
+        assert np.array_equal(a.standard_normal(7),
+                              paths.path_rng(3, pid).standard_normal(7))
+        assert np.array_equal(b.random(7),
+                              paths.path_rng(4, pid + 9).random(12)[5:])
+
+
 # jump rows that need many 128-event chunks: a high jump rate and a clock
 # target a slow drift reaches only after about 5 and 10 chunks
 MANY_CHUNKS = [
@@ -351,6 +384,59 @@ def test_clock_nan_at_unreached_targets(name, model, step):
         assert np.array_equal(row, want, equal_nan=True)
     # rows with targets on both sides of A(horizon)
     assert (np.isnan(taus).any(axis=1) & np.isfinite(taus).any(axis=1)).any()
+
+
+def _edge_targets(a: np.ndarray, size: np.ndarray, rng) -> np.ndarray:
+    """Per row: three of its nodes (ties), 0, its last node (the cap), a
+    value above the cap, NaN and a uniform value below the cap."""
+    out = np.empty((len(a), 8))
+    for row, n, targets in zip(a, size.tolist(), out):
+        cap = row[n - 1]
+        targets[:3] = row[rng.integers(n, size=3)]
+        targets[3:] = 0.0, cap, 1.5 * cap, math.nan, rng.uniform(0.0, cap)
+    return out
+
+
+@pytest.mark.parametrize("name,model,step", MODELS[1:], ids=IDS[1:])
+def test_search_on_padded_blocks(name, model, step):
+    # jump rows of many lengths in one padded block, searched block-wide:
+    # the indices of searchsorted on each row's own nodes, and clock and
+    # path values bit for bit those of each path alone
+    cfg = SimConfig(seed=21, n_paths=40, step=step)
+    horizon, rng = 3.0, np.random.default_rng(5)
+
+    def reduce(block):
+        refs = [oracles.ref_path(model, cfg.seed, int(i), horizon, step)
+                for i in block.ids]
+        nodes = block.functional(1.0)
+        for a in (nodes, block.times):
+            v = _edge_targets(a, block.size, rng)
+            junk = a.copy()     # padding never counts, whatever it holds
+            junk[np.arange(a.shape[1]) >= block.size[:, None]] = -np.inf
+            for side in ("left", "right"):
+                want = [row[:n].searchsorted(vals, side=side)
+                        for row, n, vals in zip(a, block.size.tolist(), v)]
+                assert np.array_equal(
+                    paths._search_rows(a, block.size, v, side), want)
+                assert np.array_equal(
+                    paths._search_rows(junk, block.size, v, side), want)
+        t = _edge_targets(nodes, block.size, rng)
+        taus = block.clock(1.0, t)
+        u = _edge_targets(block.times, block.size, rng)
+        values = block.value_at(u)
+        for p, ts, tau, us, vals in zip(refs, t, taus, u, values):
+            ref_nodes = oracles.ref_nodes(p, 1.0)
+            want = [oracles.ref_clock(p, ref_nodes, 1.0, [x])[0]
+                    if x <= ref_nodes[-1] else math.nan for x in ts]
+            assert np.array_equal(tau, want, equal_nan=True)
+            want = [oracles.ref_value_at(p, x) for x in us]
+            assert np.array_equal(vals, want, equal_nan=True)
+        assert np.isnan(values[:, 6]).all()
+        return block.size
+
+    lengths = np.unique(paths.run_paths(model, cfg, horizon, reduce))
+    # rows of many lengths, but on the family without jumps
+    assert len(lengths) == 1 if name == "cp_plus_beta0" else len(lengths) > 3
 
 
 class CountingGenerator(np.random.Generator):
