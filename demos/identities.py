@@ -47,8 +47,8 @@ def main():
     print("\n== first passage: log E exp(theta tau_hat(1)) vs L(theta)")
     for model, name, step in ((brownian_drift(1.0), "brownian", 1e-3),
                               (saw_tooth(1.0, 3.0), "saw tooth", 0.01)):
-        cfg = SimConfig(seed=9, n_paths=8000, step=step, horizon=200.0)
-        fp = first_passage_check(model, cfg, -0.5)
+        cfg = SimConfig(seed=9, n_paths=8000, step=step)
+        fp = first_passage_check(model, cfg, 200.0, -0.5)
         print(f"   {name}: rhs = {fp.rhs:.5f} +- {fp.rhs_stderr:.5f}, "
               f"L(-0.5) = {fp.analytic:.5f}; clock side (slow, O(1/log t)): "
               f"lhs = {fp.lhs:.5f}")

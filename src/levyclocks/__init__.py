@@ -9,7 +9,6 @@ and simulated moments of exponential functionals.
 
 from .errors import (
     AssumptionError,
-    BracketError,
     CapabilityError,
     ClassificationError,
     ConstructionError,

@@ -17,7 +17,6 @@ success, 1 usage error, 2 any other error of the package or of file I/O,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import sys
@@ -344,8 +343,7 @@ def _cmd_check_identities(args) -> list[str]:
     ]
     thetas = args.theta or [-1.0]
     try:
-        checks = first_passage_check(
-            model, dataclasses.replace(cfg, horizon=args.t_fp), thetas)
+        checks = first_passage_check(model, cfg, args.t_fp, thetas)
     except CapabilityError:
         fields.append(("first_passage",
                        "skipped (needs a spectrally negative family)"))

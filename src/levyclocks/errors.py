@@ -4,8 +4,8 @@ from __future__ import annotations
 
 __all__ = [
     "LevyClocksError", "DomainError", "ConstructionError", "AssumptionError",
-    "BracketError", "EvaluationError", "ClassificationError",
-    "CapabilityError", "HorizonExceededError", "RescalingError",
+    "EvaluationError", "ClassificationError", "CapabilityError",
+    "HorizonExceededError", "RescalingError",
 ]
 
 
@@ -23,10 +23,6 @@ class ConstructionError(LevyClocksError, ValueError):
 
 class AssumptionError(LevyClocksError):
     """A standing assumption (e.g. positive drift) does not hold."""
-
-
-class BracketError(LevyClocksError, ValueError):
-    """Root bracket does not straddle a sign change."""
 
 
 class EvaluationError(LevyClocksError, ArithmeticError):

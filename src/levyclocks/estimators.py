@@ -296,14 +296,14 @@ class FirstPassageResult:
     abs_diff: float
 
 
-def first_passage_check(model: LevyModel, cfg: SimConfig,
+def first_passage_check(model: LevyModel, cfg: SimConfig, t: float,
                         theta: float | Sequence[float]
                         ) -> FirstPassageResult | tuple[FirstPassageResult,
                                                         ...]:
     """Compare the clock transform with the first-passage subordinator.
 
-    ``cfg.horizon`` is read as the clock target t for the left-hand side;
-    tau_hat(1) = inf{u : xi_u > 1} is read off the same path ensemble.
+    ``t`` is the clock target of the left-hand side; tau_hat(1) =
+    inf{u : xi_u > 1} is read off the same path ensemble.
     Both sides are referenced against the analytic invert_L(theta).
     Given a sequence of theta, one ensemble serves them all, and the
     results come in the same order.
@@ -311,8 +311,8 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
     Raises:
         CapabilityError: unless the family is spectrally negative
             (brownian_drift or saw_tooth).
-        DomainError: for theta > 0, or for ``cfg.horizon`` <= 1, where
-            log t is not positive.
+        DomainError: for theta > 0, or for t <= 1, where log t is not
+            positive.
     """
     if model.family not in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH):
         raise CapabilityError("first-passage check requires a spectrally "
@@ -321,18 +321,17 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
     for th in thetas:
         if th > 0.0:
             raise DomainError(f"theta must be <= 0, got {th!r}")
-    t_clock = cfg.horizon
-    if not t_clock > 1.0:
-        raise DomainError(f"first-passage clock target must satisfy t > 1, "
-                          f"got {t_clock!r}")
+    if not 1.0 < t < math.inf:
+        raise DomainError(f"first-passage clock target must satisfy t > 1 "
+                          f"and be finite, got {t!r}")
     analytic = [invert_L(model, th) if th < 0.0 else 0.0 for th in thetas]
     taus = hats = None
     if any(th < 0.0 for th in thetas):
         mean = model.mean
-        base_h = max(horizon_policy(mean, t_clock), 8.0 / mean)
+        base_h = max(horizon_policy(mean, t), 8.0 / mean)
 
         def tau_and_hat(block):
-            return np.column_stack((block.clock(cfg.alpha, [t_clock]),
+            return np.column_stack((block.clock(cfg.alpha, [t]),
                                     block.first_passage(1.0)))
 
         taus, hats = run_paths(
@@ -340,7 +339,7 @@ def first_passage_check(model: LevyModel, cfg: SimConfig,
             miss=lambda i, h: (f"path {i} never crossed level 1 (or never "
                                f"reached the clock target) within horizon "
                                f"{h!r}")).T
-    results = tuple(_first_passage_result(th, t_clock, ref, taus, hats)
+    results = tuple(_first_passage_result(th, t, ref, taus, hats)
                     for th, ref in zip(thetas, analytic))
     return results[0] if np.ndim(theta) == 0 else results
 

@@ -5,7 +5,9 @@ trigamma run a recurrence plus asymptotic series (reflection for negative
 arguments); and one root finder, for monotone functions given with their
 slope, serves every solve in ``rate`` (the maximiser of a concave
 objective is the root of its exact derivative, whose slope is the second
-derivative).  All functions are pure and thread-safe.
+derivative).  The root finder solves to a fixed relative tolerance of
+1e-14 and answers None, whatever the end, when no sign change lies short
+of it.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import BracketError, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 
 __all__ = [
     "EULER_GAMMA",
@@ -129,8 +131,7 @@ def _model_step(y: float, g: float, s: float, o: float | None,
     return y + t if t * side > 0.0 else math.nan
 
 
-def find_root(f, start: float, end: float,
-              tol: float = 1e-12) -> float | None:
+def find_root(f, start: float, end: float) -> float | None:
     """Root of a monotone ``f`` between ``start`` and ``end``.
 
     ``f(x)`` returns the value and the slope at ``x``.  ``f`` is evaluated
@@ -151,16 +152,16 @@ def find_root(f, start: float, end: float,
     factor of 4.
 
     The returned point is an evaluated one whose Newton correction (or
-    bracket) is at most ``tol * min(max(1, |x|), |end - start|)``, or
-    ``tol |x|`` when |x| is smaller than that, so that a root near 0 keeps
-    its relative accuracy.
+    bracket) is at most ``1e-14 * min(max(1, |x|), |end - start|)``, or
+    ``1e-14 |x|`` when |x| is smaller than that: a domain narrower than 1
+    is solved to the same relative accuracy as a wide one, and a root
+    near 0 keeps its relative accuracy.
 
-    Returns None when ``f`` is infinite at a probe, or the probes toward an
-    infinite end leave float range, before ``f`` changes sign.
+    Returns None when ``f`` does not change sign short of ``end`` and of
+    float range: the probes reach ``end`` or leave float range, or ``f``
+    is infinite at a probe, first.
 
     Raises:
-        BracketError: if the probes reach a finite ``end`` without a sign
-            change.
         EvaluationError: if ``f`` is NaN anywhere, or infinite at
             ``start`` or inside the bracket.
     """
@@ -182,11 +183,11 @@ def find_root(f, start: float, end: float,
     grow = 2.0                      # factor of the next probe
     while g != 0.0:
         ax = abs(x)
-        scale = tol * (ax if ax > 1.0 else 1.0)
-        if scale > tol * span:
-            scale = tol * span
+        scale = 1e-14 * (ax if ax > 1.0 else 1.0)
+        if scale > 1e-14 * span:
+            scale = 1e-14 * span
         if ax < scale:
-            scale = tol * ax
+            scale = 1e-14 * ax
         if abs(g) <= scale * abs(s):
             return x
         if yb is None:
@@ -204,11 +205,8 @@ def find_root(f, start: float, end: float,
                 probe, grow = False, 2.0
             elif p_ok:
                 new, probe, grow = p, True, 2.0 * grow
-            elif span == math.inf:
-                return None
             else:
-                raise BracketError(f"no sign change between {start!r} "
-                                   f"and {end!r}")
+                return None
         else:
             new = _model_step(y, g, s, yb if y == ya else ya,
                               gb if y == ya else ga)

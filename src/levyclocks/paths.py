@@ -107,10 +107,10 @@ _PHILOX_BLOCK = 4
 class SimConfig:
     """Deterministic simulation plan.
 
-    ``horizon`` is the path length in Lévy time for path-level routines,
-    and the target clock time for estimators that derive their own
-    Lévy-time horizon.  ``start`` is the pssMp start point used by the
-    Lamperti side and the Cauchy modulus.
+    ``horizon`` is the length in Lévy time of a single path
+    (``sample_levy_path``, ``simulate_cauchy_modulus``); the estimators
+    derive their own horizons from their targets.  ``start`` is the pssMp
+    start point used by the Lamperti side and the Cauchy modulus.
     """
 
     seed: int
@@ -265,10 +265,9 @@ def sample_levy_path(model: LevyModel, cfg: SimConfig,
                      path_id: int) -> PathBlock:
     """Sample one Lévy path on [0, horizon] as a one-row block.
 
-    A single row has no padding: ``times[0]``, ``xi[0]`` and, on a jump
-    path, ``jumps[0]`` are the whole path.  Deterministic in (seed,
-    path_id); enlarging ``horizon`` extends the same path.  Raises
-    :class:`CapabilityError` for non-grid families.
+    A single row has no padding: ``times[0]`` and ``xi[0]`` are the whole
+    path.  Deterministic in (seed, path_id); enlarging ``horizon`` extends
+    the same path.  Raises :class:`CapabilityError` for non-grid families.
     """
     rows = _row_sampler(_effective_dynamics(model), cfg, path_id, 1,
                         _Work(cfg.seed), grow=False)
@@ -347,20 +346,18 @@ class PathBlock:
 
     Row ``r`` holds ``size[r]`` nodes of one path, which starts at
     (t, xi) = (0, 0): ``xi[r, i]`` is the post-jump value at time
-    ``times[r, i]``.  On ``linear-drift`` rows ``jumps[r, i]`` is the jump
-    applied at node ``i`` (0 at node 0), so that
-    ``xi[r, i+1] = xi[r, i] + drift * dt_i + jumps[r, i+1]``; Gaussian
-    blocks carry ``jumps = None``.  The rows share kind and drift.  Jump
-    paths are padded to the longest row by repeating the row's horizon
+    ``times[r, i]``; on ``linear-drift`` rows xi has slope ``drift``
+    between nodes and jumps at the inner ones.  The rows share kind and drift.  Jump paths
+    are padded to the longest row by repeating the row's horizon
     (zero-length segments, no jumps); Gaussian rows need no padding and
     share one time grid of spacing ``step``, stored as the single row of
     ``times``.  ``ids`` are the path ids the rows were drawn from, with
-    the seed and generator of ``work``; every block the engine samples
-    has ``work`` and ``step``.  The methods take only an index ``alpha``,
+    the seed and generator of ``work``; every block the engine samples has
+    ``work`` and ``step``.  The methods take only an index ``alpha``,
     targets or a level: A is computed once per index (:meth:`functional`),
     and :meth:`totals` and :meth:`clock` read it.  The arrays of a
-    Gaussian block are xi, a scratch for exp(alpha xi) and A of each index,
-    all of them ``work``'s, which the run's next block overwrites.
+    Gaussian block are xi, a scratch for exp(alpha xi) and A of each
+    index, all of them ``work``'s, which the run's next block overwrites.
 
     A Gaussian block of a run that grows its rows (see :func:`run_paths`)
     may continue them: it then starts at step ``carry.n0``, each row's last
@@ -379,7 +376,6 @@ class PathBlock:
     kind: str
     drift: float = 0.0
     ids: np.ndarray | None = None
-    jumps: np.ndarray | None = None
     step: float | None = None
     work: _Work | None = field(default=None, repr=False)
     carry: _Carry | None = field(default=None, repr=False)
@@ -733,16 +729,16 @@ class _JumpRows:
         times[:] = end[:, None]
         times[:, 0] = 0.0
         np.copyto(times[:, 1:-1], arrivals[:, :width], where=keep)
-        jumps = self.work.array("jumps", shape)
-        jumps.fill(0.0)
-        np.multiply(sizes[:, :width], self.jump_mean, out=jumps[:, 1:-1],
+        xi = self.work.array("xi", shape)
+        xi.fill(0.0)
+        np.multiply(sizes[:, :width], self.jump_mean, out=xi[:, 1:-1],
                     where=keep)
-        xi = np.cumsum(jumps, axis=1, out=self.work.array("xi", shape))
+        np.cumsum(xi, axis=1, out=xi)
         xi += self.drift * times
         if len(rows):
             yield rows, PathBlock(times=times, xi=xi, size=size, kind=LINEAR,
                                   drift=self.drift, ids=self.offset + rows,
-                                  jumps=jumps, work=self.work)
+                                  work=self.work)
         if short.any():
             yield from self._blocks(*again, rung, 2 * chunks)
 

@@ -18,7 +18,8 @@ The limits of psi, psi' and the affine gap at each domain end come in
 closed form from the catalog (``LevyModel.end_limits``), and they decide
 before any solving whether a root exists.  Every solve then finds the
 root of an increasing function from 0 toward a domain end with
-``numerics.find_root``, which takes the slope with the value: the
+``numerics.find_root``, which takes the slope with the value and returns
+None when no root lies short of the end and of float range: the
 maximiser of ``m - x psi(m)`` (and of ``m y - psi(m)`` for ``psi*``) is
 the root of ``psi'(m) = 1/x`` (resp. ``= y``), solved with psi'', and L
 is the root of ``psi(m) = -theta``, solved with psi'.  The supremum is
@@ -30,9 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import BracketError, ClassificationError, DomainError
+from .errors import ClassificationError, DomainError
 from .models import Family, LevyModel
 from .numerics import find_root
 
@@ -49,22 +49,6 @@ __all__ = [
 _INF = math.inf
 
 
-def _increasing_root(f: Callable[[float], tuple[float, float]],
-                     end: float) -> float | None:
-    """Root of an increasing ``f`` that lies between 0 and ``end``.
-
-    ``f`` returns (value, slope).  ``numerics.find_root`` solves from 0,
-    where ``f`` is finite, to 1e-14 max(1, |m|), capped at 1e-14 |end| so
-    that a domain narrower than 1 is solved to the same relative accuracy
-    as a wide one, and to 1e-14 |m| for a root nearer to 0 than that.
-    None when no root lies short of ``end`` and of float range.
-    """
-    try:
-        return find_root(f, 0.0, end, tol=1e-14)
-    except BracketError:
-        return None
-
-
 def _find_m0(model: LevyModel) -> tuple[float, float, float]:
     """(m0, psi'(m0), psi(m0)) with m0 = inf{theta : psi'(theta) > 0}.
 
@@ -74,7 +58,7 @@ def _find_m0(model: LevyModel) -> tuple[float, float, float]:
     """
     psi_end, l_end, _ = model.end_limits(upper=False)
     if l_end < 0.0:
-        root = _increasing_root(model.psi_derivs, model.m_minus)
+        root = find_root(model.psi_derivs, 0.0, model.m_minus)
         if root is not None:
             # One more Newton correction, free at the evaluated root,
             # takes m0 to the float nearest the root; psi(m0) bounds the
@@ -182,14 +166,14 @@ def _argmax(model: LevyModel, slope: float, mean: float) -> float | None:
     """Maximiser of the concave ``m slope - psi(m)``: psi'(m) = slope.
 
     ``mean`` is psi'(0), which tells on which side of 0 the root lies.
-    None when the root lies beyond float range.
+    None when no root lies short of the domain end and of float range.
     """
     end = model.m_plus if slope > mean else model.m_minus
 
     def f(m: float) -> tuple[float, float]:
         d1, d2 = model.psi_derivs(m)
         return d1 - slope, d2
-    return _increasing_root(f, end)
+    return find_root(f, 0.0, end)
 
 
 def _rate_point(model: LevyModel, x: float,
@@ -269,7 +253,7 @@ def invert_L(model: LevyModel, theta: float,
         if m == 0.0:                # known: psi(0) = 0, psi'(0) = mean
             return -target, prof.mean
         return model.psi(m) - target, model.psi_derivs(m)[0]
-    root = _increasing_root(f, end)
+    root = find_root(f, 0.0, end)
     if root is None:
         side = "below m_plus" if target > 0.0 else "above m0"
         raise DomainError(f"psi never reaches {target!r} {side}")

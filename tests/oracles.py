@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from levyclocks import (
-    BracketError,
     EvaluationError,
     HorizonExceededError,
     RescalingError,
@@ -78,11 +77,11 @@ class Bracket:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise BracketError(f"bracket endpoints must be finite, got "
-                               f"[{self.lo!r}, {self.hi!r}]")
+            raise ValueError(f"bracket endpoints must be finite, got "
+                             f"[{self.lo!r}, {self.hi!r}]")
         if not self.lo < self.hi:
-            raise BracketError(f"bracket requires lo < hi, got "
-                               f"[{self.lo!r}, {self.hi!r}]")
+            raise ValueError(f"bracket requires lo < hi, got "
+                             f"[{self.lo!r}, {self.hi!r}]")
 
 
 @dataclass(frozen=True)

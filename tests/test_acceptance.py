@@ -310,8 +310,9 @@ def test_criterion_7_moment_machinery():
 
 def test_criterion_8_first_passage_consistency():
     # one ensemble of paths serves both theta
-    cfg = SimConfig(seed=SEED, n_paths=20_000, step=5e-4, horizon=100.0)
-    for fp in first_passage_check(brownian_drift(1.0), cfg, (-0.25, -1.0)):
+    cfg = SimConfig(seed=SEED, n_paths=20_000, step=5e-4)
+    for fp in first_passage_check(brownian_drift(1.0), cfg, 100.0,
+                                  (-0.25, -1.0)):
         theta = fp.theta
         gap = abs(fp.rhs - fp.analytic)
         ok = gap <= 3.0 * fp.rhs_stderr

@@ -3,7 +3,6 @@
 import pytest
 
 from levyclocks import (
-    BracketError,
     EvaluationError,
     brownian_drift,
     model_to_text,
@@ -198,11 +197,10 @@ class TestProfileCommand:
         assert out == ""
         assert f"--model-file does not take {extra[0]}" in err
 
-    @pytest.mark.parametrize("error", [EvaluationError, BracketError])
-    def test_package_errors_exit_2(self, capsys, monkeypatch, error):
+    def test_package_errors_exit_2(self, capsys, monkeypatch):
         # any error of the package, the root solver's included, exits 2
         def fail(model):
-            raise error("no root")
+            raise EvaluationError("no root")
         monkeypatch.setattr(cli, "profile", fail)
         code, out, err = invoke(capsys, ["profile", "--family", "brownian",
                                          "--nu", "1"])
@@ -422,9 +420,11 @@ class TestStochasticCommands:
     @pytest.mark.parametrize("argv", [
         ["check-identities", "--t-fp", "1"],
         ["check-identities", "--t-fp", "0.5"],
+        ["check-identities", "--t-fp", "inf"],
         ["clt", "--t", "1"],
         ["clt", "--t", "0.5"],
-    ], ids=["identities_t1", "identities_t_half", "clt_t1", "clt_t_half"])
+    ], ids=["identities_t1", "identities_t_half", "identities_t_inf",
+            "clt_t1", "clt_t_half"])
     def test_log_t_needs_t_above_1_exit_2(self, capsys, argv):
         code, out, err = invoke(capsys, [argv[0], "--family", "brownian",
                                          "--nu", "1", "--seed", "1",

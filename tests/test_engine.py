@@ -277,7 +277,8 @@ def test_first_passage_check_extended(short_horizon, monkeypatch, budget,
     # one ensemble for two theta
     monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
     cfg = SimConfig(seed=7, n_paths=n_paths, step=step, horizon=50.0)
-    for fp, theta in zip(first_passage_check(model, cfg, (-0.5, -1.0)),
+    for fp, theta in zip(first_passage_check(model, cfg, cfg.horizon,
+                                             (-0.5, -1.0)),
                          (-0.5, -1.0)):
         assert fp.theta == theta
         assert (fp.lhs, fp.rhs, fp.rhs_stderr) == \
@@ -513,8 +514,8 @@ def test_uniforms_up_to_the_first_sure_crossing(counting):
     # bridge-crossing uniforms are drawn only for the steps before a row's
     # path first ends a step at or above level 1
     model, step = brownian_drift(1.0), 0.01
-    cfg = SimConfig(seed=3, n_paths=100, step=step, horizon=50.0)
-    first_passage_check(model, cfg, -1.0)
+    cfg = SimConfig(seed=3, n_paths=100, step=step)
+    first_passage_check(model, cfg, 50.0, -1.0)
     sure = [np.argmax(oracles.ref_path(model, cfg.seed, i, 20.0, step).xi
                       >= 1.0) - 1 for i in range(cfg.n_paths)]
     assert 0 < CountingGenerator.uniforms <= sum(sure)
@@ -542,7 +543,8 @@ def test_rescaling_error_per_row():
 
 def test_jump_scratch_memory(monkeypatch):
     # a block's rows are set by the width its rows are drawn to, so the
-    # drawn chunks and everything else a run keeps fit in a few blocks
+    # drawn chunks and everything else a run keeps fit in a few blocks,
+    # in at most four arrays
     works = []
 
     class KeptWork(paths._Work):
@@ -557,6 +559,7 @@ def test_jump_scratch_memory(monkeypatch):
                     20.0, lambda block: block.totals(-1.0))
     assert len(works) == 2
     for work in works:
+        assert len(work._flat) <= 4
         doubles = sum(flat.size for flat in work._flat.values())
         assert doubles <= 4 * paths._BLOCK_BUDGET
 
@@ -573,10 +576,10 @@ def test_gaussian_scratch_memory(monkeypatch):
 
     monkeypatch.setattr(paths, "_Work", KeptWork)
     model = brownian_drift(1.0)
-    cfg = SimConfig(seed=1, n_paths=600, step=0.01, horizon=50.0)
+    cfg = SimConfig(seed=1, n_paths=600, step=0.01)
     tau_ensemble(model, cfg, [math.e ** 8])
     estimate_logA_rate(model, cfg, 40.0)
-    first_passage_check(model, cfg, -0.5)
+    first_passage_check(model, cfg, 50.0, -0.5)
     assert len(works) == 3
     for work in works:
         assert len(work._flat) <= 3
@@ -611,7 +614,7 @@ def test_block_edges(monkeypatch, n_paths, name, model, step):
 ], ids=["brownian", "saw_tooth"])
 def test_first_passage_check(model, step, n_paths):
     cfg = SimConfig(seed=7, n_paths=n_paths, step=step, horizon=50.0)
-    fp = first_passage_check(model, cfg, -0.5)
+    fp = first_passage_check(model, cfg, cfg.horizon, -0.5)
     assert (fp.lhs, fp.rhs, fp.rhs_stderr) == \
         oracles.ref_first_passage_check(model, cfg, -0.5)
 

@@ -252,44 +252,44 @@ class TestLogA:
 
 class TestFirstPassage:
     def test_theta_zero(self):
-        cfg = SimConfig(seed=2, n_paths=16, horizon=50.0)
-        fp = first_passage_check(brownian_drift(1.0), cfg, 0.0)
+        cfg = SimConfig(seed=2, n_paths=16)
+        fp = first_passage_check(brownian_drift(1.0), cfg, 50.0, 0.0)
         assert (fp.lhs, fp.rhs, fp.abs_diff) == (0.0, 0.0, 0.0)
 
     def test_positive_theta_rejected(self):
-        cfg = SimConfig(seed=2, n_paths=16, horizon=50.0)
+        cfg = SimConfig(seed=2, n_paths=16)
         with pytest.raises(DomainError):
-            first_passage_check(brownian_drift(1.0), cfg, 0.3)
+            first_passage_check(brownian_drift(1.0), cfg, 50.0, 0.3)
 
-    @pytest.mark.parametrize("t", [1.0, 0.5])
+    @pytest.mark.parametrize("t", [1.0, 0.5, math.inf, math.nan])
     def test_t_validation(self, t):
-        cfg = SimConfig(seed=2, n_paths=16, horizon=t)
+        cfg = SimConfig(seed=2, n_paths=16)
         with pytest.raises(DomainError, match="t > 1"):
-            first_passage_check(brownian_drift(1.0), cfg, -0.5)
+            first_passage_check(brownian_drift(1.0), cfg, t, -0.5)
 
     def test_family_guard(self):
-        cfg = SimConfig(seed=2, n_paths=16, horizon=50.0)
+        cfg = SimConfig(seed=2, n_paths=16)
         with pytest.raises(CapabilityError):
-            first_passage_check(cp_plus_drift(1, 2, 1), cfg, -0.5)
+            first_passage_check(cp_plus_drift(1, 2, 1), cfg, 50.0, -0.5)
 
     def test_sawtooth_exact_crossing_matches_L(self):
         model = saw_tooth(1.0, 3.0)
-        cfg = SimConfig(seed=7, n_paths=4000, step=0.01, horizon=50.0)
-        fp = first_passage_check(model, cfg, -0.5)
+        cfg = SimConfig(seed=7, n_paths=4000, step=0.01)
+        fp = first_passage_check(model, cfg, 50.0, -0.5)
         assert fp.analytic == pytest.approx(invert_L(model, -0.5), rel=1e-12)
         assert abs(fp.rhs - fp.analytic) <= 4.0 * fp.rhs_stderr
 
     def test_brownian_bridge_crossing_matches_L(self):
-        cfg = SimConfig(seed=7, n_paths=4000, step=5e-4, horizon=50.0)
-        fp = first_passage_check(brownian_drift(1.0), cfg, -1.0)
+        cfg = SimConfig(seed=7, n_paths=4000, step=5e-4)
+        fp = first_passage_check(brownian_drift(1.0), cfg, 50.0, -1.0)
         assert abs(fp.rhs - fp.analytic) <= 4.0 * fp.rhs_stderr + 2e-3
 
     def test_lhs_converges_loosely(self):
         # (1/log t) log E exp(theta tau(t)) approaches L(theta) at rate
         # O(1/log t): only a loose check is meaningful at desk scale
         model = saw_tooth(1.0, 3.0)
-        cfg = SimConfig(seed=11, n_paths=2000, step=0.01, horizon=2000.0)
-        fp = first_passage_check(model, cfg, -0.5)
+        cfg = SimConfig(seed=11, n_paths=2000, step=0.01)
+        fp = first_passage_check(model, cfg, 2000.0, -0.5)
         assert abs(fp.lhs - fp.analytic) <= 0.1
 
 

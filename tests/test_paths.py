@@ -35,8 +35,7 @@ from oracles import (
 def drift_path(slope: float, horizon: float = 10.0) -> PathBlock:
     return PathBlock(times=np.array([[0.0, horizon]]),
                      xi=np.array([[0.0, slope * horizon]]),
-                     size=np.array([2]), kind="linear-drift", drift=slope,
-                     jumps=np.zeros((1, 2)))
+                     size=np.array([2]), kind="linear-drift", drift=slope)
 
 
 def functional_at(path: PathBlock, alpha: float, u) -> np.ndarray:
