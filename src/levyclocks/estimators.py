@@ -10,11 +10,11 @@ each path is drawn as one row from its own stream and the rows are
 reduced in blocks by reducers that return the rows' values only.  The
 clock, first-passage and tilted estimators grow each row until all its
 values are finite: the clock reads NaN at a target beyond A and a
-crossing time is inf until level 1 is crossed.  Rows grow from half the
-Lévy-time horizon of :func:`~levyclocks.paths.horizon_policy` through
-its doublings (up to ``cfg.max_doublings``); an extension appends to the
-path and leaves its prefix unchanged, so the result is that of the same
-path drawn on the first doubled horizon that serves it.
+crossing time is inf until level 1 is crossed.  Rows grow through the
+doublings (up to ``cfg.max_doublings``) of the Lévy-time horizon of
+:func:`~levyclocks.paths.horizon_policy`, Gaussian ones from half of it;
+an extension leaves the path's prefix unchanged, so the result is that of
+the same path drawn on the first doubled horizon that serves it.
 """
 
 from __future__ import annotations
@@ -220,6 +220,8 @@ def estimate_ldp_slope(target: LevyModel | CauchyModulus, cfg: SimConfig,
     ts = sorted(float(t) for t in t_list)
     if len(ts) < 3:
         raise DomainError("LDP slope fit needs at least 3 targets")
+    if len(set(ts)) < len(ts):
+        raise DomainError(f"LDP targets must be distinct, got {ts!r}")
     if any(t <= 1.0 for t in ts):
         raise DomainError("LDP targets must satisfy t > 1")
     ref_model = _levy_model(target)

@@ -36,12 +36,12 @@ else.  A run whose rows can miss their target serves a value once it is
 finite, keeps it from the first block where it is, and grows each row
 until all its values are served: Gaussian rows gain steps in geometric
 pieces, each drawn from the stream position, ξ and A the row carries
-from the last one; jump rows are drawn again from their key, every row
-of a block in as many 128-event chunks, straight into the block's
-arrays.  No row is drawn past the horizon ``h0 2^k`` at which the
-same path sampled alone would first serve it, so the results are those of
-doubling the horizon and drawing again; this is the one horizon ladder of
-the package.
+from the last one; jump rows carry nothing between reductions, and are
+drawn again from their key at each rung ``h0 2^k``, every row of a block
+in as many 128-event chunks, straight into the block's arrays.  No row is
+drawn past the rung at which the same path sampled alone would first
+serve it, so the results are those of doubling the horizon and drawing
+again; this is the one horizon ladder of the package.
 
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
@@ -96,8 +96,8 @@ _BLOCK_BUDGET = 1 << 14
 # Stream family of auxiliary draws (bridge-crossing uniforms), disjoint
 # from every path-id range a run can use.
 _AUX_STREAM = 1 << 62
-# Horizons per doubling at which a growing run reduces its rows: a row
-# grows by 2^(1/3) between reductions.
+# Horizons per doubling at which a growing run reduces its Gaussian rows:
+# a row grows by 2^(1/3) between reductions.
 _PER_DOUBLING = 3
 # Raw draws per Philox counter block: the size of the generator's buffer.
 _PHILOX_BLOCK = 4
@@ -129,8 +129,11 @@ class SimConfig:
             if not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be finite and > 0, "
                                   f"got {value!r}")
-        if self.max_doublings < 0:
-            raise DomainError("max_doublings must be >= 0")
+        # the last rung h0 2^max_doublings needs 2^max_doublings < 2^1024,
+        # the end of double range
+        if not 0 <= self.max_doublings < 1024:
+            raise DomainError(f"max_doublings must be in 0 .. 1023, "
+                              f"got {self.max_doublings!r}")
 
 
 @dataclass(frozen=True)
@@ -269,9 +272,8 @@ def sample_levy_path(model: LevyModel, cfg: SimConfig,
     path.  Deterministic in (seed, path_id); enlarging ``horizon`` extends
     the same path.  Raises :class:`CapabilityError` for non-grid families.
     """
-    rows = _row_sampler(_effective_dynamics(model), cfg, path_id, 1,
-                        _Work(cfg.seed), grow=False)
-    return next(rows.blocks(np.array([0]), cfg.horizon, cfg.horizon))[1]
+    rows = _row_sampler(model, cfg, path_id, 1, _Work(cfg.seed), grow=False)
+    return next(rows.blocks(np.array([0]), cfg.horizon))[1]
 
 
 # --------------------------------------------------------------------------
@@ -578,20 +580,6 @@ class PathBlock:
         return np.where(np.any(crossed, axis=1), hat, np.inf)
 
 
-def _schedule(h0: float, doublings: int) -> list[tuple[float, float]]:
-    """(horizon, rung) of each reduction of a growing run.
-
-    The horizons are h0 2^(j/3 - 1), ``_PER_DOUBLING`` per doubling, from
-    h0/2 (the centre of the clock's law, where the floor of
-    :func:`horizon_policy` does not set h0) up to the last rung
-    h0 2^doublings; the rung of each is the horizon h0 2^k of the ladder
-    at or above it, and every rung is one of the horizons.
-    """
-    k = _PER_DOUBLING
-    return [(h0 * 2.0 ** ((j - k) / k), h0 * 2.0 ** max(0, -((k - j) // k)))
-            for j in range(k * (doublings + 1) + 1)]
-
-
 class _GaussianRows:
     """The Gaussian rows of a run, drawn in pieces.
 
@@ -607,9 +595,9 @@ class _GaussianRows:
     reduced the row's block.
     """
 
-    def __init__(self, dyn, cfg: SimConfig, offset: int, n_rows: int,
+    def __init__(self, nu: float, cfg: SimConfig, offset: int, n_rows: int,
                  work: _Work, grow: bool) -> None:
-        self.nu, self.cfg, self.offset, self.work = dyn[1], cfg, offset, work
+        self.nu, self.cfg, self.offset, self.work = nu, cfg, offset, work
         self.grow = grow
         self.n = 0                  # steps drawn on every pending row
         self.xi = np.zeros(n_rows)
@@ -617,7 +605,18 @@ class _GaussianRows:
         self.pos = np.zeros(n_rows, dtype=np.int64)
         self.crossed = np.zeros(n_rows, dtype=bool)
 
-    def blocks(self, rows: np.ndarray, horizon: float, rung: float):
+    @staticmethod
+    def horizons(h0: float, doublings: int) -> list[float]:
+        """The horizons of a growing run's reductions: h0 2^(j/3 - 1),
+        ``_PER_DOUBLING`` per doubling, from h0/2 (the centre of the
+        clock's law, where the floor of :func:`horizon_policy` does not set
+        h0) up to the last rung h0 2^doublings; every rung h0 2^k of the
+        ladder is one of them."""
+        k = _PER_DOUBLING
+        return [h0 * 2.0 ** ((j - k) / k)
+                for j in range(k * (doublings + 1) + 1)]
+
+    def blocks(self, rows: np.ndarray, horizon: float):
         n = max(1, math.ceil(horizon / self.cfg.step))
         if n == self.n:
             return
@@ -658,49 +657,43 @@ class _JumpRows:
 
     A row is drawn in chunks of ``_JUMP_CHUNK`` events, each its gaps and
     then its magnitudes, until they pass the horizon, and reduced on
-    everything they cover up to the rung, [0, min(last arrival, rung)].
-    A pending row is reduced again once that interval grows, on its chunks
-    drawn again from the start of its stream, and more where the horizon
-    has passed them.  A jump row holds tens of events: drawing them again
-    costs about what moving its stream past them to append a chunk would,
-    and keeping them for every row of a block would cost more memory than
-    the block.  The rows of a block draw as many chunks each, in one call
-    per row, and the rest is array operations on the whole block.
+    [0, horizon].  It is event-exact, so a growing run reduces it at the
+    rungs h0 2^k of the ladder only, drawn again from the start of its
+    stream each time: a jump row carries nothing between reductions.  It
+    holds tens of events: drawing them again costs about what moving its
+    stream past them to append a chunk would, and keeping them for every
+    row of a block would cost more memory than the block.  The rows of a
+    block draw as many chunks each, in one call per row, and the rest is
+    array operations on the whole block.
     """
 
-    def __init__(self, dyn, cfg: SimConfig, offset: int, n_rows: int,
-                 work: _Work, grow: bool) -> None:
-        _, self.drift, beta, gamma, sign = dyn
-        self.beta, self.offset, self.work = beta, offset, work
+    def __init__(self, drift: float, beta: float, gamma: float, sign: float,
+                 offset: int, work: _Work) -> None:
+        self.drift, self.beta = drift, beta
+        self.offset, self.work = offset, work
         # mean gap (a rate of 0 draws no chunks) and signed mean magnitude
         self.gap_mean = 1.0 / beta if beta > 0.0 else math.inf
         self.jump_mean = sign / gamma
-        self.reach = np.zeros(n_rows)           # last arrival drawn
-        self.chunks = np.zeros(n_rows, dtype=np.int64)  # chunks drawn
-        self.end = np.zeros(n_rows)             # horizon of the last block
 
-    def blocks(self, rows: np.ndarray, horizon: float, rung: float):
-        reach = self.reach[rows]
-        rows = rows[(reach < horizon) | (np.minimum(reach, rung)
-                                         > self.end[rows])]
-        until = np.maximum(self.reach[rows], horizon)
-        # the chunks the rows drew before, and those of the Poisson mean
-        # plus four standard deviations of the events before the horizon
+    @staticmethod
+    def horizons(h0: float, doublings: int) -> list[float]:
+        """The rungs h0 2^k of the ladder, k = 0 .. doublings."""
+        return [h0 * 2.0 ** k for k in range(doublings + 1)]
+
+    def blocks(self, rows: np.ndarray, horizon: float):
+        # the chunks of the Poisson mean plus four standard deviations of
+        # the events before the horizon
         events = self.beta * horizon
-        chunks = max(math.ceil((events + 4.0 * math.sqrt(events))
-                               / _JUMP_CHUNK),
-                     int(self.chunks[rows].max(initial=0)))
+        chunks = math.ceil((events + 4.0 * math.sqrt(events)) / _JUMP_CHUNK)
         # a block's rows are set by the width they are drawn to
         per_block = max(1, _BLOCK_BUDGET // (chunks * _JUMP_CHUNK + 2))
         for lo in range(0, len(rows), per_block):
-            part = slice(lo, lo + per_block)
-            yield from self._blocks(rows[part], until[part], rung, chunks)
+            yield from self._blocks(rows[lo:lo + per_block], horizon, chunks)
 
-    def _blocks(self, rows: np.ndarray, until: np.ndarray, rung: float,
-                chunks: int):
+    def _blocks(self, rows: np.ndarray, horizon: float, chunks: int):
         """Rows ``rows`` drawn in ``chunks`` chunks each: the block of those
-        whose last arrival passes ``until``, each on [0, min(last arrival,
-        rung)], and then the others, drawn again with twice the chunks."""
+        whose last arrival passes ``horizon``, on [0, horizon], and then the
+        others, drawn again with twice the chunks."""
         draws = self.work.array("draws", (len(rows), chunks, 2, _JUMP_CHUNK))
         for row, stream in zip(draws, self.work.streams(self.offset + rows)):
             stream.standard_exponential(out=row)
@@ -713,20 +706,17 @@ class _JumpRows:
         arrivals = gaps.reshape(len(rows), -1)
         sizes = draws[:, :, 1].reshape(len(rows), -1)
         reach = arrivals[:, -1] if chunks else np.full(len(rows), math.inf)
-        short = reach < until
-        again = rows[short], until[short]
+        short = reach < horizon
+        again = rows[short]
         if short.any():
-            rows, arrivals, sizes, reach = (a[~short] for a in
-                                            (rows, arrivals, sizes, reach))
-        end = np.minimum(reach, rung)
-        self.reach[rows], self.chunks[rows], self.end[rows] = \
-            reach, chunks, end
-        keep = arrivals < end[:, None]
+            rows, arrivals, sizes = (a[~short]
+                                     for a in (rows, arrivals, sizes))
+        keep = arrivals < horizon
         size = np.count_nonzero(keep, axis=1) + 2
         width = int(size.max(initial=2)) - 2    # events of the longest row
         keep, shape = keep[:, :width], (len(rows), width + 2)
         times = self.work.array("times", shape)
-        times[:] = end[:, None]
+        times.fill(horizon)
         times[:, 0] = 0.0
         np.copyto(times[:, 1:-1], arrivals[:, :width], where=keep)
         xi = self.work.array("xi", shape)
@@ -740,14 +730,16 @@ class _JumpRows:
                                   drift=self.drift, ids=self.offset + rows,
                                   work=self.work)
         if short.any():
-            yield from self._blocks(*again, rung, 2 * chunks)
+            yield from self._blocks(again, horizon, 2 * chunks)
 
 
-def _row_sampler(dyn, cfg: SimConfig, offset: int, n_rows: int, work: _Work,
-                 grow: bool):
+def _row_sampler(model: LevyModel, cfg: SimConfig, offset: int, n_rows: int,
+                 work: _Work, grow: bool):
     """The sampler of rows ``0 .. n_rows - 1``, paths ``offset + row``."""
-    kind = _GaussianRows if dyn[0] == "brownian" else _JumpRows
-    return kind(dyn, cfg, offset, n_rows, work, grow)
+    dyn = _effective_dynamics(model)
+    if dyn[0] == "brownian":
+        return _GaussianRows(dyn[1], cfg, offset, n_rows, work, grow)
+    return _JumpRows(*dyn[1:], offset, work)
 
 
 def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
@@ -763,37 +755,37 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
 
     With ``miss`` a value is served once it is finite, and is kept from
     the first block where it is; the run grows each row until all its
-    values are served.  Rows start at ``horizon / 2`` and grow by 2^(1/3)
-    per reduction through every rung ``horizon * 2^k`` of the ladder,
-    ``k <= cfg.max_doublings``.  Gaussian rows are reduced on their new
-    piece only (see :class:`PathBlock`), so ``reduce`` must give each
-    value where the path first determines it, and NaN (or inf) wherever
-    it cannot compute it from the block.  Jump rows are reduced on the
-    whole path again.  A row is served on the shortest prefix that serves
-    it, so its values are those of the same path drawn on the rung that
-    first serves it, and no row is drawn past that rung.
+    values are served, up the ladder of rungs ``horizon * 2^k``,
+    ``k <= cfg.max_doublings``.  Each row sampler lists the horizons it
+    is reduced at.  Gaussian rows start at ``horizon / 2`` and grow by
+    2^(1/3) per reduction; they are reduced on their new piece only (see
+    :class:`PathBlock`), so ``reduce`` must give each value where the path
+    first determines it, and NaN (or inf) wherever it cannot compute it
+    from the block.  Jump rows are reduced at the rungs only, each time on
+    the whole path drawn again.  A row is served on the shortest prefix
+    that serves it, so its values are those of the same path drawn on the
+    rung that first serves it, and no row is drawn past that rung.
 
-    Row ``i`` of the result holds path ``path_offset + i``.  The row
+    Row ``i`` of the result holds path ``path_offset + i``.  The Gaussian
     sampler keeps what a pending row carries from one reduction to the
-    next: for a Gaussian row its stream position, ξ, A and whether it has
-    crossed the first-passage level; for a jump row how far it was drawn,
-    and in how many chunks.
+    next: its stream position, ξ, A and whether it has crossed the
+    first-passage level.  A jump row carries nothing between reductions.
 
     Raises:
         HorizonExceededError: with message ``miss(i, h)`` for the first
             row ``i`` still unserved at the last rung ``h``.
     """
     grow = miss is not None
-    dyn, work = _effective_dynamics(model), _Work(cfg.seed)
-    schedule = (_schedule(horizon, cfg.max_doublings) if grow
-                else [(horizon, horizon)])
-    rows_of = _row_sampler(dyn, cfg, path_offset, cfg.n_paths, work, grow)
+    rows_of = _row_sampler(model, cfg, path_offset, cfg.n_paths,
+                           _Work(cfg.seed), grow)
+    schedule = (rows_of.horizons(horizon, cfg.max_doublings) if grow
+                else [horizon])
     pending = np.arange(cfg.n_paths)
     # a fixed-horizon run serves every row on its one horizon
     unserved = np.full(cfg.n_paths, grow)
     out = None
-    for h, rung in schedule:
-        for rows, block in rows_of.blocks(pending, h, rung):
+    for h in schedule:
+        for rows, block in rows_of.blocks(pending, h):
             values = reduce(block)
             if out is None:
                 out = np.full((cfg.n_paths,) + values.shape[1:], np.nan)
@@ -808,7 +800,7 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
         if not len(pending):
             break
     else:
-        raise HorizonExceededError(miss(int(pending[0]), schedule[-1][1]))
+        raise HorizonExceededError(miss(int(pending[0]), schedule[-1]))
     return out
 
 
@@ -970,8 +962,8 @@ def horizon_policy(mean: float, t_max: float) -> float:
 
     Twice the centre log(t_max)/psi'(0) of the clock's law, and at least
     4: the first rung of the ladder of :func:`run_paths`, which starts each
-    row at half of it and grows the rows that miss, up to ``max_doublings``
-    doublings of it.
+    Gaussian row at half of it and grows the rows that miss, up to
+    ``max_doublings`` doublings of it.
     """
     if t_max <= 1.0:
         return 4.0

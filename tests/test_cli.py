@@ -406,9 +406,14 @@ class TestStochasticCommands:
          "--t", "20", "--t", "40", "--eps", "-1"],
         ["ldp", "--family", "brownian", "--nu", "1", "--x", "1", "--t", "10",
          "--t", "20", "--t", "40", "--eps", "nan"],
+        ["ldp", "--family", "brownian", "--nu", "1", "--x", "1", "--t", "100",
+         "--t", "100", "--t", "100"],
+        ["lln", "--family", "brownian", "--nu", "1", "--t", "100",
+         "--max-doublings", "1100"],
     ], ids=["simulate_inf", "simulate_nan", "simulate_cauchy_inf",
             "simulate_step_inf", "lln_inf", "logA_inf", "identities_inf",
-            "ldp_eps_negative", "ldp_eps_nan"])
+            "ldp_eps_negative", "ldp_eps_nan", "ldp_repeated_t",
+            "lln_max_doublings_1100"])
     def test_non_finite_or_empty_window_exit_2(self, capsys, argv):
         # the flags of each case come last and win over these
         code, out, err = invoke(capsys, [argv[0], "--paths", "2", "--step",

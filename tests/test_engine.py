@@ -234,6 +234,28 @@ def test_jump_rows_over_many_chunks(short_horizon, monkeypatch, budget,
     assert np.array_equal(got, want)
 
 
+def test_jump_rows_drawn_at_the_rungs_only(short_horizon, monkeypatch):
+    # a jump row carries nothing between reductions: it is drawn again at
+    # each rung h0 2^k up to the one that serves it, and at no other
+    # horizon, as often as the oracle draws it
+    draws = collections.Counter()
+
+    class CountingWork(paths._Work):
+        def streams(self, ids, at=None):
+            for pid, stream in zip(ids.tolist(), super().streams(ids, at)):
+                draws[pid] += 1
+                yield stream
+
+    monkeypatch.setattr(paths, "_Work", CountingWork)
+    model, targets = saw_tooth(60.0, 90.0), (1.5, 4.0, 20.0)
+    cfg = SimConfig(seed=6, n_paths=200)
+    got = tau_ensemble(model, cfg, targets)
+    want, doublings = oracles.ref_tau_ensemble(model, cfg, targets)
+    assert np.array_equal(got, want)
+    assert np.max(doublings) >= 2
+    assert draws == {i: k + 1 for i, k in enumerate(doublings.tolist())}
+
+
 # cp_plus (1, 2, 1) on [0, 43.5]: 87 events on average, so a block draws
 # one chunk (87 + 4 sqrt(87) < 128).  Path 19251 of seed 6 has all 128
 # arrivals of its first chunk before 43.5, so it is drawn again with two.
@@ -330,13 +352,13 @@ def test_growing_run_keeps_first_finite_value(monkeypatch, budget):
 
     got = paths.run_paths(model, cfg, 1.0, ends,
                           miss=lambda i, h: f"path {i} missed")
-    schedule = paths._schedule(1.0, cfg.max_doublings)
+    schedule = paths._GaussianRows.horizons(1.0, cfg.max_doublings)
     want = np.full((cfg.n_paths, 2), np.nan)
     later = 0
     for i, row in enumerate(want):
-        p = oracles.ref_path(model, cfg.seed, i, schedule[-1][0], cfg.step)
+        p = oracles.ref_path(model, cfg.seed, i, schedule[-1], cfg.step)
         drawn = 0
-        for h, _ in schedule:
+        for h in schedule:
             n = max(1, math.ceil(h / cfg.step))
             if n == drawn:
                 continue
@@ -539,6 +561,22 @@ def test_rescaling_error_per_row():
     cfg = SimConfig(seed=1, n_paths=4, step=1.0)
     with np.errstate(over="ignore"), pytest.raises(RescalingError):
         tau_ensemble(model, cfg, [1e250])
+
+
+@pytest.mark.parametrize("n_paths", [3, 100])
+def test_jump_rescaling_error_whatever_the_other_rows(n_paths):
+    # xi rises at about 190 per unit time, so A overflows near time 3.7,
+    # before the first rung, 4, which every row is drawn to; the target is
+    # reached at once.  Each row raises on its own, as in the oracle,
+    # whatever the block holds besides it.  The padding of an overflowed
+    # row multiplies inf by its zero-length segments.
+    model = cp_plus_drift(150.0, 40.0, 1.0)
+    cfg = SimConfig(seed=1, n_paths=n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RescalingError):
+            oracles.ref_tau_ensemble(model, cfg, [10.0])
+        with pytest.raises(RescalingError):
+            tau_ensemble(model, cfg, [10.0])
 
 
 def test_jump_scratch_memory(monkeypatch):

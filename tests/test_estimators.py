@@ -200,9 +200,12 @@ class TestLdpSlope:
         assert r.eps == pytest.approx(0.05)
 
     def test_needs_three_targets(self):
+        # three distinct ones: a repeated target leaves no spread in log t
+        # to fit a slope on
         cfg = SimConfig(seed=1, n_paths=8)
-        with pytest.raises(DomainError):
-            estimate_ldp_slope(brownian_drift(1.0), cfg, 1.0, [10.0, 100.0])
+        for ts in ([10.0, 100.0], [100.0, 100.0, 100.0]):
+            with pytest.raises(DomainError):
+                estimate_ldp_slope(brownian_drift(1.0), cfg, 1.0, ts)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
     def test_eps_validation(self, eps):
