@@ -274,21 +274,28 @@ def _triple_brownian(p: tuple[float, ...], m: float):
     return 2.0 * m * (m + nu), 4.0 * m + 2.0 * nu, 4.0
 
 
+def _jump_ratios(beta: float, gamma: float, g: float):
+    """(beta gamma / g^2, 2 beta gamma / g^3), the derivative terms of the
+    exponential-jump families.  Where a power of g underflows to 0 the
+    ratio is formed from beta/g and gamma/g instead."""
+    g2, g3 = g * g, g * g * g
+    if g3:
+        return beta * gamma / g2, 2.0 * beta * gamma / g3
+    r = beta / g * (gamma / g)
+    return (beta * gamma / g2 if g2 else r), 2.0 * r / g
+
+
 def _triple_cp(d: float, beta: float, gamma: float, m: float):
     g = gamma - m
-    psi = m * (d + beta / g)
-    d1 = d + beta * gamma / (g * g)
-    d2 = 2.0 * beta * gamma / (g * g * g)
-    return psi, d1, d2
+    r1, r2 = _jump_ratios(beta, gamma, g)
+    return m * (d + beta / g), d + r1, r2
 
 
 def _triple_saw_tooth(p: tuple[float, ...], m: float):
     beta, gamma = p
     g = gamma + m
-    psi = m * (gamma - beta + m) / g
-    d1 = 1.0 - beta * gamma / (g * g)
-    d2 = 2.0 * beta * gamma / (g * g * g)
-    return psi, d1, d2
+    r1, r2 = _jump_ratios(beta, gamma, g)
+    return m * (gamma - beta + m) / g, 1.0 - r1, r2
 
 
 def _triple_stable(p: tuple[float, ...], m: float):

@@ -111,11 +111,12 @@ def _model_step(y: float, g: float, s: float, o: float | None,
     """Root nearest ``y`` of a local model of an increasing g, on the side
     of ``y`` where the root of g lies: the quadratic with value ``g`` and
     slope ``s`` at ``y`` and value ``go`` at a second point ``o``, or,
-    where that has no root on that side (or there is no ``o``), the
-    tangent at ``y``.  NaN when neither has."""
+    where that has no root on that side (or there is no ``o``, or
+    (o - y)^2 underflows to 0), the tangent at ``y``.  NaN when neither
+    has."""
     side = -1.0 if g > 0.0 else 1.0
-    if o is not None:
-        d = o - y
+    d = 0.0 if o is None else o - y
+    if d * d:
         c = (go - g - s * d) / (d * d)
         disc = s * s - 4.0 * c * g
         if c and disc >= 0.0:

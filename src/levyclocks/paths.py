@@ -287,15 +287,16 @@ def _expm1_ratio(z: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + 0.5 * z, np.expm1(safe) / safe)
 
 
+@np.errstate(over="ignore", divide="ignore")
 def _log_segment(dt: np.ndarray, z: np.ndarray) -> np.ndarray:
     """log(dt expm1(z)/z), the log integral of exp over a linear segment.
 
     Where expm1(z) overflows (z above ~709.78) it is evaluated in log space
-    as z + log1p(-exp(-z)) + log(dt/z); elsewhere as the direct product.
+    as z + log1p(-exp(-z)) + log(dt/z); elsewhere as the direct product,
+    which is -inf on a zero-length segment.
     """
-    with np.errstate(over="ignore"):
-        out = np.log(dt * _expm1_ratio(z))
-    big = ~np.isfinite(out)
+    out = np.log(dt * _expm1_ratio(z))
+    big = out == np.inf
     if big.any():
         zb = z[big]
         out[big] = zb + np.log1p(-np.exp(-zb)) + np.log(dt[big] / zb)
@@ -399,6 +400,7 @@ class PathBlock:
         return np.multiply(self.xi, alpha,
                            out=self._array("exp", self.xi.shape))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def functional(self, alpha: float) -> np.ndarray:
         """Node values of A = int exp(alpha xi) per row: exact on
         linear-drift segments, trapezoidal on Gaussian ones.
@@ -406,7 +408,10 @@ class PathBlock:
         The segment weights are written straight into the nodes after the
         first, which holds 0 or the carried A, and one running sum over
         the row turns them into A; a Gaussian block needs one scratch
-        array, for exp(alpha xi), beside xi and A.
+        array, for exp(alpha xi), beside xi and A.  An A past double range
+        is inf, as a plain value: the row's later nodes are inf, and its
+        padding, inf times zero-length segments, NaN.  :meth:`clock`
+        reports such a row as :class:`RescalingError`.
         """
         nodes = self._nodes.get(alpha)
         if nodes is not None:
@@ -439,15 +444,18 @@ class PathBlock:
         return self.functional(alpha)[np.arange(len(self.xi)), self.size - 1]
 
     def log_totals(self, alpha: float) -> np.ndarray:
-        """log A(horizon) per row, computed in log space (overflow-safe)."""
+        """log A(horizon) per row, computed in log space (overflow-safe).
+
+        The log segment weights are computed on the whole block: a padded
+        segment has zero length, so its log weight is -inf and its scaled
+        weight 0.  A padded row is still summed on its own segments only,
+        so that the pairwise sum is that of the path alone.
+        """
         dt = self.times[:, 1:] - self.times[:, :-1]
         logw = self._array("logw", (len(self.xi), dt.shape[1]))
         if self.kind == LINEAR:
-            seg = np.arange(dt.shape[1]) < (self.size - 1)[:, None]
-            logw.fill(-np.inf)
-            d = dt[seg]
-            logw[seg] = (alpha * self.xi[:, :-1][seg]
-                         + _log_segment(d, alpha * self.drift * d))
+            np.multiply(self.xi[:, :-1], alpha, out=logw)
+            logw += _log_segment(dt, alpha * self.drift * dt)
         else:
             z = self._scaled_xi(alpha)
             np.logaddexp(z[:, :-1], z[:, 1:], out=logw)
@@ -456,7 +464,6 @@ class PathBlock:
         logw -= peak[:, None]
         scaled = np.exp(logw, out=logw)
         if self.kind == LINEAR:
-            # a padded row is summed on its own segments only
             sums = [float(np.sum(row[:n - 1]))
                     for row, n in zip(scaled, self.size.tolist())]
         else:
@@ -508,35 +515,43 @@ class PathBlock:
         return taus
 
     def value_at(self, u: np.ndarray) -> np.ndarray:
-        """xi at times ``u`` (one row of times per path): exact on linear
-        segments, linear interpolation between Gaussian nodes (cadlag at
-        jump nodes)."""
-        if self.kind == GAUSSIAN:
-            grid = self.times[0]
-            return np.array([np.interp(ur, grid, xr)
-                             for ur, xr in zip(u, self.xi)])
+        """xi at times ``u`` (one row of times per path, each at or after
+        the block's first node): exact on linear segments, linear
+        interpolation between Gaussian nodes (cadlag at jump nodes).
+
+        On the segment [t_j, t_j+1) that holds u the value is
+        xi_j + slope (u - t_j), the slope being the drift on linear-drift
+        rows and np.interp's (xi_j+1 - xi_j) / (t_j+1 - t_j) on Gaussian
+        ones; at or past a row's last node it is xi there, and NaN at a NaN
+        time.  Before the first node the formula extrapolates.
+        """
         rows = np.arange(len(u))[:, None]
         last = (self.size - 1)[:, None]
-        idx = np.clip(_search_rows(self.times, self.size, u, "right") - 1,
-                      0, last - 1)
-        at_end = u >= self.times[rows, last]
-        idx = np.where(at_end, last, idx)
-        base = self.times[rows, idx]
-        return self.xi[rows, idx] + self.drift * (u - base) * ~at_end
+        if self.kind == GAUSSIAN:
+            after = self.times[0].searchsorted(u, "right")
+        else:
+            after = _search_rows(self.times, self.size, u, "right")
+        j = np.clip(after - 1, 0, last - 1)
+        base, value = self._times_at(rows, j), self.xi[rows, j]
+        slope = self.drift if self.kind == LINEAR else (
+            (self.xi[rows, j + 1] - value)
+            / (self._times_at(rows, j + 1) - base))
+        return np.where(u >= self._times_at(rows, last), self.xi[rows, last],
+                        value + slope * (u - base))
 
     def first_passage(self, level: float) -> np.ndarray:
         """First time each row's path exceeds ``level`` (inf if never).
 
         Exact on linear-drift rows (drift up, jumps down).  On Gaussian
-        rows a step whose endpoints x0, x1 stay below ``b = level`` is
-        crossed by the bridge of xi = 2B + drift (variance 4 per unit time)
-        with probability exp(-(b - x0)(b - x1) / (2 h)), decided by one
-        uniform: that of step j is raw draw j of the path's auxiliary
-        stream, key ``(seed, _AUX_STREAM + id)`` of :func:`path_rng`.  A
-        row draws its uniforms up to its first step that ends at or above
-        ``level``, and none on a block that continues it once it has
-        crossed.  A crossing inside a step is assigned to its midpoint
-        (O(step) bias).
+        rows a step from x0 to x1 is crossed by the bridge of
+        xi = 2B + drift (variance 4 per unit time) with probability
+        exp(-(b - x0)+ (b - x1)+ / (2 h)), ``b = level``, which is exactly
+        1 where an end is at or above b.  A step is decided by one uniform:
+        that of step j is raw draw j of the path's auxiliary stream, key
+        ``(seed, _AUX_STREAM + id)`` of :func:`path_rng`.  A row draws its
+        uniforms up to its first step that ends at or above ``level``, and
+        none on a block that continues it once it has crossed.  A crossing
+        inside a step is assigned to its midpoint (O(step) bias).
         """
         x0, x1 = self.xi[:, :-1], self.xi[:, 1:]
         rows = np.arange(len(x0))
@@ -555,10 +570,8 @@ class PathBlock:
                         sure.shape[1]) * live
         cols = min(int(need.max()) + 1, sure.shape[1])
         a, b = x0[:, :cols], x1[:, :cols]
-        p = np.where((a < level) & (b < level),
-                     np.exp(-np.maximum(level - a, 0.0)
-                            * np.maximum(level - b, 0.0) / (2.0 * h)),
-                     1.0)
+        p = np.exp(-np.maximum(level - a, 0.0) * np.maximum(level - b, 0.0)
+                   / (2.0 * h))
         u = np.ones(p.shape)        # 1 is never below p: no draw there
         drawn = np.flatnonzero(need)
         # a uniform is one raw draw: the block's first step is draw n0

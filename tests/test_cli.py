@@ -142,6 +142,18 @@ class TestProfileCommand:
         assert code == 0
         assert out == expected
 
+    def test_tiny_gamma(self, capsys):
+        # (gamma - m)^2 underflows to 0 near m = 0: psi' = -1 + beta/gamma
+        # is formed from beta/g and gamma/g
+        code, out, _ = invoke(capsys, [
+            "profile", "--family", "cp-minus", "--beta", "2", "--gamma",
+            "1e-300"])
+        assert code == 0
+        values = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert float(values["mean"]) == pytest.approx(2e300, rel=1e-12)
+        assert float(values["tau_e"]) == pytest.approx(5e-301, rel=1e-12)
+        assert values["class_tau_zero"] == "3a"
+
     def test_model_file(self, capsys, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text(model_to_text(brownian_drift(1.0)))
@@ -421,6 +433,24 @@ class TestStochasticCommands:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma", "1",
+         "--t", "10", "--paths", "3"],
+        ["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma", "1",
+         "--t", "10", "--paths", "100"],
+        ["--family", "brownian", "--nu", "120", "--t", "1e250", "--step", "1",
+         "--paths", "4"],
+    ], ids=["cp_plus_3_paths", "cp_plus_100_paths", "brownian_t_1e250"])
+    def test_overflow_exit_2_without_warnings(self, capsys, argv):
+        # A past double range is inf as a plain value: no numpy warning,
+        # which the suite turns into an error, comes before the
+        # RescalingError
+        code, out, err = invoke(capsys, ["simulate", "--seed", "1", *argv])
+        assert code == 2
+        assert out == ""
+        assert "error: exponential functional overflowed" in err
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("argv", [
         ["check-identities", "--t-fp", "1"],

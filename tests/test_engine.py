@@ -111,6 +111,29 @@ def test_single_path_functions(name, model, step):
                     == oracles.ref_value_at(ref, u))
 
 
+@pytest.mark.parametrize("grow", [False, True], ids=["fresh", "continued"])
+def test_gaussian_values_on_whole_blocks(grow):
+    # the rows of a Gaussian block share one grid, searched once for the
+    # whole block: the values are np.interp's on each row, bit for bit, at
+    # nodes, between them, at the last node, past it and at NaN, on a
+    # fresh block and on the continued piece of a growing run
+    model, rng = brownian_drift(1.0), np.random.default_rng(7)
+    cfg = SimConfig(seed=4, n_paths=12, step=0.05)
+    rows = paths._row_sampler(model, cfg, 0, cfg.n_paths,
+                              paths._Work(cfg.seed), grow)
+    pending = np.arange(cfg.n_paths)
+    for piece, horizon in enumerate((1.0, 2.0)[:1 + grow]):
+        for _, block in rows.blocks(pending, horizon):
+            grid, xi = block.times[0], block.xi
+            assert len(xi) == cfg.n_paths and (grid[0] > 0.0) == piece
+            u = np.column_stack([
+                grid[rng.integers(0, len(grid), (len(xi), 3))],
+                grid[0] + rng.random((len(xi), 3)) * (grid[-1] - grid[0]),
+                np.repeat(grid[-1] + [[0.0, 0.3, np.nan]], len(xi), axis=0)])
+            want = [np.interp(ur, grid, xr) for ur, xr in zip(u, xi)]
+            assert np.array_equal(block.value_at(u), want, equal_nan=True)
+
+
 @pytest.mark.parametrize("name,model,step", MODELS, ids=IDS)
 def test_tau_ensemble(name, model, step):
     cfg = SimConfig(seed=17, n_paths=40, step=step)
@@ -559,7 +582,7 @@ def test_rescaling_error_per_row():
         assert np.array_equal(got[i], want)
     # a row whose A overflows before it reaches the target still raises
     cfg = SimConfig(seed=1, n_paths=4, step=1.0)
-    with np.errstate(over="ignore"), pytest.raises(RescalingError):
+    with pytest.raises(RescalingError):
         tau_ensemble(model, cfg, [1e250])
 
 
@@ -568,15 +591,14 @@ def test_jump_rescaling_error_whatever_the_other_rows(n_paths):
     # xi rises at about 190 per unit time, so A overflows near time 3.7,
     # before the first rung, 4, which every row is drawn to; the target is
     # reached at once.  Each row raises on its own, as in the oracle,
-    # whatever the block holds besides it.  The padding of an overflowed
-    # row multiplies inf by its zero-length segments.
+    # whatever the block holds besides it, and without a numpy warning:
+    # an A past double range is inf.
     model = cp_plus_drift(150.0, 40.0, 1.0)
     cfg = SimConfig(seed=1, n_paths=n_paths)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RescalingError):
-            oracles.ref_tau_ensemble(model, cfg, [10.0])
-        with pytest.raises(RescalingError):
-            tau_ensemble(model, cfg, [10.0])
+    with np.errstate(over="ignore"), pytest.raises(RescalingError):
+        oracles.ref_tau_ensemble(model, cfg, [10.0])
+    with pytest.raises(RescalingError):
+        tau_ensemble(model, cfg, [10.0])
 
 
 def test_jump_scratch_memory(monkeypatch):

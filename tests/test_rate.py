@@ -8,6 +8,7 @@ import pytest
 from levyclocks import (
     AssumptionError,
     DomainError,
+    LevyClocksError,
     brownian_drift,
     cp_minus_drift,
     cp_plus_drift,
@@ -430,6 +431,35 @@ class TestRateCurve:
         # cannot be a grid end (inf * 0 would give a NaN grid point).
         with pytest.raises(DomainError, match="finite"):
             rate_curve(brownian_drift(1.0), 0.5, math.inf, 3)
+
+    @pytest.mark.parametrize("make,params", [
+        (cp_plus_drift, lambda v: (1.0, 2.0, v)),
+        (cp_plus_drift, lambda v: (1.0, v, v)),
+        (cp_plus_drift, lambda v: (0.0, 2.0, v)),
+        (cp_minus_drift, lambda v: (2.0, v)),
+        (cp_minus_drift, lambda v: (2.0 * v, v)),
+        (cp_minus_drift, lambda v: (1.0, v)),
+        (saw_tooth, lambda v: (v, 3.0)),
+        (saw_tooth, lambda v: (v, 2.0 * v)),
+        (saw_tooth, lambda v: (v, 1.0)),
+    ], ids=["cp_plus_gamma", "cp_plus_beta_gamma", "cp_plus_d0_gamma",
+            "cp_minus_beta2_gamma", "cp_minus_beta_gamma",
+            "cp_minus_beta1_gamma", "saw_tooth_beta_gamma3",
+            "saw_tooth_beta_gamma", "saw_tooth_beta_gamma1"])
+    def test_tiny_parameters_raise_package_errors_only(self, make, params):
+        # g^3 (g = gamma -+ m) underflows to 0 for g below ~1.4e-108, g^2
+        # below ~1.6e-162, and the solver's (o - y)^2 for close points; the
+        # profile and a rate curve then return or raise a LevyClocksError,
+        # never a ZeroDivisionError
+        for v in (1e-100, 1e-160, 1e-200, 1e-300, 1e-308, 1e-320, 5e-324):
+            model = make(*params(v))
+            try:
+                prof = profile(model)
+                hi = (prof.tau_zero if math.isfinite(prof.tau_zero)
+                      else prof.tau_plus + 4.0)
+                rate_curve(model, prof.tau_plus, hi, 20, prof)
+            except LevyClocksError:
+                pass
 
     def test_text_format(self, capsys):
         assert run(["rate-curve", "--family", "brownian", "--nu", "1",
