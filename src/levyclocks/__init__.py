@@ -70,7 +70,6 @@ from .paths import (
     CauchyModulusPath,
     SimConfig,
     horizon_policy,
-    path_rng,
     sample_levy_path,
     simulate_cauchy_modulus,
 )

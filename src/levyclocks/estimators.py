@@ -315,6 +315,8 @@ def first_passage_check(model: LevyModel, cfg: SimConfig, t: float,
             (brownian_drift or saw_tooth).
         DomainError: for theta > 0, or for t <= 1, where log t is not
             positive.
+        RescalingError: where every weight exp(theta tau) or
+            exp(theta tau_hat) underflows to 0 (theta far below 0).
     """
     if model.family not in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH):
         raise CapabilityError("first-passage check requires a spectrally "
@@ -353,9 +355,11 @@ def _first_passage_result(theta: float, t_clock: float, analytic: float,
     if theta == 0.0:
         return FirstPassageResult(theta=0.0, t=t_clock, lhs=0.0, rhs=0.0,
                                   rhs_stderr=0.0, analytic=0.0, abs_diff=0.0)
-    lhs = math.log(float(np.mean(np.exp(theta * taus)))) / math.log(t_clock)
-    weights = np.exp(theta * hats)
-    mu, se = _mean_se(weights)
+    lhs_mean = float(np.mean(np.exp(theta * taus)))
+    mu, se = _mean_se(np.exp(theta * hats))
+    if lhs_mean == 0.0 or mu == 0.0:
+        raise RescalingError("exponential weight underflows; raise theta")
+    lhs = math.log(lhs_mean) / math.log(t_clock)
     rhs = math.log(mu)
     rhs_se = se / mu
     return FirstPassageResult(theta=theta, t=t_clock, lhs=lhs, rhs=rhs,
@@ -451,7 +455,9 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
 
     def gap(block):
         total = block.totals(alpha)
-        ts = np.linspace(total * 1e-3, total * 0.999, 31, axis=1)
+        # NaN targets where A(8) overflowed: clock reports RescalingError
+        with np.errstate(invalid="ignore"):
+            ts = np.linspace(total * 1e-3, total * 0.999, 31, axis=1)
         taus = block.clock(alpha, ts)
         clock = block.clock(alpha, ts * a ** alpha * a ** -alpha)
         return np.max(np.abs(clock - taus), axis=1)

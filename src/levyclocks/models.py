@@ -208,16 +208,22 @@ def _stirling_shift(z: float, h: float) -> tuple[float, float, float]:
     return d0, d1, d2
 
 
-def _signed_exp(e: float, sign: float) -> float:
-    """exp(e) with the sign of ``sign``; +-inf past float range."""
+def _signed_exp(e: float, sign: float, c: float) -> float:
+    """c exp(e) with the sign of ``sign``, c > 0; +-inf past float range.
+    Where exp(e) overflows it is exp(e + log c), finite if c exp(e) fits."""
+    try:
+        return c * math.copysign(math.exp(e), sign)
+    except OverflowError:
+        e += math.log(c)
     try:
         return math.copysign(math.exp(e), sign)
     except OverflowError:
         return math.copysign(math.inf, sign)
 
 
-def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
-    """(f, f', f'') for f(m) = Gamma(z(m) + h) / Gamma(z(m)).
+def _gamma_ratio(z: float, h: float, s: float,
+                 c: float = 1.0) -> tuple[float, float, float]:
+    """c (f, f', f'') for f(m) = Gamma(z(m) + h) / Gamma(z(m)), c > 0.
 
     ``z`` is the current argument value, ``s`` its constant slope in
     ``m`` and ``h`` a constant shift; requires ``z + h > 0``.  From
@@ -227,7 +233,7 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
     reflected form 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, which is
     smooth across the zeros of 1/Gamma at non-positive integer ``z``.
     Where the ratio leaves float range (f = +inf) or f''/f underflows, f'
-    and f'' come from log f and stay finite and accurate as long as they fit.
+    and f'' (and c f) come from log f: finite and accurate where they fit.
     """
     a = z + h
     if z >= 0.5:
@@ -244,18 +250,19 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
         except OverflowError:
             f = math.inf
         if f < math.inf and (abs(curv) >= _TINY or z < _STIRLING_FROM):
-            return f, f * lr, f * curv
+            return c * f, c * (f * lr), c * (f * curv)
         # Far out along the Stirling branch (z > 1e153 with h <= 2), lr^2
-        # and s^2 d2 underflow, and f overflows from h log z > 709 on, so
-        # f' and f'' come from logs.  There d1^2 + d2 is h (h - 1)/z^2 to
-        # far below rounding.
+        # and s^2 d2 underflow, and f overflows from h log z > 709 on, so c f,
+        # f' and f'' come from logs: d1^2 + d2 is h (h - 1)/z^2 to far below
+        # rounding.
         q = h * (h - 1.0)
-        f1 = f * lr if f < math.inf else _signed_exp(d0 + math.log(abs(lr)),
-                                                     lr)
+        cf = _signed_exp(d0, 1.0, c)
+        f1 = (c * (f * lr) if f < math.inf
+              else _signed_exp(d0 + math.log(abs(lr)), lr, c))
         if q == 0.0:
-            return f, f1, 0.0
-        return f, f1, _signed_exp(d0 + math.log(s * s * abs(q))
-                                  - 2.0 * math.log(z), q)
+            return cf, f1, 0.0
+        return cf, f1, _signed_exp(d0 + math.log(s * s * abs(q))
+                                   - 2.0 * math.log(z), q, c)
     G = log_gamma(a) + log_gamma(1.0 - z)
     G1 = s * (digamma(a) - digamma(1.0 - z))
     G2 = s * s * (trigamma(a) + trigamma(1.0 - z))
@@ -266,7 +273,7 @@ def _gamma_ratio(z: float, h: float, s: float) -> tuple[float, float, float]:
     f = g * sn
     f1 = g * (G1 * sn + sd)
     f2 = g * ((G2 + G1 * G1) * sn + 2.0 * G1 * sd + sdd)
-    return f, f1, f2
+    return c * f, c * f1, c * f2
 
 
 def _triple_brownian(p: tuple[float, ...], m: float):
@@ -300,8 +307,7 @@ def _triple_saw_tooth(p: tuple[float, ...], m: float):
 
 def _triple_stable(p: tuple[float, ...], m: float):
     alpha, c = p
-    f, f1, f2 = _gamma_ratio(m, alpha, 1.0)
-    return c * f, c * f1, c * f2
+    return _gamma_ratio(m, alpha, 1.0, c)
 
 
 def _triple_csbp(p: tuple[float, ...], m: float):

@@ -73,7 +73,6 @@ __all__ = [
     "PathBlock",
     "CauchyModulus",
     "CauchyModulusPath",
-    "path_rng",
     "sample_levy_path",
     "simulate_cauchy_modulus",
     "horizon_policy",
@@ -151,42 +150,6 @@ class CauchyModulus:
         return f"cauchy_modulus d={self.d}"
 
 
-def path_rng(seed: int, path_id: int) -> np.random.Generator:
-    """Counter-based per-path stream: Philox keyed by (seed, path_id)."""
-    key = np.array([seed & _MASK64, path_id & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _effective_dynamics(model: LevyModel):
-    """Resolve an Esscher tilt into concrete simulation parameters.
-
-    Tilting by ``t`` keeps each grid family in its own class: the Brownian
-    drift becomes ``nu + 2t``; a compound-Poisson family with positive
-    (negative) Exp(gamma) jumps becomes one with rate
-    ``beta gamma / (gamma -+ t)`` and jump parameter ``gamma -+ t``.
-    """
-    t = model.tilt
-    fam = model.family
-    if fam is Family.BROWNIAN_DRIFT:
-        return ("brownian", model.params[0] + 2.0 * t)
-    if fam is Family.CP_PLUS_DRIFT:
-        d, beta, gamma = model.params
-        g_eff = gamma - t
-        b_eff = 0.0 if beta == 0.0 else beta * gamma / g_eff
-        return ("cp", d, b_eff, g_eff, +1.0)
-    if fam is Family.CP_MINUS_DRIFT:
-        beta, gamma = model.params
-        g_eff = gamma - t
-        return ("cp", -1.0, beta * gamma / g_eff, g_eff, +1.0)
-    if fam is Family.SAW_TOOTH:
-        beta, gamma = model.params
-        g_eff = gamma + t
-        return ("cp", 1.0, beta * gamma / g_eff, g_eff, -1.0)
-    raise CapabilityError(
-        f"no exact path sampler for family {fam.value!r}; the Cauchy "
-        f"modulus is available through simulate_cauchy_modulus")
-
-
 def _philox() -> np.random.Generator:
     """A Philox generator for :meth:`_Work.streams` to re-key."""
     return np.random.Generator(np.random.Philox(key=0))
@@ -222,7 +185,7 @@ class _Work:
 
     def streams(self, ids: np.ndarray, at: np.ndarray | None = None
                 ) -> Iterator[np.random.Generator]:
-        """The :func:`path_rng` stream of ``(seed, i)`` for each ``i`` in
+        """The stream of ``Philox(key=(seed, i))`` for each ``i`` in
         ``ids``, in turn: from its start, or from raw draw ``at[row]``.
 
         Philox is counter-based, so a stream is its key and a counter.
@@ -232,10 +195,10 @@ class _Work:
         raw draws left.  The state setter reads Python ints element by
         element in less than half the time it takes on the numpy arrays
         that ``bit_generator.state`` returns, and nothing is read back
-        from the generator.  This gives the :func:`path_rng` streams without
-        building a generator per path, so one generator serves a whole
-        run.  Each stream must be used up, or its :meth:`position` read,
-        before the next is taken.
+        from the generator.  This gives the streams of
+        ``Philox(key=(seed, i))`` without building a generator per path,
+        so one generator serves a whole run.  Each stream must be used up,
+        or its :meth:`position` read, before the next is taken.
         """
         bitgen, state = self.rng.bit_generator, self._state
         at = np.zeros(len(ids), dtype=np.int64) if at is None else at
@@ -547,8 +510,8 @@ class PathBlock:
         xi = 2B + drift (variance 4 per unit time) with probability
         exp(-(b - x0)+ (b - x1)+ / (2 h)), ``b = level``, which is exactly
         1 where an end is at or above b.  A step is decided by one uniform:
-        that of step j is raw draw j of the path's auxiliary stream, key
-        ``(seed, _AUX_STREAM + id)`` of :func:`path_rng`.  A row draws its
+        that of step j is raw draw j of the path's auxiliary stream, the
+        stream of ``Philox(key=(seed, _AUX_STREAM + id))``.  A row draws its
         uniforms up to its first step that ends at or above ``level``, and
         none on a block that continues it once it has crossed.  A crossing
         inside a step is assigned to its midpoint (O(step) bias).
@@ -630,6 +593,9 @@ class _GaussianRows:
                 for j in range(k * (doublings + 1) + 1)]
 
     def blocks(self, rows: np.ndarray, horizon: float):
+        # past 2^53 steps the step indices are no longer exact doubles
+        if horizon / self.cfg.step > 2.0 ** 53:
+            raise DomainError(f"over 2^53 Gaussian steps of {self.cfg.step!r}")
         n = max(1, math.ceil(horizon / self.cfg.step))
         if n == self.n:
             return
@@ -684,9 +650,9 @@ class _JumpRows:
                  offset: int, work: _Work) -> None:
         self.drift, self.beta = drift, beta
         self.offset, self.work = offset, work
-        # mean gap (a rate of 0 draws no chunks) and signed mean magnitude
-        self.gap_mean = 1.0 / beta if beta > 0.0 else math.inf
-        self.jump_mean = sign / gamma
+        # mean gap and signed mean magnitude; a rate of 0 draws no jumps
+        self.gap_mean, self.jump_mean = ((1.0 / beta, sign / gamma)
+                                         if beta > 0.0 else (math.inf, 0.0))
 
     @staticmethod
     def horizons(h0: float, doublings: int) -> list[float]:
@@ -748,11 +714,30 @@ class _JumpRows:
 
 def _row_sampler(model: LevyModel, cfg: SimConfig, offset: int, n_rows: int,
                  work: _Work, grow: bool):
-    """The sampler of rows ``0 .. n_rows - 1``, paths ``offset + row``."""
-    dyn = _effective_dynamics(model)
-    if dyn[0] == "brownian":
-        return _GaussianRows(dyn[1], cfg, offset, n_rows, work, grow)
-    return _JumpRows(*dyn[1:], offset, work)
+    """The sampler of rows ``0 .. n_rows - 1``, paths ``offset + row``,
+    built from the model's parameters and Esscher tilt ``t``.
+
+    A tilt keeps each grid family in its own class: the Brownian drift
+    becomes ``nu + 2t``; a compound-Poisson family with jumps of sign
+    ``sign`` and law Exp(gamma) becomes one with jump parameter
+    ``g = gamma - sign t`` and rate ``beta gamma / g`` (0 without jumps).
+    """
+    t, fam, p = model.tilt, model.family, model.params
+    if fam is Family.BROWNIAN_DRIFT:
+        return _GaussianRows(p[0] + 2.0 * t, cfg, offset, n_rows, work, grow)
+    if fam is Family.CP_PLUS_DRIFT:
+        (drift, beta, gamma), sign = p, 1.0
+    elif fam is Family.CP_MINUS_DRIFT:
+        (beta, gamma), drift, sign = p, -1.0, 1.0
+    elif fam is Family.SAW_TOOTH:
+        (beta, gamma), drift, sign = p, 1.0, -1.0
+    else:
+        raise CapabilityError(
+            f"no exact path sampler for family {fam.value!r}; the Cauchy "
+            f"modulus is available through simulate_cauchy_modulus")
+    g = gamma - sign * t
+    rate = 0.0 if beta == 0.0 else beta * gamma / g
+    return _JumpRows(drift, rate, g, sign, offset, work)
 
 
 def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
@@ -849,6 +834,8 @@ def _cauchy_grid(cfg: SimConfig, horizon: float
     first = cfg.start * h
     if horizon <= first:
         times = np.array([0.0, horizon])
+    elif 1.0 + h == 1.0:        # a grid that never grows
+        raise DomainError(f"step {h!r}: 1 + step rounds to 1")
     else:
         n_geo = math.ceil(math.log(horizon / first) / math.log1p(h))
         nodes = first * (1.0 + h) ** np.arange(n_geo + 2)

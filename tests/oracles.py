@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: series summation
 for the digamma, direct closed-form rate functions, a derivative-free
 golden-section supremum, the (m+1)tan(pi m/2) exponent of the 3d Cauchy
 modulus, nonparametric two-sample distance tests, and one-path-at-a-time
-Monte Carlo loops.  Slow-but-simple is the point.
+Monte Carlo loops on their own per-path Philox generators and their own
+Esscher-tilt map.  Slow-but-simple is the point.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from levyclocks import (
     EvaluationError,
     HorizonExceededError,
     RescalingError,
-    path_rng,
+    horizon_policy,
 )
-from levyclocks.paths import _effective_dynamics, horizon_policy
 
 EULER_GAMMA = 0.5772156649015328606065
 
@@ -219,7 +219,51 @@ def ks_two_sample_critical(n: int, m: int, alpha: float = 0.01) -> float:
 # --------------------------------------------------------------------------
 
 LINEAR = "linear-drift"
+GAUSSIAN = "gaussian-increment"
 AUX_STREAM = 1 << 62
+MASK64 = (1 << 64) - 1
+
+
+def path_rng(seed: int, path_id: int) -> np.random.Generator:
+    """The stream of path ``path_id`` in a run seeded ``seed``: a fresh
+    Philox generator keyed by (seed, path_id), each taken mod 2^64."""
+    key = np.array([seed & MASK64, path_id & MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class RefLaw(NamedTuple):
+    """The path law of a grid family under its Esscher tilt: Gaussian
+    paths xi = 2B + 2 nu t (``drift`` is nu), or linear-drift paths with
+    jumps of ``sign`` Exp(``gamma``) at rate ``rate``."""
+
+    kind: str
+    drift: float
+    rate: float = 0.0
+    gamma: float = math.inf
+    sign: float = 1.0
+
+
+def ref_law(model) -> RefLaw:
+    """The tilt map in closed form.  Tilting by t keeps each grid family
+    in its class: nu becomes nu + 2t, and Exp(gamma) jumps of rate beta
+    become Exp(gamma - t) jumps of rate beta gamma / (gamma - t) when they
+    are positive (cp_plus, cp_minus), Exp(gamma + t) jumps of rate
+    beta gamma / (gamma + t) when negative (saw tooth)."""
+    t, p = model.tilt, model.params
+    family = model.family.value
+    if family == "brownian_drift":
+        return RefLaw(GAUSSIAN, p[0] + 2.0 * t)
+    if family == "cp_plus_drift":
+        d, beta, gamma = p
+        rate = 0.0 if beta == 0.0 else beta * gamma / (gamma - t)
+        return RefLaw(LINEAR, d, rate, gamma - t, 1.0)
+    if family == "cp_minus_drift":
+        beta, gamma = p
+        return RefLaw(LINEAR, -1.0, beta * gamma / (gamma - t), gamma - t, 1.0)
+    if family == "saw_tooth":
+        beta, gamma = p
+        return RefLaw(LINEAR, 1.0, beta * gamma / (gamma + t), gamma + t, -1.0)
+    raise ValueError(f"no grid path law for family {family!r}")
 
 
 class RefPath(NamedTuple):
@@ -231,16 +275,16 @@ class RefPath(NamedTuple):
 
 def ref_path(model, seed: int, path_id: int, horizon: float,
              step: float) -> RefPath:
-    dyn = _effective_dynamics(model)
+    law = ref_law(model)
     rng = path_rng(seed, path_id)
-    if dyn[0] == "brownian":
-        nu = dyn[1]
+    if law.kind == GAUSSIAN:
+        nu = law.drift
         n = max(1, math.ceil(horizon / step))
         times = step * np.arange(n + 1)
         incr = 2.0 * nu * step + 2.0 * math.sqrt(step) * rng.standard_normal(n)
         xi = np.concatenate(([0.0], np.cumsum(incr)))
-        return RefPath(times, xi, "gaussian-increment", 0.0)
-    _, drift, beta, gamma, sign = dyn
+        return RefPath(times, xi, GAUSSIAN, 0.0)
+    _, drift, beta, gamma, sign = law
     arrivals, sizes, total = [], [], 0.0
     while beta > 0.0 and total < horizon:
         gaps = rng.exponential(scale=1.0 / beta, size=128)

@@ -422,10 +422,22 @@ class TestStochasticCommands:
          "--t", "100", "--t", "100"],
         ["lln", "--family", "brownian", "--nu", "1", "--t", "100",
          "--max-doublings", "1100"],
+        # more than 2^53 Gaussian steps; a geometric grid that never grows
+        ["simulate", "--family", "brownian", "--nu", "1", "--t", "5",
+         "--step", "1e-300"],
+        ["lln", "--family", "cauchy", "--d", "3", "--t", "5",
+         "--step", "1e-300"],
+        # every first-passage weight exp(theta tau) underflows to 0
+        ["check-identities", "--family", "brownian", "--nu", "1",
+         "--paths", "50", "--theta", "-1000"],
+        ["check-identities", "--family", "sawtooth", "--beta", "1",
+         "--gamma", "3", "--paths", "50", "--theta", "-400"],
     ], ids=["simulate_inf", "simulate_nan", "simulate_cauchy_inf",
             "simulate_step_inf", "lln_inf", "logA_inf", "identities_inf",
             "ldp_eps_negative", "ldp_eps_nan", "ldp_repeated_t",
-            "lln_max_doublings_1100"])
+            "lln_max_doublings_1100", "simulate_step_1e-300",
+            "lln_cauchy_step_1e-300", "identities_theta_-1000",
+            "identities_sawtooth_theta_-400"])
     def test_non_finite_or_empty_window_exit_2(self, capsys, argv):
         # the flags of each case come last and win over these
         code, out, err = invoke(capsys, [argv[0], "--paths", "2", "--step",
@@ -467,6 +479,24 @@ class TestStochasticCommands:
         assert code == 2
         assert out == ""
         assert "must satisfy t > 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "brownian", "--nu", "120"],
+        ["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma", "1"],
+    ], ids=["brownian", "cp_plus"])
+    def test_identities_overflow_exit_2_under_w_error(self, argv):
+        # A(8) past double range: the fundamental relation's targets are
+        # NaN without a numpy warning, and clock reports the overflow
+        import subprocess
+        import sys
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "levyclocks.cli",
+             "check-identities", *argv, "--paths", "4", "--seed", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error: exponential functional overflowed" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_entry_point_runs():
@@ -710,6 +740,15 @@ STDOUT = {
         "17,5.6731314263040735\n"
         "18,13.505569226672513\n"
         "19,5.3828765596834192\n"),
+    # cp_plus without jumps tilted by gamma, to jump parameter 0: drift 1,
+    # so A(u) = e^u - 1 and tau(5) = log 6
+    "simulate_cp_plus_tilted_zero_rate": (
+        ["simulate", "--family", "cp-plus", "--d", "1", "--beta", "0",
+         "--gamma", "1", "--tilt", "1", "--t", "5", "--paths", "2",
+         "--seed", "1"],
+        "path_id,tau\n"
+        "0,1.791759469228055\n"
+        "1,1.791759469228055\n"),
     "lln_brownian": (
         ["lln", "--family", "brownian", "--nu", "1", "--t", "50", "--t", "400",
          "--paths", "40", "--step", "0.02", "--seed", "7"],

@@ -45,8 +45,10 @@ from levyclocks import estimators, paths
 from levyclocks.estimators import fundamental_relation_check
 from levyclocks.moments import truncation_horizon
 
-# (name, model, step): the four grid families, an Esscher-tilted model and
-# a jump family without jumps (a single linear segment per path).
+# (name, model, step): the four grid families, a jump family without
+# jumps (a single linear segment per path), and each of them Esscher-tilted,
+# so that every branch of the engine's tilt map meets the oracle's.  Tilted
+# by its jump parameter, cp_plus without jumps has jump parameter 0.
 MODELS = [
     ("brownian", brownian_drift(1.0), 0.05),
     ("cp_plus", cp_plus_drift(1.0, 2.0, 1.0), 0.01),
@@ -54,9 +56,16 @@ MODELS = [
     ("saw_tooth", saw_tooth(1.0, 3.0), 0.01),
     ("tilted_saw_tooth", saw_tooth(1.0, 3.0).esscher(0.5), 0.01),
     ("cp_plus_beta0", cp_plus_drift(1.0, 0.0, 1.0), 0.01),
+    ("tilted_brownian", brownian_drift(1.0).esscher(-0.3), 0.05),
+    ("tilted_cp_plus", cp_plus_drift(1.0, 2.0, 1.0).esscher(0.5), 0.01),
+    ("tilted_cp_minus", cp_minus_drift(2.0, 1.0).esscher(0.3), 0.01),
+    ("tilted_cp_plus_beta0", cp_plus_drift(1.0, 0.0, 1.0).esscher(1.0),
+     0.01),
 ]
 TARGETS = [math.e ** 2, 50.0, math.e ** 6]
 IDS = [name for name, _, _ in MODELS]
+JUMPS = [entry for entry in MODELS
+         if oracles.ref_law(entry[1]).kind == oracles.LINEAR]
 
 
 @pytest.fixture
@@ -75,10 +84,10 @@ def _four_rows(model, horizon: float, step: float) -> int:
     Gaussian row, whose block holds four budgets of nodes, or the events a
     jump row draws (the chunks of the Poisson mean plus four standard
     deviations) and its two ends, whose block holds one budget."""
-    dyn = paths._effective_dynamics(model)
-    if dyn[0] == "brownian":
+    law = oracles.ref_law(model)
+    if law.kind == oracles.GAUSSIAN:
         return math.ceil(horizon / step) + 1
-    events = dyn[2] * horizon
+    events = law.rate * horizon
     chunk = paths._JUMP_CHUNK
     return 4 * (math.ceil((events + 4.0 * math.sqrt(events)) / chunk) * chunk
                 + 2)
@@ -187,7 +196,7 @@ def test_streams_from_a_position():
         next(work.streams(np.array([pid]))).standard_normal(k)
         pos = work.position()
         ends.add(pos % 4)
-        want = paths.path_rng(seed, pid)
+        want = oracles.path_rng(seed, pid)
         want.standard_normal(k)
         got = next(paths._Work(seed).streams(np.array([pid]),
                                              at=np.array([pos])))
@@ -199,13 +208,13 @@ def test_streams_from_a_position():
     for j in (0, 1, 2, 3, 5, 4097):
         got = next(paths._Work(seed).streams(np.array([aux]),
                                              at=np.array([j])))
-        want = paths.path_rng(seed, aux).random(j + 50)[j:]
+        want = oracles.path_rng(seed, aux).random(j + 50)[j:]
         assert np.array_equal(got.random(50), want)
 
 
 @pytest.mark.parametrize("seed", [-1, (1 << 63) + 5])
 def test_streams_from_a_preset_state(seed):
-    # each re-key from the run's preset state gives the path_rng stream,
+    # each re-key from the run's preset state gives the oracle's stream,
     # for the ends of the key range and for auxiliary streams, at every
     # place in a four-draw counter block
     top = (1 << 64) - 1
@@ -215,7 +224,7 @@ def test_streams_from_a_preset_state(seed):
         streams = work.streams(np.array(ids, dtype=np.uint64),
                                at=np.full(len(ids), at))
         for pid, stream in zip(ids, streams):
-            want = paths.path_rng(seed, pid)
+            want = oracles.path_rng(seed, pid)
             raw = want.bit_generator.random_raw(at + 9)[at:]
             assert np.array_equal(stream.bit_generator.random_raw(9), raw)
             # a 32-bit draw takes half a raw draw: three leave a half
@@ -231,9 +240,9 @@ def test_preset_state_per_run():
     for pid, a, b in zip(ids.tolist(), first.streams(ids),
                          second.streams(ids + 9, at=np.full(6, 5))):
         assert np.array_equal(a.standard_normal(7),
-                              paths.path_rng(3, pid).standard_normal(7))
+                              oracles.path_rng(3, pid).standard_normal(7))
         assert np.array_equal(b.random(7),
-                              paths.path_rng(4, pid + 9).random(12)[5:])
+                              oracles.path_rng(4, pid + 9).random(12)[5:])
 
 
 # jump rows that need many 128-event chunks: a high jump rate and a clock
@@ -293,7 +302,7 @@ def test_jump_row_short_of_its_chunks(monkeypatch, budget):
     model, seed, pid, horizon = SHORT_ROW
     events = 2.0 * horizon
     assert events + 4.0 * math.sqrt(events) < paths._JUMP_CHUNK
-    gaps = paths.path_rng(seed, pid).exponential(0.5, paths._JUMP_CHUNK)
+    gaps = oracles.path_rng(seed, pid).exponential(0.5, paths._JUMP_CHUNK)
     assert np.cumsum(gaps)[-1] < horizon
     monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
     cfg = SimConfig(seed=seed, n_paths=5, horizon=horizon)
@@ -443,7 +452,8 @@ def _edge_targets(a: np.ndarray, size: np.ndarray, rng) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("name,model,step", MODELS[1:], ids=IDS[1:])
+@pytest.mark.parametrize("name,model,step", JUMPS,
+                         ids=[name for name, _, _ in JUMPS])
 def test_search_on_padded_blocks(name, model, step):
     # jump rows of many lengths in one padded block, searched block-wide:
     # the indices of searchsorted on each row's own nodes, and clock and
@@ -482,7 +492,10 @@ def test_search_on_padded_blocks(name, model, step):
 
     lengths = np.unique(paths.run_paths(model, cfg, horizon, reduce))
     # rows of many lengths, but on the family without jumps
-    assert len(lengths) == 1 if name == "cp_plus_beta0" else len(lengths) > 3
+    if oracles.ref_law(model).rate == 0.0:
+        assert len(lengths) == 1
+    else:
+        assert len(lengths) > 3
 
 
 class CountingGenerator(np.random.Generator):
@@ -534,7 +547,7 @@ def test_draws_about_what_rows_need(counting):
 def test_jump_draws_about_what_rows_need(counting, model, horizon, offset):
     # a row draws at most one chunk (gaps and sizes) more than it needs:
     # the chunks up to the first whose last arrival passes the horizon
-    _, _, beta, gamma, _ = paths._effective_dynamics(model)
+    _, _, beta, gamma, _ = oracles.ref_law(model)
     cfg = SimConfig(seed=SHORT_ROW[1], n_paths=200, horizon=horizon)
     got = paths.run_paths(model, cfg, horizon,
                           lambda block: block.totals(1.0), path_offset=offset)
@@ -545,7 +558,7 @@ def test_jump_draws_about_what_rows_need(counting, model, horizon, offset):
     assert np.array_equal(got, want)
     pair = 2 * paths._JUMP_CHUNK
     for pid in ids:
-        stream, total, needed = paths.path_rng(cfg.seed, pid), 0.0, 0
+        stream, total, needed = oracles.path_rng(cfg.seed, pid), 0.0, 0
         while total < horizon:
             total += stream.exponential(1.0 / beta, paths._JUMP_CHUNK).sum()
             stream.exponential(1.0 / gamma, paths._JUMP_CHUNK)

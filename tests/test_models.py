@@ -17,10 +17,12 @@ from levyclocks import (
     cp_plus_drift,
     csbp_immigration,
     hypergeometric_stable,
+    legendre_dual,
     log_gamma,
     make_model,
     model_from_text,
     model_to_text,
+    rate_I,
     saw_tooth,
     stable_conditioned,
 )
@@ -215,23 +217,53 @@ class TestMpmathOracle:
     def test_derivatives_far_out(self):
         # Gamma(m + 1.5)/Gamma(m) leaves float range near m = 3e205, but
         # psi' ~ 1.5 sqrt(m) and psi'' ~ 0.75/sqrt(m) do not; from m ~ 1e153
-        # on, psi''/psi is below the smallest normal float.
-        model = stable_conditioned(1.5, 1.0)
-        for m in (1e154, 1e200, 1e250, 1e300):
-            with mp.workdps(600):
-                z, h = mp.mpf(m), mp.mpf(1.5)
-                f = mp.exp(mp.loggamma(z + h) - mp.loggamma(z))
-                g1 = mp.digamma(z + h) - mp.digamma(z)
-                g2 = mp.polygamma(1, z + h) - mp.polygamma(1, z)
-                refs = float(f), float(f * g1), float(f * (g1 * g1 + g2))
-            assert refs[1] == pytest.approx(1.5 * math.sqrt(m), rel=1e-6)
-            assert refs[2] == pytest.approx(0.75 / math.sqrt(m), rel=1e-6)
-            got = (model.psi(m), *model.psi_derivs(m))
-            for k, (value, ref) in enumerate(zip(got, refs)):
-                if ref == math.inf:
-                    assert value == math.inf, (m, k)
-                else:
-                    assert abs(value - ref) <= 1e-12 * ref, (m, k)
+        # on, psi''/psi is below the smallest normal float.  c times the
+        # ratio fits up to (1.8e308 / c)^(2/3): psi at 1e206 for c = 1e-3,
+        # and at 1e250 too for c = 1e-100.  Where c times the value of the
+        # model with c = 1 is finite, it is the value, bit for bit.
+        unit = stable_conditioned(1.5, 1.0)
+        for c in (1.0, 1e-3, 1e-100):
+            model = stable_conditioned(1.5, c)
+            for m in (1e154, 1e200, 1e206, 1e250, 1e300):
+                with mp.workdps(600):
+                    z, h = mp.mpf(m), mp.mpf(1.5)
+                    f = c * mp.exp(mp.loggamma(z + h) - mp.loggamma(z))
+                    g1 = mp.digamma(z + h) - mp.digamma(z)
+                    g2 = mp.polygamma(1, z + h) - mp.polygamma(1, z)
+                    refs = float(f), float(f * g1), float(f * (g1 * g1 + g2))
+                assert refs[1] == pytest.approx(c * 1.5 * math.sqrt(m),
+                                                rel=1e-6)
+                assert refs[2] == pytest.approx(c * 0.75 / math.sqrt(m),
+                                                rel=1e-6)
+                got = (model.psi(m), *model.psi_derivs(m))
+                plain = [c * v for v in (unit.psi(m), *unit.psi_derivs(m))]
+                for k, (value, ref) in enumerate(zip(got, refs)):
+                    if math.isfinite(plain[k]):
+                        assert value == plain[k], (c, m, k)
+                    if ref == math.inf:
+                        assert value == math.inf, (c, m, k)
+                    else:
+                        assert abs(value - ref) <= 1e-12 * ref, (c, m, k)
+
+    def test_rate_past_overflow(self):
+        # the maximiser of m - x psi(m) lies at m* ~ 1e206, where only
+        # c f fits: I is finite, about m*/3
+        model, x = stable_conditioned(1.5, 1e-3), 6.7e-101
+        with mp.workdps(600):
+            c, h = mp.mpf(1e-3), mp.mpf(1.5)
+
+            def psi(m):
+                return c * mp.exp(mp.loggamma(m + h) - mp.loggamma(m))
+
+            def slope(m):
+                return psi(m) * (mp.digamma(m + h) - mp.digamma(m)) - 1 / x
+
+            m_star = mp.findroot(slope, mp.mpf(1.0 / (1.5 * 1e-3 * x)) ** 2)
+            ref = float(m_star - x * psi(m_star))
+        assert ref == pytest.approx(float(m_star) / 3.0, rel=1e-12)
+        assert rate_I(model, x) == pytest.approx(ref, rel=1e-12)
+        assert x * legendre_dual(model, 1.0 / x) == pytest.approx(ref,
+                                                                  rel=1e-12)
 
 
 class TestEsscher:

@@ -16,7 +16,6 @@ from levyclocks import (
     SimConfig,
     brownian_drift,
     cp_plus_drift,
-    path_rng,
     sample_levy_path,
     saw_tooth,
     simulate_cauchy_modulus,
@@ -28,6 +27,7 @@ from oracles import (
     RefPath,
     ks_two_sample,
     ks_two_sample_critical,
+    path_rng,
     ref_functional_at,
 )
 
