@@ -110,8 +110,12 @@ def _add_sim_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
     p.add_argument("--seed", type=int, required=need_seed,
                    help="RNG seed (mandatory for stochastic runs)")
     p.add_argument("--paths", type=int, default=1000)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--horizon", type=float, default=10.0)
+    p.add_argument("--step", type=float, default=0.01,
+                   help="Brownian and Cauchy grid step; the event-exact "
+                   "compound-Poisson families do not read it")
+    p.add_argument("--horizon", type=float, default=10.0,
+                   help="read by no command: every estimator derives its "
+                   "own horizons (only echoed in the output)")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--start", type=float, default=1.0)
     p.add_argument("--max-doublings", type=int, default=8)

@@ -391,7 +391,8 @@ def tilted_identity_check(model: LevyModel, m: float, t: float,
     E exp(-m xi*) under the Esscher-tilted path law, with xi* the tilted
     path value at its clock time tau(t/a).  Both sides are estimated on
     disjoint path-id ranges of the same seed; the returned z-score uses
-    pooled standard errors.
+    pooled standard errors, and is 0 where the sides are equal and a
+    signed inf where they differ with both standard errors 0.
 
     Raises:
         RescalingError: if an exponential weight would overflow
@@ -421,19 +422,20 @@ def tilted_identity_check(model: LevyModel, m: float, t: float,
 
     base_h = horizon_policy(tilted.mean, target)
 
-    def value_at_clock(block):
-        return block.value_at(block.clock(1.0, [target]))[:, 0]
-
     vals = run_paths(
-        tilted, cfg, base_h, value_at_clock, path_offset=cfg.n_paths,
-        miss=lambda i, h: f"tilted path {i} cannot reach clock target "
-                          f"{target!r}")
+        tilted, cfg, base_h,
+        lambda block: block.clock_value(1.0, [target])[1][:, 0],
+        path_offset=cfg.n_paths,
+        miss=lambda i, h: (f"tilted path {cfg.n_paths + i} cannot reach "
+                           f"clock target {target!r} within horizon {h!r} "
+                           f"after {cfg.max_doublings} doublings"))
     expo_r = -m * vals
     if float(np.max(np.abs(expo_r))) > 700.0:
         raise RescalingError("exponential weight overflows; reduce t")
     rhs, rhs_se = _mean_se(np.exp(expo_r))
     pooled = math.hypot(lhs_se, rhs_se)
-    z = (lhs - rhs) / pooled if pooled > 0.0 else math.inf
+    z = ((lhs - rhs) / pooled if pooled > 0.0 else 0.0 if lhs == rhs
+         else math.copysign(math.inf, lhs - rhs))
     return TiltedIdentityResult(m=m, t=t, lhs=lhs, lhs_stderr=lhs_se,
                                 rhs=rhs, rhs_stderr=rhs_se, z_score=z)
 
@@ -450,8 +452,18 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
     ``a = cfg.start`` and index ``cfg.alpha``.  T(t) = tau(t a^-alpha)
     exactly, so the gap only measures the round trip t -> t a^alpha a^-alpha
     in floating point.
+
+    Raises:
+        RescalingError: where a^alpha, a^-alpha or a target times a^alpha
+            leaves double range.
     """
     a, alpha = cfg.start, cfg.alpha
+    overflow = (f"rescaling the clock targets by start^+-alpha = "
+                f"{a!r}^+-{alpha!r} leaves double range")
+    try:
+        up, down = a ** alpha, a ** -alpha
+    except OverflowError:
+        raise RescalingError(overflow) from None
 
     def gap(block):
         total = block.totals(alpha)
@@ -459,7 +471,11 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
         with np.errstate(invalid="ignore"):
             ts = np.linspace(total * 1e-3, total * 0.999, 31, axis=1)
         taus = block.clock(alpha, ts)
-        clock = block.clock(alpha, ts * a ** alpha * a ** -alpha)
+        with np.errstate(over="ignore"):
+            scaled = ts * up
+        if np.isinf(scaled).any():
+            raise RescalingError(overflow)
+        clock = block.clock(alpha, scaled * down)
         return np.max(np.abs(clock - taus), axis=1)
 
     run_cfg = replace(cfg, n_paths=min(cfg.n_paths, 64))

@@ -14,10 +14,11 @@ quantity is a method of it: the exponential functional
 ``A(t) = int_0^t exp(alpha xi_s) ds`` (exact on linear-drift segments,
 trapezoidal on Gaussian ones), log A(horizon) in log space, the clock
 ``tau = A^-1`` (inverted exactly per segment, so that ``A(tau(t)) = t``
-to machine precision), first passage and path values.  A single path,
-:func:`sample_levy_path`, is a one-row block.  The Lamperti image of a
-path started at ``a`` is ``X = a exp(xi)`` at the times ``a^alpha A``;
-its clock is ``T(t) = tau(t a^-alpha)``, so the fundamental relation
+to machine precision), xi at the clock, read on the segment of that
+inversion, and first passage.  A single path, :func:`sample_levy_path`,
+is a one-row block.  The Lamperti image of a path started at ``a`` is
+``X = a exp(xi)`` at the times ``a^alpha A``; its clock is
+``T(t) = tau(t a^-alpha)``, so the fundamental relation
 ``tau(t) = T(t a^alpha)`` holds identically on the grid.
 
 Per-path randomness is a counter-based split: path ``i`` of a run seeded
@@ -267,27 +268,25 @@ def _log_segment(dt: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _search_rows(a: np.ndarray, size: np.ndarray, v: np.ndarray,
-                 side: str = "left", padded: bool = True) -> np.ndarray:
+                 padded: bool = True) -> np.ndarray:
     """``np.searchsorted`` of each row of ``v`` in the first ``size[i]``
     entries of row ``i`` of ``a``, whose rows are non-decreasing.
 
     Padded rows (jump blocks: many short rows) are searched block-wide,
     by one comparison of every target with every node in place of a
     ``searchsorted`` call per row: the first node at or above the target
-    (side ``"left"``) or above it (``"right"``) is the count of nodes
-    below (at or below) it on a non-decreasing row, and is clipped to the
-    row's size, so a row's padding never counts.  A NaN target compares
-    false with every node and so counts them all, as ``searchsorted``
-    places NaN last.  A jump block holds about ``_BLOCK_BUDGET`` nodes,
-    so the comparison takes that many booleans per target.  Gaussian
-    rows are few and long, and are searched row by row, where a binary
-    search costs less than comparing every node.
+    is the count of nodes below it on a non-decreasing row, and is clipped
+    to the row's size, so a row's padding never counts.  A NaN target
+    compares false with every node and so counts them all, as
+    ``searchsorted`` places NaN last.  A jump block holds about
+    ``_BLOCK_BUDGET`` nodes, so the comparison takes that many booleans
+    per target.  Gaussian rows are few and long, and are searched row by
+    row, where a binary search costs less than comparing every node.
     """
     if not padded:
-        return np.array([row[:n].searchsorted(vals, side=side)
+        return np.array([row[:n].searchsorted(vals)
                          for row, n, vals in zip(a, size.tolist(), v)])
-    above = (np.greater_equal if side == "left" else np.greater)(
-        a[:, None, :], v[:, :, None])
+    above = a[:, None, :] >= v[:, :, None]
     first = np.argmax(above, axis=2)
     first[(first == 0) & ~above[..., 0]] = a.shape[1]   # no node above
     return np.minimum(first, size[:, None])
@@ -313,17 +312,19 @@ class PathBlock:
     Row ``r`` holds ``size[r]`` nodes of one path, which starts at
     (t, xi) = (0, 0): ``xi[r, i]`` is the post-jump value at time
     ``times[r, i]``; on ``linear-drift`` rows xi has slope ``drift``
-    between nodes and jumps at the inner ones.  The rows share kind and drift.  Jump paths
-    are padded to the longest row by repeating the row's horizon
-    (zero-length segments, no jumps); Gaussian rows need no padding and
-    share one time grid of spacing ``step``, stored as the single row of
-    ``times``.  ``ids`` are the path ids the rows were drawn from, with
-    the seed and generator of ``work``; every block the engine samples has
-    ``work`` and ``step``.  The methods take only an index ``alpha``,
-    targets or a level: A is computed once per index (:meth:`functional`),
-    and :meth:`totals` and :meth:`clock` read it.  The arrays of a
-    Gaussian block are xi, a scratch for exp(alpha xi) and A of each
-    index, all of them ``work``'s, which the run's next block overwrites.
+    between nodes and jumps at the inner ones.  The rows share kind and
+    drift.  Jump paths are padded to the longest row by repeating the
+    row's horizon (zero-length segments, no jumps); Gaussian rows need no
+    padding and share one time grid of spacing ``step``, stored as the
+    single row of ``times``.  ``ids`` are the path ids the rows were drawn
+    from, with the seed and generator of ``work``; every block the engine
+    samples has ``work`` and ``step``.  The methods take only an index
+    ``alpha``, targets or a level: A is computed once per index
+    (:meth:`functional`), and :meth:`totals` and :meth:`clock` read it;
+    :meth:`clock_value` reads xi at the clock on the segments that the
+    clock's inversion found.  The arrays of a Gaussian block are xi, a
+    scratch for exp(alpha xi) and A of each index, all of them ``work``'s,
+    which the run's next block overwrites.
 
     A Gaussian block of a run that grows its rows (see :func:`run_paths`)
     may continue them: it then starts at step ``carry.n0``, each row's last
@@ -447,6 +448,37 @@ class PathBlock:
             DomainError: for negative targets.
             RescalingError: when A(horizon) overflowed on some row.
         """
+        return self._invert(alpha, targets)[0]
+
+    def clock_value(self, alpha: float, targets
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, xi at tau) per row, at each target, from one inversion.
+
+        tau is that of :meth:`clock`, inverted on a segment [t_k, t_k+1]:
+        it lies on that segment or, rounded, at its end, where the next
+        segment starts.  xi is xi_k + slope (tau - t_k) on the segment
+        that holds tau, the slope being the drift on linear-drift rows and
+        (xi_k+1 - xi_k) / (t_k+1 - t_k) on Gaussian ones, so xi is
+        right-continuous: a tau at a jump node reads the post-jump value.
+        At a row's last node xi is the value there, and it is NaN exactly
+        where tau is.  Only where A's rounding hides whole segments (their
+        exp(alpha xi) dt below an ulp of A) can tau pass the next node;
+        xi is then read on that next segment all the same.
+        """
+        taus, idx = self._invert(alpha, targets)
+        rows, last = np.arange(len(taus))[:, None], (self.size - 1)[:, None]
+        k = np.minimum(idx + (taus >= self._times_at(rows, idx + 1)), last - 1)
+        base, xi_k = self._times_at(rows, k), self.xi[rows, k]
+        slope = self.drift if self.kind == LINEAR else np.divide(
+            self.xi[rows, k + 1] - xi_k, self._times_at(rows, k + 1) - base)
+        return taus, np.where(taus >= self._times_at(rows, last),
+                              self.xi[rows, last],
+                              xi_k + slope * (taus - base))
+
+    def _invert(self, alpha: float, targets):
+        """tau of :meth:`clock`, and the index of the segment it was
+        inverted on, per target (clipped to the row's segments where the
+        target is not found)."""
         t = np.asarray(targets, dtype=float)
         if t.ndim == 1:
             t = np.repeat(t[None], len(self.xi), axis=0)
@@ -463,44 +495,19 @@ class PathBlock:
         idx = np.minimum(np.maximum(below - 1, 0), (self.size - 2)[:, None])
         # invert where the target is found only
         rows, cols = np.nonzero(found)
-        idx, t = idx[rows, cols], t[rows, cols]
-        base = self._times_at(rows, idx)
-        rem = t - nodes[rows, idx]
+        seg, t = idx[rows, cols], t[rows, cols]
+        base = self._times_at(rows, seg)
+        rem = t - nodes[rows, seg]
         if self.kind == LINEAR:
             rate = alpha * self.drift
-            scaled = rem * np.exp(-alpha * self.xi[rows, idx])
+            scaled = rem * np.exp(-alpha * self.xi[rows, seg])
             du = scaled if rate == 0.0 else np.log1p(rate * scaled) / rate
         else:
-            w = nodes[rows, idx + 1] - nodes[rows, idx]
-            du = (self._times_at(rows, idx + 1) - base) * rem / w
+            w = nodes[rows, seg + 1] - nodes[rows, seg]
+            du = (self._times_at(rows, seg + 1) - base) * rem / w
         taus = np.full(found.shape, np.nan)
         taus[rows, cols] = base + du
-        return taus
-
-    def value_at(self, u: np.ndarray) -> np.ndarray:
-        """xi at times ``u`` (one row of times per path, each at or after
-        the block's first node): exact on linear segments, linear
-        interpolation between Gaussian nodes (cadlag at jump nodes).
-
-        On the segment [t_j, t_j+1) that holds u the value is
-        xi_j + slope (u - t_j), the slope being the drift on linear-drift
-        rows and np.interp's (xi_j+1 - xi_j) / (t_j+1 - t_j) on Gaussian
-        ones; at or past a row's last node it is xi there, and NaN at a NaN
-        time.  Before the first node the formula extrapolates.
-        """
-        rows = np.arange(len(u))[:, None]
-        last = (self.size - 1)[:, None]
-        if self.kind == GAUSSIAN:
-            after = self.times[0].searchsorted(u, "right")
-        else:
-            after = _search_rows(self.times, self.size, u, "right")
-        j = np.clip(after - 1, 0, last - 1)
-        base, value = self._times_at(rows, j), self.xi[rows, j]
-        slope = self.drift if self.kind == LINEAR else (
-            (self.xi[rows, j + 1] - value)
-            / (self._times_at(rows, j + 1) - base))
-        return np.where(u >= self._times_at(rows, last), self.xi[rows, last],
-                        value + slope * (u - base))
+        return taus, idx
 
     def first_passage(self, level: float) -> np.ndarray:
         """First time each row's path exceeds ``level`` (inf if never).
@@ -660,9 +667,12 @@ class _JumpRows:
         return [h0 * 2.0 ** k for k in range(doublings + 1)]
 
     def blocks(self, rows: np.ndarray, horizon: float):
+        events = self.beta * horizon
+        # past a mean of 2^53 events the counts are no longer exact doubles
+        if events > 2.0 ** 53:
+            raise DomainError(f"over 2^53 Poisson events by {horizon!r}")
         # the chunks of the Poisson mean plus four standard deviations of
         # the events before the horizon
-        events = self.beta * horizon
         chunks = math.ceil((events + 4.0 * math.sqrt(events)) / _JUMP_CHUNK)
         # a block's rows are set by the width they are drawn to
         per_block = max(1, _BLOCK_BUDGET // (chunks * _JUMP_CHUNK + 2))

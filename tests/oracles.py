@@ -491,7 +491,10 @@ def ref_tilted_identity_check(model, m: float, t: float, a: float, cfg):
                 break
             h *= 2.0
         else:
-            raise HorizonExceededError(f"tilted path {i} missed")
+            raise HorizonExceededError(
+                f"tilted path {cfg.n_paths + i} cannot reach clock target "
+                f"{target!r} within horizon {h / 2.0!r} after "
+                f"{cfg.max_doublings} doublings")
     rhs, rhs_se = ref_mean_se(np.exp(-m * vals))
     return lhs, lhs_se, rhs, rhs_se
 

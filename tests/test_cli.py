@@ -403,6 +403,16 @@ class TestStochasticCommands:
             "--max-doublings", "0"])
         assert code == 3
         assert "horizon" in err
+        # the tilted side draws paths n_paths .. 2 n_paths - 1: row 65 of
+        # its run is path 265
+        code, _, err = invoke(capsys, [
+            "check-identities", "--family", "brownian", "--nu", "1", "--m",
+            "-0.45", "--t", "1000", "--step", "0.05", "--paths", "200",
+            "--seed", "1", "--max-doublings", "1"])
+        assert code == 3
+        assert ("horizon error: tilted path 265 cannot reach clock target "
+                "1000.0 within horizon 138.15510557964276 after 1 "
+                "doublings") in err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--family", "brownian", "--nu", "1", "--t", "inf"],
@@ -427,6 +437,11 @@ class TestStochasticCommands:
          "--step", "1e-300"],
         ["lln", "--family", "cauchy", "--d", "3", "--t", "5",
          "--step", "1e-300"],
+        # a Poisson mean of more than 2^53 events by the horizon
+        ["logA", "--family", "cp-plus", "--d", "1", "--beta", "2", "--gamma",
+         "1", "--t", "1e20", "--paths", "2", "--seed", "1"],
+        ["logA", "--family", "sawtooth", "--beta", "1", "--gamma", "3",
+         "--t", "1e300", "--paths", "2", "--seed", "1"],
         # every first-passage weight exp(theta tau) underflows to 0
         ["check-identities", "--family", "brownian", "--nu", "1",
          "--paths", "50", "--theta", "-1000"],
@@ -436,7 +451,8 @@ class TestStochasticCommands:
             "simulate_step_inf", "lln_inf", "logA_inf", "identities_inf",
             "ldp_eps_negative", "ldp_eps_nan", "ldp_repeated_t",
             "lln_max_doublings_1100", "simulate_step_1e-300",
-            "lln_cauchy_step_1e-300", "identities_theta_-1000",
+            "lln_cauchy_step_1e-300", "logA_cp_plus_t_1e20",
+            "logA_sawtooth_t_1e300", "identities_theta_-1000",
             "identities_sawtooth_theta_-400"])
     def test_non_finite_or_empty_window_exit_2(self, capsys, argv):
         # the flags of each case come last and win over these
@@ -480,22 +496,33 @@ class TestStochasticCommands:
         assert out == ""
         assert "must satisfy t > 1" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["--family", "brownian", "--nu", "120"],
-        ["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma", "1"],
-    ], ids=["brownian", "cp_plus"])
-    def test_identities_overflow_exit_2_under_w_error(self, argv):
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "brownian", "--nu", "120"],
+         "exponential functional overflowed"),
+        (["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma",
+          "1"], "exponential functional overflowed"),
+        (["--family", "brownian", "--nu", "1", "--t", "2", "--start", "1e200",
+          "--alpha", "2"], "rescaling the clock targets"),
+        (["--family", "brownian", "--nu", "1", "--t", "2", "--start",
+          "1e-200", "--alpha", "2"], "rescaling the clock targets"),
+        (["--family", "brownian", "--nu", "1", "--t", "2", "--start",
+          "1e300", "--paths", "2"], "rescaling the clock targets"),
+    ], ids=["brownian", "cp_plus", "start_1e200_alpha_2",
+            "start_1e-200_alpha_2", "start_1e300"])
+    def test_identities_overflow_exit_2_under_w_error(self, argv, message):
         # A(8) past double range: the fundamental relation's targets are
-        # NaN without a numpy warning, and clock reports the overflow
+        # NaN without a numpy warning, and clock reports the overflow; a
+        # start whose alpha-th power, or its product with the targets,
+        # leaves double range is refused before any clock is read there
         import subprocess
         import sys
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "levyclocks.cli",
-             "check-identities", *argv, "--paths", "4", "--seed", "1"],
+             "check-identities", "--paths", "4", "--seed", "1", *argv],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "error: exponential functional overflowed" in proc.stderr
+        assert f"error: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -114,18 +114,22 @@ def test_single_path_functions(name, model, step):
             assert not np.isnan(taus).any()
             assert np.array_equal(taus[0], oracles.ref_clock(ref, ref_nodes,
                                                              alpha, ts))
-        mid = float(ref.times[len(ref.times) // 2])
-        for u in (0.0, 0.3, mid, 8.99, 9.0):
-            assert (path.value_at(np.array([[u]]))[0, 0]
-                    == oracles.ref_value_at(ref, u))
+        # xi at the clock, at A's nodes (post-jump where tau is at a jump
+        # node), between them and at A(horizon)
+        ref_nodes = oracles.ref_nodes(ref, 1.0)
+        ts = np.concatenate((ref_nodes, np.linspace(0.0, ref_nodes[-1], 17)))
+        taus, values = path.clock_value(1.0, ts)
+        assert np.array_equal(taus, path.clock(1.0, ts))
+        assert np.array_equal(values[0], [oracles.ref_value_at(ref, u)
+                                          for u in taus[0]])
 
 
 @pytest.mark.parametrize("grow", [False, True], ids=["fresh", "continued"])
 def test_gaussian_values_on_whole_blocks(grow):
-    # the rows of a Gaussian block share one grid, searched once for the
-    # whole block: the values are np.interp's on each row, bit for bit, at
-    # nodes, between them, at the last node, past it and at NaN, on a
-    # fresh block and on the continued piece of a growing run
+    # the rows of a Gaussian block share one grid: xi at the clock is
+    # np.interp's on each row, bit for bit, at A's nodes, between them, at
+    # A's last node, above it and at NaN, on a fresh block and on the
+    # continued piece of a growing run
     model, rng = brownian_drift(1.0), np.random.default_rng(7)
     cfg = SimConfig(seed=4, n_paths=12, step=0.05)
     rows = paths._row_sampler(model, cfg, 0, cfg.n_paths,
@@ -134,13 +138,19 @@ def test_gaussian_values_on_whole_blocks(grow):
     for piece, horizon in enumerate((1.0, 2.0)[:1 + grow]):
         for _, block in rows.blocks(pending, horizon):
             grid, xi = block.times[0], block.xi
+            nodes = block.functional(1.0)
             assert len(xi) == cfg.n_paths and (grid[0] > 0.0) == piece
-            u = np.column_stack([
-                grid[rng.integers(0, len(grid), (len(xi), 3))],
-                grid[0] + rng.random((len(xi), 3)) * (grid[-1] - grid[0]),
-                np.repeat(grid[-1] + [[0.0, 0.3, np.nan]], len(xi), axis=0)])
-            want = [np.interp(ur, grid, xr) for ur, xr in zip(u, xi)]
-            assert np.array_equal(block.value_at(u), want, equal_nan=True)
+            first, cap = nodes[:, :1], nodes[:, -1:]
+            t = np.column_stack([
+                np.take_along_axis(
+                    nodes, rng.integers(0, len(grid), (len(xi), 3)), axis=1),
+                first + rng.random((len(xi), 3)) * (cap - first),
+                cap, 1.5 * cap, np.full((len(xi), 1), np.nan)])
+            taus, values = block.clock_value(1.0, t)
+            assert np.isnan(taus[:, -2:]).all()
+            assert not np.isnan(taus[:, :-2]).any()
+            want = [np.interp(tr, grid, xr) for tr, xr in zip(taus, xi)]
+            assert np.array_equal(values, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("name,model,step", MODELS, ids=IDS)
@@ -456,8 +466,8 @@ def _edge_targets(a: np.ndarray, size: np.ndarray, rng) -> np.ndarray:
                          ids=[name for name, _, _ in JUMPS])
 def test_search_on_padded_blocks(name, model, step):
     # jump rows of many lengths in one padded block, searched block-wide:
-    # the indices of searchsorted on each row's own nodes, and clock and
-    # path values bit for bit those of each path alone
+    # the indices of searchsorted on each row's own nodes, and the clock
+    # and xi at it bit for bit those of each path alone
     cfg = SimConfig(seed=21, n_paths=40, step=step)
     horizon, rng = 3.0, np.random.default_rng(5)
 
@@ -469,25 +479,24 @@ def test_search_on_padded_blocks(name, model, step):
             v = _edge_targets(a, block.size, rng)
             junk = a.copy()     # padding never counts, whatever it holds
             junk[np.arange(a.shape[1]) >= block.size[:, None]] = -np.inf
-            for side in ("left", "right"):
-                want = [row[:n].searchsorted(vals, side=side)
-                        for row, n, vals in zip(a, block.size.tolist(), v)]
-                assert np.array_equal(
-                    paths._search_rows(a, block.size, v, side), want)
-                assert np.array_equal(
-                    paths._search_rows(junk, block.size, v, side), want)
+            want = [row[:n].searchsorted(vals)
+                    for row, n, vals in zip(a, block.size.tolist(), v)]
+            assert np.array_equal(paths._search_rows(a, block.size, v), want)
+            assert np.array_equal(paths._search_rows(junk, block.size, v),
+                                  want)
         t = _edge_targets(nodes, block.size, rng)
         taus = block.clock(1.0, t)
-        u = _edge_targets(block.times, block.size, rng)
-        values = block.value_at(u)
-        for p, ts, tau, us, vals in zip(refs, t, taus, u, values):
+        same, values = block.clock_value(1.0, t)
+        assert np.array_equal(same, taus, equal_nan=True)
+        for p, ts, tau, vals in zip(refs, t, taus, values):
             ref_nodes = oracles.ref_nodes(p, 1.0)
             want = [oracles.ref_clock(p, ref_nodes, 1.0, [x])[0]
                     if x <= ref_nodes[-1] else math.nan for x in ts]
             assert np.array_equal(tau, want, equal_nan=True)
-            want = [oracles.ref_value_at(p, x) for x in us]
+            want = [oracles.ref_value_at(p, x) for x in tau]
             assert np.array_equal(vals, want, equal_nan=True)
-        assert np.isnan(values[:, 6]).all()
+        # above the cap and at NaN
+        assert np.isnan(values[:, 5:7]).all()
         return block.size
 
     lengths = np.unique(paths.run_paths(model, cfg, horizon, reduce))
@@ -698,9 +707,12 @@ def test_first_passage_check(model, step, n_paths):
 ], ids=["brownian", "saw_tooth"])
 def test_tilted_identity_check(model, m, step, n_paths):
     cfg = SimConfig(seed=13, n_paths=n_paths, step=step)
-    r = tilted_identity_check(model, m, 2.0, cfg)
-    assert (r.lhs, r.lhs_stderr, r.rhs, r.rhs_stderr) == \
-        oracles.ref_tilted_identity_check(model, m, 2.0, 1.0, cfg)
+    for t in (2.0, 1e-300):
+        r = tilted_identity_check(model, m, t, cfg)
+        assert (r.lhs, r.lhs_stderr, r.rhs, r.rhs_stderr) == \
+            oracles.ref_tilted_identity_check(model, m, t, 1.0, cfg)
+    # at t = 1e-300 both sides are exactly 1 with no spread: they agree
+    assert (r.lhs, r.rhs, r.z_score) == (1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("model,step", [

@@ -169,18 +169,20 @@ class TestSampling:
         with pytest.raises(CapabilityError, match="simulate_cauchy_modulus"):
             sample_levy_path(stable_conditioned(1.5, 1.0), cfg, 0)
 
-    def test_value_at_cadlag(self):
+    def test_clock_value_cadlag(self):
+        # A at the first jump node reads the post-jump value, A just below
+        # it the pre-jump one
         cfg = SimConfig(seed=9, n_paths=1, step=0.01, horizon=20.0)
         path = sample_levy_path(saw_tooth(1.0, 3.0), cfg, 0)
         times, xi = path.times[0], path.xi[0]
         assert len(times) > 3
-        t_jump = float(times[1])
-        assert path.value_at(np.array([[t_jump]]))[0, 0] == pytest.approx(
-            float(xi[1]))
-        just_before = t_jump - 1e-9
-        expect = xi[0] + path.drift * just_before
-        assert path.value_at(np.array([[just_before]]))[0, 0] == \
-            pytest.approx(expect, abs=1e-8)
+        at_jump = float(path.functional(1.0)[0, 1])
+        taus, values = path.clock_value(1.0, [at_jump, at_jump - 1e-9])
+        assert taus[0, 0] == float(times[1])
+        assert values[0, 0] == float(xi[1])
+        expect = xi[0] + path.drift * taus[0, 1]
+        assert values[0, 1] == pytest.approx(expect, abs=1e-8)
+        assert abs(values[0, 1] - xi[1]) > 1e-3
 
     def test_refinement_first_order(self):
         # coarsened copies of one fine Brownian path: clock differences
