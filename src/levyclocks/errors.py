@@ -42,4 +42,12 @@ class HorizonExceededError(LevyClocksError):
 
 
 class RescalingError(LevyClocksError, OverflowError):
-    """An exponential weight overflowed; reduce the time horizon."""
+    """A value the result needs leaves double range.
+
+    Raised where a tilted-identity weight exp(-psi(m) T) or exp(-m xi)
+    would overflow, where every first-passage weight exp(theta tau)
+    underflows to 0, where the fundamental relation's A(8) or its targets
+    rescaled by start^+-alpha leave double range, and where a
+    Cauchy-modulus path's squared radius does.  The clock refuses nothing:
+    it reads a path only up to its target, whatever A does past it.
+    """

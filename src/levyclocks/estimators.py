@@ -97,6 +97,8 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
     Raises:
         DomainError: for no targets, or a negative or non-finite one.
         AssumptionError: for a Lévy model with psi'(0) <= 0.
+        RescalingError: where a Cauchy-modulus path's squared radius leaves
+            double range before the largest target.
     """
     targets = np.asarray(clock_targets, dtype=float)
     if not (targets.size and np.isfinite(targets).all()):
@@ -454,8 +456,8 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
     in floating point.
 
     Raises:
-        RescalingError: where a^alpha, a^-alpha or a target times a^alpha
-            leaves double range.
+        RescalingError: where A(8), which sets the targets, a^alpha,
+            a^-alpha or a target times a^alpha leaves double range.
     """
     a, alpha = cfg.start, cfg.alpha
     overflow = (f"rescaling the clock targets by start^+-alpha = "
@@ -467,9 +469,10 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
 
     def gap(block):
         total = block.totals(alpha)
-        # NaN targets where A(8) overflowed: clock reports RescalingError
-        with np.errstate(invalid="ignore"):
-            ts = np.linspace(total * 1e-3, total * 0.999, 31, axis=1)
+        if not np.isfinite(total).all():
+            raise RescalingError("exponential functional overflowed double "
+                                 "precision by the Lévy time 8")
+        ts = np.linspace(total * 1e-3, total * 0.999, 31, axis=1)
         taus = block.clock(alpha, ts)
         with np.errstate(over="ignore"):
             scaled = ts * up

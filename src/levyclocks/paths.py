@@ -374,8 +374,9 @@ class PathBlock:
         the row turns them into A; a Gaussian block needs one scratch
         array, for exp(alpha xi), beside xi and A.  An A past double range
         is inf, as a plain value: the row's later nodes are inf, and its
-        padding, inf times zero-length segments, NaN.  :meth:`clock`
-        reports such a row as :class:`RescalingError`.
+        padding, inf times zero-length segments, NaN.  :meth:`clock` reads
+        a row only up to the first node at or above its target, so it
+        inverts every finite target below the overflow all the same.
         """
         nodes = self._nodes.get(alpha)
         if nodes is not None:
@@ -442,11 +443,14 @@ class PathBlock:
         row cannot reach: those beyond A(horizon) (and, on a block that
         continues its rows, those below A at their first node, which an
         earlier block found).  The inversion is exact per segment, so that
-        ``A(tau(t)) = t`` to machine precision.
+        ``A(tau(t)) = t`` to machine precision, and reads the path only up
+        to the segment where A passes the target: tau(t) is the same at
+        every horizon that reaches t, also where A(horizon) overflowed to
+        inf.  A Gaussian step whose weight overflowed puts tau at its
+        start, less than ``step`` below the trapezoid's exact answer.
 
         Raises:
             DomainError: for negative targets.
-            RescalingError: when A(horizon) overflowed on some row.
         """
         return self._invert(alpha, targets)[0]
 
@@ -461,9 +465,9 @@ class PathBlock:
         (xi_k+1 - xi_k) / (t_k+1 - t_k) on Gaussian ones, so xi is
         right-continuous: a tau at a jump node reads the post-jump value.
         At a row's last node xi is the value there, and it is NaN exactly
-        where tau is.  Only where A's rounding hides whole segments (their
-        exp(alpha xi) dt below an ulp of A) can tau pass the next node;
-        xi is then read on that next segment all the same.
+        where tau is.  tau never passes the segment's end, also where A's
+        rounding hides whole segments (their exp(alpha xi) dt below an ulp
+        of A).
         """
         taus, idx = self._invert(alpha, targets)
         rows, last = np.arange(len(taus))[:, None], (self.size - 1)[:, None]
@@ -478,7 +482,15 @@ class PathBlock:
     def _invert(self, alpha: float, targets):
         """tau of :meth:`clock`, and the index of the segment it was
         inverted on, per target (clipped to the row's segments where the
-        target is not found)."""
+        target is not found).
+
+        A finite target at or below an overflowed A(horizon) is found: the
+        search stops at the first node at or above it, which is finite or
+        the first inf node, and the padding's NaN after an overflowed jump
+        row compares below every target.  Past the first inf node nothing
+        is read.  tau is clamped to its segment's end, which the remainder
+        t - A_k can pass where A's rounding hides segments.
+        """
         t = np.asarray(targets, dtype=float)
         if t.ndim == 1:
             t = np.repeat(t[None], len(self.xi), axis=0)
@@ -486,27 +498,27 @@ class PathBlock:
             raise DomainError("clock targets must be >= 0")
         nodes = self.functional(alpha)
         cap = self.totals(alpha)
-        if not np.isfinite(cap).all():
-            raise RescalingError(
-                "exponential functional overflowed double precision; reduce "
-                "the clock target or use the log-domain estimators")
         found = (t <= cap[:, None]) & (t >= nodes[:, :1])
         below = _search_rows(nodes, self.size, t, padded=self.kind == LINEAR)
         idx = np.minimum(np.maximum(below - 1, 0), (self.size - 2)[:, None])
         # invert where the target is found only
         rows, cols = np.nonzero(found)
         seg, t = idx[rows, cols], t[rows, cols]
-        base = self._times_at(rows, seg)
+        base, end = self._times_at(rows, seg), self._times_at(rows, seg + 1)
         rem = t - nodes[rows, seg]
         if self.kind == LINEAR:
             rate = alpha * self.drift
             scaled = rem * np.exp(-alpha * self.xi[rows, seg])
-            du = scaled if rate == 0.0 else np.log1p(rate * scaled) / rate
+            # a remainder past the segment's exact weight puts the log's
+            # argument at or below -1: du is then inf or NaN, and fmin
+            # gives the segment's end, as it does to any tau past it
+            with np.errstate(invalid="ignore", divide="ignore"):
+                du = scaled if rate == 0.0 else np.log1p(rate * scaled) / rate
         else:
             w = nodes[rows, seg + 1] - nodes[rows, seg]
-            du = (self._times_at(rows, seg + 1) - base) * rem / w
+            du = (end - base) * rem / w
         taus = np.full(found.shape, np.nan)
-        taus[rows, cols] = base + du
+        taus[rows, cols] = np.fmin(base + du, end)
         return taus, idx
 
     def first_passage(self, level: float) -> np.ndarray:
@@ -885,6 +897,7 @@ def _cauchy_sampler(d: int, start: float, dt: np.ndarray):
     w = np.empty(n)
     clock_nodes = np.zeros(n + 1)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def sample(rng: np.random.Generator):
         rng.standard_normal(out=draws)
         np.copyto(coords, draws.T)
@@ -910,6 +923,10 @@ def _cauchy_sampler(d: int, start: float, dt: np.ndarray):
             np.copyto(node_major, squares.T)
             r2 = np.sum(node_major, axis=1, out=radius)
         np.sqrt(r2, out=radius)
+        # T(t) needs R at every node up to t, and an r^2 past double range
+        # is not R
+        if not np.isfinite(radius).all():
+            raise RescalingError("Cauchy modulus radius past double range")
         np.divide(1.0, radius, out=inv)
         np.add(inv[:-1], inv[1:], out=w)
         np.multiply(w, half_dt, out=w)
@@ -959,6 +976,8 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
     Raises:
         DomainError: for d other than an integer >= 2 (the modulus is
             self-similar only in dimension > 1) or cfg.alpha != 1.
+        RescalingError: where the path's squared radius leaves double
+            range on [0, cfg.horizon].
     """
     CauchyModulus(d)                    # checks the dimension
     times, paths = _cauchy_paths(d, cfg, cfg.horizon, np.array([path_id]))

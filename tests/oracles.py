@@ -19,7 +19,6 @@ import numpy as np
 from levyclocks import (
     EvaluationError,
     HorizonExceededError,
-    RescalingError,
     horizon_policy,
 )
 
@@ -347,23 +346,28 @@ def ref_log_total(p: RefPath, alpha: float) -> float:
 
 
 def ref_clock(p: RefPath, nodes: np.ndarray, alpha: float, targets):
-    """tau at the targets, or None when one exceeds A(horizon)."""
+    """tau at the targets, or None when one exceeds A(horizon).
+
+    A past double range is inf from its node on, so a finite target is
+    inverted on the finite prefix: on the segment where A passes it, where
+    a trapezoid weight of inf puts tau at the step's start.  tau never
+    passes the segment's end, which rounding of A could otherwise give.
+    """
     t = np.asarray(targets, dtype=float)
-    if not math.isfinite(float(nodes[-1])):
-        raise RescalingError("A(horizon) overflowed")
     if np.any(t > nodes[-1]):
         return None
     idx = np.clip(np.searchsorted(nodes, t, side="left") - 1, 0,
                   len(nodes) - 2)
     rem = t - nodes[idx]
-    if p.kind == LINEAR:
-        rate = alpha * p.drift
-        scaled = rem * np.exp(-alpha * p.xi[idx])
-        du = scaled if rate == 0.0 else np.log1p(rate * scaled) / rate
-    else:
-        w = nodes[idx + 1] - nodes[idx]
-        du = (p.times[idx + 1] - p.times[idx]) * rem / w
-    return p.times[idx] + du
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if p.kind == LINEAR:
+            rate = alpha * p.drift
+            scaled = rem * np.exp(-alpha * p.xi[idx])
+            du = scaled if rate == 0.0 else np.log1p(rate * scaled) / rate
+        else:
+            w = nodes[idx + 1] - nodes[idx]
+            du = (p.times[idx + 1] - p.times[idx]) * rem / w
+        return np.fmin(p.times[idx] + du, p.times[idx + 1])
 
 
 def ref_value_at(p: RefPath, u: float) -> float:

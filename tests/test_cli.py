@@ -24,6 +24,11 @@ def csv_table(text):
     return header, [tuple(map(float, line.split(","))) for line in lines]
 
 
+# tau(10) of paths 0-2 of cp-plus (150, 40, 1), seed 1: A overflows near
+# Lévy time 3.7, before the first rung, 4
+CP_PLUS_OVERFLOW_TAUS = [0.027918612844430146, 0.034182479858904977,
+                         0.029503703871555476]
+
 # Full `profile` stdout for each boundary case: 3a/4c, 3a/4b (untilted and
 # tilted), 3b/4a and 3c/4a.
 PROFILES = {
@@ -283,6 +288,13 @@ class TestStochasticCommands:
             "--paths", "16", "--step", "0.05", "--seed", "3"])
         assert code == 0
         assert "cauchy_modulus d=3" in out
+        # below the square root of double range every r^2 is finite
+        code, out, _ = invoke(capsys, [
+            "lln", "--family", "cauchy", "--d", "3", "--t", "1e150",
+            "--paths", "2", "--seed", "1"])
+        assert code == 0
+        assert out.endswith("\n9.9999999999999998e+149,0.69135868838077075,"
+                            "0.030698972170841443,0.63661977236758127\n")
         code, _, err = invoke(capsys, [
             "lln", "--family", "cauchy", "--d", "3", "--t", "50",
             "--paths", "3", "--seed", "1", "--alpha", "2"])
@@ -447,13 +459,19 @@ class TestStochasticCommands:
          "--paths", "50", "--theta", "-1000"],
         ["check-identities", "--family", "sawtooth", "--beta", "1",
          "--gamma", "3", "--paths", "50", "--theta", "-400"],
+        # a Cauchy-modulus r^2 past double range
+        ["lln", "--family", "cauchy", "--d", "3", "--t", "1e154", "--step",
+         "0.01"],
+        ["lln", "--family", "cauchy", "--d", "3", "--t", "1e300", "--step",
+         "0.01"],
     ], ids=["simulate_inf", "simulate_nan", "simulate_cauchy_inf",
             "simulate_step_inf", "lln_inf", "logA_inf", "identities_inf",
             "ldp_eps_negative", "ldp_eps_nan", "ldp_repeated_t",
             "lln_max_doublings_1100", "simulate_step_1e-300",
             "lln_cauchy_step_1e-300", "logA_cp_plus_t_1e20",
             "logA_sawtooth_t_1e300", "identities_theta_-1000",
-            "identities_sawtooth_theta_-400"])
+            "identities_sawtooth_theta_-400", "lln_cauchy_t_1e154",
+            "lln_cauchy_t_1e300"])
     def test_non_finite_or_empty_window_exit_2(self, capsys, argv):
         # the flags of each case come last and win over these
         code, out, err = invoke(capsys, [argv[0], "--paths", "2", "--step",
@@ -462,22 +480,25 @@ class TestStochasticCommands:
         assert out == ""
         assert "error:" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma", "1",
-         "--t", "10", "--paths", "3"],
-        ["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma", "1",
-         "--t", "10", "--paths", "100"],
-        ["--family", "brownian", "--nu", "120", "--t", "1e250", "--step", "1",
-         "--paths", "4"],
+    @pytest.mark.parametrize("argv,taus", [
+        (["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma",
+          "1", "--t", "10", "--paths", "3"], CP_PLUS_OVERFLOW_TAUS),
+        (["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma",
+          "1", "--t", "10", "--paths", "100"], CP_PLUS_OVERFLOW_TAUS),
+        (["--family", "brownian", "--nu", "120", "--t", "1e250", "--step",
+          "1", "--paths", "4"], [2.0] * 4),
     ], ids=["cp_plus_3_paths", "cp_plus_100_paths", "brownian_t_1e250"])
-    def test_overflow_exit_2_without_warnings(self, capsys, argv):
-        # A past double range is inf as a plain value: no numpy warning,
-        # which the suite turns into an error, comes before the
-        # RescalingError
+    def test_overflow_exit_2_without_warnings(self, capsys, argv, taus):
+        # A overflows on every row before the horizon it is drawn to, the
+        # first rung 4 of cp-plus and 2 of the Brownian rows, but the clock
+        # reads a row only up to its target: the run exits 0, without a
+        # numpy warning (which the suite turns into an error), and prints
+        # tau from the path up to the target
         code, out, err = invoke(capsys, ["simulate", "--seed", "1", *argv])
-        assert code == 2
-        assert out == ""
-        assert "error: exponential functional overflowed" in err
+        assert code == 0
+        header, rows = csv_table(out)
+        assert header == "path_id,tau"
+        assert [tau for _, tau in rows[:len(taus)]] == taus
         assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("argv", [
@@ -510,10 +531,10 @@ class TestStochasticCommands:
     ], ids=["brownian", "cp_plus", "start_1e200_alpha_2",
             "start_1e-200_alpha_2", "start_1e300"])
     def test_identities_overflow_exit_2_under_w_error(self, argv, message):
-        # A(8) past double range: the fundamental relation's targets are
-        # NaN without a numpy warning, and clock reports the overflow; a
-        # start whose alpha-th power, or its product with the targets,
-        # leaves double range is refused before any clock is read there
+        # A(8) past double range, which would place the fundamental
+        # relation's targets, is refused before they are placed; a start
+        # whose alpha-th power, or its product with the targets, leaves
+        # double range is refused before any clock is read there
         import subprocess
         import sys
         proc = subprocess.run(

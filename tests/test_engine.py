@@ -17,6 +17,7 @@ reach.
 
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from levyclocks import (
     CauchyModulus,
     DomainError,
     HorizonExceededError,
-    RescalingError,
     SimConfig,
     brownian_drift,
     cp_minus_drift,
@@ -497,6 +497,20 @@ def test_search_on_padded_blocks(name, model, step):
             assert np.array_equal(vals, want, equal_nan=True)
         # above the cap and at NaN
         assert np.isnan(values[:, 5:7]).all()
+        # index -1 and targets one ulp above each node: where A's rounding
+        # hides segments, tau is still a number between the nodes whose A
+        # brackets the target, as in the oracle
+        nodes = block.functional(-1.0)
+        t = np.nextafter(nodes, np.inf)
+        taus = block.clock(-1.0, t)
+        hit = paths._search_rows(nodes, block.size, t)
+        for p, ts, tau, j, times, cap in zip(refs, t, taus, hit, block.times,
+                                             block.totals(-1.0)):
+            ts, tau, j = ts[ts <= cap], tau[ts <= cap], j[ts <= cap]
+            assert (times[j - 1] <= tau).all() and (tau <= times[j]).all()
+            assert np.array_equal(
+                tau, oracles.ref_clock(p, oracles.ref_nodes(p, -1.0), -1.0,
+                                       ts))
         return block.size
 
     lengths = np.unique(paths.run_paths(model, cfg, horizon, reduce))
@@ -589,38 +603,50 @@ def test_uniforms_up_to_the_first_sure_crossing(counting):
 
 
 def test_rescaling_error_per_row():
-    # drift 240 per unit time: A overflows past xi ~ 709.8, at time ~ 3
+    # drift 240 per unit time: A overflows past xi ~ 709.8, at time ~ 3.
+    # The clock reads a row only up to its target, so tau is bit for bit
+    # the same at every horizon that reaches the target, those where
+    # A(horizon) = inf included, and an overflow refuses nothing
     model = brownian_drift(120.0)
-    # the target is reached at once; the first horizon, 4, overflows, so
-    # drawing every row to it raised for the whole block, while each row
-    # now stops at the first horizon that serves it (2)
     cfg = SimConfig(seed=1, n_paths=4, step=0.01)
-    with pytest.raises(RescalingError):
-        oracles.ref_tau_ensemble(model, cfg, [10.0])
-    got = tau_ensemble(model, cfg, [10.0])
-    for i in range(4):
-        p = oracles.ref_path(model, cfg.seed, i, 2.0, cfg.step)
-        want = oracles.ref_clock(p, oracles.ref_nodes(p, 1.0), 1.0, [10.0])
-        assert np.array_equal(got[i], want)
-    # a row whose A overflows before it reaches the target still raises
+    for target, tau, horizons in [(10.0, 0.02901994529445555, (2, 3, 4, 8)),
+                                  (1e300, 2.8900937624669045, (3, 4, 8))]:
+        got = tau_ensemble(model, cfg, [target])
+        assert got[0, 0] == tau
+        assert np.array_equal(
+            got, oracles.ref_tau_ensemble(model, cfg, [target])[0])
+        for h in horizons:
+            block = sample_levy_path(model, replace(cfg, horizon=h), 0)
+            assert block.clock(1.0, [target])[0, 0] == tau, h
+    assert not np.isfinite(block.totals(1.0)).any()
+    # with step 1 the trapezoid weight of the step from time 2 is inf, and
+    # every tau(1e250), inverted on it, is that step's start
     cfg = SimConfig(seed=1, n_paths=4, step=1.0)
-    with pytest.raises(RescalingError):
-        tau_ensemble(model, cfg, [1e250])
+    assert np.array_equal(tau_ensemble(model, cfg, [1e250]),
+                          np.full((4, 1), 2.0))
 
 
 @pytest.mark.parametrize("n_paths", [3, 100])
 def test_jump_rescaling_error_whatever_the_other_rows(n_paths):
     # xi rises at about 190 per unit time, so A overflows near time 3.7,
     # before the first rung, 4, which every row is drawn to; the target is
-    # reached at once.  Each row raises on its own, as in the oracle,
-    # whatever the block holds besides it, and without a numpy warning:
-    # an A past double range is inf.
+    # reached at once.  Each row's tau is that of the oracle, whatever the
+    # block holds besides it: an A past double range is inf, the padding
+    # after it NaN, and neither is read on the way to the target.  Rows
+    # 0-2 read the same tau on one-row blocks of every horizon.
     model = cp_plus_drift(150.0, 40.0, 1.0)
     cfg = SimConfig(seed=1, n_paths=n_paths)
-    with np.errstate(over="ignore"), pytest.raises(RescalingError):
-        oracles.ref_tau_ensemble(model, cfg, [10.0])
-    with pytest.raises(RescalingError):
-        tau_ensemble(model, cfg, [10.0])
+    taus = [0.027918612844430146, 0.034182479858904977, 0.029503703871555476]
+    got = tau_ensemble(model, cfg, [10.0])
+    assert got[:3, 0].tolist() == taus
+    with np.errstate(over="ignore"):
+        want = oracles.ref_tau_ensemble(model, cfg, [10.0])[0]
+    assert np.array_equal(got, want)
+    for h in (0.05, 0.5, 2.0, 4.0, 20.0):
+        for i, tau in enumerate(taus):
+            block = sample_levy_path(model, replace(cfg, horizon=h), i)
+            assert block.clock(1.0, [10.0])[0, 0] == tau, (h, i)
+    assert block.totals(1.0)[0] == np.inf
 
 
 def test_jump_scratch_memory(monkeypatch):
