@@ -25,7 +25,6 @@ from pathlib import Path
 
 from . import moments as moments_mod
 from .errors import (
-    CapabilityError,
     DomainError,
     HorizonExceededError,
     LevyClocksError,
@@ -35,10 +34,8 @@ from .estimators import (
     estimate_ldp_slope,
     estimate_lln,
     estimate_logA_rate,
-    first_passage_check,
-    fundamental_relation_check,
+    identity_checks,
     tau_ensemble,
-    tilted_identity_check,
 )
 from .models import (
     PARAM_NAMES,
@@ -331,28 +328,26 @@ def _cmd_check_identities(args) -> list[str]:
     cfg = _sim_config(args)
     fields = [("model", model.describe()), ("seed", cfg.seed)]
 
-    # Fundamental relation tau(t) = T(t a^alpha), checked pathwise.
-    worst = fundamental_relation_check(model, cfg)
-    fields.append(("fundamental_relation_max_abs_err", _g(worst)))
-    if cfg.alpha != 1.0:
+    # the fundamental relation tau(t) = T(t a^alpha), checked pathwise,
+    # then at index 1 the tilted identity and the first passage
+    thetas = args.theta or [-1.0]
+    checks = identity_checks(model, cfg, args.m, args.t, args.t_fp, thetas)
+    fields.append(("fundamental_relation_max_abs_err",
+                   _g(checks.fundamental)))
+    if checks.tilted is None:
         skip = "skipped (stated for clocks of index 1)"
         fields += [("tilted", skip), ("first_passage", skip)]
         return _emit(args, "identities.txt", _text(fields))
 
-    tilted = tilted_identity_check(model, args.m, args.t, cfg)
     fields += [
-        ("tilted_lhs", _g(tilted.lhs)),
-        ("tilted_rhs", _g(tilted.rhs)),
-        ("tilted_z", _g(tilted.z_score)),
+        ("tilted_lhs", _g(checks.tilted.lhs)),
+        ("tilted_rhs", _g(checks.tilted.rhs)),
+        ("tilted_z", _g(checks.tilted.z_score)),
     ]
-    thetas = args.theta or [-1.0]
-    try:
-        checks = first_passage_check(model, cfg, args.t_fp, thetas)
-    except CapabilityError:
+    if checks.first_passage is None:
         fields.append(("first_passage",
                        "skipped (needs a spectrally negative family)"))
-        checks = ()
-    for fp in checks:
+    for fp in checks.first_passage or ():
         if len(thetas) > 1:
             fields.append(("first_passage_theta", _g(fp.theta)))
         fields += [

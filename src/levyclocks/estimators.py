@@ -15,6 +15,13 @@ doublings (up to ``cfg.max_doublings``) of the Lévy-time horizon of
 :func:`~levyclocks.paths.horizon_policy`, Gaussian ones from half of it;
 an extension leaves the path's prefix unchanged, so the result is that of
 the same path drawn on the first doubled horizon that serves it.
+
+:func:`identity_checks` runs the three checks of ``check-identities`` on
+one draw of the base paths: the fundamental relation's fixed-horizon run
+of paths 0 .. 63 also reads the tilted left side's clock and the first
+passage there, and one growing run of all base paths serves the rest,
+keeping what that run served.  Each result is the one the check gives on
+its own.
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, RescalingError
+from .errors import (
+    CapabilityError,
+    DomainError,
+    HorizonExceededError,
+    LevyClocksError,
+    RescalingError,
+)
 from .models import Family, LevyModel, hypergeometric_stable
 from .paths import (
     CauchyModulus,
@@ -42,6 +55,7 @@ __all__ = [
     "LdpSlopeResult",
     "FirstPassageResult",
     "TiltedIdentityResult",
+    "IdentityChecks",
     "tau_ensemble",
     "estimate_lln",
     "estimate_clt",
@@ -50,6 +64,7 @@ __all__ = [
     "first_passage_check",
     "tilted_identity_check",
     "fundamental_relation_check",
+    "identity_checks",
     "ks_statistic",
     "normal_cdf",
 ]
@@ -110,12 +125,22 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
     base_h = horizon_policy(target.positive_mean(), float(np.max(targets)))
 
     return run_paths(
-        target, cfg, base_h, lambda block: block.clock(cfg.alpha, targets),
-        path_offset,
+        target, cfg, base_h, _clock_values(cfg.alpha, targets), path_offset,
         miss=lambda i, h: (f"path {path_offset + i} cannot reach clock "
                            f"target {float(np.max(targets))!r} within "
                            f"horizon {h!r} after {cfg.max_doublings} "
                            f"doublings"))
+
+
+def _clock_values(alpha: float, targets, passage: bool = False):
+    """The reducer of the base paths: tau at ``targets`` per row, and the
+    first passage of level 1 after them with ``passage``."""
+    def reduce(block):
+        taus = block.clock(alpha, targets)
+        if not passage:
+            return taus
+        return np.column_stack((taus, block.first_passage(1.0)))
+    return reduce
 
 
 def _levy_model(target: LevyModel | CauchyModulus) -> LevyModel:
@@ -307,10 +332,10 @@ def first_passage_check(model: LevyModel, cfg: SimConfig, t: float,
     """Compare the clock transform with the first-passage subordinator.
 
     ``t`` is the clock target of the left-hand side; tau_hat(1) =
-    inf{u : xi_u > 1} is read off the same path ensemble.
-    Both sides are referenced against the analytic invert_L(theta).
-    Given a sequence of theta, one ensemble serves them all, and the
-    results come in the same order.
+    inf{u : xi_u > 1} is read off the same path ensemble, paths
+    0 .. n_paths - 1 of one growing run.  Both sides are referenced
+    against the analytic invert_L(theta).  Given a sequence of theta, one
+    ensemble serves them all, and the results come in the same order.
 
     Raises:
         CapabilityError: unless the family is spectrally negative
@@ -320,34 +345,46 @@ def first_passage_check(model: LevyModel, cfg: SimConfig, t: float,
         RescalingError: where every weight exp(theta tau) or
             exp(theta tau_hat) underflows to 0 (theta far below 0).
     """
-    if model.family not in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH):
-        raise CapabilityError("first-passage check requires a spectrally "
-                              "negative family (brownian_drift, saw_tooth)")
     thetas = [float(th) for th in np.atleast_1d(theta)]
-    for th in thetas:
-        if th > 0.0:
-            raise DomainError(f"theta must be <= 0, got {th!r}")
-    if not 1.0 < t < math.inf:
-        raise DomainError(f"first-passage clock target must satisfy t > 1 "
-                          f"and be finite, got {t!r}")
-    analytic = [invert_L(model, th) if th < 0.0 else 0.0 for th in thetas]
+    analytic = _first_passage_refusals(model, t, thetas)
     taus = hats = None
     if any(th < 0.0 for th in thetas):
-        mean = model.mean
-        base_h = max(horizon_policy(mean, t), 8.0 / mean)
-
-        def tau_and_hat(block):
-            return np.column_stack((block.clock(cfg.alpha, [t]),
-                                    block.first_passage(1.0)))
-
         taus, hats = run_paths(
-            model, cfg, base_h, tau_and_hat,
+            model, cfg, _first_passage_horizon(model.mean, t),
+            _clock_values(cfg.alpha, [t], passage=True),
             miss=lambda i, h: (f"path {i} never crossed level 1 (or never "
                                f"reached the clock target) within horizon "
                                f"{h!r}")).T
     results = tuple(_first_passage_result(th, t, ref, taus, hats)
                     for th, ref in zip(thetas, analytic))
     return results[0] if np.ndim(theta) == 0 else results
+
+
+def _first_passage_refusals(model: LevyModel, t: float,
+                            thetas: list[float]) -> list[float]:
+    """invert_L at each theta, after the refusals of
+    :func:`first_passage_check`."""
+    if not _spectrally_negative(model):
+        raise CapabilityError("first-passage check requires a spectrally "
+                              "negative family (brownian_drift, saw_tooth)")
+    for th in thetas:
+        if th > 0.0:
+            raise DomainError(f"theta must be <= 0, got {th!r}")
+    if not 1.0 < t < math.inf:
+        raise DomainError(f"first-passage clock target must satisfy t > 1 "
+                          f"and be finite, got {t!r}")
+    return [invert_L(model, th) if th < 0.0 else 0.0 for th in thetas]
+
+
+def _spectrally_negative(model: LevyModel) -> bool:
+    return model.family in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH)
+
+
+def _first_passage_horizon(mean: float, t: float) -> float:
+    """The first rung of a run that reads tau up to ``t`` and the first
+    passage of level 1: at least 8/mean, eight times the time xi takes to
+    reach the level at its mean speed."""
+    return max(horizon_policy(mean, t), 8.0 / mean)
 
 
 def _first_passage_result(theta: float, t_clock: float, analytic: float,
@@ -389,17 +426,27 @@ def tilted_identity_check(model: LevyModel, m: float, t: float,
     """Monte Carlo check of the scaling/change-of-measure identity.
 
     The left side is E_a exp(-psi(m) T(t)) under the base model started at
-    ``a = cfg.start``; after the scaling reduction the right side equals
-    E exp(-m xi*) under the Esscher-tilted path law, with xi* the tilted
-    path value at its clock time tau(t/a).  Both sides are estimated on
-    disjoint path-id ranges of the same seed; the returned z-score uses
-    pooled standard errors, and is 0 where the sides are equal and a
-    signed inf where they differ with both standard errors 0.
+    ``a = cfg.start``, on paths 0 .. n_paths - 1; after the scaling
+    reduction the right side equals E exp(-m xi*) under the
+    Esscher-tilted path law, with xi* the tilted path value at its clock
+    time tau(t/a), on paths n_paths .. 2 n_paths - 1 of the same seed.
+    The returned z-score uses pooled standard errors, and is 0 where the
+    sides are equal and a signed inf where they differ with both standard
+    errors 0.
 
     Raises:
         RescalingError: if an exponential weight would overflow
             (reduce t).
     """
+    target = _tilted_target(model, m, t, cfg)
+    taus = None if m == 0.0 else tau_ensemble(model, cfg, [target])[:, 0]
+    return _tilted_result(model, m, t, cfg, taus)
+
+
+def _tilted_target(model: LevyModel, m: float, t: float,
+                   cfg: SimConfig) -> float:
+    """The left side's clock target t/a, after the refusals of
+    :func:`tilted_identity_check` that come before its paths."""
     if not t > 0.0:
         raise DomainError(f"t must be > 0, got {t!r}")
     if cfg.alpha != 1.0:
@@ -409,23 +456,25 @@ def tilted_identity_check(model: LevyModel, m: float, t: float,
     if not (prof.m0 < m < model.m_plus):
         raise DomainError(f"m = {m!r} outside (m0, m_plus) = "
                           f"({prof.m0!r}, {model.m_plus!r})")
+    return t / cfg.start
+
+
+def _tilted_result(model: LevyModel, m: float, t: float, cfg: SimConfig,
+                   taus) -> TiltedIdentityResult:
+    """Both sides of the tilted identity, from the left side's clock values
+    ``taus`` at t/a (unused at m = 0), and the right side's run."""
     if m == 0.0:
         return TiltedIdentityResult(m=0.0, t=t, lhs=1.0, lhs_stderr=0.0,
                                     rhs=1.0, rhs_stderr=0.0, z_score=0.0)
-    psi_m = model.psi(m)
-    target = t / cfg.start
-    tilted = model.esscher(m)
-
-    taus = tau_ensemble(model, cfg, [target])[:, 0]
-    expo = -psi_m * taus
+    expo = -model.psi(m) * taus
     if float(np.max(np.abs(expo))) > 700.0:
         raise RescalingError("exponential weight overflows; reduce t")
     lhs, lhs_se = _mean_se(np.exp(expo))
 
-    base_h = horizon_policy(tilted.mean, target)
-
+    target = t / cfg.start
+    tilted = model.esscher(m)
     vals = run_paths(
-        tilted, cfg, base_h,
+        tilted, cfg, horizon_policy(tilted.mean, target),
         lambda block: block.clock_value(1.0, [target])[1][:, 0],
         path_offset=cfg.n_paths,
         miss=lambda i, h: (f"tilted path {cfg.n_paths + i} cannot reach "
@@ -459,6 +508,13 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
         RescalingError: where A(8), which sets the targets, a^alpha,
             a^-alpha or a target times a^alpha leaves double range.
     """
+    return _fundamental_relation(model, cfg)[0]
+
+
+def _fundamental_relation(model: LevyModel, cfg: SimConfig, more=None):
+    """(largest gap, per-row values of the reducer ``more``) of the run of
+    :func:`fundamental_relation_check`: ``more`` reduces the same blocks,
+    after the gap, into columns of their own (none without it)."""
     a, alpha = cfg.start, cfg.alpha
     overflow = (f"rescaling the clock targets by start^+-alpha = "
                 f"{a!r}^+-{alpha!r} leaves double range")
@@ -479,7 +535,98 @@ def fundamental_relation_check(model: LevyModel, cfg: SimConfig) -> float:
         if np.isinf(scaled).any():
             raise RescalingError(overflow)
         clock = block.clock(alpha, scaled * down)
-        return np.max(np.abs(clock - taus), axis=1)
+        worst = np.max(np.abs(clock - taus), axis=1)
+        return worst if more is None else np.column_stack((worst,
+                                                           more(block)))
 
     run_cfg = replace(cfg, n_paths=min(cfg.n_paths, 64))
-    return float(np.max(run_paths(model, run_cfg, 8.0, gap)))
+    out = run_paths(model, run_cfg, 8.0, gap).reshape(run_cfg.n_paths, -1)
+    return float(np.max(out[:, 0])), out[:, 1:]
+
+
+# --------------------------------------------------------------------------
+# The three checks of check-identities on one draw of the base paths.
+# --------------------------------------------------------------------------
+
+class IdentityChecks(NamedTuple):
+    """The results of :func:`identity_checks`.  ``tilted`` and
+    ``first_passage`` are None where the check does not apply: both at an
+    index other than 1, and the first passage on a family that is not
+    spectrally negative."""
+
+    fundamental: float
+    tilted: TiltedIdentityResult | None
+    first_passage: tuple[FirstPassageResult, ...] | None
+
+
+def identity_checks(model: LevyModel, cfg: SimConfig, m: float, t: float,
+                    t_fp: float, thetas: Sequence[float]) -> IdentityChecks:
+    """:func:`fundamental_relation_check`, then at index 1
+    :func:`tilted_identity_check` at (m, t) and :func:`first_passage_check`
+    at (t_fp, thetas), drawing each base path once.
+
+    The tilted left side and the first passage read paths 0 .. n_paths - 1
+    in one growing run, whose first rung is the first passage's rule at
+    the larger of their clock targets t/a and t_fp (the left side's own
+    without a first passage).  The fundamental relation's run of paths
+    0 .. min(n_paths, 64) - 1 on [0, 8] reduces the same columns too, and
+    the growing run keeps what it served (``served`` of
+    :func:`~levyclocks.paths.run_paths`): tau is the same at every horizon
+    that reaches its target, a Gaussian piece continues its row's stream,
+    xi and A, and first passage decides step j by raw draw j of the
+    auxiliary stream.  So each value is the one the checks give run one by
+    one.  The tilted right side draws paths n_paths .. 2 n_paths - 1 as
+    :func:`tilted_identity_check` does.
+
+    Where a check refuses its arguments, or the growing run misses on its
+    last rung or reaches past 2^53 steps or events, the checks run one by
+    one instead, so each refusal comes in its turn and with its message.
+    The growing run's last rung can lie past the left side's own, where
+    it serves a row that the left side alone would miss.
+    """
+    thetas = [float(th) for th in thetas]
+    passage = _spectrally_negative(model)
+    try:
+        target = _tilted_target(model, m, t, cfg)
+        mean = model.positive_mean()
+        analytic = (_first_passage_refusals(model, t_fp, thetas) if passage
+                    else None)
+    except LevyClocksError:
+        return _one_by_one(model, cfg, m, t, t_fp, thetas)
+    lhs = m != 0.0
+    fp = passage and any(th < 0.0 for th in thetas)
+    clocks = ([target] if lhs else []) + ([t_fp] if fp else [])
+    if not clocks or not math.isfinite(target):
+        return _one_by_one(model, cfg, m, t, t_fp, thetas)
+    reduce = _clock_values(cfg.alpha, clocks, fp)
+    worst, served = _fundamental_relation(model, cfg, reduce)
+    h0 = (_first_passage_horizon(mean, max(clocks)) if fp
+          else horizon_policy(mean, target))
+    try:
+        # the message is never read: a miss runs the checks one by one
+        base = run_paths(model, cfg, h0, reduce, served=served,
+                         miss=lambda i, h: f"path {i} missed rung {h!r}")
+    except (DomainError, HorizonExceededError):
+        return _one_by_one(model, cfg, m, t, t_fp, thetas, worst)
+    tilted = _tilted_result(model, m, t, cfg, base[:, 0] if lhs else None)
+    if not passage:
+        return IdentityChecks(worst, tilted, None)
+    taus, hats = base[:, -2:].T if fp else (None, None)
+    return IdentityChecks(worst, tilted, tuple(
+        _first_passage_result(th, t_fp, ref, taus, hats)
+        for th, ref in zip(thetas, analytic)))
+
+
+def _one_by_one(model: LevyModel, cfg: SimConfig, m: float, t: float,
+                t_fp: float, thetas: list[float],
+                worst: float | None = None) -> IdentityChecks:
+    """The checks of :func:`identity_checks` run one by one, the
+    fundamental relation's unless its gap ``worst`` is given."""
+    if worst is None:
+        worst = fundamental_relation_check(model, cfg)
+    if cfg.alpha != 1.0:
+        return IdentityChecks(worst, None, None)
+    tilted = tilted_identity_check(model, m, t, cfg)
+    return IdentityChecks(worst, tilted, (
+        first_passage_check(model, cfg, t_fp, thetas)
+        if _spectrally_negative(model) else None))

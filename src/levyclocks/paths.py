@@ -34,10 +34,11 @@ gathered into a block of padded rows, and reduced there by operations
 that act on each row alone, so every row is bit-identical to the same
 path sampled on its own.  A reducer returns the rows' values and nothing
 else.  A run whose rows can miss their target serves a value once it is
-finite, keeps it from the first block where it is, and grows each row
-until all its values are served: Gaussian rows gain steps in geometric
-pieces, each drawn from the stream position, ξ and A the row carries
-from the last one; jump rows carry nothing between reductions, and are
+finite, keeps it from the first block where it is (or from an earlier
+run of the same paths that it is given), and grows each row until all
+its values are served: Gaussian rows gain steps in geometric pieces,
+each drawn from the stream position, ξ and A the row carries from the
+last one; jump rows carry nothing between reductions, and are
 drawn again from their key at each rung ``h0 2^k``, every row of a block
 in as many 128-event chunks, straight into the block's arrays.  No row is
 drawn past the rung at which the same path sampled alone would first
@@ -440,7 +441,8 @@ class PathBlock:
 
         ``targets`` holds one set of clock targets for all rows, or one row
         of targets per path.  The result is NaN at exactly the targets the
-        row cannot reach: those beyond A(horizon) (and, on a block that
+        row cannot reach: those beyond A(horizon), inf on every row, also
+        where A(horizon) overflowed to inf (and, on a block that
         continues its rows, those below A at their first node, which an
         earlier block found).  The inversion is exact per segment, so that
         ``A(tau(t)) = t`` to machine precision, and reads the path only up
@@ -498,7 +500,9 @@ class PathBlock:
             raise DomainError("clock targets must be >= 0")
         nodes = self.functional(alpha)
         cap = self.totals(alpha)
-        found = (t <= cap[:, None]) & (t >= nodes[:, :1])
+        # an infinite target is never reached, though it equals an
+        # overflowed A
+        found = (t <= cap[:, None]) & (t >= nodes[:, :1]) & (t < np.inf)
         below = _search_rows(nodes, self.size, t, padded=self.kind == LINEAR)
         idx = np.minimum(np.maximum(below - 1, 0), (self.size - 2)[:, None])
         # invert where the target is found only
@@ -765,7 +769,8 @@ def _row_sampler(model: LevyModel, cfg: SimConfig, offset: int, n_rows: int,
 def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
               reduce: Callable[[PathBlock], np.ndarray],
               path_offset: int = 0,
-              miss: Callable[[int, float], str] | None = None) -> np.ndarray:
+              miss: Callable[[int, float], str] | None = None,
+              served: np.ndarray | None = None) -> np.ndarray:
     """Per-path results of ``reduce`` on paths ``path_offset + i``,
     ``i < cfg.n_paths``, sampled in blocks of rows.
 
@@ -785,6 +790,11 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     the whole path drawn again.  A row is served on the shortest prefix
     that serves it, so its values are those of the same path drawn on the
     rung that first serves it, and no row is drawn past that rung.
+    With ``miss``, ``served`` may hold the values of rows
+    ``0 .. len(served) - 1`` that an earlier run of the same paths and
+    reducer computed, NaN (or inf) where it could not: the run keeps those
+    that are finite, as from its first block, and draws no row that they
+    serve whole.
 
     Row ``i`` of the result holds path ``path_offset + i``.  The Gaussian
     sampler keeps what a pending row carries from one reduction to the
@@ -804,6 +814,12 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     # a fixed-horizon run serves every row on its one horizon
     unserved = np.full(cfg.n_paths, grow)
     out = None
+    if served is not None:
+        out = np.full((cfg.n_paths,) + served.shape[1:], np.nan)
+        out[:len(served)] = served
+        finite = np.isfinite(served).reshape(len(served), -1)
+        unserved[:len(served)] = ~finite.all(axis=1)
+        pending = np.flatnonzero(unserved)
     for h in schedule:
         for rows, block in rows_of.blocks(pending, h):
             values = reduce(block)

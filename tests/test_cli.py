@@ -488,7 +488,7 @@ class TestStochasticCommands:
         (["--family", "brownian", "--nu", "120", "--t", "1e250", "--step",
           "1", "--paths", "4"], [2.0] * 4),
     ], ids=["cp_plus_3_paths", "cp_plus_100_paths", "brownian_t_1e250"])
-    def test_overflow_exit_2_without_warnings(self, capsys, argv, taus):
+    def test_overflow_exit_0_without_warnings(self, capsys, argv, taus):
         # A overflows on every row before the horizon it is drawn to, the
         # first rung 4 of cp-plus and 2 of the Brownian rows, but the clock
         # reads a row only up to its target: the run exits 0, without a
@@ -961,6 +961,41 @@ STDOUT = {
         "first_passage_lhs: -1.2384091522858365\n"
         "first_passage_rhs: -1.3188485634972118\n"
         "first_passage_rhs_stderr: 0.084758044761012924\n"
+        "first_passage_analytic_L: -1.3027756377319943\n"),
+    # past the 64 paths of the fundamental relation's run, which serves
+    # the first 64 rows of the base side's growing run
+    "identities_200_paths": (
+        ["check-identities", "--family", "brownian", "--nu", "1", "--paths",
+         "200", "--step", "0.02", "--seed", "5", "--t-fp", "30", "--theta",
+         "-0.5", "--theta", "-1"],
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 5\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 0.07746497891313614\n"
+        "tilted_rhs: 0.086815829629977831\n"
+        "tilted_z: -1.2383418588208306\n"
+        "first_passage_theta: -0.5\n"
+        "first_passage_lhs: -0.29122116875263554\n"
+        "first_passage_rhs: -0.21010483339361949\n"
+        "first_passage_rhs_stderr: 0.01403851060049109\n"
+        "first_passage_analytic_L: -0.20710678118654752\n"
+        "first_passage_theta: -1\n"
+        "first_passage_lhs: -0.52544320913873144\n"
+        "first_passage_rhs: -0.38174031641692496\n"
+        "first_passage_rhs_stderr: 0.023067748415950814\n"
+        "first_passage_analytic_L: -0.36602540378443865\n"),
+    "identities_sawtooth_200_paths": (
+        ["check-identities", "--family", "sawtooth", "--beta", "1", "--gamma",
+         "3", "--paths", "200", "--seed", "8", "--t-fp", "30"],
+        "model: family=saw_tooth beta=1.0 gamma=3.0 tilt=0.0\n"
+        "seed: 8\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 0.38964166896249869\n"
+        "tilted_rhs: 0.39210121793804575\n"
+        "tilted_z: -0.24441283829203814\n"
+        "first_passage_lhs: -1.2389000027334276\n"
+        "first_passage_rhs: -1.2831637281055601\n"
+        "first_passage_rhs_stderr: 0.028310673745269438\n"
         "first_passage_analytic_L: -1.3027756377319943\n"),
     "identities_cp_plus_skip": (
         ["check-identities", "--family", "cp-plus", "--d", "1", "--beta", "2",

@@ -9,8 +9,9 @@ generator per path and works in the (nodes, d) layout.  Each pair must
 agree bit for bit, whatever the block size.
 
 A reducer returns its values only.  A growing run serves a value once it
-is finite and keeps it from the first block where it is; a fixed-horizon
-run takes the values as they are.  The contract tests check both, and
+is finite and keeps it from the first block where it is, or from an
+earlier run of the same paths that it is given; a fixed-horizon run takes
+the values as they are.  The contract tests check both, and
 that ``PathBlock.clock`` reads NaN at exactly the targets a row cannot
 reach.
 """
@@ -25,6 +26,7 @@ import pytest
 import oracles
 from levyclocks import (
     AssumptionError,
+    CapabilityError,
     CauchyModulus,
     DomainError,
     HorizonExceededError,
@@ -414,6 +416,89 @@ def test_growing_run_keeps_first_finite_value(monkeypatch, budget):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("model,targets,step", [
+    (brownian_drift(1.0), [5.0, 1e6], 0.05),
+    (saw_tooth(1.0, 3.0), [5.0, 100.0], 0.05),
+], ids=["brownian", "saw_tooth"])
+def test_served_rows_are_not_drawn_again(monkeypatch, model, targets, step):
+    # the values a fixed-horizon run of paths 0-15 gives are kept where
+    # they are finite, and the rows they serve whole are not drawn: no
+    # stream of theirs, normal, exponential or auxiliary, is taken
+    cfg = SimConfig(seed=4, n_paths=40, step=step)
+
+    def reduce(block):
+        return np.column_stack((block.clock(1.0, targets),
+                                block.first_passage(1.0)))
+
+    def miss(i, h):
+        return f"path {i} missed"
+
+    want = paths.run_paths(model, cfg, 8.0, reduce, miss=miss)
+    served = paths.run_paths(model, replace(cfg, n_paths=16), 8.0, reduce)
+    whole = np.isfinite(served).all(axis=1)
+    assert 0 < whole.sum() < 16
+    drawn = collections.Counter()
+    streams = paths._Work.streams
+
+    def counting(self, ids, at=None):
+        drawn.update(i % paths._AUX_STREAM for i in ids.tolist())
+        return streams(self, ids, at)
+
+    monkeypatch.setattr(paths._Work, "streams", counting)
+    got = paths.run_paths(model, cfg, 8.0, reduce, miss=miss, served=served)
+    assert np.array_equal(got, want)
+    assert set(drawn) == set(range(cfg.n_paths)) - set(np.flatnonzero(whole))
+
+
+IDENTITY_RUNS = [
+    # (model, cfg, m, t, t_fp, thetas): past 64 paths, a start other than
+    # 1, m = 0, theta = 0 alone, a family without first passage, index 2
+    (brownian_drift(1.0), SimConfig(seed=5, n_paths=100, step=0.02), 1.0,
+     2.0, 30.0, [-0.5, -1.0]),
+    (brownian_drift(1.0), SimConfig(seed=6, n_paths=30, step=0.02,
+                                    start=1.7), -0.25, 8.0, 5.0, [-1.0]),
+    (saw_tooth(1.0, 3.0), SimConfig(seed=8, n_paths=90), 0.5, 2.0, 30.0,
+     [-1.0]),
+    (saw_tooth(1.0, 3.0), SimConfig(seed=8, n_paths=20), 0.0, 2.0, 30.0,
+     [-1.0]),
+    (saw_tooth(1.0, 3.0), SimConfig(seed=8, n_paths=20), 0.5, 2.0, 30.0,
+     [0.0]),
+    (cp_plus_drift(1.0, 2.0, 1.0), SimConfig(seed=8, n_paths=70), 0.5, 2.0,
+     30.0, [-1.0]),
+    (brownian_drift(1.0), SimConfig(seed=3, n_paths=20, alpha=2.0), 1.0,
+     2.0, 30.0, [-1.0]),
+]
+
+
+@pytest.mark.parametrize("model,cfg,m,t,t_fp,thetas", IDENTITY_RUNS)
+def test_identity_checks_one_draw(model, cfg, m, t, t_fp, thetas):
+    # one draw of the base paths gives the results of the three checks
+    # run one by one
+    got = estimators.identity_checks(model, cfg, m, t, t_fp, thetas)
+    assert got.fundamental == fundamental_relation_check(model, cfg)
+    if cfg.alpha != 1.0:
+        assert got[1:] == (None, None)
+        return
+    assert got.tilted == tilted_identity_check(model, m, t, cfg)
+    try:
+        want = first_passage_check(model, cfg, t_fp, thetas)
+    except CapabilityError:
+        want = None
+    assert got.first_passage == want
+
+
+def test_identity_checks_refuse_in_turn():
+    # a refused t_fp, a tilted side that misses on its own rungs: the
+    # tilted side refuses first, as the checks do one by one
+    model = brownian_drift(1.0)
+    cfg = SimConfig(seed=1, n_paths=200, step=0.05, max_doublings=1)
+    with pytest.raises(HorizonExceededError, match="tilted path 265 "):
+        estimators.identity_checks(model, cfg, -0.45, 1000.0, 0.5, [-1.0])
+    with pytest.raises(DomainError, match="must satisfy t > 1"):
+        estimators.identity_checks(model, replace(cfg, max_doublings=8),
+                                   1.0, 2.0, 0.5, [-1.0])
+
+
 @pytest.mark.parametrize("name,model,step", [MODELS[0], MODELS[3]],
                          ids=["brownian", "saw_tooth"])
 def test_fixed_horizon_takes_values_as_they_are(name, model, step):
@@ -602,11 +687,12 @@ def test_uniforms_up_to_the_first_sure_crossing(counting):
     assert 0 < CountingGenerator.uniforms <= sum(sure)
 
 
-def test_rescaling_error_per_row():
+def test_gaussian_clock_unmoved_by_overflow():
     # drift 240 per unit time: A overflows past xi ~ 709.8, at time ~ 3.
     # The clock reads a row only up to its target, so tau is bit for bit
     # the same at every horizon that reaches the target, those where
-    # A(horizon) = inf included, and an overflow refuses nothing
+    # A(horizon) = inf included, and an overflow refuses nothing.  No
+    # horizon reaches the target inf, where A is finite or not
     model = brownian_drift(120.0)
     cfg = SimConfig(seed=1, n_paths=4, step=0.01)
     for target, tau, horizons in [(10.0, 0.02901994529445555, (2, 3, 4, 8)),
@@ -618,6 +704,7 @@ def test_rescaling_error_per_row():
         for h in horizons:
             block = sample_levy_path(model, replace(cfg, horizon=h), 0)
             assert block.clock(1.0, [target])[0, 0] == tau, h
+            assert np.isnan(block.clock(1.0, [np.inf])[0, 0]), h
     assert not np.isfinite(block.totals(1.0)).any()
     # with step 1 the trapezoid weight of the step from time 2 is inf, and
     # every tau(1e250), inverted on it, is that step's start
@@ -627,13 +714,14 @@ def test_rescaling_error_per_row():
 
 
 @pytest.mark.parametrize("n_paths", [3, 100])
-def test_jump_rescaling_error_whatever_the_other_rows(n_paths):
+def test_jump_clock_unmoved_by_overflow_whatever_the_other_rows(n_paths):
     # xi rises at about 190 per unit time, so A overflows near time 3.7,
     # before the first rung, 4, which every row is drawn to; the target is
     # reached at once.  Each row's tau is that of the oracle, whatever the
     # block holds besides it: an A past double range is inf, the padding
     # after it NaN, and neither is read on the way to the target.  Rows
-    # 0-2 read the same tau on one-row blocks of every horizon.
+    # 0-2 read the same tau on one-row blocks of every horizon, and NaN at
+    # the target inf, before A overflows and after.
     model = cp_plus_drift(150.0, 40.0, 1.0)
     cfg = SimConfig(seed=1, n_paths=n_paths)
     taus = [0.027918612844430146, 0.034182479858904977, 0.029503703871555476]
@@ -646,6 +734,7 @@ def test_jump_rescaling_error_whatever_the_other_rows(n_paths):
         for i, tau in enumerate(taus):
             block = sample_levy_path(model, replace(cfg, horizon=h), i)
             assert block.clock(1.0, [10.0])[0, 0] == tau, (h, i)
+            assert np.isnan(block.clock(1.0, [np.inf])[0, 0]), (h, i)
     assert block.totals(1.0)[0] == np.inf
 
 
