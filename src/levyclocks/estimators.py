@@ -5,16 +5,16 @@ paths through the counter-based per-path streams of
 :mod:`levyclocks.paths`, and reduces with numpy's pairwise summation, so
 results are reproducible and independent of evaluation order.
 
-All Lévy-path estimators run on :func:`~levyclocks.paths.run_paths`:
-each path is drawn as one row from its own stream and the rows are
-reduced in blocks by reducers that return the rows' values only.  The
-clock, first-passage and tilted estimators grow each row until all its
-values are finite: the clock reads NaN at a target beyond A and a
-crossing time is inf until level 1 is crossed.  Rows grow through the
-doublings (up to ``cfg.max_doublings``) of the Lévy-time horizon of
-:func:`~levyclocks.paths.horizon_policy`, Gaussian ones from half of it;
-an extension leaves the path's prefix unchanged, so the result is that of
-the same path drawn on the first doubled horizon that serves it.
+All Lévy-path estimators run on :func:`~levyclocks.paths.run_paths`,
+which draws each path as one row from its own stream and reduces the rows
+in blocks.  The clock, first-passage and tilted estimators read one
+growing run, :func:`_clock_sample`: tau at the targets, xi at tau under
+an Esscher tilt, and the first passage of level 1 where it is checked.
+It grows each row until all its values are finite, through the doublings
+(up to ``cfg.max_doublings``) of one first rung,
+:func:`~levyclocks.paths.horizon_policy` at the largest target and at
+least 8/psi'(0) with a first passage; each row is then that path drawn on
+the first doubled horizon that serves it.
 
 :func:`identity_checks` runs the three checks of ``check-identities`` on
 one draw of the base paths: the fundamental relation's fixed-horizon run
@@ -119,27 +119,51 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
     if not (targets.size and np.isfinite(targets).all()):
         raise DomainError(f"clock targets must be finite and non-empty, "
                           f"got {targets.tolist()!r}")
+    if (targets < 0.0).any():
+        raise DomainError("clock targets must be >= 0")
     if isinstance(target, CauchyModulus):
         return _cauchy_clocks(target.d, cfg, targets, path_offset)
+    return _clock_sample(target, cfg, targets, path_offset)
 
-    base_h = horizon_policy(target.positive_mean(), float(np.max(targets)))
 
+def _clock_sample(model: LevyModel, cfg: SimConfig, targets,
+                  path_offset: int = 0, m: float = 0.0,
+                  passage: bool = False,
+                  served: np.ndarray | None = None) -> np.ndarray:
+    """The columns of :func:`_clock_values` on paths ``path_offset + i`` of
+    ``model.esscher(m)``, from one growing run whose first rung is
+    ``horizon_policy`` at the largest target and, with ``passage``, at least
+    8/psi'(0): eight times the time xi takes to reach level 1 at its mean
+    speed.  ``served`` is that of :func:`~levyclocks.paths.run_paths`.
+
+    Raises:
+        HorizonExceededError: for the first path unserved on the last rung.
+    """
+    law = model.esscher(m)
+    mean, t_max = law.positive_mean(), float(np.max(targets))
+    h0 = max(horizon_policy(mean, t_max), 8.0 / mean if passage else 0.0)
+    reach = ("never crossed level 1 (or never reached the clock target)"
+             if passage else f"cannot reach clock target {t_max!r}")
+    tilted = "tilted " if m else ""
     return run_paths(
-        target, cfg, base_h, _clock_values(cfg.alpha, targets), path_offset,
-        miss=lambda i, h: (f"path {path_offset + i} cannot reach clock "
-                           f"target {float(np.max(targets))!r} within "
+        law, cfg, h0, _clock_values(cfg.alpha, targets, m != 0.0, passage),
+        path_offset, served=served,
+        miss=lambda i, h: (f"{tilted}path {path_offset + i} {reach} within "
                            f"horizon {h!r} after {cfg.max_doublings} "
                            f"doublings"))
 
 
-def _clock_values(alpha: float, targets, passage: bool = False):
-    """The reducer of the base paths: tau at ``targets`` per row, and the
-    first passage of level 1 after them with ``passage``."""
+def _clock_values(alpha: float, targets, value: bool = False,
+                  passage: bool = False):
+    """The reducer of :func:`_clock_sample`: tau at ``targets`` per row, then
+    xi at tau with ``value`` and the first passage of level 1 with
+    ``passage``."""
     def reduce(block):
-        taus = block.clock(alpha, targets)
-        if not passage:
-            return taus
-        return np.column_stack((taus, block.first_passage(1.0)))
+        cols = (block.clock_value(alpha, targets) if value
+                else (block.clock(alpha, targets),))
+        if passage:
+            cols += (block.first_passage(1.0),)
+        return np.column_stack(cols) if len(cols) > 1 else cols[0]
     return reduce
 
 
@@ -349,12 +373,7 @@ def first_passage_check(model: LevyModel, cfg: SimConfig, t: float,
     analytic = _first_passage_refusals(model, t, thetas)
     taus = hats = None
     if any(th < 0.0 for th in thetas):
-        taus, hats = run_paths(
-            model, cfg, _first_passage_horizon(model.mean, t),
-            _clock_values(cfg.alpha, [t], passage=True),
-            miss=lambda i, h: (f"path {i} never crossed level 1 (or never "
-                               f"reached the clock target) within horizon "
-                               f"{h!r}")).T
+        taus, hats = _clock_sample(model, cfg, [t], passage=True).T
     results = tuple(_first_passage_result(th, t, ref, taus, hats)
                     for th, ref in zip(thetas, analytic))
     return results[0] if np.ndim(theta) == 0 else results
@@ -378,13 +397,6 @@ def _first_passage_refusals(model: LevyModel, t: float,
 
 def _spectrally_negative(model: LevyModel) -> bool:
     return model.family in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH)
-
-
-def _first_passage_horizon(mean: float, t: float) -> float:
-    """The first rung of a run that reads tau up to ``t`` and the first
-    passage of level 1: at least 8/mean, eight times the time xi takes to
-    reach the level at its mean speed."""
-    return max(horizon_policy(mean, t), 8.0 / mean)
 
 
 def _first_passage_result(theta: float, t_clock: float, analytic: float,
@@ -471,15 +483,7 @@ def _tilted_result(model: LevyModel, m: float, t: float, cfg: SimConfig,
         raise RescalingError("exponential weight overflows; reduce t")
     lhs, lhs_se = _mean_se(np.exp(expo))
 
-    target = t / cfg.start
-    tilted = model.esscher(m)
-    vals = run_paths(
-        tilted, cfg, horizon_policy(tilted.mean, target),
-        lambda block: block.clock_value(1.0, [target])[1][:, 0],
-        path_offset=cfg.n_paths,
-        miss=lambda i, h: (f"tilted path {cfg.n_paths + i} cannot reach "
-                           f"clock target {target!r} within horizon {h!r} "
-                           f"after {cfg.max_doublings} doublings"))
+    vals = _clock_sample(model, cfg, [t / cfg.start], cfg.n_paths, m)[:, 1]
     expo_r = -m * vals
     if float(np.max(np.abs(expo_r))) > 700.0:
         raise RescalingError("exponential weight overflows; reduce t")
@@ -566,10 +570,9 @@ def identity_checks(model: LevyModel, cfg: SimConfig, m: float, t: float,
     at (t_fp, thetas), drawing each base path once.
 
     The tilted left side and the first passage read paths 0 .. n_paths - 1
-    in one growing run, whose first rung is the first passage's rule at
-    the larger of their clock targets t/a and t_fp (the left side's own
-    without a first passage).  The fundamental relation's run of paths
-    0 .. min(n_paths, 64) - 1 on [0, 8] reduces the same columns too, and
+    in one run of :func:`_clock_sample` at their clock targets t/a and t_fp.
+    The fundamental relation's run of paths 0 .. min(n_paths, 64) - 1 on
+    [0, 8] reduces the same columns too, and
     the growing run keeps what it served (``served`` of
     :func:`~levyclocks.paths.run_paths`): tau is the same at every horizon
     that reaches its target, a Gaussian piece continues its row's stream,
@@ -588,7 +591,6 @@ def identity_checks(model: LevyModel, cfg: SimConfig, m: float, t: float,
     passage = _spectrally_negative(model)
     try:
         target = _tilted_target(model, m, t, cfg)
-        mean = model.positive_mean()
         analytic = (_first_passage_refusals(model, t_fp, thetas) if passage
                     else None)
     except LevyClocksError:
@@ -598,14 +600,10 @@ def identity_checks(model: LevyModel, cfg: SimConfig, m: float, t: float,
     clocks = ([target] if lhs else []) + ([t_fp] if fp else [])
     if not clocks or not math.isfinite(target):
         return _one_by_one(model, cfg, m, t, t_fp, thetas)
-    reduce = _clock_values(cfg.alpha, clocks, fp)
-    worst, served = _fundamental_relation(model, cfg, reduce)
-    h0 = (_first_passage_horizon(mean, max(clocks)) if fp
-          else horizon_policy(mean, target))
+    worst, served = _fundamental_relation(
+        model, cfg, _clock_values(cfg.alpha, clocks, passage=fp))
     try:
-        # the message is never read: a miss runs the checks one by one
-        base = run_paths(model, cfg, h0, reduce, served=served,
-                         miss=lambda i, h: f"path {i} missed rung {h!r}")
+        base = _clock_sample(model, cfg, clocks, passage=fp, served=served)
     except (DomainError, HorizonExceededError):
         return _one_by_one(model, cfg, m, t, t_fp, thetas, worst)
     tilted = _tilted_result(model, m, t, cfg, base[:, 0] if lhs else None)

@@ -461,11 +461,11 @@ class PathBlock:
         """(tau, xi at tau) per row, at each target, from one inversion.
 
         tau is that of :meth:`clock`, inverted on a segment [t_k, t_k+1]:
-        it lies on that segment or, rounded, at its end, where the next
-        segment starts.  xi is xi_k + slope (tau - t_k) on the segment
-        that holds tau, the slope being the drift on linear-drift rows and
-        (xi_k+1 - xi_k) / (t_k+1 - t_k) on Gaussian ones, so xi is
-        right-continuous: a tau at a jump node reads the post-jump value.
+        it lies on that segment, at its end where the target is A there.
+        xi is xi_k + slope (tau - t_k) on the segment that holds tau, the
+        slope being the drift on linear-drift rows and (xi_k+1 - xi_k) /
+        (t_k+1 - t_k) on Gaussian ones, so xi is right-continuous: a tau
+        at a jump node reads the post-jump value.
         At a row's last node xi is the value there, and it is NaN exactly
         where tau is.  tau never passes the segment's end, also where A's
         rounding hides whole segments (their exp(alpha xi) dt below an ulp
@@ -491,7 +491,8 @@ class PathBlock:
         the first inf node, and the padding's NaN after an overflowed jump
         row compares below every target.  Past the first inf node nothing
         is read.  tau is clamped to its segment's end, which the remainder
-        t - A_k can pass where A's rounding hides segments.
+        t - A_k can pass where A's rounding hides segments, and is that end
+        where the target equals A there, whatever the remainder rounds to.
         """
         t = np.asarray(targets, dtype=float)
         if t.ndim == 1:
@@ -522,7 +523,8 @@ class PathBlock:
             w = nodes[rows, seg + 1] - nodes[rows, seg]
             du = (end - base) * rem / w
         taus = np.full(found.shape, np.nan)
-        taus[rows, cols] = np.fmin(base + du, end)
+        taus[rows, cols] = np.where(t == nodes[rows, seg + 1], end,
+                                    np.fmin(base + du, end))
         return taus, idx
 
     def first_passage(self, level: float) -> np.ndarray:
@@ -965,8 +967,6 @@ def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
                    path_offset: int) -> np.ndarray:
     """(n_paths, len(targets)) clock values T(t) of Cauchy-modulus paths
     ``path_offset + i`` on the grid that covers the largest target."""
-    if np.any(targets < 0.0):
-        raise DomainError("clock targets must be >= 0")
     times, paths = _cauchy_paths(d, cfg, float(np.max(targets)),
                                  path_offset + np.arange(cfg.n_paths))
     out = np.empty((cfg.n_paths, len(targets)))

@@ -351,7 +351,9 @@ def ref_clock(p: RefPath, nodes: np.ndarray, alpha: float, targets):
     A past double range is inf from its node on, so a finite target is
     inverted on the finite prefix: on the segment where A passes it, where
     a trapezoid weight of inf puts tau at the step's start.  tau never
-    passes the segment's end, which rounding of A could otherwise give.
+    passes the segment's end, which rounding of A could otherwise give,
+    and is that end where the target equals A there: inf{u : A(u) >= t}
+    is the node's time.
     """
     t = np.asarray(targets, dtype=float)
     if np.any(t > nodes[-1]):
@@ -367,7 +369,8 @@ def ref_clock(p: RefPath, nodes: np.ndarray, alpha: float, targets):
         else:
             w = nodes[idx + 1] - nodes[idx]
             du = (p.times[idx + 1] - p.times[idx]) * rem / w
-        return np.fmin(p.times[idx] + du, p.times[idx + 1])
+        return np.where(t == nodes[idx + 1], p.times[idx + 1],
+                        np.fmin(p.times[idx] + du, p.times[idx + 1]))
 
 
 def ref_value_at(p: RefPath, u: float) -> float:
@@ -452,7 +455,10 @@ def ref_first_passage_check(model, cfg, theta: float):
             taus[i], hats[i] = tau[0], hat
             break
         else:
-            raise HorizonExceededError(f"path {i} missed")
+            raise HorizonExceededError(
+                f"path {i} never crossed level 1 (or never reached the clock "
+                f"target) within horizon {h / 2.0!r} after "
+                f"{cfg.max_doublings} doublings")
     lhs = math.log(float(np.mean(np.exp(theta * taus)))) / math.log(t_clock)
     mu, se = ref_mean_se(np.exp(theta * hats))
     return lhs, math.log(mu), se / mu

@@ -450,6 +450,36 @@ def test_served_rows_are_not_drawn_again(monkeypatch, model, targets, step):
     assert set(drawn) == set(range(cfg.n_paths)) - set(np.flatnonzero(whole))
 
 
+@pytest.mark.parametrize("target", [
+    brownian_drift(1.0), saw_tooth(1.0, 3.0), CauchyModulus(3),
+], ids=["brownian", "saw_tooth", "cauchy"])
+def test_negative_target_draws_nothing(monkeypatch, target):
+    # the targets are refused before the first block: no stream is keyed
+    keyed = []
+    streams = paths._Work.streams
+
+    def counting(self, ids, at=None):
+        keyed.extend(ids.tolist())
+        return streams(self, ids, at)
+
+    monkeypatch.setattr(paths._Work, "streams", counting)
+    with pytest.raises(DomainError, match="clock targets must be >= 0"):
+        tau_ensemble(target, SimConfig(seed=1, n_paths=4), [5.0, -1.0])
+    assert keyed == []
+
+
+@pytest.mark.parametrize("name,model,step", [MODELS[0], MODELS[3]],
+                         ids=["brownian", "saw_tooth"])
+def test_tau_ensemble_reads_no_xi(monkeypatch, name, model, step):
+    # without a tilt the run reads tau alone, not xi at tau
+    def refuse(self, alpha, targets):
+        raise AssertionError("clock_value on an untilted clock run")
+
+    monkeypatch.setattr(paths.PathBlock, "clock_value", refuse)
+    cfg = SimConfig(seed=2, n_paths=20, step=step)
+    assert np.isfinite(tau_ensemble(model, cfg, TARGETS)).all()
+
+
 IDENTITY_RUNS = [
     # (model, cfg, m, t, t_fp, thetas): past 64 paths, a start other than
     # 1, m = 0, theta = 0 alone, a family without first passage, index 2
@@ -497,6 +527,20 @@ def test_identity_checks_refuse_in_turn():
     with pytest.raises(DomainError, match="must satisfy t > 1"):
         estimators.identity_checks(model, replace(cfg, max_doublings=8),
                                    1.0, 2.0, 0.5, [-1.0])
+
+
+def test_identity_checks_fall_back_when_the_shared_run_misses():
+    # the shared run of t/a = 2 and t_fp = 1e6 misses on its one rung, so
+    # the checks run one by one, and the left side refuses on its own rung
+    model, m, t, t_fp, thetas = brownian_drift(1.0), 1.0, 2.0, 1e6, [-1.0]
+    cfg = SimConfig(seed=3, n_paths=400, step=0.05, max_doublings=0)
+    with pytest.raises(HorizonExceededError) as alone:
+        tilted_identity_check(model, m, t, cfg)
+    with pytest.raises(HorizonExceededError) as got:
+        estimators.identity_checks(model, cfg, m, t, t_fp, thetas)
+    assert str(got.value) == str(alone.value) == (
+        "path 17 cannot reach clock target 2.0 within horizon 4.0 after 0 "
+        "doublings")
 
 
 @pytest.mark.parametrize("name,model,step", [MODELS[0], MODELS[3]],
@@ -604,6 +648,28 @@ def test_search_on_padded_blocks(name, model, step):
         assert len(lengths) == 1
     else:
         assert len(lengths) > 3
+
+
+@pytest.mark.parametrize("name,model,step", MODELS[:4], ids=IDS[:4])
+def test_clock_at_inner_nodes(name, model, step):
+    # a target equal to A at an inner node is reached at that node:
+    # tau(t) = inf{u : A(u) >= t} is the node's time, and xi at tau the
+    # node's (post-jump) value
+    cfg = SimConfig(seed=0, n_paths=100, step=step)
+
+    def reduce(block):
+        nodes = block.functional(1.0)
+        times = np.broadcast_to(block.times, nodes.shape)[:, 1:-1]
+        inner = (np.arange(1, nodes.shape[1] - 1)
+                 < (block.size - 1)[:, None])
+        # A increases strictly there, so each node is the first at its A
+        assert (np.diff(nodes, axis=1)[:, :-1][inner] > 0.0).all()
+        taus, values = block.clock_value(1.0, nodes[:, 1:-1])
+        assert np.array_equal(taus[inner], times[inner])
+        assert np.array_equal(values[inner], block.xi[:, 1:-1][inner])
+        return inner.sum(axis=1)
+
+    assert paths.run_paths(model, cfg, 20.0, reduce).sum() > 0
 
 
 class CountingGenerator(np.random.Generator):
@@ -814,6 +880,22 @@ def test_first_passage_check(model, step, n_paths):
     fp = first_passage_check(model, cfg, cfg.horizon, -0.5)
     assert (fp.lhs, fp.rhs, fp.rhs_stderr) == \
         oracles.ref_first_passage_check(model, cfg, -0.5)
+
+
+@pytest.mark.parametrize("model,step", [
+    (brownian_drift(1.0), 0.05),
+    (saw_tooth(1.0, 3.0), 0.01),
+], ids=["brownian", "saw_tooth"])
+def test_first_passage_miss_text(model, step):
+    # on its one rung, the run names the first path it leaves unserved and
+    # the rung, as the oracle does
+    cfg = SimConfig(seed=7, n_paths=300, step=step, horizon=50.0,
+                    max_doublings=0)
+    with pytest.raises(HorizonExceededError) as want:
+        oracles.ref_first_passage_check(model, cfg, -0.5)
+    with pytest.raises(HorizonExceededError) as got:
+        first_passage_check(model, cfg, cfg.horizon, -0.5)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("model,m,step,n_paths", [
