@@ -22,20 +22,13 @@ import itertools
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import moments as moments_mod
 from .errors import (
     DomainError,
     HorizonExceededError,
     LevyClocksError,
-)
-from .estimators import (
-    estimate_clt,
-    estimate_ldp_slope,
-    estimate_lln,
-    estimate_logA_rate,
-    identity_checks,
-    tau_ensemble,
 )
 from .models import (
     PARAM_NAMES,
@@ -44,8 +37,10 @@ from .models import (
     make_model,
     model_from_text,
 )
-from .paths import CauchyModulus, SimConfig
 from .rate import profile, rate_curve
+
+if TYPE_CHECKING:
+    from .paths import CauchyModulus, SimConfig
 
 _FAMILY_ALIASES = {
     "brownian": Family.BROWNIAN_DRIFT,
@@ -147,6 +142,7 @@ def _build_model(args) -> LevyModel | CauchyModulus:
         d = args.d
         if d is None:
             raise _UsageError("--d (dimension) is required for cauchy")
+        from .paths import CauchyModulus
         return CauchyModulus(int(d) if d.is_integer() else d)
     if name not in _FAMILY_ALIASES:
         raise _UsageError(f"unknown family {args.family!r}")
@@ -164,13 +160,14 @@ def _build_model(args) -> LevyModel | CauchyModulus:
 
 
 def _require_levy(model) -> LevyModel:
-    if isinstance(model, CauchyModulus):
+    if not isinstance(model, LevyModel):
         raise DomainError("this subcommand needs a Lévy-family model, not "
                           "the Cauchy modulus")
     return model
 
 
 def _sim_config(args) -> SimConfig:
+    from .paths import SimConfig
     return SimConfig(seed=args.seed, n_paths=args.paths, step=args.step,
                      horizon=args.horizon, alpha=args.alpha,
                      start=args.start, max_doublings=args.max_doublings)
@@ -263,6 +260,7 @@ def _cmd_figures(args) -> list[str]:
 
 
 def _cmd_simulate(args) -> list[str]:
+    from .estimators import tau_ensemble
     model = _model_from_args(args)
     taus = tau_ensemble(model, _sim_config(args), [args.t])
     return _emit(args, "simulate.csv",
@@ -271,6 +269,7 @@ def _cmd_simulate(args) -> list[str]:
 
 
 def _cmd_lln(args) -> list[str]:
+    from .estimators import estimate_lln
     model = _model_from_args(args)
     cfg = _sim_config(args)
     rows = estimate_lln(model, cfg, args.t)
@@ -279,6 +278,7 @@ def _cmd_lln(args) -> list[str]:
 
 
 def _cmd_clt(args) -> list[str]:
+    from .estimators import estimate_clt
     model = _require_levy(_model_from_args(args))
     cfg = _sim_config(args)
     res = estimate_clt(model, cfg, args.t)
@@ -290,6 +290,7 @@ def _cmd_clt(args) -> list[str]:
 
 
 def _cmd_ldp(args) -> list[str]:
+    from .estimators import estimate_ldp_slope
     model = _model_from_args(args)
     cfg = _sim_config(args)
     res = estimate_ldp_slope(model, cfg, args.x, args.t, eps=args.eps)
@@ -324,6 +325,7 @@ def _cmd_moments(args) -> list[str]:
 
 
 def _cmd_check_identities(args) -> list[str]:
+    from .estimators import identity_checks
     model = _require_levy(_model_from_args(args))
     cfg = _sim_config(args)
     fields = [("model", model.describe()), ("seed", cfg.seed)]
@@ -360,6 +362,7 @@ def _cmd_check_identities(args) -> list[str]:
 
 
 def _cmd_logA(args) -> list[str]:
+    from .estimators import estimate_logA_rate
     model = _require_levy(_model_from_args(args))
     cfg = _sim_config(args)
     row = estimate_logA_rate(model, cfg, args.t)

@@ -22,16 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
-from .estimators import _mean_se
 from .models import Family, LevyModel
 from .numerics import log_gamma
-from .paths import SimConfig, run_paths
 from .rate import profile
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .paths import SimConfig
 
 __all__ = [
     "Finiteness",
@@ -132,6 +133,7 @@ def tail_bound(model: LevyModel, horizon: float) -> float:
 
 def _truncated_perpetuities(model: LevyModel, cfg: SimConfig,
                             horizon: float) -> np.ndarray:
+    from .paths import run_paths
     return run_paths(model, cfg, horizon, lambda block: block.totals(-1.0))
 
 
@@ -158,6 +160,7 @@ def mc_exp_functional(model: LevyModel, s: float, cfg: SimConfig) -> MCMoment:
         raise DomainError(
             f"E I^{s!r} is {status.value} for {model.describe()}; "
             f"refusing a Monte Carlo estimate")
+    from .estimators import _mean_se
     horizon = truncation_horizon(model)
     est, se = _mean_se(_truncated_perpetuities(model, cfg, horizon) ** s)
     return MCMoment(estimate=est, stderr=se, n_paths=cfg.n_paths,

@@ -285,7 +285,8 @@ def rate_curve(model: LevyModel, x_lo: float, x_hi: float, n: int,
             prof.tau_zero: (prof.zero.value_I, prof.zero.slope_I)}
     rows: list[tuple[float, float, float]] = []
     for i in range(n):
-        x = x_lo + (x_hi - x_lo) * i / (n - 1)
+        # x_lo + (x_hi - x_lo) can round off x_hi, so the last row is x_hi
+        x = x_hi if i == n - 1 else x_lo + (x_hi - x_lo) * i / (n - 1)
         row = ends[x] if x in ends else _rate_point(model, x, prof)
         rows.append((x, *row))
     return rows

@@ -1024,3 +1024,31 @@ def test_stdout_pinned(capsys, argv, expected):
     code, out, _ = invoke(capsys, argv)
     assert code == 0
     assert out == expected
+
+
+def test_analytic_commands_need_no_numpy():
+    # numpy made unimportable: profile, rate-curve, figures and the moment
+    # ledger still print their pinned stdout
+    import json
+    import subprocess
+    import sys
+    cases = [(["profile", *argv], out) for argv, out in (
+        PROFILES["brownian_3a_4c"], PROFILES["cp_plus_3b_4a"])]
+    cases += [STDOUT["rate_curve"], STDOUT["figures"],
+              STDOUT["moments_brownian"], STDOUT["moments_cp_minus_truncated"]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from levyclocks import cli\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.run(argv)\n"
+        "    outs.append([code, out.getvalue()])\n"
+        "print(json.dumps(outs))\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script,
+         json.dumps([argv for argv, _ in cases])],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, out] for _, out in cases]

@@ -422,6 +422,20 @@ class TestRateCurve:
         rows = rate_curve(brownian_drift(1.0), 0.0, 1.0, 3)      # 4c
         assert rows[0] == (0.0, math.inf, -math.inf)
 
+    @pytest.mark.parametrize("x_lo", [0.01, 0.2])
+    def test_last_row_is_x_hi(self, x_lo):
+        # x_lo + (x_hi - x_lo) * i / (n - 1) misses x_hi by an ulp at i =
+        # n - 1 for many n: 0.9999999999999999 at (0.01, 4), and
+        # 1.0000000000000002, outside Delta, at (0.2, 4)
+        model = cp_plus_drift(1, 2, 1)
+        prof = profile(model)
+        for n in range(2, 200):
+            rows = rate_curve(model, x_lo, 1.0, n, prof)
+            assert rows[-1] == (1.0, 2.0, math.inf), n   # the 3b end row
+            assert max(x for x, _, _ in rows) == 1.0
+            assert [x for x, _, _ in rows[:-1]] == [
+                x_lo + (1.0 - x_lo) * i / (n - 1) for i in range(n - 1)]
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             rate_curve(saw_tooth(1, 3), 0.5, 6.0, 10)
