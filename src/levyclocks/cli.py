@@ -10,8 +10,8 @@ to files under ``--out``; the run report (command echo, model descriptor,
 seed, wall time) goes to stderr, so stdout is byte-identical across reruns
 of the same argv.  Stochastic subcommands require an explicit ``--seed``;
 there is deliberately no environment-variable fallback.  Exit codes: 0
-success, 1 usage error, 2 any other error of the package or of file I/O,
-3 horizon exhaustion.
+success, 1 usage error, 2 any other error of the package, of file I/O or
+of an allocation the machine refuses, 3 horizon exhaustion.
 """
 
 from __future__ import annotations
@@ -475,7 +475,7 @@ def run(argv: list[str]) -> int:
     except HorizonExceededError as exc:
         print(f"horizon error: {exc}", file=sys.stderr)
         return _HORIZON_EXIT
-    except (LevyClocksError, OSError) as exc:
+    except (LevyClocksError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DOMAIN_EXIT
     elapsed = time.perf_counter() - started

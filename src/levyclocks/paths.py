@@ -40,7 +40,7 @@ its values are served: Gaussian rows gain steps in geometric pieces,
 each drawn from the stream position, ξ and A the row carries from the
 last one; jump rows carry nothing between reductions, and are
 drawn again from their key at each rung ``h0 2^k``, every row of a block
-in as many 128-event chunks, straight into the block's arrays.  No row is
+to as many events, straight into the block's arrays.  No row is
 drawn past the rung at which the same path sampled alone would first
 serve it, so the results are those of doubling the horizon and drawing
 again; this is the one horizon ladder of the package.
@@ -423,8 +423,14 @@ class PathBlock:
             np.multiply(self.xi[:, :-1], alpha, out=logw)
             logw += _log_segment(dt, alpha * self.drift * dt)
         else:
+            # each node pair goes to logaddexp as (max, min): its loop
+            # branches on the sign of x - y, which is then predictable,
+            # and fl(x - y) = -fl(y - x), so the sum is the same bits
             z = self._scaled_xi(alpha)
-            np.logaddexp(z[:, :-1], z[:, 1:], out=logw)
+            low = self._array("low", logw.shape)
+            np.maximum(z[:, :-1], z[:, 1:], out=logw)
+            np.minimum(z[:, :-1], z[:, 1:], out=low)
+            np.logaddexp(logw, low, out=logw)
             logw += np.log(0.5 * dt)
         peak = np.max(logw, axis=1)
         logw -= peak[:, None]
@@ -659,16 +665,19 @@ class _GaussianRows:
 class _JumpRows:
     """The compound-Poisson rows of a run.
 
-    A row is drawn in chunks of ``_JUMP_CHUNK`` events, each its gaps and
-    then its magnitudes, until they pass the horizon, and reduced on
-    [0, horizon].  It is event-exact, so a growing run reduces it at the
-    rungs h0 2^k of the ladder only, drawn again from the start of its
-    stream each time: a jump row carries nothing between reductions.  It
-    holds tens of events: drawing them again costs about what moving its
-    stream past them to append a chunk would, and keeping them for every
-    row of a block would cost more memory than the block.  The rows of a
-    block draw as many chunks each, in one call per row, and the rest is
-    array operations on the whole block.
+    A row's stream holds its events in chunks of ``_JUMP_CHUNK``, each its
+    gaps and then its magnitudes.  On [0, horizon] a row is drawn to a
+    bound on its events, the Poisson mean plus four standard deviations:
+    the gaps of the chunks that hold them and their magnitudes, a prefix
+    of the stream.  A row with more events than the bound is drawn again
+    with twice the bound.  It is event-exact, so a growing run reduces it
+    at the rungs h0 2^k of the ladder only, drawn again from the start of
+    its stream each time: a jump row carries nothing between reductions.
+    It holds tens of events: drawing them again costs about what moving
+    its stream past them to append a chunk would, and keeping them for
+    every row of a block would cost more memory than the block.  The rows
+    of a block draw to the same bound, in one call per row, and the rest
+    is array operations on the whole block.
     """
 
     def __init__(self, drift: float, beta: float, gamma: float, sign: float,
@@ -689,28 +698,45 @@ class _JumpRows:
         # past a mean of 2^53 events the counts are no longer exact doubles
         if events > 2.0 ** 53:
             raise DomainError(f"over 2^53 Poisson events by {horizon!r}")
-        # the chunks of the Poisson mean plus four standard deviations of
-        # the events before the horizon
-        chunks = math.ceil((events + 4.0 * math.sqrt(events)) / _JUMP_CHUNK)
+        # the Poisson mean plus four standard deviations of the events
+        # before the horizon, and the chunks that hold them
+        bound = math.ceil(events + 4.0 * math.sqrt(events))
+        chunks = -(-bound // _JUMP_CHUNK)
         # a block's rows are set by the width they are drawn to
         per_block = max(1, _BLOCK_BUDGET // (chunks * _JUMP_CHUNK + 2))
         for lo in range(0, len(rows), per_block):
-            yield from self._blocks(rows[lo:lo + per_block], horizon, chunks)
+            yield from self._blocks(rows[lo:lo + per_block], horizon, bound)
 
-    def _blocks(self, rows: np.ndarray, horizon: float, chunks: int):
-        """Rows ``rows`` drawn in ``chunks`` chunks each: the block of those
-        whose last arrival passes ``horizon``, on [0, horizon], and then the
-        others, drawn again with twice the chunks."""
+    def _blocks(self, rows: np.ndarray, horizon: float, bound: int):
+        """Rows ``rows`` drawn to ``bound`` events each: the block of those
+        whose arrival at event ``bound`` passes ``horizon``, on
+        [0, horizon], and then the others, drawn again with twice the
+        bound.
+
+        A row draws the first ``chunks * _JUMP_CHUNK + bound`` values of
+        its stream, in one call: the gaps of the chunks that hold its
+        first ``bound`` events, and their magnitudes, the last chunk's
+        magnitudes ending at event ``bound``.
+        """
+        chunks = -(-bound // _JUMP_CHUNK)
         draws = self.work.array("draws", (len(rows), chunks, 2, _JUMP_CHUNK))
-        for row, stream in zip(draws, self.work.streams(self.offset + rows)):
-            stream.standard_exponential(out=row)
+        drawn = chunks * _JUMP_CHUNK + bound
+        for row, stream in zip(draws.reshape(len(rows), -1),
+                               self.work.streams(self.offset + rows)):
+            stream.standard_exponential(out=row[:drawn])
+        # arrivals are summed up to event ``bound``, the first past the
+        # bound, or up to the last of the chunks where the bound fills them
+        summed = min(bound + 1, chunks * _JUMP_CHUNK)
         gaps = draws[:, :, 0]
-        gaps *= self.gap_mean
-        np.cumsum(gaps, axis=2, out=gaps)
-        # a chunk's arrivals go on from the last arrival of the one before
-        for j in range(1, chunks):
-            gaps[:, j] += gaps[:, j - 1, -1:]
-        arrivals = gaps.reshape(len(rows), -1)
+        for j, lo in enumerate(range(0, summed, _JUMP_CHUNK)):
+            chunk = gaps[:, j, :summed - lo]
+            chunk *= self.gap_mean
+            np.cumsum(chunk, axis=1, out=chunk)
+            # a chunk's arrivals go on from the last arrival of the one
+            # before
+            if j:
+                chunk += gaps[:, j - 1, -1:]
+        arrivals = gaps.reshape(len(rows), -1)[:, :summed]
         sizes = draws[:, :, 1].reshape(len(rows), -1)
         reach = arrivals[:, -1] if chunks else np.full(len(rows), math.inf)
         short = reach < horizon
@@ -718,6 +744,8 @@ class _JumpRows:
         if short.any():
             rows, arrivals, sizes = (a[~short]
                                      for a in (rows, arrivals, sizes))
+        # a row's last summed arrival passes the horizon, so the events
+        # before it have their magnitudes drawn
         keep = arrivals < horizon
         size = np.count_nonzero(keep, axis=1) + 2
         width = int(size.max(initial=2)) - 2    # events of the longest row
@@ -737,7 +765,7 @@ class _JumpRows:
                                   drift=self.drift, ids=self.offset + rows,
                                   work=self.work)
         if short.any():
-            yield from self._blocks(again, horizon, 2 * chunks)
+            yield from self._blocks(again, horizon, 2 * bound)
 
 
 def _row_sampler(model: LevyModel, cfg: SimConfig, offset: int, n_rows: int,

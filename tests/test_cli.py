@@ -407,6 +407,20 @@ class TestStochasticCommands:
             "tilted: skipped (stated for clocks of index 1)",
             "first_passage: skipped (stated for clocks of index 1)"]
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "cp-plus", "--d", "1", "--beta", "1e13",
+         "--gamma", "1", "--t", "10", "--paths", "1", "--seed", "1"],
+        ["simulate", "--family", "brownian", "--nu", "1", "--t", "10",
+         "--step", "1e-14", "--paths", "1", "--seed", "1"],
+    ], ids=["jump_events", "gaussian_steps"])
+    def test_refused_allocation_exit_2(self, capsys, argv):
+        # each asks for an array of more than 2^47 bytes, past the x86-64
+        # user address space, which every machine refuses at once
+        code, out, err = invoke(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_horizon_exit_3(self, capsys):
         # seed 2 contains a slow path that misses the undoubled horizon
         code, _, err = invoke(capsys, [

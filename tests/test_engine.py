@@ -126,6 +126,35 @@ def test_single_path_functions(name, model, step):
                                           for u in taus[0]])
 
 
+def test_log_weights_in_max_min_order():
+    # log_totals hands logaddexp each Gaussian node pair as (max, min),
+    # which gives np.logaddexp(a, b) bit for bit: on random pairs of either
+    # order, on equal pairs and on every pair of special values
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(0.0, 30.0, (2, 100_000))
+    special = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0,
+                        -1.0, 709.0, -745.0, 5e-324, 1e308])
+    x, y = np.meshgrid(special, special)
+    a, b = np.concatenate((a, x.ravel(), b)), np.concatenate((b, y.ravel(), b))
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(a, b)
+        got = np.logaddexp(np.maximum(a, b), np.minimum(a, b))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # and on a Gaussian block whose rows hold ties and signed zeros
+    step = 0.5
+    xi = np.array([[0.0, -0.0, 0.0, 1.5, 1.5, -2.0, -2.0, 0.25],
+                   [-0.0, 3.0, -1.0, -1.0, -0.0, -0.0, 7.0, 7.0]])
+    times = step * np.arange(xi.shape[1])
+    block = paths.PathBlock(times=times[None], xi=xi,
+                            size=np.full(2, xi.shape[1]), kind=paths.GAUSSIAN,
+                            step=step)
+    for alpha in (1.0, -1.5):
+        assert block.log_totals(alpha).tolist() == [
+            oracles.ref_log_total(oracles.RefPath(times, row, oracles.GAUSSIAN,
+                                                  0.0), alpha)
+            for row in xi]
+
+
 @pytest.mark.parametrize("grow", [False, True], ids=["fresh", "continued"])
 def test_gaussian_values_on_whole_blocks(grow):
     # the rows of a Gaussian block share one grid: xi at the clock is
@@ -300,9 +329,11 @@ def test_jump_rows_drawn_at_the_rungs_only(short_horizon, monkeypatch):
     assert draws == {i: k + 1 for i, k in enumerate(doublings.tolist())}
 
 
-# cp_plus (1, 2, 1) on [0, 43.5]: 87 events on average, so a block draws
-# one chunk (87 + 4 sqrt(87) < 128).  Path 19251 of seed 6 has all 128
-# arrivals of its first chunk before 43.5, so it is drawn again with two.
+# cp_plus (1, 2, 1) on [0, 43.5]: 87 events on average, so a row draws
+# the gaps of one chunk and the magnitudes of its first 125 events
+# (87 + 4 sqrt(87), rounded up).  Path 19251 of seed 6 has all 128
+# arrivals of its first chunk before 43.5, so it is drawn again to 250
+# events, in two chunks.
 # Found by drawing the first 128 exponentials of each path 0 .. 399 999 of
 # seed 6 and taking the first whose sum, twice the last arrival, is below
 # 87; ten paths of the 400 000 are.
@@ -719,8 +750,10 @@ def test_draws_about_what_rows_need(counting):
     (cp_minus_drift(100.0, 50.0), 4.0, 0),
 ], ids=["one_chunk", "four_chunks"])
 def test_jump_draws_about_what_rows_need(counting, model, horizon, offset):
-    # a row draws at most one chunk (gaps and sizes) more than it needs:
-    # the chunks up to the first whose last arrival passes the horizon
+    # a row draws the gaps of the chunks that hold its first `bound`
+    # events (the Poisson mean plus four standard deviations, rounded up)
+    # and those events' magnitudes; a row whose arrival at event `bound`
+    # is still before the horizon is drawn again with twice the bound
     _, _, beta, gamma, _ = oracles.ref_law(model)
     cfg = SimConfig(seed=SHORT_ROW[1], n_paths=200, horizon=horizon)
     got = paths.run_paths(model, cfg, horizon,
@@ -730,16 +763,68 @@ def test_jump_draws_about_what_rows_need(counting, model, horizon, offset):
                                                cfg.step), 1.0)[-1]
             for i in ids]
     assert np.array_equal(got, want)
-    pair = 2 * paths._JUMP_CHUNK
+    events = beta * horizon
+    first = math.ceil(events + 4.0 * math.sqrt(events))
+    chunk = paths._JUMP_CHUNK
     for pid in ids:
-        stream, total, needed = oracles.path_rng(cfg.seed, pid), 0.0, 0
-        while total < horizon:
-            total += stream.exponential(1.0 / beta, paths._JUMP_CHUNK).sum()
-            stream.exponential(1.0 / gamma, paths._JUMP_CHUNK)
-            needed += pair
-        assert needed <= CountingGenerator.exponentials[pid] \
-            <= needed + pair, pid
+        bound, drawn = first, 0
+        while True:
+            chunks = -(-bound // chunk)
+            drawn += chunks * chunk + bound
+            stream, arrivals, total = oracles.path_rng(cfg.seed, pid), [], 0.0
+            for _ in range(chunks):
+                arrivals.append(total + np.cumsum(
+                    stream.exponential(1.0 / beta, chunk)))
+                stream.exponential(1.0 / gamma, chunk)
+                total = arrivals[-1][-1]
+            if np.concatenate(arrivals)[min(bound, chunks * chunk - 1)] \
+                    >= horizon:
+                break
+            bound *= 2
+        assert CountingGenerator.exponentials[pid] == drawn, pid
     assert len(CountingGenerator.exponentials) == cfg.n_paths
+
+
+# saw tooth (1, 3) on [0, 1]: one event on average, so a row draws the
+# gaps of one chunk and the magnitudes of its first 5 events (1 + 4 sqrt(1)).
+# Paths 96 and 3042 of seed 3 hold 6 events, so they are drawn again with a
+# bound of 10.
+PAST_BOUND = (saw_tooth(1.0, 3.0), 3, (96, 3042), 1.0)
+
+
+@pytest.mark.parametrize("budget", [1, 300, 1 << 14])
+def test_jump_row_past_its_bound(counting, monkeypatch, budget):
+    model, seed, pids, horizon = PAST_BOUND
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    cfg = SimConfig(seed=seed, n_paths=10, horizon=horizon)
+    for pid in pids:
+        ref = oracles.ref_path(model, seed, pid, horizon, cfg.step)
+        assert len(ref.times) - 2 > 5
+        got = paths.run_paths(model, cfg, horizon,
+                              lambda block: block.log_totals(1.0),
+                              path_offset=pid - 6)
+        want = [oracles.ref_log_total(oracles.ref_path(model, seed, i,
+                                                       horizon, cfg.step), 1.0)
+                for i in range(pid - 6, pid + 4)]
+        assert np.array_equal(got, want)
+        path = sample_levy_path(model, cfg, pid)
+        assert np.array_equal(path.times[0], ref.times)
+        assert np.array_equal(path.xi[0], ref.xi)
+    # 128 gaps and 5 magnitudes per row, and 128 and 10 more for each long
+    # row, which is sampled twice: in the run and alone
+    drawn = CountingGenerator.exponentials
+    assert drawn[90] == drawn[3040] == 133
+    assert drawn[96] == drawn[3042] == 2 * (133 + 138)
+
+
+def test_single_jump_path_draws_its_bound(counting):
+    # cp_plus (1, 2, 1) on [0, 50]: a bound of 100 + 4 sqrt(100) = 140
+    # events, in two chunks: 256 gaps and 140 magnitudes, of which path 0
+    # reads 105 events
+    path = sample_levy_path(cp_plus_drift(1.0, 2.0, 1.0),
+                            SimConfig(seed=1, horizon=50.0), 0)
+    assert path.xi.shape == (1, 107)
+    assert CountingGenerator.exponentials == {0: 396}
 
 
 def test_uniforms_up_to_the_first_sure_crossing(counting):
@@ -830,6 +915,7 @@ def test_jump_scratch_memory(monkeypatch):
 def test_gaussian_scratch_memory(monkeypatch):
     # a Gaussian block of four budgets of nodes keeps at most three arrays
     # of its size: xi, the exp scratch and A, or xi and the weights of log A
+    # with the minima of their node pairs
     works = []
 
     class KeptWork(paths._Work):
