@@ -17,11 +17,10 @@ least 8/psi'(0) with a first passage; each row is then that path drawn on
 the first doubled horizon that serves it.
 
 :func:`identity_checks` runs the three checks of ``check-identities`` on
-one draw of the base paths: the fundamental relation's fixed-horizon run
-of paths 0 .. 63 also reads the tilted left side's clock and the first
-passage there, and one growing run of all base paths serves the rest,
-keeping what that run served.  Each result is the one the check gives on
-its own.
+one draw of the base paths, each result the one the check gives on its
+own: the fundamental relation's run of paths 0 .. 63 seeds one growing
+run of all base paths.  Every refusal of its arguments comes before any
+path is drawn, and a miss of the shared run raises that run's own error.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ import numpy as np
 from .errors import (
     CapabilityError,
     DomainError,
-    HorizonExceededError,
-    LevyClocksError,
     RescalingError,
 )
 from .models import Family, LevyModel, hypergeometric_stable
@@ -115,15 +112,22 @@ def tau_ensemble(target: LevyModel | CauchyModulus, cfg: SimConfig,
         RescalingError: where a Cauchy-modulus path's squared radius leaves
             double range before the largest target.
     """
+    targets = _clock_targets(clock_targets)
+    if isinstance(target, CauchyModulus):
+        return _cauchy_clocks(target.d, cfg, targets, path_offset)
+    return _clock_sample(target, cfg, targets, path_offset)
+
+
+def _clock_targets(clock_targets: Sequence[float]) -> np.ndarray:
+    """``clock_targets`` as an array, after the refusals of
+    :func:`tau_ensemble`."""
     targets = np.asarray(clock_targets, dtype=float)
     if not (targets.size and np.isfinite(targets).all()):
         raise DomainError(f"clock targets must be finite and non-empty, "
                           f"got {targets.tolist()!r}")
     if (targets < 0.0).any():
         raise DomainError("clock targets must be >= 0")
-    if isinstance(target, CauchyModulus):
-        return _cauchy_clocks(target.d, cfg, targets, path_offset)
-    return _clock_sample(target, cfg, targets, path_offset)
+    return targets
 
 
 def _clock_sample(model: LevyModel, cfg: SimConfig, targets,
@@ -457,8 +461,9 @@ def tilted_identity_check(model: LevyModel, m: float, t: float,
 
 def _tilted_target(model: LevyModel, m: float, t: float,
                    cfg: SimConfig) -> float:
-    """The left side's clock target t/a, after the refusals of
-    :func:`tilted_identity_check` that come before its paths."""
+    """The left side's clock target t/a, after every refusal of
+    :func:`tilted_identity_check`: that of :func:`tau_ensemble` at t/a
+    where m != 0 comes last."""
     if not t > 0.0:
         raise DomainError(f"t must be > 0, got {t!r}")
     if cfg.alpha != 1.0:
@@ -468,6 +473,8 @@ def _tilted_target(model: LevyModel, m: float, t: float,
     if not (prof.m0 < m < model.m_plus):
         raise DomainError(f"m = {m!r} outside (m0, m_plus) = "
                           f"({prof.m0!r}, {model.m_plus!r})")
+    if m != 0.0:
+        _clock_targets([t / cfg.start])
     return t / cfg.start
 
 
@@ -571,41 +578,40 @@ def identity_checks(model: LevyModel, cfg: SimConfig, m: float, t: float,
 
     The tilted left side and the first passage read paths 0 .. n_paths - 1
     in one run of :func:`_clock_sample` at their clock targets t/a and t_fp.
-    The fundamental relation's run of paths 0 .. min(n_paths, 64) - 1 on
-    [0, 8] reduces the same columns too, and
-    the growing run keeps what it served (``served`` of
-    :func:`~levyclocks.paths.run_paths`): tau is the same at every horizon
-    that reaches its target, a Gaussian piece continues its row's stream,
-    xi and A, and first passage decides step j by raw draw j of the
-    auxiliary stream.  So each value is the one the checks give run one by
-    one.  The tilted right side draws paths n_paths .. 2 n_paths - 1 as
-    :func:`tilted_identity_check` does.
+    That run keeps what the fundamental relation's run of paths
+    0 .. min(n_paths, 64) - 1 on [0, 8] served, reducing the same columns
+    (``served`` of :func:`~levyclocks.paths.run_paths`): tau is the same at
+    every horizon that reaches its target, a Gaussian piece continues its
+    row's stream, xi and A, and first passage decides step j by raw draw j
+    of the auxiliary stream.  So each value is the one the checks give run
+    one by one.  The tilted right side draws paths n_paths .. 2 n_paths - 1
+    as :func:`tilted_identity_check` does.
 
-    Where a check refuses its arguments, or the growing run misses on its
-    last rung or reaches past 2^53 steps or events, the checks run one by
-    one instead, so each refusal comes in its turn and with its message.
-    The growing run's last rung can lie past the left side's own, where
-    it serves a row that the left side alone would miss.
+    Errors come in one order.  At an index other than 1 only the
+    fundamental relation runs.  Otherwise every refusal of the arguments
+    comes before any draw: the tilted identity's (t, m, then a finite t/a
+    at m != 0), then on a spectrally negative family the first passage's
+    (theta, then t_fp).  Then come the fundamental relation's errors, the
+    shared run's own miss or reach past 2^53 steps, and the tilted right
+    side's.  The shared run's rungs start no lower than either check's
+    own, so it misses only rows that the check needing them misses too.
     """
+    if cfg.alpha != 1.0:
+        return IdentityChecks(fundamental_relation_check(model, cfg), None,
+                              None)
     thetas = [float(th) for th in thetas]
-    passage = _spectrally_negative(model)
-    try:
-        target = _tilted_target(model, m, t, cfg)
-        analytic = (_first_passage_refusals(model, t_fp, thetas) if passage
-                    else None)
-    except LevyClocksError:
-        return _one_by_one(model, cfg, m, t, t_fp, thetas)
+    target = _tilted_target(model, m, t, cfg)
     lhs = m != 0.0
+    passage = _spectrally_negative(model)
+    analytic = (_first_passage_refusals(model, t_fp, thetas) if passage
+                else None)
     fp = passage and any(th < 0.0 for th in thetas)
     clocks = ([target] if lhs else []) + ([t_fp] if fp else [])
-    if not clocks or not math.isfinite(target):
-        return _one_by_one(model, cfg, m, t, t_fp, thetas)
     worst, served = _fundamental_relation(
-        model, cfg, _clock_values(cfg.alpha, clocks, passage=fp))
-    try:
-        base = _clock_sample(model, cfg, clocks, passage=fp, served=served)
-    except (DomainError, HorizonExceededError):
-        return _one_by_one(model, cfg, m, t, t_fp, thetas, worst)
+        model, cfg,
+        _clock_values(cfg.alpha, clocks, passage=fp) if clocks else None)
+    base = (_clock_sample(model, cfg, clocks, passage=fp, served=served)
+            if clocks else None)
     tilted = _tilted_result(model, m, t, cfg, base[:, 0] if lhs else None)
     if not passage:
         return IdentityChecks(worst, tilted, None)
@@ -613,18 +619,3 @@ def identity_checks(model: LevyModel, cfg: SimConfig, m: float, t: float,
     return IdentityChecks(worst, tilted, tuple(
         _first_passage_result(th, t_fp, ref, taus, hats)
         for th, ref in zip(thetas, analytic)))
-
-
-def _one_by_one(model: LevyModel, cfg: SimConfig, m: float, t: float,
-                t_fp: float, thetas: list[float],
-                worst: float | None = None) -> IdentityChecks:
-    """The checks of :func:`identity_checks` run one by one, the
-    fundamental relation's unless its gap ``worst`` is given."""
-    if worst is None:
-        worst = fundamental_relation_check(model, cfg)
-    if cfg.alpha != 1.0:
-        return IdentityChecks(worst, None, None)
-    tilted = tilted_identity_check(model, m, t, cfg)
-    return IdentityChecks(worst, tilted, (
-        first_passage_check(model, cfg, t_fp, thetas)
-        if _spectrally_negative(model) else None))

@@ -389,10 +389,17 @@ class PathBlock:
         nodes = self._array(("nodes", alpha), self.xi.shape)
         w = nodes[:, 1:]
         if self.kind == LINEAR:
+            z = alpha * self.drift * dt
             np.multiply(self.xi[:, :-1], alpha, out=w)
             np.exp(w, out=w)
             w *= dt
-            w *= _expm1_ratio(alpha * self.drift * dt)
+            w *= _expm1_ratio(z)
+            # where exp(alpha xi) underflowed to 0 and expm1(z)/z overflowed,
+            # a real segment's weight is formed in log space, not as 0 * inf
+            lost = np.isnan(w) & (dt > 0.0)
+            if lost.any():
+                w[lost] = np.exp(alpha * self.xi[:, :-1][lost]
+                                 + _log_segment(dt[lost], z[lost]))
         else:
             e = np.exp(self._scaled_xi(alpha),
                        out=self._array("exp", self.xi.shape))

@@ -308,7 +308,14 @@ def _expm1_ratio(z):
 def ref_nodes(p: RefPath, alpha: float) -> np.ndarray:
     dt = np.diff(p.times)
     if p.kind == LINEAR:
-        w = np.exp(alpha * p.xi[:-1]) * dt * _expm1_ratio(alpha * p.drift * dt)
+        z = alpha * p.drift * dt
+        w = np.exp(alpha * p.xi[:-1]) * dt * _expm1_ratio(z)
+        # 0 * inf where exp(alpha xi) underflows and expm1(z)/z overflows:
+        # the weight is exp(alpha xi + log(dt expm1(z)/z)), with z > 709
+        lost = np.isnan(w)
+        zl = z[lost]
+        log_seg = zl + np.log1p(-np.exp(-zl)) + np.log(dt[lost] / zl)
+        w[lost] = np.exp(alpha * p.xi[:-1][lost] + log_seg)
     else:
         with np.errstate(over="ignore"):    # A past double range is inf
             e = np.exp(alpha * p.xi)

@@ -320,6 +320,22 @@ class TestStochasticCommands:
         assert lines[0] == "path_id,tau"
         assert len(lines) == 9
 
+    @pytest.mark.parametrize("alpha,seed,row", [
+        ("1", "7", "16,1.9050881545350582"),
+        ("2", "0", "25,1.2604585436555167"),
+    ], ids=["alpha_1", "alpha_2"])
+    def test_simulate_weight_past_both_ends_of_range(self, capsys, alpha,
+                                                     seed, row):
+        # the row holds a segment where exp(alpha xi) underflows to 0 and
+        # expm1(z)/z overflows; its weight, formed in log space, leaves
+        # A(horizon) finite, so the row is served, not a horizon miss
+        code, out, _ = invoke(capsys, [
+            "simulate", "--family", "sawtooth", "--beta", "0.0104",
+            "--gamma", "0.01042", "--alpha", alpha, "--t", "5.72",
+            "--paths", "50", "--seed", seed])
+        assert code == 0
+        assert row in out.splitlines()
+
     def test_clt(self, capsys):
         code, out, _ = invoke(capsys, [
             "clt", "--family", "brownian", "--nu", "1", "--t", "2980.0",
@@ -535,7 +551,7 @@ class TestStochasticCommands:
         (["--family", "brownian", "--nu", "120"],
          "exponential functional overflowed"),
         (["--family", "cp-plus", "--d", "150", "--beta", "40", "--gamma",
-          "1"], "exponential functional overflowed"),
+          "1", "--m", "0.5"], "exponential functional overflowed"),
         (["--family", "brownian", "--nu", "1", "--t", "2", "--start", "1e200",
           "--alpha", "2"], "rescaling the clock targets"),
         (["--family", "brownian", "--nu", "1", "--t", "2", "--start",

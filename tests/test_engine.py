@@ -513,7 +513,8 @@ def test_tau_ensemble_reads_no_xi(monkeypatch, name, model, step):
 
 IDENTITY_RUNS = [
     # (model, cfg, m, t, t_fp, thetas): past 64 paths, a start other than
-    # 1, m = 0, theta = 0 alone, a family without first passage, index 2
+    # 1, m = 0, theta = 0 alone, a family without first passage, index 2,
+    # and t/a above t_fp, which then sets the shared run's first rung
     (brownian_drift(1.0), SimConfig(seed=5, n_paths=100, step=0.02), 1.0,
      2.0, 30.0, [-0.5, -1.0]),
     (brownian_drift(1.0), SimConfig(seed=6, n_paths=30, step=0.02,
@@ -528,6 +529,8 @@ IDENTITY_RUNS = [
      30.0, [-1.0]),
     (brownian_drift(1.0), SimConfig(seed=3, n_paths=20, alpha=2.0), 1.0,
      2.0, 30.0, [-1.0]),
+    (saw_tooth(1.0, 3.0), SimConfig(seed=11, n_paths=50), 0.5, 1000.0, 5.0,
+     [-0.5, -1.0]),
 ]
 
 
@@ -549,29 +552,70 @@ def test_identity_checks_one_draw(model, cfg, m, t, t_fp, thetas):
 
 
 def test_identity_checks_refuse_in_turn():
-    # a refused t_fp, a tilted side that misses on its own rungs: the
-    # tilted side refuses first, as the checks do one by one
+    # a refused t_fp comes before a tilted side that misses on its own
+    # rungs: every refusal comes before any draw, with the text of the
+    # check that makes it
     model = brownian_drift(1.0)
     cfg = SimConfig(seed=1, n_paths=200, step=0.05, max_doublings=1)
     with pytest.raises(HorizonExceededError, match="tilted path 265 "):
-        estimators.identity_checks(model, cfg, -0.45, 1000.0, 0.5, [-1.0])
-    with pytest.raises(DomainError, match="must satisfy t > 1"):
-        estimators.identity_checks(model, replace(cfg, max_doublings=8),
-                                   1.0, 2.0, 0.5, [-1.0])
+        tilted_identity_check(model, -0.45, 1000.0, cfg)
+    with pytest.raises(DomainError) as alone:
+        first_passage_check(model, cfg, 0.5, [-1.0])
+    for m, t, doublings in [(-0.45, 1000.0, 1), (1.0, 2.0, 8)]:
+        with pytest.raises(DomainError) as got:
+            estimators.identity_checks(
+                model, replace(cfg, max_doublings=doublings), m, t, 0.5,
+                [-1.0])
+        assert str(got.value) == str(alone.value) == (
+            "first-passage clock target must satisfy t > 1 and be finite, "
+            "got 0.5")
 
 
-def test_identity_checks_fall_back_when_the_shared_run_misses():
-    # the shared run of t/a = 2 and t_fp = 1e6 misses on its one rung, so
-    # the checks run one by one, and the left side refuses on its own rung
+@pytest.mark.parametrize("m,t,start,t_fp,thetas,check", [
+    (1.0, 0.0, 1.0, 30.0, [-1.0], "tilted"),
+    (-0.6, 2.0, 1.0, 30.0, [-1.0], "tilted"),
+    (1.0, 1e300, 1e-300, 30.0, [-1.0], "tilted"),
+    (1.0, 2.0, 1.0, 30.0, [-1.0, 0.5], "first_passage"),
+    (1.0, 2.0, 1.0, 1.0, [-1.0], "first_passage"),
+], ids=["t_0", "m_below_m0", "t_over_a_inf", "theta_positive", "t_fp_1"])
+def test_identity_checks_refusal_draws_nothing(monkeypatch, m, t, start,
+                                               t_fp, thetas, check):
+    # each refusal comes before any stream is keyed, with the text of the
+    # check that makes it, which keys none either
+    model = brownian_drift(1.0)
+    cfg = SimConfig(seed=1, n_paths=4, step=0.05, start=start)
+    keyed = []
+    streams = paths._Work.streams
+
+    def counting(self, ids, at=None):
+        keyed.extend(ids.tolist())
+        return streams(self, ids, at)
+
+    monkeypatch.setattr(paths._Work, "streams", counting)
+    with pytest.raises(DomainError) as got:
+        estimators.identity_checks(model, cfg, m, t, t_fp, thetas)
+    with pytest.raises(DomainError) as alone:
+        if check == "tilted":
+            tilted_identity_check(model, m, t, cfg)
+        else:
+            first_passage_check(model, cfg, t_fp, thetas)
+    assert str(got.value) == str(alone.value)
+    assert keyed == []
+
+
+def test_identity_checks_report_the_shared_runs_miss():
+    # the shared run of t/a = 2 and t_fp = 1e6 misses on its one rung,
+    # 2 log(1e6)/psi'(0), and says so in its own words: the first passage,
+    # the check that needs t_fp, misses there on its own too
     model, m, t, t_fp, thetas = brownian_drift(1.0), 1.0, 2.0, 1e6, [-1.0]
     cfg = SimConfig(seed=3, n_paths=400, step=0.05, max_doublings=0)
-    with pytest.raises(HorizonExceededError) as alone:
-        tilted_identity_check(model, m, t, cfg)
     with pytest.raises(HorizonExceededError) as got:
         estimators.identity_checks(model, cfg, m, t, t_fp, thetas)
+    with pytest.raises(HorizonExceededError) as alone:
+        first_passage_check(model, cfg, t_fp, thetas)
     assert str(got.value) == str(alone.value) == (
-        "path 17 cannot reach clock target 2.0 within horizon 4.0 after 0 "
-        "doublings")
+        "path 17 never crossed level 1 (or never reached the clock target) "
+        "within horizon 13.815510557964274 after 0 doublings")
 
 
 @pytest.mark.parametrize("name,model,step", [MODELS[0], MODELS[3]],
@@ -887,6 +931,26 @@ def test_jump_clock_unmoved_by_overflow_whatever_the_other_rows(n_paths):
             assert block.clock(1.0, [10.0])[0, 0] == tau, (h, i)
             assert np.isnan(block.clock(1.0, [np.inf])[0, 0]), (h, i)
     assert block.totals(1.0)[0] == np.inf
+
+
+@pytest.mark.parametrize("alpha,seed,path,tau", [
+    (1.0, 7, 16, 1.9050881545350582),
+    (2.0, 0, 25, 1.2604585436555167),
+], ids=["alpha_1", "alpha_2"])
+def test_weight_past_both_ends_of_range(alpha, seed, path, tau):
+    # jumps of mean size 96 take xi below -745/alpha, and the next segment
+    # has alpha drift dt above 709.78: exp(alpha xi) is 0 there and
+    # expm1(z)/z inf.  The weight, formed in log space, is not their
+    # product NaN, so A(horizon) is finite and the row is served on the
+    # first rung, as the oracle serves it
+    model = saw_tooth(0.0104, 0.01042)
+    cfg = SimConfig(seed=seed, n_paths=50, alpha=alpha)
+    got = tau_ensemble(model, cfg, [5.72])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, doublings = oracles.ref_tau_ensemble(model, cfg, [5.72])
+    assert got[path, 0] == tau
+    assert doublings[path] == 0
+    assert np.array_equal(got, want)
 
 
 def test_jump_scratch_memory(monkeypatch):
