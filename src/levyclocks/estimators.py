@@ -9,7 +9,7 @@ All Lévy-path estimators run on :func:`~levyclocks.paths.run_paths`,
 which draws each path as one row from its own stream and reduces the rows
 in blocks.  The clock, first-passage and tilted estimators read one
 growing run, :func:`_clock_sample`: tau at the targets, xi at tau under
-an Esscher tilt, and the first passage of level 1 where it is checked.
+a given Esscher tilt, and the first passage of level 1 where it is checked.
 It grows each row until all its values are finite, through the doublings
 (up to ``cfg.max_doublings``) of one first rung,
 :func:`~levyclocks.paths.horizon_policy` at the largest target and at
@@ -21,6 +21,7 @@ one draw of the base paths, each result the one the check gives on its
 own: the fundamental relation's run of paths 0 .. 63 seeds one growing
 run of all base paths.  Every refusal of its arguments comes before any
 path is drawn, and a miss of the shared run raises that run's own error.
+m = 0 and theta = 0 take that route too, drawing like any other value.
 """
 
 from __future__ import annotations
@@ -131,26 +132,29 @@ def _clock_targets(clock_targets: Sequence[float]) -> np.ndarray:
 
 
 def _clock_sample(model: LevyModel, cfg: SimConfig, targets,
-                  path_offset: int = 0, m: float = 0.0,
+                  path_offset: int = 0, m: float | None = None,
                   passage: bool = False,
                   served: np.ndarray | None = None) -> np.ndarray:
-    """The columns of :func:`_clock_values` on paths ``path_offset + i`` of
-    ``model.esscher(m)``, from one growing run whose first rung is
-    ``horizon_policy`` at the largest target and, with ``passage``, at least
-    8/psi'(0): eight times the time xi takes to reach level 1 at its mean
-    speed.  ``served`` is that of :func:`~levyclocks.paths.run_paths`.
+    """The columns of :func:`_clock_values` on paths ``path_offset + i``
+    from one growing run whose first rung is ``horizon_policy`` at the
+    largest target and, with ``passage``, at least 8/psi'(0): eight times
+    the time xi takes to reach level 1 at its mean speed.  With ``m`` None
+    they are tau on the model's paths, with any ``m``, 0 included, tau and
+    xi at tau on ``model.esscher(m)``'s; then, with ``passage``, the first
+    passage.  ``served`` is that of :func:`~levyclocks.paths.run_paths`.
 
     Raises:
         HorizonExceededError: for the first path unserved on the last rung.
     """
-    law = model.esscher(m)
+    value = m is not None
+    law = model.esscher(m) if value else model
     mean, t_max = law.positive_mean(), float(np.max(targets))
     h0 = max(horizon_policy(mean, t_max), 8.0 / mean if passage else 0.0)
     reach = ("never crossed level 1 (or never reached the clock target)"
              if passage else f"cannot reach clock target {t_max!r}")
-    tilted = "tilted " if m else ""
+    tilted = "tilted " if value else ""
     return run_paths(
-        law, cfg, h0, _clock_values(cfg.alpha, targets, m != 0.0, passage),
+        law, cfg, h0, _clock_values(cfg.alpha, targets, value, passage),
         path_offset, served=served,
         miss=lambda i, h: (f"{tilted}path {path_offset + i} {reach} within "
                            f"horizon {h!r} after {cfg.max_doublings} "
@@ -375,9 +379,7 @@ def first_passage_check(model: LevyModel, cfg: SimConfig, t: float,
     """
     thetas = [float(th) for th in np.atleast_1d(theta)]
     analytic = _first_passage_refusals(model, t, thetas)
-    taus = hats = None
-    if any(th < 0.0 for th in thetas):
-        taus, hats = _clock_sample(model, cfg, [t], passage=True).T
+    taus, hats = _clock_sample(model, cfg, [t], passage=True).T
     results = tuple(_first_passage_result(th, t, ref, taus, hats)
                     for th, ref in zip(thetas, analytic))
     return results[0] if np.ndim(theta) == 0 else results
@@ -396,7 +398,7 @@ def _first_passage_refusals(model: LevyModel, t: float,
     if not 1.0 < t < math.inf:
         raise DomainError(f"first-passage clock target must satisfy t > 1 "
                           f"and be finite, got {t!r}")
-    return [invert_L(model, th) if th < 0.0 else 0.0 for th in thetas]
+    return [invert_L(model, th) for th in thetas]
 
 
 def _spectrally_negative(model: LevyModel) -> bool:
@@ -406,10 +408,7 @@ def _spectrally_negative(model: LevyModel) -> bool:
 def _first_passage_result(theta: float, t_clock: float, analytic: float,
                           taus, hats) -> FirstPassageResult:
     """Both sides of the first-passage check at one theta, from the clock
-    values ``taus`` and crossing times ``hats`` (unused at theta = 0)."""
-    if theta == 0.0:
-        return FirstPassageResult(theta=0.0, t=t_clock, lhs=0.0, rhs=0.0,
-                                  rhs_stderr=0.0, analytic=0.0, abs_diff=0.0)
+    values ``taus`` and crossing times ``hats``."""
     lhs_mean = float(np.mean(np.exp(theta * taus)))
     mu, se = _mean_se(np.exp(theta * hats))
     if lhs_mean == 0.0 or mu == 0.0:
@@ -454,16 +453,15 @@ def tilted_identity_check(model: LevyModel, m: float, t: float,
         RescalingError: if an exponential weight would overflow
             (reduce t).
     """
-    target = _tilted_target(model, m, t, cfg)
-    taus = None if m == 0.0 else tau_ensemble(model, cfg, [target])[:, 0]
-    return _tilted_result(model, m, t, cfg, taus)
+    taus = tau_ensemble(model, cfg, [_tilted_target(model, m, t, cfg)])
+    return _tilted_result(model, m, t, cfg, taus[:, 0])
 
 
 def _tilted_target(model: LevyModel, m: float, t: float,
                    cfg: SimConfig) -> float:
     """The left side's clock target t/a, after every refusal of
-    :func:`tilted_identity_check`: that of :func:`tau_ensemble` at t/a
-    where m != 0 comes last."""
+    :func:`tilted_identity_check`: t, the index, m, then that of
+    :func:`tau_ensemble` at t/a, at every m."""
     if not t > 0.0:
         raise DomainError(f"t must be > 0, got {t!r}")
     if cfg.alpha != 1.0:
@@ -473,28 +471,22 @@ def _tilted_target(model: LevyModel, m: float, t: float,
     if not (prof.m0 < m < model.m_plus):
         raise DomainError(f"m = {m!r} outside (m0, m_plus) = "
                           f"({prof.m0!r}, {model.m_plus!r})")
-    if m != 0.0:
-        _clock_targets([t / cfg.start])
+    _clock_targets([t / cfg.start])
     return t / cfg.start
 
 
 def _tilted_result(model: LevyModel, m: float, t: float, cfg: SimConfig,
                    taus) -> TiltedIdentityResult:
     """Both sides of the tilted identity, from the left side's clock values
-    ``taus`` at t/a (unused at m = 0), and the right side's run."""
-    if m == 0.0:
-        return TiltedIdentityResult(m=0.0, t=t, lhs=1.0, lhs_stderr=0.0,
-                                    rhs=1.0, rhs_stderr=0.0, z_score=0.0)
-    expo = -model.psi(m) * taus
-    if float(np.max(np.abs(expo))) > 700.0:
-        raise RescalingError("exponential weight overflows; reduce t")
-    lhs, lhs_se = _mean_se(np.exp(expo))
+    ``taus`` at t/a, and the right side's run."""
+    def weights(expo):
+        if float(np.max(np.abs(expo))) > 700.0:
+            raise RescalingError("exponential weight overflows; reduce t")
+        return _mean_se(np.exp(expo))
 
+    lhs, lhs_se = weights(-model.psi(m) * taus)
     vals = _clock_sample(model, cfg, [t / cfg.start], cfg.n_paths, m)[:, 1]
-    expo_r = -m * vals
-    if float(np.max(np.abs(expo_r))) > 700.0:
-        raise RescalingError("exponential weight overflows; reduce t")
-    rhs, rhs_se = _mean_se(np.exp(expo_r))
+    rhs, rhs_se = weights(-m * vals)
     pooled = math.hypot(lhs_se, rhs_se)
     z = ((lhs - rhs) / pooled if pooled > 0.0 else 0.0 if lhs == rhs
          else math.copysign(math.inf, lhs - rhs))
@@ -585,12 +577,13 @@ def identity_checks(model: LevyModel, cfg: SimConfig, m: float, t: float,
     row's stream, xi and A, and first passage decides step j by raw draw j
     of the auxiliary stream.  So each value is the one the checks give run
     one by one.  The tilted right side draws paths n_paths .. 2 n_paths - 1
-    as :func:`tilted_identity_check` does.
+    as :func:`tilted_identity_check` does.  Every m and theta, 0 included,
+    take this route.
 
     Errors come in one order.  At an index other than 1 only the
     fundamental relation runs.  Otherwise every refusal of the arguments
-    comes before any draw: the tilted identity's (t, m, then a finite t/a
-    at m != 0), then on a spectrally negative family the first passage's
+    comes before any draw: the tilted identity's (t, m, then a finite
+    t/a), then on a spectrally negative family the first passage's
     (theta, then t_fp).  Then come the fundamental relation's errors, the
     shared run's own miss or reach past 2^53 steps, and the tilted right
     side's.  The shared run's rungs start no lower than either check's
@@ -601,21 +594,16 @@ def identity_checks(model: LevyModel, cfg: SimConfig, m: float, t: float,
                               None)
     thetas = [float(th) for th in thetas]
     target = _tilted_target(model, m, t, cfg)
-    lhs = m != 0.0
     passage = _spectrally_negative(model)
     analytic = (_first_passage_refusals(model, t_fp, thetas) if passage
                 else None)
-    fp = passage and any(th < 0.0 for th in thetas)
-    clocks = ([target] if lhs else []) + ([t_fp] if fp else [])
+    clocks = [target, t_fp] if passage else [target]
     worst, served = _fundamental_relation(
-        model, cfg,
-        _clock_values(cfg.alpha, clocks, passage=fp) if clocks else None)
-    base = (_clock_sample(model, cfg, clocks, passage=fp, served=served)
-            if clocks else None)
-    tilted = _tilted_result(model, m, t, cfg, base[:, 0] if lhs else None)
+        model, cfg, _clock_values(cfg.alpha, clocks, passage=passage))
+    base = _clock_sample(model, cfg, clocks, passage=passage, served=served)
+    tilted = _tilted_result(model, m, t, cfg, base[:, 0])
     if not passage:
         return IdentityChecks(worst, tilted, None)
-    taus, hats = base[:, -2:].T if fp else (None, None)
     return IdentityChecks(worst, tilted, tuple(
-        _first_passage_result(th, t_fp, ref, taus, hats)
+        _first_passage_result(th, t_fp, ref, base[:, 1], base[:, 2])
         for th, ref in zip(thetas, analytic)))

@@ -394,9 +394,10 @@ class PathBlock:
             np.exp(w, out=w)
             w *= dt
             w *= _expm1_ratio(z)
-            # where exp(alpha xi) underflowed to 0 and expm1(z)/z overflowed,
-            # a real segment's weight is formed in log space, not as 0 * inf
-            lost = np.isnan(w) & (dt > 0.0)
+            # a real segment's weight that came out inf or NaN (a factor past
+            # double range, or 0 * inf) is formed again in log space: it may
+            # be finite, and a finite weight keeps its bits
+            lost = ~np.isfinite(w) & (dt > 0.0)
             if lost.any():
                 w[lost] = np.exp(alpha * self.xi[:, :-1][lost]
                                  + _log_segment(dt[lost], z[lost]))
@@ -526,12 +527,22 @@ class PathBlock:
         rem = t - nodes[rows, seg]
         if self.kind == LINEAR:
             rate = alpha * self.drift
-            scaled = rem * np.exp(-alpha * self.xi[rows, seg])
             # a remainder past the segment's exact weight puts the log's
             # argument at or below -1: du is then inf or NaN, and fmin
             # gives the segment's end, as it does to any tau past it
-            with np.errstate(invalid="ignore", divide="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                scaled = rem * np.exp(-alpha * self.xi[rows, seg])
                 du = scaled if rate == 0.0 else np.log1p(rate * scaled) / rate
+                # rem exp(-alpha xi) can overflow though tau lies inside the
+                # segment: there du = log(1 + rate e^s)/rate (e^s at rate 0)
+                # is formed from s = log rem - alpha xi
+                big = ~np.isfinite(scaled)
+                if big.any():
+                    s = np.log(rem[big]) - alpha * self.xi[rows[big], seg[big]]
+                    du[big] = (np.exp(s) if rate == 0.0 else
+                               np.logaddexp(0.0, s + math.log(rate)) / rate
+                               if rate > 0.0 else
+                               np.log1p(-np.exp(s + math.log(-rate))) / rate)
         else:
             w = nodes[rows, seg + 1] - nodes[rows, seg]
             du = (end - base) * rem / w

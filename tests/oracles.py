@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
+import mpmath as mp
 import numpy as np
 
 from levyclocks import (
@@ -192,6 +193,28 @@ def rate_saw_tooth(beta: float, gamma: float, x: float) -> float:
     return (math.sqrt(gamma * (x - 1.0)) - math.sqrt(beta * x)) ** 2
 
 
+def besq_mean(nu: float, t: float) -> mp.mpf:
+    """E tau(t) of brownian_drift(nu), exact at finite t, as an mpmath
+    number: tau(t) is int_0^t ds / X_s for X = exp(xi_tau) the squared
+    Bessel process of index nu from 1, and E tau(t) is
+    (log 2t + digamma(nu + 1) - sum_k>=1 z^k / (k (nu + 1)_k)) / (2 nu)
+    with z = -1/(2t)."""
+    nu, t = mp.mpf(nu), mp.mpf(t)
+    z = -1 / (2 * t)
+    tail = mp.nsum(lambda k: z ** k / (k * mp.rf(nu + 1, k)), [1, mp.inf])
+    return (mp.log(2 * t) + mp.digamma(nu + 1) - tail) / (2 * nu)
+
+
+def besq_laplace(nu: float, m: float, t: float) -> mp.mpf:
+    """E exp(-psi(m) tau(t)) of brownian_drift(nu), psi(m) = 2m(m + nu),
+    exact at finite t, as an mpmath number:
+    (2t)^-m Gamma(nu + m + 1) / Gamma(nu + 2m + 1) 1F1(m; nu + 2m + 1;
+    -1/(2t))."""
+    nu, m, t = mp.mpf(nu), mp.mpf(m), mp.mpf(t)
+    return ((2 * t) ** -m * mp.gamma(nu + m + 1) / mp.gamma(nu + 2 * m + 1)
+            * mp.hyp1f1(m, nu + 2 * m + 1, -1 / (2 * t)))
+
+
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic."""
     a = np.sort(np.asarray(a, dtype=float))
@@ -309,13 +332,19 @@ def ref_nodes(p: RefPath, alpha: float) -> np.ndarray:
     dt = np.diff(p.times)
     if p.kind == LINEAR:
         z = alpha * p.drift * dt
-        w = np.exp(alpha * p.xi[:-1]) * dt * _expm1_ratio(z)
-        # 0 * inf where exp(alpha xi) underflows and expm1(z)/z overflows:
-        # the weight is exp(alpha xi + log(dt expm1(z)/z)), with z > 709
-        lost = np.isnan(w)
-        zl = z[lost]
-        log_seg = zl + np.log1p(-np.exp(-zl)) + np.log(dt[lost] / zl)
-        w[lost] = np.exp(alpha * p.xi[:-1][lost] + log_seg)
+        # a factor past double range (expm1(z)/z with z > 709, and then
+        # 0 * inf where exp(alpha xi) underflows) need not make the weight
+        # inf: it is exp(alpha xi + log(dt expm1(z)/z)), whose log is
+        # z + log1p(-exp(-z)) + log(dt/z) where the direct one overflows
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = np.exp(alpha * p.xi[:-1]) * dt * _expm1_ratio(z)
+            lost = ~np.isfinite(w)
+            zl, dl = z[lost], dt[lost]
+            log_seg = np.log(dl * _expm1_ratio(zl))
+            far = np.isinf(log_seg)
+            log_seg[far] = (zl[far] + np.log1p(-np.exp(-zl[far]))
+                            + np.log(dl[far] / zl[far]))
+            w[lost] = np.exp(alpha * p.xi[:-1][lost] + log_seg)
     else:
         with np.errstate(over="ignore"):    # A past double range is inf
             e = np.exp(alpha * p.xi)
@@ -368,16 +397,46 @@ def ref_clock(p: RefPath, nodes: np.ndarray, alpha: float, targets):
     idx = np.clip(np.searchsorted(nodes, t, side="left") - 1, 0,
                   len(nodes) - 2)
     rem = t - nodes[idx]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if p.kind == LINEAR:
             rate = alpha * p.drift
             scaled = rem * np.exp(-alpha * p.xi[idx])
             du = scaled if rate == 0.0 else np.log1p(rate * scaled) / rate
+            # where rem exp(-alpha xi) overflows, du comes from its log s:
+            # log(1 + rate e^s)/rate, or e^s at rate 0
+            far = ~np.isfinite(scaled)
+            s = np.log(rem[far]) - alpha * p.xi[idx][far]
+            if rate > 0.0:
+                du[far] = np.logaddexp(0.0, s + math.log(rate)) / rate
+            elif rate < 0.0:
+                du[far] = np.log1p(-np.exp(s + math.log(-rate))) / rate
+            else:
+                du[far] = np.exp(s)
         else:
             w = nodes[idx + 1] - nodes[idx]
             du = (p.times[idx + 1] - p.times[idx]) * rem / w
         return np.where(t == nodes[idx + 1], p.times[idx + 1],
                         np.fmin(p.times[idx] + du, p.times[idx + 1]))
+
+
+def mp_clock(p: RefPath, alpha: float, target: float) -> float | None:
+    """tau(target) of a linear-drift path from its nodes, at 50 digits by
+    mpmath: segment k weighs exp(alpha xi_k) (exp(r dt) - 1)/r with
+    r = alpha drift (exp(alpha xi_k) dt at r = 0), and the target is
+    inverted on the first segment where A reaches it.  None where A stays
+    below the target."""
+    with mp.workdps(50):
+        r, t, a = mp.mpf(alpha) * mp.mpf(p.drift), mp.mpf(target), mp.mpf(0)
+        for k in range(len(p.times) - 1):
+            base = mp.mpf(p.times[k])
+            dt = mp.mpf(p.times[k + 1]) - base
+            e = mp.exp(mp.mpf(alpha) * mp.mpf(p.xi[k]))
+            w = e * (mp.expm1(r * dt) / r if r else dt)
+            if a + w >= t:
+                rem = (t - a) / e
+                return float(base + (mp.log1p(r * rem) / r if r else rem))
+            a += w
+    return None
 
 
 def ref_value_at(p: RefPath, u: float) -> float:
@@ -495,25 +554,34 @@ def ref_tilted_identity_check(model, m: float, t: float, a: float, cfg):
     target = t / a
     taus = ref_tau_ensemble(model, cfg, [target])[0][:, 0]
     lhs, lhs_se = ref_mean_se(np.exp(-model.psi(m) * taus))
-    tilted = model.esscher(m)
+    vals = ref_clock_values(model.esscher(m), cfg, target, cfg.n_paths)[1]
+    rhs, rhs_se = ref_mean_se(np.exp(-m * vals))
+    return lhs, lhs_se, rhs, rhs_se
+
+
+def ref_clock_values(tilted, cfg, target: float, path_offset: int):
+    """(tau, xi at tau) at ``target`` on paths path_offset + i of the
+    tilted model ``tilted``, each drawn again at a doubled horizon until
+    A reaches the target."""
     base_h = horizon_policy(tilted.psi_derivs(0.0)[0], target)
-    vals = np.empty(cfg.n_paths)
+    taus, vals = np.empty(cfg.n_paths), np.empty(cfg.n_paths)
     for i in range(cfg.n_paths):
         h = base_h
         for _ in range(cfg.max_doublings + 1):
-            p = ref_path(tilted, cfg.seed, cfg.n_paths + i, h, cfg.step)
-            u_star = ref_clock(p, ref_nodes(p, 1.0), 1.0, [target])
+            p = ref_path(tilted, cfg.seed, path_offset + i, h, cfg.step)
+            u_star = ref_clock(p, ref_nodes(p, cfg.alpha), cfg.alpha,
+                               [target])
             if u_star is not None:
+                taus[i] = u_star[0]
                 vals[i] = ref_value_at(p, float(u_star[0]))
                 break
             h *= 2.0
         else:
             raise HorizonExceededError(
-                f"tilted path {cfg.n_paths + i} cannot reach clock target "
+                f"tilted path {path_offset + i} cannot reach clock target "
                 f"{target!r} within horizon {h / 2.0!r} after "
                 f"{cfg.max_doublings} doublings")
-    rhs, rhs_se = ref_mean_se(np.exp(-m * vals))
-    return lhs, lhs_se, rhs, rhs_se
+    return taus, vals
 
 
 def ref_log_totals(model, cfg, horizon: float) -> np.ndarray:

@@ -336,6 +336,21 @@ class TestStochasticCommands:
         assert code == 0
         assert row in out.splitlines()
 
+    def test_simulate_deep_jumps(self, capsys):
+        # rows whose A, or the clock's remainder rem exp(-xi_k), passes
+        # double range in an intermediate though the result is finite: the
+        # rows print the clocks mpmath gives on their nodes, not the ends
+        # of the segments the targets were inverted on
+        code, out, _ = invoke(capsys, [
+            "simulate", "--family", "sawtooth", "--beta", "0.002",
+            "--gamma", "0.003", "--t", "1.9216758284884567e+46",
+            "--paths", "145", "--seed", "0"])
+        assert code == 0
+        rows = out.splitlines()
+        for row in ("53,5218.8477453898549", "72,935.82669559863302",
+                    "144,2845.5228664506349"):
+            assert row in rows
+
     def test_clt(self, capsys):
         code, out, _ = invoke(capsys, [
             "clt", "--family", "brownian", "--nu", "1", "--t", "2980.0",
@@ -1046,6 +1061,76 @@ STDOUT = {
         "fundamental_relation_max_abs_err: 0\n"
         "tilted: skipped (stated for clocks of index 1)\n"
         "first_passage: skipped (stated for clocks of index 1)\n"),
+    # m = 0 and theta = 0 draw their runs like any other value, and give
+    # 1 = 1 and 0 = 0 from them
+    "identities_m_zero": (
+        ["check-identities", "--family", "brownian", "--nu", "1", "--paths",
+         "50", "--step", "0.02", "--seed", "5", "--m", "0"],
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 5\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 1\n"
+        "tilted_rhs: 1\n"
+        "tilted_z: 0\n"
+        "first_passage_lhs: -0.45865933698588818\n"
+        "first_passage_rhs: -0.34184863778478802\n"
+        "first_passage_rhs_stderr: 0.046911558473593878\n"
+        "first_passage_analytic_L: -0.36602540378443865\n"),
+    "identities_theta_zero": (
+        ["check-identities", "--family", "sawtooth", "--beta", "1", "--gamma",
+         "3", "--paths", "50", "--seed", "5", "--theta", "0"],
+        "model: family=saw_tooth beta=1.0 gamma=3.0 tilt=0.0\n"
+        "seed: 5\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 0.38907828399003824\n"
+        "tilted_rhs: 0.37116271544974949\n"
+        "tilted_z: 1.3950654609542832\n"
+        "first_passage_lhs: 0\n"
+        "first_passage_rhs: 0\n"
+        "first_passage_rhs_stderr: 0\n"
+        "first_passage_analytic_L: 0\n"),
+    "identities_m_and_theta_zero": (
+        ["check-identities", "--family", "brownian", "--nu", "1", "--paths",
+         "50", "--step", "0.02", "--seed", "5", "--m", "0", "--theta", "0"],
+        "model: family=brownian_drift nu=1.0 tilt=0.0\n"
+        "seed: 5\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 1\n"
+        "tilted_rhs: 1\n"
+        "tilted_z: 0\n"
+        "first_passage_lhs: 0\n"
+        "first_passage_rhs: 0\n"
+        "first_passage_rhs_stderr: 0\n"
+        "first_passage_analytic_L: 0\n"),
+    "identities_cp_plus_m_zero": (
+        ["check-identities", "--family", "cp-plus", "--d", "1", "--beta", "2",
+         "--gamma", "1", "--paths", "50", "--seed", "5", "--m", "0"],
+        "model: family=cp_plus_drift d=1.0 beta=2.0 gamma=1.0 tilt=0.0\n"
+        "seed: 5\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 1\n"
+        "tilted_rhs: 1\n"
+        "tilted_z: 0\n"
+        "first_passage: skipped (needs a spectrally negative family)\n"),
+    "identities_theta_zero_and_below": (
+        ["check-identities", "--family", "sawtooth", "--beta", "1", "--gamma",
+         "3", "--paths", "50", "--seed", "5", "--theta", "0", "--theta", "-1"],
+        "model: family=saw_tooth beta=1.0 gamma=3.0 tilt=0.0\n"
+        "seed: 5\n"
+        "fundamental_relation_max_abs_err: 0\n"
+        "tilted_lhs: 0.38907828399003824\n"
+        "tilted_rhs: 0.37116271544974949\n"
+        "tilted_z: 1.3950654609542832\n"
+        "first_passage_theta: 0\n"
+        "first_passage_lhs: 0\n"
+        "first_passage_rhs: 0\n"
+        "first_passage_rhs_stderr: 0\n"
+        "first_passage_analytic_L: 0\n"
+        "first_passage_theta: -1\n"
+        "first_passage_lhs: -1.2289935184926415\n"
+        "first_passage_rhs: -1.3174289011555527\n"
+        "first_passage_rhs_stderr: 0.064288046100218418\n"
+        "first_passage_analytic_L: -1.3027756377319943\n"),
 }
 
 

@@ -18,6 +18,7 @@ reach.
 
 import collections
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,7 @@ from levyclocks import (
     mc_exp_functional,
     sample_levy_path,
     saw_tooth,
+    horizon_policy,
     simulate_cauchy_modulus,
     tau_ensemble,
     tilted_identity_check,
@@ -511,6 +513,17 @@ def test_tau_ensemble_reads_no_xi(monkeypatch, name, model, step):
     assert np.isfinite(tau_ensemble(model, cfg, TARGETS)).all()
 
 
+@pytest.mark.parametrize("name,model,step", [MODELS[0], MODELS[3]],
+                         ids=["brownian", "saw_tooth"])
+def test_clock_sample_at_m_zero_reads_xi(name, model, step):
+    # a tilt of 0 is a tilt like any other: the run gives tau and xi at
+    # tau, path by path those of the oracle
+    cfg = SimConfig(seed=4, n_paths=30, step=step)
+    got = estimators._clock_sample(model, cfg, [20.0], 30, m=0.0)
+    want = oracles.ref_clock_values(model, cfg, 20.0, 30)
+    assert np.array_equal(got, np.column_stack(want))
+
+
 IDENTITY_RUNS = [
     # (model, cfg, m, t, t_fp, thetas): past 64 paths, a start other than
     # 1, m = 0, theta = 0 alone, a family without first passage, index 2,
@@ -575,9 +588,11 @@ def test_identity_checks_refuse_in_turn():
     (1.0, 0.0, 1.0, 30.0, [-1.0], "tilted"),
     (-0.6, 2.0, 1.0, 30.0, [-1.0], "tilted"),
     (1.0, 1e300, 1e-300, 30.0, [-1.0], "tilted"),
+    (0.0, 1e300, 1e-300, 30.0, [-1.0], "tilted"),
     (1.0, 2.0, 1.0, 30.0, [-1.0, 0.5], "first_passage"),
     (1.0, 2.0, 1.0, 1.0, [-1.0], "first_passage"),
-], ids=["t_0", "m_below_m0", "t_over_a_inf", "theta_positive", "t_fp_1"])
+], ids=["t_0", "m_below_m0", "t_over_a_inf", "m_0_t_over_a_inf",
+        "theta_positive", "t_fp_1"])
 def test_identity_checks_refusal_draws_nothing(monkeypatch, m, t, start,
                                                t_fp, thetas, check):
     # each refusal comes before any stream is keyed, with the text of the
@@ -951,6 +966,50 @@ def test_weight_past_both_ends_of_range(alpha, seed, path, tau):
     assert got[path, 0] == tau
     assert doublings[path] == 0
     assert np.array_equal(got, want)
+
+
+# jumps of mean size 333 take xi to -680 .. -923 before A reaches t
+DEEP_JUMPS = (saw_tooth(0.002, 0.003), 1.9216758284884567e46)
+
+
+@pytest.mark.parametrize("path", [53, 72, 78, 87, 90, 144])
+def test_deep_jump_clock_against_mpmath(path):
+    # an intermediate passes double range though the result is finite: a
+    # weight's factor expm1(z)/z on paths 53 and 144, the clock's remainder
+    # rem exp(-xi_k) on paths 53, 72, 78, 87 and 90.  Taken as inf, either
+    # puts tau at its segment's end
+    model, t = DEEP_JUMPS
+    cfg = SimConfig(seed=0, n_paths=1)
+    got = tau_ensemble(model, cfg, [t], path_offset=path)[0, 0]
+    h, want = horizon_policy(model.positive_mean(), t), None
+    while want is None:
+        want = oracles.mp_clock(oracles.ref_path(model, 0, path, h, cfg.step),
+                                1.0, t)
+        h *= 2.0
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_deep_jump_clocks_match_the_oracle():
+    model, t = DEEP_JUMPS
+    cfg = SimConfig(seed=0, n_paths=145)
+    got = tau_ensemble(model, cfg, [t])
+    assert np.array_equal(got, oracles.ref_tau_ensemble(model, cfg, [t])[0])
+
+
+def test_weight_past_range_in_one_factor():
+    # exp(-100) 720 expm1(720)/720 = e^620 is finite, though its last
+    # factor overflows: node 2 holds it, and a target above it is not
+    # reached, with no overflow on the way
+    block = paths.PathBlock(times=np.array([[0.0, 1.0, 721.0]]),
+                            xi=np.array([[0.0, -100.0, 620.0]]),
+                            size=np.array([3]), kind=paths.LINEAR, drift=1.0)
+    nodes = block.functional(1.0)
+    assert np.isfinite(nodes[0, 2])
+    assert nodes[0, 2] == pytest.approx(math.exp(block.log_totals(1.0)[0]),
+                                        rel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(block.clock(1.0, [1e280])[0, 0])
 
 
 def test_jump_scratch_memory(monkeypatch):

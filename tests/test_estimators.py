@@ -8,9 +8,11 @@ caught.  The heavyweight spec-scale runs live in test_acceptance.py.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles
 from levyclocks import (
     CapabilityError,
     CauchyModulus,
@@ -71,6 +73,48 @@ class TestTauEnsemble:
     def test_config_validation(self, field, value):
         with pytest.raises(DomainError, match=field):
             SimConfig(seed=1, **{field: value})
+
+
+class TestBrownianExact:
+    """tau(t) of brownian_drift(nu) against its exact law at finite t."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("t", [1.5, 2.0, 8.0, math.e ** 4])
+    def test_mean_is_the_integral(self, nu, t):
+        # E tau(t) = (1/2) int_0^1 v^(nu - 1) E1((1 - v)/(2t)) dv
+        with mp.workdps(30):
+            quad = mp.quad(lambda v: v ** (nu - 1) * mp.e1((1 - v) / (2 * t)),
+                           [0, 1]) / 2
+            assert float(oracles.besq_mean(nu, t)) == pytest.approx(
+                float(quad), rel=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5])
+    def test_mean_is_the_laplace_slope(self, nu):
+        # E tau(t) = -d/dlambda E exp(-lambda tau(t)) at lambda = psi(m) = 0,
+        # and dpsi/dm = 2 nu there
+        with mp.workdps(30):
+            slope = mp.diff(lambda m: oracles.besq_laplace(nu, m, 2.0), 0)
+            assert float(-slope / (2 * nu)) == pytest.approx(
+                float(oracles.besq_mean(nu, 2.0)), rel=1e-12)
+        assert float(oracles.besq_laplace(nu, 0.0, 2.0)) == 1.0
+
+    def test_clock_ensemble(self):
+        # the tau_ensemble mean at each t, and the plain mean of
+        # exp(-psi(m) tau(t)) at t = 1.5 and 2, each within 3 standard
+        # errors of its exact value at step 0.01.  At t = 8 the m = -0.25
+        # mean reads -2.8 to -3.2 standard errors on some seeds and steps
+        model, ts = brownian_drift(1.0), [1.5, 2.0, 8.0]
+        taus = tau_ensemble(model, SimConfig(seed=1, n_paths=20000,
+                                             step=0.01), ts)
+        for j, t in enumerate(ts):
+            mean, se = oracles.ref_mean_se(taus[:, j])
+            exact = float(oracles.besq_mean(1.0, t))
+            assert abs(mean - exact) <= 3.0 * se, t
+            for m in (1.0, 0.5, -0.25) if t < 8.0 else ():
+                mean, se = oracles.ref_mean_se(np.exp(-model.psi(m)
+                                                      * taus[:, j]))
+                exact = float(oracles.besq_laplace(1.0, m, t))
+                assert abs(mean - exact) <= 3.0 * se, (t, m)
 
 
 class TestLln:
