@@ -4,10 +4,11 @@ Each family carries a closed-form Laplace exponent ``psi`` with
 ``E exp(m xi_t) = exp(t psi(m))`` on an open domain ``(m_minus, m_plus)``
 containing 0, and an exponential-tilt (Esscher) mechanism.  The closed
 form is written once per family and returns ``psi``, ``psi'`` and
-``psi''`` together; ``LevyModel.psi`` and ``LevyModel.psi_derivs`` both
-read one memoised evaluation of it, so a solver that asks for the value
-at a point whose derivatives it already has (a root, a probe, a bracket
-end) pays nothing more.
+``psi''`` together.  Each model picks its family's form once, with the
+params bound, as ``LevyModel.base_triple``; ``psi``, ``psi_derivs``,
+``end_limits`` and ``mean`` read it, and so do the rate solvers, which
+take the value and both derivatives from one evaluation per step.
+Nothing is memoised across points or models.
 
 Families and exponents (``m`` ranges over the open domain):
 
@@ -49,7 +50,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import AssumptionError, ConstructionError, DomainError
 from .numerics import digamma, log_gamma, trigamma
@@ -177,8 +178,9 @@ def _base_affine_end(family: Family, p: tuple[float, ...],
 
 
 # --------------------------------------------------------------------------
-# Closed-form psi, psi', psi'' for each family.  Each returns the triple
-# (psi, psi', psi'') at a point of the open base domain.
+# Closed-form psi, psi', psi'' for each family.  _evaluator binds a
+# family's params once and returns the function of a point of the open
+# base domain that gives the triple (psi, psi', psi'') there.
 # --------------------------------------------------------------------------
 
 # Smallest power of two from which _stirling_shift is accurate to 1e-15
@@ -276,11 +278,6 @@ def _gamma_ratio(z: float, h: float, s: float,
     return c * f, c * f1, c * f2
 
 
-def _triple_brownian(p: tuple[float, ...], m: float):
-    nu = p[0]
-    return 2.0 * m * (m + nu), 4.0 * m + 2.0 * nu, 4.0
-
-
 def _jump_ratios(beta: float, gamma: float, g: float):
     """(beta gamma / g^2, 2 beta gamma / g^3), the derivative terms of the
     exponential-jump families.  Where a power of g underflows to 0 the
@@ -292,77 +289,74 @@ def _jump_ratios(beta: float, gamma: float, g: float):
     return (beta * gamma / g2 if g2 else r), 2.0 * r / g
 
 
-def _triple_cp(d: float, beta: float, gamma: float, m: float):
-    g = gamma - m
-    r1, r2 = _jump_ratios(beta, gamma, g)
-    return m * (d + beta / g), d + r1, r2
+def _cp(d: float, beta: float, gamma: float):
+    def triple(m: float):
+        g = gamma - m
+        r1, r2 = _jump_ratios(beta, gamma, g)
+        return m * (d + beta / g), d + r1, r2
+    return triple
 
 
-def _triple_saw_tooth(p: tuple[float, ...], m: float):
-    beta, gamma = p
-    g = gamma + m
-    r1, r2 = _jump_ratios(beta, gamma, g)
-    return m * (gamma - beta + m) / g, 1.0 - r1, r2
+def _saw_tooth(beta: float, gamma: float):
+    def triple(m: float):
+        g = gamma + m
+        r1, r2 = _jump_ratios(beta, gamma, g)
+        return m * (gamma - beta + m) / g, 1.0 - r1, r2
+    return triple
 
 
-def _triple_stable(p: tuple[float, ...], m: float):
-    alpha, c = p
-    return _gamma_ratio(m, alpha, 1.0, c)
+def _csbp(kappa: float, delta: float, c: float):
+    lin = kappa - (kappa + 1.0) * delta
+
+    def triple(m: float):
+        P = lin - m         # linear factor, P' = -1
+        f, f1, f2 = _gamma_ratio(-m, kappa, -1.0)
+        return c * P * f, c * (-f + P * f1), c * (-2.0 * f1 + P * f2)
+    return triple
 
 
-def _triple_csbp(p: tuple[float, ...], m: float):
-    kappa, delta, c = p
-    P = kappa - (kappa + 1.0) * delta - m   # linear factor, P' = -1
-    f, f1, f2 = _gamma_ratio(-m, kappa, -1.0)
-    psi = c * P * f
-    d1 = c * (-f + P * f1)
-    d2 = c * (-2.0 * f1 + P * f2)
-    return psi, d1, d2
+def _hyper(alpha: float, d: float):
+    h, k = alpha / 2.0, -math.pow(2.0, alpha)
+
+    def triple(m: float):
+        # Gamma((alpha - m)/2) / Gamma(-m/2), 1/Gamma zero at m = 0, times
+        # Gamma((m + d)/2) / Gamma((m + d - alpha)/2), zero at m = alpha - d.
+        f1, f1d, f1dd = _gamma_ratio(-m / 2.0, h, -0.5)
+        f2, f2d, f2dd = _gamma_ratio((m + d - alpha) / 2.0, h, 0.5)
+        return (k * f1 * f2, k * (f1d * f2 + f1 * f2d),
+                k * (f1dd * f2 + 2.0 * f1d * f2d + f1 * f2dd))
+    return triple
 
 
-def _triple_hyper(p: tuple[float, ...], m: float):
-    alpha, d = p
-    # Gamma((alpha - m)/2) / Gamma(-m/2), 1/Gamma zero at m = 0, times
-    # Gamma((m + d)/2) / Gamma((m + d - alpha)/2), zero at m = alpha - d.
-    f1, f1d, f1dd = _gamma_ratio(-m / 2.0, alpha / 2.0, -0.5)
-    f2, f2d, f2dd = _gamma_ratio((m + d - alpha) / 2.0, alpha / 2.0, 0.5)
-    k = -math.pow(2.0, alpha)
-    psi = k * f1 * f2
-    d1 = k * (f1d * f2 + f1 * f2d)
-    d2 = k * (f1dd * f2 + 2.0 * f1d * f2d + f1 * f2dd)
-    return psi, d1, d2
-
-
-# Keys compare by value, so m = 0.0 and -0.0 share an entry, and so do int
-# and float params.  The two zeros give the same psi' and psi'' and differ
-# only in the sign of psi(0), which psi never returns (it short-circuits
-# m == 0); make_model casts params to float.
-@lru_cache(maxsize=1024)
-def _base_triple(family: Family, p: tuple[float, ...], m: float):
+def _evaluator(family: Family, p: tuple[float, ...]):
+    """The closed form ``M -> (Psi(M), Psi'(M), Psi''(M))`` of ``family``
+    at params ``p``, for M in the open base domain."""
     if family is Family.BROWNIAN_DRIFT:
-        return _triple_brownian(p, m)
+        nu = p[0]
+        return lambda m: (2.0 * m * (m + nu), 4.0 * m + 2.0 * nu, 4.0)
     if family is Family.CP_PLUS_DRIFT:
         d, beta, gamma = p
         if beta == 0.0:
-            return d * m, d, 0.0
-        return _triple_cp(d, beta, gamma, m)
+            return lambda m: (d * m, d, 0.0)
+        return _cp(d, beta, gamma)
     if family is Family.CP_MINUS_DRIFT:
-        return _triple_cp(-1.0, p[0], p[1], m)
+        return _cp(-1.0, p[0], p[1])
     if family is Family.SAW_TOOTH:
-        return _triple_saw_tooth(p, m)
+        return _saw_tooth(*p)
     if family is Family.STABLE_CONDITIONED:
-        return _triple_stable(p, m)
+        alpha, c = p
+        return lambda m: _gamma_ratio(m, alpha, 1.0, c)
     if family is Family.CSBP_IMMIGRATION:
         kappa, delta, c = p
         if kappa == 1.0:
             q = 2.0 * delta - 1.0
-            return c * m * (m + q), c * (2.0 * m + q), 2.0 * c
-        return _triple_csbp(p, m)
+            return lambda m: (c * m * (m + q), c * (2.0 * m + q), 2.0 * c)
+        return _csbp(kappa, delta, c)
     if family is Family.HYPERGEOMETRIC_STABLE:
         alpha, d = p
         if alpha == 2.0:
-            return m * (m + d - 2.0), 2.0 * m + d - 2.0, 2.0
-        return _triple_hyper(p, m)
+            return lambda m: (m * (m + d - 2.0), 2.0 * m + d - 2.0, 2.0)
+        return _hyper(alpha, d)
     raise ConstructionError(f"unknown family {family!r}")
 
 
@@ -375,6 +369,9 @@ class LevyModel:
     where ``Psi`` is the untilted family exponent, and the open domain is
     the family domain shifted by ``-tilt``.  ``psi(0) = 0`` holds exactly
     by construction.
+
+    Every value comes from one evaluator, ``base_triple``, chosen on first
+    use; ``psi`` and ``psi_derivs`` check the domain and then call it.
     """
 
     family: Family
@@ -400,6 +397,11 @@ class LevyModel:
     def m_plus(self) -> float:
         return _base_domain(self.family, self.params)[1] - self.tilt
 
+    def __getstate__(self) -> dict:
+        # base_triple is a closure, which pickle cannot store; it is chosen
+        # again on first use after loading.
+        return {k: v for k, v in vars(self).items() if k != "base_triple"}
+
     def _check_domain(self, m: float) -> None:
         if not (math.isfinite(m) and self.m_minus < m < self.m_plus):
             raise DomainError(
@@ -408,20 +410,35 @@ class LevyModel:
 
     # -- exponent ----------------------------------------------------------
 
+    @cached_property
+    def base_triple(self):
+        """``M -> (Psi(M), Psi'(M), Psi''(M))`` of the untilted family, for M
+        in its open domain, unchecked: the closed form with the params
+        bound, chosen once per model.  psi(m) is Psi(tilt + m) -
+        Psi(tilt), and its derivatives are Psi's at tilt + m."""
+        return _evaluator(self.family, self.params)
+
+    @cached_property
+    def tilt_triple(self) -> tuple[float, float, float]:
+        """base_triple at the tilt: (Psi(tilt), psi'(0), psi''(0))."""
+        return self.base_triple(self.tilt)
+
+    @cached_property
+    def psi_offset(self) -> float:
+        """What psi(m) subtracts from Psi(tilt + m): Psi(tilt), 0 untilted."""
+        return self.tilt_triple[0] if self.tilt != 0.0 else 0.0
+
     def psi(self, m: float) -> float:
         """Laplace exponent at ``m`` in the open (tilted) domain."""
         self._check_domain(m)
         if m == 0.0:
             return 0.0
-        v = _base_triple(self.family, self.params, self.tilt + m)[0]
-        if self.tilt != 0.0:
-            v -= _base_triple(self.family, self.params, self.tilt)[0]
-        return v
+        return self.base_triple(self.tilt + m)[0] - self.psi_offset
 
     def psi_derivs(self, m: float) -> tuple[float, float]:
         """(psi'(m), psi''(m)) by analytic differentiation."""
         self._check_domain(m)
-        _, d1, d2 = _base_triple(self.family, self.params, self.tilt + m)
+        _, d1, d2 = self.base_triple(self.tilt + m)
         return d1, d2
 
     def end_limits(self, upper: bool) -> tuple[float, float, float | None]:
@@ -437,15 +454,14 @@ class LevyModel:
         if affine is None:
             return math.inf, math.inf if upper else -math.inf, None
         l, g = affine
-        gap = g + self.tilt * l - _base_triple(self.family, self.params,
-                                               self.tilt)[0]
+        gap = g + self.tilt * l - self.tilt_triple[0]
         end = self.m_plus if upper else self.m_minus
         return gap if l == 0.0 else l * end, l, gap
 
     @property
     def mean(self) -> float:
         """E xi_1 = psi'(0)."""
-        return self.psi_derivs(0.0)[0]
+        return self.tilt_triple[1]
 
     def positive_mean(self) -> float:
         """psi'(0), or AssumptionError unless it is > 0: the drift

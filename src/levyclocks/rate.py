@@ -22,9 +22,11 @@ root of an increasing function from 0 toward a domain end with
 None when no root lies short of the end and of float range: the
 maximiser of ``m - x psi(m)`` (and of ``m y - psi(m)`` for ``psi*``) is
 the root of ``psi'(m) = 1/x`` (resp. ``= y``), solved with psi'', and L
-is the root of ``psi(m) = -theta``, solved with psi'.  The supremum is
-read off at the root.  A maximiser beyond float range, or one where psi
-itself has left float range, gives I = psi* = +inf.
+is the root of ``psi(m) = -theta``, solved with psi'.  Each step
+evaluates the model's closed form once, through ``LevyModel.base_triple``
+(``tilt_triple`` at m = 0), and the supremum is read off at the root
+from the solve's own evaluation there.  A maximiser beyond float range,
+or one where psi itself has left float range, gives I = psi* = +inf.
 """
 
 from __future__ import annotations
@@ -58,15 +60,16 @@ def _find_m0(model: LevyModel) -> tuple[float, float, float]:
     """
     psi_end, l_end, _ = model.end_limits(upper=False)
     if l_end < 0.0:
-        root = find_root(model.psi_derivs, 0.0, model.m_minus)
-        if root is not None:
+        found = _argmax(model, 0.0, model.mean)
+        if found is not None:
             # One more Newton correction, free at the evaluated root,
             # takes m0 to the float nearest the root; psi(m0) bounds the
             # domain of L.
-            d1, d2 = model.psi_derivs(root)
-            if d2 > 0.0:
+            root, psi_root, d1, d2 = found
+            if d2 > 0.0 and d1 != 0.0:
                 root -= d1 / d2
-            return root, 0.0, model.psi(root)
+                psi_root = model.psi(root)
+            return root, 0.0, psi_root
     return model.m_minus, l_end, psi_end
 
 
@@ -162,18 +165,29 @@ def profile(model: LevyModel) -> RateProfile:
         ldp_status="full" if full else "weak")
 
 
-def _argmax(model: LevyModel, slope: float, mean: float) -> float | None:
-    """Maximiser of the concave ``m slope - psi(m)``: psi'(m) = slope.
+def _argmax(model: LevyModel, slope: float, mean: float
+            ) -> tuple[float, float, float, float] | None:
+    """Maximiser m of the concave ``m slope - psi(m)``: psi'(m) = slope.
 
     ``mean`` is psi'(0), which tells on which side of 0 the root lies.
-    None when no root lies short of the domain end and of float range.
+    Returns (m, psi(m), psi'(m), psi''(m)), all from the solve's own
+    evaluation at m; None when no root lies short of the domain end and
+    of float range.
     """
     end = model.m_plus if slope > mean else model.m_minus
+    base, tilt, at_tilt = model.base_triple, model.tilt, model.tilt_triple
+    seen: dict[float, tuple[float, float, float]] = {}
 
+    # find_root evaluates only strictly inside the domain: no domain check
     def f(m: float) -> tuple[float, float]:
-        d1, d2 = model.psi_derivs(m)
-        return d1 - slope, d2
-    return find_root(f, 0.0, end)
+        t = seen[m] = at_tilt if m == 0.0 else base(tilt + m)
+        return t[1] - slope, t[2]
+    m = find_root(f, 0.0, end)
+    if m is None:
+        return None
+    value, d1, d2 = seen[m]
+    # psi as LevyModel.psi forms it
+    return m, 0.0 if m == 0.0 else value - model.psi_offset, d1, d2
 
 
 def _rate_point(model: LevyModel, x: float,
@@ -181,10 +195,10 @@ def _rate_point(model: LevyModel, x: float,
     """(I(x), I'(x)) for x strictly inside Delta; I'(x) = -psi(m*)."""
     if x == prof.tau_e:
         return 0.0, -0.0
-    m_star = _argmax(model, 1.0 / x, prof.mean)
-    if m_star is None:
+    found = _argmax(model, 1.0 / x, prof.mean)
+    if found is None:
         return _INF, -_INF
-    psi_star = model.psi(m_star)
+    m_star, psi_star = found[:2]
     if math.isinf(psi_star):        # the supremum is beyond float range
         return _INF, -_INF
     return max(m_star - x * psi_star, 0.0), -psi_star
@@ -215,16 +229,24 @@ def legendre_dual(model: LevyModel, y: float) -> float:
     """Fenchel-Legendre dual psi*(y) = sup_{m} {m y - psi(m)}.
 
     The supremum runs over the full open domain (m_minus, m_plus); +inf
-    is returned when it diverges.
+    is returned when it diverges, as it does at y = +-inf.
+
+    Raises:
+        DomainError: for a NaN y.
     """
+    if y != y:
+        raise DomainError(f"y = {y!r}: psi*(y) needs a number")
     for upper in (True, False):
         _, l_end, gap = model.end_limits(upper)
         if y > l_end if upper else y < l_end:
             return _INF
-        if y == l_end and gap is not None:
-            return -gap
-    m_star = _argmax(model, y, model.mean)
-    psi_star = _INF if m_star is None else model.psi(m_star)
+        # an affine end, or y = +-inf at an end where psi' is unbounded
+        if y == l_end:
+            return _INF if gap is None else -gap
+    found = _argmax(model, y, model.mean)
+    if found is None:
+        return _INF
+    m_star, psi_star = found[:2]
     return _INF if math.isinf(psi_star) else m_star * y - psi_star
 
 
@@ -248,11 +270,14 @@ def invert_L(model: LevyModel, theta: float,
         return 0.0
     target = -theta
     end = model.m_plus if target > 0.0 else prof.m0
+    base, tilt, offset = model.base_triple, model.tilt, model.psi_offset
 
+    # find_root evaluates only strictly inside the domain: no domain check
     def f(m: float) -> tuple[float, float]:
         if m == 0.0:                # known: psi(0) = 0, psi'(0) = mean
             return -target, prof.mean
-        return model.psi(m) - target, model.psi_derivs(m)[0]
+        value, d1, _ = base(tilt + m)
+        return value - offset - target, d1
     root = find_root(f, 0.0, end)
     if root is None:
         side = "below m_plus" if target > 0.0 else "above m0"

@@ -626,7 +626,11 @@ def test_runs_in_one_process_match_separate_runs(capsys):
 
 # Full stdout of every subcommand but `profile` (pinned above), including
 # the `--mc-s` table, a `# truncated` ledger note, a NaN KS statistic, the
-# LDP `excluded` line both ways and each `first_passage` skip line.
+# LDP `excluded` line both ways and each `first_passage` skip line.  The
+# rate curves pin, to 17 digits, the exponent branches the figures leave
+# out: stable, csbp at kappa < 1 and kappa = 1, hypergeometric at alpha = 2
+# and an Esscher-tilted Gamma-ratio model.  cp-plus at beta = 0 has the one
+# point Delta = {1/d}, so no curve: its profile is pinned here instead.
 STDOUT = {
     "rate_curve": (
         ["rate-curve", "--family", "sawtooth", "--beta", "1", "--gamma", "3",
@@ -652,6 +656,106 @@ STDOUT = {
         "4.5999999999999996,1.303191850635123,0.50984822388913076\n"
         "4.7999999999999998,1.4054063928744567,0.51223944568860547\n"
         "5,1.5080666151703324,0.51431498841332479\n"),
+    "rate_curve_stable": (
+        ["rate-curve", "--family", "stable", "--alpha-par", "1.5", "--c", "1",
+         "--x-lo", "0.2", "--x-hi", "4", "--n", "12"],
+        "x,I,Iprime\n"
+        "0.20000000000000001,3.4583899817274322,-36.990198615047035\n"
+        "0.54545454545454541,0.28237143685628574,-1.7023754235058297\n"
+        "0.89090909090909087,0.024231006465249144,-0.23879321101371942\n"
+        "1.2363636363636361,0.0033395794895328124,0.058604548136177478\n"
+        "1.5818181818181818,0.044029366224483751,0.16194578724058503\n"
+        "1.9272727272727272,0.10902652909717553,0.20900281605983231\n"
+        "2.2727272727272725,0.18598247379711647,0.23418652485191263\n"
+        "2.6181818181818182,0.26967799676016485,0.24918550207280718\n"
+        "2.9636363636363638,0.3575383739606085,0.25882296873002869\n"
+        "3.3090909090909091,0.44814981125166958,0.26537599003194862\n"
+        "3.6545454545454548,0.54067239389186539,0.2700312291381391\n"
+        "4,0.63457609909977486,0.27345571890386905\n"),
+    "rate_curve_csbp": (
+        ["rate-curve", "--family", "csbp", "--kappa", "0.5", "--delta", "1",
+         "--c", "1", "--x-lo", "0", "--x-hi", "2", "--n", "12"],
+        "x,I,Iprime\n"
+        "0,0.5,inf\n"
+        "0.18181818181818182,0.088173389177362199,-0.66798065476577262\n"
+        "0.36363636363636365,0.017261008681719189,-0.19866078767013021\n"
+        "0.54545454545454541,0.00011807273196022625,-0.012743569372365227\n"
+        "0.72727272727272729,0.0073744309646809475,0.083334251582949326\n"
+        "0.90909090909090906,0.028075832130330158,0.13986063712383726\n"
+        "1.0909090909090908,0.057014406565713799,0.17597809414232782\n"
+        "1.2727272727272727,0.091370291788937408,0.20045579469923727\n"
+        "1.4545454545454546,0.12947910929947434,0.21780430400598386\n"
+        "1.6363636363636365,0.17029440182532973,0.23054254829663057\n"
+        "1.8181818181818181,0.21312520336944113,0.24016813574350532\n"
+        "2,0.25749697879343253,0.24761693082462594\n"),
+    "rate_curve_csbp_kappa_1": (
+        ["rate-curve", "--family", "csbp", "--kappa", "1", "--delta", "1",
+         "--c", "1", "--x-lo", "0.1", "--x-hi", "4", "--n", "12"],
+        "x,I,Iprime\n"
+        "0.10000000000000001,2.0249999999999999,-24.75\n"
+        "0.45454545454545459,0.16363636363636358,-0.95999999999999974\n"
+        "0.80909090909090908,0.011261491317671096,-0.13189622522408781\n"
+        "1.1636363636363636,0.0057528409090909088,0.06536865234375\n"
+        "1.5181818181818183,0.044216113228089299,0.14153429667610887\n"
+        "1.8727272727272728,0.10167696381288616,0.17871618437175982\n"
+        "2.2272727272727271,0.16906307977736545,0.19960433152852977\n"
+        "2.581818181818182,0.2422855313700385,0.21249504066653443\n"
+        "2.9363636363636365,0.31923022797635803,0.22100518551888737\n"
+        "3.290909090909091,0.39869412355600198,0.22691615030066237\n"
+        "3.6454545454545455,0.47994218997959648,0.23118792793577153\n"
+        "4,0.5625,0.234375\n"),
+    "rate_curve_hypergeometric_alpha_2": (
+        ["rate-curve", "--family", "hypergeometric", "--alpha-par", "2", "--d",
+         "3", "--x-lo", "0.1", "--x-hi", "4", "--n", "12"],
+        "x,I,Iprime\n"
+        "0.10000000000000001,2.0249999999999999,-24.75\n"
+        "0.45454545454545459,0.16363636363636369,-0.95999999999999952\n"
+        "0.80909090909090908,0.011261491317671096,-0.13189622522408781\n"
+        "1.1636363636363636,0.0057528409090909088,0.06536865234375\n"
+        "1.5181818181818183,0.044216113228089299,0.14153429667610887\n"
+        "1.8727272727272728,0.10167696381288616,0.17871618437175985\n"
+        "2.2272727272727271,0.16906307977736545,0.19960433152852977\n"
+        "2.581818181818182,0.2422855313700385,0.21249504066653446\n"
+        "2.9363636363636365,0.31923022797635825,0.22100518551888745\n"
+        "3.290909090909091,0.39869412355600187,0.22691615030066234\n"
+        "3.6454545454545455,0.4799421899795967,0.23118792793577161\n"
+        "4,0.5625,0.234375\n"),
+    "rate_curve_hypergeometric_tilted": (
+        ["rate-curve", "--family", "hypergeometric", "--alpha-par", "1", "--d",
+         "3", "--tilt", "0.5", "--x-lo", "0", "--x-hi", "1.5", "--n", "12"],
+        "x,I,Iprime\n"
+        "0,0.5,inf\n"
+        "0.13636363636363635,0.0074217070569257276,-0.40774584772040923\n"
+        "0.27272727272727271,0.033721215777783253,0.62456994587562986\n"
+        "0.40909090909090912,0.15417621139212528,1.0948479058912091\n"
+        "0.54545454545454541,0.32378163381765174,1.3714655987270885\n"
+        "0.68181818181818177,0.523936898837015,1.552452403198487\n"
+        "0.81818181818181823,0.74468612639797171,1.6780365820634389\n"
+        "0.95454545454545459,0.98000427284050107,1.7686139369404925\n"
+        "1.0909090909090908,1.2259807837170529,1.835848597077941\n"
+        "1.2272727272727273,1.479959480899635,1.8869250751935991\n"
+        "1.3636363636363635,1.7400758390999562,1.9264928881671217\n"
+        "1.5,2.0049866855493406,1.9576704602592958\n"),
+    "profile_cp_plus_beta_0": (
+        ["profile", "--family", "cp-plus", "--d", "1", "--beta", "0",
+         "--gamma", "1"],
+        "model: family=cp_plus_drift d=1.0 beta=0.0 gamma=1.0 tilt=0.0\n"
+        "m0: -inf\n"
+        "psi_m0: -inf\n"
+        "mean: 1\n"
+        "tau_plus: 1\n"
+        "tau_zero: 1\n"
+        "tau_e: 1\n"
+        "delta: (1, 1)\n"
+        "class_tau_zero: 3b\n"
+        "class_tau_plus: 4b\n"
+        "ldp_status: full\n"
+        "b_zero: -0\n"
+        "b_plus: -0\n"
+        "I_at_tau_zero: -0\n"
+        "Iprime_at_tau_zero: inf\n"
+        "I_at_tau_plus: -0\n"
+        "Iprime_at_tau_plus: -inf\n"),
     "figures": (
         ["figures", "--n", "30"],
         "x,I,Iprime\n"

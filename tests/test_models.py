@@ -322,6 +322,18 @@ class TestSerialization:
         model = saw_tooth(0.1, 2.7182818284590451).esscher(-0.333)
         assert model_from_text(model_to_text(model)) == model
 
+    @pytest.mark.parametrize("model", CATALOG)
+    def test_pickles_after_use(self, model):
+        import pickle
+        tilted = model.esscher(0.25 * model.m_minus
+                               if math.isfinite(model.m_minus) else -0.25)
+        value = tilted.psi(0.5 * tilted.m_plus
+                           if math.isfinite(tilted.m_plus) else 0.5)
+        back = pickle.loads(pickle.dumps(tilted))
+        assert back == tilted
+        assert back.psi(0.5 * back.m_plus
+                        if math.isfinite(back.m_plus) else 0.5) == value
+
     def test_malformed(self):
         with pytest.raises(ConstructionError):
             model_from_text("family: saw_tooth\nbeta: 1.0\n")
