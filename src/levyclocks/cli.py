@@ -42,22 +42,12 @@ from .rate import profile, rate_curve
 if TYPE_CHECKING:
     from .paths import CauchyModulus, SimConfig
 
+# Each family by its value and by its short name, in Family order.
 _FAMILY_ALIASES = {
-    "brownian": Family.BROWNIAN_DRIFT,
-    "brownian_drift": Family.BROWNIAN_DRIFT,
-    "cp-plus": Family.CP_PLUS_DRIFT,
-    "cp_plus_drift": Family.CP_PLUS_DRIFT,
-    "cp-minus": Family.CP_MINUS_DRIFT,
-    "cp_minus_drift": Family.CP_MINUS_DRIFT,
-    "sawtooth": Family.SAW_TOOTH,
-    "saw_tooth": Family.SAW_TOOTH,
-    "stable": Family.STABLE_CONDITIONED,
-    "stable_conditioned": Family.STABLE_CONDITIONED,
-    "csbp": Family.CSBP_IMMIGRATION,
-    "csbp_immigration": Family.CSBP_IMMIGRATION,
-    "hypergeometric": Family.HYPERGEOMETRIC_STABLE,
-    "hypergeometric_stable": Family.HYPERGEOMETRIC_STABLE,
-}
+    name: fam for fam, short in zip(Family, (
+        "brownian", "cp-plus", "cp-minus", "sawtooth", "stable", "csbp",
+        "hypergeometric"), strict=True)
+    for name in (short, fam.value)}
 
 # Parameters of Figures 1-5: (family, params, x_lo, x_hi).
 _FIGURES = (

@@ -238,7 +238,7 @@ def estimate_clt(model: LevyModel, cfg: SimConfig, t: float) -> CltResult:
     """Compare sqrt(log t)(tau/log t - 1/psi'(0)) with N(0, psi''/psi'^3)."""
     if not t > 1.0:
         raise DomainError(f"CLT target must satisfy t > 1, got {t!r}")
-    d1, d2 = model.psi_derivs(0.0)
+    _, d1, d2 = model.tilt_triple
     if not math.isfinite(d2):
         raise DomainError("CLT probe requires psi''(0) < inf")
     target_var = d2 / d1 ** 3

@@ -2,19 +2,23 @@
 
 Each family carries a closed-form Laplace exponent ``psi`` with
 ``E exp(m xi_t) = exp(t psi(m))`` on an open domain ``(m_minus, m_plus)``
-containing 0, and an exponential-tilt (Esscher) mechanism.  The closed
-form is written once per family and returns ``psi``, ``psi'`` and
-``psi''`` together.  Each model picks its family's form once, with the
-params bound, as ``LevyModel.base_triple``; ``psi``, ``psi_derivs``,
-``end_limits`` and ``mean`` read it, and so do the rate solvers, which
-take the value and both derivatives from one evaluation per step.
-Nothing is memoised across points or models.
+containing 0, and an exponential-tilt (Esscher) mechanism.  Each family
+is declared once, as one function of its params: it checks the family's
+constraints and returns a ``_Form`` holding the open base domain, the
+closed form giving ``psi``, ``psi'`` and ``psi''`` together, and the
+limits at each end where the exponent is affine.  A degenerate case is
+decided there and nowhere else.  ``LevyModel`` reads that one form, built
+at construction; ``psi``, ``psi_derivs``, ``end_limits`` and ``mean``
+read its closed form, ``LevyModel.base_triple``, and so do the rate
+solvers, which take the value and both derivatives from one evaluation
+per step.  Nothing is memoised across points or models.
 
 Families and exponents (``m`` ranges over the open domain):
 
 ==============================  ===========================================
 brownian_drift(nu)              2 m (m + nu)                    on (-inf, inf)
 cp_plus_drift(d, beta, gamma)   m (d + beta / (gamma - m))      on (-inf, gamma)
+        beta = 0:               d m                             on (-inf, inf)
 cp_minus_drift(beta, gamma)     m (-1 + beta / (gamma - m))     on (-inf, gamma)
 saw_tooth(beta, gamma)          m (gamma - beta + m)/(gamma+m)  on (-gamma, inf)
 stable_conditioned(alpha, c)    c Gamma(m+alpha)/Gamma(m)       on (-alpha, inf)
@@ -51,6 +55,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .errors import AssumptionError, ConstructionError, DomainError
 from .numerics import digamma, log_gamma, trigamma
@@ -71,6 +76,7 @@ __all__ = [
 ]
 
 _PI = math.pi
+_INF = math.inf
 # Smallest positive normal float: below it a product has lost digits.
 _TINY = sys.float_info.min
 
@@ -85,15 +91,23 @@ class Family(str, Enum):
     HYPERGEOMETRIC_STABLE = "hypergeometric_stable"
 
 
-PARAM_NAMES: dict[Family, tuple[str, ...]] = {
-    Family.BROWNIAN_DRIFT: ("nu",),
-    Family.CP_PLUS_DRIFT: ("d", "beta", "gamma"),
-    Family.CP_MINUS_DRIFT: ("beta", "gamma"),
-    Family.SAW_TOOTH: ("beta", "gamma"),
-    Family.STABLE_CONDITIONED: ("alpha", "c"),
-    Family.CSBP_IMMIGRATION: ("kappa", "delta", "c"),
-    Family.HYPERGEOMETRIC_STABLE: ("alpha", "d"),
-}
+class _Form(NamedTuple):
+    """One family at its params.
+
+    ``(lo, hi)`` is the open base domain and ``triple`` the closed form
+    ``M -> (Psi(M), Psi'(M), Psi''(M))`` on it.  ``lower`` and ``upper``
+    are (l, g) at an end where Psi is affine in the limit: the
+    compound-Poisson ends, where Psi'(M) -> l, the drift, and
+    Psi(M) - M l -> g = -beta, minus the jump rate.  They are None at
+    every other end, where Psi' is unbounded: a finite end is a pole and
+    every other infinite end is superlinear.
+    """
+
+    lo: float
+    hi: float
+    triple: Callable[[float], tuple[float, float, float]]
+    lower: tuple[float, float] | None = None
+    upper: tuple[float, float] | None = None
 
 
 def _require(cond: bool, constraint: str) -> None:
@@ -101,86 +115,8 @@ def _require(cond: bool, constraint: str) -> None:
         raise ConstructionError(f"parameter constraint violated: {constraint}")
 
 
-def _validate(family: Family, p: tuple[float, ...]) -> None:
-    names = PARAM_NAMES[family]
-    if len(p) != len(names):
-        raise ConstructionError(
-            f"{family.value} takes parameters {names}, got {len(p)} values")
-    if not all(math.isfinite(v) for v in p):
-        raise ConstructionError(f"{family.value} parameters must be finite")
-    if family is Family.BROWNIAN_DRIFT:
-        _require(p[0] > 0, "nu > 0")
-    elif family is Family.CP_PLUS_DRIFT:
-        d, beta, gamma = p
-        _require(d >= 0, "d >= 0")
-        # beta = 0 is accepted as the degenerate pure-drift case.
-        _require(beta >= 0, "beta >= 0")
-        _require(gamma > 0, "gamma > 0")
-        _require(d + beta > 0, "d + beta > 0 (drift to +inf)")
-    elif family is Family.CP_MINUS_DRIFT:
-        beta, gamma = p
-        _require(gamma > 0, "gamma > 0")
-        _require(gamma < beta, "0 < gamma < beta")
-    elif family is Family.SAW_TOOTH:
-        beta, gamma = p
-        _require(beta > 0, "beta > 0")
-        _require(beta < gamma, "0 < beta < gamma")
-    elif family is Family.STABLE_CONDITIONED:
-        alpha, c = p
-        _require(1.0 < alpha < 2.0, "alpha in (1, 2)")
-        _require(c > 0, "c > 0")
-    elif family is Family.CSBP_IMMIGRATION:
-        kappa, delta, c = p
-        _require(0.0 < kappa <= 1.0, "kappa in (0, 1]")
-        _require(delta > kappa / (kappa + 1.0), "delta > kappa/(kappa+1)")
-        _require(c > 0, "c > 0")
-    elif family is Family.HYPERGEOMETRIC_STABLE:
-        alpha, d = p
-        _require(0.0 < alpha <= 2.0, "alpha in (0, 2]")
-        _require(alpha < d, "alpha < d")
-
-
-def _base_domain(family: Family, p: tuple[float, ...]) -> tuple[float, float]:
-    inf = math.inf
-    if family is Family.BROWNIAN_DRIFT:
-        return (-inf, inf)
-    if family is Family.CP_PLUS_DRIFT:
-        return (-inf, inf) if p[1] == 0.0 else (-inf, p[2])
-    if family is Family.CP_MINUS_DRIFT:
-        return (-inf, p[1])
-    if family is Family.SAW_TOOTH:
-        return (-p[1], inf)
-    if family is Family.STABLE_CONDITIONED:
-        return (-p[0], inf)
-    if family is Family.CSBP_IMMIGRATION:
-        return (-inf, inf) if p[0] == 1.0 else (-inf, p[0])
-    if family is Family.HYPERGEOMETRIC_STABLE:
-        return (-inf, inf) if p[0] == 2.0 else (-p[1], p[0])
-    raise ConstructionError(f"unknown family {family!r}")
-
-
-def _base_affine_end(family: Family, p: tuple[float, ...],
-                     upper: bool) -> tuple[float, float] | None:
-    """(l, g) at a base-domain end where psi is affine in the limit.
-
-    These are the compound-Poisson ends: psi'(m) -> l, the drift, and
-    psi(m) - m l -> g = -beta, minus the jump rate.  None at every other
-    end, where psi' is unbounded: a finite end is a pole and every other
-    infinite end is superlinear.
-    """
-    if family is Family.CP_PLUS_DRIFT and (not upper or p[1] == 0.0):
-        return p[0], -p[1]
-    if family is Family.CP_MINUS_DRIFT and not upper:
-        return -1.0, -p[0]
-    if family is Family.SAW_TOOTH and upper:
-        return 1.0, -p[0]
-    return None
-
-
 # --------------------------------------------------------------------------
-# Closed-form psi, psi', psi'' for each family.  _evaluator binds a
-# family's params once and returns the function of a point of the open
-# base domain that gives the triple (psi, psi', psi'') there.
+# Closed-form psi, psi', psi'' and the helpers the families share.
 # --------------------------------------------------------------------------
 
 # Smallest power of two from which _stirling_shift is accurate to 1e-15
@@ -297,25 +233,75 @@ def _cp(d: float, beta: float, gamma: float):
     return triple
 
 
-def _saw_tooth(beta: float, gamma: float):
+# --------------------------------------------------------------------------
+# The families.  Each checks its constraints, in order, and returns its
+# _Form at the params; a degenerate case returns its own form.
+# --------------------------------------------------------------------------
+
+def _brownian(nu: float) -> _Form:
+    _require(nu > 0, "nu > 0")
+    return _Form(-_INF, _INF,
+                 lambda m: (2.0 * m * (m + nu), 4.0 * m + 2.0 * nu, 4.0))
+
+
+def _cp_plus(d: float, beta: float, gamma: float) -> _Form:
+    _require(d >= 0, "d >= 0")
+    # beta = 0 is accepted as the degenerate pure-drift case.
+    _require(beta >= 0, "beta >= 0")
+    _require(gamma > 0, "gamma > 0")
+    _require(d + beta > 0, "d + beta > 0 (drift to +inf)")
+    end = (d, -beta)
+    if beta == 0.0:         # pure drift: affine at both ends of the line
+        return _Form(-_INF, _INF, lambda m: (d * m, d, 0.0), end, end)
+    return _Form(-_INF, gamma, _cp(d, beta, gamma), end)
+
+
+def _cp_minus(beta: float, gamma: float) -> _Form:
+    _require(gamma > 0, "gamma > 0")
+    _require(gamma < beta, "0 < gamma < beta")
+    return _Form(-_INF, gamma, _cp(-1.0, beta, gamma), (-1.0, -beta))
+
+
+def _saw_tooth(beta: float, gamma: float) -> _Form:
+    _require(beta > 0, "beta > 0")
+    _require(beta < gamma, "0 < beta < gamma")
+
     def triple(m: float):
         g = gamma + m
         r1, r2 = _jump_ratios(beta, gamma, g)
         return m * (gamma - beta + m) / g, 1.0 - r1, r2
-    return triple
+    return _Form(-gamma, _INF, triple, upper=(1.0, -beta))
 
 
-def _csbp(kappa: float, delta: float, c: float):
+def _stable(alpha: float, c: float) -> _Form:
+    _require(1.0 < alpha < 2.0, "alpha in (1, 2)")
+    _require(c > 0, "c > 0")
+    return _Form(-alpha, _INF, lambda m: _gamma_ratio(m, alpha, 1.0, c))
+
+
+def _csbp(kappa: float, delta: float, c: float) -> _Form:
+    _require(0.0 < kappa <= 1.0, "kappa in (0, 1]")
+    _require(delta > kappa / (kappa + 1.0), "delta > kappa/(kappa+1)")
+    _require(c > 0, "c > 0")
+    if kappa == 1.0:
+        q = 2.0 * delta - 1.0
+        return _Form(-_INF, _INF, lambda m: (c * m * (m + q),
+                                             c * (2.0 * m + q), 2.0 * c))
     lin = kappa - (kappa + 1.0) * delta
 
     def triple(m: float):
         P = lin - m         # linear factor, P' = -1
         f, f1, f2 = _gamma_ratio(-m, kappa, -1.0)
         return c * P * f, c * (-f + P * f1), c * (-2.0 * f1 + P * f2)
-    return triple
+    return _Form(-_INF, kappa, triple)
 
 
-def _hyper(alpha: float, d: float):
+def _hyper(alpha: float, d: float) -> _Form:
+    _require(0.0 < alpha <= 2.0, "alpha in (0, 2]")
+    _require(alpha < d, "alpha < d")
+    if alpha == 2.0:
+        return _Form(-_INF, _INF,
+                     lambda m: (m * (m + d - 2.0), 2.0 * m + d - 2.0, 2.0))
     h, k = alpha / 2.0, -math.pow(2.0, alpha)
 
     def triple(m: float):
@@ -325,39 +311,32 @@ def _hyper(alpha: float, d: float):
         f2, f2d, f2dd = _gamma_ratio((m + d - alpha) / 2.0, h, 0.5)
         return (k * f1 * f2, k * (f1d * f2 + f1 * f2d),
                 k * (f1dd * f2 + 2.0 * f1d * f2d + f1 * f2dd))
-    return triple
+    return _Form(-d, alpha, triple)
 
 
-def _evaluator(family: Family, p: tuple[float, ...]):
-    """The closed form ``M -> (Psi(M), Psi'(M), Psi''(M))`` of ``family``
-    at params ``p``, for M in the open base domain."""
-    if family is Family.BROWNIAN_DRIFT:
-        nu = p[0]
-        return lambda m: (2.0 * m * (m + nu), 4.0 * m + 2.0 * nu, 4.0)
-    if family is Family.CP_PLUS_DRIFT:
-        d, beta, gamma = p
-        if beta == 0.0:
-            return lambda m: (d * m, d, 0.0)
-        return _cp(d, beta, gamma)
-    if family is Family.CP_MINUS_DRIFT:
-        return _cp(-1.0, p[0], p[1])
-    if family is Family.SAW_TOOTH:
-        return _saw_tooth(*p)
-    if family is Family.STABLE_CONDITIONED:
-        alpha, c = p
-        return lambda m: _gamma_ratio(m, alpha, 1.0, c)
-    if family is Family.CSBP_IMMIGRATION:
-        kappa, delta, c = p
-        if kappa == 1.0:
-            q = 2.0 * delta - 1.0
-            return lambda m: (c * m * (m + q), c * (2.0 * m + q), 2.0 * c)
-        return _csbp(kappa, delta, c)
-    if family is Family.HYPERGEOMETRIC_STABLE:
-        alpha, d = p
-        if alpha == 2.0:
-            return lambda m: (m * (m + d - 2.0), 2.0 * m + d - 2.0, 2.0)
-        return _hyper(alpha, d)
-    raise ConstructionError(f"unknown family {family!r}")
+_FAMILIES = {
+    Family.BROWNIAN_DRIFT: (("nu",), _brownian),
+    Family.CP_PLUS_DRIFT: (("d", "beta", "gamma"), _cp_plus),
+    Family.CP_MINUS_DRIFT: (("beta", "gamma"), _cp_minus),
+    Family.SAW_TOOTH: (("beta", "gamma"), _saw_tooth),
+    Family.STABLE_CONDITIONED: (("alpha", "c"), _stable),
+    Family.CSBP_IMMIGRATION: (("kappa", "delta", "c"), _csbp),
+    Family.HYPERGEOMETRIC_STABLE: (("alpha", "d"), _hyper),
+}
+
+PARAM_NAMES: dict[Family, tuple[str, ...]] = {
+    family: names for family, (names, _) in _FAMILIES.items()}
+
+
+def _form(family: Family, p: tuple[float, ...]) -> _Form:
+    """``family``'s form at params ``p``, or ConstructionError."""
+    names, declare = _FAMILIES[family]
+    if len(p) != len(names):
+        raise ConstructionError(
+            f"{family.value} takes parameters {names}, got {len(p)} values")
+    if not all(math.isfinite(v) for v in p):
+        raise ConstructionError(f"{family.value} parameters must be finite")
+    return declare(*p)
 
 
 @dataclass(frozen=True)
@@ -370,8 +349,10 @@ class LevyModel:
     the family domain shifted by ``-tilt``.  ``psi(0) = 0`` holds exactly
     by construction.
 
-    Every value comes from one evaluator, ``base_triple``, chosen on first
-    use; ``psi`` and ``psi_derivs`` check the domain and then call it.
+    The family's form at the params is built once, at construction,
+    which checks the constraints.  The domain, ``end_limits`` and every
+    value read it; values come from its closed form, ``base_triple``,
+    which ``psi`` and ``psi_derivs`` call after checking the domain.
     """
 
     family: Family
@@ -379,8 +360,7 @@ class LevyModel:
     tilt: float = 0.0
 
     def __post_init__(self) -> None:
-        _validate(self.family, self.params)
-        lo, hi = _base_domain(self.family, self.params)
+        lo, hi = self._base_form[:2]
         if not lo < self.tilt < hi:
             raise ConstructionError(
                 f"tilt {self.tilt!r} outside base domain ({lo!r}, {hi!r})")
@@ -390,17 +370,22 @@ class LevyModel:
     # Cached in the instance __dict__, which the frozen dataclass leaves
     # out of ==, hash and replace.
     @cached_property
+    def _base_form(self) -> _Form:
+        return _form(self.family, self.params)
+
+    @cached_property
     def m_minus(self) -> float:
-        return _base_domain(self.family, self.params)[0] - self.tilt
+        return self._base_form.lo - self.tilt
 
     @cached_property
     def m_plus(self) -> float:
-        return _base_domain(self.family, self.params)[1] - self.tilt
+        return self._base_form.hi - self.tilt
 
     def __getstate__(self) -> dict:
-        # base_triple is a closure, which pickle cannot store; it is chosen
-        # again on first use after loading.
-        return {k: v for k, v in vars(self).items() if k != "base_triple"}
+        # The form and base_triple hold a closure, which pickle cannot
+        # store; they are built again on first use after loading.
+        return {k: v for k, v in vars(self).items()
+                if k not in ("_base_form", "base_triple")}
 
     def _check_domain(self, m: float) -> None:
         if not (math.isfinite(m) and self.m_minus < m < self.m_plus):
@@ -414,9 +399,9 @@ class LevyModel:
     def base_triple(self):
         """``M -> (Psi(M), Psi'(M), Psi''(M))`` of the untilted family, for M
         in its open domain, unchecked: the closed form with the params
-        bound, chosen once per model.  psi(m) is Psi(tilt + m) -
+        bound, from the model's form.  psi(m) is Psi(tilt + m) -
         Psi(tilt), and its derivatives are Psi's at tilt + m."""
-        return _evaluator(self.family, self.params)
+        return self._base_form.triple
 
     @cached_property
     def tilt_triple(self) -> tuple[float, float, float]:
@@ -450,7 +435,7 @@ class LevyModel:
         leaves psi' -> l, and the gap lim psi(m) - m l is
         g + tilt l - Psi(tilt).
         """
-        affine = _base_affine_end(self.family, self.params, upper)
+        affine = self._base_form.upper if upper else self._base_form.lower
         if affine is None:
             return math.inf, math.inf if upper else -math.inf, None
         l, g = affine

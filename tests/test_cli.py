@@ -226,6 +226,41 @@ class TestProfileCommand:
         assert "error: no root" in err.splitlines()
 
 
+    # Each family's value, its short name and the flags of one valid model.
+    FAMILY_NAMES = [
+        ("brownian_drift", "brownian", ["--nu", "1"]),
+        ("cp_plus_drift", "cp-plus", ["--d", "1", "--beta", "2", "--gamma",
+                                      "1"]),
+        ("cp_minus_drift", "cp-minus", ["--beta", "2", "--gamma", "1"]),
+        ("saw_tooth", "sawtooth", ["--beta", "1", "--gamma", "3"]),
+        ("stable_conditioned", "stable", ["--alpha-par", "1.5", "--c", "1"]),
+        ("csbp_immigration", "csbp", ["--kappa", "0.5", "--delta", "0.6",
+                                      "--c", "1"]),
+        ("hypergeometric_stable", "hypergeometric", ["--alpha-par", "1",
+                                                     "--d", "3"]),
+    ]
+
+    @pytest.mark.parametrize("value,short,flags", FAMILY_NAMES,
+                             ids=[short for _, short, _ in FAMILY_NAMES])
+    def test_family_names_in_any_case(self, capsys, value, short, flags):
+        outs = set()
+        for name in (value, short):
+            for spelled in (name, name.upper(), name.title()):
+                code, out, _ = invoke(capsys, ["profile", "--family",
+                                               spelled, *flags])
+                assert code == 0
+                outs.add(out)
+        assert len(outs) == 1
+        assert outs.pop().startswith(f"model: family={value} ")
+
+    def test_unknown_family_exit_1(self, capsys):
+        code, out, err = invoke(capsys, ["profile", "--family", "Saw-Tooth",
+                                         "--beta", "1", "--gamma", "3"])
+        assert code == 1
+        assert out == ""
+        assert "unknown family 'Saw-Tooth'" in err
+
+
 class TestRateCurveCommand:
     def test_matches_library(self, capsys):
         code, out, _ = invoke(capsys, [

@@ -1,6 +1,7 @@
 """Laplace-exponent catalog: formulas, domains, tilts, serialization."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -61,24 +62,75 @@ class TestConstruction:
         h = hypergeometric_stable(1, 3)
         assert (h.m_minus, h.m_plus) == (-3.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [
-        lambda: saw_tooth(3.0, 1.0),          # needs beta < gamma
-        lambda: saw_tooth(0.0, 1.0),
-        lambda: brownian_drift(0.0),
-        lambda: brownian_drift(-1.0),
-        lambda: cp_plus_drift(-0.1, 2, 1),
-        lambda: cp_plus_drift(0.0, 0.0, 1.0),  # no drift at all
-        lambda: cp_minus_drift(1.0, 2.0),      # needs gamma < beta
-        lambda: stable_conditioned(2.5, 1.0),
-        lambda: stable_conditioned(1.5, -1.0),
-        lambda: csbp_immigration(1.5, 0.9),
-        lambda: csbp_immigration(0.5, 0.33),   # delta <= kappa/(kappa+1)
-        lambda: hypergeometric_stable(3.0, 4.0),
-        lambda: hypergeometric_stable(1.0, 0.5),
-    ])
+    # Each refused call and the constraint it reports.
+    CONSTRAINTS = {
+        lambda: saw_tooth(3.0, 1.0): "0 < beta < gamma",
+        lambda: saw_tooth(0.0, 1.0): "beta > 0",
+        lambda: brownian_drift(0.0): "nu > 0",
+        lambda: brownian_drift(-1.0): "nu > 0",
+        lambda: cp_plus_drift(-0.1, 2, 1): "d >= 0",
+        lambda: cp_plus_drift(0.0, 0.0, 1.0):  # no drift at all
+            "d + beta > 0 (drift to +inf)",
+        lambda: cp_minus_drift(1.0, 2.0): "0 < gamma < beta",
+        lambda: stable_conditioned(2.5, 1.0): "alpha in (1, 2)",
+        lambda: stable_conditioned(1.5, -1.0): "c > 0",
+        lambda: csbp_immigration(1.5, 0.9): "kappa in (0, 1]",
+        lambda: csbp_immigration(0.5, 0.33): "delta > kappa/(kappa+1)",
+        lambda: hypergeometric_stable(3.0, 4.0): "alpha in (0, 2]",
+        lambda: hypergeometric_stable(1.0, 0.5): "alpha < d",
+        lambda: cp_plus_drift(1.0, -0.5, 1.0): "beta >= 0",
+        lambda: cp_plus_drift(1.0, 2.0, 0.0): "gamma > 0",
+        lambda: cp_minus_drift(2.0, 0.0): "gamma > 0",
+        lambda: saw_tooth(-1.0, 1.0): "beta > 0",
+        lambda: stable_conditioned(1.0, 1.0): "alpha in (1, 2)",
+        lambda: csbp_immigration(0.0, 0.6): "kappa in (0, 1]",
+        lambda: csbp_immigration(0.5, 0.6, 0.0): "c > 0",
+        lambda: hypergeometric_stable(0.0, 3.0): "alpha in (0, 2]",
+    }
+
+    @pytest.mark.parametrize("bad", list(CONSTRAINTS))
     def test_constraint_errors(self, bad):
-        with pytest.raises(ConstructionError):
+        message = ("parameter constraint violated: "
+                   + self.CONSTRAINTS[bad])
+        with pytest.raises(ConstructionError,
+                           match=f"^{re.escape(message)}$"):
             bad()
+
+    @pytest.mark.parametrize("family,params,tilt,message", [
+        ("saw_tooth", [1.0], 0.0,
+         "saw_tooth takes parameters ('beta', 'gamma'), got 1 values"),
+        ("brownian_drift", [1.0, 2.0], 0.0,
+         "brownian_drift takes parameters ('nu',), got 2 values"),
+        ("cp_plus_drift", [1.0, math.inf, 1.0], 0.0,
+         "cp_plus_drift parameters must be finite"),
+        ("stable_conditioned", [math.nan, 1.0], 0.0,
+         "stable_conditioned parameters must be finite"),
+        ("saw_tooth", [1.0, 3.0], -3.0,
+         "tilt -3.0 outside base domain (-3.0, inf)"),
+        ("brownian_drift", [1.0], math.inf,
+         "tilt inf outside base domain (-inf, inf)"),
+        ("hypergeometric_stable", [1.0, 3.0], 1.5,
+         "tilt 1.5 outside base domain (-3.0, 1.0)"),
+        # several fail: the count, then finiteness, then the family's
+        # constraints in order, then the tilt
+        ("saw_tooth", [math.nan], 9.0,
+         "saw_tooth takes parameters ('beta', 'gamma'), got 1 values"),
+        ("saw_tooth", [3.0, math.inf], 9.0,
+         "saw_tooth parameters must be finite"),
+        ("cp_plus_drift", [-1.0, -1.0, -1.0], 9.0,
+         "parameter constraint violated: d >= 0"),
+        ("csbp_immigration", [0.5, 0.1, -1.0], 9.0,
+         "parameter constraint violated: delta > kappa/(kappa+1)"),
+        ("cp_minus_drift", [1.0, 2.0], 9.0,
+         "parameter constraint violated: 0 < gamma < beta"),
+    ], ids=["count_short", "count_long", "inf", "nan", "tilt_at_end",
+            "tilt_inf", "tilt_past_end", "count_first", "finite_next",
+            "constraints_in_order", "constraint_before_later_ones",
+            "constraint_before_tilt"])
+    def test_refusal_order(self, family, params, tilt, message):
+        with pytest.raises(ConstructionError,
+                           match=f"^{re.escape(message)}$"):
+            make_model(family, params, tilt)
 
     def test_make_model_accepts_names(self):
         m = make_model("saw_tooth", [1.0, 3.0])
@@ -309,6 +361,62 @@ class TestEsscher:
         for th in (-0.5, 0.3, 1.1):
             assert twice.psi(th) == pytest.approx(
                 base.psi(m + 0.5 + th) - base.psi(m + 0.5), abs=1e-10)
+
+
+INF = math.inf
+UNBOUNDED = ((INF, -INF, None), (INF, INF, None))
+
+
+class TestEndLimits:
+    """(lim psi, lim psi', gap) at the lower and upper end of the domain.
+
+    At an end where psi' is unbounded, psi -> +inf and psi' -> -inf below
+    or +inf above, with no gap.  At a compound-Poisson end, psi' -> l, the
+    drift, and psi(m) - m l -> g + tilt l - Psi(tilt), where g = -beta.
+    """
+
+    @pytest.mark.parametrize("model,lower,upper", [
+        (brownian_drift(1.0), *UNBOUNDED),
+        (cp_plus_drift(1.0, 2.0, 1.0), (-INF, 1.0, -2.0), UNBOUNDED[1]),
+        (cp_plus_drift(0.0, 2.0, 1.0), (-2.0, 0.0, -2.0), UNBOUNDED[1]),
+        (cp_minus_drift(2.0, 1.0), (INF, -1.0, -2.0), UNBOUNDED[1]),
+        (saw_tooth(1.0, 3.0), UNBOUNDED[0], (INF, 1.0, -1.0)),
+        (stable_conditioned(1.5, 1.0), *UNBOUNDED),
+        (csbp_immigration(0.5, 0.6, 1.0), *UNBOUNDED),
+        (hypergeometric_stable(1.0, 3.0), *UNBOUNDED),
+        # pure drift: affine on the whole line, with gap -beta = 0 at both
+        (cp_plus_drift(1.0, 0.0, 1.0), (-INF, 1.0, 0.0), (INF, 1.0, 0.0)),
+        # Brownian motion with drift on the whole line
+        (csbp_immigration(1.0, 0.6, 2.0), *UNBOUNDED),
+        (hypergeometric_stable(2.0, 3.0), *UNBOUNDED),
+    ], ids=["brownian", "cp_plus", "cp_plus_d0", "cp_minus", "saw_tooth",
+            "stable", "csbp", "hypergeometric", "cp_plus_beta0", "csbp_kappa1",
+            "hypergeometric_alpha2"])
+    def test_untilted(self, model, lower, upper):
+        assert model.end_limits(upper=False) == lower
+        assert model.end_limits(upper=True) == upper
+
+    @pytest.mark.parametrize("model,upper,l,g,Psi", [
+        (cp_plus_drift(1.0, 2.0, 1.0).esscher(0.5), False, 1.0, -2.0,
+         lambda m: m * (1.0 + 2.0 / (1.0 - m))),
+        (cp_minus_drift(2.0, 1.0).esscher(-1.0), False, -1.0, -2.0,
+         lambda m: m * (-1.0 + 2.0 / (1.0 - m))),
+        (saw_tooth(1.0, 3.0).esscher(1.0), True, 1.0, -1.0,
+         lambda m: m * (3.0 - 1.0 + m) / (3.0 + m)),
+    ], ids=["cp_plus", "cp_minus", "saw_tooth"])
+    def test_tilted_affine_end(self, model, upper, l, g, Psi):
+        tilt = model.tilt
+        gap = g + tilt * l - Psi(tilt)
+        lim_psi, lim_d1, got = model.end_limits(upper)
+        assert got == pytest.approx(gap, rel=1e-15)
+        assert lim_d1 == l
+        end = model.m_plus if upper else model.m_minus
+        assert lim_psi == l * end
+        # the other end stays unbounded
+        assert model.end_limits(not upper) == UNBOUNDED[not upper]
+        # and psi(m) - m l approaches the gap along the affine end
+        m = 1e6 if upper else -1e6
+        assert model.psi(m) - m * l == pytest.approx(gap, abs=1e-5)
 
 
 class TestSerialization:
