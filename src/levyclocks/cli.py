@@ -72,9 +72,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Model flags as argparse dests; --tilt absent means tilt 0.
-_MODEL_FLAGS = ("tilt", "nu", "d", "beta", "gamma", "alpha_par", "c",
-                "kappa", "delta")
+_PARAM_FLAGS = {"alpha": "alpha_par"}  # --alpha is the clock index
+
+# Model flags as argparse dests, the families' params in first-appearance
+# order; --tilt absent means tilt 0.
+_MODEL_FLAGS = ("tilt", *dict.fromkeys(
+    _PARAM_FLAGS.get(name, name) for names in PARAM_NAMES.values()
+    for name in names))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -101,9 +105,6 @@ def _add_sim_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--start", type=float, default=1.0)
     p.add_argument("--max-doublings", type=int, default=8)
-
-
-_PARAM_FLAGS = {"alpha": "alpha_par"}  # --alpha is the clock index
 
 
 def _model_from_args(args) -> LevyModel | CauchyModulus:

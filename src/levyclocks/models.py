@@ -58,7 +58,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .errors import AssumptionError, ConstructionError, DomainError
-from .numerics import digamma, log_gamma, trigamma
+from .numerics import _psi_pair, log_gamma
 
 __all__ = [
     "Family",
@@ -165,13 +165,14 @@ def _gamma_ratio(z: float, h: float, s: float,
 
     ``z`` is the current argument value, ``s`` its constant slope in
     ``m`` and ``h`` a constant shift; requires ``z + h > 0``.  From
-    ``z = 1/2`` up, log Gamma, digamma and trigamma are differenced at
-    ``z + h`` and ``z``, and from ``_STIRLING_FROM`` up the differences
-    come from ``_stirling_shift``.  Below ``z = 1/2`` it switches to the
-    reflected form 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, which is
-    smooth across the zeros of 1/Gamma at non-positive integer ``z``.
-    Where the ratio leaves float range (f = +inf) or f''/f underflows, f'
-    and f'' (and c f) come from log f: finite and accurate where they fit.
+    ``z = 1/2`` up, log Gamma and (by one ``_psi_pair`` call each)
+    digamma and trigamma are differenced at ``z + h`` and ``z``, and from
+    ``_STIRLING_FROM`` up the differences come from ``_stirling_shift``.
+    Below ``z = 1/2`` it switches to the reflected form 1/Gamma(z) =
+    sin(pi z) Gamma(1 - z) / pi, smooth across the zeros of 1/Gamma at
+    non-positive integer ``z``.  Where the ratio leaves float range
+    (f = +inf) or f''/f underflows, f' and f'' (and c f) come from log f:
+    finite and accurate where they fit.
     """
     a = z + h
     if z >= 0.5:
@@ -179,8 +180,8 @@ def _gamma_ratio(z: float, h: float, s: float,
             d0, d1, d2 = _stirling_shift(z, h)
         else:
             d0 = log_gamma(a) - log_gamma(z)
-            d1 = digamma(a) - digamma(z)
-            d2 = trigamma(a) - trigamma(z)
+            (p1, p2), (q1, q2) = _psi_pair(a), _psi_pair(z)
+            d1, d2 = p1 - q1, p2 - q2
         lr = s * d1
         curv = lr * lr + s * s * d2
         try:
@@ -202,9 +203,12 @@ def _gamma_ratio(z: float, h: float, s: float,
         return cf, f1, _signed_exp(d0 + math.log(s * s * abs(q))
                                    - 2.0 * math.log(z), q, c)
     G = log_gamma(a) + log_gamma(1.0 - z)
-    G1 = s * (digamma(a) - digamma(1.0 - z))
-    G2 = s * s * (trigamma(a) + trigamma(1.0 - z))
-    g = math.exp(G) / _PI
+    (p1, p2), (q1, q2) = _psi_pair(a), _psi_pair(1.0 - z)
+    G1, G2 = s * (p1 - q1), s * s * (p2 + q2)
+    try:
+        g = math.exp(G) / _PI
+    except OverflowError:
+        g = math.inf
     sn, cs = math.sin(_PI * z), math.cos(_PI * z)
     sd = _PI * s * cs
     sdd = -_PI * _PI * s * s * sn

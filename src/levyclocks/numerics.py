@@ -1,13 +1,13 @@
 """Scalar special functions and solvers used by every other module.
 
 Log-gamma is the standard library's behind a domain guard; digamma and
-trigamma run a recurrence plus asymptotic series (reflection for negative
-arguments); and one root finder, for monotone functions given with their
-slope, serves every solve in ``rate`` (the maximiser of a concave
-objective is the root of its exact derivative, whose slope is the second
-derivative).  The root finder solves to a fixed relative tolerance of
-1e-14 and answers None, whatever the end, when no sign change lies short
-of it.  All functions are pure and thread-safe.
+trigamma share one recurrence, then each has its asymptotic series
+(reflection for negative arguments); and one root finder, for monotone
+functions given with their slope, serves every solve in ``rate`` (the
+maximiser of a concave objective is the root of its exact derivative,
+whose slope is the second derivative).  The root finder solves to a fixed
+relative tolerance of 1e-14 and answers None, whatever the end, when no
+sign change lies short of it.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -44,11 +44,14 @@ def log_gamma(x: float) -> float:
         return math.inf
 
 
-def _digamma_positive(x: float) -> float:
-    """Digamma for x > 0: recurrence up to >= 12, then asymptotic series."""
-    acc = 0.0
+def _psi_pair(x: float) -> tuple[float, float]:
+    """(Psi(x), Psi'(x)) for x > 0: one recurrence up to >= 12, then the
+    asymptotic series of each.  1/x^2 is +inf where x * x underflows."""
+    acc = acc1 = 0.0
     while x < 12.0:
         acc -= 1.0 / x
+        x2 = x * x
+        acc1 += 1.0 / x2 if x2 else math.inf
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
@@ -56,7 +59,12 @@ def _digamma_positive(x: float) -> float:
     tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0
            - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0
            - inv2 * (691.0 / 32760.0 - inv2 * (1.0 / 12.0)))))))
-    return acc + math.log(x) - 0.5 * inv - tail
+    # Psi'(x) ~ 1/x + 1/(2x^2) + sum B_{2n} / x^{2n+1}
+    tail1 = inv * inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0
+            - inv2 * (1.0 / 30.0 - inv2 * (5.0 / 66.0
+            - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0)))))))
+    return (acc + math.log(x) - 0.5 * inv - tail,
+            acc1 + inv + 0.5 * inv2 + tail1)
 
 
 def digamma(x: float) -> float:
@@ -72,25 +80,11 @@ def digamma(x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"digamma requires finite x, got {x!r}")
     if x > 0.0:
-        return _digamma_positive(x)
+        return _psi_pair(x)[0]
     frac = x - round(x)
     if frac == 0.0:
         raise DomainError(f"digamma pole at non-positive integer x = {x!r}")
-    return _digamma_positive(1.0 - x) - math.pi / math.tan(math.pi * frac)
-
-
-def _trigamma_positive(x: float) -> float:
-    acc = 0.0
-    while x < 12.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    # Psi'(x) ~ 1/x + 1/(2x^2) + sum B_{2n} / x^{2n+1}
-    tail = inv * inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0
-           - inv2 * (1.0 / 30.0 - inv2 * (5.0 / 66.0
-           - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0)))))))
-    return acc + inv + 0.5 * inv2 + tail
+    return _psi_pair(1.0 - x)[0] - math.pi / math.tan(math.pi * frac)
 
 
 def trigamma(x: float) -> float:
@@ -98,12 +92,12 @@ def trigamma(x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"trigamma requires finite x, got {x!r}")
     if x > 0.0:
-        return _trigamma_positive(x)
+        return _psi_pair(x)[1]
     frac = x - round(x)
     if frac == 0.0:
         raise DomainError(f"trigamma pole at non-positive integer x = {x!r}")
     s = math.sin(math.pi * frac)
-    return (math.pi * math.pi) / (s * s) - _trigamma_positive(1.0 - x)
+    return (math.pi * math.pi) / (s * s) - _psi_pair(1.0 - x)[1]
 
 
 def _model_step(y: float, g: float, s: float, o: float | None,

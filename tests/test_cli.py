@@ -190,6 +190,16 @@ class TestProfileCommand:
         code, _, _ = invoke(capsys, ["no-such-command"])
         assert code == 1
 
+    def test_tiny_kappa(self, capsys):
+        # kappa^2 underflows to 0 in trigamma's 1/kappa^2, which is +inf
+        code, out, _ = invoke(capsys, [
+            "profile", "--family", "csbp", "--kappa", "1e-200", "--delta",
+            "1", "--c", "1"])
+        assert code == 0
+        values = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert float(values["mean"]) == pytest.approx(1e200, rel=1e-12)
+        assert values["class_tau_zero"] == "3a"
+
     @pytest.mark.parametrize("argv,flag", [
         (["lln", "--family", "cauchy", "--d", "3", "--tilt", "5", "--t",
           "50", "--paths", "4", "--step", "0.05", "--seed", "1"], "--tilt"),
@@ -625,6 +635,30 @@ class TestStochasticCommands:
         assert proc.stdout == ""
         assert f"error: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+LDP = ["ldp", "--family", "brownian", "--nu", "1", "--seed", "1",
+       "--paths", "4"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["profile"], 1, "usage error: --family or --model-file is required"),
+    (["lln", "--family", "cauchy", "--t", "50", "--seed", "1"], 1,
+     "usage error: --d (dimension) is required for cauchy"),
+    (["profile", "--family", "cauchy", "--d", "3"], 2,
+     "error: this subcommand needs a Lévy-family model, not the Cauchy "
+     "modulus"),
+    ([*LDP, "--x", "0.5", "--t", "1", "--t", "50", "--t", "100"], 2,
+     "error: LDP targets must satisfy t > 1"),
+    ([*LDP, "--x", "0", "--t", "50", "--t", "100", "--t", "200"], 2,
+     "error: x must be > 0, got 0.0"),
+], ids=["no_model", "cauchy_without_d", "profile_cauchy", "ldp_t_1",
+        "ldp_x_0"])
+def test_refusals(capsys, argv, code, message):
+    got, out, err = invoke(capsys, argv)
+    assert got == code
+    assert out == ""
+    assert message in err.splitlines()
 
 
 def test_entry_point_runs():

@@ -31,6 +31,7 @@ from levyclocks import (
     CauchyModulus,
     DomainError,
     HorizonExceededError,
+    RescalingError,
     SimConfig,
     brownian_drift,
     cp_minus_drift,
@@ -1154,6 +1155,17 @@ def test_fundamental_relation_check(model, step, a, alpha):
     cfg = SimConfig(seed=9, n_paths=80, step=step, alpha=alpha, start=a)
     assert (fundamental_relation_check(model, cfg)
             == oracles.ref_fundamental_relation(model, cfg))
+
+
+@pytest.mark.parametrize("a,alpha,message", [
+    (1e200, 2.0, "rescaling the clock targets"),          # a^alpha
+    (1.0, 200.0, "exponential functional overflowed"),    # A(8)
+    (1e305, 1.0, "rescaling the clock targets"),          # t a^alpha
+], ids=["start_power", "functional", "scaled_targets"])
+def test_fundamental_relation_overflow(a, alpha, message):
+    cfg = SimConfig(seed=2, n_paths=8, alpha=alpha, start=a)
+    with pytest.raises(RescalingError, match=message):
+        fundamental_relation_check(brownian_drift(1.0), cfg)
 
 
 # (start, step, targets): a long geometric grid, and a largest target

@@ -17,6 +17,7 @@ from levyclocks import (
     CapabilityError,
     CauchyModulus,
     DomainError,
+    RescalingError,
     SimConfig,
     brownian_drift,
     cp_minus_drift,
@@ -360,3 +361,14 @@ class TestTiltedIdentity:
         cfg = SimConfig(seed=2, n_paths=8)
         with pytest.raises(DomainError):
             tilted_identity_check(brownian_drift(1.0), -0.7, 2.0, cfg)
+
+    def test_index_other_than_one(self):
+        cfg = SimConfig(seed=2, n_paths=8, alpha=2.0)
+        with pytest.raises(DomainError, match="stated for clocks of index 1"):
+            tilted_identity_check(brownian_drift(1.0), 0.5, 2.0, cfg)
+
+    def test_weight_overflow(self):
+        cfg = SimConfig(seed=2, n_paths=8)
+        with pytest.raises(RescalingError,
+                           match="exponential weight overflows"):
+            tilted_identity_check(brownian_drift(1.0), 10.0, 1e30, cfg)

@@ -97,6 +97,65 @@ class TestTrigamma:
         with pytest.raises(DomainError):
             trigamma(-3.0)
 
+    def test_tiny_argument(self):
+        # x * x underflows to 0 below ~1.5e-162: 1/x^2 is +inf, as it is
+        # where it overflows (1.6e-162)
+        for x in (1.6e-162, 1e-200, 5e-324):
+            assert trigamma(x) == math.inf
+        assert digamma(5e-324) == -math.inf
+
+
+# (x, Psi(x), Psi'(x)) as float.hex: the recorded values of digamma and
+# trigamma, which a change to their arithmetic must keep bit for bit.
+SPECIAL_BITS = [
+    (1.6e-162, "-0x1.63a432c8f5cd7p+537", "inf"),
+    (1e-154, "-0x1.7dddf6b095ff1p+511", "0x1.1ccf385ebc8a0p+1023"),
+    (1e-150, "-0x1.38d352e5096afp+498", "0x1.7e43c8800759bp+996"),
+    (1e-100, "-0x1.249ad2594c37dp+332", "0x1.4e718d7d7625ap+664"),
+    (1e-30, "-0x1.93e5939a08ce9p+99", "0x1.3e9e4e4c2f344p+199"),
+    (1e-08, "-0x1.7d784024f119fp+26", "0x1.1c37937e07fffp+53"),
+    (0.001, "-0x1.f449ac574fcf9p+9", "0x1.e848348fa1c6dp+19"),
+    (0.1, "-0x1.4d8f668552b02p+3", "0x1.95bbb2c5c8285p+6"),
+    (0.25, "-0x1.0e8e9943cd7c2p+2", "0x1.1328429d927c7p+4"),
+    (0.5, "-0x1.f6a897d3214f8p+0", "0x1.3bd3cc9be45dfp+2"),
+    (1.0, "-0x1.2788cfc6fb616p-1", "0x1.a51a6625307d3p+0"),
+    (1.5, "0x1.2aed059bd6079p-5", "0x1.de9e64df22ef2p-1"),
+    (2.0, "0x1.b0ee6072093cbp-2", "0x1.4a34cc4a60fa7p-1"),
+    (3.7, "0x1.2aca9308f7e53p+0", "0x1.3d7a906cdbdedp-2"),
+    (7.25, "0x1.e9137b7a7e563p+0", "0x1.2edb4eb166c0dp-3"),
+    (11.999999999999998, "0x1.38a9234f5821cp+1", "0x1.63f337df20566p-4"),
+    (12.0, "0x1.38a9234f5821dp+1", "0x1.63f337df20565p-4"),
+    (12.5, "0x1.3e1ae41f318ecp+1", "0x1.5522e33e75f06p-4"),
+    (30.0, "0x1.b13544cb9c1d2p+1", "0x1.15ab17f770242p-5"),
+    (100.0, "0x1.26690d4274476p+2", "0x1.4952e891b603ap-7"),
+    (1000.0, "0x1.ba1078189c03cp+2", "0x1.06466dfb5dfe1p-10"),
+    (100000.0, "0x1.7069d82dcebc1p+3", "0x1.4f8bc681cdfb6p-17"),
+    (100000000.0, "0x1.26bb1bb9fdb87p+4", "0x1.5798ee3fdb763p-27"),
+    (1e15, "0x1.144f69ff9ffc4p+5", "0x1.203af9ee75619p-50"),
+    (1e50, "0x1.cc845b54b54f2p+6", "0x1.dee7a4ad4b81ep-167"),
+    (1e150, "0x1.5963447f87fb5p+8", "0x1.a2fe76a3f9475p-499"),
+    (1e300, "0x1.5963447f87fb5p+9", "0x1.56e1fc2f8f359p-997"),
+    (-0.5, "0x1.2aed059bd6095p-5", "0x1.1de9e64df22efp+3"),
+    (-1e-08, "0x1.7d783fdb0ee5fp+26", "0x1.1c37937e08002p+53"),
+    (-0.999, "-0x1.f3c98b8a4e86fp+9", "0x1.e84854a00a608p+19"),
+    (-1.5, "0x1.680425af12b5dp-1", "0x1.2c22c9dc2b128p+3"),
+    (-2.25, "0x1.0a263badf8e6fp+2", "0x1.361210c1c3c90p+4"),
+    (-3.7, "-0x1.b0ade9fee8e34p-1", "0x1.daf51eb27b2c2p+3"),
+    (-7.5, "0x1.0a406a791b546p+1", "0x1.37d5201922bc8p+3"),
+    (-11.9, "-0x1.c9a7b439a8700p+2", "0x1.9d19d7dfcc695p+6"),
+    (-12.1, "0x1.867d3b17c62c6p+3", "0x1.9d1b26e7af0bcp+6"),
+    (-25.3, "0x1.621ba6e5704f2p+2", "0x1.e14d13d0bbd58p+3"),
+    (-40.3, "0x1.7f6ff2bf35f58p+2", "0x1.e1c1c864db718p+3"),
+    (-1000.5, "0x1.ba2909faf5e58p+2", "0x1.3bcb9d8d5bf73p+3"),
+    (-123456.75, "0x1.12a037313407cp+3", "0x1.3bd3c41d92adcp+4"),
+]
+
+
+@pytest.mark.parametrize("x,psi,psi1", SPECIAL_BITS,
+                         ids=[repr(x) for x, _, _ in SPECIAL_BITS])
+def test_special_function_bits(x, psi, psi1):
+    assert (digamma(x).hex(), trigamma(x).hex()) == (psi, psi1)
+
 
 def _digamma_gap(g):
     """Psi(g + 1.5) - Psi(g) and its slope."""

@@ -471,15 +471,23 @@ class TestRateCurve:
         (saw_tooth, lambda v: (v, 3.0)),
         (saw_tooth, lambda v: (v, 2.0 * v)),
         (saw_tooth, lambda v: (v, 1.0)),
+        (csbp_immigration, lambda v: (v, 1.0, 1.0)),
+        (csbp_immigration, lambda v: (v, 2.0 * v, 1.0)),
+        (hypergeometric_stable, lambda v: (v, 3.0)),
+        (hypergeometric_stable, lambda v: (v, 2.0 * v)),
     ], ids=["cp_plus_gamma", "cp_plus_beta_gamma", "cp_plus_d0_gamma",
             "cp_minus_beta2_gamma", "cp_minus_beta_gamma",
             "cp_minus_beta1_gamma", "saw_tooth_beta_gamma3",
-            "saw_tooth_beta_gamma", "saw_tooth_beta_gamma1"])
+            "saw_tooth_beta_gamma", "saw_tooth_beta_gamma1",
+            "csbp_kappa", "csbp_kappa_delta", "hypergeometric_alpha",
+            "hypergeometric_alpha_d"])
     def test_tiny_parameters_raise_package_errors_only(self, make, params):
         # g^3 (g = gamma -+ m) underflows to 0 for g below ~1.4e-108, g^2
-        # below ~1.6e-162, and the solver's (o - y)^2 for close points; the
+        # below ~1.6e-162, and the solver's (o - y)^2 for close points; so
+        # does x^2 in trigamma's 1/x^2 at a Gamma argument kappa or alpha/2,
+        # and Gamma(kappa) Gamma(1) overflows for kappa <= 1e-308.  The
         # profile and a rate curve then return or raise a LevyClocksError,
-        # never a ZeroDivisionError
+        # never a ZeroDivisionError or OverflowError
         for v in (1e-100, 1e-160, 1e-200, 1e-300, 1e-308, 1e-320, 5e-324):
             model = make(*params(v))
             try:
