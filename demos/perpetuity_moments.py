@@ -3,14 +3,17 @@
 
 Narrative: the finiteness region of E I^s, the one-step recursion for the
 negative integer moments (closed by E I^-1 = psi'(0)), the exact gamma law
-for the Brownian family, and truncated-path Monte Carlo with its reported
-tail bound.
+for the Brownian family, truncated-path Monte Carlo with its reported tail
+bound, and the finiteness constant F(m), exact for every sampled family:
+the recursion closes in Gamma functions of the tilted path law.
 """
 
 from levyclocks import (
     F_of_m,
     SimConfig,
     brownian_drift,
+    cp_minus_drift,
+    cp_plus_drift,
     mc_exp_functional,
     moment_finite,
     moment_recursion,
@@ -34,7 +37,6 @@ def main():
           "(2, 8, 48, 384, ...)")
 
     print("\n== recursion truncation at the domain end")
-    from levyclocks import cp_minus_drift
     ledger = moment_recursion(cp_minus_drift(3.0, 2.5), r_max=8)
     print("   rows:", [row.s for row in ledger.rows])
     print("   note:", ledger.note)
@@ -48,10 +50,13 @@ def main():
 
     print("\n== the finiteness constant F(m) = E^(m) I^(m-1)")
     for m in (0.5, 1.0, 2.0):
-        v, method, se = F_of_m(b, m, cfg)
-        print(f"   Brownian, m = {m}: F = {v:.6f}   [{method}]")
-    v, method, se = F_of_m(saw_tooth(1.0, 3.0), 0.5, cfg)
-    print(f"   saw tooth, m = 0.5: F = {v:.4f} +- {se:.4f}   [{method}]")
+        print(f"   Brownian, m = {m}: F = {F_of_m(b, m):.6f}   [exact]")
+    for name, model, m in (("saw tooth (1, 3)", saw_tooth(1.0, 3.0), 0.5),
+                           ("cp_plus (1, 2, 1)", cp_plus_drift(1.0, 2.0, 1.0),
+                            0.4),
+                           ("cp_minus (3, 2.5)", cp_minus_drift(3.0, 2.5),
+                            0.3)):
+        print(f"   {name}, m = {m}: F = {F_of_m(model, m):.6f}   [exact]")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .errors import (
     DomainError,
     RescalingError,
 )
-from .models import Family, LevyModel, hypergeometric_stable
+from .models import LevyModel, hypergeometric_stable
 from .paths import (
     CauchyModulus,
     SimConfig,
@@ -402,7 +402,11 @@ def _first_passage_refusals(model: LevyModel, t: float,
 
 
 def _spectrally_negative(model: LevyModel) -> bool:
-    return model.family in (Family.BROWNIAN_DRIFT, Family.SAW_TOOTH)
+    """Whether the model's path law passes levels upward without jumps:
+    the Gaussian law, or jumps downward.  cp_plus at beta = 0, a pure
+    drift, keeps the upward sign its jumps are declared with."""
+    law = model._path_law
+    return law is not None and (law.gaussian or law.sign < 0.0)
 
 
 def _first_passage_result(theta: float, t_clock: float, analytic: float,

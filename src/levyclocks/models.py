@@ -5,9 +5,12 @@ Each family carries a closed-form Laplace exponent ``psi`` with
 containing 0, and an exponential-tilt (Esscher) mechanism.  Each family
 is declared once, as one function of its params: it checks the family's
 constraints and returns a ``_Form`` holding the open base domain, the
-closed form giving ``psi``, ``psi'`` and ``psi''`` together, and the
-limits at each end where the exponent is affine.  A degenerate case is
-decided there and nowhere else.  ``LevyModel`` reads that one form, built
+closed form giving ``psi``, ``psi'`` and ``psi''`` together, the limits
+at each end where the exponent is affine, the path law of a family with
+an exact sampler and whether its path bounds give the full LDP.  A
+degenerate case is decided there and nowhere else.  ``LevyModel`` applies
+its tilt to the path law once; the sampler, the first-passage refusal
+and ``moments.F_of_m`` read the tilted law, not the family's name.  ``LevyModel`` reads that one form, built
 at construction; ``psi``, ``psi_derivs``, ``end_limits`` and ``mean``
 read its closed form, ``LevyModel.base_triple``, and so do the rate
 solvers, which take the value and both derivatives from one evaluation
@@ -91,6 +94,18 @@ class Family(str, Enum):
     HYPERGEOMETRIC_STABLE = "hypergeometric_stable"
 
 
+class _Law(NamedTuple):
+    """The law of a sampled family's paths: xi_t = 2 (B_t + drift t) when
+    ``gaussian``, else xi_t = drift t plus jumps of ``sign`` Exp(``gamma``)
+    at rate ``rate`` (none at rate 0)."""
+
+    drift: float
+    gaussian: bool = False
+    rate: float = 0.0
+    gamma: float = _INF
+    sign: float = 1.0
+
+
 class _Form(NamedTuple):
     """One family at its params.
 
@@ -100,7 +115,10 @@ class _Form(NamedTuple):
     compound-Poisson ends, where Psi'(M) -> l, the drift, and
     Psi(M) - M l -> g = -beta, minus the jump rate.  They are None at
     every other end, where Psi' is unbounded: a finite end is a pole and
-    every other infinite end is superlinear.
+    every other infinite end is superlinear.  ``law`` is the untilted
+    path law of a family with an exact sampler, None for the Gamma-ratio
+    families.  ``full_ldp`` marks a family whose path bounds establish
+    the full LDP of the clock off Delta = (0, inf).
     """
 
     lo: float
@@ -108,6 +126,8 @@ class _Form(NamedTuple):
     triple: Callable[[float], tuple[float, float, float]]
     lower: tuple[float, float] | None = None
     upper: tuple[float, float] | None = None
+    law: _Law | None = None
+    full_ldp: bool = False
 
 
 def _require(cond: bool, constraint: str) -> None:
@@ -245,7 +265,8 @@ def _cp(d: float, beta: float, gamma: float):
 def _brownian(nu: float) -> _Form:
     _require(nu > 0, "nu > 0")
     return _Form(-_INF, _INF,
-                 lambda m: (2.0 * m * (m + nu), 4.0 * m + 2.0 * nu, 4.0))
+                 lambda m: (2.0 * m * (m + nu), 4.0 * m + 2.0 * nu, 4.0),
+                 law=_Law(nu, gaussian=True))
 
 
 def _cp_plus(d: float, beta: float, gamma: float) -> _Form:
@@ -254,16 +275,19 @@ def _cp_plus(d: float, beta: float, gamma: float) -> _Form:
     _require(beta >= 0, "beta >= 0")
     _require(gamma > 0, "gamma > 0")
     _require(d + beta > 0, "d + beta > 0 (drift to +inf)")
-    end = (d, -beta)
+    end, law = (d, -beta), _Law(d, rate=beta, gamma=gamma)
     if beta == 0.0:         # pure drift: affine at both ends of the line
-        return _Form(-_INF, _INF, lambda m: (d * m, d, 0.0), end, end)
-    return _Form(-_INF, gamma, _cp(d, beta, gamma), end)
+        return _Form(-_INF, _INF, lambda m: (d * m, d, 0.0), end, end,
+                     law, full_ldp=True)
+    return _Form(-_INF, gamma, _cp(d, beta, gamma), end, law=law,
+                 full_ldp=True)
 
 
 def _cp_minus(beta: float, gamma: float) -> _Form:
     _require(gamma > 0, "gamma > 0")
     _require(gamma < beta, "0 < gamma < beta")
-    return _Form(-_INF, gamma, _cp(-1.0, beta, gamma), (-1.0, -beta))
+    return _Form(-_INF, gamma, _cp(-1.0, beta, gamma), (-1.0, -beta),
+                 law=_Law(-1.0, rate=beta, gamma=gamma))
 
 
 def _saw_tooth(beta: float, gamma: float) -> _Form:
@@ -274,7 +298,9 @@ def _saw_tooth(beta: float, gamma: float) -> _Form:
         g = gamma + m
         r1, r2 = _jump_ratios(beta, gamma, g)
         return m * (gamma - beta + m) / g, 1.0 - r1, r2
-    return _Form(-gamma, _INF, triple, upper=(1.0, -beta))
+    return _Form(-gamma, _INF, triple, upper=(1.0, -beta),
+                 law=_Law(1.0, rate=beta, gamma=gamma, sign=-1.0),
+                 full_ldp=True)
 
 
 def _stable(alpha: float, c: float) -> _Form:
@@ -376,6 +402,25 @@ class LevyModel:
     @cached_property
     def _base_form(self) -> _Form:
         return _form(self.family, self.params)
+
+    @cached_property
+    def _path_law(self) -> _Law | None:
+        """The family's path law under the tilt t, None without a sampler.
+
+        A tilt keeps each sampled family in its own class: the Brownian
+        drift becomes ``nu + 2t``; a compound-Poisson family with jumps of
+        sign ``sign`` and law Exp(gamma) becomes one with jump parameter
+        ``g = gamma - sign t`` and rate ``beta gamma / g`` (0 without
+        jumps).
+        """
+        law, t = self._base_form.law, self.tilt
+        if law is None:
+            return None
+        if law.gaussian:
+            return law._replace(drift=law.drift + 2.0 * t)
+        g = law.gamma - law.sign * t
+        rate = 0.0 if law.rate == 0.0 else law.rate * law.gamma / g
+        return law._replace(rate=rate, gamma=g)
 
     @cached_property
     def m_minus(self) -> float:

@@ -8,7 +8,11 @@ For a Lévy process ``zeta`` with exponent ``phi`` and positive drift
   failure); negative moments below -1 follow from the one-step recursion
   ``E I^{-r-1} = (phi(r)/r) E I^{-r}`` whenever ``phi(r) < inf``.
 * The recursion closes without simulation because
-  ``E I^{-1} = phi'(0)`` (entrance-law moment identity).
+  ``E I^{-1} = phi'(0)`` (entrance-law moment identity).  For a sampled
+  family it closes in Gamma functions of the path law at every real r,
+  and so does the finiteness constant ``F(m) = E^(m) I^{m-1}``: a tilt
+  keeps the law in its family's class, and ``F_of_m`` reads the tilted
+  law.  The Gamma-ratio families have no such product here.
 * Monte Carlo estimates integrate a truncated path on
   ``[0, T] , T = max(20, 10/phi'(0))``; the missing tail is bounded by
   ``(2/phi'(0)) exp(-phi'(0) T / 2)`` via the a.s. linear growth
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError
-from .models import Family, LevyModel
+from .errors import CapabilityError, DomainError
+from .models import LevyModel, _signed_exp
 from .numerics import log_gamma
 from .rate import profile
 
@@ -167,29 +171,64 @@ def mc_exp_functional(model: LevyModel, s: float, cfg: SimConfig) -> MCMoment:
                     horizon=horizon, tail_bound=tail_bound(model, horizon))
 
 
-def F_of_m(model: LevyModel, m: float,
-           cfg: SimConfig) -> tuple[float, str, float | None]:
+def _inverse_moment(law, r: float) -> float:
+    """E I^{-r} for the perpetuity of paths of law ``law`` (a model's
+    ``_path_law``), wherever it is finite.
+
+    psi(r)/r is c times a ratio of factors a + s r, s = +-1, so the
+    recursion g(r + 1) = (psi(r)/r) g(r), g(0) = 1, closes in Gamma
+    functions: a factor a + r gives Gamma(a + r)/Gamma(a), and a - r gives
+    Gamma(a + 1)/Gamma(a + 1 - r).  Hence 1/I ~ 2 Gamma(nu) (Brownian),
+    1/I ~ Beta(gamma - beta, beta) (saw tooth), d I ~ Beta(gamma + 1,
+    beta/d) or beta I ~ Gamma(gamma + 1) (cp_plus, d > 0 or d = 0), and
+    I ~ Y/X with Y ~ Gamma(gamma + 1), X ~ Gamma(beta - gamma) independent
+    (cp_minus): Dufresne 1990; Gjessing & Paulsen 1997.
+    """
+    # (a, s, power): the factor a + s r, in the numerator (power 1) or the
+    # denominator (power -1) of psi(r)/r, beside the constant c = scale
+    if law.gaussian:            # psi(r)/r = 2 (nu + r)
+        scale, factors = 2.0, [(law.drift, 1.0, 1.0)]
+    elif law.rate == 0.0:       # a pure drift d: I = 1/d
+        scale, factors = law.drift, []
+    else:
+        # psi(r)/r = d + sign beta / (g - sign r), whose numerator
+        # d (g - sign r) + sign beta is beta at d = 0, else |d| (a + s r)
+        d, beta, g, sign = law.drift, law.rate, law.gamma, law.sign
+        factors = [(g, -sign, -1.0)]
+        if d == 0.0:
+            scale = beta
+        else:
+            a = g + sign * beta / d
+            scale = abs(d)
+            factors.append((a, -sign, 1.0) if d > 0.0 else (-a, sign, 1.0))
+    e = r * math.log(scale)
+    for a, s, power in factors:
+        b = a if s > 0.0 else a + 1.0
+        e += power * s * log_gamma(b + s * r)
+        e -= power * s * log_gamma(b)
+    return _signed_exp(e, 1.0, 1.0)
+
+
+def F_of_m(model: LevyModel, m: float) -> float:
     """The finite constant F(m) = E^(m) I^{m-1} for m in (m0, m_plus).
 
-    Returns (value, method, stderr).  Exact via the gamma law of the
-    perpetuity for the Brownian family (under the m-tilted measure the
-    drift is nu + 2m and 1/(2 I) is Gamma(nu + 2m) distributed);
-    otherwise :func:`mc_exp_functional` of the m-tilted model at s = m - 1.
+    Exact for every sampled family: under the m-tilted measure the path
+    law stays in its family's class, and E I^{m-1} is that law's Gamma
+    product at r = 1 - m.
 
     Raises:
         DomainError: for m outside (m0, m_plus), where finiteness is not
             guaranteed.
+        CapabilityError: for the Gamma-ratio families, whose perpetuity
+            law has no closed form here.
     """
     prof = profile(model)
     if not (prof.m0 < m < model.m_plus):
         raise DomainError(f"m = {m!r} outside (m0, m_plus) = "
                           f"({prof.m0!r}, {model.m_plus!r})")
-    tilted = model.esscher(m)
-    if model.family is Family.BROWNIAN_DRIFT:
-        nu_t = model.params[0] + 2.0 * tilted.tilt
-        # E (2 Z)^{1-m} for Z ~ Gamma(nu_t): 2^{1-m} G(nu_t+1-m)/G(nu_t)
-        value = math.exp((1.0 - m) * math.log(2.0)
-                         + log_gamma(nu_t + 1.0 - m) - log_gamma(nu_t))
-        return value, "exact", None
-    mc = mc_exp_functional(tilted, m - 1.0, cfg)
-    return mc.estimate, "monte-carlo", mc.stderr
+    law = model.esscher(m)._path_law
+    if law is None:
+        raise CapabilityError(
+            f"no closed-form perpetuity law for family "
+            f"{model.family.value!r}")
+    return _inverse_moment(law, 1.0 - m)

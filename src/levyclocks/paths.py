@@ -68,7 +68,7 @@ from .errors import (
     HorizonExceededError,
     RescalingError,
 )
-from .models import Family, LevyModel
+from .models import LevyModel
 
 __all__ = [
     "SimConfig",
@@ -789,29 +789,15 @@ class _JumpRows:
 def _row_sampler(model: LevyModel, cfg: SimConfig, offset: int, n_rows: int,
                  work: _Work, grow: bool):
     """The sampler of rows ``0 .. n_rows - 1``, paths ``offset + row``,
-    built from the model's parameters and Esscher tilt ``t``.
-
-    A tilt keeps each grid family in its own class: the Brownian drift
-    becomes ``nu + 2t``; a compound-Poisson family with jumps of sign
-    ``sign`` and law Exp(gamma) becomes one with jump parameter
-    ``g = gamma - sign t`` and rate ``beta gamma / g`` (0 without jumps).
-    """
-    t, fam, p = model.tilt, model.family, model.params
-    if fam is Family.BROWNIAN_DRIFT:
-        return _GaussianRows(p[0] + 2.0 * t, cfg, offset, n_rows, work, grow)
-    if fam is Family.CP_PLUS_DRIFT:
-        (drift, beta, gamma), sign = p, 1.0
-    elif fam is Family.CP_MINUS_DRIFT:
-        (beta, gamma), drift, sign = p, -1.0, 1.0
-    elif fam is Family.SAW_TOOTH:
-        (beta, gamma), drift, sign = p, 1.0, -1.0
-    else:
+    built from the model's path law under its tilt."""
+    law = model._path_law
+    if law is None:
         raise CapabilityError(
-            f"no exact path sampler for family {fam.value!r}; the Cauchy "
-            f"modulus is available through simulate_cauchy_modulus")
-    g = gamma - sign * t
-    rate = 0.0 if beta == 0.0 else beta * gamma / g
-    return _JumpRows(drift, rate, g, sign, offset, work)
+            f"no exact path sampler for family {model.family.value!r}; the "
+            f"Cauchy modulus is available through simulate_cauchy_modulus")
+    if law.gaussian:
+        return _GaussianRows(law.drift, cfg, offset, n_rows, work, grow)
+    return _JumpRows(law.drift, law.rate, law.gamma, law.sign, offset, work)
 
 
 def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ClassificationError, DomainError
-from .models import Family, LevyModel
+from .models import LevyModel
 from .numerics import find_root
 
 __all__ = [
@@ -156,8 +156,8 @@ def profile(model: LevyModel) -> RateProfile:
     else:
         plus = BoundaryReport("tau_plus", "4c", value_I=_INF, slope_I=-_INF)
 
-    full = (tau_plus == 0.0 and math.isinf(tau_zero)) or model.family in (
-        Family.CP_PLUS_DRIFT, Family.SAW_TOOTH)
+    full = ((tau_plus == 0.0 and math.isinf(tau_zero))
+            or model._base_form.full_ldp)
     return RateProfile(
         m0=m0, psi_m0=psi_m0, mean=mean,
         tau_plus=tau_plus, tau_zero=tau_zero, tau_e=1.0 / mean,

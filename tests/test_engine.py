@@ -98,6 +98,23 @@ def _four_rows(model, horizon: float, step: float) -> int:
                 + 2)
 
 
+@pytest.mark.parametrize("model", [
+    brownian_drift(1.0), cp_plus_drift(1.0, 2.0, 1.0),
+    cp_plus_drift(0.0, 2.0, 1.5), cp_plus_drift(1.0, 0.0, 1.0),
+    cp_minus_drift(3.0, 2.5), saw_tooth(1.0, 3.0), saw_tooth(0.5, 0.7)],
+    ids=lambda m: m.describe())
+def test_path_law_is_the_oracle_tilt_map(model):
+    # field for field and bit for bit, at tilts spread over the domain;
+    # an infinite end is taken at 50
+    lo, hi = max(model.m_minus, -50.0), min(model.m_plus, 50.0)
+    for frac in (0.0, 1e-9, 0.1, 0.37, 0.5, 0.73, 0.9, 1.0 - 1e-9):
+        tilted = model.esscher(lo + frac * (hi - lo)) if frac else model
+        law, ref = tilted._path_law, oracles.ref_law(tilted)
+        assert law.gaussian == (ref.kind == oracles.GAUSSIAN)
+        assert ([float(v).hex() for v in law[:1] + law[2:]]
+                == [float(v).hex() for v in ref[1:]])
+
+
 @pytest.mark.parametrize("name,model,step", MODELS, ids=IDS)
 def test_single_path_functions(name, model, step):
     # a single path is a one-row block, with no padding

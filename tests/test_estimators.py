@@ -22,18 +22,41 @@ from levyclocks import (
     brownian_drift,
     cp_minus_drift,
     cp_plus_drift,
+    csbp_immigration,
     estimate_clt,
     estimate_ldp_slope,
     estimate_lln,
     estimate_logA_rate,
     first_passage_check,
+    hypergeometric_stable,
     invert_L,
+    model_to_text,
     normal_cdf,
     saw_tooth,
+    stable_conditioned,
     tau_ensemble,
     tilted_identity_check,
 )
 from levyclocks.cli import run
+
+
+# Whether first passage is checked: on the spectrally negative sampled
+# families, tilted or not, and refused everywhere else, cp_plus at
+# beta = 0 (pure drift) included.
+FIRST_PASSAGE = [
+    (brownian_drift(1.0), True),
+    (brownian_drift(1.0).esscher(0.3), True),
+    (saw_tooth(1.0, 3.0), True),
+    (saw_tooth(1.0, 3.0).esscher(0.3), True),
+    (cp_plus_drift(1.0, 2.0, 1.0), False),
+    (cp_plus_drift(1.0, 2.0, 1.0).esscher(0.3), False),
+    (cp_minus_drift(3.0, 2.5), False),
+    (cp_minus_drift(3.0, 2.5).esscher(0.3), False),
+    (cp_plus_drift(1.0, 0.0, 1.0), False),
+    (stable_conditioned(1.5, 1.0), False),
+    (csbp_immigration(0.5, 1.0, 1.0), False),
+    (hypergeometric_stable(1.0, 3.0), False),
+]
 
 
 class TestTauEnsemble:
@@ -319,6 +342,31 @@ class TestFirstPassage:
         cfg = SimConfig(seed=2, n_paths=16)
         with pytest.raises(CapabilityError):
             first_passage_check(cp_plus_drift(1, 2, 1), cfg, 50.0, -0.5)
+
+    @pytest.mark.parametrize("model,passage", FIRST_PASSAGE,
+                             ids=[m.describe() for m, _ in FIRST_PASSAGE])
+    def test_refusal_by_family(self, model, passage, tmp_path, capsys):
+        cfg = SimConfig(seed=2, n_paths=8)
+        if passage:
+            assert first_passage_check(model, cfg, 50.0, -0.5).theta == -0.5
+        else:
+            with pytest.raises(CapabilityError, match="spectrally negative"):
+                first_passage_check(model, cfg, 50.0, -0.5)
+        # check-identities checks first passage where first_passage_check
+        # does, skips it on the other sampled families, and refuses a
+        # family with no sampler
+        path = tmp_path / "model.txt"
+        path.write_text(model_to_text(model))
+        code = run(["check-identities", "--model-file", str(path), "--seed",
+                    "2", "--paths", "8", "--m", "0.2"])
+        out, err = capsys.readouterr()
+        sampled = model.family.value in ("brownian_drift", "cp_plus_drift",
+                                         "cp_minus_drift", "saw_tooth")
+        assert code == (0 if sampled else 2)
+        assert ("first_passage_lhs: " in out) == passage
+        assert ("first_passage: skipped (needs a spectrally negative "
+                "family)" in out) == (sampled and not passage)
+        assert ("no exact path sampler" in err) == (not sampled)
 
     def test_sawtooth_exact_crossing_matches_L(self):
         model = saw_tooth(1.0, 3.0)

@@ -119,6 +119,24 @@ class TestProfile:
         assert p2.tau_e == pytest.approx(p1.tau_e / 2.5, rel=1e-10)
 
 
+    @pytest.mark.parametrize("model", [
+        brownian_drift(1.0), cp_plus_drift(1.0, 2.0, 1.0),
+        cp_minus_drift(3.0, 2.5), saw_tooth(1.0, 3.0),
+        stable_conditioned(1.5, 1.0), csbp_immigration(0.5, 1.0, 1.0),
+        hypergeometric_stable(1.0, 3.0),
+        # the degenerate cases each family decides on its own
+        cp_plus_drift(1.0, 0.0, 1.0), csbp_immigration(1.0, 1.0, 1.0),
+        hypergeometric_stable(2.0, 3.0)], ids=lambda m: m.describe())
+    def test_ldp_status(self, model):
+        # full wherever Delta = (0, inf); cp_plus (tau_zero finite) and saw
+        # tooth (tau_plus > 0) are full by their path bounds
+        p = profile(model)
+        shape_full = p.tau_plus == 0.0 and math.isinf(p.tau_zero)
+        assert shape_full == (model.family.value not in ("cp_plus_drift",
+                                                         "saw_tooth"))
+        assert p.ldp_status == "full"
+
+
 class TestClassification:
     def test_labels(self):
         expected = {
