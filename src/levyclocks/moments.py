@@ -29,7 +29,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapabilityError, DomainError
-from .models import LevyModel, _signed_exp
+from .models import _STIRLING_FROM, LevyModel, _signed_exp, _stirling_shift
 from .numerics import log_gamma
 from .rate import profile
 
@@ -171,7 +171,16 @@ def mc_exp_functional(model: LevyModel, s: float, cfg: SimConfig) -> MCMoment:
                     horizon=horizon, tail_bound=tail_bound(model, horizon))
 
 
-def _inverse_moment(law, r: float) -> float:
+def _log_shift(z: float, h: float) -> float:
+    """log Gamma(z + h) - log Gamma(z) for z, z + h > 0.  Where both
+    arguments are large it comes from ``models._gamma_ratio``'s Stirling
+    differences, which lose nothing however small h is against z."""
+    if min(z, z + h) >= _STIRLING_FROM:
+        return _stirling_shift(z, h)[0]
+    return log_gamma(z + h) - log_gamma(z)
+
+
+def _inverse_moment(law, r: float, untilted=None) -> float:
     """E I^{-r} for the perpetuity of paths of law ``law`` (a model's
     ``_path_law``), wherever it is finite.
 
@@ -183,29 +192,37 @@ def _inverse_moment(law, r: float) -> float:
     beta/d) or beta I ~ Gamma(gamma + 1) (cp_plus, d > 0 or d = 0), and
     I ~ Y/X with Y ~ Gamma(gamma + 1), X ~ Gamma(beta - gamma) independent
     (cp_minus): Dufresne 1990; Gjessing & Paulsen 1997.
+
+    The jump laws pair the Gamma functions into ratios at a shift: the
+    jump rate over the drift, or r itself against the cp_minus factor.
+    ``untilted`` is the law that the tilt m = 1 - r took to ``law``; where
+    it is given, the argument g - sign r of the jump factor is read from
+    it as gamma - sign, in which m has cancelled, so that F(m) keeps its
+    digits however large |m| is.
     """
-    # (a, s, power): the factor a + s r, in the numerator (power 1) or the
-    # denominator (power -1) of psi(r)/r, beside the constant c = scale
     if law.gaussian:            # psi(r)/r = 2 (nu + r)
-        scale, factors = 2.0, [(law.drift, 1.0, 1.0)]
-    elif law.rate == 0.0:       # a pure drift d: I = 1/d
-        scale, factors = law.drift, []
+        nu = law.drift
+        return _signed_exp(r * math.log(2.0) + log_gamma(nu + r)
+                           - log_gamma(nu), 1.0, 1.0)
+    d, beta, g, sign = law.drift, law.rate, law.gamma, law.sign
+    if beta == 0.0:             # a pure drift d: I = 1/d
+        return _signed_exp(r * math.log(d), 1.0, 1.0)
+    # psi(r)/r = d + sign beta / (g - sign r): the jump factor g - sign k
+    # over k = 0 .. r - 1 ends at x = g - sign r
+    x = g - sign * r if untilted is None else untilted.gamma - sign
+    if d > 0.0:
+        # d (g - sign k + sign h)/(g - sign k), h = beta/d: the Gamma
+        # ratios at shift h from g + b and from x + b
+        h = beta / d
+        b = 1.0 if sign > 0.0 else -h
+        e = r * math.log(d) + _log_shift(g + b, h) - _log_shift(x + b, h)
     else:
-        # psi(r)/r = d + sign beta / (g - sign r), whose numerator
-        # d (g - sign r) + sign beta is beta at d = 0, else |d| (a + s r)
-        d, beta, g, sign = law.drift, law.rate, law.gamma, law.sign
-        factors = [(g, -sign, -1.0)]
-        if d == 0.0:
-            scale = beta
-        else:
-            a = g + sign * beta / d
-            scale = abs(d)
-            factors.append((a, -sign, 1.0) if d > 0.0 else (-a, sign, 1.0))
-    e = r * math.log(scale)
-    for a, s, power in factors:
-        b = a if s > 0.0 else a + 1.0
-        e += power * s * log_gamma(b + s * r)
-        e -= power * s * log_gamma(b)
+        # sign = +1: (beta + d (g - k))/(g - k) gives Gamma(x + 1)/Gamma(g + 1)
+        # at d = 0, times Gamma(a + r)/Gamma(a), a = beta/|d| - g, at d < 0
+        e = (r * math.log(beta if d == 0.0 else -d) + log_gamma(x + 1.0)
+             - log_gamma(g + 1.0))
+        if d < 0.0:
+            e += _log_shift(beta / -d - g, r)
     return _signed_exp(e, 1.0, 1.0)
 
 
@@ -231,4 +248,4 @@ def F_of_m(model: LevyModel, m: float) -> float:
         raise CapabilityError(
             f"no closed-form perpetuity law for family "
             f"{model.family.value!r}")
-    return _inverse_moment(law, 1.0 - m)
+    return _inverse_moment(law, 1.0 - m, model._path_law)

@@ -24,6 +24,7 @@ from levyclocks import (
     mc_exp_functional,
     moment_finite,
     moment_recursion,
+    profile,
     saw_tooth,
     stable_conditioned,
 )
@@ -73,6 +74,36 @@ def quad_moment(model, s: float) -> float:
                      + _quad0(b, lambda y: (1 - y) ** (k - 1), 0.5)
                      ) / mp.beta(a, b)
         return float(scale ** power * value)
+
+
+def exact_F(model, m: float):
+    """F(m) of a saw_tooth, cp_plus (d > 0) or cp_minus model at tilt 0,
+    from its tilted law at the exact m in 60 digits: 1/I ~ Beta(g - b,
+    b), d I ~ Beta(g + 1, b/d), or I ~ Y/X with Y ~ Gamma(g + 1) and
+    X ~ Gamma(b - g), with jump parameter g and rate b after the tilt,
+    as E I^{-r} at r = 1 - m."""
+    lg = mp.loggamma
+    with mp.workdps(60):
+        family, params = model.family.value, [mp.mpf(v) for v in model.params]
+        m = mp.mpf(m)
+        r = 1 - m
+        if family == "saw_tooth":
+            beta, gamma = params
+            g = gamma + m
+            b = beta * gamma / g
+            e = lg(g - b + r) - lg(g - b) + lg(g) - lg(g + r)
+        elif family == "cp_plus_drift":
+            d, beta, gamma = params
+            g = gamma - m
+            h = beta * gamma / g / d
+            e = (r * mp.log(d) + lg(g + 1 + h) - lg(g + 1 - r + h)
+                 + lg(g + 1 - r) - lg(g + 1))
+        else:
+            beta, gamma = params
+            g = gamma - m
+            a = beta * gamma / g - g
+            e = lg(a + r) - lg(a) + lg(g + 1 - r) - lg(g + 1)
+        return mp.exp(e)
 
 
 def _quad0(k, h, c):
@@ -234,6 +265,24 @@ class TestFOfM:
             value = F_of_m(model, m)
             assert value == pytest.approx(
                 quad_moment(model.esscher(m), m - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("model,ms", [
+        (saw_tooth(1.0, 3.0), (1e3, 1e6, 1e8, 1e10, 1e17)),
+        (cp_plus_drift(1.0, 2.0, 1.0), (-1e3, -1e6, -1e8, -1e10, -1e17)),
+        (cp_minus_drift(3.0, 2.5), ()),
+        (cp_minus_drift(2.0, 1.0), ()),
+    ], ids=lambda v: v.describe() if hasattr(v, "describe") else "")
+    def test_digits_at_large_m_and_near_the_ends(self, model, ms):
+        # the Gamma product at the exact m, in 60 digits: m cancels from
+        # the small arguments before rounding, so F keeps its digits where
+        # the tilted law's arguments are huge
+        m0, m_plus = profile(model).m0, model.m_plus
+        if not ms:      # two m near each end of (m0, m_plus)
+            ms = (m0 + 0.01 * (m_plus - m0), m0 + 0.1 * (m_plus - m0),
+                  m_plus - 1e-3, m_plus - 1e-9)
+        for m in ms:
+            assert F_of_m(model, m) == pytest.approx(
+                float(exact_F(model, m)), rel=1e-13, abs=0.0), m
 
 
 class TestMonteCarloMoments:
