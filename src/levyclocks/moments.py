@@ -180,7 +180,7 @@ def _log_shift(z: float, h: float) -> float:
     return log_gamma(z + h) - log_gamma(z)
 
 
-def _inverse_moment(law, r: float, untilted=None) -> float:
+def _inverse_moment(law, r: float, tilt=None) -> float:
     """E I^{-r} for the perpetuity of paths of law ``law`` (a model's
     ``_path_law``), wherever it is finite.
 
@@ -195,10 +195,12 @@ def _inverse_moment(law, r: float, untilted=None) -> float:
 
     The jump laws pair the Gamma functions into ratios at a shift: the
     jump rate over the drift, or r itself against the cp_minus factor.
-    ``untilted`` is the law that the tilt m = 1 - r took to ``law``; where
-    it is given, the argument g - sign r of the jump factor is read from
-    it as gamma - sign, in which m has cancelled, so that F(m) keeps its
-    digits however large |m| is.
+    ``tilt`` is (model, m): the model whose law the tilt m = 1 - r took
+    to ``law``.  Where it is given, the argument g - sign r of the jump
+    factor is read from the model's law as gamma - sign, in which m has
+    cancelled, so that F(m) keeps its digits however large |m| is; and the
+    cp_minus argument beta_m/|d| - g, which vanishes at m0, is formed from
+    m exactly (see :func:`_vanishing_argument`).
     """
     if law.gaussian:            # psi(r)/r = 2 (nu + r)
         nu = law.drift
@@ -209,7 +211,7 @@ def _inverse_moment(law, r: float, untilted=None) -> float:
         return _signed_exp(r * math.log(d), 1.0, 1.0)
     # psi(r)/r = d + sign beta / (g - sign r): the jump factor g - sign k
     # over k = 0 .. r - 1 ends at x = g - sign r
-    x = g - sign * r if untilted is None else untilted.gamma - sign
+    x = g - sign * r if tilt is None else tilt[0]._path_law.gamma - sign
     if d > 0.0:
         # d (g - sign k + sign h)/(g - sign k), h = beta/d: the Gamma
         # ratios at shift h from g + b and from x + b
@@ -222,8 +224,29 @@ def _inverse_moment(law, r: float, untilted=None) -> float:
         e = (r * math.log(beta if d == 0.0 else -d) + log_gamma(x + 1.0)
              - log_gamma(g + 1.0))
         if d < 0.0:
-            e += _log_shift(beta / -d - g, r)
+            a = beta / -d - g if tilt is None else _vanishing_argument(*tilt)
+            e += _log_shift(a, r)
     return _signed_exp(e, 1.0, 1.0)
+
+
+def _vanishing_argument(model: LevyModel, m: float) -> float:
+    """a = beta_m/|d| - g of a cp_minus model's law tilted by m, correctly
+    rounded.
+
+    With the model's tilt t, the total tilt t + m takes the family's
+    (beta, gamma) to g = gamma - t - m and beta_m = beta gamma/g, so
+    a = (beta gamma - |d| g^2)/(|d| g).  At d = -1 the numerator is
+    (sqrt(beta gamma) - g)(sqrt(beta gamma) + g) = (m - m0)(sqrt(beta gamma)
+    + g): formed in floating point it cancels near m0, where F(m) would
+    lose digits like 1e-16/(m - m0).  In exact rational arithmetic on the
+    doubles beta, gamma, d, t and m it cancels nothing.
+    """
+    from fractions import Fraction
+    law = model._base_form.law
+    d, beta, gamma, t = (Fraction(v) for v in (-law.drift, law.rate,
+                                                law.gamma, model.tilt))
+    g = gamma - t - Fraction(m)
+    return float((beta * gamma - d * g * g) / (d * g))
 
 
 def F_of_m(model: LevyModel, m: float) -> float:
@@ -248,4 +271,4 @@ def F_of_m(model: LevyModel, m: float) -> float:
         raise CapabilityError(
             f"no closed-form perpetuity law for family "
             f"{model.family.value!r}")
-    return _inverse_moment(law, 1.0 - m, model._path_law)
+    return _inverse_moment(law, 1.0 - m, (model, m))

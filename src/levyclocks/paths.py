@@ -25,9 +25,18 @@ Per-path randomness is a counter-based split: path ``i`` of a run seeded
 with ``s`` draws from ``Philox(key=(s, i))``, so paths are reproducible
 independently of generation order, and re-simulating with a longer horizon
 extends a path without changing its prefix.  An ensemble builds one Philox
-generator for its draws and re-keys it for each path, which gives the same
-streams.  Philox is counter-based, so a stream is addressed by its key and
-a position alone: the raw draws it has given so far.
+generator per row range (below) and re-keys it for each path, which gives
+the same streams.  Philox is counter-based, so a stream is addressed by its
+key and a position alone: the raw draws it has given so far.
+
+The per-row sampling of Gaussian blocks and of Cauchy-modulus ensembles is
+cut into contiguous row ranges, one per CPU of the process's affinity mask
+(:func:`_across`).  Each range draws its rows from a generator of its own,
+in place on its rows of the block's arrays, and numpy's normal fills and
+array operations release the GIL, so the ranges run at once.  Every row is
+drawn from its own stream, so the output is the same for any number of
+CPUs; with one CPU no thread is started.  Jump rows, whose per-row loop
+holds the GIL, and the reducers run on the calling thread.
 
 Ensembles run on :func:`run_paths`: paths are drawn per row as above,
 gathered into a block of padded rows, and reduced there by operations
@@ -48,15 +57,17 @@ again; this is the one horizon ladder of the package.
 The modulus of a d-dimensional Cauchy process (a positive self-similar
 process of index 1) is simulated directly by Brownian subordination on a
 geometric time grid; see :func:`simulate_cauchy_modulus`.  Single paths
-and ensembles come from one loop, :func:`_cauchy_paths`: one grid that
-covers the horizon and one re-keyed generator per run, and each path runs
-its scaling and running sums on coordinate-major rows.
+and ensembles come from one sampler, :func:`_cauchy_sampler`, on one grid
+that covers the horizon, and each path runs its scaling and running sums
+on coordinate-major rows.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -102,6 +113,12 @@ _AUX_STREAM = 1 << 62
 _PER_DOUBLING = 3
 # Raw draws per Philox counter block: the size of the generator's buffer.
 _PHILOX_BLOCK = 4
+# CPUs this process may run on: the row ranges that a block's sampling is
+# cut into.  ``taskset -c 0`` makes it one.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+# The threads of row ranges 1 .. _CPUS - 1, started on first use.
+_POOL = None
 
 
 @dataclass(frozen=True)
@@ -153,23 +170,16 @@ class CauchyModulus:
 
 
 def _philox() -> np.random.Generator:
-    """A Philox generator for :meth:`_Work.streams` to re-key."""
+    """A Philox generator for :meth:`_Streams.streams` to re-key."""
     return np.random.Generator(np.random.Philox(key=0))
 
 
-class _Work:
-    """The seed, the generator and the scratch arrays that the blocks of
-    one run share.
+class _Streams:
+    """One Philox generator and the state dict it is re-keyed from, built
+    once: the paths' streams of one row range of a run.
 
-    :meth:`streams` gives the paths' streams from the one generator, which
-    it re-keys from a state dict built here, once per run: its key and
-    counter are Python lists, and the seed is the key's first word.
-    :meth:`array` hands out C-contiguous views of flat arrays kept per
-    key, grown only when a larger shape is asked for.  Arrays of a
-    block's size (hundreds of kB) allocated afresh per block can be handed
-    back to the OS by malloc and page-faulted in again by the next block,
-    depending on the heap's layout; reused, they cost the same in every
-    block.  A block's arrays are overwritten by the next block of its run.
+    Its key and counter are Python lists, and the seed is the key's first
+    word.
     """
 
     def __init__(self, seed: int) -> None:
@@ -183,7 +193,6 @@ class _Work:
                        "buffer": [0] * _PHILOX_BLOCK,
                        "buffer_pos": _PHILOX_BLOCK,
                        "has_uint32": 0, "uinteger": 0}
-        self._flat: dict[object, np.ndarray] = {}
 
     def streams(self, ids: np.ndarray, at: np.ndarray | None = None
                 ) -> Iterator[np.random.Generator]:
@@ -199,8 +208,8 @@ class _Work:
         that ``bit_generator.state`` returns, and nothing is read back
         from the generator.  This gives the streams of
         ``Philox(key=(seed, i))`` without building a generator per path,
-        so one generator serves a whole run.  Each stream must be used up,
-        or its :meth:`position` read, before the next is taken.
+        so one generator serves a range of rows.  Each stream must be used
+        up, or its :meth:`position` read, before the next is taken.
         """
         bitgen, state = self.rng.bit_generator, self._state
         at = np.zeros(len(ids), dtype=np.int64) if at is None else at
@@ -221,12 +230,97 @@ class _Work:
         return (_PHILOX_BLOCK * (int(state["state"]["counter"][0]) - 1)
                 + state["buffer_pos"])
 
+
+class _Work:
+    """The scratch arrays that the blocks of one run share, and the
+    streams of its row ranges.
+
+    ``ranges[k]`` gives the streams of row range k of a block (see
+    :func:`_across`); range 0's, built here, also serve everything that
+    runs on the calling thread alone: jump rows and first-passage
+    uniforms.  :meth:`ranges_for` builds the others on the calling thread
+    before the ranges start, once per run.  The scratch arrays are one
+    set per run, whatever the number of ranges: each range writes its own
+    rows of them.  :meth:`array` hands out C-contiguous views of flat
+    arrays kept per key, grown only when a larger shape is asked for.
+    Arrays of a block's size (hundreds of kB) allocated afresh per block
+    can be handed back to the OS by malloc and page-faulted in again by
+    the next block, depending on the heap's layout; reused, they cost the
+    same in every block.  A block's arrays are overwritten by the next
+    block of its run.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.ranges = [_Streams(seed)]
+        self._flat: dict[object, np.ndarray] = {}
+
+    def ranges_for(self, n: int) -> list[_Streams]:
+        """The streams of each row range of a block of ``n`` rows."""
+        while len(self.ranges) < _parts(n):
+            self.ranges.append(_Streams(self.seed))
+        return self.ranges
+
     def array(self, key, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(key)
         if flat is None or len(flat) < size:
             flat = self._flat[key] = np.empty(size)
         return flat[:size].reshape(shape)
+
+
+def _parts(n: int) -> int:
+    """The row ranges that :func:`_across` cuts ``n`` rows into."""
+    return min(_CPUS, n)
+
+
+def _across(n: int, fn: Callable[[int, int, int], None]) -> None:
+    """``fn(k, lo, hi)`` on each row range k, rows ``lo .. hi - 1``, of
+    rows ``0 .. n - 1`` cut into ``_parts(n)`` contiguous ranges.
+
+    Range 0 runs on the calling thread and the others on the pool's
+    threads, each in a copy of the caller's context, so under numpy's
+    error state of the caller.  ``fn`` writes its own rows only, so the
+    rows are those of one range run alone.  Every range is waited for,
+    also when one raises, and the error of the lowest range that raised is
+    raised: the error that running the ranges in turn would raise.  With
+    one CPU, or one row, ``fn`` runs once on the calling thread and no
+    thread is started.  Callers build what a range keeps, its generator
+    and its buffers, on the calling thread before the ranges start: the
+    buffers then come from the malloc heap that the calling thread's later
+    arrays reuse, not from a pool thread's own arena.
+    """
+    parts = _parts(n)
+    if parts <= 1:
+        fn(0, 0, n)
+        return
+    global _POOL
+    if _POOL is None:
+        # imported here, so that importing the package and a run on one
+        # CPU load no thread module (about 10 ms)
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(_CPUS - 1)
+    cuts = [n * k // parts for k in range(parts + 1)]
+    futures = [_POOL.submit(contextvars.copy_context().run, fn, k,
+                            cuts[k], cuts[k + 1]) for k in range(1, parts)]
+    try:
+        fn(0, 0, cuts[1])
+    finally:
+        for future in futures:
+            future.exception()          # waits for the range
+    for future in futures:
+        future.result()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: it builds a pool
+    of its own."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def sample_levy_path(model: LevyModel, cfg: SimConfig,
@@ -318,14 +412,17 @@ class PathBlock:
     row's horizon (zero-length segments, no jumps); Gaussian rows need no
     padding and share one time grid of spacing ``step``, stored as the
     single row of ``times``.  ``ids`` are the path ids the rows were drawn
-    from, with the seed and generator of ``work``; every block the engine
-    samples has ``work`` and ``step``.  The methods take only an index
-    ``alpha``, targets or a level: A is computed once per index
+    from, with the seed and the generators of ``work``, one per row range
+    of a Gaussian block; every block the engine samples has ``work`` and
+    ``step``.  The methods take only an index ``alpha``, targets or a
+    level: A is computed once per index
     (:meth:`functional`), and :meth:`totals` and :meth:`clock` read it;
     :meth:`clock_value` reads xi at the clock on the segments that the
     clock's inversion found.  The arrays of a Gaussian block are xi, a
     scratch for exp(alpha xi) and A of each index, all of them ``work``'s,
-    which the run's next block overwrites.
+    which the run's next block overwrites.  The row ranges write the rows
+    of xi in place; the methods run on the calling thread, on the whole
+    block.
 
     A Gaussian block of a run that grows its rows (see :func:`run_paths`)
     may continue them: it then starts at step ``carry.n0``, each row's last
@@ -588,8 +685,8 @@ class PathBlock:
         drawn = np.flatnonzero(need)
         # a uniform is one raw draw: the block's first step is draw n0
         n0 = 0 if carry is None else carry.n0
-        streams = self.work.streams(_AUX_STREAM + self.ids[drawn],
-                                    np.full(len(drawn), n0))
+        streams = self.work.ranges[0].streams(_AUX_STREAM + self.ids[drawn],
+                                              np.full(len(drawn), n0))
         for r, stream in zip(drawn.tolist(), streams):
             stream.random(out=u[r, :need[r]])
         crossed = sure[:, :cols] | (u < p)
@@ -663,16 +760,23 @@ class _GaussianRows:
         step, n0 = self.cfg.step, self.n
         ids = self.offset + rows
         xi = self.work.array("xi", (len(rows), n - n0 + 1))
-        incr = xi[:, 1:]
-        streams = self.work.streams(ids, self.pos[rows])
-        for r, row, stream in zip(rows.tolist(), incr, streams):
-            stream.standard_normal(out=row)
-            if self.grow:
-                self.pos[r] = self.work.position()
-        incr *= 2.0 * math.sqrt(step)
-        incr += 2.0 * self.nu * step
-        xi[:, 0] = self.xi[rows]
-        np.cumsum(xi, axis=1, out=xi)
+        ranges = self.work.ranges_for(len(rows))
+
+        def draw(k: int, lo: int, hi: int) -> None:
+            # rows lo .. hi - 1, from range k's generator
+            part, sub = xi[lo:hi], rows[lo:hi]
+            incr = part[:, 1:]
+            streams = ranges[k].streams(ids[lo:hi], self.pos[sub])
+            for r, row, stream in zip(sub.tolist(), incr, streams):
+                stream.standard_normal(out=row)
+                if self.grow:
+                    self.pos[r] = ranges[k].position()
+            incr *= 2.0 * math.sqrt(step)
+            incr += 2.0 * self.nu * step
+            part[:, 0] = self.xi[sub]
+            np.cumsum(part, axis=1, out=part)
+
+        _across(len(rows), draw)
         carry = (_Carry(self.cfg.alpha, self.a[rows], n0, self.crossed[rows])
                  if self.grow else None)
         return PathBlock(times=step * np.arange(n0, n + 1)[None], xi=xi,
@@ -739,8 +843,8 @@ class _JumpRows:
         chunks = -(-bound // _JUMP_CHUNK)
         draws = self.work.array("draws", (len(rows), chunks, 2, _JUMP_CHUNK))
         drawn = chunks * _JUMP_CHUNK + bound
-        for row, stream in zip(draws.reshape(len(rows), -1),
-                               self.work.streams(self.offset + rows)):
+        streams = self.work.ranges[0].streams(self.offset + rows)
+        for row, stream in zip(draws.reshape(len(rows), -1), streams):
             stream.standard_exponential(out=row[:drawn])
         # arrivals are summed up to event ``bound``, the first past the
         # bound, or up to the last of the chunks where the bound fills them
@@ -834,6 +938,10 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     sampler keeps what a pending row carries from one reduction to the
     next: its stream position, ξ, A and whether it has crossed the
     first-passage level.  A jump row carries nothing between reductions.
+    A Gaussian block's rows are drawn in row ranges, one per CPU (see
+    :func:`_across`), each from a generator of its own; ``reduce`` runs on
+    the calling thread, once per block.  The result is the same for any
+    number of CPUs.
 
     Raises:
         HorizonExceededError: with message ``miss(i, h)`` for the first
@@ -929,7 +1037,7 @@ def _cauchy_sampler(d: int, start: float, dt: np.ndarray):
     where every step runs in the order of the per-node formula.
 
     The arrays are allocated once, here, and each call overwrites the
-    previous path's, so the paths of an ensemble allocate nothing.
+    previous path's, so the paths of a row range allocate nothing.
     Per-path temporaries of a long grid (hundreds of kB) can be handed
     back to the OS by malloc after each path and page-faulted in again by
     the next, depending on the heap's layout.
@@ -986,24 +1094,26 @@ def _cauchy_sampler(d: int, start: float, dt: np.ndarray):
     return sample
 
 
-def _cauchy_paths(d: int, cfg: SimConfig, horizon: float, ids: np.ndarray):
-    """The grid times on [0, horizon], and an iterator over the (positions,
-    radius, clock nodes) of Cauchy-modulus paths ``ids`` on them, drawn by
-    one sampler from one generator: each overwrites the one before."""
-    times, dt = _cauchy_grid(cfg, horizon)
-    sample = _cauchy_sampler(d, cfg.start, dt)
-    return times, map(sample, _Work(cfg.seed).streams(ids))
-
-
 def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
                    path_offset: int) -> np.ndarray:
     """(n_paths, len(targets)) clock values T(t) of Cauchy-modulus paths
-    ``path_offset + i`` on the grid that covers the largest target."""
-    times, paths = _cauchy_paths(d, cfg, float(np.max(targets)),
-                                 path_offset + np.arange(cfg.n_paths))
+    ``path_offset + i`` on the grid that covers the largest target.
+
+    Each row range (see :func:`_across`) draws its paths with a sampler
+    and a generator of its own, each path overwriting the one before.
+    """
+    times, dt = _cauchy_grid(cfg, float(np.max(targets)))
+    ids = path_offset + np.arange(cfg.n_paths)
     out = np.empty((cfg.n_paths, len(targets)))
-    for row, (_, _, nodes) in zip(out, paths):
-        row[:] = np.interp(targets, times, nodes)
+    ranges = [(_cauchy_sampler(d, cfg.start, dt), _Streams(cfg.seed))
+              for _ in range(_parts(cfg.n_paths))]
+
+    def clocks(k: int, lo: int, hi: int) -> None:
+        sample, streams = ranges[k]
+        for row, stream in zip(out[lo:hi], streams.streams(ids[lo:hi])):
+            row[:] = np.interp(targets, times, sample(stream)[2])
+
+    _across(cfg.n_paths, clocks)
     return out
 
 
@@ -1018,8 +1128,8 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
     normal), whose Laplace transform is ``exp(-dt sqrt(2 lambda))``.  The
     grid is geometric with log-spacing ``cfg.step``, matching the
     self-similarity of the process; step refinement is the accuracy
-    control for the trapezoid clock.  The loop of the clock ensembles,
-    :func:`_cauchy_paths`, draws the path on [0, cfg.horizon].
+    control for the trapezoid clock.  The sampler of the clock ensembles,
+    :func:`_cauchy_sampler`, draws the path on [0, cfg.horizon].
 
     Raises:
         DomainError: for d other than an integer >= 2 (the modulus is
@@ -1028,8 +1138,9 @@ def simulate_cauchy_modulus(d: int, cfg: SimConfig,
             range on [0, cfg.horizon].
     """
     CauchyModulus(d)                    # checks the dimension
-    times, paths = _cauchy_paths(d, cfg, cfg.horizon, np.array([path_id]))
-    positions, radius, nodes = next(paths)
+    times, dt = _cauchy_grid(cfg, cfg.horizon)
+    stream = next(_Streams(cfg.seed).streams(np.array([path_id])))
+    positions, radius, nodes = _cauchy_sampler(d, cfg.start, dt)(stream)
     return CauchyModulusPath(d=d, times=times, radius=radius,
                              positions=positions, clock_nodes=nodes)
 

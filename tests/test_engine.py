@@ -4,9 +4,11 @@ Every estimator that samples Lévy paths runs on ``paths.run_paths``, which
 grows each row until it is served; the loops in ``oracles`` compute the
 same quantities one path at a time with 1-D arrays, drawing each path
 again at a doubled horizon until it is served.  The Cauchy modulus runs
-on coordinate-major rows from one re-keyed generator; its oracle builds a
-generator per path and works in the (nodes, d) layout.  Each pair must
-agree bit for bit, whatever the block size.
+on coordinate-major rows from one re-keyed generator per row range; its
+oracle builds a generator per path and works in the (nodes, d) layout.
+Each pair must agree bit for bit, whatever the block size; and a run must
+give the same bits, or the same error, whatever the number of CPUs that
+the engine cuts a block's rows by.
 
 A reducer returns its values only.  A growing run serves a value once it
 is finite and keeps it from the first block where it is, or from an
@@ -18,6 +20,10 @@ reach.
 
 import collections
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -71,6 +77,25 @@ TARGETS = [math.e ** 2, 50.0, math.e ** 6]
 IDS = [name for name, _, _ in MODELS]
 JUMPS = [entry for entry in MODELS
          if oracles.ref_law(entry[1]).kind == oracles.LINEAR]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count that the engine cuts a block's rows by, for the
+    rest of the test: ``cpus(n)``.  Each count starts a pool of its own,
+    shut down after the test."""
+    pools = []
+
+    def count(n: int) -> None:
+        pools.append(paths._POOL)
+        monkeypatch.setattr(paths, "_CPUS", n)
+        monkeypatch.setattr(paths, "_POOL", None)
+
+    yield count
+    if pools:   # the first is the pool from before the test
+        for pool in pools[1:] + [paths._POOL]:
+            if pool is not None:
+                pool.shutdown()
 
 
 @pytest.fixture
@@ -253,22 +278,22 @@ def test_streams_from_a_position():
     seed, pid = 9, 5
     ends = set()
     for k in (0, 1, 2, 3, 1001):
-        work = paths._Work(seed)
+        work = paths._Streams(seed)
         next(work.streams(np.array([pid]))).standard_normal(k)
         pos = work.position()
         ends.add(pos % 4)
         want = oracles.path_rng(seed, pid)
         want.standard_normal(k)
-        got = next(paths._Work(seed).streams(np.array([pid]),
-                                             at=np.array([pos])))
+        got = next(paths._Streams(seed).streams(np.array([pid]),
+                                                at=np.array([pos])))
         assert np.array_equal(got.standard_normal(300),
                               want.standard_normal(300))
     assert ends == {0, 1, 2, 3}
     # a uniform is one raw draw: the uniform of step j is raw draw j
     aux = paths._AUX_STREAM + pid
     for j in (0, 1, 2, 3, 5, 4097):
-        got = next(paths._Work(seed).streams(np.array([aux]),
-                                             at=np.array([j])))
+        got = next(paths._Streams(seed).streams(np.array([aux]),
+                                                at=np.array([j])))
         want = oracles.path_rng(seed, aux).random(j + 50)[j:]
         assert np.array_equal(got.random(50), want)
 
@@ -280,7 +305,7 @@ def test_streams_from_a_preset_state(seed):
     # place in a four-draw counter block
     top = (1 << 64) - 1
     ids = [0, top, paths._AUX_STREAM, paths._AUX_STREAM + 5]
-    work = paths._Work(seed)
+    work = paths._Streams(seed)
     for at in range(9):
         streams = work.streams(np.array(ids, dtype=np.uint64),
                                at=np.full(len(ids), at))
@@ -296,7 +321,7 @@ def test_streams_from_a_preset_state(seed):
 
 def test_preset_state_per_run():
     # two runs' streams taken in turn: each run keeps its own seed
-    first, second = paths._Work(3), paths._Work(4)
+    first, second = paths._Streams(3), paths._Streams(4)
     ids = np.arange(6)
     for pid, a, b in zip(ids.tolist(), first.streams(ids),
                          second.streams(ids + 9, at=np.full(6, 5))):
@@ -333,13 +358,13 @@ def test_jump_rows_drawn_at_the_rungs_only(short_horizon, monkeypatch):
     # horizon, as often as the oracle draws it
     draws = collections.Counter()
 
-    class CountingWork(paths._Work):
+    class CountingStreams(paths._Streams):
         def streams(self, ids, at=None):
             for pid, stream in zip(ids.tolist(), super().streams(ids, at)):
                 draws[pid] += 1
                 yield stream
 
-    monkeypatch.setattr(paths, "_Work", CountingWork)
+    monkeypatch.setattr(paths, "_Streams", CountingStreams)
     model, targets = saw_tooth(60.0, 90.0), (1.5, 4.0, 20.0)
     cfg = SimConfig(seed=6, n_paths=200)
     got = tau_ensemble(model, cfg, targets)
@@ -489,13 +514,13 @@ def test_served_rows_are_not_drawn_again(monkeypatch, model, targets, step):
     whole = np.isfinite(served).all(axis=1)
     assert 0 < whole.sum() < 16
     drawn = collections.Counter()
-    streams = paths._Work.streams
+    streams = paths._Streams.streams
 
     def counting(self, ids, at=None):
         drawn.update(i % paths._AUX_STREAM for i in ids.tolist())
         return streams(self, ids, at)
 
-    monkeypatch.setattr(paths._Work, "streams", counting)
+    monkeypatch.setattr(paths._Streams, "streams", counting)
     got = paths.run_paths(model, cfg, 8.0, reduce, miss=miss, served=served)
     assert np.array_equal(got, want)
     assert set(drawn) == set(range(cfg.n_paths)) - set(np.flatnonzero(whole))
@@ -507,13 +532,13 @@ def test_served_rows_are_not_drawn_again(monkeypatch, model, targets, step):
 def test_negative_target_draws_nothing(monkeypatch, target):
     # the targets are refused before the first block: no stream is keyed
     keyed = []
-    streams = paths._Work.streams
+    streams = paths._Streams.streams
 
     def counting(self, ids, at=None):
         keyed.extend(ids.tolist())
         return streams(self, ids, at)
 
-    monkeypatch.setattr(paths._Work, "streams", counting)
+    monkeypatch.setattr(paths._Streams, "streams", counting)
     with pytest.raises(DomainError, match="clock targets must be >= 0"):
         tau_ensemble(target, SimConfig(seed=1, n_paths=4), [5.0, -1.0])
     assert keyed == []
@@ -618,13 +643,13 @@ def test_identity_checks_refusal_draws_nothing(monkeypatch, m, t, start,
     model = brownian_drift(1.0)
     cfg = SimConfig(seed=1, n_paths=4, step=0.05, start=start)
     keyed = []
-    streams = paths._Work.streams
+    streams = paths._Streams.streams
 
     def counting(self, ids, at=None):
         keyed.extend(ids.tolist())
         return streams(self, ids, at)
 
-    monkeypatch.setattr(paths._Work, "streams", counting)
+    monkeypatch.setattr(paths._Streams, "streams", counting)
     with pytest.raises(DomainError) as got:
         estimators.identity_checks(model, cfg, m, t, t_fp, thetas)
     with pytest.raises(DomainError) as alone:
@@ -782,25 +807,30 @@ def test_clock_at_inner_nodes(name, model, step):
 
 class CountingGenerator(np.random.Generator):
     """Counts the standard normals and the uniforms drawn through it, and
-    the standard exponentials per path id."""
+    the standard exponentials per path id, over the generators of every
+    row range: under a lock, since the ranges draw at once."""
 
     drawn = uniforms = 0
     exponentials: collections.Counter = collections.Counter()
+    lock = threading.Lock()
 
     def standard_exponential(self, *args, **kwargs):
         out = super().standard_exponential(*args, **kwargs)
         path_id = int(self.bit_generator.state["state"]["key"][1])
-        CountingGenerator.exponentials[path_id] += np.size(out)
+        with CountingGenerator.lock:
+            CountingGenerator.exponentials[path_id] += np.size(out)
         return out
 
     def standard_normal(self, *args, **kwargs):
         out = super().standard_normal(*args, **kwargs)
-        CountingGenerator.drawn += np.size(out)
+        with CountingGenerator.lock:
+            CountingGenerator.drawn += np.size(out)
         return out
 
     def random(self, *args, **kwargs):
         out = super().random(*args, **kwargs)
-        CountingGenerator.uniforms += np.size(out)
+        with CountingGenerator.lock:
+            CountingGenerator.uniforms += np.size(out)
         return out
 
 
@@ -1004,7 +1034,7 @@ def test_deep_jump_clock_against_mpmath(path):
         want = oracles.mp_clock(oracles.ref_path(model, 0, path, h, cfg.step),
                                 1.0, t)
         h *= 2.0
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_deep_jump_clocks_match_the_oracle():
@@ -1024,7 +1054,7 @@ def test_weight_past_range_in_one_factor():
     nodes = block.functional(1.0)
     assert np.isfinite(nodes[0, 2])
     assert nodes[0, 2] == pytest.approx(math.exp(block.log_totals(1.0)[0]),
-                                        rel=1e-13)
+                                        rel=1e-13, abs=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(block.clock(1.0, [1e280])[0, 0])
@@ -1096,6 +1126,140 @@ def test_block_edges(monkeypatch, n_paths, name, model, step):
                         _four_rows(model, base_h, step))
     assert np.array_equal(tau_ensemble(model, cfg, TARGETS),
                           oracles.ref_tau_ensemble(model, cfg, TARGETS)[0])
+
+
+def _bits(value):
+    """The bits of a result: an array's shape and bytes, or a repr, which
+    round-trips every float."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    return repr(value)
+
+
+def _under_counts(cpus, run) -> list:
+    """``run()`` under each CPU count 1, 2 and 3: its result's bits, or
+    its error's type and text."""
+    got = []
+    for count in (1, 2, 3):
+        cpus(count)
+        try:
+            got.append(_bits(run()))
+        except (DomainError, RescalingError) as exc:
+            got.append((type(exc), str(exc)))
+    return got
+
+
+@pytest.mark.parametrize("n_paths", [1, 3, 5])
+def test_row_ranges_give_the_rows_of_one_range(cpus, monkeypatch, n_paths):
+    # blocks of four rows: with 5 rows, a block of 4 and one of 1, and
+    # with 1 or 3, fewer rows than CPUs
+    model, step, horizon = brownian_drift(1.0), 0.05, 10.0
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET",
+                        _four_rows(model, horizon, step))
+    cfg = SimConfig(seed=8, n_paths=n_paths, step=step)
+
+    def totals(block):
+        return np.column_stack((block.totals(1.0), block.log_totals(1.0)))
+
+    def overflow_ignored():
+        # xi past double range: the caller's numpy error state holds in
+        # every range
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return paths.run_paths(brownian_drift(1e307), cfg, horizon,
+                                   lambda block: block.xi[:, -1])
+
+    runs = {
+        "totals": lambda: paths.run_paths(model, cfg, horizon, totals),
+        # a view of the block's xi, which the run's next block overwrites
+        "xi_view": lambda: paths.run_paths(model, cfg, horizon,
+                                           lambda block: block.xi[:, -1]),
+        "identities": lambda: estimators.identity_checks(
+            model, cfg, 1.0, 2.0, 30.0, [-1.0]),
+        "cauchy": lambda: tau_ensemble(CauchyModulus(3), cfg,
+                                       [0.5, 5.0, 50.0], path_offset=1),
+        "overflow_ignored": overflow_ignored,
+        "steps_past_2_53": lambda: tau_ensemble(
+            model, replace(cfg, step=1e-16), TARGETS),
+        # of paths 1 .. 5 of seed 1, path 3 takes r^2 past double range
+        # by 3e153
+        "cauchy_radius": lambda: tau_ensemble(
+            CauchyModulus(3), replace(cfg, seed=1), [3e153], path_offset=1),
+    }
+    got = {name: _under_counts(cpus, run) for name, run in runs.items()}
+    for name, (one, *more) in got.items():
+        assert more == [one, one], name
+    assert got["steps_past_2_53"][0][0] is DomainError
+    assert got["cauchy_radius"][0][0] == (RescalingError if n_paths > 1
+                                          else (1, 1))
+
+
+def test_row_ranges_under_a_short_switch_interval(cpus):
+    # more ranges than cores, the interpreter switching threads every
+    # microsecond: each range keeps its own generator, stream positions
+    # and rows
+    model, cfg = brownian_drift(1.0), SimConfig(seed=5, n_paths=12, step=0.05)
+
+    def run():
+        return (tau_ensemble(model, cfg, TARGETS),
+                tau_ensemble(CauchyModulus(3), cfg, [0.5, 50.0]))
+
+    cpus(1)
+    want = run()
+    cpus(6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+def test_a_second_run_starts_no_thread(cpus):
+    # one CPU starts none; two start one, once
+    model, cfg = brownian_drift(1.0), SimConfig(seed=2, n_paths=5, step=0.05)
+    cpus(1)
+    before = threading.active_count()
+    tau_ensemble(model, cfg, TARGETS)
+    assert (threading.active_count(), paths._POOL) == (before, None)
+    cpus(2)
+    tau_ensemble(model, cfg, TARGETS)
+    assert threading.active_count() == before + 1
+    tau_ensemble(model, cfg, TARGETS)
+    tau_ensemble(CauchyModulus(3), cfg, [5.0])
+    assert threading.active_count() == before + 1
+
+
+# a run that starts the pool, then the same run in a forked child, which
+# has none of the parent's threads; the alarm ends a child that waits on
+# them
+FORK_AFTER_A_RUN = """
+import os, signal, warnings
+from levyclocks import SimConfig, brownian_drift, paths, tau_ensemble
+paths._CPUS = 2
+cfg = SimConfig(seed=1, n_paths=8, step=0.05)
+want = tau_ensemble(brownian_drift(1.0), cfg, [50.0])
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)   # fork with threads
+    pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    got = tau_ensemble(brownian_drift(1.0), cfg, [50.0])
+    os._exit(0 if (got == want).all() else 3)
+os._exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_starts_threads_of_its_own():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-W", "error", "-c",
+                           FORK_AFTER_A_RUN], env={**os.environ,
+                                                   "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("model,step,n_paths", [
@@ -1243,16 +1407,21 @@ def philox_count(monkeypatch):
     return built
 
 
-def test_one_philox_per_ensemble(short_horizon, monkeypatch, philox_count):
-    # one row per block, with doublings: still one generator per ensemble
-    monkeypatch.setattr(paths, "_BLOCK_BUDGET", 1)
-    tau_ensemble(brownian_drift(1.0), SimConfig(seed=4, n_paths=6, step=0.05),
-                 TARGETS)
-    assert len(philox_count) == 1
-    philox_count.clear()
-    tau_ensemble(CauchyModulus(3), SimConfig(seed=4, n_paths=6, step=0.05),
-                 [0.0, 50.0])
-    assert len(philox_count) == 1
+def test_one_philox_per_ensemble(short_horizon, monkeypatch, philox_count,
+                                 cpus):
+    # one generator per row range of an ensemble, with doublings: min(cpus,
+    # rows), the rows of its largest block; one with one row per block
+    cfg = SimConfig(seed=4, n_paths=6, step=0.05)
+    for count in (1, 2, 3):
+        cpus(count)
+        for budget, rows in ((0, 1), (1 << 14, 6)):
+            monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+            philox_count.clear()
+            tau_ensemble(brownian_drift(1.0), cfg, TARGETS)
+            assert len(philox_count) == min(count, rows)
+        philox_count.clear()
+        tau_ensemble(CauchyModulus(3), cfg, [0.0, 50.0])
+        assert len(philox_count) == min(count, cfg.n_paths)
 
 
 def test_drift_condition_checked_before_any_path(philox_count):

@@ -110,7 +110,7 @@ class TestBrownianExact:
             quad = mp.quad(lambda v: v ** (nu - 1) * mp.e1((1 - v) / (2 * t)),
                            [0, 1]) / 2
             assert float(oracles.besq_mean(nu, t)) == pytest.approx(
-                float(quad), rel=1e-10)
+                float(quad), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5])
     def test_mean_is_the_laplace_slope(self, nu):
@@ -119,7 +119,7 @@ class TestBrownianExact:
         with mp.workdps(30):
             slope = mp.diff(lambda m: oracles.besq_laplace(nu, m, 2.0), 0)
             assert float(-slope / (2 * nu)) == pytest.approx(
-                float(oracles.besq_mean(nu, 2.0)), rel=1e-12)
+                float(oracles.besq_mean(nu, 2.0)), rel=1e-12, abs=0.0)
         assert float(oracles.besq_laplace(nu, 0.0, 2.0)) == 1.0
 
     def test_clock_ensemble(self):
@@ -149,7 +149,7 @@ class TestLln:
         t = math.e ** 6
         (row,) = estimate_lln(model, cfg, [t])
         assert row.estimate == pytest.approx(math.log1p(t) / math.log(t),
-                                             rel=1e-14)
+                                             rel=1e-14, abs=0.0)
         assert row.stderr == 0.0
         assert row.reference == 1.0
 
@@ -204,7 +204,7 @@ class TestClt:
     def test_target_variance(self):
         cfg = SimConfig(seed=3, n_paths=400, step=0.01)
         res = estimate_clt(brownian_drift(1.0), cfg, math.e ** 8)
-        assert res.target_variance == pytest.approx(0.5, rel=1e-14)
+        assert res.target_variance == pytest.approx(0.5, rel=1e-14, abs=0.0)
         assert 0.0 < res.ks_statistic < 0.5
         assert len(res.standardized) == 400
 
@@ -213,7 +213,8 @@ class TestClt:
         d1, d2 = model.psi_derivs(0.0)
         cfg = SimConfig(seed=3, n_paths=50, step=0.01)
         res = estimate_clt(model, cfg, math.e ** 6)
-        assert res.target_variance == pytest.approx(d2 / d1 ** 3, rel=1e-14)
+        assert res.target_variance == pytest.approx(
+            d2 / d1 ** 3, rel=1e-14, abs=0.0)
 
     def test_degenerate_variance(self):
         model = cp_plus_drift(1.0, 0.0, 1.0)   # deterministic path
@@ -289,14 +290,14 @@ class TestLogA:
         cfg = SimConfig(seed=4, n_paths=4, step=0.01)
         row = estimate_logA_rate(model, cfg, 30.0)
         assert row.estimate == pytest.approx(
-            math.log(math.exp(30.0) - 1.0) / 30.0, rel=1e-12)
+            math.log(math.exp(30.0) - 1.0) / 30.0, rel=1e-12, abs=0.0)
         assert row.reference == 1.0
 
     def test_long_linear_segment(self):
         # xi_s = s on one segment of length 1000: finite, not NaN
         cfg = SimConfig(seed=1, n_paths=4, step=0.01)
         row = estimate_logA_rate(cp_plus_drift(1.0, 0.0, 1.0), cfg, 1000.0)
-        assert row.estimate == pytest.approx(1.0, rel=1e-15)
+        assert row.estimate == pytest.approx(1.0, rel=1e-15, abs=0.0)
         assert row.stderr == 0.0
 
     def test_brownian(self):
@@ -372,7 +373,8 @@ class TestFirstPassage:
         model = saw_tooth(1.0, 3.0)
         cfg = SimConfig(seed=7, n_paths=4000, step=0.01)
         fp = first_passage_check(model, cfg, 50.0, -0.5)
-        assert fp.analytic == pytest.approx(invert_L(model, -0.5), rel=1e-12)
+        assert fp.analytic == pytest.approx(
+            invert_L(model, -0.5), rel=1e-12, abs=0.0)
         assert abs(fp.rhs - fp.analytic) <= 4.0 * fp.rhs_stderr
 
     def test_brownian_bridge_crossing_matches_L(self):

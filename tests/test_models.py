@@ -187,7 +187,7 @@ class TestDerivatives:
         kappa, delta, c = 0.5, 0.6, 2.0
         d1, _ = csbp_immigration(kappa, delta, c).psi_derivs(0.0)
         expected = c * ((kappa + 1) * delta - kappa) * math.exp(log_gamma(kappa))
-        assert d1 == pytest.approx(expected, rel=1e-12)
+        assert d1 == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_central_differences(self):
         # steps chosen at each difference's float-noise optimum
@@ -284,9 +284,9 @@ class TestMpmathOracle:
                     g2 = mp.polygamma(1, z + h) - mp.polygamma(1, z)
                     refs = float(f), float(f * g1), float(f * (g1 * g1 + g2))
                 assert refs[1] == pytest.approx(c * 1.5 * math.sqrt(m),
-                                                rel=1e-6)
+                                                rel=1e-6, abs=0.0)
                 assert refs[2] == pytest.approx(c * 0.75 / math.sqrt(m),
-                                                rel=1e-6)
+                                                rel=1e-6, abs=0.0)
                 got = (model.psi(m), *model.psi_derivs(m))
                 plain = [c * v for v in (unit.psi(m), *unit.psi_derivs(m))]
                 for k, (value, ref) in enumerate(zip(got, refs)):
@@ -312,10 +312,10 @@ class TestMpmathOracle:
 
             m_star = mp.findroot(slope, mp.mpf(1.0 / (1.5 * 1e-3 * x)) ** 2)
             ref = float(m_star - x * psi(m_star))
-        assert ref == pytest.approx(float(m_star) / 3.0, rel=1e-12)
-        assert rate_I(model, x) == pytest.approx(ref, rel=1e-12)
-        assert x * legendre_dual(model, 1.0 / x) == pytest.approx(ref,
-                                                                  rel=1e-12)
+        assert ref == pytest.approx(float(m_star) / 3.0, rel=1e-12, abs=0.0)
+        assert rate_I(model, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert x * legendre_dual(model, 1.0 / x) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
 
 
 class TestEsscher:
@@ -408,7 +408,7 @@ class TestEndLimits:
         tilt = model.tilt
         gap = g + tilt * l - Psi(tilt)
         lim_psi, lim_d1, got = model.end_limits(upper)
-        assert got == pytest.approx(gap, rel=1e-15)
+        assert got == pytest.approx(gap, rel=1e-15, abs=0.0)
         assert lim_d1 == l
         end = model.m_plus if upper else model.m_minus
         assert lim_psi == l * end

@@ -77,30 +77,30 @@ def quad_moment(model, s: float) -> float:
 
 
 def exact_F(model, m: float):
-    """F(m) of a saw_tooth, cp_plus (d > 0) or cp_minus model at tilt 0,
-    from its tilted law at the exact m in 60 digits: 1/I ~ Beta(g - b,
-    b), d I ~ Beta(g + 1, b/d), or I ~ Y/X with Y ~ Gamma(g + 1) and
-    X ~ Gamma(b - g), with jump parameter g and rate b after the tilt,
-    as E I^{-r} at r = 1 - m."""
+    """F(m) of a saw_tooth, cp_plus (d > 0) or cp_minus model at tilt t,
+    from its law tilted by m, the family's at t + m, at the exact t and m
+    in 60 digits: 1/I ~ Beta(g - b, b), d I ~ Beta(g + 1, b/d), or
+    I ~ Y/X with Y ~ Gamma(g + 1) and X ~ Gamma(b - g), with jump
+    parameter g and rate b after the tilt, as E I^{-r} at r = 1 - m."""
     lg = mp.loggamma
     with mp.workdps(60):
         family, params = model.family.value, [mp.mpf(v) for v in model.params]
-        m = mp.mpf(m)
+        m, t = mp.mpf(m), mp.mpf(model.tilt)
         r = 1 - m
         if family == "saw_tooth":
             beta, gamma = params
-            g = gamma + m
+            g = gamma + t + m
             b = beta * gamma / g
             e = lg(g - b + r) - lg(g - b) + lg(g) - lg(g + r)
         elif family == "cp_plus_drift":
             d, beta, gamma = params
-            g = gamma - m
+            g = gamma - t - m
             h = beta * gamma / g / d
             e = (r * mp.log(d) + lg(g + 1 + h) - lg(g + 1 - r + h)
                  + lg(g + 1 - r) - lg(g + 1))
         else:
             beta, gamma = params
-            g = gamma - m
+            g = gamma - t - m
             a = beta * gamma / g - g
             e = lg(a + r) - lg(a) + lg(g + 1 - r) - lg(g + 1)
         return mp.exp(e)
@@ -166,7 +166,7 @@ class TestRecursion:
         vals = [row.value for row in ledger.rows]
         for r in range(1, 6):
             assert vals[r] / vals[r - 1] == pytest.approx(2.0 * (r + 1.0),
-                                                          rel=1e-14)
+                                                          rel=1e-14, abs=0.0)
 
     def test_brownian_matches_gamma_law(self):
         # hypergeometric (2, d) is Brownian with nu = d - 2 at speed 1/2, and
@@ -182,7 +182,7 @@ class TestRecursion:
             for row in ledger.rows:
                 r = -row.s
                 ref = speed ** r * gamma_law_inverse_moment(nu, r)
-                assert row.value == pytest.approx(ref, rel=1e-12)
+                assert row.value == pytest.approx(ref, rel=1e-12, abs=0.0)
             assert ledger.rows[0].method == "exact"
             assert all(r.method == "recursion" for r in ledger.rows[1:])
 
@@ -203,10 +203,10 @@ class TestRecursion:
 
 class TestFOfM:
     def test_exact_values(self):
-        assert F_of_m(brownian_drift(1.0), 1.0) == pytest.approx(1.0,
-                                                                 rel=1e-14)
-        assert F_of_m(brownian_drift(1.0), 2.0) == pytest.approx(0.125,
-                                                                 rel=1e-12)
+        assert F_of_m(brownian_drift(1.0), 1.0) == pytest.approx(
+            1.0, rel=1e-14, abs=0.0)
+        assert F_of_m(brownian_drift(1.0), 2.0) == pytest.approx(
+            0.125, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -223,7 +223,8 @@ class TestFOfM:
         assert F_of_m(saw_tooth(1.0, 3.0), 1.0) == 1.0
         # and F(0) = E I^{-1} = psi'(0)
         for model in SAMPLED:
-            assert F_of_m(model, 0.0) == pytest.approx(model.mean, rel=1e-14)
+            assert F_of_m(model, 0.0) == pytest.approx(
+                model.mean, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("model", [stable_conditioned(1.5, 1.0),
                                        csbp_immigration(0.5, 1.0, 1.0),
@@ -245,7 +246,7 @@ class TestFOfM:
                 continue
             for row in moment_recursion(tilted, 4).rows:
                 exact = moments._inverse_moment(tilted._path_law, -row.s)
-                assert exact == pytest.approx(row.value, rel=1e-14)
+                assert exact == pytest.approx(row.value, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("model,ms", [
         (brownian_drift(1.0), (-0.2, 0.3, 1.7)),
@@ -264,7 +265,7 @@ class TestFOfM:
         for m in ms:
             value = F_of_m(model, m)
             assert value == pytest.approx(
-                quad_moment(model.esscher(m), m - 1.0), rel=1e-12)
+                quad_moment(model.esscher(m), m - 1.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model,ms", [
         (saw_tooth(1.0, 3.0), (1e3, 1e6, 1e8, 1e10, 1e17)),
@@ -283,6 +284,18 @@ class TestFOfM:
         for m in ms:
             assert F_of_m(model, m) == pytest.approx(
                 float(exact_F(model, m)), rel=1e-13, abs=0.0), m
+
+    @pytest.mark.parametrize("model", [
+        cp_minus_drift(3.0, 2.5), cp_minus_drift(2.0, 1.0),
+        cp_minus_drift(3.0, 1.5).esscher(0.25)], ids=lambda v: v.describe())
+    def test_digits_near_m0(self, model):
+        # the Gamma argument beta_m/|d| - g vanishes at m0: formed from m
+        # without cancelling, F keeps its digits however close m is
+        m0, m_plus = profile(model).m0, model.m_plus
+        for f in (1e-4, 1e-6, 1e-8):
+            m = m0 + f * (m_plus - m0)
+            assert F_of_m(model, m) == pytest.approx(
+                float(exact_F(model, m)), rel=1e-12, abs=0.0), f
 
 
 class TestMonteCarloMoments:
@@ -329,7 +342,8 @@ class TestMonteCarloMoments:
         mc = mc_exp_functional(brownian_drift(1.0), -1.0,
                                SimConfig(seed=3, n_paths=16))
         assert mc.horizon == 20.0
-        assert mc.tail_bound == pytest.approx(math.exp(-20.0), rel=1e-12)
+        assert mc.tail_bound == pytest.approx(
+            math.exp(-20.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model,ss,cdf", [
         # 1/I ~ Beta(2, 1) and I ~ Beta(2, 2): the CDFs of I

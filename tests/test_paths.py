@@ -66,20 +66,21 @@ class TestExpFunctional:
     def test_unit_drift(self):
         path = drift_path(1.0)
         assert functional_at(path, 1.0, 3.0) == pytest.approx(
-            math.exp(3.0) - 1.0, rel=1e-15)
+            math.exp(3.0) - 1.0, rel=1e-15, abs=0.0)
         assert clock(path, 1.0, 5.0)[0] == \
-            pytest.approx(math.log(6.0), rel=1e-15)
+            pytest.approx(math.log(6.0), rel=1e-15, abs=0.0)
 
     def test_negative_alpha(self):
         assert total(drift_path(1.0), -1.0) == pytest.approx(
-            1.0 - math.exp(-10.0), rel=1e-14)
+            1.0 - math.exp(-10.0), rel=1e-14, abs=0.0)
 
     def test_log_total_matches(self):
         cfg = SimConfig(seed=2, n_paths=1, step=0.01, horizon=6.0)
         for model in (brownian_drift(1.0), saw_tooth(1.0, 3.0)):
             path = sample_levy_path(model, cfg, 0)
             lt = path.log_totals(1.0)[0]
-            assert lt == pytest.approx(math.log(total(path, 1.0)), rel=1e-12)
+            assert lt == pytest.approx(
+                math.log(total(path, 1.0)), rel=1e-12, abs=0.0)
 
     def test_log_total_long_linear_segment(self):
         # one segment with alpha drift dt = 1000: expm1 overflows there,
@@ -145,7 +146,7 @@ class TestSampling:
         assert np.array_equal(path.times, np.array([[0.0, 5.0]]))
         assert np.array_equal(path.xi, np.array([[0.0, 5.0]]))
         assert clock(path, 1.0, 3.0)[0] == \
-            pytest.approx(math.log1p(3.0), rel=1e-15)
+            pytest.approx(math.log1p(3.0), rel=1e-15, abs=0.0)
 
     def test_brownian_mean(self):
         # E xi_10 = 2 nu 10 = 20; sd of the mean = sqrt(40)/100
@@ -316,7 +317,8 @@ class TestCauchyModulus:
             one[i] = b * p1.radius[-1]
             p2 = simulate_cauchy_modulus(3, cfg2, n + i)
             two[i] = p2.radius[-1]
-            assert p2.times[-1] == pytest.approx(b * p1.times[-1], rel=1e-12)
+            assert p2.times[-1] == pytest.approx(
+                b * p1.times[-1], rel=1e-12, abs=0.0)
         d = ks_two_sample(one, two)
         assert d <= ks_two_sample_critical(n, n, alpha=0.01)
 

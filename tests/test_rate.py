@@ -71,7 +71,7 @@ class TestProfile:
         p = profile(cp_plus_drift(1.0, 2.0, 1.0))
         assert p.tau_plus == 0.0
         assert p.tau_zero == pytest.approx(1.0, abs=1e-12)
-        assert p.tau_e == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert p.tau_e == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_brownian_critical_point(self):
         # psi(m0) = -nu^2/2 (the consistent value; asymptote slope nu^2/2
@@ -79,13 +79,13 @@ class TestProfile:
         p = profile(brownian_drift(1.0))
         assert p.m0 == pytest.approx(-0.5, abs=1e-12)
         assert p.psi_m0 == pytest.approx(-0.5, abs=1e-12)
-        assert p.tau_e == pytest.approx(0.5, rel=1e-14)
+        assert p.tau_e == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
     def test_ordering_invariant(self):
         for model in MODELS:
             p = profile(model)
             assert p.tau_plus < p.tau_e < p.tau_zero
-            assert p.tau_e == pytest.approx(1.0 / p.mean, rel=1e-14)
+            assert p.tau_e == pytest.approx(1.0 / p.mean, rel=1e-14, abs=0.0)
 
     def test_drift_violation(self):
         bad = saw_tooth(1.0, 3.0).esscher(-2.5)   # below m0
@@ -99,7 +99,7 @@ class TestProfile:
             assert -1.0 < p.m0 < 0.0
             assert abs(digamma(p.m0 + alpha) - digamma(p.m0)) <= 1e-9
             assert p.tau_e == pytest.approx(
-                1.0 / math.exp(log_gamma(alpha)), rel=1e-10)
+                1.0 / math.exp(log_gamma(alpha)), rel=1e-10, abs=0.0)
 
     def test_hypergeometric_critical_closed_form(self):
         for alpha, d in ((1.0, 3.0), (1.3, 3.7), (0.8, 2.5)):
@@ -115,8 +115,9 @@ class TestProfile:
         # scales as tau -> tau/d.
         p1 = profile(cp_plus_drift(1.0, 1.25, 1.0))
         p2 = profile(cp_plus_drift(2.5, 2.5 * 1.25, 1.0))
-        assert p2.tau_zero == pytest.approx(p1.tau_zero / 2.5, rel=1e-10)
-        assert p2.tau_e == pytest.approx(p1.tau_e / 2.5, rel=1e-10)
+        assert p2.tau_zero == pytest.approx(
+            p1.tau_zero / 2.5, rel=1e-10, abs=0.0)
+        assert p2.tau_e == pytest.approx(p1.tau_e / 2.5, rel=1e-10, abs=0.0)
 
     @pytest.mark.xfail(strict=True, reason=(
         "models._gamma_ratio's reflected regime (z < 1/2) forms a = z + h, "

@@ -148,6 +148,14 @@ def test_digamma_and_trigamma_share_one_recurrence():
     assert matching_lines(r"\b(di|tri)gamma\(", [SRC / "models.py"]) == []
 
 
+def test_threads_are_built_in_one_place():
+    # the pool of paths._across, and no other thread, process or fork
+    pools = matching_lines(r"ThreadPoolExecutor[(]")
+    assert len(pools) == 1 and pools[0].startswith("paths.py:"), pools
+    assert matching_lines(r"threading[.]Thread[(]|multiprocessing|os[.]fork"
+                          ) == []
+
+
 def test_the_engine_uses_numpys_public_philox_api_only():
     assert matching_lines(r"ctypes|state_address|[.]cffi") == []
 
