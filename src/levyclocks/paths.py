@@ -31,12 +31,13 @@ key and a position alone: the raw draws it has given so far.
 
 The per-row sampling of Gaussian blocks and of Cauchy-modulus ensembles is
 cut into contiguous row ranges, one per CPU of the process's affinity mask
-(:func:`_across`).  Each range draws its rows from a generator of its own,
-in place on its rows of the block's arrays, and numpy's normal fills and
-array operations release the GIL, so the ranges run at once.  Every row is
-drawn from its own stream, so the output is the same for any number of
-CPUs; with one CPU no thread is started.  Jump rows, whose per-row loop
-holds the GIL, and the reducers run on the calling thread.
+and at most two (:func:`_across`).  Each range draws its rows from a
+generator of its own, in place on its rows of the block's arrays, and
+numpy's normal fills and array operations release the GIL, so the ranges
+run at once.  Every row is drawn from its own stream, so the output is the
+same for any number of ranges; with one CPU no thread is started.  Jump
+rows, whose per-row loop holds the GIL, and the reducers run on the
+calling thread.
 
 Ensembles run on :func:`run_paths`: paths are drawn per row as above,
 gathered into a block of padded rows, and reduced there by operations
@@ -113,11 +114,13 @@ _AUX_STREAM = 1 << 62
 _PER_DOUBLING = 3
 # Raw draws per Philox counter block: the size of the generator's buffer.
 _PHILOX_BLOCK = 4
-# CPUs this process may run on: the row ranges that a block's sampling is
-# cut into.  ``taskset -c 0`` makes it one.
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-# The threads of row ranges 1 .. _CPUS - 1, started on first use.
+# Row ranges that a block's sampling is cut into: one per CPU this process
+# may run on (``taskset -c 0`` makes it one), and at most two, the count
+# whose memory and time were measured.  Each range keeps a generator and,
+# for Cauchy ensembles, a sampler's buffers of its own.
+_RANGES = min(2, len(os.sched_getaffinity(0))
+              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+# The threads of row ranges 1 .. _RANGES - 1, started on first use.
 _POOL = None
 
 
@@ -271,7 +274,7 @@ class _Work:
 
 def _parts(n: int) -> int:
     """The row ranges that :func:`_across` cuts ``n`` rows into."""
-    return min(_CPUS, n)
+    return min(_RANGES, n)
 
 
 def _across(n: int, fn: Callable[[int, int, int], None]) -> None:
@@ -299,7 +302,7 @@ def _across(n: int, fn: Callable[[int, int, int], None]) -> None:
         # imported here, so that importing the package and a run on one
         # CPU load no thread module (about 10 ms)
         from concurrent.futures import ThreadPoolExecutor
-        _POOL = ThreadPoolExecutor(_CPUS - 1)
+        _POOL = ThreadPoolExecutor(_RANGES - 1)
     cuts = [n * k // parts for k in range(parts + 1)]
     futures = [_POOL.submit(contextvars.copy_context().run, fn, k,
                             cuts[k], cuts[k + 1]) for k in range(1, parts)]
@@ -938,10 +941,10 @@ def run_paths(model: LevyModel, cfg: SimConfig, horizon: float,
     sampler keeps what a pending row carries from one reduction to the
     next: its stream position, ξ, A and whether it has crossed the
     first-passage level.  A jump row carries nothing between reductions.
-    A Gaussian block's rows are drawn in row ranges, one per CPU (see
-    :func:`_across`), each from a generator of its own; ``reduce`` runs on
-    the calling thread, once per block.  The result is the same for any
-    number of CPUs.
+    A Gaussian block's rows are drawn in row ranges, one per CPU and at
+    most two (see :func:`_across`), each from a generator of its own;
+    ``reduce`` runs on the calling thread, once per block.  The result is
+    the same for any number of ranges.
 
     Raises:
         HorizonExceededError: with message ``miss(i, h)`` for the first
@@ -1105,12 +1108,12 @@ def _cauchy_clocks(d: int, cfg: SimConfig, targets: np.ndarray,
     times, dt = _cauchy_grid(cfg, float(np.max(targets)))
     ids = path_offset + np.arange(cfg.n_paths)
     out = np.empty((cfg.n_paths, len(targets)))
-    ranges = [(_cauchy_sampler(d, cfg.start, dt), _Streams(cfg.seed))
-              for _ in range(_parts(cfg.n_paths))]
+    ranges = _Work(cfg.seed).ranges_for(cfg.n_paths)
+    samplers = [_cauchy_sampler(d, cfg.start, dt) for _ in ranges]
 
     def clocks(k: int, lo: int, hi: int) -> None:
-        sample, streams = ranges[k]
-        for row, stream in zip(out[lo:hi], streams.streams(ids[lo:hi])):
+        sample = samplers[k]
+        for row, stream in zip(out[lo:hi], ranges[k].streams(ids[lo:hi])):
             row[:] = np.interp(targets, times, sample(stream)[2])
 
     _across(cfg.n_paths, clocks)

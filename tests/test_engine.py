@@ -81,14 +81,15 @@ JUMPS = [entry for entry in MODELS
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets the CPU count that the engine cuts a block's rows by, for the
-    rest of the test: ``cpus(n)``.  Each count starts a pool of its own,
-    shut down after the test."""
+    """Sets the number of row ranges that the engine cuts a block's rows
+    into, as with ``n`` CPUs and no cap, for the rest of the test:
+    ``cpus(n)``.  Each count starts a pool of its own, shut down after the
+    test."""
     pools = []
 
     def count(n: int) -> None:
         pools.append(paths._POOL)
-        monkeypatch.setattr(paths, "_CPUS", n)
+        monkeypatch.setattr(paths, "_RANGES", n)
         monkeypatch.setattr(paths, "_POOL", None)
 
     yield count
@@ -1216,6 +1217,13 @@ def test_row_ranges_under_a_short_switch_interval(cpus):
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no os.sched_getaffinity")
+def test_one_range_per_cpu_and_at_most_two():
+    # two is the count whose memory and time were measured
+    assert paths._RANGES == min(2, len(os.sched_getaffinity(0)))
+
+
 def test_a_second_run_starts_no_thread(cpus):
     # one CPU starts none; two start one, once
     model, cfg = brownian_drift(1.0), SimConfig(seed=2, n_paths=5, step=0.05)
@@ -1237,7 +1245,7 @@ def test_a_second_run_starts_no_thread(cpus):
 FORK_AFTER_A_RUN = """
 import os, signal, warnings
 from levyclocks import SimConfig, brownian_drift, paths, tau_ensemble
-paths._CPUS = 2
+paths._RANGES = 2
 cfg = SimConfig(seed=1, n_paths=8, step=0.05)
 want = tau_ensemble(brownian_drift(1.0), cfg, [50.0])
 with warnings.catch_warnings():
